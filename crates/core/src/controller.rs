@@ -14,7 +14,7 @@
 //! 3. a *relaxed* refresh (DARP's idle-bank pull-in), only on cycles when
 //!    no demand command could issue.
 
-use crate::queues::{Candidate, RequestQueues};
+use crate::queues::{Probe, RequestQueues};
 use crate::refresh::{
     Mechanism, PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy, RefreshTarget,
 };
@@ -72,17 +72,20 @@ impl ControllerStats {
 }
 
 /// Demand-scheduler work accounting: how many candidate requests the
-/// FR-FCFS passes examined on cycles that issued a demand command. Only
-/// issuing cycles accumulate — a cycle that issues nothing is exactly the
-/// kind the event-driven loop may skip, so conditioning on issue keeps the
-/// counters identical across skip-ahead and per-cycle stepping. Kept
-/// outside [`ControllerStats`] (like `row_conflicts`) so the serialized
-/// stats stay unchanged; read by the opt-in telemetry.
+/// FR-FCFS passes examined on cycles that issued a demand command. Banks
+/// the ready-bank prune rules out (a bank-local timing register that has not
+/// expired, a shut shared gate) are never examined and are not counted, so
+/// the mean sits close to 1. Only issuing cycles accumulate — a cycle that
+/// issues nothing is exactly the kind the event-driven loop may skip, so
+/// conditioning on issue keeps the counters identical across skip-ahead and
+/// per-cycle stepping. Kept outside [`ControllerStats`] (like
+/// `row_conflicts`) so the serialized stats stay unchanged; read by the
+/// opt-in telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerScan {
     /// Cycles on which a demand command issued.
     pub issue_cycles: u64,
-    /// Candidates examined across those cycles (pass-1 row-hit probes plus
+    /// Candidates examined across those cycles (pass-1 row-hit pops plus
     /// pass-2 bank-cursor pops).
     pub candidates: u64,
     /// Worst single-cycle candidate count.
@@ -131,8 +134,8 @@ pub struct MemoryController {
     sched_scan: SchedulerScan,
     /// Reusable candidate buffers for the two scheduling passes; the
     /// scheduler runs every cycle, so these must not reallocate per call.
-    scratch_hits: Vec<Candidate>,
-    scratch_cursors: Vec<Candidate>,
+    scratch_hits: Vec<Probe>,
+    scratch_cursors: Vec<Probe>,
 }
 
 impl MemoryController {
@@ -300,10 +303,7 @@ impl MemoryController {
 
         // 6. Relaxed refresh on an otherwise idle command bus.
         if let RefreshDirective::Relaxed(target) = directive {
-            let cmd = Self::refresh_command(&target);
-            if chan.can_issue(&cmd, now) {
-                self.issue_refresh(chan, now, &target, cmd);
-            }
+            self.try_issue_refresh(chan, now, &target);
         }
     }
 
@@ -394,13 +394,13 @@ impl MemoryController {
                         }
                     }
                     None => {
-                        let head = self.queues.bank_head(rank, bank, false).expect("occupied");
+                        let head = self.queues.head_probe(rank, bank, false).expect("occupied");
                         match chan.refreshing_subarray(rank, bank, now) {
                             None => {
                                 let act = Command::Activate {
                                     rank,
                                     bank,
-                                    row: head.req.loc.row,
+                                    row: head.row,
                                 };
                                 if let Some(t) = chan.earliest_issue(&act, now) {
                                     consider(&mut next, floor, t);
@@ -412,15 +412,14 @@ impl MemoryController {
                                 let mut seen = [false; 2];
                                 let mut cur = Some(head);
                                 while let Some(c) = cur {
-                                    let class = usize::from(
-                                        self.geom.subarray_of_row(c.req.loc.row) == sub,
-                                    );
+                                    let class =
+                                        usize::from(self.geom.subarray_of_row(c.row) == sub);
                                     if !seen[class] {
                                         seen[class] = true;
                                         let act = Command::Activate {
                                             rank,
                                             bank,
-                                            row: c.req.loc.row,
+                                            row: c.row,
                                         };
                                         if let Some(t) = chan.earliest_issue(&act, now) {
                                             consider(&mut next, floor, t);
@@ -429,7 +428,7 @@ impl MemoryController {
                                             break;
                                         }
                                     }
-                                    cur = self.queues.next_in_bank(c.slot, false);
+                                    cur = self.queues.next_probe(c.slot, false);
                                 }
                             }
                         }
@@ -461,57 +460,41 @@ impl MemoryController {
         now: Cycle,
         target: &RefreshTarget,
     ) -> bool {
-        let cmd = Self::refresh_command(target);
-        if chan.can_issue(&cmd, now) {
-            self.issue_refresh(chan, now, target, cmd);
+        if self.try_issue_refresh(chan, now, target) {
             return true;
         }
-        // Precharge the refresh scope.
-        match target.kind {
+        // Precharge the refresh scope. `issue` is the legality test: an
+        // `Err` leaves the device untouched and means "not this cycle".
+        let rank = target.rank;
+        let precharge = |chan: &mut DramChannel, bank: usize| {
+            !chan.rank(rank).bank(bank).is_closed()
+                && chan.issue(Command::Precharge { rank, bank }, now).is_ok()
+        };
+        let issued = match target.kind {
+            // When PREA is blocked (some bank's tRAS pending), close any
+            // individually ready bank to make progress.
             RefreshKind::AllBank(_) => {
-                let rank = target.rank;
-                if !chan.rank(rank).all_banks_closed() {
-                    let prea = Command::PrechargeAll { rank };
-                    if chan.can_issue(&prea, now) {
-                        chan.issue(prea, now).expect("validated");
-                        self.stats.precharges += 1;
-                        return true;
-                    }
-                    // PREA blocked (some bank's tRAS pending): close any
-                    // individually ready bank to make progress.
-                    for b in 0..self.geom.banks_per_rank() {
-                        let pre = Command::Precharge { rank, bank: b };
-                        if !chan.rank(rank).bank(b).is_closed() && chan.can_issue(&pre, now) {
-                            chan.issue(pre, now).expect("validated");
-                            self.stats.precharges += 1;
-                            return true;
-                        }
-                    }
-                }
+                !chan.rank(rank).all_banks_closed()
+                    && (chan.issue(Command::PrechargeAll { rank }, now).is_ok()
+                        || (0..self.geom.banks_per_rank()).any(|bank| precharge(chan, bank)))
             }
-            RefreshKind::PerBank { bank } => {
-                let pre = Command::Precharge {
-                    rank: target.rank,
-                    bank,
-                };
-                if !chan.rank(target.rank).bank(bank).is_closed() && chan.can_issue(&pre, now) {
-                    chan.issue(pre, now).expect("validated");
-                    self.stats.precharges += 1;
-                    return true;
-                }
-            }
-        }
-        false
+            RefreshKind::PerBank { bank } => precharge(chan, bank),
+        };
+        self.stats.precharges += u64::from(issued);
+        issued
     }
 
-    fn issue_refresh(
+    /// Issues `target`'s refresh command if the device accepts it this
+    /// cycle. Returns whether it issued.
+    fn try_issue_refresh(
         &mut self,
         chan: &mut DramChannel,
         now: Cycle,
         target: &RefreshTarget,
-        cmd: Command,
-    ) {
-        let receipt = chan.issue(cmd, now).expect("validated by can_issue");
+    ) -> bool {
+        let Ok(receipt) = chan.issue(Self::refresh_command(target), now) else {
+            return false;
+        };
         let done = receipt
             .refresh_done
             .expect("refresh commands report completion");
@@ -548,6 +531,7 @@ impl MemoryController {
             }
         }
         self.policy.refresh_issued(target, now);
+        true
     }
 
     fn masked(mask: &Option<RefreshTarget>, rank: usize, bank: usize) -> bool {
@@ -586,96 +570,116 @@ impl MemoryController {
     /// Both passes run off the per-bank index instead of scanning the flat
     /// queue, visiting candidates in *exactly* the arrival order the flat
     /// scan visited them (see each pass's comment), so command choice and
-    /// tie-breaking are byte-identical to the scan scheduler. Candidates
-    /// that a hoisted shared gate (data bus busy, rank/bank refresh in
-    /// progress, tRRD/tFAW window) proves unissuable are pruned without a
-    /// per-candidate probe — [`DramChannel::check`] tests the same gate as
-    /// a conjunct, so the pruned candidate could only have failed, and a
-    /// failed probe never changes which command issues.
+    /// tie-breaking are byte-identical to the scan scheduler.
+    ///
+    /// **Ready-bank pruning.** A bank can contribute one command class this
+    /// cycle — a column command if a queued request hits its open row, a PRE
+    /// if its open row has no queued hit, an ACT if it is closed — and it
+    /// becomes a candidate only if every gate for that class is open: the
+    /// shared ones (data bus, rank/bank refresh in progress, tRRD/tFAW
+    /// window) and the bank's own `next_col`/`next_pre`/`next_act` register.
+    /// [`DramChannel::check`] tests each of those gates as a conjunct, so a
+    /// pruned candidate could only have failed, and a failed probe never
+    /// changes which command issues (for a closed bank the SARP-conflict
+    /// "advance" path only walks toward more doomed ACTs). Debug builds
+    /// re-run `check` on every pruned bank
+    /// ([`Self::assert_pruned_banks_doomed`]). What survives is validated
+    /// exactly once, by [`DramChannel::issue`], whose `Err` is the
+    /// not-legal-this-cycle branch.
     fn schedule_demand_with(
         &mut self,
         chan: &mut DramChannel,
         now: Cycle,
         mask: Option<RefreshTarget>,
-        hits: &mut Vec<Candidate>,
-        cursors: &mut Vec<Candidate>,
+        hits: &mut Vec<Probe>,
+        cursors: &mut Vec<Probe>,
     ) -> bool {
         let drain = self.queues.in_drain_mode();
-        let ranks = self.geom.ranks_per_channel();
-        let banks = self.geom.banks_per_rank();
-        let mut scanned = 0u64;
-
-        // Pass 1: row hits (column commands), oldest first. Hits on one
-        // bank's open row all share a single legality outcome (`can_issue`
-        // ignores the column address and auto-precharge flag), so trying
-        // each bank's *oldest* hit in global arrival order issues exactly
-        // what the flat scan would have issued: the younger same-bank hits
-        // the scan also visited could only fail identically. The whole pass
-        // is gated on the shared data bus — every column command needs it.
+        // Every column command needs the shared data bus.
+        let col_bus_ready = now >= chan.col_bus_ready(drain);
         hits.clear();
-        if now >= chan.col_bus_ready(drain) {
-            for rank in 0..ranks {
-                let rk = chan.rank(rank);
-                if rk.is_refab_busy(now) {
+        cursors.clear();
+        for rank in 0..self.geom.ranks_per_channel() {
+            let rk = chan.rank(rank);
+            if rk.is_refab_busy(now) {
+                continue;
+            }
+            // The rank-level tRRD/tFAW window, once per rank instead of
+            // inside every ACT probe.
+            let rank_act_ready = now >= rk.next_act_allowed(now, &self.timing);
+            for bank in 0..self.geom.banks_per_rank() {
+                let b = rk.bank(bank);
+                if b.is_refresh_busy(now) || Self::masked(&mask, rank, bank) {
                     continue;
                 }
-                for bank in 0..banks {
-                    if Self::masked(&mask, rank, bank) {
-                        continue;
+                // Registers before queues: most banks are ruled out here
+                // without touching the request index.
+                let head = match b.open_row() {
+                    Some(open) => {
+                        let col_ready = col_bus_ready && now >= b.next_col();
+                        let pre_ready = now >= b.next_pre();
+                        if !(col_ready || pre_ready) {
+                            continue;
+                        }
+                        match self.queues.hit_probe(rank, bank, open, drain) {
+                            // Pass-1 candidate: the oldest hit on the open row.
+                            Some(hit) => {
+                                if col_ready {
+                                    hits.push(hit);
+                                }
+                                continue;
+                            }
+                            // Conflict with nothing left to hit the open
+                            // row: the bank's oldest request wants it closed.
+                            None if pre_ready => self.queues.head_probe(rank, bank, drain),
+                            None => None,
+                        }
                     }
-                    let b = rk.bank(bank);
-                    if b.is_refresh_busy(now) {
-                        continue;
+                    None if rank_act_ready && now >= b.next_act() => {
+                        self.queues.head_probe(rank, bank, drain)
                     }
-                    let Some(open) = b.open_row() else {
-                        continue;
-                    };
-                    if let Some(c) = self.queues.first_row_hit(rank, bank, open, drain) {
-                        hits.push(c);
-                    }
+                    None => None,
+                };
+                if let Some(head) = head {
+                    cursors.push(head);
                 }
             }
         }
-        hits.sort_unstable_by_key(|c| c.seq);
-        for &c in hits.iter() {
+        if cfg!(debug_assertions) {
+            self.assert_pruned_banks_doomed(chan, now, &mask, hits, cursors);
+        }
+        let mut scanned = 0u64;
+
+        // Pass 1: row hits (column commands), oldest first. Hits on one
+        // bank's open row all share a single legality outcome (`check`
+        // ignores the column address and auto-precharge flag), so trying
+        // each bank's *oldest* hit in global arrival order issues exactly
+        // what the flat scan would have issued: the younger same-bank hits
+        // the scan also visited could only fail identically.
+        while let Some(i) = Self::oldest(hits) {
+            let hit = hits.swap_remove(i);
             scanned += 1;
-            let (rank, bank) = (c.req.loc.rank, c.req.loc.bank);
-            let auto_precharge = !self.queues.another_row_hit_queued(&c.req.loc, drain, true);
-            let cmd = if drain {
-                Command::Write {
-                    rank,
-                    bank,
-                    col: c.req.loc.col,
-                    auto_precharge,
-                }
-            } else {
-                Command::Read {
-                    rank,
-                    bank,
-                    col: c.req.loc.col,
-                    auto_precharge,
-                }
+            let auto_precharge = self.queues.row_hits(hit.rank, hit.bank, hit.row, drain) == 1;
+            let Ok(receipt) = chan.issue(Self::column(&hit, drain, auto_precharge), now) else {
+                continue;
             };
-            if chan.can_issue(&cmd, now) {
-                let receipt = chan.issue(cmd, now).expect("validated");
-                self.stats.row_hits += 1;
-                if drain {
-                    self.queues.take_write(c.slot);
-                    self.stats.writes_done += 1;
-                } else {
-                    let req = self.queues.take_read(c.slot);
-                    let ready = receipt.data_ready.expect("reads report data time");
-                    self.stats.reads_done += 1;
-                    self.stats.read_latency_sum += ready - req.arrival;
-                    self.inflight.push(Completion {
-                        id: req.id,
-                        core: req.core,
-                        ready_at: ready,
-                    });
-                }
-                self.note_issue(scanned);
-                return true;
+            self.stats.row_hits += 1;
+            if drain {
+                self.queues.take_write(hit.slot);
+                self.stats.writes_done += 1;
+            } else {
+                let req = self.queues.take_read(hit.slot);
+                let ready = receipt.data_ready.expect("reads report data time");
+                self.stats.reads_done += 1;
+                self.stats.read_latency_sum += ready - req.arrival;
+                self.inflight.push(Completion {
+                    id: req.id,
+                    core: req.core,
+                    ready_at: ready,
+                });
             }
+            self.note_issue(scanned);
+            return true;
         }
 
         // Pass 2: oldest-first activation / conflict precharge. Per bank,
@@ -686,111 +690,125 @@ impl MemoryController {
         // arrival seq among the bank cursors visits requests in exactly the
         // flat queue order; dropping a bank's cursor is the flat scan's
         // `tried` mask, and advancing it within the bank is the scan's
-        // "continue past a subarray-conflicted request". Banks behind a
-        // blocking refresh are pruned up front (their one visit could only
-        // drop the cursor); the rank-level tRRD/tFAW window is computed
-        // once per rank instead of inside every ACT probe.
-        cursors.clear();
-        for rank in 0..ranks {
-            let rk = chan.rank(rank);
-            if rk.is_refab_busy(now) {
-                continue;
-            }
-            let rank_act_ready = now >= rk.next_act_allowed(now, &self.timing);
-            for bank in 0..banks {
-                if Self::masked(&mask, rank, bank) {
-                    continue;
-                }
-                let b = rk.bank(bank);
-                if b.is_refresh_busy(now) {
-                    continue;
-                }
-                // A closed bank can only contribute an ACT; with the rank's
-                // tRRD/tFAW window shut, every visit to it this cycle would
-                // end in a cursor drop (the SARP advance path also only
-                // walks toward more doomed ACTs), so skip it entirely.
-                if !rank_act_ready && b.is_closed() {
-                    continue;
-                }
-                if let Some(c) = self.queues.bank_head(rank, bank, drain) {
-                    cursors.push(c);
-                }
-            }
-        }
-        while !cursors.is_empty() {
-            let i = cursors
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, c)| c.seq)
-                .map(|(i, _)| i)
-                .expect("non-empty");
+        // "continue past a subarray-conflicted request".
+        while let Some(i) = Self::oldest(cursors) {
             let c = cursors[i];
             scanned += 1;
-            let (rank, bank) = (c.req.loc.rank, c.req.loc.bank);
-            let advance = |cursors: &mut Vec<Candidate>, queues: &RequestQueues| match queues
-                .next_in_bank(c.slot, drain)
-            {
-                Some(n) => cursors[i] = n,
-                None => {
-                    cursors.swap_remove(i);
+            let (rank, bank) = (c.rank, c.bank);
+            if !chan.rank(rank).bank(bank).is_closed() {
+                // Only conflicted banks with no queued hit were built.
+                if chan.issue(Command::Precharge { rank, bank }, now).is_ok() {
+                    self.stats.precharges += 1;
+                    self.row_conflicts += 1;
+                    self.note_issue(scanned);
+                    return true;
                 }
-            };
-            match chan.rank(rank).bank(bank).open_row() {
-                None => {
-                    // SARP §4.3.2: consult the shadow counters first; a
-                    // conflicting request leaves the bank open for younger
-                    // requests to other subarrays. (The shadow consult must
-                    // precede the ACT-window prune — a conflicted request
-                    // advances the cursor, a timing-blocked one drops it.)
-                    if let Some(sub) = self.shadow_refreshing_subarray(rank, bank, now) {
-                        if self.geom.subarray_of_row(c.req.loc.row) == sub {
-                            advance(cursors, &self.queues);
-                            continue;
-                        }
+                cursors.swap_remove(i);
+                continue;
+            }
+            // SARP §4.3.2: consult the shadow counters first; a conflicting
+            // request leaves the bank open for younger requests to other
+            // subarrays (it advances the cursor, where a timing-blocked ACT
+            // drops it).
+            let shadow = self.shadow_refreshing_subarray(rank, bank, now);
+            if shadow != Some(self.geom.subarray_of_row(c.row)) {
+                let act = Command::Activate {
+                    rank,
+                    bank,
+                    row: c.row,
+                };
+                match chan.issue(act, now) {
+                    Ok(_) => {
+                        self.stats.acts += 1;
+                        self.note_issue(scanned);
+                        return true;
                     }
-                    let act = Command::Activate {
-                        rank,
-                        bank,
-                        row: c.req.loc.row,
-                    };
-                    match chan.check(&act, now) {
-                        Ok(()) => {
-                            chan.issue(act, now).expect("validated");
-                            self.stats.acts += 1;
-                            self.note_issue(scanned);
-                            return true;
-                        }
-                        Err(IssueError::SubarrayConflict) => {
-                            // Shadow/device disagreement would be a bug.
-                            debug_assert!(false, "subarray conflict not caught by shadow counters");
-                            advance(cursors, &self.queues);
-                        }
-                        Err(_) => {
-                            cursors.swap_remove(i);
-                        }
+                    // Shadow/device disagreement would be a bug.
+                    Err(IssueError::SubarrayConflict) => {
+                        debug_assert!(false, "subarray conflict not caught by shadow counters");
+                    }
+                    Err(_) => {
+                        cursors.swap_remove(i);
+                        continue;
                     }
                 }
-                Some(open_row) => {
-                    // Conflict: close the row once nothing will hit it.
-                    let hit_loc = dsarp_dram::Location {
-                        row: open_row,
-                        ..c.req.loc
-                    };
-                    if !self.queues.another_row_hit_queued(&hit_loc, drain, false) {
-                        let pre = Command::Precharge { rank, bank };
-                        if chan.can_issue(&pre, now) {
-                            chan.issue(pre, now).expect("validated");
-                            self.stats.precharges += 1;
-                            self.row_conflicts += 1;
-                            self.note_issue(scanned);
-                            return true;
-                        }
-                    }
+            }
+            match self.queues.next_probe(c.slot, drain) {
+                Some(next) => cursors[i] = next,
+                None => {
                     cursors.swap_remove(i);
                 }
             }
         }
         false
+    }
+
+    /// Index of the oldest (lowest arrival seq) probe.
+    fn oldest(probes: &[Probe]) -> Option<usize> {
+        let oldest = probes.iter().enumerate().min_by_key(|(_, p)| p.seq);
+        oldest.map(|(i, _)| i)
+    }
+
+    /// The column command serving `hit` on the servable side.
+    fn column(hit: &Probe, write: bool, auto_precharge: bool) -> Command {
+        let (rank, bank, col) = (hit.rank, hit.bank, hit.col);
+        if write {
+            Command::Write {
+                rank,
+                bank,
+                col,
+                auto_precharge,
+            }
+        } else {
+            Command::Read {
+                rank,
+                bank,
+                col,
+                auto_precharge,
+            }
+        }
+    }
+
+    /// The pruning argument, checked on every scheduled cycle of a debug
+    /// build (so by the whole test suite): each unmasked bank with servable
+    /// demand that the build loop left out of both candidate lists must be
+    /// one whose command [`DramChannel::check`] rejects this cycle.
+    fn assert_pruned_banks_doomed(
+        &self,
+        chan: &DramChannel,
+        now: Cycle,
+        mask: &Option<RefreshTarget>,
+        hits: &[Probe],
+        cursors: &[Probe],
+    ) {
+        let drain = self.queues.in_drain_mode();
+        for rank in 0..self.geom.ranks_per_channel() {
+            for bank in 0..self.geom.banks_per_rank() {
+                let mut kept = hits.iter().chain(cursors);
+                if Self::masked(mask, rank, bank) || kept.any(|p| (p.rank, p.bank) == (rank, bank))
+                {
+                    continue;
+                }
+                let Some(head) = self.queues.head_probe(rank, bank, drain) else {
+                    continue;
+                };
+                let cmd = match chan.rank(rank).bank(bank).open_row() {
+                    Some(open) => match self.queues.hit_probe(rank, bank, open, drain) {
+                        Some(hit) => Self::column(&hit, drain, false),
+                        None => Command::Precharge { rank, bank },
+                    },
+                    None => Command::Activate {
+                        rank,
+                        bank,
+                        row: head.row,
+                    },
+                };
+                debug_assert!(
+                    chan.check(&cmd, now).is_err(),
+                    "pruned {cmd:?}, which could have issued at cycle {now}"
+                );
+            }
+        }
     }
 
     /// Folds one issuing cycle's scan work into the scheduler counters.

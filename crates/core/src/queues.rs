@@ -26,15 +26,15 @@
 //!   test read row-chain heads and counts.
 //!
 //! Per-bank and per-rank occupancy counters make the policy queries O(1),
-//! and a location-keyed count over the write queue makes read-after-write
-//! forwarding probes O(1). Arrival order is captured in a monotonically
-//! increasing per-side sequence number, so FR-FCFS tie-breaking is
-//! *identical* to scanning a flat queue front-to-back: every query answers
-//! exactly what the scan would have answered.
+//! and read-after-write forwarding walks the write side's row chain for the
+//! read's (rank, bank, row) comparing columns — a handful of entries, no
+//! hashing. Arrival order is captured in a monotonically increasing per-side
+//! sequence number, so FR-FCFS tie-breaking is *identical* to scanning a
+//! flat queue front-to-back: every query answers exactly what the scan would
+//! have answered.
 
 use crate::request::Request;
 use dsarp_dram::Location;
-use std::collections::HashMap;
 
 /// Default read-queue capacity (paper Table 1).
 pub const READ_QUEUE_CAP: usize = 64;
@@ -64,6 +64,19 @@ pub struct Candidate {
     pub seq: u64,
     /// The queued request.
     pub req: Request,
+}
+
+/// A queued request's scheduling coordinates without its payload — what the
+/// FR-FCFS passes order and probe on. The [`Request`] itself is read from
+/// `slot` only when its command issues.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Probe {
+    pub(crate) seq: u64,
+    pub(crate) slot: SlotId,
+    pub(crate) rank: usize,
+    pub(crate) bank: usize,
+    pub(crate) row: u32,
+    pub(crate) col: u32,
 }
 
 /// Slot payload plus its links on the three chains.
@@ -120,8 +133,11 @@ struct Side {
     len: usize,
     all_head: u32,
     all_tail: u32,
-    /// `[rank][bank]`, grown on demand — the queues are geometry-agnostic.
-    banks: Vec<Vec<BankIndex>>,
+    /// `rank * stride + bank`, grown on demand — the queues are
+    /// geometry-agnostic.
+    banks: Vec<BankIndex>,
+    /// Banks per rank in the flat table (0 until the first push).
+    stride: usize,
     /// Per-rank occupancy, grown on demand.
     rank_counts: Vec<u32>,
 }
@@ -136,6 +152,7 @@ impl Side {
             all_head: NIL,
             all_tail: NIL,
             banks: Vec::new(),
+            stride: 0,
             rank_counts: Vec::new(),
         }
     }
@@ -145,20 +162,31 @@ impl Side {
     }
 
     fn bank(&self, rank: usize, bank: usize) -> Option<&BankIndex> {
-        self.banks.get(rank)?.get(bank)
+        (bank < self.stride)
+            .then(|| self.banks.get(rank * self.stride + bank))
+            .flatten()
     }
 
-    /// Grows the lazily-sized tables to cover `(rank, bank)`.
-    fn grow(&mut self, rank: usize, bank: usize) {
-        if rank >= self.banks.len() {
-            self.banks.resize_with(rank + 1, Vec::new);
-        }
-        if bank >= self.banks[rank].len() {
-            self.banks[rank].resize_with(bank + 1, BankIndex::default);
+    /// Grows the lazily-sized tables to cover `(rank, bank)` and returns the
+    /// bank's flat index. A wider bank than any seen so far re-lays the
+    /// table out with the new stride (a handful of times per run at most).
+    fn grow(&mut self, rank: usize, bank: usize) -> usize {
+        if bank >= self.stride {
+            let stride = bank + 1;
+            let mut wider = Vec::new();
+            wider.resize_with(self.rank_counts.len() * stride, BankIndex::default);
+            for (i, bi) in std::mem::take(&mut self.banks).into_iter().enumerate() {
+                wider[i / self.stride * stride + i % self.stride] = bi;
+            }
+            self.banks = wider;
+            self.stride = stride;
         }
         if rank >= self.rank_counts.len() {
             self.rank_counts.resize(rank + 1, 0);
+            self.banks
+                .resize_with((rank + 1) * self.stride, BankIndex::default);
         }
+        rank * self.stride + bank
     }
 
     fn entry(&self, slot: u32) -> &Entry {
@@ -178,22 +206,31 @@ impl Side {
         }
     }
 
+    fn probe(&self, slot: u32) -> Probe {
+        let e = self.entry(slot);
+        Probe {
+            seq: e.seq,
+            slot: SlotId(slot),
+            rank: e.req.loc.rank,
+            bank: e.req.loc.bank,
+            row: e.req.loc.row,
+            col: e.req.loc.col,
+        }
+    }
+
     fn push(&mut self, req: Request) -> bool {
         let Some(slot) = self.free.pop() else {
             return false;
         };
         let (rank, bank, row) = (req.loc.rank, req.loc.bank, req.loc.row);
-        self.grow(rank, bank);
+        let flat = self.grow(rank, bank);
         let seq = self.next_seq;
         self.next_seq += 1;
 
         let all_tail = self.all_tail;
-        let bank_tail = self.banks[rank][bank].tail;
-        let row_pos = self.banks[rank][bank]
-            .rows
-            .iter()
-            .position(|rc| rc.row == row);
-        let row_tail = row_pos.map_or(NIL, |i| self.banks[rank][bank].rows[i].tail);
+        let bank_tail = self.banks[flat].tail;
+        let row_pos = self.banks[flat].rows.iter().position(|rc| rc.row == row);
+        let row_tail = row_pos.map_or(NIL, |i| self.banks[flat].rows[i].tail);
 
         self.slots[slot as usize] = Some(Entry {
             req,
@@ -218,7 +255,7 @@ impl Side {
             self.entry_mut(row_tail).row_next = slot;
         }
 
-        let bi = &mut self.banks[rank][bank];
+        let bi = &mut self.banks[flat];
         if bi.head == NIL {
             bi.head = slot;
         }
@@ -270,7 +307,7 @@ impl Side {
             self.entry_mut(e.row_next).row_prev = e.row_prev;
         }
 
-        let bi = &mut self.banks[rank][bank];
+        let bi = &mut self.banks[rank * self.stride + bank];
         if bi.head == idx {
             bi.head = e.bank_next;
         }
@@ -318,45 +355,39 @@ impl Side {
             .map_or(0, |rc| rc.count as usize)
     }
 
-    fn first_row_hit(&self, rank: usize, bank: usize, row: u32) -> Option<Candidate> {
-        self.row_chain(rank, bank, row)
-            .map(|rc| self.candidate(rc.head))
+    /// Slot of the oldest request hitting `row` in the bank.
+    fn first_row_hit(&self, rank: usize, bank: usize, row: u32) -> Option<u32> {
+        self.row_chain(rank, bank, row).map(|rc| rc.head)
     }
 
-    fn bank_head(&self, rank: usize, bank: usize) -> Option<Candidate> {
-        let bi = self.bank(rank, bank)?;
-        (bi.head != NIL).then(|| self.candidate(bi.head))
+    /// Slot of the bank's oldest request.
+    fn bank_head(&self, rank: usize, bank: usize) -> Option<u32> {
+        link(self.bank(rank, bank)?.head)
     }
 
-    fn next_in_bank(&self, slot: SlotId) -> Option<Candidate> {
-        let next = self.entry(slot.0).bank_next;
-        (next != NIL).then(|| self.candidate(next))
+    /// Slot of `slot`'s successor on its bank chain.
+    fn next_in_bank(&self, slot: SlotId) -> Option<u32> {
+        link(self.entry(slot.0).bank_next)
     }
 
-    fn iter(&self) -> SideIter<'_> {
-        SideIter {
-            side: self,
-            cursor: self.all_head,
-        }
+    /// Whether a request to exactly `loc` is queued: walks the (rank, bank,
+    /// row) chain comparing the rest of the location.
+    fn holds(&self, loc: &Location) -> bool {
+        let head = self.first_row_hit(loc.rank, loc.bank, loc.row);
+        std::iter::successors(head, |&s| link(self.entry(s).row_next))
+            .any(|s| self.entry(s).req.loc == *loc)
+    }
+
+    /// The side's requests in arrival order.
+    fn iter(&self) -> impl Iterator<Item = Candidate> + '_ {
+        std::iter::successors(link(self.all_head), |&s| link(self.entry(s).all_next))
+            .map(|s| self.candidate(s))
     }
 }
 
-/// Arrival-order iterator over one side.
-struct SideIter<'a> {
-    side: &'a Side,
-    cursor: u32,
-}
-
-impl Iterator for SideIter<'_> {
-    type Item = Candidate;
-
-    fn next(&mut self) -> Option<Candidate> {
-        (self.cursor != NIL).then(|| {
-            let c = self.side.candidate(self.cursor);
-            self.cursor = self.side.entry(self.cursor).all_next;
-            c
-        })
-    }
+/// A chain link as an `Option`: `None` at the end of the chain.
+fn link(slot: u32) -> Option<u32> {
+    (slot != NIL).then_some(slot)
 }
 
 /// The controller's demand-request queues.
@@ -364,9 +395,6 @@ impl Iterator for SideIter<'_> {
 pub struct RequestQueues {
     reads: Side,
     writes: Side,
-    /// Write-queue occupancy per exact [`Location`] — the read-after-write
-    /// forwarding probe (`forwards_read`) in O(1).
-    forward: HashMap<Location, u32>,
     high: usize,
     low: usize,
     draining: bool,
@@ -398,7 +426,6 @@ impl RequestQueues {
         Self {
             reads: Side::new(read_cap),
             writes: Side::new(write_cap),
-            forward: HashMap::new(),
             high,
             low,
             draining: false,
@@ -424,12 +451,7 @@ impl RequestQueues {
     /// Appends a writeback; `false` when the queue is full.
     pub fn try_push_write(&mut self, req: Request) -> bool {
         debug_assert!(req.is_write);
-        if self.writes.push(req) {
-            *self.forward.entry(req.loc).or_insert(0) += 1;
-            true
-        } else {
-            false
-        }
+        self.writes.push(req)
     }
 
     /// Updates writeback mode from the current occupancy. Call once per
@@ -477,14 +499,7 @@ impl RequestQueues {
 
     /// Removes and returns the write in `slot`.
     pub fn take_write(&mut self, slot: SlotId) -> Request {
-        let req = self.writes.take(slot);
-        match self.forward.get_mut(&req.loc) {
-            Some(n) if *n > 1 => *n -= 1,
-            _ => {
-                self.forward.remove(&req.loc);
-            }
-        }
-        req
+        self.writes.take(slot)
     }
 
     /// Pending demand requests (reads + writes) for one bank — the occupancy
@@ -521,9 +536,9 @@ impl RequestQueues {
     }
 
     /// Searches the write queue for a pending write to the same line
-    /// (read-after-write forwarding). O(1).
+    /// (read-after-write forwarding). O(writes queued to `loc`'s row).
     pub fn forwards_read(&self, loc: &Location) -> bool {
-        self.forward.contains_key(loc)
+        self.writes.holds(loc)
     }
 
     /// Queued requests for one bank on one side (`writes` selects the
@@ -545,17 +560,45 @@ impl RequestQueues {
         row: u32,
         writes: bool,
     ) -> Option<Candidate> {
-        self.side(writes).first_row_hit(rank, bank, row)
+        let side = self.side(writes);
+        side.first_row_hit(rank, bank, row)
+            .map(|s| side.candidate(s))
     }
 
     /// The oldest queued request for one bank on one side.
     pub fn bank_head(&self, rank: usize, bank: usize, writes: bool) -> Option<Candidate> {
-        self.side(writes).bank_head(rank, bank)
+        let side = self.side(writes);
+        side.bank_head(rank, bank).map(|s| side.candidate(s))
     }
 
     /// The next-older-to-younger successor of `slot` within its bank chain.
     pub fn next_in_bank(&self, slot: SlotId, writes: bool) -> Option<Candidate> {
-        self.side(writes).next_in_bank(slot)
+        let side = self.side(writes);
+        side.next_in_bank(slot).map(|s| side.candidate(s))
+    }
+
+    /// [`Self::first_row_hit`] without the payload copy (scheduler hot path).
+    pub(crate) fn hit_probe(
+        &self,
+        rank: usize,
+        bank: usize,
+        row: u32,
+        writes: bool,
+    ) -> Option<Probe> {
+        let side = self.side(writes);
+        side.first_row_hit(rank, bank, row).map(|s| side.probe(s))
+    }
+
+    /// [`Self::bank_head`] without the payload copy.
+    pub(crate) fn head_probe(&self, rank: usize, bank: usize, writes: bool) -> Option<Probe> {
+        let side = self.side(writes);
+        side.bank_head(rank, bank).map(|s| side.probe(s))
+    }
+
+    /// [`Self::next_in_bank`] without the payload copy.
+    pub(crate) fn next_probe(&self, slot: SlotId, writes: bool) -> Option<Probe> {
+        let side = self.side(writes);
+        side.next_in_bank(slot).map(|s| side.probe(s))
     }
 
     /// Read-queue occupancy.

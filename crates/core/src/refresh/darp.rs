@@ -47,6 +47,10 @@ pub struct Darp {
     /// Source of the most recently proposed target, for stats attribution
     /// when the controller actually issues it.
     proposal: Option<(RefreshTarget, Source)>,
+    /// Reusable (rank, bank) pools for the out-of-order pick; `decide` runs
+    /// every cycle, so these must not reallocate per call.
+    postponed: Vec<(usize, usize)>,
+    pullable: Vec<(usize, usize)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +96,8 @@ impl Darp {
             rng: SmallRng::seed_from_u64(seed ^ 0xDA29),
             stats: DarpStats::default(),
             proposal: None,
+            postponed: Vec::with_capacity(ranks * banks),
+            pullable: Vec::with_capacity(ranks * banks),
         }
     }
 
@@ -120,13 +126,18 @@ impl Darp {
         }
     }
 
-    /// Whether (rank, bank) can physically accept a `REFpb` right now.
-    fn bank_refreshable(ctx: &PolicyContext<'_>, rank: usize, bank: usize) -> bool {
+    /// Whether `rank` can accept any `REFpb` right now: a free refresh slot
+    /// and no `REFab` in flight. Checked once per rank, ahead of its banks.
+    fn rank_refreshable(ctx: &PolicyContext<'_>, rank: usize) -> bool {
         let rk = ctx.chan.rank(rank);
-        !rk.is_refpb_busy(ctx.now)
-            && !rk.is_refab_busy(ctx.now)
-            && !rk.bank(bank).is_refresh_busy(ctx.now)
-            && rk.bank(bank).sarp_refresh(ctx.now).is_none()
+        !rk.is_refpb_busy(ctx.now) && !rk.is_refab_busy(ctx.now)
+    }
+
+    /// Whether `bank` of a [refreshable](Self::rank_refreshable) rank can
+    /// physically accept a `REFpb` right now.
+    fn bank_refreshable(ctx: &PolicyContext<'_>, rank: usize, bank: usize) -> bool {
+        let b = ctx.chan.rank(rank).bank(bank);
+        !b.is_refresh_busy(ctx.now) && b.sarp_refresh(ctx.now).is_none()
     }
 }
 
@@ -144,7 +155,7 @@ impl RefreshPolicy for Darp {
 
         // 1. Forced: a bank at the postponement limit outranks demands.
         for (r, st) in self.ranks.iter().enumerate() {
-            if ctx.chan.rank(r).is_refpb_busy(ctx.now) {
+            if !Self::rank_refreshable(ctx, r) {
                 continue;
             }
             if let Some((bank, _)) = st
@@ -168,7 +179,7 @@ impl RefreshPolicy for Darp {
         //    mode, refresh the bank with the fewest pending demands.
         if self.wrp && ctx.queues.in_drain_mode() {
             for (r, st) in self.ranks.iter().enumerate() {
-                if ctx.chan.rank(r).is_refpb_busy(ctx.now) {
+                if !Self::rank_refreshable(ctx, r) {
                     continue;
                 }
                 let candidate = (0..st.debt.len())
@@ -188,10 +199,10 @@ impl RefreshPolicy for Darp {
         // 3. Out-of-order refresh of an idle bank (Fig. 8 ③), served only if
         //    no demand command issues this cycle. Prefer catching up
         //    postponed debt, then pull-ins; pick randomly among candidates.
-        let mut postponed: Vec<(usize, usize)> = Vec::new();
-        let mut pullable: Vec<(usize, usize)> = Vec::new();
+        self.postponed.clear();
+        self.pullable.clear();
         for (r, st) in self.ranks.iter().enumerate() {
-            if ctx.chan.rank(r).is_refpb_busy(ctx.now) {
+            if !Self::rank_refreshable(ctx, r) {
                 continue;
             }
             for b in 0..st.debt.len() {
@@ -202,16 +213,16 @@ impl RefreshPolicy for Darp {
                     continue;
                 }
                 if st.debt[b] > 0 {
-                    postponed.push((r, b));
+                    self.postponed.push((r, b));
                 } else {
-                    pullable.push((r, b));
+                    self.pullable.push((r, b));
                 }
             }
         }
-        let pool = if !postponed.is_empty() {
-            &postponed
+        let pool = if !self.postponed.is_empty() {
+            &self.postponed
         } else {
-            &pullable
+            &self.pullable
         };
         if pool.is_empty() {
             return RefreshDirective::None;
@@ -263,7 +274,7 @@ impl RefreshPolicy for Darp {
         // pool is non-empty, which is exactly the would-act case reported
         // as `now + 1` here, so the RNG stream is preserved across skips).
         for (r, st) in self.ranks.iter().enumerate() {
-            if ctx.chan.rank(r).is_refpb_busy(now) {
+            if !Self::rank_refreshable(ctx, r) {
                 continue;
             }
             if st
@@ -277,7 +288,7 @@ impl RefreshPolicy for Darp {
         }
         if self.wrp && ctx.queues.in_drain_mode() {
             for (r, st) in self.ranks.iter().enumerate() {
-                if ctx.chan.rank(r).is_refpb_busy(now) {
+                if !Self::rank_refreshable(ctx, r) {
                     continue;
                 }
                 if (0..st.debt.len())
@@ -288,7 +299,7 @@ impl RefreshPolicy for Darp {
             }
         }
         for (r, st) in self.ranks.iter().enumerate() {
-            if ctx.chan.rank(r).is_refpb_busy(now) {
+            if !Self::rank_refreshable(ctx, r) {
                 continue;
             }
             for b in 0..st.debt.len() {

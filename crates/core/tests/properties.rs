@@ -2,7 +2,7 @@
 //! under every mechanism must preserve the core invariants.
 
 use dsarp_core::{Mechanism, MemoryController, Request};
-use dsarp_dram::{Density, DramChannel, Geometry, Retention, TimingParams};
+use dsarp_dram::{Command, Density, DramChannel, Geometry, Location, Retention, TimingParams};
 use proptest::prelude::*;
 
 fn all_mechanisms() -> Vec<Mechanism> {
@@ -159,5 +159,112 @@ fn write_heavy_traffic_drains() {
             "{mech}: only {} writes drained of ~2300 offered",
             s.writes_done
         );
+    }
+}
+
+/// Work conservation, judged by the device instead of the scheduler: under
+/// `NoRefresh` (no refresh mask, no SARP windows) a cycle on which `step`
+/// issued nothing must be a cycle on which nothing *could* issue. Every
+/// queued request of the servable side — writes in writeback mode, reads
+/// otherwise — has a next command (a column access on a row hit, an ACT on
+/// a closed bank, a PRE on a conflict once no queued request hits the open
+/// row), and `DramChannel::check` must reject each one. This is what the
+/// ready-bank prune has to preserve: it may only skip banks that could not
+/// have issued.
+fn drive_work_conserving(arrivals: &[(u8, u8, u8, bool)], cycles: u64) {
+    let geom = Geometry::paper_default();
+    let timing = TimingParams::ddr3_1333(Density::G8, Retention::Ms32);
+    let mut chan = DramChannel::new(geom, timing, Mechanism::NoRefresh.sarp_support());
+    let mut mc = MemoryController::new(0, geom, timing, Mechanism::NoRefresh, 1);
+    let mut arrival_iter = arrivals.iter().cycle();
+    let mut next_arrival = 0u64;
+    let mut completions = Vec::new();
+    let mut idle_cycles_with_demand = 0u64;
+
+    for now in 0..cycles {
+        if now >= next_arrival {
+            let (gap, place, line, is_write) = *arrival_iter.next().expect("cycled");
+            next_arrival = now + 1 + u64::from(gap % 5);
+            // A small location space, so hits, conflicts and closed banks
+            // all occur constantly.
+            let loc = Location {
+                channel: 0,
+                rank: usize::from(place & 1),
+                bank: usize::from(place >> 1) % geom.banks_per_rank(),
+                row: u32::from(line & 3),
+                col: u32::from(line >> 2) % 8,
+            };
+            let id = now + 1;
+            if is_write {
+                let _ = mc.try_enqueue_write(Request::write(id, loc, 0, now));
+            } else {
+                let _ = mc.try_enqueue_read(Request::read(id, loc, 0, now));
+            }
+        }
+        completions.clear();
+        mc.step(&mut chan, now, &mut completions);
+        if chan.last_issue() == Some(now) {
+            continue;
+        }
+        let drain = mc.queues().in_drain_mode();
+        let servable: Vec<Request> = if drain {
+            mc.queues().iter_writes().map(|c| c.req).collect()
+        } else {
+            mc.queues().iter_reads().map(|c| c.req).collect()
+        };
+        idle_cycles_with_demand += u64::from(!servable.is_empty());
+        for req in &servable {
+            let (rank, bank) = (req.loc.rank, req.loc.bank);
+            let cmd = match chan.rank(rank).bank(bank).open_row() {
+                None => Command::Activate {
+                    rank,
+                    bank,
+                    row: req.loc.row,
+                },
+                Some(open) if open == req.loc.row && drain => Command::Write {
+                    rank,
+                    bank,
+                    col: req.loc.col,
+                    auto_precharge: false,
+                },
+                Some(open) if open == req.loc.row => Command::Read {
+                    rank,
+                    bank,
+                    col: req.loc.col,
+                    auto_precharge: false,
+                },
+                Some(open) => {
+                    let hit_queued = servable
+                        .iter()
+                        .any(|r| r.targets_bank(rank, bank) && r.loc.row == open);
+                    if hit_queued {
+                        continue; // the row stays open for its hits
+                    }
+                    Command::Precharge { rank, bank }
+                }
+            };
+            assert!(
+                chan.check(&cmd, now).is_err(),
+                "cycle {now} issued nothing, yet {cmd:?} for {req:?} was legal"
+            );
+        }
+    }
+    assert!(
+        idle_cycles_with_demand > 0,
+        "the oracle never saw a non-issuing cycle with queued demand"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn idle_cycles_are_forced_idle_without_refresh(
+        arrivals in prop::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), any::<bool>()),
+            8..80,
+        ),
+    ) {
+        drive_work_conserving(&arrivals, 6_000);
     }
 }

@@ -90,68 +90,72 @@ fn check(q: &RequestQueues, m: &Model) {
     }
 
     for rank in 0..RANKS {
-        let model_rank = m
-            .reads
-            .iter()
-            .chain(&m.writes)
-            .filter(|r| r.loc.rank == rank);
-        assert_eq!(q.rank_has_demand(rank), model_rank.count() > 0);
-
         for bank in 0..BANKS {
-            let in_bank = |r: &&Request| r.targets_bank(rank, bank);
-            let demand =
-                m.reads.iter().filter(in_bank).count() + m.writes.iter().filter(in_bank).count();
-            assert_eq!(q.demand_count(rank, bank), demand);
-            assert_eq!(q.bank_has_demand(rank, bank), demand > 0);
+            check_bank(q, m, rank, bank);
+        }
+    }
+}
 
-            for writes in [false, true] {
-                let flat: Vec<&Request> = m.side(writes).iter().filter(in_bank).collect();
-                assert_eq!(q.bank_len(rank, bank, writes), flat.len());
+/// The per-bank half of [`check`], for any (rank, bank) coordinate.
+fn check_bank(q: &RequestQueues, m: &Model, rank: usize, bank: usize) {
+    let model_rank = m
+        .reads
+        .iter()
+        .chain(&m.writes)
+        .filter(|r| r.loc.rank == rank);
+    assert_eq!(q.rank_has_demand(rank), model_rank.count() > 0);
 
-                // Oldest-in-bank head, then the whole per-bank chain walk:
-                // FR-FCFS pass 2 consumes exactly this sequence.
-                let mut chain = Vec::new();
-                let mut cur = q.bank_head(rank, bank, writes);
-                while let Some(c) = cur {
-                    chain.push(c.req);
-                    cur = q.next_in_bank(c.slot, writes);
-                }
+    let in_bank = |r: &&Request| r.targets_bank(rank, bank);
+    let demand = m.reads.iter().filter(in_bank).count() + m.writes.iter().filter(in_bank).count();
+    assert_eq!(q.demand_count(rank, bank), demand);
+    assert_eq!(q.bank_has_demand(rank, bank), demand > 0);
+
+    for writes in [false, true] {
+        let flat: Vec<&Request> = m.side(writes).iter().filter(in_bank).collect();
+        assert_eq!(q.bank_len(rank, bank, writes), flat.len());
+
+        // Oldest-in-bank head, then the whole per-bank chain walk:
+        // FR-FCFS pass 2 consumes exactly this sequence.
+        let mut chain = Vec::new();
+        let mut cur = q.bank_head(rank, bank, writes);
+        while let Some(c) = cur {
+            chain.push(c.req);
+            cur = q.next_in_bank(c.slot, writes);
+        }
+        assert_eq!(
+            chain,
+            flat.iter().map(|r| **r).collect::<Vec<_>>(),
+            "per-bank chain must be the bank's requests in arrival order"
+        );
+
+        // Row-hit probes: FR-FCFS pass 1 and auto-precharge.
+        for row in 0..ROWS {
+            let hits: Vec<&&Request> = flat.iter().filter(|r| r.loc.row == row).collect();
+            assert_eq!(q.row_hits(rank, bank, row, writes), hits.len());
+            assert_eq!(
+                q.first_row_hit(rank, bank, row, writes).map(|c| c.req),
+                hits.first().map(|r| ***r),
+                "first_row_hit must be the oldest matching request"
+            );
+            for exclude_self in [false, true] {
+                let l = loc(rank, bank, row, 0);
                 assert_eq!(
-                    chain,
-                    flat.iter().map(|r| **r).collect::<Vec<_>>(),
-                    "per-bank chain must be the bank's requests in arrival order"
+                    q.another_row_hit_queued(&l, writes, exclude_self),
+                    hits.len() > usize::from(exclude_self)
                 );
-
-                // Row-hit probes: FR-FCFS pass 1 and auto-precharge.
-                for row in 0..ROWS {
-                    let hits: Vec<&&Request> = flat.iter().filter(|r| r.loc.row == row).collect();
-                    assert_eq!(q.row_hits(rank, bank, row, writes), hits.len());
-                    assert_eq!(
-                        q.first_row_hit(rank, bank, row, writes).map(|c| c.req),
-                        hits.first().map(|r| ***r),
-                        "first_row_hit must be the oldest matching request"
-                    );
-                    for exclude_self in [false, true] {
-                        let l = loc(rank, bank, row, 0);
-                        assert_eq!(
-                            q.another_row_hit_queued(&l, writes, exclude_self),
-                            hits.len() > usize::from(exclude_self)
-                        );
-                    }
-                }
             }
+        }
+    }
 
-            // Read-after-write forwarding over the whole location space.
-            for row in 0..ROWS {
-                for col in 0..COLS {
-                    let l = loc(rank, bank, row, col);
-                    assert_eq!(
-                        q.forwards_read(&l),
-                        m.writes.iter().any(|r| r.loc == l),
-                        "forwarding probe diverged at {l:?}"
-                    );
-                }
-            }
+    // Read-after-write forwarding over the bank's whole location space.
+    for row in 0..ROWS {
+        for col in 0..COLS {
+            let l = loc(rank, bank, row, col);
+            assert_eq!(
+                q.forwards_read(&l),
+                m.writes.iter().any(|r| r.loc == l),
+                "forwarding probe diverged at {l:?}"
+            );
         }
     }
 }
@@ -241,4 +245,107 @@ proptest! {
         }
         prop_assert_eq!(q.read_len() + q.write_len(), 0);
     }
+}
+
+/// Read-after-write forwarding without the location hash: the probe walks
+/// the write side's (rank, bank, row) chain comparing columns, so it must
+/// count duplicates correctly and must not confuse neighbours on the row.
+#[test]
+fn hash_free_forwarding_matches_the_flat_scan() {
+    let mut q = RequestQueues::new(CAP, CAP, HIGH, LOW);
+    let mut m = Model::default();
+    let line = loc(1, 2, 1, 1);
+    for (id, l) in [(1, line), (2, loc(1, 2, 1, 0)), (3, line)] {
+        let req = Request::write(id, l, 0, 0);
+        assert!(q.try_push_write(req));
+        m.writes.push(req);
+    }
+    check(&q, &m);
+    assert!(q.forwards_read(&line), "two writes to the line are queued");
+    assert!(q.forwards_read(&loc(1, 2, 1, 0)));
+    assert!(!q.forwards_read(&loc(1, 2, 2, 1)), "same column, other row");
+    assert!(!q.forwards_read(&loc(0, 2, 1, 1)), "same line, other rank");
+
+    // Take the older duplicate: the younger one still forwards.
+    let oldest = q.iter_writes().next().expect("non-empty");
+    assert_eq!(q.take_write(oldest.slot), m.writes.remove(0));
+    check(&q, &m);
+    assert!(q.forwards_read(&line), "the second write is still queued");
+
+    // Take the younger duplicate too: only the row neighbour is left.
+    let younger = q.iter_writes().nth(1).expect("two writes left");
+    assert_eq!(q.take_write(younger.slot), m.writes.remove(1));
+    check(&q, &m);
+    assert!(!q.forwards_read(&line), "same row, different column");
+    assert!(q.forwards_read(&loc(1, 2, 1, 0)));
+}
+
+/// The flat bank table is sized by the requests it has seen: a request to a
+/// wider bank or a higher rank than any before re-lays it out, and every
+/// chain, counter and probe built under the old layout must survive.
+#[test]
+fn bank_index_survives_growth_past_the_initial_geometry() {
+    /// `check` plus the same queries at coordinates beyond its fixed space.
+    fn check_wide(q: &RequestQueues, m: &Model, wide: &[(usize, usize)]) {
+        check(q, m);
+        for &(rank, bank) in wide {
+            check_bank(q, m, rank, bank);
+        }
+    }
+
+    let mut q = RequestQueues::new(CAP, CAP, HIGH, LOW);
+    let mut m = Model::default();
+    let mut wide = Vec::new();
+    // Start inside `check`'s space, then widen the bank stride twice and
+    // add ranks in between, interleaving pushes to the old coordinates.
+    let pushes = [
+        (0, 0, 0, false),
+        (1, 2, 1, true),
+        (0, 7, 2, false), // wider bank: stride 3 -> 8
+        (1, 2, 1, false),
+        (4, 1, 0, true), // higher rank
+        (0, 0, 0, true),
+        (2, 15, 1, false), // wider again: stride 8 -> 16
+        (4, 1, 0, false),
+        (0, 7, 2, true),
+    ];
+    for (id, (rank, bank, row, is_write)) in pushes.into_iter().enumerate() {
+        let l = loc(rank, bank, row, 0);
+        let req = if is_write {
+            Request::write(id as u64, l, 0, 0)
+        } else {
+            Request::read(id as u64, l, 0, 0)
+        };
+        let accepted = if is_write {
+            q.try_push_write(req)
+        } else {
+            q.try_push_read(req)
+        };
+        assert!(accepted);
+        if is_write {
+            m.writes.push(req);
+        } else {
+            m.reads.push(req);
+        }
+        wide.push((rank, bank));
+        check_wide(&q, &m, &wide);
+        assert!(
+            !q.forwards_read(&loc(rank, bank + 1, row, 0)),
+            "unseen bank"
+        );
+    }
+    // Unwind from the middle outwards so takes cross both layouts.
+    while !m.reads.is_empty() {
+        let mid = m.reads.len() / 2;
+        let slot = q.iter_reads().nth(mid).expect("model says present").slot;
+        assert_eq!(q.take_read(slot), m.reads.remove(mid));
+        check_wide(&q, &m, &wide);
+    }
+    while !m.writes.is_empty() {
+        let mid = m.writes.len() / 2;
+        let slot = q.iter_writes().nth(mid).expect("model says present").slot;
+        assert_eq!(q.take_write(slot), m.writes.remove(mid));
+        check_wide(&q, &m, &wide);
+    }
+    assert_eq!(q.read_len() + q.write_len(), 0);
 }

@@ -1,11 +1,12 @@
 //! The DRAM channel: command validation, timing enforcement, and state
 //! updates for one channel's ranks, banks and subarrays.
 //!
-//! This is the device-side contract: the memory controller may call
-//! [`DramChannel::can_issue`] freely and must only call
-//! [`DramChannel::issue`] with commands that are legal *this cycle*; `issue`
-//! re-validates everything and returns an [`IssueError`] otherwise, so any
-//! scheduler bug surfaces immediately instead of corrupting timing state.
+//! This is the device-side contract: [`DramChannel::issue`] validates every
+//! command ([`DramChannel::check`]) before touching any state and returns an
+//! [`IssueError`] — with nothing changed — when it is not legal *this
+//! cycle*. A controller may therefore probe with [`DramChannel::can_issue`]
+//! or simply try to issue and treat `Err` as "not now"; either way no
+//! scheduler bug can corrupt timing state.
 
 use crate::command::Command;
 use crate::geometry::Geometry;
@@ -526,11 +527,10 @@ impl DramChannel {
                 }
             }
             Command::PrechargeAll { rank } => {
-                let open: Vec<usize> = (0..self.ranks[rank].num_banks())
-                    .filter(|&b| !self.ranks[rank].bank(b).is_closed())
-                    .collect();
-                for b in open {
-                    self.ranks[rank].bank_mut(b).do_precharge(now, &timing);
+                for b in 0..self.ranks[rank].num_banks() {
+                    if !self.ranks[rank].bank(b).is_closed() {
+                        self.ranks[rank].bank_mut(b).do_precharge(now, &timing);
+                    }
                 }
                 self.energy.rank_goes_idle(rank, now);
             }
@@ -593,7 +593,7 @@ impl DramChannel {
             } else {
                 1.0
             };
-            self.ranks[rank].start_sarp_window(done, factor);
+            self.ranks[rank].start_sarp_window(done, factor, &self.timing);
             for b in 0..num_banks {
                 let first = self.ranks[rank]
                     .bank_mut(b)
@@ -635,7 +635,7 @@ impl DramChannel {
             };
             let sub = self.geom.subarray_of_row(first);
             self.ranks[rank].bank_mut(bank).do_refresh_sarp(sub, done);
-            self.ranks[rank].start_sarp_window(done, factor);
+            self.ranks[rank].start_sarp_window(done, factor, &self.timing);
         } else {
             self.ranks[rank].bank_mut(bank).do_refresh_blocking(done);
         }

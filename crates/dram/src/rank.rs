@@ -26,6 +26,10 @@ pub struct Rank {
     /// `tRRD`/`tFAW` are multiplied by `sarp_factor`.
     sarp_until: Cycle,
     sarp_factor: f64,
+    /// The inflated `tRRD`/`tFAW` of the current window, computed once when
+    /// it opens (every ACT probe inside the window reads them).
+    sarp_rrd: u64,
+    sarp_faw: u64,
 }
 
 impl Rank {
@@ -40,6 +44,8 @@ impl Rank {
             refab_until: 0,
             sarp_until: 0,
             sarp_factor: 1.0,
+            sarp_rrd: 0,
+            sarp_faw: 0,
         }
     }
 
@@ -120,7 +126,7 @@ impl Rank {
     /// Effective `tRRD` at `now`, including SARP inflation (Eq. 3).
     pub fn effective_rrd(&self, now: Cycle, timing: &TimingParams) -> u64 {
         if now < self.sarp_until {
-            ((timing.rrd as f64) * self.sarp_factor).ceil() as u64
+            self.sarp_rrd
         } else {
             timing.rrd
         }
@@ -129,7 +135,7 @@ impl Rank {
     /// Effective `tFAW` at `now`, including SARP inflation (Eq. 2).
     pub fn effective_faw(&self, now: Cycle, timing: &TimingParams) -> u64 {
         if now < self.sarp_until {
-            ((timing.faw as f64) * self.sarp_factor).ceil() as u64
+            self.sarp_faw
         } else {
             timing.faw
         }
@@ -176,8 +182,7 @@ impl Rank {
         if now >= self.sarp_until {
             return bound(timing.rrd, timing.faw);
         }
-        let inflate = |v: u64| ((v as f64) * self.sarp_factor).ceil() as u64;
-        let t_inflated = bound(inflate(timing.rrd), inflate(timing.faw));
+        let t_inflated = bound(self.sarp_rrd, self.sarp_faw);
         if t_inflated < self.sarp_until {
             t_inflated
         } else {
@@ -212,15 +217,18 @@ impl Rank {
         self.refab_until = until;
     }
 
-    /// Opens a SARP inflation window `[now, until)` with the given factor.
-    /// Overlapping windows keep the later deadline and the larger factor.
-    pub(crate) fn start_sarp_window(&mut self, until: Cycle, factor: f64) {
+    /// Opens a SARP inflation window `[now, until)` with the given factor,
+    /// inflating `timing`'s `tRRD`/`tFAW` (Eq. 2-3). Overlapping windows keep
+    /// the later deadline and the larger factor.
+    pub(crate) fn start_sarp_window(&mut self, until: Cycle, factor: f64, timing: &TimingParams) {
         self.sarp_until = self.sarp_until.max(until);
         self.sarp_factor = if factor > self.sarp_factor {
             factor
         } else {
             self.sarp_factor
         };
+        self.sarp_rrd = ((timing.rrd as f64) * self.sarp_factor).ceil() as u64;
+        self.sarp_faw = ((timing.faw as f64) * self.sarp_factor).ceil() as u64;
         // Reset the factor lazily when the window expires: approximated by
         // keeping the max factor; windows of different scopes never overlap
         // in practice because a policy uses a single refresh granularity.
@@ -266,7 +274,7 @@ mod tests {
     fn sarp_window_inflates_rates() {
         let t = timing();
         let mut r = Rank::new(8);
-        r.start_sarp_window(1_000, 2.1);
+        r.start_sarp_window(1_000, 2.1, &t);
         assert_eq!(r.effective_rrd(500, &t), (4.0f64 * 2.1).ceil() as u64);
         assert_eq!(r.effective_faw(500, &t), 42);
         // After the window, back to nominal.
@@ -310,7 +318,7 @@ mod tests {
         // A SARP window ending mid-history exercises both regimes of the
         // two-regime solve (inflated release inside the window, nominal
         // release clamped to its end).
-        r.start_sarp_window(18, 2.25);
+        r.start_sarp_window(18, 2.25, &t);
         for now in 0..60 {
             let e = r.earliest_act_allowed(now, &t);
             assert!(e >= now);

@@ -12,7 +12,8 @@ use dsarp_cpu::{
     StallKind, TraceSource,
 };
 use dsarp_dram::{
-    Cycle, DramChannel, EnergyBreakdown, Geometry, IddValues, PowerModel, CPU_CYCLES_PER_DRAM_CYCLE,
+    Cycle, DramChannel, EnergyBreakdown, Geometry, IddValues, Location, PowerModel,
+    CPU_CYCLES_PER_DRAM_CYCLE,
 };
 use dsarp_workloads::{SyntheticTrace, Workload};
 use serde::{Deserialize, Serialize};
@@ -106,15 +107,22 @@ impl MemBridge<'_> {
     }
 }
 
+/// Read-queue backpressure: a fill for `loc` must wait while its channel's
+/// read queue is at capacity, unless a queued write forwards it. The one
+/// definition both the bridge and the skip-ahead planner's `MemBusy` probe
+/// answer from.
+fn read_blocked(mc: &MemoryController, loc: &Location) -> bool {
+    let queues = mc.queues();
+    queues.read_len() >= queues.read_cap() && !queues.forwards_read(loc)
+}
+
 impl MemoryInterface for MemBridge<'_> {
     fn access(&mut self, core: usize, addr: u64, is_store: bool) -> AccessResult {
         let line = addr & !63u64;
         let loc = self.geom.decode(line);
         // Backpressure *before* touching the LLC: a rejected fill must not
         // leave the line installed.
-        if self.mcs[loc.channel].queues().read_len() >= 64
-            && !self.mcs[loc.channel].queues().forwards_read(&loc)
-        {
+        if read_blocked(&self.mcs[loc.channel], &loc) {
             return AccessResult::Busy;
         }
         match self.llc.access(line, is_store) {
@@ -553,26 +561,31 @@ impl System {
             // Micro-step the active cores. Lagged and batched-over phases
             // make no memory accesses, so skipping them preserves the
             // CPU-major interleaving of the remaining LLC traffic exactly.
-            let mut bridge = MemBridge {
-                llc: &mut self.llc,
-                mcs: &mut self.mcs,
-                geom: &self.geom,
-                now,
-                next_token: &mut self.next_token,
-                wb_spill: &mut self.wb_spill,
-                max_spill: &mut self.max_spill,
-            };
-            for phase in 0..CPU_CYCLES_PER_DRAM_CYCLE {
-                for ((core, lag), from) in self.cores.iter_mut().zip(lags.iter()).zip(resume.iter())
-                {
-                    if lag.is_none() && u64::from(*from) <= phase {
-                        core.step(&mut bridge);
+            // With every core lagging there is nobody to step.
+            let all_lag = lags.iter().all(Option::is_some);
+            if !all_lag {
+                let mut bridge = MemBridge {
+                    llc: &mut self.llc,
+                    mcs: &mut self.mcs,
+                    geom: &self.geom,
+                    now,
+                    next_token: &mut self.next_token,
+                    wb_spill: &mut self.wb_spill,
+                    max_spill: &mut self.max_spill,
+                };
+                for phase in 0..CPU_CYCLES_PER_DRAM_CYCLE {
+                    for ((core, lag), from) in
+                        self.cores.iter_mut().zip(lags.iter()).zip(resume.iter())
+                    {
+                        if lag.is_none() && u64::from(*from) <= phase {
+                            core.step(&mut bridge);
+                        }
                     }
                 }
             }
             self.now += 1;
 
-            if skip && self.now < end && lags.iter().all(Option::is_some) {
+            if skip && self.now < end && all_lag {
                 // With every core lagging, the DRAM clock itself can jump
                 // over the dead gap (telemetry is batched arithmetically;
                 // the cores' lags already cover the span).
@@ -622,8 +635,7 @@ impl System {
         let mem_busy = move |addr: u64| {
             let line = addr & !63u64;
             let loc = geom.decode(line);
-            mcs[loc.channel].queues().read_len() >= 64
-                && !mcs[loc.channel].queues().forwards_read(&loc)
+            read_blocked(&mcs[loc.channel], &loc)
         };
         for (i, lag) in lags.iter_mut().enumerate() {
             resume[i] = 0;
@@ -858,6 +870,42 @@ mod tests {
         let writes: u64 = stats.ctrl.iter().map(|c| c.writes_done).sum();
         assert!(writes > 0, "store-heavy workload must produce writebacks");
         assert!(stats.llc.writebacks > 0);
+    }
+
+    /// Backpressure must follow the controller's *own* read capacity: with
+    /// 16-entry read queues the bridge has to answer `Busy` at 16, not at
+    /// the paper's 64, or a fill is rejected after its line was installed.
+    #[test]
+    fn backpressure_follows_the_controllers_read_capacity() {
+        let cfg = SimConfig::paper(Mechanism::Darp, Density::G8);
+        let small = |mut sys: System| {
+            sys.mcs = std::mem::take(&mut sys.mcs)
+                .into_iter()
+                .map(|mc| mc.with_queues(dsarp_core::RequestQueues::new(16, 64, 48, 32)))
+                .collect();
+            sys
+        };
+        let mk = || {
+            small(
+                SystemBuilder::new(&cfg)
+                    .workload(&intensive_workload())
+                    .build(),
+            )
+        };
+        let mut sys = mk();
+        let stats = sys.run(10_000);
+        for (ch, ctrl) in stats.ctrl.iter().enumerate() {
+            assert_eq!(ctrl.read_rejects, 0, "channel {ch} rejected a checked fill");
+            assert!(ctrl.reads_done > 100, "channel {ch} starved");
+        }
+        let busy: u64 = sys
+            .core_stats()
+            .iter()
+            .map(|c| c.mem_busy_stall_cycles)
+            .sum();
+        assert!(busy > 0, "the run never filled a 16-entry read queue");
+        // The skip-ahead planner's `MemBusy` probe uses the same threshold.
+        assert_eq!(stats, mk().run_per_cycle(10_000));
     }
 
     #[test]

@@ -1,0 +1,124 @@
+//! Command-stream snapshot: pins the exact `(cycle, Command)` sequence every
+//! mechanism emits on each channel, not just the aggregate `RunStats`. A
+//! scheduler change that reorders two commands but happens to leave every
+//! counter equal still fails here.
+//!
+//! The expected hashes were generated on the commit *before* the ready-bank
+//! scheduler (PR 12) and must never be regenerated to make a scheduler
+//! change pass; a deliberate behaviour change replaces them in its own PR.
+//! To print the current values: `cargo test --test command_stream -- --nocapture`
+//! after emptying `EXPECTED`.
+
+use dsarp_campaign::fingerprint::fingerprint_bytes;
+use dsarp_core::Mechanism;
+use dsarp_dram::Density;
+use dsarp_sim::{SimConfig, SystemBuilder};
+use dsarp_workloads::{catalogue, mixes, Workload};
+use std::fmt::Write;
+
+const CYCLES: u64 = 30_000;
+
+const MECHANISMS: [Mechanism; 14] = [
+    Mechanism::NoRefresh,
+    Mechanism::RefAb,
+    Mechanism::RefPb,
+    Mechanism::Elastic,
+    Mechanism::Darp,
+    Mechanism::DarpOooOnly,
+    Mechanism::SarpAb,
+    Mechanism::SarpPb,
+    Mechanism::Dsarp,
+    Mechanism::Fgr2x,
+    Mechanism::Fgr4x,
+    Mechanism::AdaptiveRefresh,
+    Mechanism::RefPbOverlapped,
+    Mechanism::DsarpOverlapped,
+];
+
+/// `(workload, mechanism label, channel-0 hash, channel-1 hash)`.
+#[rustfmt::skip]
+const EXPECTED: &[(&str, &str, &str, &str)] = &[
+    ("mi01", "No REF", "bb8074a46290a3d0613697e27a491e5f", "e8fec85f4b16933fb179c4830b1b845f"),
+    ("mi01", "REFab", "e68abb15f1b281901d2e8c4c39b1d21a", "dff43af1667f0ef0cfa21a89fe120129"),
+    ("mi01", "REFpb", "8564b447d925594013d6ba2b481028ad", "b2ab8b1d1de46c75a7e3d8a88af81783"),
+    ("mi01", "Elastic", "e91b083f866d89e8ecfff649c4f1d6c7", "dfa64c36240a2218dec9b85438a3de4e"),
+    ("mi01", "DARP", "0f267618f2d8b066fc5246740a01bad6", "f8622bef5b0b32bfc6da5d24b230934b"),
+    ("mi01", "DARP (OoO only)", "efb7683cb35865bf5771fdece7aeda53", "2cd7671c70c30e00ebe672274fc78f9b"),
+    ("mi01", "SARPab", "d409ec996ec740717a9125004f8d0955", "1075a1e6a51bd9e54b63a8f29c6f2409"),
+    ("mi01", "SARPpb", "7e9c7e2837ef127f9a6fa75031a4b3cb", "6d6e3f359b50833c59e29ddcda8cb32b"),
+    ("mi01", "DSARP", "b888038ab623c2f78f8b69d93c13a41e", "8c028e1dd0f3df5a43a3e42eda0ea01e"),
+    ("mi01", "FGR 2x", "16048d046f5c858569f227a61e7eddac", "91242c42a9518d18fb815df066971743"),
+    ("mi01", "FGR 4x", "c8d75419dbdae14de2ae8cb1571c9bfe", "86996c4d37b936de885fbefb282d1a07"),
+    ("mi01", "AR", "e68abb15f1b281901d2e8c4c39b1d21a", "dff43af1667f0ef0cfa21a89fe120129"),
+    ("mi01", "REFpb-ovl", "8564b447d925594013d6ba2b481028ad", "b2ab8b1d1de46c75a7e3d8a88af81783"),
+    ("mi01", "DSARP-ovl", "da0ded21abeed88cd456f3224007fd78", "c0e2647a48ea824c3fe64ddf26a55629"),
+    ("8x-lbm_like", "No REF", "4ea99b69664c75536449eb75f78e6e90", "7a1c39ec500ea5c1b778369d04fe9bc3"),
+    ("8x-lbm_like", "REFab", "8a7ece0697eaae5662f6115a8e45e871", "2250bc15762939b54c4c5766be8bdb9a"),
+    ("8x-lbm_like", "REFpb", "b73f6c7bbc483711a8077d53c330cdbf", "a0ce03e2900aa0cf64fba1f0d4e30744"),
+    ("8x-lbm_like", "Elastic", "8b29aa07a2de43afbfa614febf67a9ae", "a3bcb03303a788d556a685f59f046545"),
+    ("8x-lbm_like", "DARP", "aad21fe02682d2780947b048e4c474e8", "7c15c01525adb8d1048bbffcd956e02c"),
+    ("8x-lbm_like", "DARP (OoO only)", "13d14783f7f6c88678a97ba1e4dd3683", "3589ab1c7f3adf2ae9b26e23e3771977"),
+    ("8x-lbm_like", "SARPab", "4bd26008fe04b99a1b736ee37ff1b0b8", "77874add37dd14e5afe99225d6af0007"),
+    ("8x-lbm_like", "SARPpb", "0a65f2b88e912f2d002feaca082c4400", "3fcba8fb8652b9af58ba99250a4c241d"),
+    ("8x-lbm_like", "DSARP", "449b1a48fe374938b2e3e850aa8ce707", "2bef450220f94911b032df1a2bd030b9"),
+    ("8x-lbm_like", "FGR 2x", "1377fca032b12b79916d43112a70f180", "f0ca01144ae1ede0d3a4dbf0c4ecd49a"),
+    ("8x-lbm_like", "FGR 4x", "b4c48d9310fbe9b8d0546ee9ab59a8aa", "3a590f3a058670709dee75f2781f519f"),
+    ("8x-lbm_like", "AR", "8a7ece0697eaae5662f6115a8e45e871", "2250bc15762939b54c4c5766be8bdb9a"),
+    ("8x-lbm_like", "REFpb-ovl", "b73f6c7bbc483711a8077d53c330cdbf", "a0ce03e2900aa0cf64fba1f0d4e30744"),
+    ("8x-lbm_like", "DSARP-ovl", "8328866c0a3617e970eff61cf7ce7fc3", "66ea2039c7aa07296fdf0e0cfbac575f"),
+];
+
+fn workloads() -> [Workload; 2] {
+    let lbm = catalogue::by_name("lbm_like").expect("catalogue has lbm_like");
+    [
+        mixes::intensive_mixes(8, 7)[1].clone(),
+        Workload {
+            name: "8x-lbm_like".into(),
+            category: mixes::IntensityCategory::P100,
+            benchmarks: vec![lbm; 8],
+        },
+    ]
+}
+
+/// FNV-128 of one channel's log rendered one `cycle command` line each.
+fn log_hash(log: &[(u64, dsarp_dram::Command)]) -> String {
+    let mut text = String::with_capacity(log.len() * 48);
+    for (cycle, cmd) in log {
+        writeln!(text, "{cycle} {cmd:?}").expect("writing to a String");
+    }
+    fingerprint_bytes(text.as_bytes()).to_string()
+}
+
+#[test]
+fn command_streams_match_the_pre_pruning_scheduler() {
+    let mut actual = Vec::new();
+    for wl in workloads() {
+        for mech in MECHANISMS {
+            let cfg = SimConfig::paper(mech, Density::G32);
+            let mut sys = SystemBuilder::new(&cfg)
+                .workload(&wl)
+                .command_log(true)
+                .build();
+            sys.run(CYCLES);
+            let (ch0, ch1) = (sys.take_command_log(0), sys.take_command_log(1));
+            assert!(ch0.len() + ch1.len() > 1_000, "{mech} on {}", wl.name);
+            actual.push((
+                wl.name.clone(),
+                mech.label(),
+                log_hash(&ch0),
+                log_hash(&ch1),
+            ));
+        }
+    }
+    for (wl, mech, ch0, ch1) in &actual {
+        println!("    ({wl:?}, {mech:?}, {ch0:?}, {ch1:?}),");
+    }
+    assert_eq!(actual.len(), EXPECTED.len(), "snapshot table size");
+    for ((wl, mech, ch0, ch1), want) in actual.iter().zip(EXPECTED) {
+        assert_eq!(
+            (wl.as_str(), *mech, ch0.as_str(), ch1.as_str()),
+            *want,
+            "command stream diverged for {mech} on {wl}"
+        );
+    }
+}
