@@ -11,7 +11,7 @@ use crate::fingerprint::Fingerprint;
 use crate::lease::{self, Acquire, Lease, LeaseInfo, Renew};
 use crate::store::{Record, Store, SHARDS};
 use std::collections::{HashMap, HashSet};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// The outcome of a backend lease-acquire attempt.
 #[derive(Debug)]
@@ -106,30 +106,17 @@ pub struct BackendLease<'a> {
     shard: usize,
     owner: String,
     ttl_ms: u64,
-    reclaimed: bool,
 }
 
 impl<'a> BackendLease<'a> {
     /// Wraps an [`AcquireOutcome::Acquired`] into a renewable handle.
-    pub fn new(
-        backend: &'a dyn StoreBackend,
-        shard: usize,
-        owner: &str,
-        ttl_ms: u64,
-        reclaimed: bool,
-    ) -> Self {
+    pub fn new(backend: &'a dyn StoreBackend, shard: usize, owner: &str, ttl_ms: u64) -> Self {
         BackendLease {
             backend,
             shard,
             owner: owner.to_string(),
             ttl_ms,
-            reclaimed,
         }
-    }
-
-    /// Whether acquiring this lease evicted a dead owner's lock.
-    pub fn reclaimed(&self) -> bool {
-        self.reclaimed
     }
 
     /// Releases the lease.
@@ -167,15 +154,6 @@ impl LocalBackend {
             store: Store::attach(root, campaign_name)?,
         })
     }
-
-    /// The campaign directory this backend operates on.
-    pub fn campaign_dir(&self) -> &Path {
-        self.store.dir()
-    }
-
-    fn dir(&self) -> PathBuf {
-        self.store.dir().to_path_buf()
-    }
 }
 
 impl StoreBackend for LocalBackend {
@@ -188,7 +166,7 @@ impl StoreBackend for LocalBackend {
     }
 
     fn shard_fingerprints(&self, shard: usize) -> std::io::Result<HashSet<u128>> {
-        Store::read_shard_fingerprints(&self.dir(), shard)
+        Store::read_shard_fingerprints(self.store.dir(), shard)
     }
 
     fn append(&self, fp: Fingerprint, record: &Record) -> std::io::Result<()> {
@@ -196,7 +174,7 @@ impl StoreBackend for LocalBackend {
     }
 
     fn acquire(&self, shard: usize, owner: &str, ttl_ms: u64) -> std::io::Result<AcquireOutcome> {
-        match Lease::acquire(&self.dir(), shard, owner, ttl_ms)? {
+        match Lease::acquire(self.store.dir(), shard, owner, ttl_ms)? {
             // The `Lease` value is deliberately dropped, not released:
             // the lock file on disk IS the lease; renewal and release go
             // through `renew_as`/`release_as` by owner, the same stateless
@@ -215,15 +193,15 @@ impl StoreBackend for LocalBackend {
     }
 
     fn renew(&self, shard: usize, owner: &str, ttl_ms: u64) -> std::io::Result<()> {
-        lease::renew_as(&self.dir(), shard, owner, ttl_ms)
+        lease::renew_as(self.store.dir(), shard, owner, ttl_ms)
     }
 
     fn release(&self, shard: usize, owner: &str) -> std::io::Result<()> {
-        lease::release_as(&self.dir(), shard, owner)
+        lease::release_as(self.store.dir(), shard, owner)
     }
 
     fn snapshot(&self) -> std::io::Result<HashMap<u128, Record>> {
-        Store::read_all(&self.dir())
+        Store::read_all(self.store.dir())
     }
 }
 
@@ -231,6 +209,7 @@ impl StoreBackend for LocalBackend {
 mod tests {
     use super::*;
     use serde_json::Value;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -259,7 +238,7 @@ mod tests {
             AcquireOutcome::Acquired { reclaimed } => assert!(!reclaimed),
             AcquireOutcome::Held { holder, .. } => panic!("vacant shard held by {holder:?}"),
         }
-        let lease = BackendLease::new(&backend, 0, "w-a", 60_000, false);
+        let lease = BackendLease::new(&backend, 0, "w-a", 60_000);
         Renew::renew(&lease).unwrap();
         match backend.acquire(0, "w-b", 60_000).unwrap() {
             AcquireOutcome::Held { holder, .. } => assert_eq!(holder.owner, "w-a"),

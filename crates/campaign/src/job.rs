@@ -2,7 +2,7 @@
 
 use crate::fingerprint::{fingerprint_value, Fingerprint};
 use crate::traces::{TraceRef, TraceWorkload};
-use dsarp_sim::{RunStats, SimConfig, SimTelemetry, SystemBuilder};
+use dsarp_sim::{SimConfig, SimTelemetry, SystemBuilder};
 use dsarp_workloads::{BenchmarkSpec, Workload};
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
@@ -107,71 +107,49 @@ impl Job {
     /// moving a trace keeps every cached cell, while editing one byte of
     /// it invalidates exactly the cells that replay it.
     pub fn key_value(&self) -> Value {
-        let mut m = Map::new();
-        match self {
-            Job::Alone { cfg, bench, cycles } => {
-                m.insert("kind".into(), Value::String("alone".into()));
-                m.insert("cfg".into(), serde_json::to_value(cfg).expect("infallible"));
-                m.insert(
-                    "bench".into(),
-                    serde_json::to_value(bench).expect("infallible"),
-                );
-                m.insert(
-                    "cycles".into(),
-                    serde_json::to_value(cycles).expect("infallible"),
-                );
-            }
+        let hash = |t: &TraceRef| Value::String(t.content_hash.to_string());
+        let (kind, cfg, cycles, what, content) = match self {
+            Job::Alone { cfg, bench, cycles } => (
+                "alone",
+                cfg,
+                cycles,
+                "bench",
+                serde_json::to_value(bench).expect("infallible"),
+            ),
             Job::Grid {
                 cfg,
                 workload,
                 cycles,
-            } => {
-                m.insert("kind".into(), Value::String("grid".into()));
-                m.insert("cfg".into(), serde_json::to_value(cfg).expect("infallible"));
-                m.insert(
-                    "benchmarks".into(),
-                    serde_json::to_value(&workload.benchmarks).expect("infallible"),
-                );
-                m.insert(
-                    "cycles".into(),
-                    serde_json::to_value(cycles).expect("infallible"),
-                );
-            }
+            } => (
+                "grid",
+                cfg,
+                cycles,
+                "benchmarks",
+                serde_json::to_value(&workload.benchmarks).expect("infallible"),
+            ),
             Job::TraceAlone { cfg, trace, cycles } => {
-                m.insert("kind".into(), Value::String("trace-alone".into()));
-                m.insert("cfg".into(), serde_json::to_value(cfg).expect("infallible"));
-                m.insert(
-                    "trace".into(),
-                    Value::String(trace.content_hash.to_string()),
-                );
-                m.insert(
-                    "cycles".into(),
-                    serde_json::to_value(cycles).expect("infallible"),
-                );
+                ("trace-alone", cfg, cycles, "trace", hash(trace))
             }
             Job::TraceGrid {
                 cfg,
                 workload,
                 cycles,
-            } => {
-                m.insert("kind".into(), Value::String("trace-grid".into()));
-                m.insert("cfg".into(), serde_json::to_value(cfg).expect("infallible"));
-                m.insert(
-                    "traces".into(),
-                    Value::Array(
-                        workload
-                            .traces
-                            .iter()
-                            .map(|t| Value::String(t.content_hash.to_string()))
-                            .collect(),
-                    ),
-                );
-                m.insert(
-                    "cycles".into(),
-                    serde_json::to_value(cycles).expect("infallible"),
-                );
-            }
-        }
+            } => (
+                "trace-grid",
+                cfg,
+                cycles,
+                "traces",
+                Value::Array(workload.traces.iter().map(hash).collect()),
+            ),
+        };
+        let mut m = Map::new();
+        m.insert("kind".into(), Value::String(kind.into()));
+        m.insert("cfg".into(), serde_json::to_value(cfg).expect("infallible"));
+        m.insert(what.into(), content);
+        m.insert(
+            "cycles".into(),
+            serde_json::to_value(cycles).expect("infallible"),
+        );
         Value::Object(m)
     }
 
@@ -181,36 +159,26 @@ impl Job {
     }
 
     /// Runs the simulation and packages the result as a store
-    /// [`Record`](crate::store::Record)
-    /// under `fp` (the single-process executor and distributed workers both
-    /// persist through this, so record shapes cannot drift apart).
-    pub fn run_record(&self, fp: Fingerprint) -> crate::store::Record {
-        match self.execute() {
-            JobOutput::Alone(ipc) => crate::store::Record::alone(fp, self.label(), ipc),
-            JobOutput::Grid(summary) => crate::store::Record::grid(fp, self.label(), summary),
-        }
-    }
-
-    /// [`Job::run_record`] plus the run's [`SimTelemetry`] sidecar. The
-    /// record is built from the same fields whether telemetry is sampled
-    /// or not (sampling is observationally pure), so record bytes — and
-    /// therefore shard files — are identical either way.
-    pub fn run_record_with_telemetry(
-        &self,
-        fp: Fingerprint,
-    ) -> (crate::store::Record, Option<Box<SimTelemetry>>) {
-        self.run_record_with(fp, true, false)
-    }
-
-    /// [`Job::run_record`] with both execution options explicit (see
-    /// [`Job::execute_with`]).
-    pub fn run_record_with(
+    /// [`Record`](crate::store::Record) under `fp`, plus the run's
+    /// [`SimTelemetry`] sidecar when `telemetry` is set. The
+    /// single-process executor and distributed workers both persist
+    /// through this, so record shapes cannot drift apart; the record is
+    /// built from the same fields whether telemetry is sampled or not
+    /// (sampling is observationally pure), so record bytes — and
+    /// therefore shard files — are identical either way. `per_cycle`
+    /// forces [`System::run_per_cycle`] instead of the skip-ahead
+    /// [`System::run`]; results are identical by the simulator's
+    /// exactness guarantee, only wall time differs.
+    ///
+    /// [`System::run`]: dsarp_sim::System::run
+    /// [`System::run_per_cycle`]: dsarp_sim::System::run_per_cycle
+    pub fn run_record(
         &self,
         fp: Fingerprint,
         telemetry: bool,
         per_cycle: bool,
     ) -> (crate::store::Record, Option<Box<SimTelemetry>>) {
-        let (output, telemetry) = self.execute_with(telemetry, per_cycle);
+        let (output, telemetry) = self.simulate(telemetry, per_cycle);
         let record = match output {
             JobOutput::Alone(ipc) => crate::store::Record::alone(fp, self.label(), ipc),
             JobOutput::Grid(summary) => crate::store::Record::grid(fp, self.label(), summary),
@@ -226,22 +194,42 @@ impl Job {
     /// vanishes or its content changes between campaign expansion and
     /// execution — see [`TraceRef::open`].
     pub fn execute(&self) -> JobOutput {
-        self.execute_with(false, false).0
+        self.simulate(false, false).0
     }
 
-    /// [`Job::execute`], optionally sampling simulator telemetry and/or
-    /// forcing per-cycle stepping (`per_cycle` — [`System::run_per_cycle`]
-    /// instead of the skip-ahead [`System::run`]; results are identical by
-    /// the simulator's exactness guarantee, only wall time differs).
-    ///
-    /// [`System::run`]: dsarp_sim::System::run
-    /// [`System::run_per_cycle`]: dsarp_sim::System::run_per_cycle
-    pub fn execute_with(
-        &self,
-        telemetry: bool,
-        per_cycle: bool,
-    ) -> (JobOutput, Option<Box<SimTelemetry>>) {
-        let mut stats = self.run_stats(telemetry, per_cycle);
+    /// Builds the job's [`dsarp_sim::System`], runs it and reduces the raw
+    /// stats to the job's output.
+    fn simulate(&self, telemetry: bool, per_cycle: bool) -> (JobOutput, Option<Box<SimTelemetry>>) {
+        let alone;
+        let (builder, cycles) = match self {
+            Job::Alone { cfg, bench, cycles } => {
+                alone = Workload::alone_for(bench);
+                (SystemBuilder::new(cfg).workload(&alone), *cycles)
+            }
+            Job::Grid {
+                cfg,
+                workload,
+                cycles,
+            } => (SystemBuilder::new(cfg).workload(workload), *cycles),
+            Job::TraceAlone { cfg, trace, cycles } => (
+                SystemBuilder::new(cfg).trace_sources(vec![trace.open()]),
+                *cycles,
+            ),
+            Job::TraceGrid {
+                cfg,
+                workload,
+                cycles,
+            } => (
+                SystemBuilder::new(cfg).trace_sources(workload.sources(cfg.cores)),
+                *cycles,
+            ),
+        };
+        let mut system = builder.telemetry(telemetry).build();
+        let mut stats = if per_cycle {
+            system.run_per_cycle(cycles)
+        } else {
+            system.run(cycles)
+        };
         let telemetry = stats.telemetry.take();
         let output = match self {
             Job::Alone { .. } | Job::TraceAlone { .. } => JobOutput::Alone(stats.ipc[0].max(1e-9)),
@@ -252,63 +240,6 @@ impl Job {
             }),
         };
         (output, telemetry)
-    }
-
-    /// Builds the job's [`dsarp_sim::System`] and runs it to raw stats.
-    fn run_stats(&self, telemetry: bool, per_cycle: bool) -> RunStats {
-        fn run(
-            builder: SystemBuilder<'_>,
-            cycles: u64,
-            telemetry: bool,
-            per_cycle: bool,
-        ) -> RunStats {
-            let mut system = builder.telemetry(telemetry).build();
-            if per_cycle {
-                system.run_per_cycle(cycles)
-            } else {
-                system.run(cycles)
-            }
-        }
-        match self {
-            Job::Alone { cfg, bench, cycles } => {
-                let wl = Workload::alone_for(bench);
-                run(
-                    SystemBuilder::new(cfg).workload(&wl),
-                    *cycles,
-                    telemetry,
-                    per_cycle,
-                )
-            }
-            Job::Grid {
-                cfg,
-                workload,
-                cycles,
-            } => run(
-                SystemBuilder::new(cfg).workload(workload),
-                *cycles,
-                telemetry,
-                per_cycle,
-            ),
-            Job::TraceAlone { cfg, trace, cycles } => {
-                let sources = vec![trace.open()];
-                run(
-                    SystemBuilder::new(cfg).trace_sources(sources),
-                    *cycles,
-                    telemetry,
-                    per_cycle,
-                )
-            }
-            Job::TraceGrid {
-                cfg,
-                workload,
-                cycles,
-            } => run(
-                SystemBuilder::new(cfg).trace_sources(workload.sources(cfg.cores)),
-                *cycles,
-                telemetry,
-                per_cycle,
-            ),
-        }
     }
 }
 

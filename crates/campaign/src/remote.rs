@@ -209,7 +209,7 @@ impl RemoteStore {
         what: &str,
     ) -> io::Result<Response> {
         let mut client = self.client.lock().expect("client lock poisoned");
-        retry::retry_transient_observed(
+        retry::retry_transient(
             &self.policy,
             self.seed,
             what,

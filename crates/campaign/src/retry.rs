@@ -82,30 +82,16 @@ pub fn is_transient(kind: io::ErrorKind) -> bool {
 /// Runs `op` until it succeeds, fails permanently, or the policy's
 /// attempts are exhausted. Only errors for which [`is_transient`] holds
 /// are retried; the last error is returned annotated with the attempt
-/// count and `what`.
+/// count and `what`. `on_retry(attempt, delay, error)` is called before
+/// each back-off sleep (never for the final failure or a permanent
+/// error), so callers can surface retry activity — the campaign event log
+/// records one `retry_attempt` event per call.
 ///
 /// # Errors
 ///
 /// The first permanent error, or the final transient error once
 /// `policy.max_attempts` is exhausted.
 pub fn retry_transient<T>(
-    policy: &RetryPolicy,
-    seed: u64,
-    what: &str,
-    op: impl FnMut() -> io::Result<T>,
-) -> io::Result<T> {
-    retry_transient_observed(policy, seed, what, |_, _, _| {}, op)
-}
-
-/// [`retry_transient`] with an observer: `on_retry(attempt, delay, error)`
-/// is called before each back-off sleep (never for the final failure or a
-/// permanent error), so callers can surface retry activity — the campaign
-/// event log records one `retry_attempt` event per call.
-///
-/// # Errors
-///
-/// As [`retry_transient`].
-pub fn retry_transient_observed<T>(
     policy: &RetryPolicy,
     seed: u64,
     what: &str,
@@ -169,14 +155,20 @@ mod tests {
             max_delay: Duration::from_millis(2),
         };
         let mut calls = 0;
-        let out = retry_transient(&p, 1, "op", || {
-            calls += 1;
-            if calls < 3 {
-                Err(Error::new(ErrorKind::ConnectionRefused, "down"))
-            } else {
-                Ok(calls)
-            }
-        })
+        let out = retry_transient(
+            &p,
+            1,
+            "op",
+            |_, _, _| {},
+            || {
+                calls += 1;
+                if calls < 3 {
+                    Err(Error::new(ErrorKind::ConnectionRefused, "down"))
+                } else {
+                    Ok(calls)
+                }
+            },
+        )
         .unwrap();
         assert_eq!(out, 3);
     }
@@ -189,7 +181,7 @@ mod tests {
             max_delay: Duration::from_millis(1),
         };
         let mut seen = Vec::new();
-        let err = retry_transient_observed::<()>(
+        let err = retry_transient::<()>(
             &p,
             5,
             "op",
@@ -210,10 +202,16 @@ mod tests {
     fn permanent_errors_fail_immediately() {
         let p = RetryPolicy::remote();
         let mut calls = 0;
-        let err = retry_transient::<()>(&p, 1, "op", || {
-            calls += 1;
-            Err(Error::new(ErrorKind::InvalidData, "bad record"))
-        })
+        let err = retry_transient::<()>(
+            &p,
+            1,
+            "op",
+            |_, _, _| {},
+            || {
+                calls += 1;
+                Err(Error::new(ErrorKind::InvalidData, "bad record"))
+            },
+        )
         .unwrap_err();
         assert_eq!(calls, 1, "permanent errors must not retry");
         assert_eq!(err.kind(), ErrorKind::InvalidData);
@@ -227,10 +225,16 @@ mod tests {
             max_delay: Duration::from_millis(1),
         };
         let mut calls = 0;
-        let err = retry_transient::<()>(&p, 7, "append", || {
-            calls += 1;
-            Err(Error::new(ErrorKind::BrokenPipe, "gone"))
-        })
+        let err = retry_transient::<()>(
+            &p,
+            7,
+            "append",
+            |_, _, _| {},
+            || {
+                calls += 1;
+                Err(Error::new(ErrorKind::BrokenPipe, "gone"))
+            },
+        )
         .unwrap_err();
         assert_eq!(calls, 3);
         assert!(err.to_string().contains("append"), "{err}");

@@ -17,7 +17,7 @@
 //!   server URL — with identical lease-reclaim semantics and
 //!   byte-identical merged grids.
 
-use crate::backend::{AcquireOutcome, BackendLease, LocalBackend, StoreBackend};
+use crate::backend::{AcquireOutcome, BackendLease, StoreBackend};
 use crate::events::{Event, EventLog};
 use crate::fingerprint::Fingerprint;
 use crate::job::Job;
@@ -280,12 +280,100 @@ fn assemble_from(
     Grid::from_rows(rows)
 }
 
+/// Assembles one grid per sweep, keyed by sweep name, from `records` —
+/// the last step of [`Campaign::run`], [`CampaignClient::merge`] and the
+/// read-only [`CampaignClient::assemble`] alike.
+fn assemble_grids(
+    spec: &CampaignSpec,
+    resolved: &[Vec<CampaignWorkload>],
+    records: &HashMap<u128, Record>,
+) -> BTreeMap<String, Grid> {
+    let sweeps = spec.sweeps.iter().zip(resolved);
+    sweeps
+        .map(|(sweep, wls)| (sweep.name.clone(), assemble_from(spec, sweep, wls, records)))
+        .collect()
+}
+
+/// The simulate-and-persist loop shared by the single-process executor
+/// ([`Campaign::run`]) and a distributed worker's leased drain
+/// ([`CampaignClient::run_worker`]).
+struct CellRunner<'a> {
+    events: &'a EventLog,
+    verbose: bool,
+    threads: usize,
+    /// The worker identity stamped on progress events; `None` for the
+    /// single-process executor.
+    owner: Option<&'a str>,
+    /// Where to dump one telemetry sidecar per simulated cell, if at all.
+    telemetry_dir: Option<&'a Path>,
+    per_cycle: bool,
+    /// [`WorkerOptions::job_delay_ms`].
+    job_delay: Duration,
+}
+
+impl CellRunner<'_> {
+    /// Simulates `jobs` on the thread pool, handing every completed record
+    /// to `append` — which flushes it to its shard — before the thread
+    /// picks up its next job, so progress survives kill/restart. Returns
+    /// the records in job order plus the number of failed appends (those
+    /// records are still usable in memory this run; they re-simulate next
+    /// time instead of resuming).
+    fn run(
+        &self,
+        jobs: &[&(Fingerprint, Job)],
+        append: impl Fn(Fingerprint, &Record) -> std::io::Result<()> + Sync,
+    ) -> (Vec<Record>, usize) {
+        let append_errors = AtomicUsize::new(0);
+        let owner = || self.owner.map(str::to_string);
+        let records = parallel_map(jobs, self.threads, |(fp, job)| {
+            if !self.job_delay.is_zero() {
+                std::thread::sleep(self.job_delay);
+            }
+            let t_job = Instant::now();
+            let (record, telemetry) =
+                job.run_record(*fp, self.telemetry_dir.is_some(), self.per_cycle);
+            if let (Some(dir), Some(telemetry)) = (self.telemetry_dir, telemetry) {
+                let path = dir.join(format!("{fp}.json"));
+                let doc = serde_json::to_string(&telemetry).expect("telemetry serializes");
+                if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
+                    eprintln!(
+                        "campaign telemetry: sidecar write failed for {}: {e}",
+                        record.label
+                    );
+                }
+            }
+            self.events.emit(
+                self.verbose,
+                &Event::JobSimulated {
+                    owner: owner(),
+                    shard: Store::shard_of(*fp),
+                    label: record.label.clone(),
+                    wall: t_job.elapsed(),
+                },
+            );
+            if let Err(e) = append(*fp, &record) {
+                self.events.emit(
+                    self.verbose,
+                    &Event::AppendFailed {
+                        owner: owner(),
+                        shard: Store::shard_of(*fp),
+                        label: record.label.clone(),
+                        error: e.to_string(),
+                    },
+                );
+                append_errors.fetch_add(1, Ordering::Relaxed);
+            }
+            record
+        });
+        (records, append_errors.load(Ordering::Relaxed))
+    }
+}
+
 /// An open campaign: a spec bound to its result store.
 #[derive(Debug)]
 pub struct Campaign {
     spec: CampaignSpec,
     store: Store,
-    root: std::path::PathBuf,
     /// Print progress lines to stdout while running.
     pub verbose: bool,
     /// Sample simulator telemetry for every cell simulated by
@@ -317,7 +405,6 @@ impl Campaign {
         Ok(Campaign {
             spec,
             store,
-            root: root.to_path_buf(),
             verbose: false,
             telemetry: false,
             per_cycle: false,
@@ -341,28 +428,6 @@ impl Campaign {
         &self.store
     }
 
-    /// Re-reads the store from disk, picking up records appended by other
-    /// worker processes since open.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn reload(&mut self) -> std::io::Result<()> {
-        let manifest = serde_json::to_value(&self.spec).expect("specs serialize");
-        self.store = Store::open(&self.root, &self.spec.name, &manifest)?;
-        Ok(())
-    }
-
-    /// A [`CampaignClient`] sharing this campaign's spec and verbosity,
-    /// plus the [`LocalBackend`] for its store directory.
-    fn client(&self) -> std::io::Result<(CampaignClient, LocalBackend)> {
-        let mut client = CampaignClient::new(self.spec.clone());
-        client.verbose = self.verbose;
-        client.set_events(Arc::clone(&self.events));
-        let backend = LocalBackend::open(&self.root, &self.spec.name)?;
-        Ok((client, backend))
-    }
-
     /// Executes every sweep (simulating only uncached jobs) and assembles
     /// the per-sweep grids.
     ///
@@ -379,10 +444,9 @@ impl Campaign {
         let (cells, unique) = expand_unique_of(&self.spec, &resolved);
 
         // 2. Partition against the store.
-        let missing: Vec<(Fingerprint, Job)> = unique
+        let missing: Vec<&(Fingerprint, Job)> = unique
             .iter()
             .filter(|(fp, _)| !self.store.contains(*fp))
-            .cloned()
             .collect();
         let mut stats = CacheStats {
             cells,
@@ -408,9 +472,8 @@ impl Campaign {
             },
         );
 
-        // 3. Simulate the misses; every completed job is appended to its
-        //    shard and flushed before the worker picks up the next one, so
-        //    progress survives kill/restart.
+        // 3. Simulate the misses, appending each to its shard as it
+        //    completes.
         let t_sim = Instant::now();
         let telemetry_dir = if self.telemetry {
             let dir = self.store.dir().join("telemetry");
@@ -420,58 +483,21 @@ impl Campaign {
             None
         };
         let store = &self.store;
-        let events = &self.events;
-        let verbose = self.verbose;
-        let per_cycle = self.per_cycle;
-        let append_errors = AtomicUsize::new(0);
-        let records = parallel_map(&missing, scale.resolved_threads(), |(fp, job)| {
-            let t_job = Instant::now();
-            let record = if let Some(dir) = &telemetry_dir {
-                let (record, telemetry) = job.run_record_with(*fp, true, per_cycle);
-                if let Some(telemetry) = telemetry {
-                    let path = dir.join(format!("{fp}.json"));
-                    let doc = serde_json::to_string(&telemetry).expect("telemetry serializes");
-                    if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
-                        eprintln!(
-                            "campaign telemetry: sidecar write failed for {}: {e}",
-                            record.label
-                        );
-                    }
-                }
-                record
-            } else {
-                job.run_record_with(*fp, false, per_cycle).0
-            };
-            events.emit(
-                verbose,
-                &Event::JobSimulated {
-                    owner: None,
-                    shard: Store::shard_of(*fp),
-                    label: record.label.clone(),
-                    wall: t_job.elapsed(),
-                },
-            );
-            if let Err(e) = store.append(*fp, &record) {
-                // Still usable in memory this run; it will re-simulate next
-                // time instead of resuming.
-                events.emit(
-                    verbose,
-                    &Event::AppendFailed {
-                        owner: None,
-                        shard: Store::shard_of(*fp),
-                        label: record.label.clone(),
-                        error: e.to_string(),
-                    },
-                );
-                append_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            record
-        });
+        let (records, persist_failures) = CellRunner {
+            events: &self.events,
+            verbose: self.verbose,
+            threads: scale.resolved_threads(),
+            owner: None,
+            telemetry_dir: telemetry_dir.as_deref(),
+            per_cycle: self.per_cycle,
+            job_delay: Duration::ZERO,
+        }
+        .run(&missing, |fp, record| store.append(fp, record));
         for ((fp, _), record) in missing.iter().zip(records) {
             self.store.absorb(*fp, record);
         }
+        stats.persist_failures = persist_failures;
         timing.simulate_ms = elapsed_ms(t_sim);
-        stats.persist_failures = append_errors.load(Ordering::Relaxed);
         if stats.persist_failures > 0 {
             self.events.emit(
                 self.verbose,
@@ -494,13 +520,7 @@ impl Campaign {
 
         // 4. Assemble per-sweep grids from the (now complete) store.
         let t_asm = Instant::now();
-        let mut grids = BTreeMap::new();
-        for (sweep, workloads) in self.spec.sweeps.iter().zip(&resolved) {
-            grids.insert(
-                sweep.name.clone(),
-                assemble_from(&self.spec, sweep, workloads, self.store.records()),
-            );
-        }
+        let grids = assemble_grids(&self.spec, &resolved, self.store.records());
         timing.assemble_ms = elapsed_ms(t_asm);
         timing.total_ms = elapsed_ms(t0);
         Ok(CampaignReport {
@@ -508,37 +528,6 @@ impl Campaign {
             stats,
             timing,
         })
-    }
-
-    /// Participates in a distributed drain of this campaign over its local
-    /// store directory — see [`CampaignClient::run_worker`] for the
-    /// protocol. The in-memory record cache is reloaded afterwards, so
-    /// the campaign also sees what peer workers appended during the drain.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from the store and lock files.
-    pub fn run_worker(&mut self, opts: &WorkerOptions) -> std::io::Result<WorkerReport> {
-        let (client, backend) = self.client()?;
-        let report = client.run_worker(&backend, opts)?;
-        self.reload()?;
-        Ok(report)
-    }
-
-    /// The coordinator step of a distributed campaign over its local store
-    /// directory — see [`CampaignClient::merge`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn merge(
-        &mut self,
-        opts: &WorkerOptions,
-    ) -> std::io::Result<(CampaignReport, WorkerReport)> {
-        let (client, backend) = self.client()?;
-        let out = client.merge(&backend, opts)?;
-        self.reload()?;
-        Ok(out)
     }
 }
 
@@ -570,8 +559,8 @@ impl Renew for ObservedLease<'_> {
 /// Drives a distributed campaign drain through any [`StoreBackend`]: the
 /// spec-only counterpart of [`Campaign`] for processes that may have no
 /// store directory at all (remote workers reach the shards through a
-/// campaign server). [`Campaign::run_worker`] and [`Campaign::merge`]
-/// delegate here over a [`LocalBackend`], so both transports execute the
+/// campaign server); a [`LocalBackend`](crate::backend::LocalBackend) is
+/// the same drain over a shared directory, so both transports execute the
 /// same drain, reclaim and assembly code.
 #[derive(Debug)]
 pub struct CampaignClient {
@@ -706,8 +695,7 @@ impl CampaignClient {
                                 reclaimed,
                             },
                         );
-                        let lock =
-                            BackendLease::new(backend, shard, &opts.owner, opts.ttl_ms, reclaimed);
+                        let lock = BackendLease::new(backend, shard, &opts.owner, opts.ttl_ms);
                         self.run_leased(backend, &lock, shard, jobs, threads, opts, &mut report)?;
                         lock.release()?;
                         self.events.emit(
@@ -839,7 +827,6 @@ impl CampaignClient {
         if jobs.is_empty() {
             return Ok(());
         }
-        let append_errors = AtomicUsize::new(0);
         let renew_every = Duration::from_millis((opts.ttl_ms / 4).max(1));
         // The heartbeat runs on its own timer thread so a single slow job
         // can never stale the lease — the TTL only has to cover heartbeat
@@ -855,44 +842,26 @@ impl CampaignClient {
             owner: &opts.owner,
             shard,
         };
-        std::thread::scope(|s| {
+        let (_, persist_failures) = std::thread::scope(|s| {
             s.spawn(|| heartbeat.run(&[&observed], renew_every));
             // Stopped via Drop, not a trailing statement: if a job panics,
             // thread::scope must still join the heartbeat thread, which
             // would otherwise renew a doomed worker's lease forever and
             // make the shard unreclaimable.
             let _stop = heartbeat.stopper();
-            parallel_map(&jobs, threads, |(fp, job)| {
-                if opts.job_delay_ms > 0 {
-                    std::thread::sleep(Duration::from_millis(opts.job_delay_ms));
-                }
-                let t_job = Instant::now();
-                let record = job.run_record(*fp);
-                self.events.emit(
-                    self.verbose,
-                    &Event::JobSimulated {
-                        owner: Some(opts.owner.clone()),
-                        shard,
-                        label: record.label.clone(),
-                        wall: t_job.elapsed(),
-                    },
-                );
-                if let Err(e) = backend.append(*fp, &record) {
-                    self.events.emit(
-                        self.verbose,
-                        &Event::AppendFailed {
-                            owner: Some(opts.owner.clone()),
-                            shard,
-                            label: record.label.clone(),
-                            error: e.to_string(),
-                        },
-                    );
-                    append_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            });
+            CellRunner {
+                events: &self.events,
+                verbose: self.verbose,
+                threads,
+                owner: Some(&opts.owner),
+                telemetry_dir: None,
+                per_cycle: false,
+                job_delay: Duration::from_millis(opts.job_delay_ms),
+            }
+            .run(&jobs, |fp, record| backend.append(fp, record))
         });
         report.simulated += jobs.len();
-        report.persist_failures += append_errors.load(Ordering::Relaxed);
+        report.persist_failures += persist_failures;
         Ok(())
     }
 
@@ -925,14 +894,7 @@ impl CampaignClient {
                 ),
             ));
         }
-        let mut grids = BTreeMap::new();
-        for (sweep, workloads) in self.spec.sweeps.iter().zip(&resolved) {
-            grids.insert(
-                sweep.name.clone(),
-                assemble_from(&self.spec, sweep, workloads, records),
-            );
-        }
-        Ok(grids)
+        Ok(assemble_grids(&self.spec, &resolved, records))
     }
 
     /// The coordinator step of a distributed campaign: drains the
@@ -970,13 +932,7 @@ impl CampaignClient {
             simulated: worker.simulated,
             persist_failures: worker.persist_failures,
         };
-        let mut grids = BTreeMap::new();
-        for (sweep, workloads) in self.spec.sweeps.iter().zip(&resolved) {
-            grids.insert(
-                sweep.name.clone(),
-                assemble_from(&self.spec, sweep, workloads, &records),
-            );
-        }
+        let grids = assemble_grids(&self.spec, &resolved, &records);
         let timing = PhaseTiming {
             expand_ms,
             simulate_ms,

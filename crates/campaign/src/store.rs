@@ -94,43 +94,44 @@ impl Store {
     /// Propagates filesystem errors. Unparseable shard *lines* are skipped,
     /// not errors: they re-run.
     pub fn open(root: &Path, campaign_name: &str, manifest: &Value) -> std::io::Result<Self> {
-        let dir = root.join(campaign_name);
-        std::fs::create_dir_all(dir.join("shards"))?;
-        let mut store = Store {
-            dir,
-            records: HashMap::new(),
-            writers: (0..SHARDS).map(|_| Mutex::new(None)).collect(),
-            loaded: 0,
-            skipped_lines: 0,
-        };
+        let mut store = Self::attach(root, campaign_name)?;
         for shard in 0..SHARDS {
-            let path = store.shard_path(shard);
-            if !path.exists() {
-                continue;
-            }
-            let reader = BufReader::new(File::open(&path)?);
-            for line in reader.lines() {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
+            Self::for_each_line(&store.dir, shard, |decoded| match decoded {
+                Some((fp, record)) => {
+                    store.records.entry(fp.0).or_insert(record);
+                    store.loaded += 1;
                 }
-                match Self::parse_line(&line) {
-                    Some((fp, record)) => {
-                        store.records.entry(fp.0).or_insert(record);
-                        store.loaded += 1;
-                    }
-                    None => {
-                        // Torn append from a killed run: drop it, the job
-                        // will simply be simulated again.
-                        store.skipped_lines += 1;
-                        eprintln!(
-                            "campaign store: skipping unparseable line in {}",
-                            path.display()
-                        );
-                    }
+                None => {
+                    // Torn append from a killed run: drop it, the job
+                    // will simply be simulated again.
+                    store.skipped_lines += 1;
+                    eprintln!(
+                        "campaign store: skipping unparseable line in {}",
+                        Self::shard_file(&store.dir, shard).display()
+                    );
                 }
-            }
+            })?;
         }
+        Self::write_manifest(root, campaign_name, manifest)?;
+        Ok(store)
+    }
+
+    /// Writes `manifest.json` (format version, campaign name, `manifest`
+    /// as the spec echo) into the store directory for `campaign_name`
+    /// under `root`, creating it if needed. [`Store::open`] does this
+    /// itself; a process that only [`Store::attach`]es calls it to leave
+    /// the same directory behind.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn write_manifest(
+        root: &Path,
+        campaign_name: &str,
+        manifest: &Value,
+    ) -> std::io::Result<()> {
+        let dir = root.join(campaign_name);
+        std::fs::create_dir_all(&dir)?;
         let mut manifest_doc = serde_json::Map::new();
         manifest_doc.insert(
             "format_version".into(),
@@ -141,19 +142,16 @@ impl Store {
         // Written via a pid-unique temp file + rename: concurrent worker
         // processes open the same store, and interleaved direct writes
         // could tear the manifest.
-        let tmp = store
-            .dir
-            .join(format!("manifest.json.tmp-{}", std::process::id()));
+        let tmp = dir.join(format!("manifest.json.tmp-{}", std::process::id()));
         std::fs::write(&tmp, format!("{}\n", Value::Object(manifest_doc)))?;
-        std::fs::rename(&tmp, store.dir.join("manifest.json"))?;
-        Ok(store)
+        std::fs::rename(&tmp, dir.join("manifest.json"))
     }
 
     /// Attaches to (creating if needed) the store directory for
     /// `campaign_name` under `root` WITHOUT loading records or rewriting
     /// the manifest — the append-only path for workers that learn shard
-    /// contents through [`Store::shard_fingerprints`] instead of a full
-    /// load.
+    /// contents through [`Store::read_shard_fingerprints`] instead of a
+    /// full load.
     ///
     /// # Errors
     ///
@@ -172,9 +170,10 @@ impl Store {
 
     /// Decodes one shard line into `(fingerprint, record)`; `None` for a
     /// torn or otherwise unparseable line. The single decoder behind
-    /// [`Store::open`], [`Store::shard_fingerprints`], [`Store::compact`]
-    /// and the campaign server's append endpoint, so the readers cannot
-    /// drift apart.
+    /// [`Store::open`], [`Store::read_all`],
+    /// [`Store::read_shard_fingerprints`], [`Store::compact`] and the
+    /// campaign server's append endpoint, so the readers cannot drift
+    /// apart.
     pub fn decode_line(line: &str) -> Option<(Fingerprint, Record)> {
         serde_json::from_str::<Record>(line)
             .ok()
@@ -187,8 +186,26 @@ impl Store {
         serde_json::to_string(record).expect("records serialize")
     }
 
-    fn parse_line(line: &str) -> Option<(Fingerprint, Record)> {
-        Self::decode_line(line)
+    /// Feeds every non-blank line of one shard of the campaign at
+    /// `campaign_dir` to `visit`, decoded (`None` for a torn or otherwise
+    /// unparseable line). A shard never written has no lines.
+    fn for_each_line(
+        campaign_dir: &Path,
+        shard: usize,
+        mut visit: impl FnMut(Option<(Fingerprint, Record)>),
+    ) -> std::io::Result<()> {
+        let file = match File::open(Self::shard_file(campaign_dir, shard)) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(e),
+        };
+        for line in BufReader::new(file).lines() {
+            let line = line?;
+            if !line.trim().is_empty() {
+                visit(Self::decode_line(&line));
+            }
+        }
+        Ok(())
     }
 
     /// The shard file path for `shard` of the campaign at `campaign_dir`.
@@ -311,17 +328,11 @@ impl Store {
     pub fn read_all(campaign_dir: &Path) -> std::io::Result<HashMap<u128, Record>> {
         let mut records = HashMap::new();
         for shard in 0..SHARDS {
-            let path = Self::shard_file(campaign_dir, shard);
-            let file = match File::open(&path) {
-                Ok(f) => f,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e),
-            };
-            for line in BufReader::new(file).lines() {
-                if let Some((fp, record)) = Self::parse_line(&line?) {
+            Self::for_each_line(campaign_dir, shard, |decoded| {
+                if let Some((fp, record)) = decoded {
                     records.entry(fp.0).or_insert(record);
                 }
-            }
+            })?;
         }
         Ok(records)
     }
@@ -336,20 +347,10 @@ impl Store {
             .unwrap_or(0)
     }
 
-    /// Re-reads one shard file from disk, returning the fingerprints
-    /// present right now. Distributed workers call this after acquiring a
-    /// shard lease: their in-memory view may predate records another
-    /// worker appended, and only still-missing cells should re-run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; unparseable lines are ignored.
-    pub fn shard_fingerprints(&self, shard: usize) -> std::io::Result<HashSet<u128>> {
-        Self::read_shard_fingerprints(&self.dir, shard)
-    }
-
-    /// [`Store::shard_fingerprints`] without an open store — the
-    /// [`crate::backend::LocalBackend`]'s rescan path.
+    /// Reads one shard file of the campaign at `campaign_dir`, returning
+    /// the fingerprints present right now. Distributed workers call this
+    /// after acquiring a shard lease: their view may predate records
+    /// another worker appended, and only still-missing cells should re-run.
     ///
     /// # Errors
     ///
@@ -359,17 +360,11 @@ impl Store {
         shard: usize,
     ) -> std::io::Result<HashSet<u128>> {
         let mut out = HashSet::new();
-        let path = Self::shard_file(campaign_dir, shard);
-        let file = match File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-            Err(e) => return Err(e),
-        };
-        for line in BufReader::new(file).lines() {
-            if let Some((fp, _)) = Self::parse_line(&line?) {
+        Self::for_each_line(campaign_dir, shard, |decoded| {
+            if let Some((fp, _)) = decoded {
                 out.insert(fp.0);
             }
-        }
+        })?;
         Ok(out)
     }
 
@@ -468,7 +463,7 @@ impl Store {
                 if line.trim().is_empty() {
                     continue;
                 }
-                match Self::parse_line(line).map(|(fp, _)| fp.0) {
+                match Self::decode_line(line).map(|(fp, _)| fp.0) {
                     Some(fp) if !keep.contains(&fp) => stats.dropped_orphans += 1,
                     Some(fp) if !kept_fps.insert(fp) => stats.dropped_duplicates += 1,
                     Some(_) => {

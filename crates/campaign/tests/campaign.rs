@@ -3,13 +3,17 @@
 //! killed mid-run resumes to results byte-identical to an uninterrupted
 //! run.
 
-use dsarp_campaign::{Campaign, CampaignReport, CampaignSpec, SweepSpec, WorkloadSet};
+use dsarp_campaign::{
+    Campaign, CampaignClient, CampaignReport, CampaignSpec, EventLog, LocalBackend, SweepSpec,
+    WorkerOptions, WorkloadSet,
+};
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
 use dsarp_sim::experiments::harness::{Grid, Scale};
 use dsarp_sim::experiments::report;
 use dsarp_sim::SimConfig;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn tiny_scale() -> Scale {
     Scale {
@@ -261,6 +265,66 @@ fn telemetry_sidecars_leave_records_and_grids_byte_identical() {
     );
     let _ = std::fs::remove_dir_all(plain_dir);
     let _ = std::fs::remove_dir_all(tele_dir);
+}
+
+/// The sorted `label`s of every `job_simulated` line of a JSONL event log.
+fn simulated_labels(events: &std::path::Path) -> Vec<String> {
+    let mut labels: Vec<String> = std::fs::read_to_string(events)
+        .unwrap()
+        .lines()
+        .map(|line| serde_json::from_str::<serde_json::Value>(line).unwrap())
+        .filter(|e| e.get("event").and_then(|v| v.as_str()) == Some("job_simulated"))
+        .map(|e| e.get("label").and_then(|v| v.as_str()).unwrap().to_string())
+        .collect();
+    labels.sort();
+    labels
+}
+
+/// The single-process executor and a distributed merge over a
+/// [`LocalBackend`] are one simulate-and-persist path: the same spec
+/// through either yields the same grids, counters, shard lines and
+/// simulated cells.
+#[test]
+fn merge_over_a_local_backend_equals_a_single_process_run() {
+    let run_dir = tmpdir("path-run");
+    let merge_dir = tmpdir("path-merge");
+    let run_events = run_dir.join("events.jsonl");
+    let merge_events = merge_dir.join("events.jsonl");
+
+    let mut campaign = Campaign::open(&run_dir, tiny_spec()).unwrap();
+    campaign.set_events(Arc::new(EventLog::to_path(&run_events).unwrap()));
+    let run = campaign.run().unwrap();
+
+    let backend = LocalBackend::open(&merge_dir, "tiny").unwrap();
+    let mut client = CampaignClient::new(tiny_spec());
+    client.set_events(Arc::new(EventLog::to_path(&merge_events).unwrap()));
+    let (merged, worker) = client.merge(&backend, &WorkerOptions::default()).unwrap();
+
+    assert_eq!(
+        render(&run),
+        render(&merged),
+        "grids must be byte-identical"
+    );
+    assert!(run.stats.simulated > 0);
+    assert_eq!(
+        (run.stats.cells, run.stats.unique_jobs, run.stats.simulated),
+        (
+            merged.stats.cells,
+            merged.stats.unique_jobs,
+            merged.stats.simulated
+        )
+    );
+    assert_eq!(worker.simulated, merged.stats.simulated);
+    assert_eq!(
+        sorted_record_lines(&run_dir.join("tiny")),
+        sorted_record_lines(&merge_dir.join("tiny")),
+        "shard lines must be byte-identical"
+    );
+    let labels = simulated_labels(&run_events);
+    assert_eq!(labels.len(), run.stats.simulated);
+    assert_eq!(labels, simulated_labels(&merge_events));
+    let _ = std::fs::remove_dir_all(run_dir);
+    let _ = std::fs::remove_dir_all(merge_dir);
 }
 
 /// Reads every telemetry sidecar of a campaign as `(file name, bytes)`,

@@ -17,7 +17,8 @@
 //!   - Elastic Refresh \[Stuecheli+ MICRO'10\] ([`refresh::ElasticRefresh`]),
 //!   - **DARP** — out-of-order per-bank refresh + write-refresh
 //!     parallelization ([`refresh::Darp`]),
-//!   - DDR4 Fine Granularity Refresh 2x/4x ([`refresh::FgrRefresh`]),
+//!   - DDR4 Fine Granularity Refresh 2x/4x ([`refresh::AllBankRefresh`] in
+//!     [`dsarp_dram::FgrMode::X2`] / [`dsarp_dram::FgrMode::X4`]),
 //!   - Adaptive Refresh \[Mukundan+ ISCA'13\] ([`refresh::AdaptiveRefresh`]),
 //!   - the ideal no-refresh bound ([`refresh::NoRefresh`]);
 //! * SARP support: when the attached [`dsarp_dram::DramChannel`] is built

@@ -1,5 +1,6 @@
 //! Baseline all-bank refresh (`REFab`, §2.2.1): one rank-level refresh every
-//! `tREFIab`, issued on schedule with no postponement.
+//! `tREFIab`, issued on schedule with no postponement — and, in its 2×/4×
+//! modes, DDR4 Fine Granularity Refresh (§6.5).
 
 use super::{PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy, RefreshTarget};
 use dsarp_dram::{Cycle, FgrMode, TimingParams};
@@ -7,18 +8,27 @@ use dsarp_dram::{Cycle, FgrMode, TimingParams};
 /// The commodity DDR refresh scheme: every `tREFIab` each rank owes one
 /// `REFab`, which the controller issues as soon as it can precharge the
 /// rank. Pending refreshes accumulate while a refresh is already in flight.
+///
+/// FGR is the same schedule in another mode: every command is issued in
+/// the configured [`FgrMode`], with `tREFIab` divided by the rate. Because
+/// `tRFCab` shrinks by only 1.35×/1.63× while the rate grows 2×/4×, the
+/// total refresh-busy time *increases* — the paper's Figure 16 shows FGR
+/// losing to plain `REFab`, and this implementation reproduces that.
 #[derive(Debug, Clone)]
 pub struct AllBankRefresh {
+    mode: FgrMode,
     next_due: Vec<Cycle>,
     pending: Vec<u32>,
     refi: u64,
 }
 
 impl AllBankRefresh {
-    /// Creates the policy for `ranks` ranks.
-    pub fn new(ranks: usize, timing: &TimingParams) -> Self {
-        let refi = timing.refi_ab;
+    /// Creates the policy for `ranks` ranks in `mode` ([`FgrMode::X1`] is
+    /// plain `REFab`).
+    pub fn new(ranks: usize, timing: &TimingParams, mode: FgrMode) -> Self {
+        let refi = timing.refi_ab_for(mode);
         Self {
+            mode,
             next_due: vec![refi; ranks],
             pending: vec![0; ranks],
             refi,
@@ -42,7 +52,11 @@ impl AllBankRefresh {
 
 impl RefreshPolicy for AllBankRefresh {
     fn name(&self) -> &'static str {
-        "refab"
+        match self.mode {
+            FgrMode::X1 => "refab",
+            FgrMode::X2 => "fgr2x",
+            FgrMode::X4 => "fgr4x",
+        }
     }
 
     fn decide(&mut self, ctx: &PolicyContext<'_>) -> RefreshDirective {
@@ -61,7 +75,7 @@ impl RefreshPolicy for AllBankRefresh {
                 }
                 return RefreshDirective::Urgent(RefreshTarget {
                     rank: r,
-                    kind: RefreshKind::AllBank(FgrMode::X1),
+                    kind: RefreshKind::AllBank(self.mode),
                 });
             }
         }
@@ -116,7 +130,7 @@ mod tests {
         let t = TimingParams::ddr3_1333(Density::G8, Retention::Ms32);
         let chan = DramChannel::new(Geometry::paper_default(), t, SarpSupport::Disabled);
         let q = RequestQueues::paper_default();
-        let p = AllBankRefresh::new(2, &t);
+        let p = AllBankRefresh::new(2, &t, FgrMode::X1);
         (chan, q, p, t)
     }
 
@@ -213,6 +227,38 @@ mod tests {
                 assert_eq!(t2.rank, 1, "rank 0 is busy; rank 1 serves its debt")
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn four_x_mode_refreshes_four_times_as_often() {
+        let t = TimingParams::ddr3_1333(Density::G32, Retention::Ms32);
+        let chan = DramChannel::new(Geometry::paper_default(), t, SarpSupport::Disabled);
+        let q = RequestQueues::paper_default();
+        let mut p = AllBankRefresh::new(1, &t, FgrMode::X4);
+        let ctx = PolicyContext {
+            now: t.refi_ab,
+            queues: &q,
+            chan: &chan,
+        };
+        match p.decide(&ctx) {
+            RefreshDirective::Urgent(target) => {
+                assert_eq!(target.kind, RefreshKind::AllBank(FgrMode::X4));
+            }
+            other => panic!("expected urgent, got {other:?}"),
+        }
+        assert_eq!(p.pending(0), 4);
+        assert_eq!(p.name(), "fgr4x");
+    }
+
+    #[test]
+    fn worst_case_busy_time_exceeds_refab() {
+        // rate * tRFC(mode) > tRFC(1x): the §6.5 pathology.
+        let t = TimingParams::ddr3_1333(Density::G32, Retention::Ms32);
+        for (mode, min_ratio) in [(FgrMode::X2, 1.4), (FgrMode::X4, 2.4)] {
+            let busy = (mode.rate() * t.rfc_ab_for(mode)) as f64;
+            let base = t.rfc_ab_for(FgrMode::X1) as f64;
+            assert!(busy / base > min_ratio, "{mode}: {}", busy / base);
         }
     }
 }

@@ -15,7 +15,6 @@ mod adaptive;
 mod allbank;
 mod darp;
 mod elastic;
-mod fgr;
 mod norefresh;
 mod perbank;
 
@@ -23,7 +22,6 @@ pub use adaptive::AdaptiveRefresh;
 pub use allbank::AllBankRefresh;
 pub use darp::Darp;
 pub use elastic::ElasticRefresh;
-pub use fgr::FgrRefresh;
 pub use norefresh::NoRefresh;
 pub use perbank::PerBankRefresh;
 
@@ -191,7 +189,9 @@ impl Mechanism {
     ) -> Box<dyn RefreshPolicy> {
         match self {
             Mechanism::NoRefresh => Box::new(NoRefresh),
-            Mechanism::RefAb | Mechanism::SarpAb => Box::new(AllBankRefresh::new(ranks, timing)),
+            Mechanism::RefAb | Mechanism::SarpAb => {
+                Box::new(AllBankRefresh::new(ranks, timing, FgrMode::X1))
+            }
             Mechanism::RefPb | Mechanism::SarpPb | Mechanism::RefPbOverlapped => {
                 Box::new(PerBankRefresh::new(ranks, banks_per_rank, timing))
             }
@@ -202,8 +202,8 @@ impl Mechanism {
             Mechanism::DarpOooOnly => {
                 Box::new(Darp::new(ranks, banks_per_rank, timing, seed, false))
             }
-            Mechanism::Fgr2x => Box::new(FgrRefresh::new(ranks, timing, FgrMode::X2)),
-            Mechanism::Fgr4x => Box::new(FgrRefresh::new(ranks, timing, FgrMode::X4)),
+            Mechanism::Fgr2x => Box::new(AllBankRefresh::new(ranks, timing, FgrMode::X2)),
+            Mechanism::Fgr4x => Box::new(AllBankRefresh::new(ranks, timing, FgrMode::X4)),
             Mechanism::AdaptiveRefresh => Box::new(AdaptiveRefresh::new(ranks, timing)),
         }
     }

@@ -57,7 +57,7 @@ pub use crate::core::{Core, CoreIdle, CoreParams, CoreStats, StallKind};
 pub use llc::{Llc, LlcParams, LlcResult, LlcStats};
 pub use mshr::{MshrTable, ReqToken};
 pub use trace::{CyclicTrace, MemKind, SharedCyclicTrace, TraceOp, TraceSource};
-pub use trace_file::{FileTrace, TraceFileError};
+pub use trace_file::TraceFileError;
 pub use trace_v1::{
     read_trace_path, scan_trace_bytes, BinTraceSource, Materialize, TraceDialect, TraceSummary,
 };

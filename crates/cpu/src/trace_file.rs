@@ -8,8 +8,7 @@
 //! based setups), instead of only statistical generators.
 
 use crate::trace::{MemKind, TraceOp, TraceSource};
-use std::io::{BufRead, Write};
-use std::path::Path;
+use std::io::Write;
 
 /// Errors from trace parsing.
 #[derive(Debug)]
@@ -75,121 +74,12 @@ impl From<std::io::Error> for TraceFileError {
     }
 }
 
-/// A trace loaded from a file, replayed cyclically (the standard convention
-/// for fixed-length trace files driving longer simulations).
-#[derive(Debug, Clone)]
-pub struct FileTrace {
-    ops: Vec<TraceOp>,
-    pos: usize,
-}
-
-fn parse_addr(tok: &str) -> Option<u64> {
-    if let Some(hex) = tok.strip_prefix("0x").or_else(|| tok.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        tok.parse().ok()
-    }
-}
-
-impl FileTrace {
-    /// Parses a Ramulator-format trace from a reader.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceFileError`] on I/O failures, malformed lines, or an
-    /// empty trace.
-    pub fn parse(reader: impl BufRead) -> Result<Self, TraceFileError> {
-        let mut ops = Vec::new();
-        for (i, line) in reader.lines().enumerate() {
-            let line = line?;
-            let text = line.trim();
-            if text.is_empty() || text.starts_with('#') {
-                continue;
-            }
-            let mut toks = text.split_whitespace();
-            let err = || TraceFileError::Parse {
-                line: i + 1,
-                text: text.to_string(),
-            };
-            let bubbles: u32 = toks.next().and_then(|t| t.parse().ok()).ok_or_else(err)?;
-            let rd = toks.next().and_then(parse_addr).ok_or_else(err)?;
-            ops.push(TraceOp {
-                bubbles,
-                kind: MemKind::Load,
-                addr: rd,
-                dependent: false,
-            });
-            if let Some(tok) = toks.next() {
-                let wr = parse_addr(tok).ok_or_else(err)?;
-                ops.push(TraceOp {
-                    bubbles: 0,
-                    kind: MemKind::Store,
-                    addr: wr,
-                    dependent: false,
-                });
-            }
-            if toks.next().is_some() {
-                return Err(err());
-            }
-        }
-        if ops.is_empty() {
-            return Err(TraceFileError::Empty);
-        }
-        Ok(Self { ops, pos: 0 })
-    }
-
-    /// Parses raw file bytes, additionally rejecting a truncated tail: a
-    /// non-empty input whose final byte is not `\n` was cut mid-line
-    /// (crashed writer, partial copy), and the cut can leave a shorter
-    /// but still parseable address — a silently *wrong* trace. The
-    /// campaign layer loads traces through this.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceFileError::Truncated`] for a torn tail, otherwise as
-    /// [`FileTrace::parse`].
-    pub fn parse_bytes_strict(bytes: &[u8]) -> Result<Self, TraceFileError> {
-        if !bytes.is_empty() && bytes.last() != Some(&b'\n') {
-            return Err(TraceFileError::Truncated);
-        }
-        Self::parse(bytes)
-    }
-
-    /// Loads a trace file from disk.
-    ///
-    /// # Errors
-    ///
-    /// See [`FileTrace::parse`].
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
-        let f = std::fs::File::open(path)?;
-        Self::parse(std::io::BufReader::new(f))
-    }
-
-    /// Number of trace entries (stores count separately).
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the trace is empty (never true for a parsed trace).
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-}
-
-impl TraceSource for FileTrace {
-    fn next_op(&mut self) -> TraceOp {
-        let op = self.ops[self.pos];
-        self.pos = (self.pos + 1) % self.ops.len();
-        op
-    }
-}
-
 /// Writes `n` entries of any [`TraceSource`] in the Ramulator text format.
 ///
 /// A zero-bubble store directly following a load is attached to that
 /// load's line as the third column (the format's two-address convention),
-/// so streams produced by [`FileTrace::parse`] round-trip to an identical
-/// op stream. A store that cannot be attached (leading, repeated, or
+/// so streams parsed from the format round-trip to an identical op
+/// stream. A store that cannot be attached (leading, repeated, or
 /// carrying bubbles) has no exact representation and is written as a
 /// self-addressed load+store line, which parses back as a zero-bubble
 /// load/store pair at its address.
@@ -235,29 +125,26 @@ pub fn export(source: &mut dyn TraceSource, n: usize, mut out: impl Write) -> st
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace_v1::{read_trace_path, scan_trace_bytes, Materialize};
+
+    /// The ops of a plain-text trace, through the parser every reader uses.
+    fn parse(text: &[u8]) -> Result<Vec<TraceOp>, TraceFileError> {
+        scan_trace_bytes(text, Materialize::All).map(|s| s.ops.expect("materialized"))
+    }
 
     #[test]
     fn parses_loads_and_stores() {
-        let text = "# comment\n3 0x1000\n0 4096 0x2000\n\n7 0x40\n";
-        let t = FileTrace::parse(std::io::Cursor::new(text)).unwrap();
-        assert_eq!(t.len(), 4); // 3 loads + 1 store
-        let mut t = t;
-        let a = t.next_op();
-        assert_eq!((a.bubbles, a.addr, a.kind), (3, 0x1000, MemKind::Load));
-        let b = t.next_op();
-        assert_eq!((b.bubbles, b.addr, b.kind), (0, 4096, MemKind::Load));
-        let c = t.next_op();
-        assert_eq!((c.bubbles, c.addr, c.kind), (0, 0x2000, MemKind::Store));
-        let d = t.next_op();
-        assert_eq!(d.addr, 0x40);
-        // Wraps around.
-        assert_eq!(t.next_op().addr, 0x1000);
+        let ops = parse(b"# comment\n3 0x1000\n0 4096 0x2000\n\n7 0x40\n").unwrap();
+        assert_eq!(
+            ops,
+            vec![ld(3, 0x1000), ld(0, 4096), st(0, 0x2000), ld(7, 0x40)]
+        );
     }
 
     #[test]
     fn rejects_malformed_lines() {
-        for bad in ["xyz 0x10", "3", "1 0x10 0x20 0x30", "1 zz"] {
-            let e = FileTrace::parse(std::io::Cursor::new(bad)).unwrap_err();
+        for bad in ["xyz 0x10\n", "3\n", "1 0x10 0x20 0x30\n", "1 zz\n"] {
+            let e = parse(bad.as_bytes()).unwrap_err();
             assert!(
                 matches!(e, TraceFileError::Parse { line: 1, .. }),
                 "{bad}: {e}"
@@ -267,7 +154,7 @@ mod tests {
 
     #[test]
     fn rejects_empty() {
-        let e = FileTrace::parse(std::io::Cursor::new("# only comments\n")).unwrap_err();
+        let e = parse(b"# only comments\n").unwrap_err();
         assert!(matches!(e, TraceFileError::Empty));
     }
 
@@ -289,15 +176,11 @@ mod tests {
         }
     }
 
-    fn collect(t: &mut FileTrace) -> Vec<TraceOp> {
-        (0..t.len()).map(|_| t.next_op()).collect()
-    }
-
     fn roundtrip(ops: &[TraceOp]) -> Vec<TraceOp> {
         let mut src = crate::trace::CyclicTrace::new(ops.to_vec());
         let mut buf = Vec::new();
         export(&mut src, ops.len(), &mut buf).unwrap();
-        collect(&mut FileTrace::parse(std::io::Cursor::new(buf)).unwrap())
+        parse(&buf).unwrap()
     }
 
     #[test]
@@ -338,9 +221,8 @@ mod tests {
     fn parse_export_parse_is_idempotent() {
         // Arbitrary parsed streams re-export to the same stream even when
         // the original text used mixed radix and comments.
-        let text = "# header\n3 0x1000 4096\n0 512\n7 0x40 0x80\n1 0x99\n";
-        let mut first = FileTrace::parse(std::io::Cursor::new(text)).unwrap();
-        let ops = collect(&mut first);
+        let text = b"# header\n3 0x1000 4096\n0 512\n7 0x40 0x80\n1 0x99\n";
+        let ops = parse(text).unwrap();
         assert_eq!(roundtrip(&ops), ops);
     }
 
@@ -366,27 +248,22 @@ mod tests {
     #[test]
     fn strict_parse_rejects_torn_tails_lenient_parse_does_not() {
         // Cutting `1 0x4000\n...` anywhere mid-line can leave `1 0x4`,
-        // which still parses — to a different address. The strict parser
-        // refuses the whole file instead.
-        let torn = b"3 0x1000\n1 0x4";
+        // which is itself a well-formed record — of a different address,
+        // as the same bytes newline-terminated show. Only the missing
+        // newline gives the cut away, so the parser refuses the whole
+        // file rather than replay a silently wrong trace.
         assert!(matches!(
-            FileTrace::parse_bytes_strict(torn),
+            parse(b"3 0x1000\n1 0x4"),
             Err(TraceFileError::Truncated)
         ));
-        // The lenient reader accepts it (documented Ramulator-compat
-        // behaviour); the strict one is what campaigns use.
-        assert_eq!(FileTrace::parse(&torn[..]).unwrap().len(), 2);
-        let whole = b"3 0x1000\n1 0x4000\n";
-        assert_eq!(FileTrace::parse_bytes_strict(whole).unwrap().len(), 2);
-        assert!(matches!(
-            FileTrace::parse_bytes_strict(b""),
-            Err(TraceFileError::Empty)
-        ));
+        assert_eq!(parse(b"3 0x1000\n1 0x4\n").unwrap()[1].addr, 0x4);
+        assert_eq!(parse(b"3 0x1000\n1 0x4000\n").unwrap().len(), 2);
+        assert!(matches!(parse(b""), Err(TraceFileError::Empty)));
     }
 
     #[test]
     fn rejects_zero_byte_file() {
-        let e = FileTrace::parse(std::io::Cursor::new("")).unwrap_err();
+        let e = parse(b"").unwrap_err();
         assert!(matches!(e, TraceFileError::Empty));
         assert!(e.to_string().contains("no entries"));
     }
@@ -397,8 +274,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.trace");
         std::fs::write(&path, "1 0x40\n2 0x80 0xc0\n").unwrap();
-        let t = FileTrace::load(&path).unwrap();
-        assert_eq!(t.len(), 3);
-        assert!(FileTrace::load(dir.join("missing.trace")).is_err());
+        let t = read_trace_path(&path, Materialize::All).unwrap();
+        assert_eq!(t.entries, 3);
+        assert!(matches!(
+            read_trace_path(&dir.join("missing.trace"), Materialize::All),
+            Err(TraceFileError::Io(_))
+        ));
     }
 }

@@ -928,7 +928,6 @@ impl TraceSource for BinTraceSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace_file::FileTrace;
 
     fn ld(bubbles: u32, addr: u64) -> TraceOp {
         TraceOp {
@@ -1027,8 +1026,16 @@ mod tests {
         let text = b"# header\n3 0x1000 4096\n0 512\n\n7 0x40 0x80\n1 0x99\n";
         let summary = scan_chunked(text, Materialize::All).unwrap();
         assert_eq!(summary.dialect, TraceDialect::Text);
-        let mut legacy = FileTrace::parse_bytes_strict(text).unwrap();
-        let legacy_ops: Vec<TraceOp> = (0..legacy.len()).map(|_| legacy.next_op()).collect();
+        // What the line-at-a-time parser this scanner replaced produced
+        // for the same bytes.
+        let legacy_ops = vec![
+            ld(3, 0x1000),
+            st(0, 4096),
+            ld(0, 512),
+            ld(7, 0x40),
+            st(0, 0x80),
+            ld(1, 0x99),
+        ];
         assert_eq!(summary.entries, legacy_ops.len());
         assert_eq!(summary.ops.unwrap(), legacy_ops);
         // And the content hash is the campaign's byte-wise FNV fold.

@@ -90,7 +90,7 @@
 use dsarp_campaign::store::SHARDS;
 use dsarp_campaign::{
     export, lease, traces, Campaign, CampaignClient, CampaignReport, CampaignSpec, Event, EventLog,
-    RemoteStore, Store, SweepSpec, WorkerOptions, WorkloadSet,
+    LocalBackend, RemoteStore, Store, StoreBackend, SweepSpec, WorkerOptions, WorkloadSet,
 };
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
@@ -114,6 +114,17 @@ enum Cmd {
     TraceCapture,
     TraceConvert,
 }
+
+const SUBCOMMANDS: [(&str, Cmd); 8] = [
+    ("run", Cmd::Run),
+    ("worker", Cmd::Worker),
+    ("merge", Cmd::Merge),
+    ("status", Cmd::Status),
+    ("compact", Cmd::Compact),
+    ("serve", Cmd::Serve),
+    ("trace-capture", Cmd::TraceCapture),
+    ("trace-convert", Cmd::TraceConvert),
+];
 
 /// CLI refusal: a named offending token and a nonzero exit, without the
 /// panic machinery (no backtrace advice for a usage error).
@@ -213,45 +224,25 @@ fn parse_args() -> Args {
     let mut run_only_flags: Vec<&'static str> = Vec::new();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
-    let cmd = match argv.first().map(String::as_str) {
-        Some("run") => {
+    let cmd = match argv.first() {
+        Some(word) if !word.starts_with("--") => {
             i += 1;
-            Cmd::Run
+            let known = SUBCOMMANDS.iter().find(|(name, _)| name == word);
+            known.map(|(_, cmd)| *cmd).unwrap_or_else(|| {
+                let names: Vec<&str> = SUBCOMMANDS.iter().map(|(name, _)| *name).collect();
+                die(&format!(
+                    "unknown subcommand `{word}` ({})",
+                    names.join("|")
+                ))
+            })
         }
-        Some("worker") => {
-            i += 1;
-            Cmd::Worker
-        }
-        Some("merge") => {
-            i += 1;
-            Cmd::Merge
-        }
-        Some("status") => {
-            i += 1;
-            Cmd::Status
-        }
-        Some("compact") => {
-            i += 1;
-            Cmd::Compact
-        }
-        Some("serve") => {
-            i += 1;
-            Cmd::Serve
-        }
-        Some("trace-capture") => {
-            i += 1;
-            Cmd::TraceCapture
-        }
-        Some("trace-convert") => {
-            i += 1;
-            Cmd::TraceConvert
-        }
-        Some(other) if !other.starts_with("--") => die(&format!(
-            "unknown subcommand `{other}` \
-             (run|worker|merge|status|compact|serve|trace-capture|trace-convert)"
-        )),
         _ => Cmd::Run,
     };
+    fn num<T: std::str::FromStr>(flag: &str, value: String) -> T {
+        value
+            .parse()
+            .unwrap_or_else(|_| die(&format!("{flag}: `{value}` is not a valid number")))
+    }
     while i < argv.len() {
         let next = |i: &mut usize| -> String {
             *i += 1;
@@ -265,12 +256,12 @@ fn parse_args() -> Args {
                 scale = match next(&mut i).as_str() {
                     "quick" => Scale::quick(),
                     "full" => Scale::full(),
-                    other => panic!("unknown scale `{other}`"),
+                    other => die(&format!("unknown scale `{other}`")),
                 }
             }
-            "--cycles" => cycles = Some(next(&mut i).parse().expect("--cycles")),
-            "--per-category" => per_category = Some(next(&mut i).parse().expect("--per-category")),
-            "--threads" => threads = Some(next(&mut i).parse().expect("--threads")),
+            "--cycles" => cycles = Some(num("--cycles", next(&mut i))),
+            "--per-category" => per_category = Some(num("--per-category", next(&mut i))),
+            "--threads" => threads = Some(num("--threads", next(&mut i))),
             "--out" => {
                 run_only_flags.push("--out");
                 out = PathBuf::from(next(&mut i));
@@ -292,11 +283,11 @@ fn parse_args() -> Args {
             }
             "--ttl-ms" => {
                 run_only_flags.push("--ttl-ms");
-                ttl_ms = next(&mut i).parse().expect("--ttl-ms");
+                ttl_ms = num("--ttl-ms", next(&mut i));
             }
             "--poll-ms" => {
                 run_only_flags.push("--poll-ms");
-                poll_ms = next(&mut i).parse().expect("--poll-ms");
+                poll_ms = num("--poll-ms", next(&mut i));
             }
             "--events" => {
                 run_only_flags.push("--events");
@@ -313,7 +304,7 @@ fn parse_args() -> Args {
             "--traces" => traces = Some(PathBuf::from(next(&mut i))),
             "--trace-cores" => {
                 trace_knobs_set = true;
-                trace_cores = next(&mut i).parse().expect("--trace-cores");
+                trace_cores = num("--trace-cores", next(&mut i));
             }
             "--trace-glob" => {
                 trace_knobs_set = true;
@@ -322,15 +313,15 @@ fn parse_args() -> Args {
             }
             "--count" => {
                 capture_knobs_set = true;
-                capture_count = next(&mut i).parse().expect("--count");
+                capture_count = num("--count", next(&mut i));
             }
             "--ops" => {
                 capture_knobs_set = true;
-                capture_ops = next(&mut i).parse().expect("--ops");
+                capture_ops = num("--ops", next(&mut i));
             }
             "--seed" => {
                 capture_knobs_set = true;
-                capture_seed = next(&mut i).parse().expect("--seed");
+                capture_seed = num("--seed", next(&mut i));
             }
             "--format" => {
                 let value = next(&mut i);
@@ -348,22 +339,17 @@ fn parse_args() -> Args {
     // flag: a silently ignored `--store-url` would run against the local
     // directory while the user believes the server is in the loop.
     if store_url.is_some() {
-        match cmd {
-            Cmd::Worker | Cmd::Merge => {}
-            _ => die(&format!(
-                "--store-url applies to worker/merge only, not `{}` \
+        if !matches!(cmd, Cmd::Worker | Cmd::Merge) {
+            let name = SUBCOMMANDS
+                .iter()
+                .find(|(_, c)| *c == cmd)
+                .expect("listed")
+                .0;
+            die(&format!(
+                "--store-url applies to worker/merge only, not `{name}` \
                  (run `experiments serve` on the host that owns the store; \
-                 its GET /status endpoint replaces `status`)",
-                match cmd {
-                    Cmd::Run => "run",
-                    Cmd::Status => "status",
-                    Cmd::Compact => "compact",
-                    Cmd::Serve => "serve",
-                    Cmd::TraceCapture => "trace-capture",
-                    Cmd::TraceConvert => "trace-convert",
-                    Cmd::Worker | Cmd::Merge => unreachable!(),
-                }
-            )),
+                 its GET /status endpoint replaces `status`)"
+            ));
         }
         if campaign_set {
             die("--campaign conflicts with --store-url (the server owns the store directory)");
@@ -387,6 +373,9 @@ fn parse_args() -> Args {
     if events.is_some() && !matches!(cmd, Cmd::Run | Cmd::Worker | Cmd::Merge) {
         die("--events applies to run/worker/merge (the simulating subcommands)");
     }
+    if fresh && matches!(cmd, Cmd::Worker | Cmd::Merge) {
+        die("--fresh would wipe records other workers are producing; use it with `run`");
+    }
     if cmd == Cmd::Serve && fresh {
         die("--fresh conflicts with serve (wipe the store before starting the server)");
     }
@@ -400,23 +389,26 @@ fn parse_args() -> Args {
         scale = scale.with_threads(t);
     }
     // Silently ignored flags must refuse, not look configured.
-    assert!(
-        traces.is_some() || !trace_knobs_set,
-        "--trace-cores/--trace-glob configure a --traces DIR sweep (or trace-capture); \
-         pass --traces too"
-    );
+    if traces.is_none() && trace_knobs_set {
+        die(
+            "--trace-cores/--trace-glob configure a --traces DIR sweep (or trace-capture); \
+             pass --traces too",
+        );
+    }
     if cmd == Cmd::TraceCapture {
-        assert!(
-            !scale_set && cycles.is_none() && per_category.is_none() && threads.is_none(),
-            "--scale/--cycles/--per-category/--threads configure simulation runs; \
-             trace-capture only takes --traces/--count/--trace-cores/--ops/--seed/--format"
-        );
-        assert!(
-            run_only_flags.is_empty(),
-            "{} configure simulation runs and are ignored by trace-capture \
-             (it only takes --traces/--count/--trace-cores/--ops/--seed/--format)",
-            run_only_flags.join("/")
-        );
+        if scale_set || cycles.is_some() || per_category.is_some() || threads.is_some() {
+            die(
+                "--scale/--cycles/--per-category/--threads configure simulation runs; \
+                 trace-capture only takes --traces/--count/--trace-cores/--ops/--seed/--format",
+            );
+        }
+        if !run_only_flags.is_empty() {
+            die(&format!(
+                "{} configure simulation runs and are ignored by trace-capture \
+                 (it only takes --traces/--count/--trace-cores/--ops/--seed/--format)",
+                run_only_flags.join("/")
+            ));
+        }
     }
     if trace_format.is_some() && !matches!(cmd, Cmd::TraceCapture | Cmd::TraceConvert) {
         die("--format picks a trace encoding; it applies to trace-capture/trace-convert only");
@@ -425,20 +417,20 @@ fn parse_args() -> Args {
         die("--from/--to apply to trace-convert only");
     }
     if cmd == Cmd::TraceConvert {
-        assert!(
-            !scale_set
-                && cycles.is_none()
-                && per_category.is_none()
-                && threads.is_none()
-                && run_only_flags.is_empty()
-                && !trace_knobs_set
-                && !capture_knobs_set
-                && traces.is_none()
-                && spec_file.is_none()
-                && only.is_none()
-                && !fresh,
-            "trace-convert only takes --from FILE --to FILE [--format text|text-ext|bin]"
-        );
+        if scale_set
+            || cycles.is_some()
+            || per_category.is_some()
+            || threads.is_some()
+            || !run_only_flags.is_empty()
+            || trace_knobs_set
+            || capture_knobs_set
+            || traces.is_some()
+            || spec_file.is_some()
+            || only.is_some()
+            || fresh
+        {
+            die("trace-convert only takes --from FILE --to FILE [--format text|text-ext|bin]");
+        }
         if convert_from.is_none() || convert_to.is_none() {
             die("trace-convert needs both --from FILE and --to FILE");
         }
@@ -465,10 +457,11 @@ fn parse_args() -> Args {
                 "overlap",
                 "ablations",
             ];
-            assert!(
-                KNOWN.contains(&name),
-                "unknown experiment `{name}`; expected one of {KNOWN:?}"
-            );
+            if !KNOWN.contains(&name) {
+                die(&format!(
+                    "unknown experiment `{name}`; expected one of {KNOWN:?}"
+                ));
+            }
         }
     }
     Args {
@@ -572,18 +565,19 @@ fn trace_spec(args: &Args, dir: &Path) -> CampaignSpec {
 /// per-sweep grid CSVs instead of the paper's named artifacts.
 fn resolve_spec(args: &Args) -> (CampaignSpec, bool) {
     // Two spec sources cannot both win; refuse rather than ignore one.
-    assert!(
-        args.spec_file.is_none() || args.traces.is_none(),
-        "--traces conflicts with --spec (a spec file can hold a TraceDir sweep itself)"
-    );
+    if args.spec_file.is_some() && args.traces.is_some() {
+        die("--traces conflicts with --spec (a spec file can hold a TraceDir sweep itself)");
+    }
     if let Some(dir) = &args.traces {
         let mut spec = trace_spec(args, dir);
         if let Some(prefix) = args.only.as_deref() {
             spec = spec.filtered(&[prefix]);
-            assert!(
-                !spec.sweeps.is_empty(),
-                "--exp {prefix} matches no sweep of the trace campaign (its sweep is `traces`)"
-            );
+            if spec.sweeps.is_empty() {
+                die(&format!(
+                    "--exp {prefix} matches no sweep of the trace campaign \
+                     (its sweep is `traces`)"
+                ));
+            }
         }
         return (spec, true);
     }
@@ -591,15 +585,16 @@ fn resolve_spec(args: &Args) -> (CampaignSpec, bool) {
         Some(path) => {
             // A silently ignored preset would run at the file's scale
             // while the user believes they asked for another.
-            assert!(
-                !args.scale_set,
-                "--scale conflicts with --spec (the spec file carries its own scale; \
-                 use --cycles/--per-category/--threads to override individual knobs)"
-            );
+            if args.scale_set {
+                die(
+                    "--scale conflicts with --spec (the spec file carries its own scale; \
+                     use --cycles/--per-category/--threads to override individual knobs)",
+                );
+            }
             let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read --spec {}: {e}", path.display()));
+                .unwrap_or_else(|e| die(&format!("cannot read --spec {}: {e}", path.display())));
             let mut spec = CampaignSpec::from_json(&text)
-                .unwrap_or_else(|e| panic!("cannot parse --spec {}: {e}", path.display()));
+                .unwrap_or_else(|e| die(&format!("cannot parse --spec {}: {e}", path.display())));
             if let Some(c) = args.cycles {
                 spec.scale.dram_cycles = c;
             }
@@ -611,10 +606,11 @@ fn resolve_spec(args: &Args) -> (CampaignSpec, bool) {
             }
             if let Some(prefix) = args.only.as_deref() {
                 spec = spec.filtered(&[prefix]);
-                assert!(
-                    !spec.sweeps.is_empty(),
-                    "--exp {prefix} matches no sweep of the custom spec"
-                );
+                if spec.sweeps.is_empty() {
+                    die(&format!(
+                        "--exp {prefix} matches no sweep of the custom spec"
+                    ));
+                }
             }
             (spec, true)
         }
@@ -645,18 +641,18 @@ fn main() {
     let args = parse_args();
     // Capture knobs silently ignored by other subcommands would look like
     // configuration while changing nothing.
-    assert!(
-        args.cmd == Cmd::TraceCapture || !args.capture_knobs_set,
-        "--count/--ops/--seed configure `trace-capture` only"
-    );
+    if args.cmd != Cmd::TraceCapture && args.capture_knobs_set {
+        die("--count/--ops/--seed configure `trace-capture` only");
+    }
     if let Some(path) = &args.emit_spec {
         // Silently skipping a requested worker/merge/compact (or ignoring
         // a --spec file) would look like success while doing nothing.
-        assert!(
-            args.cmd == Cmd::Run && args.spec_file.is_none(),
-            "--emit-spec writes the built-in spec and exits; it cannot be combined \
-             with a subcommand or --spec"
-        );
+        if args.cmd != Cmd::Run || args.spec_file.is_some() {
+            die(
+                "--emit-spec writes the built-in spec and exits; it cannot be combined \
+                 with a subcommand or --spec",
+            );
+        }
         let (spec, what) = match &args.traces {
             Some(dir) => (trace_spec(&args, dir), "trace-sweep"),
             None => (CampaignSpec::paper(args.scale), "built-in paper"),
@@ -691,10 +687,9 @@ fn main() {
 /// `status`: renders per-shard drain progress against the spec plus the
 /// current lease table, read-only (no lease taken, no record written).
 fn run_status_cmd(args: &Args, spec: &CampaignSpec) {
-    assert!(
-        !args.fresh,
-        "--fresh would wipe the store status is meant to inspect; use it with `run`"
-    );
+    if args.fresh {
+        die("--fresh would wipe the store status is meant to inspect; use it with `run`");
+    }
     let campaign_dir = args.campaign_dir.join(&spec.name);
     // Expected cells per shard, from the same expansion run/worker use;
     // cross-sweep duplicates collapse exactly as they do when simulating.
@@ -782,25 +777,26 @@ fn run_serve_cmd(args: &Args, spec: CampaignSpec) {
 /// consecutively, so a `--traces DIR --trace-cores N` sweep reassembles
 /// exactly these bundles.
 fn run_trace_capture(args: &Args) {
-    let dir = args.traces.as_deref().unwrap_or_else(|| {
-        panic!("trace-capture needs --traces DIR (the capture target directory)")
-    });
-    assert!(
-        args.spec_file.is_none() && args.only.is_none() && !args.fresh,
-        "--spec/--exp/--fresh do not apply to trace-capture"
-    );
+    let dir = args
+        .traces
+        .as_deref()
+        .unwrap_or_else(|| die("trace-capture needs --traces DIR (the capture target directory)"));
+    if args.spec_file.is_some() || args.only.is_some() || args.fresh {
+        die("--spec/--exp/--fresh do not apply to trace-capture");
+    }
     let dialect = args.trace_format.unwrap_or(dsarp_cpu::TraceDialect::Text);
     let workloads: Vec<dsarp_workloads::Workload> =
         dsarp_workloads::mixes::intensive_mixes(args.trace_cores, WORKLOAD_SEED)
             .into_iter()
             .take(args.capture_count)
             .collect();
-    assert!(
-        workloads.len() == args.capture_count,
-        "--count {} exceeds the {} available intensive mixes",
-        args.capture_count,
-        dsarp_workloads::mixes::intensive_mixes(args.trace_cores, WORKLOAD_SEED).len()
-    );
+    if workloads.len() != args.capture_count {
+        die(&format!(
+            "--count {} exceeds the {} available intensive mixes",
+            args.capture_count,
+            dsarp_workloads::mixes::intensive_mixes(args.trace_cores, WORKLOAD_SEED).len()
+        ));
+    }
     let t0 = Instant::now();
     let written = traces::capture_workloads(
         dir,
@@ -854,24 +850,20 @@ fn run_trace_convert(args: &Args) {
     );
 }
 
-fn run_worker_cmd(args: &Args, spec: CampaignSpec) {
-    assert!(
-        !args.fresh,
-        "--fresh would wipe records other workers are producing; use it with `run`"
-    );
-    let opts = worker_options(args);
-    let events = event_log(args);
-    let t0 = Instant::now();
-    let report = match &args.store_url {
+/// `worker`/`merge` pick a backend — the campaign server behind
+/// `--store-url`, else the shared `--campaign` directory — and from there
+/// share one [`CampaignClient`] path.
+fn open_backend(args: &Args, spec: &CampaignSpec, events: &Arc<EventLog>) -> Box<dyn StoreBackend> {
+    match &args.store_url {
         Some(url) => {
-            // Remote drain: every store and lease operation goes through
-            // the campaign server; nothing is created locally.
+            // Every store and lease operation goes through the campaign
+            // server; nothing is created locally.
             let mut backend =
                 RemoteStore::connect(url, &spec.name).expect("connect to campaign server");
             if events.is_recording() {
                 // Transport back-offs land in the same JSONL stream as
                 // lease churn, so a flaky server is visible per attempt.
-                let log = Arc::clone(&events);
+                let log = Arc::clone(events);
                 backend.set_retry_observer(Box::new(move |what, attempt, delay, error| {
                     log.emit(
                         false,
@@ -884,21 +876,34 @@ fn run_worker_cmd(args: &Args, spec: CampaignSpec) {
                     );
                 }));
             }
-            let mut client = CampaignClient::new(spec);
-            client.verbose = true;
-            client.set_events(events);
-            client
-                .run_worker(&backend, &opts)
-                .expect("worker execution")
+            Box::new(backend)
         }
         None => {
-            let mut campaign =
-                Campaign::open(&args.campaign_dir, spec).expect("open campaign store");
-            campaign.verbose = true;
-            campaign.set_events(events);
-            campaign.run_worker(&opts).expect("worker execution")
+            let backend =
+                LocalBackend::open(&args.campaign_dir, &spec.name).expect("open campaign store");
+            let manifest = serde_json::to_value(spec).expect("specs serialize");
+            Store::write_manifest(&args.campaign_dir, &spec.name, &manifest)
+                .expect("write campaign manifest");
+            Box::new(backend)
         }
-    };
+    }
+}
+
+fn distributed_client(spec: CampaignSpec, events: Arc<EventLog>) -> CampaignClient {
+    let mut client = CampaignClient::new(spec);
+    client.verbose = true;
+    client.set_events(events);
+    client
+}
+
+fn run_worker_cmd(args: &Args, spec: CampaignSpec) {
+    let opts = worker_options(args);
+    let events = event_log(args);
+    let t0 = Instant::now();
+    let backend = open_backend(args, &spec, &events);
+    let report = distributed_client(spec, events)
+        .run_worker(backend.as_ref(), &opts)
+        .expect("worker execution");
     println!(
         "worker `{}` done in {:.1?}: {} shard leases ({} reclaimed from dead owners), \
          {} jobs simulated, {} wait rounds",
@@ -915,18 +920,16 @@ fn run_worker_cmd(args: &Args, spec: CampaignSpec) {
 }
 
 fn run_compact_cmd(args: &Args, spec: &CampaignSpec) {
-    assert!(
-        !args.fresh,
-        "--fresh is meaningless for compact (use `run --fresh`)"
-    );
+    if args.fresh {
+        die("--fresh is meaningless for compact (use `run --fresh`)");
+    }
     // A sweep filter would shrink the keep-set and delete every other
     // sweep's cached records as "orphans" — almost certainly not what
     // `--exp` was meant to do.
-    assert!(
-        args.only.is_none(),
-        "compact keeps fingerprints reachable from the WHOLE spec; \
-         --exp would drop every other sweep's records (remove the flag)"
-    );
+    if args.only.is_some() {
+        die("compact keeps fingerprints reachable from the WHOLE spec; \
+             --exp would drop every other sweep's records (remove the flag)");
+    }
     let campaign_dir = args.campaign_dir.join(&spec.name);
 
     // Everything that can refuse runs BEFORE any lease is taken, so a
@@ -1047,10 +1050,6 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
 
     // Everything else reduces from the campaign.
     if args.fresh {
-        assert!(
-            args.cmd == Cmd::Run,
-            "--fresh would wipe records other workers are producing; use it with `run`"
-        );
         let store = args.campaign_dir.join(&spec.name);
         if store.exists() {
             std::fs::remove_dir_all(&store).expect("wipe campaign store");
@@ -1062,52 +1061,33 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
     }
     let prefixes = required_sweeps(&args.only);
     let events = event_log(args);
-    let result = match (args.cmd, &args.store_url) {
-        (Cmd::Merge, Some(url)) => {
-            // Remote coordinator: drain + snapshot + assemble through the
-            // campaign server, touching no local store directory. The
-            // output is byte-identical to a local merge over the same
-            // records (assembly is deterministic in the record set).
-            let opts = worker_options(args);
-            let mut backend =
-                RemoteStore::connect(url, &spec.name).expect("connect to campaign server");
-            if events.is_recording() {
-                let log = Arc::clone(&events);
-                backend.set_retry_observer(Box::new(move |what, attempt, delay, error| {
-                    log.emit(
-                        false,
-                        &Event::RetryAttempt {
-                            what: what.to_string(),
-                            attempt,
-                            delay,
-                            error: error.to_string(),
-                        },
-                    );
-                }));
-            }
-            let mut client = CampaignClient::new(spec);
-            client.verbose = true;
-            client.set_events(events);
-            let (result, worker) = client.merge(&backend, &opts).expect("campaign merge");
-            print_merge_report(&t0, &opts, &worker);
-            result
-        }
-        (cmd, _) => {
-            let mut campaign =
-                Campaign::open(&args.campaign_dir, spec).expect("open campaign store");
-            campaign.verbose = true;
-            campaign.telemetry = args.telemetry;
-            campaign.per_cycle = args.per_cycle;
-            campaign.set_events(events);
-            if cmd == Cmd::Merge {
-                let opts = worker_options(args);
-                let (result, worker) = campaign.merge(&opts).expect("campaign merge");
-                print_merge_report(&t0, &opts, &worker);
-                result
-            } else {
-                campaign.run().expect("campaign execution")
-            }
-        }
+    let result = if args.cmd == Cmd::Merge {
+        // Coordinator: drain + snapshot + assemble through the backend.
+        // The output is byte-identical whichever transport carried the
+        // records (assembly is deterministic in the record set).
+        let opts = worker_options(args);
+        let backend = open_backend(args, &spec, &events);
+        let (result, worker) = distributed_client(spec, events)
+            .merge(backend.as_ref(), &opts)
+            .expect("campaign merge");
+        println!(
+            "[{:>7.1?}] merge `{}`: {} shard leases ({} reclaimed), {} cells re-run \
+             locally, {} wait rounds",
+            t0.elapsed(),
+            opts.owner,
+            worker.shards_leased,
+            worker.reclaimed,
+            worker.simulated,
+            worker.wait_rounds
+        );
+        result
+    } else {
+        let mut campaign = Campaign::open(&args.campaign_dir, spec).expect("open campaign store");
+        campaign.verbose = true;
+        campaign.telemetry = args.telemetry;
+        campaign.per_cycle = args.per_cycle;
+        campaign.set_events(events);
+        campaign.run().expect("campaign execution")
     };
     println!(
         "[{:>7.1?}] campaign done: {} cells, {} cached, {} simulated",
@@ -1215,19 +1195,6 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
     }
 
     finish(out, &md, t0);
-}
-
-fn print_merge_report(t0: &Instant, opts: &WorkerOptions, worker: &dsarp_campaign::WorkerReport) {
-    println!(
-        "[{:>7.1?}] merge `{}`: {} shard leases ({} reclaimed), {} cells re-run \
-         locally, {} wait rounds",
-        t0.elapsed(),
-        opts.owner,
-        worker.shards_leased,
-        worker.reclaimed,
-        worker.simulated,
-        worker.wait_rounds
-    );
 }
 
 fn reduce_main_grid(

@@ -164,6 +164,9 @@ fn killed_worker_is_reclaimed_and_merge_matches_single_process() {
         "all leases must be released after the drain"
     );
 
+    // Workers never load the store, yet leave the manifest `run` writes.
+    let worker_manifest = std::fs::read(campaign_dir.join("manifest.json")).unwrap();
+
     // 3. Merge: waits for the (already drained) campaign and reduces.
     let merge_out = dir.join("merged");
     let merge = Command::new(BIN)
@@ -197,6 +200,11 @@ fn killed_worker_is_reclaimed_and_merge_matches_single_process() {
         .run()
         .unwrap();
     assert!(report.stats.simulated > 0);
+    assert_eq!(
+        worker_manifest,
+        std::fs::read(ref_store.join(&spec.name).join("manifest.json")).unwrap(),
+        "a worker-only store must hold the manifest a single-process run writes"
+    );
     for (name, grid) in &report.grids {
         let file = format!("grid_{}", name.replace(['/', ' '], "-"));
         export::write_grid(&ref_out, &file, grid).unwrap();

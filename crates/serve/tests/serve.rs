@@ -123,6 +123,18 @@ fn cli_refuses_invalid_modes_naming_the_token() {
         ),
         (&["worker", "--telemetry"], "--telemetry"),
         (&["compact", "--events", "e.jsonl"], "--events"),
+        (&["run", "--scale", "bogus"], "unknown scale `bogus`"),
+        (&["run", "--cycles", "abc"], "--cycles: `abc`"),
+        (&["run", "--exp", "nope"], "unknown experiment `nope`"),
+        (&["run", "--trace-cores", "2"], "pass --traces too"),
+        (&["trace-capture", "--out", "x"], "--out configure"),
+        (
+            &["trace-convert", "--traces", "d"],
+            "trace-convert only takes",
+        ),
+        (&["worker", "--fresh"], "--fresh would wipe records"),
+        (&["merge", "--fresh"], "--fresh would wipe records"),
+        (&["status", "--fresh"], "--fresh would wipe the store"),
     ];
     for (args, needle) in cases {
         let out = Command::new(BIN).args(*args).output().unwrap();

@@ -39,8 +39,8 @@ pub struct RunStats {
     /// Largest per-bank refresh gap observed (cycles), when retention
     /// tracking was enabled.
     pub max_refresh_gap: Option<u64>,
-    /// Internal-behavior telemetry, when [`System::enable_telemetry`] was
-    /// called; `None` (and free) otherwise. Telemetry is observationally
+    /// Internal-behavior telemetry, when [`SystemBuilder::telemetry`] was
+    /// set; `None` (and free) otherwise. Telemetry is observationally
     /// pure: every other field is identical with or without it.
     pub telemetry: Option<Box<SimTelemetry>>,
 }
@@ -227,7 +227,16 @@ impl<'a> SystemBuilder<'a> {
         self
     }
 
-    /// Enables per-cycle telemetry sampling (see [`RunStats::telemetry`]).
+    /// Enables per-cycle telemetry sampling (bank busy/refresh-blocked
+    /// cycles, read-queue depth) plus counter-derived refresh and
+    /// row-locality breakdowns in [`RunStats::telemetry`]. Sampling never
+    /// influences scheduling, so results are identical either way.
+    ///
+    /// The sampling contract is **once per channel per DRAM cycle**,
+    /// against post-command state; when [`System::run`] batches a dead
+    /// span, the identical per-cycle samples are folded in arithmetically
+    /// ([`crate::telemetry::DepthHistogram::observe_n`]), so the histogram
+    /// and bank counters are byte-identical to per-cycle stepping.
     pub fn telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
         self
@@ -247,7 +256,9 @@ impl<'a> SystemBuilder<'a> {
         self
     }
 
-    /// Builds the system.
+    /// Builds the system. Whichever stream was chosen, the first
+    /// `cfg.warmup_ops` memory operations of each source prime the LLC with
+    /// no timing before cycle 0.
     ///
     /// # Panics
     ///
@@ -255,91 +266,31 @@ impl<'a> SystemBuilder<'a> {
     /// fewer benchmarks than configured cores, or if fewer trace sources
     /// than cores were given.
     pub fn build(self) -> System {
-        let mut sys = match (self.workload, self.sources) {
-            (Some(wl), None) => System::new(self.cfg, wl),
-            (None, Some(srcs)) => System::with_trace_sources(self.cfg, srcs),
+        let cfg = self.cfg;
+        let sources: Vec<Box<dyn TraceSource>> = match (self.workload, self.sources) {
+            (Some(wl), None) => {
+                assert!(
+                    wl.benchmarks.len() >= cfg.cores,
+                    "workload {} has {} benchmarks for {} cores",
+                    wl.name,
+                    wl.benchmarks.len(),
+                    cfg.cores
+                );
+                (0..cfg.cores)
+                    .map(|i| {
+                        Box::new(SyntheticTrace::new(
+                            wl.benchmarks[i],
+                            i,
+                            cfg.cores,
+                            cfg.seed,
+                        )) as Box<dyn TraceSource>
+                    })
+                    .collect()
+            }
+            (None, Some(sources)) => sources,
             (None, None) => panic!("SystemBuilder: provide a workload or trace sources"),
             (Some(_), Some(_)) => unreachable!("stream setters clear each other"),
         };
-        if self.telemetry {
-            sys.enable_telemetry();
-        }
-        if self.retention_tracking {
-            sys.enable_retention_tracking();
-        }
-        if self.command_log {
-            sys.enable_command_log();
-        }
-        sys
-    }
-}
-
-/// The simulated system. Construct with [`SystemBuilder`], drive with
-/// [`System::run`] (event-driven skip-ahead) or [`System::run_per_cycle`]
-/// (forced per-cycle stepping; same results, slower).
-pub struct System {
-    cores: Vec<Core>,
-    llc: Llc,
-    mcs: Vec<MemoryController>,
-    chans: Vec<DramChannel>,
-    geom: Geometry,
-    next_token: u64,
-    wb_spill: VecDeque<Request>,
-    max_spill: usize,
-    now: Cycle,
-    retention_tracking: bool,
-    /// Per-cycle telemetry accumulator (bank cycle accounting, queue-depth
-    /// samples); counter-derived fields are filled at collect time.
-    telemetry: Option<Box<SimTelemetry>>,
-}
-
-impl System {
-    /// Builds the system for `cfg` running `workload` (one benchmark per
-    /// core; the workload must have at least `cfg.cores` entries).
-    ///
-    /// Deprecated in favour of
-    /// [`SystemBuilder::new(cfg).workload(wl).build()`](SystemBuilder);
-    /// kept as a thin equivalent for existing callers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload has fewer benchmarks than `cfg.cores`.
-    pub fn new(cfg: &SimConfig, workload: &Workload) -> Self {
-        assert!(
-            workload.benchmarks.len() >= cfg.cores,
-            "workload {} has {} benchmarks for {} cores",
-            workload.name,
-            workload.benchmarks.len(),
-            cfg.cores
-        );
-        let sources = (0..cfg.cores)
-            .map(|i| {
-                Box::new(SyntheticTrace::new(
-                    workload.benchmarks[i],
-                    i,
-                    cfg.cores,
-                    cfg.seed,
-                )) as Box<dyn TraceSource>
-            })
-            .collect();
-        Self::with_trace_sources(cfg, sources)
-    }
-
-    /// Builds the system for `cfg` fed by explicit per-core trace sources
-    /// (one per core, in core order) instead of the synthetic generators —
-    /// the trace-driven path: captured Ramulator-format files replayed at
-    /// campaign scale. Sources receive the same functional warmup as
-    /// synthetic traces: the first `cfg.warmup_ops` memory operations of
-    /// each source prime the LLC with no timing before cycle 0.
-    ///
-    /// Deprecated in favour of
-    /// [`SystemBuilder::new(cfg).trace_sources(v).build()`](SystemBuilder);
-    /// kept as a thin equivalent for existing callers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `cfg.cores` sources are given.
-    pub fn with_trace_sources(cfg: &SimConfig, sources: Vec<Box<dyn TraceSource>>) -> Self {
         assert!(
             sources.len() >= cfg.cores,
             "{} trace sources for {} cores",
@@ -388,10 +339,23 @@ impl System {
                     ch.disable_power_throttle();
                 }
                 ch.set_refpb_overlap_ways(cfg.mechanism.refpb_overlap_ways());
+                if self.retention_tracking {
+                    ch.enable_retention_tracking();
+                }
+                if self.command_log {
+                    ch.enable_command_log();
+                }
                 ch
             })
             .collect();
-        Self {
+        let telemetry = self.telemetry.then(|| {
+            Box::new(SimTelemetry::for_geometry(
+                geom.channels(),
+                geom.ranks_per_channel(),
+                geom.banks_per_rank(),
+            ))
+        });
+        System {
             cores,
             llc,
             mcs,
@@ -401,62 +365,35 @@ impl System {
             wb_spill: VecDeque::new(),
             max_spill: 0,
             now: 0,
-            retention_tracking: false,
-            telemetry: None,
+            retention_tracking: self.retention_tracking,
+            telemetry,
         }
     }
+}
 
-    /// Enables per-refresh retention bookkeeping (integration tests).
-    pub fn enable_retention_tracking(&mut self) {
-        self.retention_tracking = true;
-        for c in &mut self.chans {
-            c.enable_retention_tracking();
-        }
-    }
+/// The simulated system. Construct with [`SystemBuilder`], drive with
+/// [`System::run`] (event-driven skip-ahead) or [`System::run_per_cycle`]
+/// (forced per-cycle stepping; same results, slower).
+pub struct System {
+    cores: Vec<Core>,
+    llc: Llc,
+    mcs: Vec<MemoryController>,
+    chans: Vec<DramChannel>,
+    geom: Geometry,
+    next_token: u64,
+    wb_spill: VecDeque<Request>,
+    max_spill: usize,
+    now: Cycle,
+    retention_tracking: bool,
+    /// Per-cycle telemetry accumulator (bank cycle accounting, queue-depth
+    /// samples); counter-derived fields are filled at collect time.
+    telemetry: Option<Box<SimTelemetry>>,
+}
 
-    /// Enables per-cycle telemetry sampling (bank busy/refresh-blocked
-    /// cycles, read-queue depth) plus counter-derived refresh and
-    /// row-locality breakdowns in [`RunStats::telemetry`]. Off by default;
-    /// sampling never influences scheduling, so results are identical
-    /// either way.
-    ///
-    /// The sampling contract is **once per channel per DRAM cycle**,
-    /// against post-command state; when [`System::run`] batches a dead
-    /// span, the identical per-cycle samples are folded in arithmetically
-    /// ([`crate::telemetry::DepthHistogram::observe_n`]), so the histogram
-    /// and bank counters are byte-identical to per-cycle stepping.
-    ///
-    /// Deprecated in favour of
-    /// [`SystemBuilder::telemetry`]; kept as a thin equivalent for
-    /// existing callers.
-    pub fn enable_telemetry(&mut self) {
-        self.telemetry = Some(Box::new(SimTelemetry::for_geometry(
-            self.geom.channels(),
-            self.geom.ranks_per_channel(),
-            self.geom.banks_per_rank(),
-        )));
-    }
-
-    /// Enables DRAM command logging on every channel (timeline examples).
-    pub fn enable_command_log(&mut self) {
-        for c in &mut self.chans {
-            c.enable_command_log();
-        }
-    }
-
+impl System {
     /// Drains the command log of channel `ch`.
     pub fn take_command_log(&mut self, ch: usize) -> Vec<(Cycle, dsarp_dram::Command)> {
         self.chans[ch].take_command_log()
-    }
-
-    /// Direct access to a channel (tests).
-    pub fn channel(&self, ch: usize) -> &DramChannel {
-        &self.chans[ch]
-    }
-
-    /// Direct access to a controller (tests).
-    pub fn controller(&self, ch: usize) -> &MemoryController {
-        &self.mcs[ch]
     }
 
     /// Runs for `dram_cycles` more DRAM cycles and returns cumulative
@@ -938,8 +875,8 @@ mod tests {
 
     #[test]
     fn explicit_trace_sources_match_synthetic_construction() {
-        // Feeding the same op streams through `with_trace_sources` must be
-        // indistinguishable from the synthetic path `new` builds — the
+        // Feeding the same op streams through `trace_sources` must be
+        // indistinguishable from the synthetic path `workload` builds — the
         // property the trace-driven campaign workloads rest on.
         let cfg = SimConfig::paper(Mechanism::Dsarp, Density::G8)
             .with_cores(2)
@@ -970,24 +907,10 @@ mod tests {
         let cfg = SimConfig::paper(Mechanism::RefPb, Density::G8);
         let mut sys = SystemBuilder::new(&cfg)
             .workload(&intensive_workload())
+            .retention_tracking(true)
             .build();
-        sys.enable_retention_tracking();
         let stats = sys.run(10_000);
         assert!(stats.max_refresh_gap.is_some());
-    }
-
-    #[test]
-    fn builder_matches_legacy_constructors() {
-        let cfg = SimConfig::paper(Mechanism::Dsarp, Density::G8);
-        let wl = intensive_workload();
-        let from_builder = SystemBuilder::new(&cfg)
-            .workload(&wl)
-            .telemetry(true)
-            .build()
-            .run(5_000);
-        let mut legacy = System::new(&cfg, &wl);
-        legacy.enable_telemetry();
-        assert_eq!(from_builder, legacy.run(5_000));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Opt-in per-run simulator telemetry (`System::enable_telemetry`).
+//! Opt-in per-run simulator telemetry ([`crate::SystemBuilder::telemetry`]).
 //!
 //! Captures the internal DRAM behavior the paper's analysis rests on —
 //! cycles banks spend serving accesses vs sitting refresh-blocked, refresh

@@ -38,8 +38,10 @@ fn main() {
         Mechanism::Dsarp,
     ] {
         let cfg = SimConfig::paper(mech, Density::G32);
-        let mut sys = SystemBuilder::new(&cfg).workload(workload).build();
-        sys.enable_command_log();
+        let mut sys = SystemBuilder::new(&cfg)
+            .workload(workload)
+            .command_log(true)
+            .build();
         let stats = sys.run(6_000);
         let log = sys.take_command_log(0);
         let refreshes: Vec<&(u64, Command)> = log.iter().filter(|(_, c)| c.is_refresh()).collect();

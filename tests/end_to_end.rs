@@ -162,8 +162,10 @@ fn llc_misses_match_dram_reads() {
 #[test]
 fn command_log_is_temporally_ordered_and_legal_density() {
     let cfg = SimConfig::paper(Mechanism::Dsarp, Density::G8);
-    let mut sys = SystemBuilder::new(&cfg).workload(&workload()).build();
-    sys.enable_command_log();
+    let mut sys = SystemBuilder::new(&cfg)
+        .workload(&workload())
+        .command_log(true)
+        .build();
     let _ = sys.run(5_000);
     for ch in 0..2 {
         let log = sys.take_command_log(ch);

@@ -14,8 +14,10 @@ const PER_BANK_PERIOD: u64 = 2_600;
 fn max_gap(mech: Mechanism, cycles: u64) -> u64 {
     let wl = &mixes::intensive_mixes(8, 3)[0];
     let cfg = SimConfig::paper(mech, Density::G8);
-    let mut sys = SystemBuilder::new(&cfg).workload(wl).build();
-    sys.enable_retention_tracking();
+    let mut sys = SystemBuilder::new(&cfg)
+        .workload(wl)
+        .retention_tracking(true)
+        .build();
     sys.run(cycles).max_refresh_gap.expect("tracking enabled")
 }
 
@@ -77,8 +79,10 @@ fn total_refresh_work_is_conserved_under_darp() {
     // window (8 per bank, pulled in or postponed).
     let wl = &mixes::intensive_mixes(8, 3)[0];
     let cfg = SimConfig::paper(Mechanism::Dsarp, Density::G8);
-    let mut sys = SystemBuilder::new(&cfg).workload(wl).build();
-    sys.enable_retention_tracking();
+    let mut sys = SystemBuilder::new(&cfg)
+        .workload(wl)
+        .retention_tracking(true)
+        .build();
     let cycles = 100_000;
     let stats = sys.run(cycles);
     let scheduled_per_rank = cycles / 325; // tREFIpb ticks
