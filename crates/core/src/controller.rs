@@ -136,6 +136,13 @@ pub struct MemoryController {
     /// scheduler runs every cycle, so these must not reallocate per call.
     scratch_hits: Vec<Probe>,
     scratch_cursors: Vec<Probe>,
+    /// First cycle whose [`Self::step`] could do observable work, as far as
+    /// the controller knows (see [`Self::wake`]). Only ever raised by
+    /// [`Self::step_and_rearm`]; an accepted request pulls it back to 0.
+    wake: Cycle,
+    /// Whether the last [`Self::step_and_rearm`] issued and delivered
+    /// nothing.
+    last_step_idle: bool,
 }
 
 impl MemoryController {
@@ -166,12 +173,15 @@ impl MemoryController {
             sched_scan: SchedulerScan::default(),
             scratch_hits: Vec::new(),
             scratch_cursors: Vec::new(),
+            wake: 0,
+            last_step_idle: false,
         }
     }
 
     /// Replaces the queue configuration (tests and sweeps).
     pub fn with_queues(mut self, queues: RequestQueues) -> Self {
         self.queues = queues;
+        self.wake = 0;
         self
     }
 
@@ -234,6 +244,7 @@ impl MemoryController {
         debug_assert_eq!(req.loc.channel, self.channel_id);
         if self.queues.forwards_read(&req.loc) {
             self.stats.forwarded_reads += 1;
+            self.wake = 0;
             self.inflight.push(Completion {
                 id: req.id,
                 core: req.core,
@@ -242,6 +253,7 @@ impl MemoryController {
             return true;
         }
         if self.queues.try_push_read(req) {
+            self.wake = 0;
             true
         } else {
             self.stats.read_rejects += 1;
@@ -254,6 +266,7 @@ impl MemoryController {
         debug_assert!(req.is_write);
         debug_assert_eq!(req.loc.channel, self.channel_id);
         if self.queues.try_push_write(req) {
+            self.wake = 0;
             true
         } else {
             self.stats.write_rejects += 1;
@@ -305,6 +318,49 @@ impl MemoryController {
         if let RefreshDirective::Relaxed(target) = directive {
             self.try_issue_refresh(chan, now, &target);
         }
+    }
+
+    /// The controller's one wake cycle: every [`Self::step`] strictly before
+    /// it is a no-op — nothing issues, delivers or changes — so an
+    /// event-driven caller may leave those cycles out and call
+    /// [`Self::step_and_rearm`] at the first cycle `>= wake()` it visits. A
+    /// value at or before the current cycle means "step now": that is where
+    /// a new controller starts, and where an accepted request puts it — the
+    /// request then meets exactly the step per-cycle order shows it to (the
+    /// current cycle's for a writeback retried before the controllers step,
+    /// the next cycle's for a core access made after them). Stepping a
+    /// sleeping controller anyway is harmless, so per-cycle callers ignore
+    /// the wake and it stays valid across them.
+    pub fn wake(&self) -> Cycle {
+        self.wake
+    }
+
+    /// [`Self::step`], then re-arms [`Self::wake`] from what the step did. A
+    /// step that issued or delivered is followed by more work more often
+    /// than not, so the wake is simply `now + 1`. A step that did neither
+    /// may be the start of a dead stretch, and [`Self::next_event`] says how
+    /// long — but the answer costs about as much as the step it saves, so it
+    /// is asked for only when a stretch is likely: the previous step was a
+    /// no-op too, or there is no read to schedule. Writeback mode is never
+    /// asked about (its bookkeeping runs every cycle, see `next_event`).
+    pub fn step_and_rearm(
+        &mut self,
+        chan: &mut DramChannel,
+        now: Cycle,
+        completions: &mut Vec<Completion>,
+    ) {
+        let delivered = completions.len();
+        self.step(chan, now, completions);
+        let idle = chan.last_issue() != Some(now) && completions.len() == delivered;
+        let ask = idle
+            && !self.queues.in_drain_mode()
+            && (self.last_step_idle || self.queues.read_len() == 0);
+        self.last_step_idle = idle;
+        self.wake = if ask {
+            self.next_event(chan, now).unwrap_or(Cycle::MAX)
+        } else {
+            now + 1
+        };
     }
 
     /// The earliest cycle strictly after `now` at which [`Self::step`] could

@@ -125,6 +125,95 @@ proptest! {
     }
 }
 
+/// The wake contract: a controller stepped only at cycles `>= wake()`
+/// (through `step_and_rearm`) is indistinguishable from one stepped every
+/// cycle — same command stream, same completions at the same cycles, same
+/// statistics and writeback-mode accounting — with requests arriving at
+/// arbitrary cycles, asleep or not. Returns how many steps the sleeper made.
+fn drive_sleeper(mech: Mechanism, arrivals: &[(u16, u8, bool)], cycles: u64, seed: u64) -> u64 {
+    let geom = Geometry::paper_default();
+    let timing = TimingParams::ddr3_1333(Density::G8, Retention::Ms32);
+    let mk = || {
+        let mut chan = DramChannel::new(geom, timing, mech.sarp_support());
+        chan.set_refpb_overlap_ways(mech.refpb_overlap_ways());
+        chan.enable_command_log();
+        (chan, MemoryController::new(0, geom, timing, mech, seed))
+    };
+    let (mut ref_chan, mut ref_mc) = mk();
+    let (mut chan, mut mc) = mk();
+    let (mut ref_done, mut done) = (Vec::new(), Vec::new());
+    let mut arrival_iter = arrivals.iter().cycle();
+    let mut next_arrival = 0u64;
+    let mut steps = 0;
+    for now in 0..cycles {
+        if now >= next_arrival {
+            let (gap, spread, is_write) = *arrival_iter.next().expect("cycled");
+            // Bursts of back-to-back requests between long quiet gaps.
+            next_arrival = now
+                + 1
+                + if gap % 4 == 0 {
+                    u64::from(gap) % 600
+                } else {
+                    0
+                };
+            let addr = u64::from(spread).wrapping_mul(0x9E37_79B9) % geom.capacity_bytes();
+            let mut loc = geom.decode(addr & !63);
+            loc.channel = 0;
+            let req = if is_write {
+                Request::write(now, loc, 0, now)
+            } else {
+                Request::read(now, loc, 0, now)
+            };
+            for m in [&mut ref_mc, &mut mc] {
+                let _ = if is_write {
+                    m.try_enqueue_write(req)
+                } else {
+                    m.try_enqueue_read(req)
+                };
+            }
+        }
+        ref_mc.step(&mut ref_chan, now, &mut ref_done);
+        if mc.wake() <= now {
+            mc.step_and_rearm(&mut chan, now, &mut done);
+            steps += 1;
+        }
+        assert_eq!(
+            done, ref_done,
+            "{mech}: completions diverged by cycle {now}"
+        );
+    }
+    assert_eq!(
+        chan.take_command_log(),
+        ref_chan.take_command_log(),
+        "{mech}"
+    );
+    assert_eq!(mc.stats(), ref_mc.stats(), "{mech}");
+    assert_eq!(
+        mc.queues().drain_cycles(),
+        ref_mc.queues().drain_cycles(),
+        "{mech}"
+    );
+    steps
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn sleeping_controller_matches_per_cycle_stepping(
+        arrivals in prop::collection::vec((any::<u16>(), any::<u8>(), any::<bool>()), 4..60),
+        seed in any::<u64>(),
+    ) {
+        let cycles = 12_000;
+        let mut steps = 0;
+        for mech in all_mechanisms() {
+            steps += drive_sleeper(mech, &arrivals, cycles, seed);
+        }
+        // The comparison is not vacuous: the sleeper did sleep.
+        prop_assert!(steps < all_mechanisms().len() as u64 * cycles / 2, "{}", steps);
+    }
+}
+
 #[test]
 fn starvation_freedom_under_saturation() {
     // Saturate one bank with reads for a long time under every mechanism;

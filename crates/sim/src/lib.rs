@@ -37,5 +37,5 @@ pub mod telemetry;
 
 pub use config::SimConfig;
 pub use metrics::{AloneIpcCache, Metrics};
-pub use system::{RunStats, System, SystemBuilder};
+pub use system::{LoopStats, RunStats, System, SystemBuilder};
 pub use telemetry::SimTelemetry;

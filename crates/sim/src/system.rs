@@ -82,11 +82,112 @@ impl RunStats {
     }
 }
 
+/// How [`System::run`] and [`System::run_per_cycle`] spent their
+/// iterations (cumulative, like [`RunStats`]) — how much of the run the
+/// event-driven loop actually skipped. Kept out of [`RunStats`]: it describes
+/// the simulator, not the simulated machine, and differs between the two
+/// run modes by design.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LoopStats {
+    /// Loop iterations, i.e. DRAM cycles actually visited.
+    pub iterations: u64,
+    /// Controller steps made.
+    pub controller_steps: u64,
+    /// Controller steps per-cycle stepping would have made and the loop
+    /// did not: `controller_steps + controller_steps_elided` is always
+    /// `channels x cycles`.
+    pub controller_steps_elided: u64,
+    /// Iterations after which the clock advanced by more than one cycle.
+    pub clock_jumps: u64,
+    /// Cycles never visited (the sum of those advances, less one each).
+    pub cycles_jumped: u64,
+    /// `Core::step` calls (CPU cycles micro-stepped rather than batched).
+    pub core_micro_steps: u64,
+}
+
+/// Telemetry sampling state. The contract is one sample per channel per DRAM
+/// cycle against post-command state; a channel's samples only change when
+/// it steps or accepts a request, so each channel carries a cursor and the
+/// cycles it slept through are folded in arithmetically
+/// ([`Sampler::catch_up`]) just before either happens.
+struct Sampler {
+    /// Per-cycle samples only; counter-derived fields are filled at
+    /// collect time.
+    acc: Box<SimTelemetry>,
+    /// Per channel, the first cycle not yet sampled.
+    sampled: Vec<Cycle>,
+}
+
+impl Sampler {
+    /// (ranks, banks per rank) of a channel: the shape of its slice of
+    /// `acc.banks`.
+    fn shape(chan: &DramChannel) -> (usize, usize) {
+        let geom = chan.geometry();
+        (geom.ranks_per_channel(), geom.banks_per_rank())
+    }
+
+    /// Samples channel `ci` for cycle `now`, which it just stepped.
+    fn sample(&mut self, ci: usize, mc: &MemoryController, chan: &DramChannel, now: Cycle) {
+        debug_assert_eq!(self.sampled[ci], now, "catch up before stepping");
+        self.sampled[ci] = now + 1;
+        let tel = &mut self.acc;
+        tel.read_queue_depth.observe(mc.queues().read_len() as u64);
+        tel.write_queue_depth
+            .observe(mc.queues().write_len() as u64);
+        let (ranks, banks) = Self::shape(chan);
+        for r in 0..ranks {
+            for b in 0..banks {
+                let bt = &mut tel.banks[(ci * ranks + r) * banks + b];
+                if chan.bank_refresh_busy(r, b, now) {
+                    bt.refresh_blocked_cycles += 1;
+                } else if !chan.rank(r).bank(b).is_closed() {
+                    bt.busy_cycles += 1;
+                }
+            }
+        }
+    }
+
+    /// Folds in channel `ci`'s samples for the cycles before `upto` it has
+    /// not been sampled at, against its state frozen since the last one.
+    fn catch_up(&mut self, ci: usize, mc: &MemoryController, chan: &DramChannel, upto: Cycle) {
+        let from = self.sampled[ci];
+        if from >= upto {
+            return;
+        }
+        self.sampled[ci] = upto;
+        let span = upto - from;
+        let tel = &mut self.acc;
+        tel.read_queue_depth
+            .observe_n(mc.queues().read_len() as u64, span);
+        tel.write_queue_depth
+            .observe_n(mc.queues().write_len() as u64, span);
+        let (ranks, banks) = Self::shape(chan);
+        for r in 0..ranks {
+            let rank = chan.rank(r);
+            let refab_until = rank.refab_until();
+            for b in 0..banks {
+                let bank = rank.bank(b);
+                // `bank_refresh_busy(r, b, c)` over the frozen span is
+                // exactly `c < blocked_until`.
+                let blocked_until = bank.refresh_until().max(refab_until);
+                let blocked = blocked_until.saturating_sub(from).min(span);
+                let bt = &mut tel.banks[(ci * ranks + r) * banks + b];
+                bt.refresh_blocked_cycles += blocked;
+                if !bank.is_closed() {
+                    bt.busy_cycles += span - blocked;
+                }
+            }
+        }
+    }
+}
+
 /// Bridge between the cores and the memory hierarchy: LLC lookup, miss
 /// routing to the right channel's controller, writeback spill handling.
 struct MemBridge<'a> {
     llc: &'a mut Llc,
     mcs: &'a mut [MemoryController],
+    chans: &'a [DramChannel],
+    sampler: Option<&'a mut Sampler>,
     geom: &'a Geometry,
     now: Cycle,
     next_token: &'a mut u64,
@@ -95,11 +196,20 @@ struct MemBridge<'a> {
 }
 
 impl MemBridge<'_> {
+    /// This cycle's sample precedes the cores' accesses, so a channel that
+    /// slept through it is caught up before a request changes its queues.
+    fn before_enqueue(&mut self, ch: usize) {
+        if let Some(sampler) = &mut self.sampler {
+            sampler.catch_up(ch, &self.mcs[ch], &self.chans[ch], self.now + 1);
+        }
+    }
+
     fn push_writeback(&mut self, addr: u64) {
         let loc = self.geom.decode(addr);
         let id = *self.next_token;
         *self.next_token += 1;
         let req = Request::write(id, loc, usize::MAX, self.now);
+        self.before_enqueue(loc.channel);
         if !self.mcs[loc.channel].try_enqueue_write(req) {
             self.wb_spill.push_back(req);
             *self.max_spill = (*self.max_spill).max(self.wb_spill.len());
@@ -130,6 +240,7 @@ impl MemoryInterface for MemBridge<'_> {
             LlcResult::Miss { writeback } => {
                 let id = *self.next_token;
                 *self.next_token += 1;
+                self.before_enqueue(loc.channel);
                 let ok =
                     self.mcs[loc.channel].try_enqueue_read(Request::read(id, loc, core, self.now));
                 debug_assert!(ok, "capacity checked above");
@@ -233,10 +344,11 @@ impl<'a> SystemBuilder<'a> {
     /// influences scheduling, so results are identical either way.
     ///
     /// The sampling contract is **once per channel per DRAM cycle**,
-    /// against post-command state; when [`System::run`] batches a dead
-    /// span, the identical per-cycle samples are folded in arithmetically
-    /// ([`crate::telemetry::DepthHistogram::observe_n`]), so the histogram
-    /// and bank counters are byte-identical to per-cycle stepping.
+    /// against post-command state; for the cycles [`System::run`] lets a
+    /// channel sleep through, the identical per-cycle samples are folded in
+    /// arithmetically ([`crate::telemetry::DepthHistogram::observe_n`]), so
+    /// the histogram and bank counters are byte-identical to per-cycle
+    /// stepping.
     pub fn telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
         self
@@ -348,12 +460,13 @@ impl<'a> SystemBuilder<'a> {
                 ch
             })
             .collect();
-        let telemetry = self.telemetry.then(|| {
-            Box::new(SimTelemetry::for_geometry(
+        let telemetry = self.telemetry.then(|| Sampler {
+            acc: Box::new(SimTelemetry::for_geometry(
                 geom.channels(),
                 geom.ranks_per_channel(),
                 geom.banks_per_rank(),
-            ))
+            )),
+            sampled: vec![0; geom.channels()],
         });
         System {
             cores,
@@ -367,6 +480,7 @@ impl<'a> SystemBuilder<'a> {
             now: 0,
             retention_tracking: self.retention_tracking,
             telemetry,
+            loop_stats: LoopStats::default(),
         }
     }
 }
@@ -385,9 +499,8 @@ pub struct System {
     max_spill: usize,
     now: Cycle,
     retention_tracking: bool,
-    /// Per-cycle telemetry accumulator (bank cycle accounting, queue-depth
-    /// samples); counter-derived fields are filled at collect time.
-    telemetry: Option<Box<SimTelemetry>>,
+    telemetry: Option<Sampler>,
+    loop_stats: LoopStats,
 }
 
 impl System {
@@ -397,58 +510,85 @@ impl System {
     }
 
     /// Runs for `dram_cycles` more DRAM cycles and returns cumulative
-    /// stats, skipping ahead over provably dead time.
+    /// stats, visiting only the cycles at which something is due.
     ///
-    /// After each normally stepped cycle, every layer is asked for its next
-    /// event: controllers report timing-constraint expiries, refresh
-    /// deadlines and scheduling windows ([`MemoryController::next_event`]),
-    /// cores report stall wake-ups and batched-execution horizons
-    /// ([`Core::idle_probe`], [`Core::bubble_run`],
-    /// [`Core::blocked_head_run`]). A core whose plan is self-contained —
-    /// it makes no memory accesses and its validity depends only on its own
-    /// state — *lags* behind the DRAM clock at zero per-cycle cost and is
-    /// settled arithmetically when its horizon arrives or a completion
-    /// addressed to it lands. When every core lags and the controllers are
-    /// quiet too, the clock itself jumps to the earliest event in one step,
-    /// batching the remaining per-cycle bookkeeping (telemetry samples)
-    /// across the span. Every event source is a conservative lower bound —
-    /// waking early costs only time — so results are **exactly** those of
+    /// Every component has exactly one wake cycle. A core whose current
+    /// regime is self-contained ([`Core::idle_probe`], [`Core::bubble_run`],
+    /// [`Core::blocked_head_run`]: no memory accesses, validity depending
+    /// only on its own state) *lags* behind the DRAM clock until its
+    /// horizon, or until a completion addressed to it lands, and is settled
+    /// arithmetically then; any other core is due next cycle. A controller
+    /// is due at its [`MemoryController::wake`] and is not stepped before
+    /// it. Spilled writebacks retry every cycle. The clock moves to the
+    /// earliest wake and only the components due there are touched; the
+    /// per-cycle telemetry samples a sleeping channel misses are folded in
+    /// arithmetically. Every wake is a conservative lower bound — waking
+    /// early costs only time — so results are **exactly** those of
     /// [`System::run_per_cycle`], field for field.
     pub fn run(&mut self, dram_cycles: u64) -> RunStats {
         self.run_loop(dram_cycles, true)
     }
 
-    /// Runs for `dram_cycles` more DRAM cycles stepping every single cycle
-    /// (no skip-ahead). Exposed for exactness tests and as the CLI's
-    /// `--no-skip-ahead` mode; results equal [`System::run`].
+    /// Runs for `dram_cycles` more DRAM cycles stepping every core and every
+    /// controller at every single cycle. Exposed for exactness tests and as
+    /// the CLI's `--no-skip-ahead` mode; results equal [`System::run`].
     pub fn run_per_cycle(&mut self, dram_cycles: u64) -> RunStats {
         self.run_loop(dram_cycles, false)
     }
 
+    /// How the run loop has spent its iterations so far.
+    pub fn loop_stats(&self) -> LoopStats {
+        self.loop_stats
+    }
+
     fn run_loop(&mut self, dram_cycles: u64, skip: bool) -> RunStats {
         let end = self.now + dram_cycles;
+        let channels = self.mcs.len() as u64;
         let mut completions: Vec<Completion> = Vec::with_capacity(16);
         let mut lags: Vec<Option<CoreLag>> = vec![None; self.cores.len()];
         let mut resume: Vec<u8> = vec![0; self.cores.len()];
+        // The cores' earliest wake; every core starts out active.
+        let mut cores_wake = self.now;
         while self.now < end {
             let now = self.now;
 
-            // Drain spilled writebacks into freed write-queue slots.
-            while let Some(req) = self.wb_spill.front() {
+            // Drain spilled writebacks into freed write-queue slots (this
+            // cycle's step sees them, so a sleeping channel's samples up to
+            // the previous cycle are folded in first).
+            while let Some(&req) = self.wb_spill.front() {
                 let ch = req.loc.channel;
-                let req = *req;
-                if self.mcs[ch].try_enqueue_write(req) {
-                    self.wb_spill.pop_front();
-                } else {
+                if let Some(sampler) = &mut self.telemetry {
+                    sampler.catch_up(ch, &self.mcs[ch], &self.chans[ch], now);
+                }
+                if !self.mcs[ch].try_enqueue_write(req) {
                     break;
                 }
+                self.wb_spill.pop_front();
             }
 
-            // Step each channel's controller (one command per channel).
+            // Step each due channel's controller (one command per channel).
+            // Per-cycle mode is the reference: the plain `step`, every
+            // controller, every cycle.
             completions.clear();
-            for (mc, chan) in self.mcs.iter_mut().zip(self.chans.iter_mut()) {
-                mc.step(chan, now, &mut completions);
+            let mut stepped = 0;
+            for (ci, (mc, chan)) in self.mcs.iter_mut().zip(self.chans.iter_mut()).enumerate() {
+                if skip && mc.wake() > now {
+                    continue;
+                }
+                if let Some(sampler) = &mut self.telemetry {
+                    sampler.catch_up(ci, mc, chan, now);
+                }
+                if skip {
+                    mc.step_and_rearm(chan, now, &mut completions);
+                } else {
+                    mc.step(chan, now, &mut completions);
+                }
+                if let Some(sampler) = &mut self.telemetry {
+                    sampler.sample(ci, mc, chan, now);
+                }
+                stepped += 1;
             }
+            let mut delivered = false;
             for c in &completions {
                 if c.core != usize::MAX {
                     // A completion invalidates the target core's plan:
@@ -456,87 +596,97 @@ impl System {
                     // same CPU time per-cycle stepping would have.
                     Self::settle(&mut self.cores[c.core], &mut lags[c.core], now);
                     self.cores[c.core].complete(c.id);
+                    delivered = true;
                 }
             }
-
-            // Sample telemetry against post-command state for this cycle.
-            if let Some(tel) = &mut self.telemetry {
-                let ranks = self.geom.ranks_per_channel();
-                let banks = self.geom.banks_per_rank();
-                for (ci, (mc, chan)) in self.mcs.iter().zip(self.chans.iter()).enumerate() {
-                    tel.read_queue_depth.observe(mc.queues().read_len() as u64);
-                    tel.write_queue_depth
-                        .observe(mc.queues().write_len() as u64);
-                    for r in 0..ranks {
-                        for b in 0..banks {
-                            let bt = &mut tel.banks[(ci * ranks + r) * banks + b];
-                            if chan.bank_refresh_busy(r, b, now) {
-                                bt.refresh_blocked_cycles += 1;
-                            } else if !chan.rank(r).bank(b).is_closed() {
-                                bt.busy_cycles += 1;
-                            }
-                        }
-                    }
-                }
+            if delivered || now >= cores_wake {
+                cores_wake = self.step_cores(now, skip, &mut lags, &mut resume);
             }
 
-            // Settle cores whose plan expires this cycle; they re-plan and
-            // step below.
-            for (core, lag) in self.cores.iter_mut().zip(lags.iter_mut()) {
-                if lag.is_some_and(|l| now >= l.horizon) {
-                    Self::settle(core, lag, now);
-                }
+            // Move to the earliest wake: the cores', each controller's own
+            // (already pulled back by whatever the cores just enqueued),
+            // and the next cycle while a spilled writeback waits to retry.
+            let mut wake = end.min(cores_wake);
+            for mc in &self.mcs {
+                wake = wake.min(mc.wake());
             }
+            if !self.wb_spill.is_empty() {
+                wake = now + 1;
+            }
+            self.now = wake.max(now + 1);
 
-            // Plan each unlagged core once per cycle: a span of at least
-            // one DRAM cycle starts a lag; a shorter span is applied
-            // immediately and the core resumes micro-stepping mid-cycle.
-            if skip {
-                self.plan_cores(now, &mut lags, &mut resume);
-            }
-
-            // Micro-step the active cores. Lagged and batched-over phases
-            // make no memory accesses, so skipping them preserves the
-            // CPU-major interleaving of the remaining LLC traffic exactly.
-            // With every core lagging there is nobody to step.
-            let all_lag = lags.iter().all(Option::is_some);
-            if !all_lag {
-                let mut bridge = MemBridge {
-                    llc: &mut self.llc,
-                    mcs: &mut self.mcs,
-                    geom: &self.geom,
-                    now,
-                    next_token: &mut self.next_token,
-                    wb_spill: &mut self.wb_spill,
-                    max_spill: &mut self.max_spill,
-                };
-                for phase in 0..CPU_CYCLES_PER_DRAM_CYCLE {
-                    for ((core, lag), from) in
-                        self.cores.iter_mut().zip(lags.iter()).zip(resume.iter())
-                    {
-                        if lag.is_none() && u64::from(*from) <= phase {
-                            core.step(&mut bridge);
-                        }
-                    }
-                }
-            }
-            self.now += 1;
-
-            if skip && self.now < end && all_lag {
-                // With every core lagging, the DRAM clock itself can jump
-                // over the dead gap (telemetry is batched arithmetically;
-                // the cores' lags already cover the span).
-                if let Some(span) = self.dead_span(now, end, &lags) {
-                    self.batch_telemetry(now, span);
-                    self.now = now + 1 + span;
-                }
-            }
+            let span = self.now - now;
+            let stats = &mut self.loop_stats;
+            stats.iterations += 1;
+            stats.controller_steps += stepped;
+            stats.controller_steps_elided += channels * span - stepped;
+            stats.clock_jumps += u64::from(span > 1);
+            stats.cycles_jumped += span - 1;
         }
-        // Settle outstanding lags so reported stats cover every cycle.
+        // Settle outstanding lags and samples so reported stats cover
+        // every cycle.
         for (core, lag) in self.cores.iter_mut().zip(lags.iter_mut()) {
             Self::settle(core, lag, end);
         }
+        if let Some(sampler) = &mut self.telemetry {
+            for (ci, (mc, chan)) in self.mcs.iter().zip(self.chans.iter()).enumerate() {
+                sampler.catch_up(ci, mc, chan, end);
+            }
+        }
         self.collect()
+    }
+
+    /// Runs the cores through DRAM cycle `now` — settles the plans that
+    /// expire at it, re-plans every unlagged core, micro-steps the active
+    /// ones — and returns their earliest wake: the next cycle for an active
+    /// core, its horizon for a lagging one.
+    fn step_cores(
+        &mut self,
+        now: Cycle,
+        skip: bool,
+        lags: &mut [Option<CoreLag>],
+        resume: &mut [u8],
+    ) -> Cycle {
+        for (core, lag) in self.cores.iter_mut().zip(lags.iter_mut()) {
+            if lag.is_some_and(|l| now >= l.horizon) {
+                Self::settle(core, lag, now);
+            }
+        }
+
+        // Plan each unlagged core once per cycle: a span of at least one
+        // DRAM cycle starts a lag; a shorter span is applied immediately
+        // and the core resumes micro-stepping mid-cycle.
+        if skip {
+            self.plan_cores(now, lags, resume);
+        }
+
+        // Micro-step the active cores. Lagged and batched-over phases make
+        // no memory accesses, so skipping them preserves the CPU-major
+        // interleaving of the remaining LLC traffic exactly.
+        if lags.iter().any(Option::is_none) {
+            let mut bridge = MemBridge {
+                llc: &mut self.llc,
+                mcs: &mut self.mcs,
+                chans: &self.chans,
+                sampler: self.telemetry.as_mut(),
+                geom: &self.geom,
+                now,
+                next_token: &mut self.next_token,
+                wb_spill: &mut self.wb_spill,
+                max_spill: &mut self.max_spill,
+            };
+            for phase in 0..CPU_CYCLES_PER_DRAM_CYCLE {
+                for ((core, lag), from) in self.cores.iter_mut().zip(lags.iter()).zip(resume.iter())
+                {
+                    if lag.is_none() && u64::from(*from) <= phase {
+                        core.step(&mut bridge);
+                        self.loop_stats.core_micro_steps += 1;
+                    }
+                }
+            }
+        }
+        let wakes = lags.iter().map(|lag| lag.map_or(now + 1, |l| l.horizon));
+        wakes.min().unwrap_or(Cycle::MAX)
     }
 
     /// Applies a lagging core's plan up to (excluding) DRAM cycle `upto`
@@ -623,70 +773,6 @@ impl System {
         }
     }
 
-    /// How many DRAM cycles after `now` (just stepped) the whole system is
-    /// provably dead — no command issues, no completion delivers, every
-    /// core lags — or `None` when the very next cycle must be stepped.
-    fn dead_span(&self, now: Cycle, end: Cycle, lags: &[Option<CoreLag>]) -> Option<u64> {
-        // A channel that issued this cycle is mid-burst: step on.
-        if self.chans.iter().any(|c| c.last_issue() == Some(now)) {
-            return None;
-        }
-        // Spilled writebacks retry enqueueing every cycle.
-        if !self.wb_spill.is_empty() {
-            return None;
-        }
-        let mut span = end - 1 - now;
-        // Each lagging core must still be lagging at every skipped cycle
-        // (its horizon cycle is stepped normally).
-        for lag in lags {
-            span = span.min(lag.as_ref()?.horizon - now - 1);
-        }
-        // Controllers: min over timing expiries, refresh deadlines,
-        // scheduling windows and in-flight completions. An event at the
-        // next cycle forbids skipping.
-        for (mc, chan) in self.mcs.iter().zip(self.chans.iter()) {
-            match mc.next_event(chan, now) {
-                Some(t) if t <= now + 1 => return None,
-                Some(t) => span = span.min(t - now - 1),
-                None => {}
-            }
-        }
-        (span >= 1).then_some(span)
-    }
-
-    /// Folds the telemetry samples of `span` skipped cycles (starting at
-    /// `now + 1`) into the histogram and bank counters arithmetically,
-    /// against the frozen post-command state.
-    fn batch_telemetry(&mut self, now: Cycle, span: u64) {
-        if let Some(tel) = &mut self.telemetry {
-            let ranks = self.geom.ranks_per_channel();
-            let banks = self.geom.banks_per_rank();
-            let from = now + 1; // first skipped cycle
-            for (ci, (mc, chan)) in self.mcs.iter().zip(self.chans.iter()).enumerate() {
-                tel.read_queue_depth
-                    .observe_n(mc.queues().read_len() as u64, span);
-                tel.write_queue_depth
-                    .observe_n(mc.queues().write_len() as u64, span);
-                for r in 0..ranks {
-                    let rank = chan.rank(r);
-                    let refab_until = rank.refab_until();
-                    for b in 0..banks {
-                        let bank = rank.bank(b);
-                        // `bank_refresh_busy(r, b, c)` over the frozen span
-                        // is exactly `c < blocked_until`.
-                        let blocked_until = bank.refresh_until().max(refab_until);
-                        let blocked = blocked_until.saturating_sub(from).min(span);
-                        let bt = &mut tel.banks[(ci * ranks + r) * banks + b];
-                        bt.refresh_blocked_cycles += blocked;
-                        if !bank.is_closed() {
-                            bt.busy_cycles += span - blocked;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Per-core statistics (cumulative).
     pub fn core_stats(&self) -> Vec<CoreStats> {
         self.cores.iter().map(|c| *c.stats()).collect()
@@ -723,8 +809,8 @@ impl System {
         // Fill the counter-derived telemetry fields from cumulative stats.
         // The stored accumulator only ever carries the per-cycle samples,
         // so assigning fresh totals keeps repeated `run` calls consistent.
-        let telemetry = self.telemetry.as_ref().map(|acc| {
-            let mut t = acc.clone();
+        let telemetry = self.telemetry.as_ref().map(|sampler| {
+            let mut t = sampler.acc.clone();
             t.dram_cycles = self.now;
             let mut refreshes = crate::telemetry::RefreshTelemetry::default();
             let mut sched = dsarp_core::SchedulerScan::default();
@@ -776,6 +862,7 @@ mod tests {
     use dsarp_core::Mechanism;
     use dsarp_dram::Density;
     use dsarp_workloads::mixes;
+    use proptest::prelude::*;
 
     fn intensive_workload() -> Workload {
         mixes::intensive_mixes(8, 1)[0].clone()
@@ -992,6 +1079,203 @@ mod tests {
             let fast = mk().run(30_000);
             let slow = mk().run_per_cycle(30_000);
             assert_eq!(fast, slow, "{mech:?} diverged");
+        }
+    }
+
+    /// Explicit sources whose every address decodes to channel 0: mostly
+    /// stores scattered over ranks, banks and rows, so every fill evicts a
+    /// dirty line and the writebacks conflict in the banks, while channel 1
+    /// never sees a request.
+    fn channel0_store_sources(cfg: &SimConfig) -> Vec<Box<dyn TraceSource>> {
+        let geom = cfg.geometry();
+        (0..cfg.cores as u64)
+            .map(|core| {
+                let mut x = 0x9E37_79B9_7F4A_7C15 ^ (core + 1);
+                let mut draw = |n: usize| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (x >> 33) as usize % n
+                };
+                let ops = (0..4096)
+                    .map(|i| {
+                        let loc = Location {
+                            channel: 0,
+                            rank: draw(geom.ranks_per_channel()),
+                            bank: draw(geom.banks_per_rank()),
+                            row: draw(geom.rows_per_bank()) as u32,
+                            col: draw(geom.cols_per_row()) as u32,
+                        };
+                        dsarp_cpu::TraceOp {
+                            bubbles: draw(3) as u32,
+                            kind: if i % 8 == 0 {
+                                dsarp_cpu::MemKind::Load
+                            } else {
+                                dsarp_cpu::MemKind::Store
+                            },
+                            addr: geom.encode(&loc),
+                            dependent: false,
+                        }
+                    })
+                    .collect();
+                Box::new(dsarp_cpu::trace::CyclicTrace::new(ops)) as Box<dyn TraceSource>
+            })
+            .collect()
+    }
+
+    /// A controller asleep while cores are active: all traffic lands on
+    /// channel 0, so channel 1 sleeps through channel 0's enqueues, drains
+    /// and spill retries (a drain-entry watermark one below the queue's
+    /// capacity lets the writebacks of reads already in flight overflow
+    /// it). Stats (telemetry included, every histogram bucket) must still
+    /// equal per-cycle stepping.
+    #[test]
+    fn skip_ahead_matches_per_cycle_one_channel_asleep() {
+        for mech in [
+            Mechanism::RefAb,
+            Mechanism::RefPb,
+            Mechanism::Elastic,
+            Mechanism::AdaptiveRefresh,
+            Mechanism::Darp,
+            Mechanism::SarpPb,
+            Mechanism::Dsarp,
+        ] {
+            let mut cfg = SimConfig::paper(mech, Density::G8)
+                .with_warmup_ops(4096)
+                .with_drain_watermarks(63, 32);
+            cfg.llc_capacity = Some(128 * 1024);
+            let mk = || {
+                SystemBuilder::new(&cfg)
+                    .trace_sources(channel0_store_sources(&cfg))
+                    .telemetry(true)
+                    .build()
+            };
+            let mut sys = mk();
+            let fast = sys.run(12_000);
+            assert_eq!(fast, mk().run_per_cycle(12_000), "{mech:?} diverged");
+            // The scenario is the one described, not a quieter one.
+            assert!(
+                sys.mcs[0].queues().drain_entries() > 0,
+                "{mech:?}: no drain"
+            );
+            assert!(sys.max_spill > 0, "{mech:?}: write queue never overflowed");
+            assert_eq!(fast.ctrl[1].reads_done + fast.ctrl[1].writes_done, 0);
+            let stats = sys.loop_stats();
+            assert!(
+                stats.controller_steps < stats.iterations * 3 / 2,
+                "{mech:?}: channel 1 was stepped alongside channel 0: {stats:?}"
+            );
+        }
+    }
+
+    /// `run` and `run_per_cycle` mixed on one `System` equal one long
+    /// `run`: a controller wake or telemetry cursor carried across calls
+    /// must not go stale over a per-cycle chunk.
+    #[test]
+    fn skip_ahead_is_chunk_invariant_across_modes() {
+        let cfg = SimConfig::paper(Mechanism::Dsarp, Density::G32);
+        for wl in [
+            mixes::paper_workloads(8, 1)[0].clone(), // P0: long sleeps
+            intensive_workload(),
+        ] {
+            let mk = || {
+                SystemBuilder::new(&cfg)
+                    .workload(&wl)
+                    .telemetry(true)
+                    .build()
+            };
+            let whole = mk().run(4_000 + 3_000 + 1 + 2_999);
+            let mut mixed = mk();
+            mixed.run(4_000);
+            mixed.run_per_cycle(3_000);
+            mixed.run(1);
+            assert_eq!(whole, mixed.run(2_999), "{} diverged", wl.name);
+        }
+    }
+
+    /// What the loop reports about itself: per-cycle stepping makes exactly
+    /// `channels x cycles` controller steps and never jumps; on the
+    /// compute-bound archetype `run` makes at most a quarter of them for
+    /// the same `RunStats`.
+    #[test]
+    fn skip_ahead_loop_stats_count_the_elided_steps() {
+        let wl = Workload {
+            name: "compute".into(),
+            category: mixes::IntensityCategory::P0,
+            benchmarks: vec![&dsarp_workloads::catalogue::COMPUTE_BOUND; 8],
+        };
+        let cfg = SimConfig::paper(Mechanism::Dsarp, Density::G32);
+        let cycles = 40_000;
+        let mut fast = SystemBuilder::new(&cfg).workload(&wl).build();
+        let mut slow = SystemBuilder::new(&cfg).workload(&wl).build();
+        assert_eq!(fast.run(cycles), slow.run_per_cycle(cycles));
+        let channels = cfg.geometry().channels() as u64;
+        assert_eq!(
+            slow.loop_stats(),
+            LoopStats {
+                iterations: cycles,
+                controller_steps: channels * cycles,
+                core_micro_steps: 8 * CPU_CYCLES_PER_DRAM_CYCLE * cycles,
+                ..LoopStats::default()
+            }
+        );
+        let stats = fast.loop_stats();
+        assert!(stats.controller_steps * 4 <= channels * cycles, "{stats:?}");
+        assert_eq!(
+            stats.controller_steps + stats.controller_steps_elided,
+            channels * cycles
+        );
+        assert_eq!(stats.iterations + stats.cycles_jumped, cycles);
+        assert!(stats.clock_jumps > 0 && stats.clock_jumps <= stats.cycles_jumped);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any mechanism, core count, mix and chunking: `run` equals
+        /// `run_per_cycle`, telemetry included.
+        #[test]
+        fn skip_ahead_matches_per_cycle_on_random_configs(
+            mech in prop::sample::select(vec![
+                Mechanism::NoRefresh,
+                Mechanism::RefAb,
+                Mechanism::RefPb,
+                Mechanism::RefPbOverlapped,
+                Mechanism::Elastic,
+                Mechanism::AdaptiveRefresh,
+                Mechanism::Fgr2x,
+                Mechanism::Fgr4x,
+                Mechanism::Darp,
+                Mechanism::DarpOooOnly,
+                Mechanism::SarpAb,
+                Mechanism::SarpPb,
+                Mechanism::Dsarp,
+            ]),
+            // The LLC and the synthetic address map need a power of two.
+            cores in prop::sample::select(vec![1usize, 2, 4, 8]),
+            mix_seed in any::<u64>(),
+            chunks in prop::collection::vec(1u64..4_000, 1..4),
+        ) {
+            // The seed picks the mix too, so every intensity category
+            // (idle channels through saturated ones) comes up.
+            let wl = mixes::paper_workloads(cores, mix_seed)[(mix_seed % 100) as usize].clone();
+            let cfg = SimConfig::paper(mech, Density::G32)
+                .with_cores(cores)
+                .with_seed(mix_seed)
+                .with_warmup_ops(2_000);
+            let mk = || {
+                SystemBuilder::new(&cfg)
+                    .workload(&wl)
+                    .telemetry(true)
+                    .build()
+            };
+            let mut fast = mk();
+            let mut last = None;
+            for &chunk in &chunks {
+                last = Some(fast.run(chunk));
+            }
+            let slow = mk().run_per_cycle(chunks.iter().sum());
+            prop_assert_eq!(last, Some(slow), "{:?} x{} {}", mech, cores, wl.name);
         }
     }
 
