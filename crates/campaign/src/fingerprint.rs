@@ -6,8 +6,9 @@
 //! knob, a benchmark parameter, or the run length changes the fingerprint,
 //! while re-serializing an identical key always reproduces it.
 
+use serde::value::write_json_string;
 use serde_json::Value;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A 128-bit content hash identifying one simulation job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -32,11 +33,37 @@ impl Fingerprint {
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
+/// A running FNV-1a-128. Text written to it is hashed as it arrives, so
+/// a key can be fingerprinted without ever being assembled.
+pub(crate) struct Hasher(u128);
+
+impl Hasher {
+    pub(crate) fn new() -> Self {
+        Hasher(FNV128_OFFSET)
+    }
+
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u128::from(b);
+            self.0 = self.0.wrapping_mul(FNV128_PRIME);
+        }
+    }
+
+    pub(crate) fn finish(self) -> Fingerprint {
+        Fingerprint(self.0)
+    }
+}
+
+impl Write for Hasher {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        self.update(text.as_bytes());
+        Ok(())
+    }
+}
+
 /// Fingerprints a value tree via its canonical rendering.
 pub fn fingerprint_value(v: &Value) -> Fingerprint {
-    let mut text = String::new();
-    render_canonical(v, &mut text);
-    fingerprint_bytes(text.as_bytes())
+    fingerprint_bytes(canonical(v).as_bytes())
 }
 
 /// Fingerprints raw bytes (same FNV-1a-128 as [`fingerprint_value`]).
@@ -45,17 +72,20 @@ pub fn fingerprint_value(v: &Value) -> Fingerprint {
 /// each trace's byte hash into its job fingerprints, so editing a trace
 /// on disk invalidates exactly the cells that replay it.
 pub fn fingerprint_bytes(bytes: &[u8]) -> Fingerprint {
-    let mut h = FNV128_OFFSET;
-    for &b in bytes {
-        h ^= u128::from(b);
-        h = h.wrapping_mul(FNV128_PRIME);
-    }
-    Fingerprint(h)
+    let mut h = Hasher::new();
+    h.update(bytes);
+    h.finish()
 }
 
 /// Renders `v` as JSON with object keys sorted recursively, so field
 /// declaration order never leaks into fingerprints.
-fn render_canonical(v: &Value, out: &mut String) {
+pub fn canonical(v: &Value) -> String {
+    let mut out = String::new();
+    render_canonical(v, &mut out).expect("writing to a String cannot fail");
+    out
+}
+
+fn render_canonical(v: &Value, out: &mut String) -> fmt::Result {
     match v {
         Value::Object(m) => {
             let mut entries: Vec<(&String, &Value)> = m.iter().collect();
@@ -65,9 +95,9 @@ fn render_canonical(v: &Value, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&Value::String((*k).clone()).to_string());
+                write_json_string(out, k)?;
                 out.push(':');
-                render_canonical(val, out);
+                render_canonical(val, out)?;
             }
             out.push('}');
         }
@@ -77,12 +107,13 @@ fn render_canonical(v: &Value, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                render_canonical(item, out);
+                render_canonical(item, out)?;
             }
             out.push(']');
         }
-        scalar => out.push_str(&scalar.to_string()),
+        scalar => write!(out, "{scalar}")?,
     }
+    Ok(())
 }
 
 #[cfg(test)]

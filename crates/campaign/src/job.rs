@@ -1,11 +1,12 @@
 //! Individual simulation jobs: the unit of caching and execution.
 
-use crate::fingerprint::{fingerprint_value, Fingerprint};
+use crate::fingerprint::{canonical, Fingerprint, Hasher};
 use crate::traces::{TraceRef, TraceWorkload};
 use dsarp_sim::{SimConfig, SimTelemetry, SystemBuilder};
 use dsarp_workloads::{BenchmarkSpec, Workload};
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
+use std::fmt::Write;
 
 /// The raw, normalization-free result of one multiprogrammed run — enough
 /// to recompute every [`dsarp_sim::Metrics`] once alone-IPCs are known.
@@ -98,6 +99,38 @@ impl Job {
         }
     }
 
+    /// The scalar members of the job's key — `(kind, content key, cfg,
+    /// cycles)` — where the content key names what [`Self::content`] holds.
+    fn key_head(&self) -> (&'static str, &'static str, &SimConfig, u64) {
+        match self {
+            Job::Alone { cfg, cycles, .. } => ("alone", "bench", cfg, *cycles),
+            Job::Grid { cfg, cycles, .. } => ("grid", "benchmarks", cfg, *cycles),
+            Job::TraceAlone { cfg, cycles, .. } => ("trace-alone", "trace", cfg, *cycles),
+            Job::TraceGrid { cfg, cycles, .. } => ("trace-grid", "traces", cfg, *cycles),
+        }
+    }
+
+    /// What the job runs, as it enters the key: benchmark parameters, or
+    /// each trace's content hash.
+    fn content(&self) -> Value {
+        let hash = |t: &TraceRef| Value::String(t.content_hash.to_string());
+        match self {
+            Job::Alone { bench, .. } => serde_json::to_value(bench).expect("infallible"),
+            Job::Grid { workload, .. } => {
+                serde_json::to_value(&workload.benchmarks).expect("infallible")
+            }
+            Job::TraceAlone { trace, .. } => hash(trace),
+            Job::TraceGrid { workload, .. } => {
+                Value::Array(workload.traces.iter().map(hash).collect())
+            }
+        }
+    }
+
+    /// The job's configuration.
+    pub(crate) fn cfg(&self) -> &SimConfig {
+        self.key_head().2
+    }
+
     /// The job's content key: everything that determines its result.
     ///
     /// Workload *names* are deliberately excluded — two mixes assembling
@@ -106,46 +139,15 @@ impl Job {
     /// on each file's *content hash*, never its path or name: renaming or
     /// moving a trace keeps every cached cell, while editing one byte of
     /// it invalidates exactly the cells that replay it.
+    ///
+    /// `fingerprint_value(&job.key_value())` defines the fingerprint;
+    /// [`Self::fingerprint`] computes the same hash without the tree.
     pub fn key_value(&self) -> Value {
-        let hash = |t: &TraceRef| Value::String(t.content_hash.to_string());
-        let (kind, cfg, cycles, what, content) = match self {
-            Job::Alone { cfg, bench, cycles } => (
-                "alone",
-                cfg,
-                cycles,
-                "bench",
-                serde_json::to_value(bench).expect("infallible"),
-            ),
-            Job::Grid {
-                cfg,
-                workload,
-                cycles,
-            } => (
-                "grid",
-                cfg,
-                cycles,
-                "benchmarks",
-                serde_json::to_value(&workload.benchmarks).expect("infallible"),
-            ),
-            Job::TraceAlone { cfg, trace, cycles } => {
-                ("trace-alone", cfg, cycles, "trace", hash(trace))
-            }
-            Job::TraceGrid {
-                cfg,
-                workload,
-                cycles,
-            } => (
-                "trace-grid",
-                cfg,
-                cycles,
-                "traces",
-                Value::Array(workload.traces.iter().map(hash).collect()),
-            ),
-        };
+        let (kind, what, cfg, cycles) = self.key_head();
         let mut m = Map::new();
         m.insert("kind".into(), Value::String(kind.into()));
         m.insert("cfg".into(), serde_json::to_value(cfg).expect("infallible"));
-        m.insert(what.into(), content);
+        m.insert(what.into(), self.content());
         m.insert(
             "cycles".into(),
             serde_json::to_value(cycles).expect("infallible"),
@@ -153,9 +155,46 @@ impl Job {
         Value::Object(m)
     }
 
+    /// The canonical rendering of the key's content member, identical
+    /// for every job that runs the same benchmarks or traces.
+    pub(crate) fn content_fragment(&self) -> String {
+        canonical(&self.content())
+    }
+
+    /// The canonical rendering of a configuration as a key's `cfg` member.
+    pub(crate) fn cfg_fragment(cfg: &SimConfig) -> String {
+        canonical(&serde_json::to_value(cfg).expect("infallible"))
+    }
+
+    /// The job's fingerprint from its [`Self::content_fragment`] and the
+    /// [`Self::cfg_fragment`] of its configuration: the hash of the text
+    /// [`canonical`] renders for [`Self::key_value`], with the two large
+    /// members supplied already rendered — a campaign renders each
+    /// configuration and each workload once, however many cells share
+    /// them. Members stream into the hash in sorted-key order: `bench` /
+    /// `benchmarks` sort before `cfg`, `trace` / `traces` after `kind`.
+    pub(crate) fn fingerprint_from(&self, content: &str, cfg: &str) -> Fingerprint {
+        let (kind, what, _, cycles) = self.key_head();
+        assert!(!("cfg"..="kind").contains(&what), "`{what}` sorts mid-key");
+        let mut h = Hasher::new();
+        if what < "cfg" {
+            write!(
+                h,
+                "{{\"{what}\":{content},\"cfg\":{cfg},\"cycles\":{cycles},\"kind\":\"{kind}\"}}"
+            )
+        } else {
+            write!(
+                h,
+                "{{\"cfg\":{cfg},\"cycles\":{cycles},\"kind\":\"{kind}\",\"{what}\":{content}}}"
+            )
+        }
+        .expect("hashing cannot fail");
+        h.finish()
+    }
+
     /// The job's content fingerprint.
     pub fn fingerprint(&self) -> Fingerprint {
-        fingerprint_value(&self.key_value())
+        self.fingerprint_from(&self.content_fragment(), &Self::cfg_fragment(self.cfg()))
     }
 
     /// Runs the simulation and packages the result as a store

@@ -10,7 +10,8 @@
 //!   subarrays, retention, `tFAW`, watermarks, seeds).
 //! * Every expanded cell is a [`Job`] keyed by a content
 //!   [`Fingerprint`] of `(SimConfig, workload, cycles)`; identical cells
-//!   across sweeps collapse to one simulation.
+//!   across sweeps collapse to one simulation. A [`CampaignPlan`] expands
+//!   and fingerprints a whole campaign once, for every consumer.
 //! * The [`Store`] persists results as JSON-lines shards under
 //!   `.campaign/<name>/`; completed jobs are flushed immediately, so a
 //!   killed campaign resumes where it stopped and an identical re-run
@@ -78,6 +79,7 @@ pub mod export;
 pub mod fingerprint;
 pub mod job;
 pub mod lease;
+pub mod plan;
 pub mod remote;
 pub mod retry;
 pub mod runner;
@@ -90,6 +92,7 @@ pub use events::{Event, EventLog};
 pub use fingerprint::Fingerprint;
 pub use job::{Job, JobOutput, RunSummary};
 pub use lease::{Lease, LeaseInfo};
+pub use plan::{CampaignPlan, PlanError};
 pub use remote::RemoteStore;
 pub use retry::RetryPolicy;
 pub use runner::{

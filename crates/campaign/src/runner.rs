@@ -22,12 +22,12 @@ use crate::events::{Event, EventLog};
 use crate::fingerprint::Fingerprint;
 use crate::job::Job;
 use crate::lease::{self, Renew};
+use crate::plan::CampaignPlan;
 use crate::retry::{self, RetryPolicy};
-use crate::spec::{CampaignSpec, CampaignWorkload, SweepSpec};
+use crate::spec::CampaignSpec;
 use crate::store::{Record, Store};
-use dsarp_sim::experiments::harness::{parallel_map, Grid, WsRow};
-use dsarp_sim::Metrics;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use dsarp_sim::experiments::harness::{parallel_map, Grid};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -141,157 +141,6 @@ pub struct WorkerReport {
     pub wait_rounds: usize,
     /// Shard appends that failed (results recompute next run).
     pub persist_failures: usize,
-}
-
-/// Resolves every sweep's workload list once. Trace resolution reads,
-/// validates and content-hashes every referenced file, so expansion and
-/// grid assembly share one resolution (also giving both a consistent
-/// snapshot if a file is edited mid-run — the execution hash re-check
-/// still catches actual replays of changed bytes).
-fn resolve_sweeps_of(spec: &CampaignSpec) -> std::io::Result<Vec<Vec<CampaignWorkload>>> {
-    let scale = spec.scale;
-    let seed = spec.workload_seed;
-    spec.sweeps
-        .iter()
-        .map(|s| Ok(s.workloads.resolve(&scale, seed)?))
-        .collect()
-}
-
-/// Expands every sweep over its resolved workloads, deduplicating
-/// identical jobs in flight. Returns `(total cells, unique jobs)`.
-fn expand_unique_of(
-    spec: &CampaignSpec,
-    resolved: &[Vec<CampaignWorkload>],
-) -> (usize, Vec<(Fingerprint, Job)>) {
-    let scale = spec.scale;
-    let mut cells = 0;
-    let mut seen = HashSet::new();
-    let mut unique: Vec<(Fingerprint, Job)> = Vec::new();
-    for (sweep, workloads) in spec.sweeps.iter().zip(resolved) {
-        for job in sweep.jobs_for(workloads, &scale) {
-            cells += 1;
-            let fp = job.fingerprint();
-            if seen.insert(fp) {
-                unique.push((fp, job));
-            }
-        }
-    }
-    (cells, unique)
-}
-
-/// The cached alone-IPC for `job`, panicking with the job label if the
-/// record is missing after execution.
-fn lookup_alone_in(records: &HashMap<u128, Record>, job: &Job) -> f64 {
-    records
-        .get(&job.fingerprint().0)
-        .and_then(|r| r.alone_ipc)
-        .unwrap_or_else(|| panic!("missing alone record for {} after execution", job.label()))
-}
-
-/// Builds one sweep's [`Grid`] purely from cached records, over the same
-/// resolved workloads its jobs were expanded from. Trace bundles produce
-/// rows keyed by the bundle name with intensity category 0 (captured
-/// traffic carries no category label). Rows are emitted in deterministic
-/// (density, mechanism, workload) order and every lookup is by
-/// fingerprint, so the same record set renders the same grid whether it
-/// was read from a local store or snapshotted off a campaign server.
-fn assemble_from(
-    spec: &CampaignSpec,
-    sweep: &SweepSpec,
-    workloads: &[CampaignWorkload],
-    records: &HashMap<u128, Record>,
-) -> Grid {
-    let scale = spec.scale;
-    let mut rows = Vec::new();
-    for &d in &sweep.densities {
-        // Alone-IPC lookups once per (benchmark, density), not per cell:
-        // fingerprinting renders canonical JSON, so hashing per cell per
-        // core would dominate warm-cache replays. Traces key by content
-        // hash, the identity their fingerprints use.
-        let mut alone: HashMap<&str, f64> = HashMap::new();
-        let mut alone_trace: HashMap<u128, f64> = HashMap::new();
-        for wl in workloads {
-            match wl {
-                CampaignWorkload::Synthetic(wl) => {
-                    for b in &wl.benchmarks {
-                        if !alone.contains_key(b.name) {
-                            let job = sweep.alone_job(d, b, &scale);
-                            let ipc = lookup_alone_in(records, &job);
-                            alone.insert(b.name, ipc);
-                        }
-                    }
-                }
-                CampaignWorkload::Traced(tw) => {
-                    for t in &tw.traces {
-                        if let std::collections::hash_map::Entry::Vacant(e) =
-                            alone_trace.entry(t.content_hash.0)
-                        {
-                            let job = sweep.trace_alone_job(d, t, &scale);
-                            e.insert(lookup_alone_in(records, &job));
-                        }
-                    }
-                }
-            }
-        }
-        for &m in &sweep.mechanisms {
-            for wl in workloads {
-                let (job, category, alone_ipcs) = match wl {
-                    CampaignWorkload::Synthetic(wl) => (
-                        sweep.grid_job(m, d, wl, &scale),
-                        wl.category.percent(),
-                        wl.benchmarks
-                            .iter()
-                            .take(sweep.cores)
-                            .map(|b| alone[b.name])
-                            .collect::<Vec<f64>>(),
-                    ),
-                    CampaignWorkload::Traced(tw) => (
-                        sweep.trace_grid_job(m, d, tw, &scale),
-                        0,
-                        tw.traces
-                            .iter()
-                            .take(sweep.cores)
-                            .map(|t| alone_trace[&t.content_hash.0])
-                            .collect::<Vec<f64>>(),
-                    ),
-                };
-                let summary = records
-                    .get(&job.fingerprint().0)
-                    .and_then(|r| r.summary.clone())
-                    .unwrap_or_else(|| {
-                        panic!("missing grid record for {} after execution", job.label())
-                    });
-                let metrics =
-                    Metrics::from_ipcs(&summary.ipc, &alone_ipcs, summary.energy_per_access_nj);
-                rows.push(WsRow {
-                    workload: wl.name().to_string(),
-                    category,
-                    mechanism: m,
-                    density: d,
-                    ws: metrics.weighted_speedup,
-                    hs: metrics.harmonic_speedup,
-                    max_slowdown: metrics.max_slowdown,
-                    energy_nj: metrics.energy_per_access_nj,
-                    total_ipc: summary.total_ipc,
-                });
-            }
-        }
-    }
-    Grid::from_rows(rows)
-}
-
-/// Assembles one grid per sweep, keyed by sweep name, from `records` —
-/// the last step of [`Campaign::run`], [`CampaignClient::merge`] and the
-/// read-only [`CampaignClient::assemble`] alike.
-fn assemble_grids(
-    spec: &CampaignSpec,
-    resolved: &[Vec<CampaignWorkload>],
-    records: &HashMap<u128, Record>,
-) -> BTreeMap<String, Grid> {
-    let sweeps = spec.sweeps.iter().zip(resolved);
-    sweeps
-        .map(|(sweep, wls)| (sweep.name.clone(), assemble_from(spec, sweep, wls, records)))
-        .collect()
 }
 
 /// The simulate-and-persist loop shared by the single-process executor
@@ -438,10 +287,10 @@ impl Campaign {
         let t0 = Instant::now();
         let scale = self.spec.scale;
 
-        // 1. Resolve workloads once, expand every sweep and dedupe
-        //    identical jobs in flight.
-        let resolved = resolve_sweeps_of(&self.spec)?;
-        let (cells, unique) = expand_unique_of(&self.spec, &resolved);
+        // 1. Resolve workloads, expand every sweep, fingerprint every
+        //    cell and dedupe identical jobs in flight — once.
+        let plan = CampaignPlan::build(&self.spec)?;
+        let unique = plan.unique();
 
         // 2. Partition against the store.
         let missing: Vec<&(Fingerprint, Job)> = unique
@@ -449,7 +298,7 @@ impl Campaign {
             .filter(|(fp, _)| !self.store.contains(*fp))
             .collect();
         let mut stats = CacheStats {
-            cells,
+            cells: plan.cells(),
             unique_jobs: unique.len(),
             cache_hits: unique.len() - missing.len(),
             simulated: missing.len(),
@@ -520,7 +369,7 @@ impl Campaign {
 
         // 4. Assemble per-sweep grids from the (now complete) store.
         let t_asm = Instant::now();
-        let grids = assemble_grids(&self.spec, &resolved, self.store.records());
+        let grids = plan.assemble(|fp| self.store.get(fp))?;
         timing.assemble_ms = elapsed_ms(t_asm);
         timing.total_ms = elapsed_ms(t0);
         Ok(CampaignReport {
@@ -614,24 +463,21 @@ impl CampaignClient {
         backend: &dyn StoreBackend,
         opts: &WorkerOptions,
     ) -> std::io::Result<WorkerReport> {
-        let resolved = resolve_sweeps_of(&self.spec)?;
-        self.run_worker_with(backend, &resolved, opts)
+        self.drain(backend, &CampaignPlan::build(&self.spec)?, opts)
     }
 
-    /// [`CampaignClient::run_worker`] over pre-resolved sweep workloads
-    /// (shared with [`CampaignClient::merge`], which also assembles from
-    /// them).
-    fn run_worker_with(
+    /// [`CampaignClient::run_worker`] over an already built plan (shared
+    /// with [`CampaignClient::merge`], which also assembles from it).
+    fn drain(
         &self,
         backend: &dyn StoreBackend,
-        resolved: &[Vec<CampaignWorkload>],
+        plan: &CampaignPlan,
         opts: &WorkerOptions,
     ) -> std::io::Result<WorkerReport> {
-        let (cells, unique) = expand_unique_of(&self.spec, resolved);
         let threads = self.spec.scale.resolved_threads();
         let mut report = WorkerReport {
-            cells,
-            unique_jobs: unique.len(),
+            cells: plan.cells(),
+            unique_jobs: plan.unique().len(),
             ..WorkerReport::default()
         };
         // Stagger the claim order per owner so concurrent workers start on
@@ -644,12 +490,12 @@ impl CampaignClient {
         // Jobs not yet observed in the store, grouped by shard. The first
         // rescan round reads every shard once (filtering the cached
         // majority out); later rounds re-read only shards still in play.
-        let mut remaining: BTreeMap<usize, Vec<(Fingerprint, Job)>> = BTreeMap::new();
-        for (fp, job) in unique {
+        let mut remaining: BTreeMap<usize, Vec<&(Fingerprint, Job)>> = BTreeMap::new();
+        for job in plan.unique() {
             remaining
-                .entry(Store::shard_of(fp))
+                .entry(Store::shard_of(job.0))
                 .or_default()
-                .push((fp, job));
+                .push(job);
         }
 
         // Shard files are append-only, so an unchanged byte size means no
@@ -814,7 +660,7 @@ impl CampaignClient {
         backend: &dyn StoreBackend,
         lock: &BackendLease<'_>,
         shard: usize,
-        jobs: &[(Fingerprint, Job)],
+        jobs: &[&(Fingerprint, Job)],
         threads: usize,
         opts: &WorkerOptions,
         report: &mut WorkerReport,
@@ -822,6 +668,7 @@ impl CampaignClient {
         let present = backend.shard_fingerprints(shard)?;
         let jobs: Vec<&(Fingerprint, Job)> = jobs
             .iter()
+            .copied()
             .filter(|(fp, _)| !present.contains(&fp.0))
             .collect();
         if jobs.is_empty() {
@@ -865,38 +712,6 @@ impl CampaignClient {
         Ok(())
     }
 
-    /// Assembles every sweep's grid from a record snapshot without
-    /// running anything — the read-only path behind a campaign server's
-    /// CSV export endpoint.
-    ///
-    /// # Errors
-    ///
-    /// `ErrorKind::NotFound` when any record a sweep needs is missing
-    /// (the campaign has not been fully drained), counting the absences —
-    /// `assemble_from` would panic on them mid-assembly.
-    pub fn assemble(
-        &self,
-        records: &HashMap<u128, Record>,
-    ) -> std::io::Result<BTreeMap<String, Grid>> {
-        let resolved = resolve_sweeps_of(&self.spec)?;
-        let (_, unique) = expand_unique_of(&self.spec, &resolved);
-        let missing = unique
-            .iter()
-            .filter(|(fp, _)| !records.contains_key(&fp.0))
-            .count();
-        if missing > 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!(
-                    "campaign `{}` is not drained: {missing} of {} records missing",
-                    self.spec.name,
-                    unique.len()
-                ),
-            ));
-        }
-        Ok(assemble_grids(&self.spec, &resolved, records))
-    }
-
     /// The coordinator step of a distributed campaign: drains the
     /// missing-job set (waiting out live leases, reclaiming dead ones and
     /// re-running their unfinished cells locally), then snapshots every
@@ -913,10 +728,10 @@ impl CampaignClient {
         opts: &WorkerOptions,
     ) -> std::io::Result<(CampaignReport, WorkerReport)> {
         let t0 = Instant::now();
-        let resolved = resolve_sweeps_of(&self.spec)?;
+        let plan = CampaignPlan::build(&self.spec)?;
         let expand_ms = elapsed_ms(t0);
         let t_drain = Instant::now();
-        let worker = self.run_worker_with(backend, &resolved, opts)?;
+        let worker = self.drain(backend, &plan, opts)?;
         let simulate_ms = elapsed_ms(t_drain);
         // Snapshot every shard — including records other workers appended
         // during the drain — before assembling.
@@ -932,7 +747,7 @@ impl CampaignClient {
             simulated: worker.simulated,
             persist_failures: worker.persist_failures,
         };
-        let grids = assemble_grids(&self.spec, &resolved, &records);
+        let grids = plan.assemble(|fp| records.get(&fp.0))?;
         let timing = PhaseTiming {
             expand_ms,
             simulate_ms,

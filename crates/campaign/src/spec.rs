@@ -7,8 +7,9 @@
 //! sweeps expand to identical fingerprints, so the executor simulates them
 //! once and the store caches them forever.
 
+use crate::fingerprint::Fingerprint;
 use crate::job::Job;
-use crate::traces::{self, TraceRef, TraceSetError, TraceWorkload};
+use crate::traces::{self, TraceSetError, TraceWorkload};
 use dsarp_core::Mechanism;
 use dsarp_dram::{Density, Retention};
 use dsarp_sim::experiments::{harness::WORKLOAD_SEED, Scale};
@@ -61,7 +62,40 @@ pub enum CampaignWorkload {
     Traced(TraceWorkload),
 }
 
+/// What an alone-IPC job measures. Alone jobs are deduplicated by this
+/// within a density: by benchmark name for synthetic mixes, by content
+/// hash for traces (the identity their fingerprints use).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum AloneKey {
+    Bench(&'static str),
+    Trace(Fingerprint),
+}
+
+/// One sweep's jobs in expansion order.
+pub(crate) struct Expansion {
+    /// The alone-IPC jobs, density by density, with what each measures.
+    pub alone: Vec<(AloneKey, Job)>,
+    /// The grid cells, each with the index of its workload.
+    pub cells: Vec<(usize, Job)>,
+}
+
 impl CampaignWorkload {
+    /// The alone-IPC measurement behind each of the workload's cores.
+    pub(crate) fn alone_keys(&self) -> Vec<AloneKey> {
+        match self {
+            CampaignWorkload::Synthetic(w) => w
+                .benchmarks
+                .iter()
+                .map(|b| AloneKey::Bench(b.name))
+                .collect(),
+            CampaignWorkload::Traced(t) => t
+                .traces
+                .iter()
+                .map(|t| AloneKey::Trace(t.content_hash))
+                .collect(),
+        }
+    }
+
     /// The workload's display name (grid row key; not fingerprinted).
     pub fn name(&self) -> &str {
         match self {
@@ -206,76 +240,6 @@ impl SweepSpec {
         cfg
     }
 
-    /// The alone-IPC configuration for one density (mirrors
-    /// `Grid::compute_with`: the sweep's own geometry/retention, no
-    /// refresh, single core, shared-LLC capacity).
-    pub fn alone_cfg(&self, density: Density, scale: &Scale) -> SimConfig {
-        self.make_cfg(Mechanism::NoRefresh, density)
-            .with_warmup_ops(scale.warmup_ops)
-            .alone()
-    }
-
-    /// The alone-IPC job for one benchmark at one density. Job expansion
-    /// and grid assembly both build cells through this and [`Self::grid_job`],
-    /// so their fingerprints cannot drift apart.
-    pub fn alone_job(
-        &self,
-        density: Density,
-        bench: &'static dsarp_workloads::BenchmarkSpec,
-        scale: &Scale,
-    ) -> Job {
-        Job::Alone {
-            cfg: self.alone_cfg(density, scale),
-            bench,
-            cycles: scale.alone_cycles,
-        }
-    }
-
-    /// The grid-cell job for one (mechanism, density, workload).
-    pub fn grid_job(
-        &self,
-        mechanism: Mechanism,
-        density: Density,
-        workload: &Workload,
-        scale: &Scale,
-    ) -> Job {
-        Job::Grid {
-            cfg: self
-                .make_cfg(mechanism, density)
-                .with_warmup_ops(scale.warmup_ops),
-            workload: workload.clone(),
-            cycles: scale.dram_cycles,
-        }
-    }
-
-    /// The alone-IPC job for one trace file at one density (the traced
-    /// counterpart of [`Self::alone_job`]: the same trace replayed on a
-    /// single no-refresh core).
-    pub fn trace_alone_job(&self, density: Density, trace: &TraceRef, scale: &Scale) -> Job {
-        Job::TraceAlone {
-            cfg: self.alone_cfg(density, scale),
-            trace: trace.clone(),
-            cycles: scale.alone_cycles,
-        }
-    }
-
-    /// The grid-cell job for one (mechanism, density, trace bundle).
-    pub fn trace_grid_job(
-        &self,
-        mechanism: Mechanism,
-        density: Density,
-        workload: &TraceWorkload,
-        scale: &Scale,
-    ) -> Job {
-        Job::TraceGrid {
-            cfg: self
-                .make_cfg(mechanism, density)
-                .with_warmup_ops(scale.warmup_ops),
-            workload: workload.clone(),
-            cycles: scale.dram_cycles,
-        }
-    }
-
     /// Expands this sweep into jobs: deduplicated alone-IPC measurements
     /// first (by benchmark name for synthetic mixes, by content hash for
     /// traces), then every grid cell.
@@ -285,48 +249,70 @@ impl SweepSpec {
     /// [`TraceSetError`] naming the offending file when the sweep's trace
     /// set fails to resolve.
     pub fn jobs(&self, scale: &Scale, workload_seed: u64) -> Result<Vec<Job>, TraceSetError> {
-        Ok(self.jobs_for(&self.workloads.resolve(scale, workload_seed)?, scale))
+        let workloads = self.workloads.resolve(scale, workload_seed)?;
+        let Expansion { alone, cells } = self.expand(&workloads, scale);
+        let alone = alone.into_iter().map(|(_, job)| job);
+        Ok(alone.chain(cells.into_iter().map(|(_, job)| job)).collect())
     }
 
-    /// Like [`SweepSpec::jobs`], over an already-resolved workload list —
-    /// the executor resolves each sweep once (trace resolution re-reads
-    /// and re-hashes every file) and reuses the result for expansion and
-    /// grid assembly.
-    pub fn jobs_for(&self, workloads: &[CampaignWorkload], scale: &Scale) -> Vec<Job> {
-        let mut out = Vec::new();
+    /// [`SweepSpec::jobs`] over an already-resolved workload list: every
+    /// alone job with what it measures, then every grid cell with the
+    /// index of its workload, in (density, mechanism, workload) order —
+    /// the row order of the sweep's grid.
+    pub(crate) fn expand(&self, workloads: &[CampaignWorkload], scale: &Scale) -> Expansion {
+        let mut alone = Vec::new();
         for &d in &self.densities {
-            let mut seen_bench = std::collections::HashSet::new();
-            let mut seen_trace = std::collections::HashSet::new();
+            // The alone-IPC configuration mirrors `Grid::compute_with`: the
+            // sweep's own geometry/retention, no refresh, a single core,
+            // shared-LLC capacity.
+            let base = self.make_cfg(Mechanism::NoRefresh, d);
+            let cfg = base.with_warmup_ops(scale.warmup_ops).alone();
+            let cycles = scale.alone_cycles;
+            let mut seen = std::collections::HashSet::new();
             for wl in workloads {
-                match wl {
-                    CampaignWorkload::Synthetic(wl) => {
-                        for b in &wl.benchmarks {
-                            if seen_bench.insert(b.name) {
-                                out.push(self.alone_job(d, b, scale));
-                            }
-                        }
+                for (core, key) in wl.alone_keys().into_iter().enumerate() {
+                    if !seen.insert(key) {
+                        continue;
                     }
-                    CampaignWorkload::Traced(tw) => {
-                        for t in &tw.traces {
-                            if seen_trace.insert(t.content_hash) {
-                                out.push(self.trace_alone_job(d, t, scale));
-                            }
-                        }
-                    }
+                    let job = match wl {
+                        CampaignWorkload::Synthetic(wl) => Job::Alone {
+                            cfg,
+                            bench: wl.benchmarks[core],
+                            cycles,
+                        },
+                        CampaignWorkload::Traced(tw) => Job::TraceAlone {
+                            cfg,
+                            trace: tw.traces[core].clone(),
+                            cycles,
+                        },
+                    };
+                    alone.push((key, job));
                 }
             }
         }
+        let mut cells = Vec::new();
+        let cycles = scale.dram_cycles;
         for &d in &self.densities {
             for &m in &self.mechanisms {
-                for wl in workloads {
-                    out.push(match wl {
-                        CampaignWorkload::Synthetic(wl) => self.grid_job(m, d, wl, scale),
-                        CampaignWorkload::Traced(tw) => self.trace_grid_job(m, d, tw, scale),
-                    });
+                let cfg = self.make_cfg(m, d).with_warmup_ops(scale.warmup_ops);
+                for (i, wl) in workloads.iter().enumerate() {
+                    let job = match wl.clone() {
+                        CampaignWorkload::Synthetic(workload) => Job::Grid {
+                            cfg,
+                            workload,
+                            cycles,
+                        },
+                        CampaignWorkload::Traced(workload) => Job::TraceGrid {
+                            cfg,
+                            workload,
+                            cycles,
+                        },
+                    };
+                    cells.push((i, job));
                 }
             }
         }
-        out
+        Expansion { alone, cells }
     }
 }
 

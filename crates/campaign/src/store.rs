@@ -313,11 +313,6 @@ impl Store {
         self.records.keys().map(|&fp| Fingerprint(fp))
     }
 
-    /// Every known record, keyed by fingerprint (disk + absorbed).
-    pub fn records(&self) -> &HashMap<u128, Record> {
-        &self.records
-    }
-
     /// Reads every record currently on disk for the campaign at
     /// `campaign_dir`, first record per fingerprint winning — the
     /// snapshot [`crate::backend::StoreBackend`]s assemble grids from.

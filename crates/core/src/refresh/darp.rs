@@ -324,7 +324,11 @@ impl RefreshPolicy for Darp {
             let rk = ctx.chan.rank(r);
             for (b, &d) in st.debt.iter().enumerate() {
                 let forced_candidate = d >= MAX_DEBT;
-                let pool_candidate = d > -MAX_DEBT && !ctx.queues.bank_has_demand(r, b);
+                // Algorithm 1 refreshes a bank whatever its demand; the
+                // out-of-order pool takes idle banks only.
+                let pool_candidate = d > -MAX_DEBT
+                    && (!ctx.queues.bank_has_demand(r, b)
+                        || (self.wrp && ctx.queues.in_drain_mode()));
                 if !forced_candidate && !pool_candidate {
                     continue;
                 }
@@ -378,7 +382,7 @@ mod tests {
     use super::*;
     use crate::queues::RequestQueues;
     use crate::request::Request;
-    use dsarp_dram::{Density, DramChannel, Geometry, Location, Retention, SarpSupport};
+    use dsarp_dram::{Command, Density, DramChannel, Geometry, Location, Retention, SarpSupport};
 
     fn timing() -> TimingParams {
         TimingParams::ddr3_1333(Density::G8, Retention::Ms32)
@@ -594,6 +598,52 @@ mod tests {
             }
             other => panic!("expected Algorithm 1 refresh, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn drain_mode_wakes_when_the_refpb_slot_frees_despite_demand() {
+        let t = timing();
+        let mut p = Darp::new(1, 8, &t, 3, true);
+        let mut c = chan();
+        c.issue(Command::RefreshPerBank { rank: 0, bank: 0 }, 0)
+            .expect("idle channel accepts a REFpb");
+        let slot_free = c.rank(0).refpb_until();
+        assert!(
+            slot_free < t.refi_pb,
+            "the slot frees before the first tick"
+        );
+        // Writeback mode with demand queued on every bank: nothing is idle,
+        // so only Algorithm 1 can act, and only once the rank has a slot.
+        let mut q = RequestQueues::new(64, 64, 4, 2);
+        for bank in 0..8 {
+            q.try_push_write(Request::write(
+                bank as u64,
+                Location {
+                    channel: 0,
+                    rank: 0,
+                    bank,
+                    row: 0,
+                    col: 0,
+                },
+                0,
+                0,
+            ));
+        }
+        q.update_drain_mode();
+        assert!(q.in_drain_mode());
+        let asleep = PolicyContext {
+            now: 1,
+            queues: &q,
+            chan: &c,
+        };
+        assert_eq!(p.decide(&asleep), RefreshDirective::None);
+        assert_eq!(p.next_event(&asleep), Some(slot_free));
+        let awake = PolicyContext {
+            now: slot_free,
+            queues: &q,
+            chan: &c,
+        };
+        assert!(matches!(p.decide(&awake), RefreshDirective::Urgent(_)));
     }
 
     #[test]

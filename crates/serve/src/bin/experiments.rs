@@ -89,8 +89,9 @@
 
 use dsarp_campaign::store::SHARDS;
 use dsarp_campaign::{
-    export, lease, traces, Campaign, CampaignClient, CampaignReport, CampaignSpec, Event, EventLog,
-    LocalBackend, RemoteStore, Store, StoreBackend, SweepSpec, WorkerOptions, WorkloadSet,
+    export, lease, traces, Campaign, CampaignClient, CampaignPlan, CampaignReport, CampaignSpec,
+    Event, EventLog, LocalBackend, RemoteStore, Store, StoreBackend, SweepSpec, WorkerOptions,
+    WorkloadSet,
 };
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
@@ -693,17 +694,10 @@ fn run_status_cmd(args: &Args, spec: &CampaignSpec) {
     let campaign_dir = args.campaign_dir.join(&spec.name);
     // Expected cells per shard, from the same expansion run/worker use;
     // cross-sweep duplicates collapse exactly as they do when simulating.
-    let mut expected: Vec<std::collections::HashSet<u128>> = (0..SHARDS)
-        .map(|_| std::collections::HashSet::new())
-        .collect();
-    for sweep in &spec.sweeps {
-        let jobs = sweep
-            .jobs(&spec.scale, spec.workload_seed)
-            .unwrap_or_else(|e| panic!("sweep `{}` failed to expand: {e}", sweep.name));
-        for job in jobs {
-            let fp = job.fingerprint();
-            expected[Store::shard_of(fp)].insert(fp.0);
-        }
+    let plan = CampaignPlan::build(spec).unwrap_or_else(|e| panic!("{e}"));
+    let mut expected = vec![Vec::new(); SHARDS];
+    for (fp, _) in plan.unique() {
+        expected[Store::shard_of(*fp)].push(fp.0);
     }
     let leases = lease::list(&campaign_dir, SHARDS);
     let now = lease::now_ms();
@@ -935,24 +929,17 @@ fn run_compact_cmd(args: &Args, spec: &CampaignSpec) {
     // Everything that can refuse runs BEFORE any lease is taken, so a
     // failed compact never strands 8 fresh locks that block workers (and
     // compact retries) for a whole TTL.
-    let mut keep = std::collections::HashSet::new();
-    for sweep in &spec.sweeps {
-        // A trace sweep whose files are missing/unreadable must refuse
-        // here, naming the offending file: expanding to an empty keep-set
-        // would otherwise compact every cached record away as orphans.
-        let jobs = sweep
-            .jobs(&spec.scale, spec.workload_seed)
-            .unwrap_or_else(|e| {
-                panic!(
-                    "refusing to compact: sweep `{}` failed to expand — {e} \
-                 (fix or restore the trace, or compact with the spec that matches the store)",
-                    sweep.name
-                )
-            });
-        for job in jobs {
-            keep.insert(job.fingerprint().0);
-        }
-    }
+    // A trace sweep whose files are missing/unreadable must refuse here,
+    // naming the offending file: expanding to an empty keep-set would
+    // otherwise compact every cached record away as orphans.
+    let plan = CampaignPlan::build(spec).unwrap_or_else(|e| {
+        panic!(
+            "refusing to compact: sweep `{}` failed to expand — {} \
+             (fix or restore the trace, or compact with the spec that matches the store)",
+            e.sweep, e.error
+        )
+    });
+    let keep: std::collections::HashSet<u128> = plan.unique().iter().map(|(fp, _)| fp.0).collect();
     // Refuse a compaction that would empty a non-empty store: the spec
     // (or its scale — cycles are part of the fingerprint) almost
     // certainly does not match what the store was populated with.

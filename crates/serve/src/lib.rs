@@ -48,7 +48,7 @@ use dsarp_campaign::fingerprint::fingerprint_bytes;
 use dsarp_campaign::lease::{self, Acquire, Lease};
 use dsarp_campaign::remote::{AppendReply, CampaignInfo, LeaseReply, LeaseRequest, SizesReply};
 use dsarp_campaign::store::{Record, ShardTail, FORMAT_VERSION, SHARDS};
-use dsarp_campaign::{CampaignClient, CampaignSpec, Fingerprint, Store};
+use dsarp_campaign::{CampaignPlan, CampaignSpec, Fingerprint, Store};
 use dsarp_obs::{Counter, Family, Histogram, Registry};
 use dsarp_sim::experiments::report;
 use minihttp::{Request, Response, Server};
@@ -533,12 +533,16 @@ impl CampaignServer {
                 format!("no sweep matches `{file}`; exports: {}", known.join(", ")),
             ));
         };
-        let mut records = HashMap::new();
-        for shard in 0..SHARDS {
-            let view = self.refresh_view(shard)?;
-            records.extend(view.records.iter().map(|(k, v)| (*k, v.clone())));
-        }
-        let grids = CampaignClient::new(self.spec.clone()).assemble(&records)?;
+        // Planned per request, before any shard is locked: resolving a
+        // trace set re-hashes its files, so an edited trace invalidates
+        // the export.
+        let plan = CampaignPlan::build(&self.spec)?;
+        let grids = {
+            let views = (0..SHARDS)
+                .map(|shard| self.refresh_view(shard))
+                .collect::<io::Result<Vec<_>>>()?;
+            plan.assemble(|fp| views[Store::shard_of(fp)].records.get(&fp.0))?
+        };
         let grid = grids.get(sweep).expect("assembled spec sweep");
         let csv = report::to_csv(grid.rows());
         let etag = format!("\"{}\"", fingerprint_bytes(csv.as_bytes()));
