@@ -35,11 +35,12 @@
 //!   workers' cells, and reduces artifacts byte-identically to a
 //!   single-process run.
 //!
-//! The `experiments` binary in this crate regenerates every artifact of
-//! the paper through the engine:
+//! The [`paper`] module declares every artifact of the paper once (its
+//! `--exp` names, sweeps, output files and reduction); the `experiments`
+//! binary in `dsarp-serve` regenerates them through the engine:
 //!
 //! ```text
-//! cargo run --release -p dsarp-campaign --bin experiments -- --scale quick
+//! cargo run --release -p dsarp-serve --bin experiments -- --scale quick
 //! ```
 //!
 //! # Example
@@ -79,6 +80,7 @@ pub mod export;
 pub mod fingerprint;
 pub mod job;
 pub mod lease;
+pub mod paper;
 pub mod plan;
 pub mod remote;
 pub mod retry;

@@ -76,7 +76,7 @@ fn elapsed_ms(since: Instant) -> u64 {
 }
 
 /// The outcome of [`Campaign::run`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CampaignReport {
     /// One assembled grid per sweep, keyed by sweep name.
     pub grids: BTreeMap<String, Grid>,

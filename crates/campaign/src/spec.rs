@@ -124,8 +124,7 @@ impl WorkloadSet {
     }
 
     /// Resolves the concrete workload list at `scale`, deterministically in
-    /// `seed`, through the same `Scale` selection rules the experiment
-    /// modules' direct `run()` paths use. Trace sets enumerate (and
+    /// `seed`, through `Scale`'s selection rules. Trace sets enumerate (and
     /// validate + content-hash) their files; synthetic sets cannot fail.
     ///
     /// # Errors
@@ -359,90 +358,10 @@ impl CampaignSpec {
 
     /// The full paper evaluation: the main 12-mechanism grid plus every
     /// sensitivity sweep (Tables 3–6, the footnote-5 overlap study and the
-    /// design ablations). Artifact reducers expect these sweep names.
+    /// design ablations) — the union of the sweeps
+    /// [`crate::paper::ARTIFACTS`] declares.
     pub fn paper(scale: Scale) -> Self {
-        use dsarp_sim::experiments::harness::MAIN_GRID_MECHS;
-        use dsarp_sim::experiments::{ablations, overlap, table3, table4, table5, table6};
-
-        let densities = Density::evaluated();
-        let g32 = [Density::G32];
-        let intensive8 = WorkloadSet::Intensive { cores: 8 };
-        let mut spec = CampaignSpec::new("paper", scale).with_sweep(SweepSpec::new(
-            "main",
-            WorkloadSet::Paper,
-            &MAIN_GRID_MECHS,
-            &densities,
-        ));
-        for cores in table3::CORE_SWEEP {
-            spec = spec.with_sweep(SweepSpec::new(
-                format!("table3/cores{cores}"),
-                WorkloadSet::Intensive { cores },
-                &table3::MECHS,
-                &g32,
-            ));
-        }
-        for (faw, rrd) in table4::SWEEP {
-            let mut s = SweepSpec::new(
-                format!("table4/faw{faw}-rrd{rrd}"),
-                intensive8.clone(),
-                &table4::MECHS,
-                &g32,
-            );
-            s.faw_rrd = Some((faw, rrd));
-            spec = spec.with_sweep(s);
-        }
-        for n in table5::SWEEP {
-            let mut s = SweepSpec::new(
-                format!("table5/sub{n}"),
-                intensive8.clone(),
-                &table5::MECHS,
-                &g32,
-            );
-            s.subarrays = n;
-            spec = spec.with_sweep(s);
-        }
-        let mut t6 = SweepSpec::new("table6", intensive8.clone(), &table6::MECHS, &densities);
-        t6.retention = table6::RETENTION;
-        spec = spec.with_sweep(t6);
-        let mut overlap_mechs = vec![Mechanism::RefPb];
-        overlap_mechs.extend(overlap::OVERLAP_MECHS);
-        spec = spec.with_sweep(SweepSpec::new(
-            "overlap",
-            intensive8.clone(),
-            &overlap_mechs,
-            &overlap::OVERLAP_DENSITIES,
-        ));
-        spec = spec.with_sweep(SweepSpec::new(
-            "ablations/throttle",
-            intensive8.clone(),
-            &ablations::THROTTLE_MECHS,
-            &g32,
-        ));
-        let mut unthrottled = SweepSpec::new(
-            "ablations/unthrottled",
-            intensive8.clone(),
-            &[Mechanism::SarpPb],
-            &g32,
-        );
-        unthrottled.ablate_sarp_throttle = true;
-        spec = spec.with_sweep(unthrottled);
-        spec = spec.with_sweep(SweepSpec::new(
-            "ablations/darp",
-            intensive8.clone(),
-            &ablations::DARP_MECHS,
-            &g32,
-        ));
-        for (enter, exit) in ablations::WATERMARK_SWEEP {
-            let mut s = SweepSpec::new(
-                format!("ablations/wm{enter}-{exit}"),
-                intensive8.clone(),
-                &ablations::WATERMARK_MECHS,
-                &g32,
-            );
-            s.drain_watermarks = Some((enter, exit));
-            spec = spec.with_sweep(s);
-        }
-        spec
+        crate::paper::spec(scale, None)
     }
 
     /// Keeps only the sweeps whose name starts with one of `prefixes`

@@ -89,16 +89,15 @@
 
 use dsarp_campaign::store::SHARDS;
 use dsarp_campaign::{
-    export, lease, traces, Campaign, CampaignClient, CampaignPlan, CampaignReport, CampaignSpec,
-    Event, EventLog, LocalBackend, RemoteStore, Store, StoreBackend, SweepSpec, WorkerOptions,
-    WorkloadSet,
+    export, lease, paper, traces, Campaign, CampaignClient, CampaignPlan, CampaignReport,
+    CampaignSpec, Event, EventLog, LocalBackend, RemoteStore, Store, StoreBackend, SweepSpec,
+    WorkerOptions, WorkloadSet,
 };
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
 use dsarp_sim::experiments::{
-    ablations, chart, fig05, fig06_07, fig12_table2, fig13, fig14, fig15, fig16,
     harness::{Scale, WORKLOAD_SEED},
-    overlap, report, table3, table4, table5, table6,
+    report,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -181,51 +180,71 @@ struct Args {
     per_cycle: bool,
 }
 
+impl Default for Args {
+    fn default() -> Self {
+        Args {
+            cmd: Cmd::Run,
+            scale: Scale::full(),
+            out: PathBuf::from("results"),
+            campaign_dir: PathBuf::from(".campaign"),
+            fresh: false,
+            only: None,
+            spec_file: None,
+            emit_spec: None,
+            owner: None,
+            ttl_ms: lease::DEFAULT_TTL_MS,
+            poll_ms: 500,
+            store_url: None,
+            listen: None,
+            cycles: None,
+            per_category: None,
+            threads: None,
+            scale_set: false,
+            traces: None,
+            trace_cores: 1,
+            trace_glob: String::from("*.trace"),
+            capture_count: 4,
+            capture_ops: 50_000,
+            // The paper SimConfig's seed: captured entries are the exact
+            // streams the synthetic default sweeps generate. (The text
+            // format itself is lossy for store bubbles and load
+            // dependence, so replay is bit-exact only for loads-only
+            // streams — see the README.)
+            capture_seed: 0xD5A2_2014,
+            capture_knobs_set: false,
+            trace_format: None,
+            convert_from: None,
+            convert_to: None,
+            events: None,
+            telemetry: false,
+            per_cycle: false,
+        }
+    }
+}
+
+impl Args {
+    /// `scale` with the explicit `--cycles`/`--per-category`/`--threads`
+    /// applied on top (of the `--scale` preset, or of a `--spec` file's).
+    fn with_scale_overrides(&self, mut scale: Scale) -> Scale {
+        scale.dram_cycles = self.cycles.unwrap_or(scale.dram_cycles);
+        scale.per_category = self.per_category.unwrap_or(scale.per_category);
+        self.threads.map_or(scale, |t| scale.with_threads(t))
+    }
+}
+
 fn parse_args() -> Args {
-    let mut scale = Scale::full();
-    // Individual knobs are collected separately and applied after the
-    // loop, so `--cycles 4000 --scale quick` and `--scale quick --cycles
-    // 4000` mean the same thing.
-    let mut cycles = None;
-    let mut per_category = None;
-    let mut threads = None;
-    let mut out = PathBuf::from("results");
-    let mut campaign_dir = PathBuf::from(".campaign");
-    let mut fresh = false;
-    let mut only = None;
-    let mut scale_set = false;
-    let mut spec_file = None;
-    let mut emit_spec = None;
-    let mut owner = None;
-    let mut ttl_ms = lease::DEFAULT_TTL_MS;
-    let mut poll_ms = 500;
-    let mut store_url = None;
-    let mut listen = None;
+    // `--cycles`/`--per-category`/`--threads` are applied to the scale
+    // after the loop, so `--cycles 4000 --scale quick` and `--scale quick
+    // --cycles 4000` mean the same thing.
+    let mut args = Args::default();
     let mut campaign_set = false;
-    let mut traces = None;
-    let mut trace_cores = 1usize;
-    let mut trace_glob = String::from("*.trace");
-    let mut capture_count = 4usize;
-    let mut capture_ops = 50_000usize;
-    // The paper SimConfig's seed: captured entries are the exact streams
-    // the synthetic default sweeps generate. (The text format itself is
-    // lossy for store bubbles and load dependence, so replay is
-    // bit-exact only for loads-only streams — see the README.)
-    let mut capture_seed = 0xD5A2_2014u64;
-    let mut capture_knobs_set = false;
-    let mut trace_format = None;
-    let mut convert_from = None;
-    let mut convert_to = None;
-    let mut events = None;
-    let mut telemetry = false;
-    let mut per_cycle = false;
     let mut trace_knobs_set = false;
     // Flags that only make sense for simulation-running subcommands; a
     // trace-capture passing one must refuse, not look configured.
     let mut run_only_flags: Vec<&'static str> = Vec::new();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
-    let cmd = match argv.first() {
+    args.cmd = match argv.first() {
         Some(word) if !word.starts_with("--") => {
             i += 1;
             let known = SUBCOMMANDS.iter().find(|(name, _)| name == word);
@@ -253,85 +272,86 @@ fn parse_args() -> Args {
         };
         match argv[i].as_str() {
             "--scale" => {
-                scale_set = true;
-                scale = match next(&mut i).as_str() {
+                args.scale_set = true;
+                args.scale = match next(&mut i).as_str() {
                     "quick" => Scale::quick(),
                     "full" => Scale::full(),
                     other => die(&format!("unknown scale `{other}`")),
                 }
             }
-            "--cycles" => cycles = Some(num("--cycles", next(&mut i))),
-            "--per-category" => per_category = Some(num("--per-category", next(&mut i))),
-            "--threads" => threads = Some(num("--threads", next(&mut i))),
+            "--cycles" => args.cycles = Some(num("--cycles", next(&mut i))),
+            "--per-category" => args.per_category = Some(num("--per-category", next(&mut i))),
+            "--threads" => args.threads = Some(num("--threads", next(&mut i))),
             "--out" => {
                 run_only_flags.push("--out");
-                out = PathBuf::from(next(&mut i));
+                args.out = PathBuf::from(next(&mut i));
             }
             "--campaign" => {
                 run_only_flags.push("--campaign");
                 campaign_set = true;
-                campaign_dir = PathBuf::from(next(&mut i));
+                args.campaign_dir = PathBuf::from(next(&mut i));
             }
-            "--store-url" => store_url = Some(next(&mut i)),
-            "--listen" => listen = Some(next(&mut i)),
-            "--fresh" => fresh = true,
-            "--exp" => only = Some(next(&mut i)),
-            "--spec" => spec_file = Some(PathBuf::from(next(&mut i))),
-            "--emit-spec" => emit_spec = Some(PathBuf::from(next(&mut i))),
+            "--store-url" => args.store_url = Some(next(&mut i)),
+            "--listen" => args.listen = Some(next(&mut i)),
+            "--fresh" => args.fresh = true,
+            "--exp" => args.only = Some(next(&mut i)),
+            "--spec" => args.spec_file = Some(PathBuf::from(next(&mut i))),
+            "--emit-spec" => args.emit_spec = Some(PathBuf::from(next(&mut i))),
             "--owner" => {
                 run_only_flags.push("--owner");
-                owner = Some(next(&mut i));
+                args.owner = Some(next(&mut i));
             }
             "--ttl-ms" => {
                 run_only_flags.push("--ttl-ms");
-                ttl_ms = num("--ttl-ms", next(&mut i));
+                args.ttl_ms = num("--ttl-ms", next(&mut i));
             }
             "--poll-ms" => {
                 run_only_flags.push("--poll-ms");
-                poll_ms = num("--poll-ms", next(&mut i));
+                args.poll_ms = num("--poll-ms", next(&mut i));
             }
             "--events" => {
                 run_only_flags.push("--events");
-                events = Some(PathBuf::from(next(&mut i)));
+                args.events = Some(PathBuf::from(next(&mut i)));
             }
             "--telemetry" => {
                 run_only_flags.push("--telemetry");
-                telemetry = true;
+                args.telemetry = true;
             }
             "--no-skip-ahead" => {
                 run_only_flags.push("--no-skip-ahead");
-                per_cycle = true;
+                args.per_cycle = true;
             }
-            "--traces" => traces = Some(PathBuf::from(next(&mut i))),
+            "--traces" => args.traces = Some(PathBuf::from(next(&mut i))),
             "--trace-cores" => {
                 trace_knobs_set = true;
-                trace_cores = num("--trace-cores", next(&mut i));
+                args.trace_cores = num("--trace-cores", next(&mut i));
             }
             "--trace-glob" => {
                 trace_knobs_set = true;
                 run_only_flags.push("--trace-glob");
-                trace_glob = next(&mut i);
+                args.trace_glob = next(&mut i);
             }
             "--count" => {
-                capture_knobs_set = true;
-                capture_count = num("--count", next(&mut i));
+                args.capture_knobs_set = true;
+                args.capture_count = num("--count", next(&mut i));
             }
             "--ops" => {
-                capture_knobs_set = true;
-                capture_ops = num("--ops", next(&mut i));
+                args.capture_knobs_set = true;
+                args.capture_ops = num("--ops", next(&mut i));
             }
             "--seed" => {
-                capture_knobs_set = true;
-                capture_seed = num("--seed", next(&mut i));
+                args.capture_knobs_set = true;
+                args.capture_seed = num("--seed", next(&mut i));
             }
             "--format" => {
                 let value = next(&mut i);
-                trace_format = Some(dsarp_cpu::TraceDialect::parse(&value).unwrap_or_else(|| {
-                    die(&format!("unknown --format `{value}` (text|text-ext|bin)"))
-                }));
+                args.trace_format =
+                    Some(dsarp_cpu::TraceDialect::parse(&value).unwrap_or_else(|| {
+                        die(&format!("unknown --format `{value}` (text|text-ext|bin)"))
+                    }));
             }
-            "--from" => convert_from = Some(PathBuf::from(next(&mut i))),
-            "--to" => convert_to = Some(PathBuf::from(next(&mut i))),
+            "--from" => args.convert_from = Some(PathBuf::from(next(&mut i))),
+            "--to" => args.convert_to = Some(PathBuf::from(next(&mut i))),
             other => die(&format!("unknown argument `{other}` (see the module docs)")),
         }
         i += 1;
@@ -339,7 +359,8 @@ fn parse_args() -> Args {
     // Mode-invalid combinations refuse up front, naming the offending
     // flag: a silently ignored `--store-url` would run against the local
     // directory while the user believes the server is in the loop.
-    if store_url.is_some() {
+    let cmd = args.cmd;
+    if args.store_url.is_some() {
         if !matches!(cmd, Cmd::Worker | Cmd::Merge) {
             let name = SUBCOMMANDS
                 .iter()
@@ -355,49 +376,45 @@ fn parse_args() -> Args {
         if campaign_set {
             die("--campaign conflicts with --store-url (the server owns the store directory)");
         }
-        if fresh {
+        if args.fresh {
             die("--fresh conflicts with --store-url (wipe the store on the serving host)");
         }
     }
-    if listen.is_some() && cmd != Cmd::Serve {
+    if args.listen.is_some() && cmd != Cmd::Serve {
         die("--listen applies to `serve` only");
     }
-    if telemetry && cmd != Cmd::Run {
+    if args.telemetry && cmd != Cmd::Run {
         die("--telemetry applies to `run` only (sidecars are written by the local executor)");
     }
-    if per_cycle && cmd != Cmd::Run {
+    if args.per_cycle && cmd != Cmd::Run {
         die(
             "--no-skip-ahead applies to `run` only (workers always use the default loop; \
              results are identical by the exactness guarantee)",
         );
     }
-    if events.is_some() && !matches!(cmd, Cmd::Run | Cmd::Worker | Cmd::Merge) {
+    if args.events.is_some() && !matches!(cmd, Cmd::Run | Cmd::Worker | Cmd::Merge) {
         die("--events applies to run/worker/merge (the simulating subcommands)");
     }
-    if fresh && matches!(cmd, Cmd::Worker | Cmd::Merge) {
+    if args.fresh && matches!(cmd, Cmd::Worker | Cmd::Merge) {
         die("--fresh would wipe records other workers are producing; use it with `run`");
     }
-    if cmd == Cmd::Serve && fresh {
+    if cmd == Cmd::Serve && args.fresh {
         die("--fresh conflicts with serve (wipe the store before starting the server)");
     }
-    if let Some(c) = cycles {
-        scale.dram_cycles = c;
-    }
-    if let Some(p) = per_category {
-        scale.per_category = p;
-    }
-    if let Some(t) = threads {
-        scale = scale.with_threads(t);
-    }
+    args.scale = args.with_scale_overrides(args.scale);
+    let scale_knobs_set = args.scale_set
+        || args.cycles.is_some()
+        || args.per_category.is_some()
+        || args.threads.is_some();
     // Silently ignored flags must refuse, not look configured.
-    if traces.is_none() && trace_knobs_set {
+    if args.traces.is_none() && trace_knobs_set {
         die(
             "--trace-cores/--trace-glob configure a --traces DIR sweep (or trace-capture); \
              pass --traces too",
         );
     }
     if cmd == Cmd::TraceCapture {
-        if scale_set || cycles.is_some() || per_category.is_some() || threads.is_some() {
+        if scale_knobs_set {
             die(
                 "--scale/--cycles/--per-category/--threads configure simulation runs; \
                  trace-capture only takes --traces/--count/--trace-cores/--ops/--seed/--format",
@@ -411,92 +428,40 @@ fn parse_args() -> Args {
             ));
         }
     }
-    if trace_format.is_some() && !matches!(cmd, Cmd::TraceCapture | Cmd::TraceConvert) {
+    if args.trace_format.is_some() && !matches!(cmd, Cmd::TraceCapture | Cmd::TraceConvert) {
         die("--format picks a trace encoding; it applies to trace-capture/trace-convert only");
     }
-    if (convert_from.is_some() || convert_to.is_some()) && cmd != Cmd::TraceConvert {
+    if (args.convert_from.is_some() || args.convert_to.is_some()) && cmd != Cmd::TraceConvert {
         die("--from/--to apply to trace-convert only");
     }
     if cmd == Cmd::TraceConvert {
-        if scale_set
-            || cycles.is_some()
-            || per_category.is_some()
-            || threads.is_some()
+        if scale_knobs_set
             || !run_only_flags.is_empty()
             || trace_knobs_set
-            || capture_knobs_set
-            || traces.is_some()
-            || spec_file.is_some()
-            || only.is_some()
-            || fresh
+            || args.capture_knobs_set
+            || args.traces.is_some()
+            || args.spec_file.is_some()
+            || args.only.is_some()
+            || args.fresh
         {
             die("trace-convert only takes --from FILE --to FILE [--format text|text-ext|bin]");
         }
-        if convert_from.is_none() || convert_to.is_none() {
+        if args.convert_from.is_none() || args.convert_to.is_none() {
             die("trace-convert needs both --from FILE and --to FILE");
         }
     }
-    if let Some(name) = only.as_deref() {
+    if let Some(name) = args.only.as_deref() {
         // A --spec file and the --traces campaign carry their own sweep
         // names; only the built-in paper campaign has a fixed artifact
         // list to validate against.
-        if spec_file.is_none() && traces.is_none() {
-            const KNOWN: [&str; 15] = [
-                "fig5",
-                "fig6",
-                "fig7",
-                "fig12",
-                "table2",
-                "fig13",
-                "fig14",
-                "fig15",
-                "fig16",
-                "table3",
-                "table4",
-                "table5",
-                "table6",
-                "overlap",
-                "ablations",
-            ];
-            if !KNOWN.contains(&name) {
-                die(&format!(
-                    "unknown experiment `{name}`; expected one of {KNOWN:?}"
-                ));
-            }
+        let known: Vec<&str> = paper::names().collect();
+        if args.spec_file.is_none() && args.traces.is_none() && !known.contains(&name) {
+            die(&format!(
+                "unknown experiment `{name}`; expected one of {known:?}"
+            ));
         }
     }
-    Args {
-        cmd,
-        scale,
-        out,
-        campaign_dir,
-        fresh,
-        only,
-        spec_file,
-        emit_spec,
-        owner,
-        ttl_ms,
-        poll_ms,
-        store_url,
-        listen,
-        cycles,
-        per_category,
-        threads,
-        scale_set,
-        traces,
-        trace_cores,
-        trace_glob,
-        capture_count,
-        capture_ops,
-        capture_seed,
-        capture_knobs_set,
-        trace_format,
-        convert_from,
-        convert_to,
-        events,
-        telemetry,
-        per_cycle,
-    }
+    args
 }
 
 /// Opens the `--events` JSONL sink, or a disabled log when the flag is
@@ -509,34 +474,6 @@ fn event_log(args: &Args) -> Arc<EventLog> {
         ),
         None => Arc::new(EventLog::disabled()),
     }
-}
-
-fn wanted(only: &Option<String>, name: &str) -> bool {
-    only.as_deref().is_none_or(|o| o == name)
-}
-
-/// Which sweep-name prefixes the requested artifacts need.
-fn required_sweeps(only: &Option<String>) -> Vec<&'static str> {
-    const MAIN_ARTIFACTS: [&str; 8] = [
-        "fig6", "fig7", "fig12", "table2", "fig13", "fig14", "fig15", "fig16",
-    ];
-    let mut prefixes = Vec::new();
-    if MAIN_ARTIFACTS.iter().any(|n| wanted(only, n)) {
-        prefixes.push("main");
-    }
-    for (artifact, prefix) in [
-        ("table3", "table3/"),
-        ("table4", "table4/"),
-        ("table5", "table5/"),
-        ("table6", "table6"),
-        ("overlap", "overlap"),
-        ("ablations", "ablations/"),
-    ] {
-        if wanted(only, artifact) {
-            prefixes.push(prefix);
-        }
-    }
-    prefixes
 }
 
 /// The trace-sweep mechanisms `--traces DIR` evaluates by default; emit
@@ -569,57 +506,36 @@ fn resolve_spec(args: &Args) -> (CampaignSpec, bool) {
     if args.spec_file.is_some() && args.traces.is_some() {
         die("--traces conflicts with --spec (a spec file can hold a TraceDir sweep itself)");
     }
-    if let Some(dir) = &args.traces {
-        let mut spec = trace_spec(args, dir);
-        if let Some(prefix) = args.only.as_deref() {
-            spec = spec.filtered(&[prefix]);
-            if spec.sweeps.is_empty() {
-                die(&format!(
-                    "--exp {prefix} matches no sweep of the trace campaign \
-                     (its sweep is `traces`)"
-                ));
-            }
+    let (spec, what) = if let Some(dir) = &args.traces {
+        let what = "the trace campaign (its sweep is `traces`)";
+        (trace_spec(args, dir), what)
+    } else if let Some(path) = &args.spec_file {
+        // A silently ignored preset would run at the file's scale
+        // while the user believes they asked for another.
+        if args.scale_set {
+            die(
+                "--scale conflicts with --spec (the spec file carries its own scale; \
+                 use --cycles/--per-category/--threads to override individual knobs)",
+            );
         }
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| die(&format!("cannot read --spec {}: {e}", path.display())));
+        let mut spec = CampaignSpec::from_json(&text)
+            .unwrap_or_else(|e| die(&format!("cannot parse --spec {}: {e}", path.display())));
+        spec.scale = args.with_scale_overrides(spec.scale);
+        (spec, "the custom spec")
+    } else {
+        return (paper::spec(args.scale, args.only.as_deref()), false);
+    };
+    // A custom campaign carries its own sweep names: `--exp` is a prefix.
+    let Some(prefix) = args.only.as_deref() else {
         return (spec, true);
+    };
+    let spec = spec.filtered(&[prefix]);
+    if spec.sweeps.is_empty() {
+        die(&format!("--exp {prefix} matches no sweep of {what}"));
     }
-    match &args.spec_file {
-        Some(path) => {
-            // A silently ignored preset would run at the file's scale
-            // while the user believes they asked for another.
-            if args.scale_set {
-                die(
-                    "--scale conflicts with --spec (the spec file carries its own scale; \
-                     use --cycles/--per-category/--threads to override individual knobs)",
-                );
-            }
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| die(&format!("cannot read --spec {}: {e}", path.display())));
-            let mut spec = CampaignSpec::from_json(&text)
-                .unwrap_or_else(|e| die(&format!("cannot parse --spec {}: {e}", path.display())));
-            if let Some(c) = args.cycles {
-                spec.scale.dram_cycles = c;
-            }
-            if let Some(p) = args.per_category {
-                spec.scale.per_category = p;
-            }
-            if let Some(t) = args.threads {
-                spec.scale = spec.scale.with_threads(t);
-            }
-            if let Some(prefix) = args.only.as_deref() {
-                spec = spec.filtered(&[prefix]);
-                if spec.sweeps.is_empty() {
-                    die(&format!(
-                        "--exp {prefix} matches no sweep of the custom spec"
-                    ));
-                }
-            }
-            (spec, true)
-        }
-        None => {
-            let prefixes = required_sweeps(&args.only);
-            (CampaignSpec::paper(args.scale).filtered(&prefixes), false)
-        }
-    }
+    (spec, true)
 }
 
 fn worker_options(args: &Args) -> WorkerOptions {
@@ -694,7 +610,7 @@ fn run_status_cmd(args: &Args, spec: &CampaignSpec) {
     let campaign_dir = args.campaign_dir.join(&spec.name);
     // Expected cells per shard, from the same expansion run/worker use;
     // cross-sweep duplicates collapse exactly as they do when simulating.
-    let plan = CampaignPlan::build(spec).unwrap_or_else(|e| panic!("{e}"));
+    let plan = CampaignPlan::build(spec).unwrap_or_else(|e| die(&e.to_string()));
     let mut expected = vec![Vec::new(); SHARDS];
     for (fp, _) in plan.unique() {
         expected[Store::shard_of(*fp)].push(fp.0);
@@ -711,7 +627,7 @@ fn run_status_cmd(args: &Args, spec: &CampaignSpec) {
     let (mut total_done, mut total_expected) = (0usize, 0usize);
     for (shard, want) in expected.iter().enumerate() {
         let present = Store::read_shard_fingerprints(&campaign_dir, shard)
-            .unwrap_or_else(|e| panic!("cannot read shard {shard}: {e}"));
+            .unwrap_or_else(|e| die(&format!("cannot read shard {shard}: {e}")));
         let done = want.iter().filter(|fp| present.contains(fp)).count();
         total_done += done;
         total_expected += want.len();
@@ -933,11 +849,11 @@ fn run_compact_cmd(args: &Args, spec: &CampaignSpec) {
     // naming the offending file: expanding to an empty keep-set would
     // otherwise compact every cached record away as orphans.
     let plan = CampaignPlan::build(spec).unwrap_or_else(|e| {
-        panic!(
+        die(&format!(
             "refusing to compact: sweep `{}` failed to expand — {} \
              (fix or restore the trace, or compact with the spec that matches the store)",
             e.sweep, e.error
-        )
+        ))
     });
     let keep: std::collections::HashSet<u128> = plan.unique().iter().map(|(fp, _)| fp.0).collect();
     // Refuse a compaction that would empty a non-empty store: the spec
@@ -950,12 +866,13 @@ fn run_compact_cmd(args: &Args, spec: &CampaignSpec) {
         .fingerprints()
         .filter(|fp| keep.contains(&fp.0))
         .count();
-    assert!(
-        store.is_empty() || reachable > 0,
-        "refusing to compact: the spec reaches none of the store's {} records — \
-         wrong --spec file or --scale/--cycles for this store?",
-        store.len()
-    );
+    if !store.is_empty() && reachable == 0 {
+        die(&format!(
+            "refusing to compact: the spec reaches none of the store's {} records — \
+             wrong --spec file or --scale/--cycles for this store?",
+            store.len()
+        ));
+    }
     drop(store);
 
     // Exclude every writer for the rewrite: appends only happen under a
@@ -973,11 +890,11 @@ fn run_compact_cmd(args: &Args, spec: &CampaignSpec) {
                 for lock in held {
                     let _ = lock.release();
                 }
-                panic!(
+                die(&format!(
                     "refusing to compact: shard {shard} is leased by `{}` \
                      (wait for workers to finish, or let the lease go stale)",
                     holder.owner
-                );
+                ));
             }
         }
     }
@@ -1027,26 +944,54 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
     ));
     let t0 = Instant::now();
 
-    // Figure 5 is analytic: no simulation, no campaign.
-    if !custom && wanted(&args.only, "fig5") {
-        let rows = fig05::run();
-        report::write_csv(out, "fig05_trfc_trend", &rows).unwrap();
-        md.push_str(&report::to_markdown("Figure 5: tRFCab trend (ns)", &rows));
-        println!("[{:>7.1?}] fig5 done", t0.elapsed());
-    }
-
-    // Everything else reduces from the campaign.
     if args.fresh {
         let store = args.campaign_dir.join(&spec.name);
         if store.exists() {
             std::fs::remove_dir_all(&store).expect("wipe campaign store");
         }
     }
-    if spec.sweeps.is_empty() {
-        finish(out, &md, t0);
-        return;
+    // The analytic Figure 5 alone needs no sweep: no store is opened and
+    // no campaign report written, it reduces from an empty one.
+    let result = if spec.sweeps.is_empty() {
+        CampaignReport::default()
+    } else {
+        let result = execute(args, spec, t0);
+        export::write_report_json(out, &result).unwrap();
+        result
+    };
+
+    if custom {
+        // Custom specs reduce to one generic grid CSV/JSONL per sweep.
+        for (name, grid) in &result.grids {
+            let file = format!("grid_{}", name.replace(['/', ' '], "-"));
+            export::write_grid(out, &file, grid).unwrap();
+            md.push_str(&report::to_markdown(&format!("Sweep {name}"), grid.rows()));
+        }
+        println!("[{:>7.1?}] grid exports done", t0.elapsed());
+    } else {
+        if let Some(grid) = result.grids.get(paper::MAIN_SWEEP) {
+            export::write_grid(out, "main_grid", grid).unwrap();
+        }
+        let only = args.only.as_deref();
+        for artifact in paper::ARTIFACTS.iter().filter(|a| a.answers(only)) {
+            for section in artifact.reduce(&result) {
+                report::write_csv(out, section.stem, &section.rows).unwrap();
+                md.push_str(&section.markdown);
+            }
+            println!("[{:>7.1?}] {} done", t0.elapsed(), artifact.names.join("/"));
+        }
     }
-    let prefixes = required_sweeps(&args.only);
+    std::fs::write(out.join("EXPERIMENTS_RAW.md"), md).expect("write markdown report");
+    println!(
+        "[{:>7.1?}] all requested experiments written to {}",
+        t0.elapsed(),
+        out.display()
+    );
+}
+
+/// Runs the campaign locally (`run`) or drains and assembles it through
+/// the store backend (`merge`).
+fn execute(args: &Args, spec: CampaignSpec, t0: Instant) -> CampaignReport {
     let events = event_log(args);
     let result = if args.cmd == Cmd::Merge {
         // Coordinator: drain + snapshot + assemble through the backend.
@@ -1083,212 +1028,5 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
         result.stats.cache_hits,
         result.stats.simulated
     );
-    export::write_report_json(out, &result).unwrap();
-
-    if custom {
-        // Custom specs reduce to one generic grid CSV/JSONL per sweep.
-        for (name, grid) in &result.grids {
-            let file = format!("grid_{}", name.replace(['/', ' '], "-"));
-            export::write_grid(out, &file, grid).unwrap();
-            md.push_str(&report::to_markdown(&format!("Sweep {name}"), grid.rows()));
-        }
-        println!("[{:>7.1?}] grid exports done", t0.elapsed());
-        finish(out, &md, t0);
-        return;
-    }
-
-    if prefixes.contains(&"main") {
-        reduce_main_grid(args, &result, &mut md, &t0, out);
-    }
-    if wanted(&args.only, "table3") {
-        let rows: Vec<table3::Table3Row> = table3::CORE_SWEEP
-            .iter()
-            .map(|&cores| table3::reduce(result.grid(&format!("table3/cores{cores}")), cores))
-            .collect();
-        report::write_csv(out, "table3_core_count", &rows).unwrap();
-        md.push_str(&report::to_markdown(
-            "Table 3: DSARP vs REFab by core count (32 Gb, intensive, %)",
-            &rows,
-        ));
-        println!("[{:>7.1?}] table3 done", t0.elapsed());
-    }
-    if wanted(&args.only, "table4") {
-        let rows: Vec<table4::Table4Row> = table4::SWEEP
-            .iter()
-            .map(|&(faw, rrd)| {
-                table4::reduce(result.grid(&format!("table4/faw{faw}-rrd{rrd}")), faw, rrd)
-            })
-            .collect();
-        report::write_csv(out, "table4_tfaw", &rows).unwrap();
-        md.push_str(&report::to_markdown(
-            "Table 4: SARPpb over REFpb vs tFAW/tRRD (32 Gb, %)",
-            &rows,
-        ));
-        println!("[{:>7.1?}] table4 done", t0.elapsed());
-    }
-    if wanted(&args.only, "table5") {
-        let rows: Vec<table5::Table5Row> = table5::SWEEP
-            .iter()
-            .map(|&n| table5::reduce(result.grid(&format!("table5/sub{n}")), n))
-            .collect();
-        report::write_csv(out, "table5_subarrays", &rows).unwrap();
-        md.push_str(&report::to_markdown(
-            "Table 5: SARPpb over REFpb vs subarrays/bank (32 Gb, %)",
-            &rows,
-        ));
-        println!("[{:>7.1?}] table5 done", t0.elapsed());
-    }
-    if wanted(&args.only, "ablations") {
-        let grids = ablations::AblationGrids {
-            throttle: result.grid("ablations/throttle").clone(),
-            unthrottled: result.grid("ablations/unthrottled").clone(),
-            darp: result.grid("ablations/darp").clone(),
-            watermarks: ablations::WATERMARK_SWEEP
-                .iter()
-                .map(|&(enter, exit)| {
-                    (
-                        enter,
-                        exit,
-                        result.grid(&format!("ablations/wm{enter}-{exit}")).clone(),
-                    )
-                })
-                .collect(),
-        };
-        let rows = ablations::reduce(&grids);
-        report::write_csv(out, "ablations", &rows).unwrap();
-        md.push_str(&report::to_markdown(
-            "Ablations (32 Gb, intensive, %)",
-            &rows,
-        ));
-        println!("[{:>7.1?}] ablations done", t0.elapsed());
-    }
-    if wanted(&args.only, "overlap") {
-        let rows = overlap::reduce(result.grid("overlap"), &overlap::OVERLAP_DENSITIES);
-        report::write_csv(out, "overlap_extension", &rows).unwrap();
-        md.push_str(&report::to_markdown(
-            "Extension: footnote-5 overlapped REFpb (% over REFpb)",
-            &rows,
-        ));
-        println!("[{:>7.1?}] overlap done", t0.elapsed());
-    }
-    if wanted(&args.only, "table6") {
-        let rows = table6::reduce(result.grid("table6"), &Density::evaluated());
-        report::write_csv(out, "table6_64ms", &rows).unwrap();
-        md.push_str(&report::to_markdown(
-            "Table 6: DSARP improvements at 64 ms retention (%)",
-            &rows,
-        ));
-        println!("[{:>7.1?}] table6 done", t0.elapsed());
-    }
-
-    finish(out, &md, t0);
-}
-
-fn reduce_main_grid(
-    args: &Args,
-    result: &CampaignReport,
-    md: &mut String,
-    t0: &Instant,
-    out: &Path,
-) {
-    let densities = Density::evaluated();
-    let grid = result.grid("main");
-    export::write_grid(out, "main_grid", grid).unwrap();
-
-    if wanted(&args.only, "fig6") || wanted(&args.only, "fig7") {
-        let (fig6, fig7) = fig06_07::reduce(grid, &densities);
-        report::write_csv(out, "fig06_refab_loss", &fig6).unwrap();
-        report::write_csv(out, "fig07_refab_refpb_loss", &fig7).unwrap();
-        md.push_str(&report::to_markdown(
-            "Figure 6: WS loss of REFab vs no-refresh (%)",
-            &fig6,
-        ));
-        md.push_str(&report::to_markdown(
-            "Figure 7: WS loss of REFab/REFpb vs no-refresh (%)",
-            &fig7,
-        ));
-    }
-
-    if wanted(&args.only, "fig12") || wanted(&args.only, "table2") {
-        let fig12 = fig12_table2::reduce_fig12(grid, &densities);
-        let table2 = fig12_table2::reduce_table2(grid, &densities);
-        report::write_csv(out, "fig12_sorted_ws", &fig12).unwrap();
-        let series: Vec<(&str, Vec<f64>)> = [Mechanism::RefPb, Mechanism::Darp, Mechanism::Dsarp]
-            .iter()
-            .map(|m| {
-                let mut pts: Vec<&fig12_table2::Fig12Point> = fig12
-                    .iter()
-                    .filter(|p| p.density == Density::G32 && p.mechanism == *m)
-                    .collect();
-                pts.sort_by_key(|p| p.sorted_index);
-                (m.label(), pts.iter().map(|p| p.ws_over_refab).collect())
-            })
-            .collect();
-        md.push_str(&chart::line_chart(
-            "Figure 12 at 32 Gb: WS over REFab, workloads sorted by DARP gain",
-            &series,
-            12,
-        ));
-        report::write_csv(out, "table2_ws_improvements", &table2).unwrap();
-        md.push_str(&report::to_markdown(
-            "Table 2: max / gmean WS improvement over REFpb and REFab (%)",
-            &table2,
-        ));
-    }
-
-    if wanted(&args.only, "fig13") {
-        let f13 = fig13::reduce(grid, &densities);
-        report::write_csv(out, "fig13_all_mechanisms", &f13).unwrap();
-        md.push_str(&report::to_markdown(
-            "Figure 13: gmean WS improvement over REFab (%)",
-            &f13,
-        ));
-        let bars: Vec<(String, f64)> = f13
-            .iter()
-            .filter(|r| r.density == Density::G32)
-            .map(|r| (r.mechanism.label().to_string(), r.gmean_over_refab_pct))
-            .collect();
-        md.push_str(&chart::bar_chart(
-            "Figure 13 at 32 Gb (% over REFab)",
-            &bars,
-            40,
-        ));
-    }
-
-    if wanted(&args.only, "fig14") {
-        let f14 = fig14::reduce(grid, &densities);
-        report::write_csv(out, "fig14_energy", &f14).unwrap();
-        md.push_str(&report::to_markdown(
-            "Figure 14: energy per access (nJ)",
-            &f14,
-        ));
-    }
-
-    if wanted(&args.only, "fig15") {
-        let f15 = fig15::reduce(grid, &densities);
-        report::write_csv(out, "fig15_intensity", &f15).unwrap();
-        md.push_str(&report::to_markdown(
-            "Figure 15: DSARP WS improvement by memory intensity (%)",
-            &f15,
-        ));
-    }
-
-    if wanted(&args.only, "fig16") {
-        let f16 = fig16::reduce(grid, &densities);
-        report::write_csv(out, "fig16_fgr_ar", &f16).unwrap();
-        md.push_str(&report::to_markdown(
-            "Figure 16: WS normalized to REFab",
-            &f16,
-        ));
-    }
-    println!("[{:>7.1?}] grid reductions done", t0.elapsed());
-}
-
-fn finish(out: &Path, md: &str, t0: Instant) {
-    std::fs::write(out.join("EXPERIMENTS_RAW.md"), md).expect("write markdown report");
-    println!(
-        "[{:>7.1?}] all requested experiments written to {}",
-        t0.elapsed(),
-        out.display()
-    );
+    result
 }

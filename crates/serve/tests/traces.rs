@@ -542,7 +542,7 @@ fn compact_refuses_and_names_a_missing_trace() {
         ])
         .output()
         .unwrap();
-    assert!(!out.status.success(), "compact must refuse");
+    assert_eq!(out.status.code(), Some(2), "compact must refuse");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("refusing to compact") && stderr.contains("-c00.trace"),

@@ -12,8 +12,7 @@
 //! 3. **Write-drain watermarks** — the paper fixes only the low watermark
 //!    (32); this sweep shows the high watermark choice is not load-bearing.
 
-use super::harness::{Grid, Scale};
-use crate::config::SimConfig;
+use super::harness::Grid;
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
 use serde::{Deserialize, Serialize};
@@ -29,21 +28,7 @@ pub struct AblationRow {
     pub ws_improvement_pct: f64,
 }
 
-/// Mechanisms of the throttle study (study 1) — also reused as the plain
-/// baseline grid the unthrottled variant is compared against.
-pub const THROTTLE_MECHS: [Mechanism; 2] = [Mechanism::RefPb, Mechanism::SarpPb];
-
-/// Mechanisms of the DARP component study (study 2).
-pub const DARP_MECHS: [Mechanism; 3] = [Mechanism::RefPb, Mechanism::DarpOooOnly, Mechanism::Darp];
-
-/// Mechanisms of the watermark study (study 3).
-pub const WATERMARK_MECHS: [Mechanism; 2] = [Mechanism::RefPb, Mechanism::Darp];
-
-/// The watermark pairs swept by ablation 3.
-pub const WATERMARK_SWEEP: [(usize, usize); 3] = [(40, 24), (48, 32), (56, 40)];
-
-/// The grids the three ablations reduce from. The campaign engine computes
-/// these from cached sweeps; [`run`] computes them directly.
+/// The grids the three ablations reduce from, one per campaign sweep.
 #[derive(Debug, Clone, Default)]
 pub struct AblationGrids {
     /// `RefPb` + `SarpPb` under the paper's real (throttled) device.
@@ -109,72 +94,4 @@ pub fn reduce(grids: &AblationGrids) -> Vec<AblationRow> {
         });
     }
     out
-}
-
-/// Runs all three ablations at 32 Gb on memory-intensive workloads.
-pub fn run(scale: &Scale) -> Vec<AblationRow> {
-    let density = Density::G32;
-    let workloads = scale.intensive_workloads(8);
-    let grids = AblationGrids {
-        throttle: Grid::compute(&workloads, &THROTTLE_MECHS, &[density], scale),
-        unthrottled: Grid::compute_with(
-            &workloads,
-            &[Mechanism::SarpPb],
-            &[density],
-            scale,
-            |m, d| SimConfig::paper(*m, *d).with_sarp_throttle_ablated(),
-        ),
-        darp: Grid::compute(&workloads, &DARP_MECHS, &[density], scale),
-        watermarks: WATERMARK_SWEEP
-            .iter()
-            .map(|&(enter, exit)| {
-                let grid =
-                    Grid::compute_with(&workloads, &WATERMARK_MECHS, &[density], scale, |m, d| {
-                        SimConfig::paper(*m, *d).with_drain_watermarks(enter, exit)
-                    });
-                (enter, exit, grid)
-            })
-            .collect(),
-    };
-    reduce(&grids)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn throttle_costs_something_but_not_everything() {
-        let scale = Scale {
-            dram_cycles: 25_000,
-            alone_cycles: 12_000,
-            per_category: 1,
-            threads: 0,
-            warmup_ops: 20_000,
-        };
-        let rows = run(&scale);
-        let get = |study: &str, variant_prefix: &str| {
-            rows.iter()
-                .find(|r| r.study == study && r.variant.starts_with(variant_prefix))
-                .unwrap_or_else(|| panic!("{study}/{variant_prefix}"))
-                .ws_improvement_pct
-        };
-        // Unthrottled SARP can only do better or equal (it has strictly
-        // looser constraints); tolerance for scheduling noise.
-        let throttled = get("sarp_power_throttle", "throttled");
-        let unthrottled = get("sarp_power_throttle", "unthrottled");
-        assert!(
-            unthrottled >= throttled - 1.0,
-            "unthrottled {unthrottled} vs throttled {throttled}"
-        );
-        // All drain-watermark variants keep DARP ahead of REFpb.
-        for r in rows.iter().filter(|r| r.study == "drain_watermarks") {
-            assert!(
-                r.ws_improvement_pct > -2.0,
-                "{}: {}",
-                r.variant,
-                r.ws_improvement_pct
-            );
-        }
-    }
 }

@@ -6,7 +6,7 @@
 //! * Fig. 7 — average loss of `REFab` and `REFpb` vs ideal per density
 //!   (the paper: `REFpb` still loses 16.6% at 32 Gb).
 
-use super::harness::{Grid, Scale};
+use super::harness::Grid;
 use crate::metrics::gmean;
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
@@ -75,43 +75,4 @@ pub fn reduce(grid: &Grid, densities: &[Density]) -> (Vec<Fig6Row>, Vec<Fig7Row>
         });
     }
     (fig6, fig7)
-}
-
-/// Standalone runner (computes its own grid).
-pub fn run(scale: &Scale) -> (Vec<Fig6Row>, Vec<Fig7Row>) {
-    let workloads = scale.workloads();
-    let densities = Density::evaluated();
-    let grid = Grid::compute(
-        &workloads,
-        &[Mechanism::NoRefresh, Mechanism::RefAb, Mechanism::RefPb],
-        &densities,
-        scale,
-    );
-    reduce(&grid, &densities)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_shows_refresh_hurting_more_at_high_density() {
-        let scale = Scale {
-            dram_cycles: 25_000,
-            alone_cycles: 15_000,
-            per_category: 1,
-            threads: 0,
-            warmup_ops: 20_000,
-        };
-        let (_fig6, fig7) = run(&scale);
-        assert_eq!(fig7.len(), 3);
-        let loss8 = fig7.iter().find(|r| r.density == Density::G8).unwrap();
-        let loss32 = fig7.iter().find(|r| r.density == Density::G32).unwrap();
-        assert!(
-            loss32.refab_loss_pct > loss8.refab_loss_pct,
-            "REFab loss must grow with density: {loss8:?} vs {loss32:?}"
-        );
-        // Per-bank refresh recovers part of the loss on average.
-        assert!(loss32.refpb_loss_pct < loss32.refab_loss_pct);
-    }
 }

@@ -6,7 +6,7 @@
 //! * Table 2 — maximum and geometric-mean WS improvement of DARP / SARPpb /
 //!   DSARP over both `REFpb` and `REFab` per density.
 
-use super::harness::{Grid, Scale};
+use super::harness::Grid;
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
 use serde::{Deserialize, Serialize};
@@ -107,67 +107,4 @@ pub fn reduce_table2(grid: &Grid, densities: &[Density]) -> Vec<Table2Row> {
         }
     }
     out
-}
-
-/// Standalone runner.
-pub fn run(scale: &Scale) -> (Vec<Fig12Point>, Vec<Table2Row>) {
-    let workloads = scale.workloads();
-    let densities = Density::evaluated();
-    let mechs = [
-        Mechanism::RefAb,
-        Mechanism::RefPb,
-        Mechanism::Darp,
-        Mechanism::SarpPb,
-        Mechanism::Dsarp,
-    ];
-    let grid = Grid::compute(&workloads, &mechs, &densities, scale);
-    (
-        reduce_fig12(&grid, &densities),
-        reduce_table2(&grid, &densities),
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_reproduces_headline_shape() {
-        let scale = Scale {
-            dram_cycles: 30_000,
-            alone_cycles: 15_000,
-            per_category: 1,
-            threads: 0,
-            warmup_ops: 20_000,
-        };
-        let (fig12, table2) = run(&scale);
-        assert!(!fig12.is_empty());
-        // Fig 12 sorted curves: DARP series is non-decreasing in index.
-        let darp32: Vec<f64> = {
-            let mut pts: Vec<&Fig12Point> = fig12
-                .iter()
-                .filter(|p| p.density == Density::G32 && p.mechanism == Mechanism::Darp)
-                .collect();
-            pts.sort_by_key(|p| p.sorted_index);
-            pts.iter().map(|p| p.ws_over_refab).collect()
-        };
-        for w in darp32.windows(2) {
-            assert!(w[1] >= w[0] - 1e-9, "sorted series must be monotonic");
-        }
-        // Table 2 shape at 32 Gb: DSARP's gmean gain over REFab exceeds
-        // DARP's (SARP adds on top of DARP at high density).
-        let at = |m: Mechanism| {
-            table2
-                .iter()
-                .find(|r| r.density == Density::G32 && r.mechanism == m)
-                .unwrap()
-                .gmean_over_refab_pct
-        };
-        assert!(
-            at(Mechanism::Dsarp) >= at(Mechanism::Darp) - 0.5,
-            "DSARP {} vs DARP {}",
-            at(Mechanism::Dsarp),
-            at(Mechanism::Darp)
-        );
-    }
 }

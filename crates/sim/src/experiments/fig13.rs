@@ -1,7 +1,7 @@
 //! Figure 13 and the §6.1.2 DARP-component breakdown: average WS
 //! improvement of every mechanism over the `REFab` baseline.
 
-use super::harness::{Grid, Scale};
+use super::harness::Grid;
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
 use serde::{Deserialize, Serialize};
@@ -43,54 +43,4 @@ pub fn reduce(grid: &Grid, densities: &[Density]) -> Vec<Fig13Row> {
         }
     }
     out
-}
-
-/// Standalone runner.
-pub fn run(scale: &Scale) -> Vec<Fig13Row> {
-    let workloads = scale.workloads();
-    let densities = Density::evaluated();
-    let mut mechs = vec![Mechanism::RefAb];
-    mechs.extend(FIG13_MECHS);
-    let grid = Grid::compute(&workloads, &mechs, &densities, scale);
-    reduce(&grid, &densities)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_run_ideal_dominates_and_dsarp_tracks_it() {
-        let scale = Scale {
-            dram_cycles: 30_000,
-            alone_cycles: 15_000,
-            per_category: 1,
-            threads: 0,
-            warmup_ops: 20_000,
-        };
-        let rows = run(&scale);
-        let get = |m: Mechanism, d: Density| {
-            rows.iter()
-                .find(|r| r.mechanism == m && r.density == d)
-                .unwrap()
-                .gmean_over_refab_pct
-        };
-        for d in Density::evaluated() {
-            let ideal = get(Mechanism::NoRefresh, d);
-            let dsarp = get(Mechanism::Dsarp, d);
-            assert!(
-                ideal >= dsarp - 1.0,
-                "ideal {ideal} vs dsarp {dsarp} at {d}"
-            );
-            // DSARP captures most of the ideal gain (paper: within 0.9-3.7%).
-            assert!(
-                dsarp > 0.3 * ideal,
-                "DSARP should capture most of No-REF's gain at {d}: {dsarp} vs {ideal}"
-            );
-        }
-        // Full DARP (OoO + WRP) >= OoO-only on average at 32 Gb.
-        let full = get(Mechanism::Darp, Density::G32);
-        let ooo = get(Mechanism::DarpOooOnly, Density::G32);
-        assert!(full >= ooo - 1.5, "full DARP {full} vs OoO-only {ooo}");
-    }
 }

@@ -1,6 +1,6 @@
 //! Figure 14: DRAM energy per memory access under each mechanism.
 
-use super::harness::{Grid, Scale};
+use super::harness::Grid;
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
 use serde::{Deserialize, Serialize};
@@ -64,46 +64,4 @@ pub fn reduce(grid: &Grid, densities: &[Density]) -> Vec<Fig14Row> {
         }
     }
     out
-}
-
-/// Standalone runner.
-pub fn run(scale: &Scale) -> Vec<Fig14Row> {
-    let workloads = scale.workloads();
-    let densities = Density::evaluated();
-    let grid = Grid::compute(&workloads, &FIG14_MECHS, &densities, scale);
-    reduce(&grid, &densities)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn dsarp_reduces_energy_per_access() {
-        let scale = Scale {
-            dram_cycles: 30_000,
-            alone_cycles: 15_000,
-            per_category: 1,
-            threads: 0,
-            warmup_ops: 20_000,
-        };
-        let rows = run(&scale);
-        for d in Density::evaluated() {
-            let get = |m: Mechanism| {
-                rows.iter()
-                    .find(|r| r.mechanism == m && r.density == d)
-                    .unwrap()
-                    .energy_nj
-            };
-            assert!(get(Mechanism::RefAb) > 0.0);
-            // Paper Fig. 14: DSARP consumes less energy per access than
-            // REFab (3-9% depending on density).
-            assert!(
-                get(Mechanism::Dsarp) < get(Mechanism::RefAb) * 1.02,
-                "DSARP {} vs REFab {} at {d}",
-                get(Mechanism::Dsarp),
-                get(Mechanism::RefAb)
-            );
-        }
-    }
 }

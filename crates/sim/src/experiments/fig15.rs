@@ -1,7 +1,7 @@
 //! Figure 15: DSARP's WS improvement over `REFab` and `REFpb` as memory
 //! intensity and DRAM density vary.
 
-use super::harness::{Grid, Scale};
+use super::harness::Grid;
 use crate::metrics::{gmean, improvement_pct};
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
@@ -52,44 +52,4 @@ pub fn reduce(grid: &Grid, densities: &[Density]) -> Vec<Fig15Row> {
         });
     }
     out
-}
-
-/// Standalone runner.
-pub fn run(scale: &Scale) -> Vec<Fig15Row> {
-    let workloads = scale.workloads();
-    let densities = Density::evaluated();
-    let grid = Grid::compute(
-        &workloads,
-        &[Mechanism::RefAb, Mechanism::RefPb, Mechanism::Dsarp],
-        &densities,
-        scale,
-    );
-    reduce(&grid, &densities)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn improvement_over_refab_grows_with_intensity() {
-        let scale = Scale {
-            dram_cycles: 30_000,
-            alone_cycles: 15_000,
-            per_category: 2,
-            threads: 0,
-            warmup_ops: 20_000,
-        };
-        let rows = run(&scale);
-        let at = |cat: u32, d: Density| {
-            rows.iter()
-                .find(|r| r.category == cat && r.density == d)
-                .unwrap()
-        };
-        // The all-intensive category benefits more than the all-compute one
-        // at 32 Gb (the paper's central trend).
-        let low = at(0, Density::G32).over_refab_pct;
-        let high = at(100, Density::G32).over_refab_pct;
-        assert!(high > low, "100% {high} should beat 0% {low}");
-    }
 }

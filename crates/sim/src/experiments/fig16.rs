@@ -1,7 +1,7 @@
 //! Figure 16: DDR4 fine-granularity refresh (2x/4x), Adaptive Refresh, and
 //! DSARP, normalized to the `REFab` baseline.
 
-use super::harness::{Grid, Scale};
+use super::harness::Grid;
 use crate::metrics::gmean;
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
@@ -41,44 +41,4 @@ pub fn reduce(grid: &Grid, densities: &[Density]) -> Vec<Fig16Row> {
         }
     }
     out
-}
-
-/// Standalone runner.
-pub fn run(scale: &Scale) -> Vec<Fig16Row> {
-    let workloads = scale.workloads();
-    let densities = Density::evaluated();
-    let grid = Grid::compute(&workloads, &FIG16_MECHS, &densities, scale);
-    reduce(&grid, &densities)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fgr_loses_ar_ties_dsarp_wins() {
-        let scale = Scale {
-            dram_cycles: 30_000,
-            alone_cycles: 15_000,
-            per_category: 1,
-            threads: 0,
-            warmup_ops: 20_000,
-        };
-        let rows = run(&scale);
-        let at = |m: Mechanism, d: Density| {
-            rows.iter()
-                .find(|r| r.mechanism == m && r.density == d)
-                .unwrap()
-                .normalized_ws
-        };
-        for d in Density::evaluated() {
-            // The paper's §6.5 ordering: FGR 4x < FGR 2x < ~REFab ~ AR < DSARP.
-            assert!(at(Mechanism::Fgr4x, d) < at(Mechanism::Fgr2x, d) + 0.02);
-            assert!(at(Mechanism::Fgr2x, d) < 1.02);
-            assert!(at(Mechanism::Dsarp, d) > at(Mechanism::Fgr2x, d));
-            assert!(at(Mechanism::Dsarp, d) > 1.0);
-        }
-        // FGR's penalty is worst at the highest density.
-        assert!(at(Mechanism::Fgr4x, Density::G32) < at(Mechanism::Fgr4x, Density::G8));
-    }
 }

@@ -40,7 +40,7 @@ impl Scale {
         }
     }
 
-    /// Reduced scale for Criterion benches and CI.
+    /// Reduced scale for smoke runs, CI and the perf ledger.
     pub fn quick() -> Self {
         Self {
             dram_cycles: 40_000,
@@ -72,13 +72,8 @@ impl Scale {
     }
 
     /// The evaluation workload set at this scale (5 categories ×
-    /// `per_category`), with the paper's seed.
-    pub fn workloads(&self) -> Vec<Workload> {
-        self.workloads_with_seed(WORKLOAD_SEED)
-    }
-
-    /// Like [`Scale::workloads`] with an explicit mix-selection seed (the
-    /// campaign engine's seed axis).
+    /// `per_category`), mixes selected by `seed` (the campaign engine's
+    /// seed axis; the paper's is [`WORKLOAD_SEED`]).
     pub fn workloads_with_seed(&self, seed: u64) -> Vec<Workload> {
         let all = dsarp_workloads::mixes::paper_workloads(8, seed);
         IntensityCategory::all()
@@ -94,13 +89,7 @@ impl Scale {
     }
 
     /// The 16 memory-intensive sensitivity workloads (truncated at quick
-    /// scale).
-    pub fn intensive_workloads(&self, cores: usize) -> Vec<Workload> {
-        self.intensive_workloads_with_seed(cores, WORKLOAD_SEED)
-    }
-
-    /// Like [`Scale::intensive_workloads`] with an explicit mix-selection
-    /// seed.
+    /// scale), mixes selected by `seed`.
     pub fn intensive_workloads_with_seed(&self, cores: usize, seed: u64) -> Vec<Workload> {
         let n = if self.per_category >= 20 {
             16
@@ -233,21 +222,10 @@ impl Grid {
                 .or_insert(i);
         }
     }
-    /// Computes the grid, parallelized across runs. Alone-IPCs are measured
-    /// first (one single-core run per benchmark × density).
-    pub fn compute(
-        workloads: &[Workload],
-        mechanisms: &[Mechanism],
-        densities: &[Density],
-        scale: &Scale,
-    ) -> Self {
-        Self::compute_with(workloads, mechanisms, densities, scale, |m, d| {
-            SimConfig::paper(*m, *d)
-        })
-    }
-
-    /// Like [`Grid::compute`], with a custom config constructor (used by the
-    /// sensitivity sweeps to override `tFAW`, subarrays, retention, cores).
+    /// Computes the grid directly, parallelized across runs; `make_cfg`
+    /// builds each cell's configuration. Alone-IPCs are measured first (one
+    /// single-core run per benchmark × density). This is the independent
+    /// reference the campaign engine's grids are tested against.
     pub fn compute_with(
         workloads: &[Workload],
         mechanisms: &[Mechanism],
@@ -400,10 +378,10 @@ mod tests {
             threads: 1,
             warmup_ops: 1_000,
         };
-        let w = s.workloads();
+        let w = s.workloads_with_seed(WORKLOAD_SEED);
         assert_eq!(w.len(), 15);
         assert_eq!(w.iter().filter(|x| x.category.percent() == 50).count(), 3);
-        assert!(!s.intensive_workloads(8).is_empty());
+        assert!(!s.intensive_workloads_with_seed(8, WORKLOAD_SEED).is_empty());
     }
 
     fn row(workload: &str, mechanism: Mechanism, density: Density, ws: f64) -> WsRow {
@@ -471,12 +449,13 @@ mod tests {
             threads: 4,
             warmup_ops: 1_000,
         };
-        let wls: Vec<Workload> = scale.workloads().into_iter().take(2).collect();
-        let grid = Grid::compute(
-            &wls,
+        let wls = &scale.workloads_with_seed(WORKLOAD_SEED)[..2];
+        let grid = Grid::compute_with(
+            wls,
             &[Mechanism::RefAb, Mechanism::NoRefresh],
             &[Density::G32],
             &scale,
+            |m, d| SimConfig::paper(*m, *d),
         );
         assert_eq!(grid.rows().len(), 4);
         let ratios = grid.ws_ratios(Mechanism::NoRefresh, Mechanism::RefAb, Density::G32);

@@ -1,26 +1,12 @@
 //! Experiment drivers: one module per table/figure in the paper's
 //! evaluation, plus the shared [`harness`] and [`report`] infrastructure.
 //!
-//! | Paper artifact | Module |
-//! |---|---|
-//! | Fig. 5 (tRFC trend) | [`fig05`] |
-//! | Fig. 6 + Fig. 7 (motivation) | [`fig06_07`] |
-//! | Fig. 12 + Table 2 (headline) | [`fig12_table2`] |
-//! | Fig. 13 + §6.1.2 breakdown | [`fig13`] |
-//! | Fig. 14 (energy) | [`fig14`] |
-//! | Fig. 15 (intensity) | [`fig15`] |
-//! | Table 3 (core count) | [`table3`] |
-//! | Table 4 (tFAW) | [`table4`] |
-//! | Table 5 (subarrays) | [`table5`] |
-//! | Table 6 (64 ms retention) | [`table6`] |
-//! | Fig. 16 (FGR/AR) | [`fig16`] |
-//! | Ablations (throttle, DARP split, watermarks) | [`ablations`] |
-//! | Extension: footnote-5 overlapped REFpb | [`overlap`] |
-//!
-//! Each module offers `run(&Scale)` (self-contained) and `reduce(..)`
-//! over pre-computed [`Grid`]s. The `experiments` binary (in the
-//! `dsarp-campaign` crate) computes every grid through the cached,
-//! resumable campaign engine and reduces all artifacts from them.
+//! Which artifact reduces from which sweeps, and under which `--exp`
+//! name, is declared once in `dsarp_campaign::paper::ARTIFACTS`. Each
+//! module here holds one artifact's row types and its pure `reduce(..)`
+//! over pre-computed [`Grid`]s ([`fig05`] is analytic); the `experiments`
+//! binary (in `dsarp-serve`) computes every grid through the cached,
+//! resumable campaign engine and reduces the table's artifacts from them.
 
 pub mod ablations;
 pub mod chart;

@@ -12,7 +12,7 @@
 //! which already avoids refresh/access collisions by scheduling — evidence
 //! for the paper's choice to work within the standard.
 
-use super::harness::{Grid, Scale};
+use super::harness::Grid;
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
 use serde::{Deserialize, Serialize};
@@ -36,9 +36,6 @@ pub const OVERLAP_MECHS: [Mechanism; 4] = [
     Mechanism::SarpPb,
 ];
 
-/// The densities the study compares.
-pub const OVERLAP_DENSITIES: [Density; 2] = [Density::G8, Density::G32];
-
 /// Reduces a grid containing `RefPb` plus the [`OVERLAP_MECHS`].
 pub fn reduce(grid: &Grid, densities: &[Density]) -> Vec<OverlapRow> {
     let mut out = Vec::new();
@@ -52,47 +49,4 @@ pub fn reduce(grid: &Grid, densities: &[Density]) -> Vec<OverlapRow> {
         }
     }
     out
-}
-
-/// Runs the study on memory-intensive workloads.
-pub fn run(scale: &Scale) -> Vec<OverlapRow> {
-    let workloads = scale.intensive_workloads(8);
-    let mut mechs = vec![Mechanism::RefPb];
-    mechs.extend(OVERLAP_MECHS);
-    let grid = Grid::compute(&workloads, &mechs, &OVERLAP_DENSITIES, scale);
-    reduce(&grid, &OVERLAP_DENSITIES)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn overlap_helps_baseline_but_adds_little_to_dsarp() {
-        let scale = Scale {
-            dram_cycles: 30_000,
-            alone_cycles: 15_000,
-            per_category: 1,
-            threads: 0,
-            warmup_ops: 20_000,
-        };
-        let rows = run(&scale);
-        let at = |m: Mechanism, d: Density| {
-            rows.iter()
-                .find(|r| r.mechanism == m && r.density == d)
-                .unwrap()
-                .over_refpb_pct
-        };
-        // Overlapped plain REFpb must not *hurt* the baseline.
-        assert!(
-            at(Mechanism::RefPbOverlapped, Density::G32) > -1.5,
-            "overlap on baseline: {}",
-            at(Mechanism::RefPbOverlapped, Density::G32)
-        );
-        // DSARP with overlap stays within noise of plain DSARP: the
-        // scheduling already removed the serialization the overlap targets.
-        let d = at(Mechanism::Dsarp, Density::G32);
-        let dv = at(Mechanism::DsarpOverlapped, Density::G32);
-        assert!((dv - d).abs() < 4.0, "DSARP {d} vs DSARP-ovl {dv}");
-    }
 }

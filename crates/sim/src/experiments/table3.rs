@@ -2,18 +2,11 @@
 //! cores (WS, harmonic speedup, maximum slowdown, energy per access),
 //! evaluated on memory-intensive workloads at 32 Gb.
 
-use super::harness::{Grid, Scale, WsRow};
-use crate::config::SimConfig;
+use super::harness::{Grid, WsRow};
 use crate::metrics::{gmean, improvement_pct};
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
 use serde::{Deserialize, Serialize};
-
-/// The mechanisms Table 3 compares.
-pub const MECHS: [Mechanism; 2] = [Mechanism::RefAb, Mechanism::Dsarp];
-
-/// The core counts Table 3 sweeps.
-pub const CORE_SWEEP: [usize; 3] = [2, 4, 8];
 
 /// One column of Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,45 +45,5 @@ pub fn reduce(grid: &Grid, cores: usize) -> Table3Row {
         hs_improvement_pct: improvement_pct(ratio(&|r| r.hs), 1.0),
         max_slowdown_reduction_pct: (1.0 - ratio(&|r| r.max_slowdown)) * 100.0,
         energy_reduction_pct: (1.0 - ratio(&|r| r.energy_nj.max(1e-12))) * 100.0,
-    }
-}
-
-/// Runs the core-count sweep.
-pub fn run(scale: &Scale) -> Vec<Table3Row> {
-    CORE_SWEEP
-        .iter()
-        .map(|&cores| {
-            let workloads = scale.intensive_workloads(cores);
-            let grid = Grid::compute_with(&workloads, &MECHS, &[Density::G32], scale, |m, d| {
-                SimConfig::paper(*m, *d).with_cores(cores)
-            });
-            reduce(&grid, cores)
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn dsarp_helps_at_every_core_count() {
-        let scale = Scale {
-            dram_cycles: 30_000,
-            alone_cycles: 15_000,
-            per_category: 1,
-            threads: 0,
-            warmup_ops: 20_000,
-        };
-        let rows = run(&scale);
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            assert!(
-                r.ws_improvement_pct > 0.0,
-                "{} cores: WS improvement {}",
-                r.cores,
-                r.ws_improvement_pct
-            );
-        }
     }
 }

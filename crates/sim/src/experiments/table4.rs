@@ -4,16 +4,10 @@
 //! (§4.3.3), so looser activation windows let it parallelize more — the
 //! paper sweeps `tFAW/tRRD` from 5/1 to 30/6 DRAM cycles.
 
-use super::harness::{Grid, Scale};
+use super::harness::Grid;
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
 use serde::{Deserialize, Serialize};
-
-/// The paper's sweep points: `(tFAW, tRRD)` in DRAM cycles.
-pub const SWEEP: [(u64, u64); 6] = [(5, 1), (10, 2), (15, 3), (20, 4), (25, 5), (30, 6)];
-
-/// The mechanisms Table 4 compares.
-pub const MECHS: [Mechanism; 2] = [Mechanism::RefPb, Mechanism::SarpPb];
 
 /// One column of Table 4.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -37,55 +31,5 @@ pub fn reduce(grid: &Grid, faw: u64, rrd: u64) -> Table4Row {
             Mechanism::RefPb,
             Density::G32,
         ),
-    }
-}
-
-/// Runs the `tFAW` sweep on memory-intensive workloads at 32 Gb.
-pub fn run(scale: &Scale) -> Vec<Table4Row> {
-    let workloads = scale.intensive_workloads(8);
-    SWEEP
-        .iter()
-        .map(|&(faw, rrd)| {
-            let grid = Grid::compute_with(&workloads, &MECHS, &[Density::G32], scale, |m, d| {
-                crate::config::SimConfig::paper(*m, *d).with_faw_rrd(faw, rrd)
-            });
-            reduce(&grid, faw, rrd)
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tighter_faw_does_not_erase_sarp_gains() {
-        let scale = Scale {
-            dram_cycles: 30_000,
-            alone_cycles: 15_000,
-            per_category: 1,
-            threads: 0,
-            warmup_ops: 20_000,
-        };
-        let rows = run(&scale);
-        assert_eq!(rows.len(), 6);
-        // The paper's trend: looser activation windows (small tFAW) give
-        // SARP more headroom; improvement shrinks as tFAW/tRRD grow
-        // (Table 4: 14.0% -> 10.3%). At quick scale we assert the ordering
-        // with slack rather than absolute values.
-        for r in &rows {
-            assert!(
-                r.ws_improvement_pct > -4.0,
-                "tFAW {}: improvement {}",
-                r.faw,
-                r.ws_improvement_pct
-            );
-        }
-        assert!(
-            rows[0].ws_improvement_pct >= rows[5].ws_improvement_pct - 2.0,
-            "5/1 ({}) should not trail 30/6 ({})",
-            rows[0].ws_improvement_pct,
-            rows[5].ws_improvement_pct
-        );
     }
 }

@@ -2,17 +2,10 @@
 //! varies (1–64). More subarrays mean a smaller chance that a demand
 //! request collides with the refreshing subarray.
 
-use super::harness::{Grid, Scale};
-use crate::config::SimConfig;
+use super::harness::Grid;
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
 use serde::{Deserialize, Serialize};
-
-/// The paper's sweep points.
-pub const SWEEP: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
-
-/// The mechanisms Table 5 compares.
-pub const MECHS: [Mechanism; 2] = [Mechanism::RefPb, Mechanism::SarpPb];
 
 /// One column of Table 5.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -33,48 +26,5 @@ pub fn reduce(grid: &Grid, subarrays: usize) -> Table5Row {
             Mechanism::RefPb,
             Density::G32,
         ),
-    }
-}
-
-/// Runs the subarray sweep on memory-intensive workloads at 32 Gb.
-pub fn run(scale: &Scale) -> Vec<Table5Row> {
-    let workloads = scale.intensive_workloads(8);
-    SWEEP
-        .iter()
-        .map(|&n| {
-            let grid = Grid::compute_with(&workloads, &MECHS, &[Density::G32], scale, |m, d| {
-                SimConfig::paper(*m, *d).with_subarrays(n)
-            });
-            reduce(&grid, n)
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn single_subarray_gives_no_benefit_many_give_much() {
-        let scale = Scale {
-            dram_cycles: 30_000,
-            alone_cycles: 15_000,
-            per_category: 1,
-            threads: 0,
-            warmup_ops: 20_000,
-        };
-        let rows = run(&scale);
-        assert_eq!(rows.len(), 7);
-        let at = |n: usize| {
-            rows.iter()
-                .find(|r| r.subarrays == n)
-                .unwrap()
-                .ws_improvement_pct
-        };
-        // With one subarray SARP cannot parallelize anything within a bank:
-        // every row shares the refreshing subarray (paper Table 5: 0%).
-        assert!(at(1).abs() < 2.0, "1 subarray: {}", at(1));
-        // More subarrays help more (paper: 3.8% -> 16.9%).
-        assert!(at(64) > at(1), "64 subarrays {} vs 1 {}", at(64), at(1));
     }
 }

@@ -3,17 +3,10 @@
 //! shrink relative to the 32 ms main results — but stay positive and still
 //! grow with density.
 
-use super::harness::{Grid, Scale};
-use crate::config::SimConfig;
+use super::harness::Grid;
 use dsarp_core::Mechanism;
-use dsarp_dram::{Density, Retention};
+use dsarp_dram::Density;
 use serde::{Deserialize, Serialize};
-
-/// The mechanisms Table 6 compares.
-pub const MECHS: [Mechanism; 3] = [Mechanism::RefAb, Mechanism::RefPb, Mechanism::Dsarp];
-
-/// The relaxed retention time the table evaluates.
-pub const RETENTION: Retention = Retention::Ms64;
 
 /// One row of Table 6.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,38 +36,4 @@ pub fn reduce(grid: &Grid, densities: &[Density]) -> Vec<Table6Row> {
             gmean_over_refab_pct: grid.gmean_improvement(Mechanism::Dsarp, Mechanism::RefAb, d),
         })
         .collect()
-}
-
-/// Runs the 64 ms-retention evaluation on memory-intensive workloads.
-pub fn run(scale: &Scale) -> Vec<Table6Row> {
-    let workloads = scale.intensive_workloads(8);
-    let densities = Density::evaluated();
-    let grid = Grid::compute_with(&workloads, &MECHS, &densities, scale, |m, d| {
-        SimConfig::paper(*m, *d).with_retention(RETENTION)
-    });
-    reduce(&grid, &densities)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn gains_positive_and_growing_with_density() {
-        let scale = Scale {
-            dram_cycles: 30_000,
-            alone_cycles: 15_000,
-            per_category: 1,
-            threads: 0,
-            warmup_ops: 20_000,
-        };
-        let rows = run(&scale);
-        assert_eq!(rows.len(), 3);
-        let at = |d: Density| rows.iter().find(|r| r.density == d).unwrap();
-        assert!(at(Density::G32).gmean_over_refab_pct > 0.0);
-        assert!(
-            at(Density::G32).gmean_over_refab_pct >= at(Density::G8).gmean_over_refab_pct - 0.5,
-            "gain should grow with density"
-        );
-    }
 }
