@@ -101,7 +101,7 @@ pub trait StoreBackend: Sync {
 /// A shard lease held through a [`StoreBackend`]. Dropping it without
 /// [`BackendLease::release`] leaves the lease live until its TTL lapses —
 /// exactly what a crashed worker leaves behind.
-pub struct BackendLease<'a> {
+pub(crate) struct BackendLease<'a> {
     backend: &'a dyn StoreBackend,
     shard: usize,
     owner: String,
@@ -110,7 +110,12 @@ pub struct BackendLease<'a> {
 
 impl<'a> BackendLease<'a> {
     /// Wraps an [`AcquireOutcome::Acquired`] into a renewable handle.
-    pub fn new(backend: &'a dyn StoreBackend, shard: usize, owner: &str, ttl_ms: u64) -> Self {
+    pub(crate) fn new(
+        backend: &'a dyn StoreBackend,
+        shard: usize,
+        owner: &str,
+        ttl_ms: u64,
+    ) -> Self {
         BackendLease {
             backend,
             shard,
@@ -124,7 +129,7 @@ impl<'a> BackendLease<'a> {
     /// # Errors
     ///
     /// Propagates transport/filesystem errors.
-    pub fn release(self) -> std::io::Result<()> {
+    pub(crate) fn release(self) -> std::io::Result<()> {
         self.backend.release(self.shard, &self.owner)
     }
 }

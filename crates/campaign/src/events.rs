@@ -162,7 +162,7 @@ fn num(n: u64) -> Value {
 
 impl Event {
     /// The event's stable snake_case name (the JSONL `event` field).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Event::CampaignPlanned { .. } => "campaign_planned",
             Event::CampaignSimulated { .. } => "campaign_simulated",
@@ -182,7 +182,7 @@ impl Event {
     /// The event as a flat JSON object: `event`, `ts_ms`, then the
     /// variant's fields. Hand-assembled (the vendored serde has no enum
     /// tagging attributes), so the schema is exactly what this renders.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         let mut m = Map::new();
         m.insert("event".into(), Value::String(self.name().into()));
         m.insert("ts_ms".into(), num(now_ms()));

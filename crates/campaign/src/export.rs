@@ -23,7 +23,11 @@ pub fn write_grid(dir: &Path, name: &str, grid: &Grid) -> std::io::Result<()> {
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn write_jsonl<T: serde::Serialize>(dir: &Path, name: &str, rows: &[T]) -> std::io::Result<()> {
+pub(crate) fn write_jsonl<T: serde::Serialize>(
+    dir: &Path,
+    name: &str,
+    rows: &[T],
+) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     let mut f = std::fs::File::create(dir.join(format!("{name}.jsonl")))?;
     for row in rows {

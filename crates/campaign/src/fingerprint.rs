@@ -79,7 +79,7 @@ pub fn fingerprint_bytes(bytes: &[u8]) -> Fingerprint {
 
 /// Renders `v` as JSON with object keys sorted recursively, so field
 /// declaration order never leaks into fingerprints.
-pub fn canonical(v: &Value) -> String {
+pub(crate) fn canonical(v: &Value) -> String {
     let mut out = String::new();
     render_canonical(v, &mut out).expect("writing to a String cannot fail");
     out

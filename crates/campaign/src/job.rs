@@ -211,7 +211,7 @@ impl Job {
     ///
     /// [`System::run`]: dsarp_sim::System::run
     /// [`System::run_per_cycle`]: dsarp_sim::System::run_per_cycle
-    pub fn run_record(
+    pub(crate) fn run_record(
         &self,
         fp: Fingerprint,
         telemetry: bool,
@@ -231,7 +231,7 @@ impl Job {
     ///
     /// Trace jobs panic (with a message naming the file) if a trace file
     /// vanishes or its content changes between campaign expansion and
-    /// execution — see [`TraceRef::open`].
+    /// execution — see `TraceRef::open`.
     pub fn execute(&self) -> JobOutput {
         self.simulate(false, false).0
     }

@@ -63,12 +63,12 @@ pub struct LeaseInfo {
 
 impl LeaseInfo {
     /// Milliseconds elapsed since the last heartbeat (saturating).
-    pub fn age_ms(&self, now_ms: u64) -> u64 {
+    pub(crate) fn age_ms(&self, now_ms: u64) -> u64 {
         now_ms.saturating_sub(self.heartbeat_ms)
     }
 
     /// Whether this lease is past its owner's own renewal contract.
-    pub fn is_stale(&self, now_ms: u64) -> bool {
+    pub(crate) fn is_stale(&self, now_ms: u64) -> bool {
         self.age_ms(now_ms) > self.ttl_ms
     }
 }
@@ -119,7 +119,7 @@ pub fn lease_dir(campaign_dir: &Path) -> PathBuf {
 }
 
 /// The lock path for one shard.
-pub fn lock_path(campaign_dir: &Path, shard: usize) -> PathBuf {
+pub(crate) fn lock_path(campaign_dir: &Path, shard: usize) -> PathBuf {
     lease_dir(campaign_dir).join(format!("shard-{shard:02}.lock"))
 }
 
@@ -304,11 +304,6 @@ impl Lease {
     pub fn reclaimed(&self) -> bool {
         self.reclaimed
     }
-
-    /// The owner id this lease was acquired under.
-    pub fn owner(&self) -> &str {
-        &self.owner
-    }
 }
 
 /// Writes a fresh heartbeat for `owner` at `path`, unconditionally.
@@ -444,7 +439,7 @@ impl Heartbeat {
 
     /// Stops the timer; `run` returns promptly. Poison-proof so it also
     /// works during unwinding.
-    pub fn stop(&self) {
+    pub(crate) fn stop(&self) {
         *self
             .done
             .lock()
@@ -452,7 +447,7 @@ impl Heartbeat {
         self.finished.notify_all();
     }
 
-    /// An RAII guard that calls [`Heartbeat::stop`] when dropped.
+    /// An RAII guard that calls `Heartbeat::stop` when dropped.
     pub fn stopper(&self) -> HeartbeatStopper<'_> {
         HeartbeatStopper(self)
     }
@@ -469,7 +464,7 @@ impl Drop for HeartbeatStopper<'_> {
 }
 
 /// Reads the current lock of `shard`, if any.
-pub fn read(campaign_dir: &Path, shard: usize) -> Option<LeaseInfo> {
+pub(crate) fn read(campaign_dir: &Path, shard: usize) -> Option<LeaseInfo> {
     read_info(&lock_path(campaign_dir, shard))
 }
 
@@ -546,7 +541,7 @@ mod tests {
         let dir = tmpdir("lifecycle");
         let lease = acquired(Lease::acquire(&dir, 3, "w-a", 60_000).unwrap());
         assert!(!lease.reclaimed());
-        assert_eq!(lease.owner(), "w-a");
+        assert_eq!(lease.owner, "w-a");
 
         let info = read(&dir, 3).expect("lock on disk");
         assert_eq!(info.owner, "w-a");

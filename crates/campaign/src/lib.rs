@@ -17,7 +17,7 @@
 //!   killed campaign resumes where it stopped and an identical re-run
 //!   simulates nothing.
 //! * [`Campaign::run`] executes the misses on the shared thread pool and
-//!   assembles per-sweep [`dsarp_sim::experiments::Grid`]s, which the
+//!   assembles per-sweep `dsarp_sim::experiments::Grid`s, which the
 //!   existing figure/table reducers consume unchanged.
 //!
 //! * The [`traces`] module adds **trace-driven workloads**: a
@@ -74,32 +74,30 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
-pub mod events;
+mod backend;
+mod events;
 pub mod export;
 pub mod fingerprint;
-pub mod job;
+mod job;
 pub mod lease;
 pub mod paper;
-pub mod plan;
+mod plan;
 pub mod remote;
-pub mod retry;
-pub mod runner;
-pub mod spec;
+mod retry;
+mod runner;
+mod spec;
 pub mod store;
 pub mod traces;
 
-pub use backend::{AcquireOutcome, BackendLease, LocalBackend, StoreBackend};
+pub use backend::{AcquireOutcome, LocalBackend, StoreBackend};
 pub use events::{Event, EventLog};
 pub use fingerprint::Fingerprint;
-pub use job::{Job, JobOutput, RunSummary};
-pub use lease::{Lease, LeaseInfo};
-pub use plan::{CampaignPlan, PlanError};
+pub use job::{Job, RunSummary};
+pub use plan::CampaignPlan;
 pub use remote::RemoteStore;
-pub use retry::RetryPolicy;
 pub use runner::{
-    CacheStats, Campaign, CampaignClient, CampaignReport, PhaseTiming, WorkerOptions, WorkerReport,
+    CacheStats, Campaign, CampaignClient, CampaignReport, PhaseTiming, WorkerOptions,
 };
-pub use spec::{CampaignSpec, CampaignWorkload, SweepSpec, WorkloadSet};
-pub use store::{CompactionStats, Record, Store};
-pub use traces::{TraceRef, TraceSetError, TraceWorkload};
+pub use spec::{CampaignSpec, SweepSpec, WorkloadSet};
+pub use store::{Record, Store};
+pub use traces::{TraceRef, TraceWorkload};

@@ -65,7 +65,7 @@ struct SweepPlan {
     cells: Vec<PlannedCell>,
 }
 
-/// A campaign expanded and fingerprinted; see the [module docs](self).
+/// A campaign expanded and fingerprinted; see the module docs.
 #[derive(Debug)]
 pub struct CampaignPlan {
     campaign: String,
@@ -81,7 +81,7 @@ impl CampaignPlan {
     ///
     /// # Errors
     ///
-    /// [`PlanError`] naming the first sweep whose trace set fails to
+    /// `PlanError` naming the first sweep whose trace set fails to
     /// resolve.
     pub fn build(spec: &CampaignSpec) -> Result<Self, PlanError> {
         let (mut cells, mut unique, mut seen) = (0, Vec::new(), HashSet::new());

@@ -6,7 +6,7 @@
 //! /shards/{nn}` resumes from the offset the previous read returned, so
 //! rescan rounds transfer only the bytes peers appended since. Transient
 //! transport failures and HTTP 5xx are retried with bounded backoff
-//! ([`RetryPolicy::remote`]); lease-ownership conflicts and protocol
+//! (`RetryPolicy::remote`); lease-ownership conflicts and protocol
 //! errors are permanent.
 
 use crate::backend::{AcquireOutcome, StoreBackend};
@@ -84,7 +84,8 @@ struct ShardCache {
 
 /// Callback invoked before each transient-failure back-off:
 /// `(what, attempt, delay, error)`.
-pub type RetryObserver = Box<dyn Fn(&str, u32, std::time::Duration, &io::Error) + Send + Sync>;
+pub(crate) type RetryObserver =
+    Box<dyn Fn(&str, u32, std::time::Duration, &io::Error) + Send + Sync>;
 
 /// Optional [`RetryObserver`] with a quiet `Debug` (closures are not
 /// `Debug`, and `RemoteStore` is).
@@ -184,11 +185,6 @@ impl RemoteStore {
             )));
         }
         Ok(store)
-    }
-
-    /// The URL this store talks to.
-    pub fn url(&self) -> &str {
-        &self.url
     }
 
     /// Installs a retry observer, called before each transient-failure

@@ -13,7 +13,7 @@ use std::time::Duration;
 /// `base_delay * 2^attempt` (capped at `max_delay`) between them, scaled
 /// by a deterministic jitter factor in `[0.5, 1.0)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
+pub(crate) struct RetryPolicy {
     /// Total attempts, including the first (`1` = no retries).
     pub max_attempts: u32,
     /// Backoff base: the delay before the first retry (pre-jitter).
@@ -24,7 +24,7 @@ pub struct RetryPolicy {
 
 impl RetryPolicy {
     /// The remote client's default: 5 attempts, 50 ms doubling to 800 ms.
-    pub const fn remote() -> Self {
+    pub(crate) const fn remote() -> Self {
         RetryPolicy {
             max_attempts: 5,
             base_delay: Duration::from_millis(50),
@@ -33,7 +33,7 @@ impl RetryPolicy {
     }
 
     /// Lease-acquire races resolve in milliseconds: 3 attempts, 5 ms base.
-    pub const fn lease_race() -> Self {
+    pub(crate) const fn lease_race() -> Self {
         RetryPolicy {
             max_attempts: 3,
             base_delay: Duration::from_millis(5),
@@ -43,7 +43,7 @@ impl RetryPolicy {
 
     /// The pre-retry sleep after failed attempt number `attempt`
     /// (0-based), jittered deterministically by `seed`.
-    pub fn delay_for(&self, attempt: u32, seed: u64) -> Duration {
+    pub(crate) fn delay_for(&self, attempt: u32, seed: u64) -> Duration {
         let exp = self
             .base_delay
             .saturating_mul(1u32 << attempt.min(16))
@@ -65,7 +65,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Whether an I/O error kind is worth retrying: connection-level
 /// failures that a healthy peer (or a restarted server) would not repeat.
 /// `TimedOut` covers HTTP 5xx, which the remote client maps onto it.
-pub fn is_transient(kind: io::ErrorKind) -> bool {
+pub(crate) fn is_transient(kind: io::ErrorKind) -> bool {
     matches!(
         kind,
         io::ErrorKind::ConnectionRefused
@@ -91,7 +91,7 @@ pub fn is_transient(kind: io::ErrorKind) -> bool {
 ///
 /// The first permanent error, or the final transient error once
 /// `policy.max_attempts` is exhausted.
-pub fn retry_transient<T>(
+pub(crate) fn retry_transient<T>(
     policy: &RetryPolicy,
     seed: u64,
     what: &str,
@@ -120,7 +120,7 @@ pub fn retry_transient<T>(
 }
 
 /// A stable jitter seed from an owner id and shard number.
-pub fn seed_for(owner: &str, shard: usize) -> u64 {
+pub(crate) fn seed_for(owner: &str, shard: usize) -> u64 {
     let h = owner.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
     });

@@ -267,11 +267,6 @@ impl Campaign {
         self.events = events;
     }
 
-    /// The campaign spec.
-    pub fn spec(&self) -> &CampaignSpec {
-        &self.spec
-    }
-
     /// The backing store.
     pub fn store(&self) -> &Store {
         &self.store
@@ -435,11 +430,6 @@ impl CampaignClient {
     /// subsequent drains is appended to it.
     pub fn set_events(&mut self, events: Arc<EventLog>) {
         self.events = events;
-    }
-
-    /// The campaign spec.
-    pub fn spec(&self) -> &CampaignSpec {
-        &self.spec
     }
 
     /// Participates in a distributed drain of this campaign: repeatedly

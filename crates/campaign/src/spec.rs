@@ -55,7 +55,7 @@ pub enum WorkloadSet {
 
 /// One resolved workload of a sweep: a synthetic mix or a trace bundle.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CampaignWorkload {
+pub(crate) enum CampaignWorkload {
     /// A synthetic multi-programmed mix.
     Synthetic(Workload),
     /// A bundle of captured trace files.
@@ -97,18 +97,10 @@ impl CampaignWorkload {
     }
 
     /// The workload's display name (grid row key; not fingerprinted).
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         match self {
             CampaignWorkload::Synthetic(w) => &w.name,
             CampaignWorkload::Traced(t) => &t.name,
-        }
-    }
-
-    /// Number of cores the workload occupies.
-    pub fn cores(&self) -> usize {
-        match self {
-            CampaignWorkload::Synthetic(w) => w.cores(),
-            CampaignWorkload::Traced(t) => t.cores(),
         }
     }
 }
@@ -131,7 +123,7 @@ impl WorkloadSet {
     ///
     /// [`TraceSetError`] naming the offending file for a missing,
     /// unreadable or invalid trace.
-    pub fn resolve(
+    pub(crate) fn resolve(
         &self,
         scale: &Scale,
         seed: u64,
@@ -219,7 +211,7 @@ impl SweepSpec {
     }
 
     /// The cell configuration for one (mechanism, density).
-    pub fn make_cfg(&self, mechanism: Mechanism, density: Density) -> SimConfig {
+    pub(crate) fn make_cfg(&self, mechanism: Mechanism, density: Density) -> SimConfig {
         let mut cfg = SimConfig::paper(mechanism, density)
             .with_cores(self.cores)
             .with_retention(self.retention)
@@ -528,7 +520,9 @@ mod tests {
             .resolve(&scale, 1)
             .unwrap();
         assert_eq!(i.len(), 2);
-        assert!(i.iter().all(|w| w.cores() == 4));
+        assert!(i
+            .iter()
+            .all(|w| matches!(w, CampaignWorkload::Synthetic(s) if s.cores() == 4)));
     }
 
     #[test]

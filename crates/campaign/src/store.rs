@@ -82,7 +82,6 @@ pub struct Store {
     /// threads can flush completed jobs concurrently.
     writers: Vec<Mutex<Option<File>>>,
     loaded: usize,
-    skipped_lines: usize,
 }
 
 impl Store {
@@ -104,7 +103,6 @@ impl Store {
                 None => {
                     // Torn append from a killed run: drop it, the job
                     // will simply be simulated again.
-                    store.skipped_lines += 1;
                     eprintln!(
                         "campaign store: skipping unparseable line in {}",
                         Self::shard_file(&store.dir, shard).display()
@@ -119,7 +117,7 @@ impl Store {
     /// Writes `manifest.json` (format version, campaign name, `manifest`
     /// as the spec echo) into the store directory for `campaign_name`
     /// under `root`, creating it if needed. [`Store::open`] does this
-    /// itself; a process that only [`Store::attach`]es calls it to leave
+    /// itself; a process that only `Store::attach`es calls it to leave
     /// the same directory behind.
     ///
     /// # Errors
@@ -156,7 +154,7 @@ impl Store {
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn attach(root: &Path, campaign_name: &str) -> std::io::Result<Self> {
+    pub(crate) fn attach(root: &Path, campaign_name: &str) -> std::io::Result<Self> {
         let dir = root.join(campaign_name);
         std::fs::create_dir_all(dir.join("shards"))?;
         Ok(Store {
@@ -164,7 +162,6 @@ impl Store {
             records: HashMap::new(),
             writers: (0..SHARDS).map(|_| Mutex::new(None)).collect(),
             loaded: 0,
-            skipped_lines: 0,
         })
     }
 
@@ -234,24 +231,19 @@ impl Store {
         self.loaded
     }
 
-    /// Number of unparseable (torn) lines skipped at open.
-    pub fn skipped_lines(&self) -> usize {
-        self.skipped_lines
-    }
-
     /// Looks up a cached record.
-    pub fn get(&self, fp: Fingerprint) -> Option<&Record> {
+    pub(crate) fn get(&self, fp: Fingerprint) -> Option<&Record> {
         self.records.get(&fp.0)
     }
 
     /// Whether `fp` is cached.
-    pub fn contains(&self, fp: Fingerprint) -> bool {
+    pub(crate) fn contains(&self, fp: Fingerprint) -> bool {
         self.records.contains_key(&fp.0)
     }
 
     /// Appends `record` to its shard and flushes immediately. Safe to call
     /// from executor worker threads (`&self`); the in-memory map is updated
-    /// separately by [`Store::absorb`] on the coordinating thread.
+    /// separately by `Store::absorb` on the coordinating thread.
     ///
     /// # Errors
     ///
@@ -294,7 +286,7 @@ impl Store {
 
     /// Inserts a freshly computed record into the in-memory map (first
     /// record per fingerprint wins, matching load semantics).
-    pub fn absorb(&mut self, fp: Fingerprint, record: Record) {
+    pub(crate) fn absorb(&mut self, fp: Fingerprint, record: Record) {
         self.records.entry(fp.0).or_insert(record);
     }
 
@@ -580,7 +572,6 @@ mod tests {
 
         let reopened = Store::open(&root, "c", &manifest).unwrap();
         assert_eq!(reopened.loaded(), 1);
-        assert_eq!(reopened.skipped_lines(), 1);
         assert!(reopened.contains(fp));
         let _ = std::fs::remove_dir_all(root);
     }
@@ -608,7 +599,6 @@ mod tests {
         // The new record must NOT be spliced into the torn bytes.
         let reopened = Store::open(&root, "c", &Value::Null).unwrap();
         assert_eq!(reopened.loaded(), 2);
-        assert_eq!(reopened.skipped_lines(), 1, "only the torn line is lost");
         assert_eq!(reopened.get(fp_b), Some(&b));
         let _ = std::fs::remove_dir_all(root);
     }
@@ -640,7 +630,6 @@ mod tests {
 
         let reopened = Store::open(&root, "c", &Value::Null).unwrap();
         assert_eq!(reopened.loaded(), 1);
-        assert_eq!(reopened.skipped_lines(), 0, "torn line must be gone");
         assert_eq!(reopened.get(keep_fp), Some(&kept));
         assert!(!reopened.contains(orphan_fp));
 

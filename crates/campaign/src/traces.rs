@@ -10,10 +10,10 @@
 //! [`TraceWorkload`] bundles `cores` traces into one multi-programmed
 //! mix, the trace equivalent of a [`dsarp_workloads::Workload`].
 //!
-//! Resolution is **single-pass**: [`TraceRef::load`] validates, counts
+//! Resolution is **single-pass**: `TraceRef::load` validates, counts
 //! and content-hashes each file in one chunked read
 //! ([`dsarp_cpu::read_trace_path`]). Text-dialect traces keep their
-//! parsed ops as a shared snapshot, so [`TraceRef::open`] replays them
+//! parsed ops as a shared snapshot, so `TraceRef::open` replays them
 //! with zero further disk reads; binary traces stream from disk with
 //! O(chunk) memory ([`dsarp_cpu::BinTraceSource`]), re-verifying the
 //! content hash on every full pass. Either way a warm expansion plus
@@ -123,7 +123,7 @@ pub struct TraceRef {
     pub content_hash: Fingerprint,
     /// Trace entries parsed at validation (stores count separately).
     pub entries: usize,
-    /// Which encoding the file uses, detected at [`TraceRef::load`].
+    /// Which encoding the file uses, detected at `TraceRef::load`.
     pub dialect: TraceDialect,
     /// Text dialects: the ops parsed at resolution, shared by every
     /// [`TraceRef::open`] so execution replays the resolved bytes with
@@ -155,7 +155,7 @@ impl TraceRef {
     ///
     /// [`TraceSetError`] naming `path` on I/O failure or an invalid
     /// (malformed / empty / truncated) trace.
-    pub fn load(path: impl Into<PathBuf>) -> Result<Self, TraceSetError> {
+    pub(crate) fn load(path: impl Into<PathBuf>) -> Result<Self, TraceSetError> {
         let path = path.into();
         let summary =
             read_trace_path(&path, Materialize::TextOnly).map_err(|source| match source {
@@ -186,7 +186,7 @@ impl TraceRef {
     /// Builds a ref from already-known identity without touching the
     /// filesystem — for tests and for reconstructing refs from stored
     /// metadata. The dialect is assumed plain text and there is no replay
-    /// snapshot, so [`TraceRef::open`] re-reads and re-verifies the file.
+    /// snapshot, so `TraceRef::open` re-reads and re-verifies the file.
     pub fn detached(
         path: impl Into<PathBuf>,
         name: impl Into<String>,
@@ -204,13 +204,6 @@ impl TraceRef {
         }
     }
 
-    /// Whole-file disk reads this ref (and its clones) have performed —
-    /// the resolution read plus any re-reads at open. Streaming binary
-    /// replay counts one read per [`TraceRef::open`].
-    pub fn disk_reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
-    }
-
     /// Opens the trace for execution as an infinite cyclic source.
     ///
     /// Text dialects replay the snapshot parsed at resolution — zero
@@ -225,7 +218,7 @@ impl TraceRef {
     /// Panics (with a message naming the file) if the file disappeared or
     /// — for refs without a snapshot — no longer matches
     /// [`TraceRef::content_hash`].
-    pub fn open(&self) -> Box<dyn TraceSource> {
+    pub(crate) fn open(&self) -> Box<dyn TraceSource> {
         if let Some(ops) = &self.ops {
             return Box::new(SharedCyclicTrace::new(Arc::clone(ops)));
         }
@@ -295,11 +288,6 @@ impl TraceWorkload {
         TraceWorkload { name, traces }
     }
 
-    /// Number of cores this bundle occupies.
-    pub fn cores(&self) -> usize {
-        self.traces.len()
-    }
-
     /// Opens the first `cores` member traces as boxed sources for
     /// [`dsarp_sim::SystemBuilder::trace_sources`].
     ///
@@ -307,7 +295,7 @@ impl TraceWorkload {
     ///
     /// As [`TraceRef::open`]; also if the bundle has fewer than `cores`
     /// traces.
-    pub fn sources(&self, cores: usize) -> Vec<Box<dyn TraceSource>> {
+    pub(crate) fn sources(&self, cores: usize) -> Vec<Box<dyn TraceSource>> {
         assert!(
             self.traces.len() >= cores,
             "trace bundle {} has {} traces for {} cores",
@@ -327,7 +315,7 @@ impl TraceWorkload {
 /// Iterative two-pointer matcher backtracking to the most recent `*`
 /// only: `O(name × glob)` worst case, so adversarial multi-star globs
 /// cannot hang enumeration the way naive recursion would.
-pub fn glob_match(glob: &str, name: &str) -> bool {
+pub(crate) fn glob_match(glob: &str, name: &str) -> bool {
     let (p, n) = (glob.as_bytes(), name.as_bytes());
     let (mut pi, mut ni) = (0usize, 0usize);
     // The last `*` seen and the name position its current match ends at.
@@ -410,7 +398,7 @@ pub fn resolve_trace_dir(
 /// # Errors
 ///
 /// [`TraceSetError`] naming the first offending file.
-pub fn resolve_trace_files(
+pub(crate) fn resolve_trace_files(
     files: &[String],
     cores: usize,
 ) -> Result<Vec<TraceWorkload>, TraceSetError> {
@@ -467,7 +455,7 @@ fn bundle(refs: Vec<TraceRef>, cores: usize) -> Result<Vec<TraceWorkload>, Trace
 /// capture every generator feature — store bubbles and load dependence
 /// included — so replay is bit-exact for the whole catalogue. Plain
 /// [`TraceDialect::Text`] is lossy for those two features (see
-/// [`dsarp_cpu::trace_file::export`]): a captured trace replays the
+/// `dsarp_cpu::trace_file::export`): a captured trace replays the
 /// generator stream bit-exactly only when the workload produces
 /// loads-only streams; otherwise replay is the format's documented
 /// approximation.
@@ -566,7 +554,7 @@ mod tests {
         assert_eq!(bundles.len(), 2);
         assert_eq!(bundles[0].name, "a+b");
         assert_eq!(bundles[1].name, "c+a", "short tail wraps around");
-        assert_eq!(bundles[1].cores(), 2);
+        assert_eq!(bundles[1].traces.len(), 2);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -647,7 +635,11 @@ mod tests {
         let path = dir.join("t.trace");
         std::fs::write(&path, "1 0x40\n2 0x80\n").unwrap();
         let r = TraceRef::load(&path).unwrap();
-        assert_eq!(r.disk_reads(), 1, "resolution is one chunked read");
+        assert_eq!(
+            r.reads.load(Ordering::Relaxed),
+            1,
+            "resolution is one chunked read"
+        );
         // Replay — including a clone inside a workload and a full cycle
         // through the ops — costs zero further reads.
         let wl = TraceWorkload::new(vec![r.clone()]);
@@ -656,7 +648,11 @@ mod tests {
             sources[0].next_op();
         }
         drop(sources);
-        assert_eq!(r.disk_reads(), 1, "open + execute adds no reads");
+        assert_eq!(
+            r.reads.load(Ordering::Relaxed),
+            1,
+            "open + execute adds no reads"
+        );
 
         // Binary traces stream instead of snapshotting: one more read
         // per open, never a whole-file buffer.
@@ -667,12 +663,16 @@ mod tests {
         std::fs::write(&bpath, &bin).unwrap();
         let b = TraceRef::load(&bpath).unwrap();
         assert_eq!(
-            (b.dialect, b.entries, b.disk_reads()),
+            (b.dialect, b.entries, b.reads.load(Ordering::Relaxed)),
             (TraceDialect::Bin, 2, 1)
         );
         let mut s = b.open();
         assert_eq!(s.next_op().addr, 0x40);
-        assert_eq!(b.disk_reads(), 2, "streaming replay is the second read");
+        assert_eq!(
+            b.reads.load(Ordering::Relaxed),
+            2,
+            "streaming replay is the second read"
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 

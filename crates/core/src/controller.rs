@@ -118,7 +118,6 @@ pub struct MemoryController {
     timing: TimingParams,
     queues: RequestQueues,
     policy: Box<dyn RefreshPolicy>,
-    mechanism: Mechanism,
     inflight: Vec<Completion>,
     /// §4.3.2 shadow copies: per (rank, bank) refresh row counter and the
     /// subarray an in-flight SARP refresh occupies.
@@ -164,7 +163,6 @@ impl MemoryController {
             timing,
             queues: RequestQueues::paper_default(),
             policy,
-            mechanism,
             inflight: Vec::new(),
             shadow_ref_row: vec![vec![0; banks]; ranks],
             shadow_sarp: vec![vec![None; banks]; ranks],
@@ -183,21 +181,6 @@ impl MemoryController {
         self.queues = queues;
         self.wake = 0;
         self
-    }
-
-    /// This controller's channel index.
-    pub fn channel_id(&self) -> usize {
-        self.channel_id
-    }
-
-    /// The timing parameters the controller schedules against.
-    pub fn timing(&self) -> &TimingParams {
-        &self.timing
-    }
-
-    /// The configured mechanism.
-    pub fn mechanism(&self) -> Mechanism {
-        self.mechanism
     }
 
     /// Statistics so far.
@@ -227,7 +210,7 @@ impl MemoryController {
 
     /// The shadow copy of the refreshing subarray for (rank, bank), if a
     /// SARP refresh is in flight at `now` (paper §4.3.2).
-    pub fn shadow_refreshing_subarray(
+    pub(crate) fn shadow_refreshing_subarray(
         &self,
         rank: usize,
         bank: usize,

@@ -8,19 +8,19 @@
 //! * 64/64-entry read/write request queues with batched write draining
 //!   (writeback mode with high/low watermarks, [`queues::RequestQueues`]);
 //! * FR-FCFS scheduling with the paper's closed-row policy
-//!   ([`controller`]);
-//! * a pluggable refresh-scheduling policy ([`refresh::RefreshPolicy`])
+//!   (`controller`);
+//! * a pluggable refresh-scheduling policy (`refresh::RefreshPolicy`)
 //!   with implementations of every mechanism the paper evaluates:
-//!   - `REFab` — baseline all-bank refresh ([`refresh::AllBankRefresh`]),
+//!   - `REFab` — baseline all-bank refresh (`refresh::AllBankRefresh`),
 //!   - `REFpb` — baseline round-robin per-bank refresh
-//!     ([`refresh::PerBankRefresh`]),
-//!   - Elastic Refresh \[Stuecheli+ MICRO'10\] ([`refresh::ElasticRefresh`]),
+//!     (`refresh::PerBankRefresh`),
+//!   - Elastic Refresh \[Stuecheli+ MICRO'10\] (`refresh::ElasticRefresh`),
 //!   - **DARP** — out-of-order per-bank refresh + write-refresh
-//!     parallelization ([`refresh::Darp`]),
-//!   - DDR4 Fine Granularity Refresh 2x/4x ([`refresh::AllBankRefresh`] in
+//!     parallelization (`refresh::Darp`),
+//!   - DDR4 Fine Granularity Refresh 2x/4x (`refresh::AllBankRefresh` in
 //!     [`dsarp_dram::FgrMode::X2`] / [`dsarp_dram::FgrMode::X4`]),
-//!   - Adaptive Refresh \[Mukundan+ ISCA'13\] ([`refresh::AdaptiveRefresh`]),
-//!   - the ideal no-refresh bound ([`refresh::NoRefresh`]);
+//!   - Adaptive Refresh \[Mukundan+ ISCA'13\] (`refresh::AdaptiveRefresh`),
+//!   - the ideal no-refresh bound (`refresh::NoRefresh`);
 //! * SARP support: when the attached [`dsarp_dram::DramChannel`] is built
 //!   with [`dsarp_dram::SarpSupport::Enabled`], the controller tracks the
 //!   refreshing subarray per bank with shadow counters (paper §4.3.2) and
@@ -30,13 +30,13 @@
 //!
 //! | Paper name | Policy | SARP |
 //! |---|---|---|
-//! | `REFab` | [`refresh::AllBankRefresh`] | off |
-//! | `REFpb` | [`refresh::PerBankRefresh`] | off |
-//! | Elastic | [`refresh::ElasticRefresh`] | off |
-//! | DARP | [`refresh::Darp`] | off |
-//! | SARPab | [`refresh::AllBankRefresh`] | **on** |
-//! | SARPpb | [`refresh::PerBankRefresh`] | **on** |
-//! | DSARP | [`refresh::Darp`] | **on** |
+//! | `REFab` | `refresh::AllBankRefresh` | off |
+//! | `REFpb` | `refresh::PerBankRefresh` | off |
+//! | Elastic | `refresh::ElasticRefresh` | off |
+//! | DARP | `refresh::Darp` | off |
+//! | SARPab | `refresh::AllBankRefresh` | **on** |
+//! | SARPpb | `refresh::PerBankRefresh` | **on** |
+//! | DSARP | `refresh::Darp` | **on** |
 //!
 //! # Example
 //!
@@ -64,12 +64,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod controller;
-pub mod queues;
-pub mod refresh;
-pub mod request;
+mod controller;
+mod queues;
+mod refresh;
+mod request;
 
 pub use controller::{Completion, ControllerStats, MemoryController, SchedulerScan};
-pub use queues::{Candidate, RequestQueues, SlotId};
-pub use refresh::{Mechanism, RefreshDirective, RefreshKind, RefreshPolicy, RefreshTarget};
+pub use queues::RequestQueues;
+pub use refresh::Mechanism;
 pub use request::Request;

@@ -37,14 +37,14 @@ use crate::request::Request;
 use dsarp_dram::Location;
 
 /// Default read-queue capacity (paper Table 1).
-pub const READ_QUEUE_CAP: usize = 64;
+pub(crate) const READ_QUEUE_CAP: usize = 64;
 /// Default write-queue capacity (paper Table 1).
-pub const WRITE_QUEUE_CAP: usize = 64;
+pub(crate) const WRITE_QUEUE_CAP: usize = 64;
 /// Default drain-entry (high) watermark. The paper fixes only the low
 /// watermark; 48 (75% full) follows the cited write-batching works.
-pub const DRAIN_HIGH_WATERMARK: usize = 48;
+pub(crate) const DRAIN_HIGH_WATERMARK: usize = 48;
 /// Default drain-exit (low) watermark (paper Table 1: 32).
-pub const DRAIN_LOW_WATERMARK: usize = 32;
+pub(crate) const DRAIN_LOW_WATERMARK: usize = 32;
 
 /// Sentinel for "no slot" in the intrusive chains.
 const NIL: u32 = u32::MAX;

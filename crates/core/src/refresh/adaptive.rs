@@ -15,7 +15,7 @@ use dsarp_dram::{Cycle, FgrMode, TimingParams};
 
 /// Adaptive 1x/4x refresh.
 #[derive(Debug, Clone)]
-pub struct AdaptiveRefresh {
+pub(crate) struct AdaptiveRefresh {
     /// Refresh *work* owed, in quarters of a 1x refresh.
     owed_quarters: Vec<u32>,
     next_due: Vec<Cycle>,
@@ -29,7 +29,7 @@ pub struct AdaptiveRefresh {
 
 impl AdaptiveRefresh {
     /// Creates the policy for `ranks` ranks.
-    pub fn new(ranks: usize, timing: &TimingParams) -> Self {
+    pub(crate) fn new(ranks: usize, timing: &TimingParams) -> Self {
         Self {
             owed_quarters: vec![0; ranks],
             next_due: vec![timing.refi_ab / 4; ranks],
@@ -38,11 +38,6 @@ impl AdaptiveRefresh {
             idle_window: timing.rfc_ab,
             last_mode: vec![FgrMode::X1; ranks],
         }
-    }
-
-    /// The mode used by the rank's most recent refresh.
-    pub fn last_mode(&self, rank: usize) -> FgrMode {
-        self.last_mode[rank]
     }
 }
 
@@ -180,7 +175,7 @@ mod tests {
             RefreshDirective::Urgent(target) => {
                 assert_eq!(target.kind, RefreshKind::AllBank(FgrMode::X4));
                 p.refresh_issued(&target, t.refi_ab / 4 + 1);
-                assert_eq!(p.last_mode(0), FgrMode::X4);
+                assert_eq!(p.last_mode[0], FgrMode::X4);
             }
             other => panic!("expected 4x refresh, got {other:?}"),
         }

@@ -15,7 +15,7 @@ use dsarp_dram::{Cycle, FgrMode, TimingParams};
 /// total refresh-busy time *increases* — the paper's Figure 16 shows FGR
 /// losing to plain `REFab`, and this implementation reproduces that.
 #[derive(Debug, Clone)]
-pub struct AllBankRefresh {
+pub(crate) struct AllBankRefresh {
     mode: FgrMode,
     next_due: Vec<Cycle>,
     pending: Vec<u32>,
@@ -25,7 +25,7 @@ pub struct AllBankRefresh {
 impl AllBankRefresh {
     /// Creates the policy for `ranks` ranks in `mode` ([`FgrMode::X1`] is
     /// plain `REFab`).
-    pub fn new(ranks: usize, timing: &TimingParams, mode: FgrMode) -> Self {
+    pub(crate) fn new(ranks: usize, timing: &TimingParams, mode: FgrMode) -> Self {
         let refi = timing.refi_ab_for(mode);
         Self {
             mode,
@@ -33,11 +33,6 @@ impl AllBankRefresh {
             pending: vec![0; ranks],
             refi,
         }
-    }
-
-    /// Outstanding (accrued, unissued) refreshes for `rank` (for tests).
-    pub fn pending(&self, rank: usize) -> u32 {
-        self.pending[rank]
     }
 
     fn accrue(&mut self, now: Cycle) {
@@ -160,7 +155,7 @@ mod tests {
         };
         assert_eq!(target.rank, 0);
         p.refresh_issued(&target, t.refi_ab);
-        assert_eq!(p.pending(0), 0);
+        assert_eq!(p.pending[0], 0);
         // Rank 1 still owes one.
         match p.decide(&ctx) {
             RefreshDirective::Urgent(t2) => assert_eq!(t2.rank, 1),
@@ -177,8 +172,8 @@ mod tests {
             chan: &chan,
         };
         let _ = p.decide(&ctx);
-        assert_eq!(p.pending(0), 3);
-        assert_eq!(p.pending(1), 3);
+        assert_eq!(p.pending[0], 3);
+        assert_eq!(p.pending[1], 3);
     }
 
     #[test]
@@ -247,7 +242,7 @@ mod tests {
             }
             other => panic!("expected urgent, got {other:?}"),
         }
-        assert_eq!(p.pending(0), 4);
+        assert_eq!(p.pending[0], 4);
         assert_eq!(p.name(), "fgr4x");
     }
 

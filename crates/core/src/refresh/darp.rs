@@ -26,7 +26,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Maximum refreshes a bank may be behind (postponed) or ahead (pulled in).
-pub const MAX_DEBT: i32 = 8;
+pub(crate) const MAX_DEBT: i32 = 8;
 
 #[derive(Debug, Clone)]
 struct RankState {
@@ -37,7 +37,7 @@ struct RankState {
 
 /// The DARP refresh scheduler.
 #[derive(Debug)]
-pub struct Darp {
+pub(crate) struct Darp {
     ranks: Vec<RankState>,
     refi_pb: u64,
     /// Enable write-refresh parallelization (off for the §6.1.2 breakdown).
@@ -63,7 +63,7 @@ enum Source {
 /// Counters exposing how DARP earned its refreshes (for analysis and the
 /// §6.1.2 component breakdown).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DarpStats {
+pub(crate) struct DarpStats {
     /// Refreshes forced by a bank reaching the postponement limit.
     pub forced: u64,
     /// Refreshes issued during writeback mode by Algorithm 1.
@@ -81,7 +81,13 @@ pub struct DarpStats {
 impl Darp {
     /// Creates the scheduler for `ranks` ranks of `banks` banks.
     /// `wrp` enables the write-refresh parallelization component.
-    pub fn new(ranks: usize, banks: usize, timing: &TimingParams, seed: u64, wrp: bool) -> Self {
+    pub(crate) fn new(
+        ranks: usize,
+        banks: usize,
+        timing: &TimingParams,
+        seed: u64,
+        wrp: bool,
+    ) -> Self {
         let refi_pb = timing.refi_pb;
         Self {
             ranks: (0..ranks)
@@ -99,17 +105,6 @@ impl Darp {
             postponed: Vec::with_capacity(ranks * banks),
             pullable: Vec::with_capacity(ranks * banks),
         }
-    }
-
-    /// Current refresh debt of (rank, bank). Positive = postponed refreshes
-    /// owed; negative = refreshes pulled in ahead of schedule.
-    pub fn debt(&self, rank: usize, bank: usize) -> i32 {
-        self.ranks[rank].debt[bank]
-    }
-
-    /// Issue-source counters.
-    pub fn stats(&self) -> &DarpStats {
-        &self.stats
     }
 
     fn advance_ticks(&mut self, now: Cycle) {
@@ -425,10 +420,10 @@ mod tests {
             chan: &c,
         };
         let _ = p.decide(&ctx);
-        assert_eq!(p.debt(0, 0), 1);
-        assert_eq!(p.debt(0, 1), 1);
-        assert_eq!(p.debt(0, 2), 1);
-        assert_eq!(p.debt(0, 3), 0);
+        assert_eq!(p.ranks[0].debt[0], 1);
+        assert_eq!(p.ranks[0].debt[1], 1);
+        assert_eq!(p.ranks[0].debt[2], 1);
+        assert_eq!(p.ranks[0].debt[3], 0);
     }
 
     #[test]
@@ -452,7 +447,7 @@ mod tests {
             "all banks busy, none forced yet"
         );
         for b in 0..8 {
-            assert_eq!(p.debt(0, b), 3);
+            assert_eq!(p.ranks[0].debt[b], 3);
         }
     }
 
@@ -476,7 +471,7 @@ mod tests {
                 assert_eq!(target.rank, 0);
                 assert!(matches!(target.kind, RefreshKind::PerBank { .. }));
                 p.refresh_issued(&target, 64 * t.refi_pb);
-                assert_eq!(p.stats().forced, 1);
+                assert_eq!(p.stats.forced, 1);
             }
             other => panic!("expected forced urgent refresh, got {other:?}"),
         }
@@ -513,7 +508,7 @@ mod tests {
                 1,
             );
         }
-        assert_eq!(p.debt(0, 7), -MAX_DEBT);
+        assert_eq!(p.ranks[0].debt[7], -MAX_DEBT);
         let ctx2 = PolicyContext {
             now: 2,
             queues: &q,
@@ -540,7 +535,7 @@ mod tests {
             chan: &c,
         };
         let _ = p.decide(&ctx);
-        assert_eq!(p.debt(0, 0), 1);
+        assert_eq!(p.ranks[0].debt[0], 1);
         // ...then it goes idle: the postponed bank must be chosen over
         // random zero-debt banks.
         let q_idle = RequestQueues::paper_default();
@@ -594,7 +589,7 @@ mod tests {
                 };
                 assert_eq!(q.demand_count(0, bank), 0, "min-demand bank selected");
                 p.refresh_issued(&target, 5);
-                assert_eq!(p.stats().write_parallelized, 1);
+                assert_eq!(p.stats.write_parallelized, 1);
             }
             other => panic!("expected Algorithm 1 refresh, got {other:?}"),
         }
@@ -689,7 +684,7 @@ mod tests {
             RefreshDirective::Relaxed(_) => {}
             other => panic!("expected relaxed only, got {other:?}"),
         }
-        assert_eq!(p.stats().write_parallelized, 0);
+        assert_eq!(p.stats.write_parallelized, 0);
     }
 
     #[test]
@@ -716,7 +711,7 @@ mod tests {
             }
             for r in 0..2 {
                 for b in 0..8 {
-                    let d = p.debt(r, b);
+                    let d = p.ranks[r].debt[b];
                     assert!(
                         (-MAX_DEBT..=MAX_DEBT + 1).contains(&d),
                         "debt {d} out of range"

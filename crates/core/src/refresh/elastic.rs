@@ -16,7 +16,7 @@ use super::{PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy, Refresh
 use dsarp_dram::{Cycle, FgrMode, TimingParams};
 
 /// Maximum refreshes the DDR standard lets a rank postpone.
-pub const MAX_POSTPONED: u32 = 8;
+pub(crate) const MAX_POSTPONED: u32 = 8;
 
 #[derive(Debug, Clone)]
 struct RankState {
@@ -29,7 +29,7 @@ struct RankState {
 
 /// The elastic refresh policy.
 #[derive(Debug, Clone)]
-pub struct ElasticRefresh {
+pub(crate) struct ElasticRefresh {
     ranks: Vec<RankState>,
     refi: u64,
     rfc: u64,
@@ -37,7 +37,7 @@ pub struct ElasticRefresh {
 
 impl ElasticRefresh {
     /// Creates the policy for `ranks` ranks.
-    pub fn new(ranks: usize, timing: &TimingParams) -> Self {
+    pub(crate) fn new(ranks: usize, timing: &TimingParams) -> Self {
         let refi = timing.refi_ab;
         Self {
             ranks: (0..ranks)
@@ -51,11 +51,6 @@ impl ElasticRefresh {
             refi,
             rfc: timing.rfc_ab,
         }
-    }
-
-    /// Postponed refreshes for `rank` (for tests).
-    pub fn pending(&self, rank: usize) -> u32 {
-        self.ranks[rank].pending
     }
 
     /// Idle threshold before issuing with `pending` refreshes outstanding:
@@ -208,7 +203,7 @@ mod tests {
         // First decide observes idleness start for rank 1; idle threshold
         // not yet met, so nothing fires immediately...
         let _ = p.decide(&ctx);
-        assert_eq!(p.pending(0), 1);
+        assert_eq!(p.ranks[0].pending, 1);
         // ...but after a long idle stretch rank 1 fires.
         let later = t.refi_ab + 1 + 10 * t.rfc_ab;
         let ctx2 = PolicyContext {
@@ -237,7 +232,7 @@ mod tests {
         match p.decide(&ctx) {
             RefreshDirective::Urgent(target) => {
                 assert_eq!(target.rank, 0);
-                assert_eq!(p.pending(0), 8);
+                assert_eq!(p.ranks[0].pending, 8);
             }
             other => panic!("expected forced refresh, got {other:?}"),
         }
@@ -264,7 +259,7 @@ mod tests {
             chan: &chan,
         };
         let _ = p.decide(&ctx);
-        let before = p.pending(0);
+        let before = p.ranks[0].pending;
         p.refresh_issued(
             &RefreshTarget {
                 rank: 0,
@@ -272,6 +267,6 @@ mod tests {
             },
             now,
         );
-        assert_eq!(p.pending(0), before - 1);
+        assert_eq!(p.ranks[0].pending, before - 1);
     }
 }

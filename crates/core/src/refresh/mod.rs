@@ -18,12 +18,12 @@ mod elastic;
 mod norefresh;
 mod perbank;
 
-pub use adaptive::AdaptiveRefresh;
-pub use allbank::AllBankRefresh;
-pub use darp::Darp;
-pub use elastic::ElasticRefresh;
-pub use norefresh::NoRefresh;
-pub use perbank::PerBankRefresh;
+use adaptive::AdaptiveRefresh;
+use allbank::AllBankRefresh;
+use darp::Darp;
+use elastic::ElasticRefresh;
+use norefresh::NoRefresh;
+use perbank::PerBankRefresh;
 
 /// What to refresh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,20 +142,6 @@ pub enum Mechanism {
 }
 
 impl Mechanism {
-    /// All mechanisms in the order of the paper's Figure 13 (plus extras).
-    pub fn all() -> Vec<Mechanism> {
-        vec![
-            Mechanism::RefAb,
-            Mechanism::RefPb,
-            Mechanism::Elastic,
-            Mechanism::Darp,
-            Mechanism::SarpAb,
-            Mechanism::SarpPb,
-            Mechanism::Dsarp,
-            Mechanism::NoRefresh,
-        ]
-    }
-
     /// Whether the DRAM device must be built with SARP support.
     pub fn sarp_support(self) -> SarpSupport {
         match self {
@@ -180,7 +166,7 @@ impl Mechanism {
     ///
     /// `banks_per_rank`/`ranks` describe the channel; `seed` feeds DARP's
     /// random idle-bank selection.
-    pub fn build_policy(
+    pub(crate) fn build_policy(
         self,
         ranks: usize,
         banks_per_rank: usize,

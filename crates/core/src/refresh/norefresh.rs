@@ -5,7 +5,7 @@ use dsarp_dram::Cycle;
 
 /// Never refreshes. The upper bound every real policy is compared against.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoRefresh;
+pub(crate) struct NoRefresh;
 
 impl RefreshPolicy for NoRefresh {
     fn name(&self) -> &'static str {

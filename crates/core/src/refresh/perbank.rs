@@ -10,7 +10,7 @@ use dsarp_dram::{Cycle, TimingParams};
 /// still carries the bank id because our device model lets the controller
 /// name the bank; the baseline always names the counter's bank).
 #[derive(Debug, Clone)]
-pub struct PerBankRefresh {
+pub(crate) struct PerBankRefresh {
     next_due: Vec<Cycle>,
     pending: Vec<u32>,
     rr: Vec<usize>,
@@ -20,7 +20,7 @@ pub struct PerBankRefresh {
 
 impl PerBankRefresh {
     /// Creates the policy for `ranks` ranks of `banks` banks.
-    pub fn new(ranks: usize, banks: usize, timing: &TimingParams) -> Self {
+    pub(crate) fn new(ranks: usize, banks: usize, timing: &TimingParams) -> Self {
         let refi_pb = timing.refi_pb;
         Self {
             next_due: vec![refi_pb; ranks],
@@ -29,17 +29,6 @@ impl PerBankRefresh {
             banks,
             refi_pb,
         }
-    }
-
-    /// The bank the round-robin counter will refresh next (mirrors the
-    /// device's internal counter; tests assert they stay in step).
-    pub fn next_bank(&self, rank: usize) -> usize {
-        self.rr[rank]
-    }
-
-    /// Outstanding unissued refreshes for `rank` (for tests).
-    pub fn pending(&self, rank: usize) -> u32 {
-        self.pending[rank]
     }
 }
 
@@ -153,7 +142,7 @@ mod tests {
                 other => panic!("tick {i}: expected urgent, got {other:?}"),
             }
         }
-        assert_eq!(p.next_bank(0), 10 % 8);
+        assert_eq!(p.rr[0], 10 % 8);
     }
 
     #[test]

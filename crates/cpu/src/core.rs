@@ -154,11 +154,6 @@ impl Core {
         }
     }
 
-    /// This core's id (used when talking to the memory hierarchy).
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> &CoreStats {
         &self.stats
@@ -181,11 +176,6 @@ impl Core {
         } else {
             self.stats.retired as f64 / self.stats.cycles as f64
         }
-    }
-
-    /// Current window occupancy (for tests and debugging).
-    pub fn window_occupancy(&self) -> usize {
-        self.window.len()
     }
 
     fn slot_done(&self, seq: u64, now: u64) -> bool {
@@ -964,7 +954,7 @@ mod tests {
         }
         b.skip_bubbles(n);
         assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.window_occupancy(), b.window_occupancy());
+        assert_eq!(a.window.len(), b.window.len());
         // The reconstructed window must be behaviourally identical: keep
         // stepping both through the trailing memory op and the next bubble
         // burst.
@@ -1062,7 +1052,7 @@ mod tests {
         }
         b.skip_blocked_head(n);
         assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.window_occupancy(), b.window_occupancy());
+        assert_eq!(a.window.len(), b.window.len());
         // Past the head expiry the pure-bubble regime takes over; keep
         // stepping both through it and the next memory op.
         for _ in 0..500 {
@@ -1119,7 +1109,7 @@ mod tests {
             }
             t += n;
             assert_eq!(a.stats(), b.stats(), "diverged by cycle {t}");
-            assert_eq!(a.window_occupancy(), b.window_occupancy());
+            assert_eq!(a.window.len(), b.window.len());
         }
         assert!(batched_bubbles > 0, "bubble batches exercised");
         assert!(batched_blocked > 0, "blocked-head batches exercised");
@@ -1182,7 +1172,7 @@ mod tests {
             core.step(&mut mem);
         }
         // Head load never completes; window fills with bubbles behind it.
-        assert_eq!(core.window_occupancy(), 128);
+        assert_eq!(core.window.len(), 128);
         assert!(core.stats().window_stall_cycles > 0);
         assert_eq!(core.retired(), 0);
     }

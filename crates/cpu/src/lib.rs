@@ -46,21 +46,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod core;
-pub mod llc;
-pub mod mshr;
+mod core;
+mod llc;
+mod mshr;
 pub mod trace;
-pub mod trace_file;
+mod trace_file;
 pub mod trace_v1;
 
-pub use crate::core::{Core, CoreIdle, CoreParams, CoreStats, StallKind};
+pub use crate::core::{Core, CoreIdle, CoreParams, StallKind};
 pub use llc::{Llc, LlcParams, LlcResult, LlcStats};
-pub use mshr::{MshrTable, ReqToken};
-pub use trace::{CyclicTrace, MemKind, SharedCyclicTrace, TraceOp, TraceSource};
+use mshr::ReqToken;
+pub use trace::{MemKind, SharedCyclicTrace, TraceOp, TraceSource};
 pub use trace_file::TraceFileError;
-pub use trace_v1::{
-    read_trace_path, scan_trace_bytes, BinTraceSource, Materialize, TraceDialect, TraceSummary,
-};
+pub use trace_v1::{read_trace_path, scan_trace_bytes, BinTraceSource, Materialize, TraceDialect};
 
 /// Result of asking the memory hierarchy for a cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -28,7 +28,7 @@ impl LlcParams {
     }
 
     /// Number of sets.
-    pub fn sets(&self) -> usize {
+    pub(crate) fn sets(&self) -> usize {
         self.capacity_bytes / (self.assoc * self.line_bytes)
     }
 }
@@ -132,11 +132,6 @@ impl Llc {
         }
     }
 
-    /// Shape parameters.
-    pub fn params(&self) -> &LlcParams {
-        &self.params
-    }
-
     /// Counters accumulated so far.
     pub fn stats(&self) -> &LlcStats {
         &self.stats
@@ -191,14 +186,6 @@ impl Llc {
         self.tags[base + i] = line;
         LlcResult::Miss { writeback }
     }
-
-    /// Whether `addr`'s line is currently cached (for tests).
-    pub fn contains(&self, addr: u64) -> bool {
-        let line = addr >> self.line_shift;
-        let set = self.set_of(line);
-        let base = set * self.params.assoc;
-        self.tags[base..base + self.params.assoc].contains(&line)
-    }
 }
 
 #[cfg(test)]
@@ -239,13 +226,13 @@ mod tests {
         // Find three lines mapping to the same set to force an eviction.
         let base = 0x1000u64;
         let set = {
-            let probe = Llc::new(*c.params());
+            let probe = Llc::new(c.params);
             probe.set_of(base / 64)
         };
         let mut same_set = vec![base];
         let mut a = base + 64;
         while same_set.len() < 3 {
-            let probe = Llc::new(*c.params());
+            let probe = Llc::new(c.params);
             if probe.set_of(a / 64) == set {
                 same_set.push(a);
             }
@@ -270,14 +257,14 @@ mod tests {
         c.access(0x2000, true); // hit, now dirty
                                 // Evict it by filling the set.
         let set = {
-            let probe = Llc::new(*c.params());
+            let probe = Llc::new(c.params);
             probe.set_of(0x2000 / 64)
         };
         let mut filled = 0;
         let mut a = 0x4000u64;
         let mut saw_writeback = false;
         while filled < 2 {
-            let probe = Llc::new(*c.params());
+            let probe = Llc::new(c.params);
             if probe.set_of(a / 64) == set {
                 if let LlcResult::Miss { writeback: Some(w) } = c.access(a, false) {
                     assert_eq!(w, 0x2000);
@@ -295,14 +282,14 @@ mod tests {
         let mut c = small();
         c.access(0x0, false);
         let set0 = {
-            let probe = Llc::new(*c.params());
+            let probe = Llc::new(c.params);
             probe.set_of(0)
         };
         // Touch line 0 repeatedly while filling its set: it must survive.
         let mut a = 0x1000u64;
         let mut fills = 0;
         while fills < 4 {
-            let probe = Llc::new(*c.params());
+            let probe = Llc::new(c.params);
             if probe.set_of(a / 64) == set0 {
                 c.access(0x0, false); // refresh LRU
                 c.access(a, false);
@@ -310,7 +297,7 @@ mod tests {
             }
             a += 64;
         }
-        assert!(c.contains(0x0));
+        assert!(c.tags.contains(&0));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 /// Identifies one in-flight DRAM request; allocated by the system glue,
 /// returned to the core via [`crate::AccessResult::Miss`].
-pub type ReqToken = u64;
+pub(crate) type ReqToken = u64;
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -15,37 +15,32 @@ struct Entry {
 
 /// A per-core MSHR table with a fixed number of entries (8 in the paper).
 #[derive(Debug, Clone)]
-pub struct MshrTable {
+pub(crate) struct MshrTable {
     entries: Vec<Option<Entry>>,
 }
 
 impl MshrTable {
     /// Creates a table with `n` registers.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             entries: vec![None; n],
         }
     }
 
-    /// Number of allocated registers.
-    pub fn occupied(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
-    }
-
     /// Whether every register is allocated.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.entries.iter().all(Option::is_some)
     }
 
     /// Whether an in-flight entry for `line` exists (a [`Self::merge`] for
     /// it would succeed). Non-mutating probe for the idle detector.
-    pub fn contains_line(&self, line: u64) -> bool {
+    pub(crate) fn contains_line(&self, line: u64) -> bool {
         self.entries.iter().flatten().any(|e| e.line == line)
     }
 
     /// Finds the in-flight entry for `line`, if any, and attaches `waiter`.
     /// Returns `true` when the miss was merged.
-    pub fn merge(&mut self, line: u64, waiter: Option<u64>) -> bool {
+    pub(crate) fn merge(&mut self, line: u64, waiter: Option<u64>) -> bool {
         for e in self.entries.iter_mut().flatten() {
             if e.line == line {
                 if let Some(w) = waiter {
@@ -59,7 +54,7 @@ impl MshrTable {
 
     /// Allocates a register for `line` with request `token`.
     /// Returns `false` when the table is full (nothing is changed).
-    pub fn allocate(&mut self, line: u64, token: ReqToken, waiter: Option<u64>) -> bool {
+    pub(crate) fn allocate(&mut self, line: u64, token: ReqToken, waiter: Option<u64>) -> bool {
         debug_assert!(
             !self.entries.iter().flatten().any(|e| e.line == line),
             "allocate called for a line already in flight; use merge"
@@ -80,7 +75,7 @@ impl MshrTable {
     /// Completes the request `token`: frees the register and returns the
     /// waiting window sequence numbers. Returns `None` if the token is
     /// unknown (e.g. a store-only fill with no waiters was already freed).
-    pub fn complete(&mut self, token: ReqToken) -> Option<Vec<u64>> {
+    pub(crate) fn complete(&mut self, token: ReqToken) -> Option<Vec<u64>> {
         for slot in &mut self.entries {
             if slot.as_ref().is_some_and(|e| e.token == token) {
                 let e = slot.take().expect("checked above");
@@ -102,7 +97,7 @@ mod tests {
         assert!(m.allocate(0x200, 2, None));
         assert!(m.is_full());
         assert!(!m.allocate(0x300, 3, None));
-        assert_eq!(m.occupied(), 2);
+        assert_eq!(m.entries.iter().flatten().count(), 2);
     }
 
     #[test]
@@ -113,7 +108,7 @@ mod tests {
         assert!(!m.merge(0x999, None));
         let waiters = m.complete(1).unwrap();
         assert_eq!(waiters, vec![10, 11]);
-        assert_eq!(m.occupied(), 0);
+        assert_eq!(m.entries.iter().flatten().count(), 0);
     }
 
     #[test]

@@ -87,7 +87,11 @@ impl From<std::io::Error> for TraceFileError {
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn export(source: &mut dyn TraceSource, n: usize, mut out: impl Write) -> std::io::Result<()> {
+pub(crate) fn export(
+    source: &mut dyn TraceSource,
+    n: usize,
+    mut out: impl Write,
+) -> std::io::Result<()> {
     writeln!(
         out,
         "# dsarp trace export, Ramulator CPU format: bubbles rd_addr [wr_addr]"

@@ -1,20 +1,20 @@
 //! DSARP trace v1: lossless dialects and the single-pass streaming reader.
 //!
-//! The plain Ramulator text format (see [`crate::trace_file`]) cannot
+//! The plain Ramulator text format (see `crate::trace_file`) cannot
 //! express two generator features — store bubbles and load dependence —
 //! so captured non-load-only streams replay only approximately. The v1
 //! encoding closes that gap with two lossless dialects of the same op
 //! stream:
 //!
 //! * **`text-ext`** — an opt-in text dialect. The *first line* must be the
-//!   versioned header [`TEXT_EXT_HEADER`] (`#!dsarp-trace v1`); every
+//!   versioned header `TEXT_EXT_HEADER` (`#!dsarp-trace v1`); every
 //!   record line is then `<bubbles> <addr> <flags>` where the extension
 //!   column `<flags>` is `L` (load), `LD` (dependent load), `S` (store)
 //!   or `SD` (dependent store). Bubbles apply to the record's own op, so
 //!   store bubbles and the dependence bit survive exactly. Files without
 //!   the header keep parsing as plain Ramulator text, unchanged.
 //! * **`bin`** (`.dtrace`) — a fixed-record binary encoding:
-//!   a [`BIN_HEADER_LEN`]-byte header ([`BIN_MAGIC`] + record count as a
+//!   a [`BIN_HEADER_LEN`]-byte header (`BIN_MAGIC` + record count as a
 //!   little-endian `u64`), then one [`BIN_RECORD_LEN`]-byte record per op:
 //!   `addr: u64 LE | bubbles: u32 LE | flags: u32 LE` (bit 0 = store,
 //!   bit 1 = dependent, all other bits must be zero). Every field is
@@ -23,7 +23,7 @@
 //!
 //! [`scan_trace_bytes`] / [`read_trace_path`] auto-detect the dialect and
 //! validate, count, content-hash and (optionally) materialize the ops in
-//! **one pass** over the bytes, in [`READ_CHUNK`]-sized chunks — the
+//! **one pass** over the bytes, in `READ_CHUNK`-sized chunks — the
 //! campaign layer resolves traces through this instead of reading and
 //! hashing files twice. [`BinTraceSource`] replays a `.dtrace` file as an
 //! infinite cyclic [`TraceSource`] holding at most one chunk in memory,
@@ -32,7 +32,7 @@
 //! Both text dialects are content-hashed with the same byte-wise
 //! FNV-1a-128 the campaign store has always used, so existing cached
 //! cells stay warm. The binary dialect hashes 64-bit little-endian words
-//! instead ([`Fnv128::update_words`]): one multiply per 8 bytes, which is
+//! instead (`Fnv128::update_words`): one multiply per 8 bytes, which is
 //! what makes single-pass binary ingestion several times faster than the
 //! text parse+hash pipeline while keeping the same
 //! edit-one-byte-invalidates-exactly-that-trace semantics.
@@ -50,16 +50,16 @@ use std::path::{Path, PathBuf};
 
 /// The `text-ext` header line (without the trailing newline). Must be the
 /// first line of the file.
-pub const TEXT_EXT_HEADER: &str = "#!dsarp-trace v1";
+pub(crate) const TEXT_EXT_HEADER: &str = "#!dsarp-trace v1";
 
 /// Prefix shared by all versioned text headers; an unknown version is a
 /// parse error, not a comment.
 const TEXT_HEADER_PREFIX: &str = "#!dsarp-trace";
 
 /// Magic bytes opening a `.dtrace` file.
-pub const BIN_MAGIC: [u8; 8] = *b"DSARPTR1";
+pub(crate) const BIN_MAGIC: [u8; 8] = *b"DSARPTR1";
 
-/// `.dtrace` header length: [`BIN_MAGIC`] + record count (`u64` LE).
+/// `.dtrace` header length: `BIN_MAGIC` + record count (`u64` LE).
 pub const BIN_HEADER_LEN: usize = 16;
 
 /// `.dtrace` record length: `addr u64 LE | bubbles u32 LE | flags u32 LE`.
@@ -72,7 +72,7 @@ const FLAG_DEP: u32 = 2;
 
 /// Chunk size for streaming reads (a multiple of [`BIN_RECORD_LEN`] and
 /// of the 8-byte hash word).
-pub const READ_CHUNK: usize = 64 * 1024;
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
 /// Which encoding a trace file uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,11 +114,6 @@ impl TraceDialect {
             TraceDialect::Bin => "dtrace",
         }
     }
-
-    /// Whether every [`TraceOp`] stream round-trips exactly.
-    pub fn lossless(self) -> bool {
-        !matches!(self, TraceDialect::Text)
-    }
 }
 
 impl std::fmt::Display for TraceDialect {
@@ -136,7 +131,7 @@ impl std::fmt::Display for TraceDialect {
 /// files; the two folds are different functions, which is fine because a
 /// file's dialect is part of its bytes (magic vs. text).
 #[derive(Debug, Clone)]
-pub struct Fnv128 {
+pub(crate) struct Fnv128 {
     h: u128,
 }
 
@@ -145,12 +140,12 @@ const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
 impl Fnv128 {
     /// Starts a fresh hash at the FNV offset basis.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv128 { h: FNV128_OFFSET }
     }
 
     /// Byte-wise FNV-1a fold (text dialects).
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         let mut h = self.h;
         for &b in bytes {
             h ^= u128::from(b);
@@ -161,7 +156,7 @@ impl Fnv128 {
 
     /// 64-bit little-endian word fold (`.dtrace`). `bytes.len()` must be a
     /// multiple of 8; callers feed whole header/record units.
-    pub fn update_words(&mut self, bytes: &[u8]) {
+    pub(crate) fn update_words(&mut self, bytes: &[u8]) {
         debug_assert!(bytes.len().is_multiple_of(8));
         let mut h = self.h;
         for w in bytes.chunks_exact(8) {
@@ -172,7 +167,7 @@ impl Fnv128 {
     }
 
     /// The 128-bit digest so far.
-    pub fn finish(&self) -> u128 {
+    pub(crate) fn finish(&self) -> u128 {
         self.h
     }
 }
@@ -181,22 +176,6 @@ impl Default for Fnv128 {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Content hash of a whole trace file's bytes under its dialect's fold
-/// (byte-wise for text dialects, word-wise for binary). This is what the
-/// campaign layer stores as a trace's identity.
-pub fn hash_trace_bytes(dialect: TraceDialect, bytes: &[u8]) -> u128 {
-    let mut h = Fnv128::new();
-    match dialect {
-        TraceDialect::Text | TraceDialect::TextExt => h.update(bytes),
-        TraceDialect::Bin => {
-            let words = bytes.len() / 8 * 8;
-            h.update_words(&bytes[..words]);
-            h.update(&bytes[words..]);
-        }
-    }
-    h.finish()
 }
 
 /// What to keep in memory while scanning.
@@ -221,7 +200,7 @@ pub struct TraceSummary {
     pub entries: usize,
     /// Total file bytes scanned.
     pub bytes: u64,
-    /// Content hash under the dialect's fold (see [`hash_trace_bytes`]).
+    /// Content hash under the dialect's fold.
     pub hash: u128,
     /// The ops, when requested via [`Materialize`].
     pub ops: Option<Vec<TraceOp>>,
@@ -648,7 +627,7 @@ pub fn scan_trace_bytes(
     scanner.finish()
 }
 
-/// [`scan_trace_bytes`] over a file, reading it in [`READ_CHUNK`]-sized
+/// [`scan_trace_bytes`] over a file, reading it in `READ_CHUNK`-sized
 /// chunks — one read per file, O(chunk) memory unless materializing.
 ///
 /// # Errors
@@ -678,7 +657,7 @@ pub fn read_trace_path(
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn export_ext(
+pub(crate) fn export_ext(
     source: &mut dyn TraceSource,
     n: usize,
     mut out: impl Write,
@@ -703,7 +682,7 @@ pub fn export_ext(
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn export_bin(
+pub(crate) fn export_bin(
     source: &mut dyn TraceSource,
     n: usize,
     mut out: impl Write,
@@ -718,7 +697,7 @@ pub fn export_bin(
 }
 
 /// Writes `n` ops of `source` in the chosen dialect (plain text uses the
-/// lossy attachment convention of [`crate::trace_file::export`]).
+/// lossy attachment convention of `crate::trace_file::export`).
 ///
 /// # Errors
 ///
@@ -762,7 +741,7 @@ pub fn convert_bytes(
 }
 
 /// An infinite cyclic [`TraceSource`] streaming a `.dtrace` file in
-/// [`READ_CHUNK`]-sized chunks: memory stays O(chunk) however long the
+/// `READ_CHUNK`-sized chunks: memory stays O(chunk) however long the
 /// trace is. Each full pass re-reads the header and re-folds the word
 /// hash; on wrap the digest is checked against the hash the campaign
 /// resolved, so a mid-campaign edit panics (naming the file) instead of
@@ -834,12 +813,6 @@ impl BinTraceSource {
     /// Never true for an opened source (zero-record files are rejected).
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// The largest buffer this source will ever hold — the structural
-    /// O(chunk) memory bound the benches assert.
-    pub fn buffer_capacity(&self) -> usize {
-        self.buf.capacity().max(READ_CHUNK)
     }
 
     fn refill(&mut self) {
@@ -1039,7 +1012,6 @@ mod tests {
         assert_eq!(summary.entries, legacy_ops.len());
         assert_eq!(summary.ops.unwrap(), legacy_ops);
         // And the content hash is the campaign's byte-wise FNV fold.
-        assert_eq!(summary.hash, hash_trace_bytes(TraceDialect::Text, text));
         let mut byte_fold = Fnv128::new();
         byte_fold.update(text);
         assert_eq!(summary.hash, byte_fold.finish());
@@ -1052,8 +1024,6 @@ mod tests {
             assert_eq!(d.to_string(), d.label());
         }
         assert_eq!(TraceDialect::parse("binary"), None);
-        assert!(TraceDialect::Bin.lossless() && TraceDialect::TextExt.lossless());
-        assert!(!TraceDialect::Text.lossless());
         assert_eq!(TraceDialect::Bin.extension(), "dtrace");
         assert_eq!(TraceDialect::TextExt.extension(), "trace");
     }
@@ -1202,7 +1172,7 @@ mod tests {
     fn bin_source_streams_cyclically_with_bounded_memory() {
         let ops = awkward_ops();
         let bytes = emit(&ops, TraceDialect::Bin);
-        let hash = hash_trace_bytes(TraceDialect::Bin, &bytes);
+        let hash = scan_trace_bytes(&bytes, Materialize::No).unwrap().hash;
         let path = tmpfile("stream", &bytes);
         let summary = read_trace_path(&path, Materialize::No).unwrap();
         assert_eq!(summary.hash, hash);
@@ -1215,7 +1185,7 @@ mod tests {
                 assert_eq!(src.next_op(), *want, "pass {pass} op {i}");
             }
         }
-        assert!(src.buffer_capacity() <= READ_CHUNK);
+        assert!(src.buf.capacity() <= READ_CHUNK);
         let _ = std::fs::remove_file(path);
     }
 
@@ -1223,7 +1193,7 @@ mod tests {
     fn bin_source_wrap_detects_mid_campaign_edits() {
         let ops = awkward_ops();
         let bytes = emit(&ops, TraceDialect::Bin);
-        let hash = hash_trace_bytes(TraceDialect::Bin, &bytes);
+        let hash = scan_trace_bytes(&bytes, Materialize::No).unwrap().hash;
         let path = tmpfile("edit", &bytes);
         let mut src = BinTraceSource::open(&path, hash).unwrap();
         for _ in 0..ops.len() {
@@ -1250,7 +1220,7 @@ mod tests {
     #[test]
     fn bin_source_open_rejects_structural_damage() {
         let bytes = emit(&awkward_ops(), TraceDialect::Bin);
-        let hash = hash_trace_bytes(TraceDialect::Bin, &bytes);
+        let hash = scan_trace_bytes(&bytes, Materialize::No).unwrap().hash;
         let torn = tmpfile("torn", &bytes[..bytes.len() - 4]);
         assert!(matches!(
             BinTraceSource::open(&torn, hash),
@@ -1271,15 +1241,14 @@ mod tests {
     #[test]
     fn word_hash_changes_on_any_single_byte_flip() {
         let bytes = emit(&awkward_ops(), TraceDialect::Bin);
-        let base = hash_trace_bytes(TraceDialect::Bin, &bytes);
+        let hash = |b: &[u8]| scan_trace_bytes(b, Materialize::No).map(|s| s.hash).ok();
+        let base = hash(&bytes);
+        assert!(base.is_some());
         for i in 0..bytes.len() {
             let mut flipped = bytes.clone();
             flipped[i] ^= 0x01;
-            assert_ne!(
-                hash_trace_bytes(TraceDialect::Bin, &flipped),
-                base,
-                "byte {i}"
-            );
+            // A flip the scanner rejects never gets an identity at all.
+            assert_ne!(hash(&flipped), base, "byte {i}");
         }
     }
 

@@ -37,7 +37,7 @@ pub struct Bank {
 
 impl Bank {
     /// A fresh, precharged, idle bank.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             open_row: None,
             next_act: 0,
@@ -85,45 +85,10 @@ impl Bank {
         self.next_pre
     }
 
-    /// Cycle of the most recent `ACT`.
-    pub fn last_act(&self) -> Cycle {
-        self.last_act
-    }
-
-    /// Refresh-unit row counter (next row to be refreshed in this bank).
-    pub fn ref_row_counter(&self) -> u32 {
-        self.ref_row_counter
-    }
-
     /// First cycle after the bank's whole-bank refresh window (0 if none
     /// was ever issued). `is_refresh_busy(c)` is exactly `c < refresh_until()`.
     pub fn refresh_until(&self) -> Cycle {
         self.refresh_until
-    }
-
-    /// The earliest cycle strictly after `now` at which one of this bank's
-    /// timing constraints expires, or `None` when every constraint is
-    /// already satisfied (a quiescent bank generates no events).
-    ///
-    /// This is a conservative event source for the skip-ahead loop: while
-    /// no command is issued to the bank, its registers are frozen, so the
-    /// earliest future expiry is the only cycle its availability can
-    /// change.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut next: Option<Cycle> = None;
-        let mut consider = |t: Cycle| {
-            if t > now {
-                next = Some(next.map_or(t, |n| n.min(t)));
-            }
-        };
-        consider(self.next_act());
-        consider(self.next_col);
-        consider(self.next_pre);
-        consider(self.refresh_until);
-        if let Some(r) = self.sarp_refresh {
-            consider(r.until);
-        }
-        next
     }
 
     // ---- mutations driven by the channel on command issue ----
@@ -266,30 +231,12 @@ mod tests {
     }
 
     #[test]
-    fn next_event_reports_earliest_pending_expiry() {
-        let timing = t();
-        let mut b = Bank::new();
-        assert_eq!(b.next_event(0), None, "quiescent bank has no events");
-        // Under a blocking refresh (tRFC tail) the only event is its end.
-        b.do_refresh_blocking(500);
-        assert_eq!(b.next_event(100), Some(500));
-        assert_eq!(b.next_event(500), None);
-        let mut b = Bank::new();
-        b.do_activate(100, 7, &timing);
-        // tRCD expires first, then tRAS, then tRC.
-        assert_eq!(b.next_event(100), Some(100 + timing.rcd));
-        assert_eq!(b.next_event(100 + timing.rcd), Some(100 + timing.ras));
-        assert_eq!(b.next_event(100 + timing.ras), Some(100 + timing.rc));
-        assert_eq!(b.next_event(100 + timing.rc), None);
-    }
-
-    #[test]
     fn ref_counter_wraps() {
         let mut b = Bank::new();
         let first = b.advance_ref_counter(8, 16);
         assert_eq!(first, 0);
-        assert_eq!(b.ref_row_counter(), 8);
+        assert_eq!(b.ref_row_counter, 8);
         b.advance_ref_counter(8, 16);
-        assert_eq!(b.ref_row_counter(), 0);
+        assert_eq!(b.ref_row_counter, 0);
     }
 }

@@ -86,7 +86,7 @@ impl Command {
     }
 
     /// The bank this command addresses, if it is bank-scoped.
-    pub fn bank(&self) -> Option<usize> {
+    pub(crate) fn bank(&self) -> Option<usize> {
         match *self {
             Command::Activate { bank, .. }
             | Command::Precharge { bank, .. }
@@ -95,14 +95,6 @@ impl Command {
             | Command::RefreshPerBank { bank, .. } => Some(bank),
             Command::PrechargeAll { .. } | Command::RefreshAllBank { .. } => None,
         }
-    }
-
-    /// Whether this is a refresh command (either granularity).
-    pub fn is_refresh(&self) -> bool {
-        matches!(
-            self,
-            Command::RefreshAllBank { .. } | Command::RefreshPerBank { .. }
-        )
     }
 
     /// Whether this is a column (data-transferring) command.
@@ -191,14 +183,12 @@ mod tests {
         assert_eq!(c.rank(), 1);
         assert_eq!(c.bank(), Some(3));
         assert!(c.is_column());
-        assert!(!c.is_refresh());
         assert_eq!(c.mnemonic(), "RDA");
 
         let r = Command::RefreshAllBank {
             rank: 0,
             fgr: FgrMode::X1,
         };
-        assert!(r.is_refresh());
         assert_eq!(r.bank(), None);
     }
 

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// Shape of the DRAM system: channels × ranks × banks × subarrays × rows.
 ///
 /// All dimension counts must be powers of two and `rows_per_bank` must be a
-/// multiple of `subarrays_per_bank`; [`Geometry::new`] validates this.
+/// multiple of `subarrays_per_bank`; `Geometry::new` validates this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Geometry {
     channels: usize,
@@ -76,7 +76,7 @@ impl Geometry {
     /// Returns a [`GeometryError`] if any dimension is zero / not a power of
     /// two, or the divisibility requirements fail.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         channels: usize,
         ranks_per_channel: usize,
         banks_per_rank: usize,
@@ -162,11 +162,6 @@ impl Geometry {
         self.rows_per_bank
     }
 
-    /// Row (page) size in bytes.
-    pub fn row_bytes(&self) -> usize {
-        self.row_bytes
-    }
-
     /// Cache-line size in bytes.
     pub fn line_bytes(&self) -> usize {
         self.line_bytes
@@ -206,7 +201,7 @@ impl Geometry {
 
     /// Number of refresh "groups" per bank: the granularity at which the
     /// retention tracker records refreshes.
-    pub fn refresh_groups_per_bank(&self) -> usize {
+    pub(crate) fn refresh_groups_per_bank(&self) -> usize {
         self.rows_per_bank / self.rows_per_refresh() as usize
     }
 

@@ -19,11 +19,11 @@
 //! * an IDD-based energy model following the Micron power-calculator
 //!   methodology ([`PowerModel`], [`EnergyBreakdown`]);
 //! * retention bookkeeping used by tests to prove that no scheduling policy
-//!   ever starves a row of refreshes ([`RetentionTracker`]).
+//!   ever starves a row of refreshes (`RetentionTracker`).
 //!
 //! The memory controller (crate `dsarp-core`) drives a [`DramChannel`] by
 //! issuing [`Command`]s; the channel validates every command against the
-//! timing constraints and returns a [`Receipt`] with the data-return cycle.
+//! timing constraints and returns a `Receipt` with the data-return cycle.
 //!
 //! # Example
 //!
@@ -48,28 +48,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bank;
-pub mod channel;
-pub mod command;
-pub mod geometry;
-pub mod power;
-pub mod rank;
-pub mod refresh;
-pub mod retention;
-pub mod sarp;
-pub mod spd;
+mod bank;
+mod channel;
+mod command;
+mod geometry;
+mod power;
+mod rank;
+mod refresh;
+mod retention;
+mod sarp;
 pub mod timing;
 
-pub use bank::{Bank, SarpRefresh};
-pub use channel::{DramChannel, IssueError, Receipt};
+pub use channel::{DramChannel, IssueError};
 pub use command::Command;
-pub use geometry::{Geometry, GeometryError, Location};
-pub use power::{EnergyBreakdown, EnergyCounters, IddValues, PowerModel};
-pub use rank::Rank;
-pub use refresh::RefreshUnit;
-pub use retention::RetentionTracker;
-pub use sarp::{sarp_inflation, SarpSupport};
-pub use spd::{SpdData, SpdError};
+pub use geometry::{Geometry, Location};
+pub use power::{EnergyBreakdown, IddValues, PowerModel};
+pub use sarp::SarpSupport;
 pub use timing::{Density, FgrMode, Retention, TimingParams};
 
 /// A point in time, measured in DRAM command-clock cycles (tCK ticks).

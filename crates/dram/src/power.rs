@@ -48,12 +48,12 @@ impl IddValues {
     }
 
     /// Effective activation current `I_ACT` = IDD0 − IDD3N (mA).
-    pub fn activate_ma(&self) -> f64 {
+    pub(crate) fn activate_ma(&self) -> f64 {
         self.idd0 - self.idd3n
     }
 
     /// Effective all-bank refresh current `I_REF` = IDD5B − IDD3N (mA).
-    pub fn refresh_ma(&self) -> f64 {
+    pub(crate) fn refresh_ma(&self) -> f64 {
         self.idd5b - self.idd3n
     }
 }
@@ -83,7 +83,7 @@ pub struct EnergyCounters {
 
 impl EnergyCounters {
     /// Fresh counters for `ranks` ranks.
-    pub fn new(ranks: usize) -> Self {
+    pub(crate) fn new(ranks: usize) -> Self {
         Self {
             acts: 0,
             reads: 0,
@@ -136,7 +136,7 @@ impl EnergyCounters {
     }
 
     /// Flushes background accounting up to `now` (end of run).
-    pub fn finalize(&mut self, now: Cycle) {
+    pub(crate) fn finalize(&mut self, now: Cycle) {
         for r in 0..self.rank_active.len() {
             if self.rank_active[r] {
                 self.rank_active_cycles[r] += now.saturating_sub(self.rank_last_change[r]);
@@ -144,31 +144,6 @@ impl EnergyCounters {
             }
         }
         self.finalized_at = self.finalized_at.max(now);
-    }
-
-    /// Activate commands issued.
-    pub fn acts(&self) -> u64 {
-        self.acts
-    }
-
-    /// Read bursts served.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Write bursts served.
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// All-bank refresh commands issued.
-    pub fn refab_cmds(&self) -> u64 {
-        self.refab_cmds
-    }
-
-    /// Per-bank refresh commands issued.
-    pub fn refpb_cmds(&self) -> u64 {
-        self.refpb_cmds
     }
 
     /// Reads + writes serviced (the paper's per-access denominator).
@@ -179,11 +154,6 @@ impl EnergyCounters {
     /// Total rank-cycles spent with at least one open row.
     pub fn active_rank_cycles(&self) -> u64 {
         self.rank_active_cycles.iter().sum()
-    }
-
-    /// End-of-run cycle recorded by [`EnergyCounters::finalize`].
-    pub fn finalized_at(&self) -> Cycle {
-        self.finalized_at
     }
 }
 
@@ -220,7 +190,7 @@ impl EnergyBreakdown {
     }
 }
 
-/// Converts [`EnergyCounters`] into joules for a given device.
+/// Converts `EnergyCounters` into joules for a given device.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PowerModel {
     /// Device IDD values.

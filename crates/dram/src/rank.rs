@@ -34,7 +34,7 @@ pub struct Rank {
 
 impl Rank {
     /// Creates a rank with `banks` precharged banks.
-    pub fn new(banks: usize) -> Self {
+    pub(crate) fn new(banks: usize) -> Self {
         Self {
             banks: (0..banks).map(|_| Bank::new()).collect(),
             act_history: [Cycle::MIN; 4],
@@ -60,7 +60,7 @@ impl Rank {
     }
 
     /// Number of banks.
-    pub fn num_banks(&self) -> usize {
+    pub(crate) fn num_banks(&self) -> usize {
         self.banks.len()
     }
 
@@ -124,7 +124,7 @@ impl Rank {
     }
 
     /// Effective `tRRD` at `now`, including SARP inflation (Eq. 3).
-    pub fn effective_rrd(&self, now: Cycle, timing: &TimingParams) -> u64 {
+    pub(crate) fn effective_rrd(&self, now: Cycle, timing: &TimingParams) -> u64 {
         if now < self.sarp_until {
             self.sarp_rrd
         } else {
@@ -133,7 +133,7 @@ impl Rank {
     }
 
     /// Effective `tFAW` at `now`, including SARP inflation (Eq. 2).
-    pub fn effective_faw(&self, now: Cycle, timing: &TimingParams) -> u64 {
+    pub(crate) fn effective_faw(&self, now: Cycle, timing: &TimingParams) -> u64 {
         if now < self.sarp_until {
             self.sarp_faw
         } else {
@@ -166,7 +166,7 @@ impl Rank {
     /// `sarp_until` and nominal after it, so the earliest legal cycle is
     /// the inflated-regime bound if it lands inside the window, and
     /// otherwise the nominal bound clamped to the window's end.
-    pub fn earliest_act_allowed(&self, now: Cycle, timing: &TimingParams) -> Cycle {
+    pub(crate) fn earliest_act_allowed(&self, now: Cycle, timing: &TimingParams) -> Cycle {
         let bound = |rrd: u64, faw: u64| {
             let mut t = now;
             if self.act_count > 0 {
@@ -232,11 +232,6 @@ impl Rank {
         // Reset the factor lazily when the window expires: approximated by
         // keeping the max factor; windows of different scopes never overlap
         // in practice because a policy uses a single refresh granularity.
-    }
-
-    /// Whether a SARP window is active at `now`.
-    pub fn sarp_window_active(&self, now: Cycle) -> bool {
-        now < self.sarp_until
     }
 }
 

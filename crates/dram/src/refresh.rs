@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 /// Device-side refresh bookkeeping for one channel.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RefreshUnit {
+pub(crate) struct RefreshUnit {
     rr_bank: Vec<usize>,
     banks_per_rank: usize,
     rows_per_refresh: u32,
@@ -28,7 +28,7 @@ pub struct RefreshUnit {
 
 impl RefreshUnit {
     /// Creates the refresh unit for `ranks` ranks of the given geometry.
-    pub fn new(geom: &Geometry) -> Self {
+    pub(crate) fn new(geom: &Geometry) -> Self {
         Self {
             rr_bank: vec![0; geom.ranks_per_channel()],
             banks_per_rank: geom.banks_per_rank(),
@@ -38,7 +38,7 @@ impl RefreshUnit {
     }
 
     /// The bank the in-DRAM round-robin counter would refresh next.
-    pub fn next_rr_bank(&self, rank: usize) -> usize {
+    pub(crate) fn next_rr_bank(&self, rank: usize) -> usize {
         self.rr_bank[rank]
     }
 
@@ -51,12 +51,12 @@ impl RefreshUnit {
 
     /// Rows refreshed in each covered bank by one refresh command in `fgr`
     /// mode. FGR trades more commands for fewer rows per command.
-    pub fn rows_per_command(&self, fgr: FgrMode) -> u32 {
+    pub(crate) fn rows_per_command(&self, fgr: FgrMode) -> u32 {
         (self.rows_per_refresh / fgr.rate() as u32).max(1)
     }
 
     /// Total rows per bank (for counter wrap-around).
-    pub fn rows_per_bank(&self) -> u32 {
+    pub(crate) fn rows_per_bank(&self) -> u32 {
         self.rows_per_bank
     }
 }

@@ -33,7 +33,7 @@ pub struct RetentionTracker {
 
 impl RetentionTracker {
     /// Creates a tracker for one channel of `geom`.
-    pub fn new(geom: &Geometry) -> Self {
+    pub(crate) fn new(geom: &Geometry) -> Self {
         let banks = geom.ranks_per_channel() * geom.banks_per_rank();
         let groups_per_bank = geom.refresh_groups_per_bank();
         Self {
@@ -54,7 +54,14 @@ impl RetentionTracker {
 
     /// Records a refresh of `rows` rows starting at `first_row` in
     /// (rank, bank) at cycle `now`.
-    pub fn record(&mut self, rank: usize, bank: usize, first_row: u32, rows: u32, now: Cycle) {
+    pub(crate) fn record(
+        &mut self,
+        rank: usize,
+        bank: usize,
+        first_row: u32,
+        rows: u32,
+        now: Cycle,
+    ) {
         let bi = self.bank_idx(rank, bank);
         let group = (first_row / self.rows_per_refresh) as usize;
         // Multi-group commands (FGR) land on their first group; the counter
@@ -90,40 +97,9 @@ impl RetentionTracker {
         max
     }
 
-    /// Number of refreshes each (rank, bank) received.
-    pub fn refreshes_per_bank(&self) -> &[u64] {
-        &self.bank_count
-    }
-
     /// Total refreshes recorded.
     pub fn total_refreshes(&self) -> u64 {
         self.bank_count.iter().sum()
-    }
-
-    /// Minimum refreshes received by any bank.
-    pub fn min_bank_refreshes(&self) -> u64 {
-        self.bank_count.iter().copied().min().unwrap_or(0)
-    }
-
-    /// Checks the paper's data-integrity bound: with up to `max_debt`
-    /// postponed refreshes allowed, no bank may go longer than
-    /// `(max_debt + 1) * period + slack` cycles without a refresh.
-    ///
-    /// Returns `Err(observed_gap)` when violated.
-    pub fn check_gap_bound(
-        &self,
-        now: Cycle,
-        period: u64,
-        max_debt: u64,
-        slack: u64,
-    ) -> Result<(), u64> {
-        let bound = (max_debt + 1) * period + slack;
-        let gap = self.max_bank_gap(now);
-        if gap <= bound {
-            Ok(())
-        } else {
-            Err(gap)
-        }
     }
 }
 
@@ -154,8 +130,8 @@ mod tests {
         t.record(0, 0, 8, 8, 10);
         t.record(1, 3, 0, 8, 5);
         assert_eq!(t.total_refreshes(), 3);
-        assert_eq!(t.refreshes_per_bank()[0], 2);
-        assert_eq!(t.min_bank_refreshes(), 0);
+        assert_eq!(t.bank_count[0], 2);
+        assert_eq!(t.bank_count.iter().min(), Some(&0));
     }
 
     #[test]
@@ -168,8 +144,8 @@ mod tests {
             }
         }
         // Period 50, max_debt 1 -> bound 100 + slack.
-        assert!(t.check_gap_bound(110, 50, 1, 10).is_ok());
-        assert_eq!(t.check_gap_bound(300, 50, 1, 10), Err(190));
+        assert!(t.max_bank_gap(110) <= 2 * 50 + 10);
+        assert_eq!(t.max_bank_gap(300), 190);
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl SarpSupport {
 
 /// Which refresh granularity a SARP inflation factor applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RefreshScope {
+pub(crate) enum RefreshScope {
     /// All-bank refresh: every bank refreshes a subarray concurrently.
     AllBank,
     /// Per-bank refresh: a single bank refreshes a subarray.
@@ -52,7 +52,7 @@ pub enum RefreshScope {
 /// With the Micron 8 Gb IDD values this evaluates to ≈2.1 for all-bank
 /// refresh and ≈1.138 for per-bank refresh (per-bank refresh draws 8× less
 /// current), matching §4.3.3.
-pub fn sarp_inflation(idd: &IddValues, scope: RefreshScope) -> f64 {
+pub(crate) fn sarp_inflation(idd: &IddValues, scope: RefreshScope) -> f64 {
     let i_act = idd.activate_ma();
     let i_ref = match scope {
         RefreshScope::AllBank => idd.refresh_ma(),

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 /// Number of refresh commands distributed across one retention window
 /// (64 ms / 7.8 µs ≈ 8192; identical for 32 ms / 3.9 µs).
-pub const REFRESH_COMMANDS_PER_WINDOW: usize = 8_192;
+pub(crate) const REFRESH_COMMANDS_PER_WINDOW: usize = 8_192;
 
 /// DRAM chip density. The paper evaluates 8/16/32 Gb and projects to 64 Gb.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -33,7 +33,7 @@ pub enum Density {
 
 impl Density {
     /// Density in gigabits.
-    pub fn gigabits(self) -> u32 {
+    pub(crate) fn gigabits(self) -> u32 {
         match self {
             Density::G8 => 8,
             Density::G16 => 16,
@@ -43,7 +43,7 @@ impl Density {
     }
 
     /// All-bank refresh latency in nanoseconds (paper Table 1 + Projection 2).
-    pub fn trfc_ab_ns(self) -> f64 {
+    pub(crate) fn trfc_ab_ns(self) -> f64 {
         match self {
             Density::G8 => 350.0,
             Density::G16 => 530.0,
@@ -76,7 +76,7 @@ pub enum Retention {
 
 impl Retention {
     /// All-bank refresh interval in nanoseconds.
-    pub fn trefi_ab_ns(self) -> f64 {
+    pub(crate) fn trefi_ab_ns(self) -> f64 {
         match self {
             Retention::Ms32 => 3_900.0,
             Retention::Ms64 => 7_800.0,
@@ -84,7 +84,7 @@ impl Retention {
     }
 
     /// Retention window in milliseconds.
-    pub fn window_ms(self) -> u32 {
+    pub(crate) fn window_ms(self) -> u32 {
         match self {
             Retention::Ms32 => 32,
             Retention::Ms64 => 64,
@@ -122,7 +122,7 @@ impl FgrMode {
 
     /// `tRFCab` shortening factor from the DDR4 standard (paper §6.5:
     /// 1.35× at 2x, 1.63× at 4x — deliberately *not* the ideal 2×/4×).
-    pub fn trfc_divisor(self) -> f64 {
+    pub(crate) fn trfc_divisor(self) -> f64 {
         match self {
             FgrMode::X1 => 1.0,
             FgrMode::X2 => 1.35,
@@ -160,10 +160,9 @@ pub fn trfc_projection2_ns(gigabits: f64) -> f64 {
 
 /// Complete timing-parameter set for one device configuration.
 ///
-/// Construct with [`TimingParams::ddr3_1333`]; derive FGR variants with
-/// [`TimingParams::with_fgr`]. Fields are public because the controller and
-/// the experiment sweeps (Table 4 varies `tFAW`/`tRRD`) need to read and
-/// override them.
+/// Construct with [`TimingParams::ddr3_1333`]. Fields are public because the
+/// controller and the experiment sweeps (Table 4 varies `tFAW`/`tRRD`) need
+/// to read and override them.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TimingParams {
     /// Clock period in picoseconds (1500 ps for DDR3-1333).
@@ -244,18 +243,6 @@ impl TimingParams {
         }
     }
 
-    /// Derives the DDR4 FGR variant of this parameter set: `tREFIab` divided
-    /// by the rate, `tRFCab` divided by the (sub-linear) standard factor.
-    ///
-    /// Per-bank parameters are unchanged: FGR is an all-bank mode.
-    pub fn with_fgr(mut self, fgr: FgrMode) -> Self {
-        let base = Self::ddr3_1333(self.density, self.retention);
-        self.refi_ab = base.refi_ab / fgr.rate();
-        self.rfc_ab = ((base.rfc_ab as f64) / fgr.trfc_divisor()).ceil() as u64;
-        self.fgr = fgr;
-        self
-    }
-
     /// Overrides `tFAW` and `tRRD` (the paper's Table 4 sweeps 5/1 … 30/6).
     pub fn with_faw_rrd(mut self, faw: u64, rrd: u64) -> Self {
         self.faw = faw;
@@ -279,22 +266,17 @@ impl TimingParams {
 
     /// Read-to-write turnaround at the command level:
     /// `CL + BL + 2 - CWL` (half-duplex bus plus two-cycle bubble, §4.2.2).
-    pub fn rtw(&self) -> u64 {
+    pub(crate) fn rtw(&self) -> u64 {
         self.cl + self.bl + 2 - self.cwl
     }
 
     /// End-of-read-burst cycle for a read issued at `t`.
-    pub fn read_done(&self, t: super::Cycle) -> super::Cycle {
+    pub(crate) fn read_done(&self, t: super::Cycle) -> super::Cycle {
         t + self.cl + self.bl
     }
 
-    /// Converts a cycle count to nanoseconds.
-    pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
-        cycles as f64 * self.tck_ps as f64 / 1_000.0
-    }
-
     /// Converts nanoseconds to (ceiled) cycles.
-    pub fn ns_to_cycles(&self, ns: f64) -> u64 {
+    pub(crate) fn ns_to_cycles(&self, ns: f64) -> u64 {
         ((ns * 1_000.0) / self.tck_ps as f64).ceil() as u64
     }
 }
@@ -351,14 +333,12 @@ mod tests {
     #[test]
     fn fgr_scales_rate_and_latency_sublinearly() {
         let base = TimingParams::ddr3_1333(Density::G32, Retention::Ms32);
-        let x2 = base.with_fgr(FgrMode::X2);
-        let x4 = base.with_fgr(FgrMode::X4);
-        assert_eq!(x2.refi_ab, base.refi_ab / 2);
-        assert_eq!(x4.refi_ab, base.refi_ab / 4);
+        assert_eq!(base.refi_ab_for(FgrMode::X2), base.refi_ab / 2);
+        assert_eq!(base.refi_ab_for(FgrMode::X4), base.refi_ab / 4);
         // Worst-case refresh penalty grows: rate x latency.
-        let penalty = |t: &TimingParams| t.rfc_ab as f64 * t.fgr.rate() as f64;
-        assert!(penalty(&x2) > penalty(&base) * 1.4);
-        assert!(penalty(&x4) > penalty(&base) * 2.3);
+        let penalty = |fgr: FgrMode| base.rfc_ab_for(fgr) as f64 * fgr.rate() as f64;
+        assert!(penalty(FgrMode::X2) > penalty(FgrMode::X1) * 1.4);
+        assert!(penalty(FgrMode::X4) > penalty(FgrMode::X1) * 2.3);
     }
 
     #[test]
@@ -371,6 +351,5 @@ mod tests {
     fn ns_cycle_conversions_roundtrip() {
         let t = TimingParams::ddr3_1333(Density::G8, Retention::Ms32);
         assert_eq!(t.ns_to_cycles(350.0), 234);
-        assert!((t.cycles_to_ns(234) - 351.0).abs() < 0.01);
     }
 }

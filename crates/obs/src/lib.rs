@@ -3,29 +3,25 @@
 //! Every layer of the stack — simulator, campaign runner, campaign server —
 //! records into these primitives:
 //!
-//! * [`Counter`] / [`Gauge`]: lock-free atomics;
+//! * [`Counter`]: a lock-free atomic;
 //! * [`Histogram`]: fixed log2 buckets (`[0], [1], [2,3], [4,7], …`) with
-//!   sum and count, plus a [`Span`] timer that observes elapsed
-//!   microseconds on drop;
+//!   sum and count;
 //! * [`Family`]: the same metrics keyed by label values;
-//! * [`Registry`]: named registration plus three read paths — a plain-data
-//!   [`Snapshot`], the Prometheus text exposition format
-//!   ([`Registry::render_prometheus`]) and a JSON object
-//!   ([`Registry::render_json`]).
+//! * [`Registry`]: named registration plus the Prometheus text exposition
+//!   format ([`Registry::render_prometheus`]).
 //!
 //! The crate deliberately depends on nothing (not even the workspace's
 //! vendored serde): it must be embeddable in every layer without dependency
-//! cycles, and its renderers are hand-written against the exposition
-//! formats' escaping rules.
+//! cycles, and its renderer is hand-written against the exposition
+//! format's escaping rules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Number of log2 buckets a [`Histogram`] carries. Bucket 0 holds the
 /// value 0; bucket `i >= 1` holds values whose bit length is `i` (the
@@ -41,7 +37,7 @@ pub fn bucket_index(value: u64) -> usize {
 
 /// Inclusive upper bound of a bucket, or `None` for the last (`+Inf`)
 /// bucket.
-pub fn bucket_bound(index: usize) -> Option<u64> {
+pub(crate) fn bucket_bound(index: usize) -> Option<u64> {
     match index {
         0 => Some(0),
         i if i < NBUCKETS - 1 => Some((1u64 << i) - 1),
@@ -55,7 +51,7 @@ pub struct Counter(AtomicU64);
 
 impl Counter {
     /// A counter at zero.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
@@ -70,33 +66,7 @@ impl Counter {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A signed gauge: a value that can go up and down.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n` (may be negative).
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
+    fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -124,11 +94,6 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one value.
     pub fn observe(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
@@ -136,20 +101,11 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Starts a span timer that observes the elapsed **microseconds**
-    /// into this histogram when dropped.
-    pub fn time(&self) -> Span<'_> {
-        Span {
-            hist: self,
-            start: Instant::now(),
-        }
-    }
-
     /// Plain-data view of the current state. Taken bucket-by-bucket
     /// without a global lock, so under concurrent writers the parts can
     /// be transiently inconsistent (sum/count ahead of buckets) — each
     /// part is individually monotonic.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: self
                 .buckets
@@ -162,24 +118,10 @@ impl Histogram {
     }
 }
 
-/// Times a region of code; see [`Histogram::time`].
-#[derive(Debug)]
-pub struct Span<'a> {
-    hist: &'a Histogram,
-    start: Instant,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        let us = u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.hist.observe(us);
-    }
-}
-
 /// Plain-data view of a [`Histogram`], with per-bucket (non-cumulative)
 /// counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramSnapshot {
+struct HistogramSnapshot {
     /// Per-bucket observation counts (`buckets[i]` counts values in
     /// bucket `i`; see [`bucket_bound`]).
     pub buckets: Vec<u64>,
@@ -202,7 +144,7 @@ pub struct Family<M> {
 
 impl<M: Default> Family<M> {
     /// An empty family.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             series: Mutex::new(BTreeMap::new()),
         }
@@ -216,7 +158,7 @@ impl<M: Default> Family<M> {
     }
 
     /// All series as `(label values, metric)` pairs, sorted by labels.
-    pub fn collect(&self) -> Vec<(Vec<String>, Arc<M>)> {
+    fn collect(&self) -> Vec<(Vec<String>, Arc<M>)> {
         let series = self.series.lock().expect("family lock");
         series
             .iter()
@@ -229,8 +171,6 @@ impl<M: Default> Family<M> {
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
     CounterFamily(Arc<Family<Counter>>, Vec<String>),
     HistogramFamily(Arc<Family<Histogram>>, Vec<String>),
 }
@@ -249,56 +189,6 @@ struct Entry {
 #[derive(Debug, Default)]
 pub struct Registry {
     entries: Mutex<Vec<Entry>>,
-}
-
-/// One rendered value in a [`Snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum SnapshotValue {
-    /// A counter's current value.
-    Counter(u64),
-    /// A gauge's current value.
-    Gauge(i64),
-    /// A histogram's current state.
-    Histogram(HistogramSnapshot),
-}
-
-/// One metric series in a [`Snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotEntry {
-    /// Metric name.
-    pub name: String,
-    /// `(label name, label value)` pairs; empty for unlabeled metrics.
-    pub labels: Vec<(String, String)>,
-    /// The value.
-    pub value: SnapshotValue,
-}
-
-/// Plain-data view of every registered series.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Snapshot {
-    /// All series, in registration order (family series sorted by label
-    /// values within their entry).
-    pub entries: Vec<SnapshotEntry>,
-}
-
-impl Snapshot {
-    /// The counter value for `name` with exactly `labels`, if present.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        self.entries
-            .iter()
-            .find(|e| {
-                e.name == name
-                    && e.labels.len() == labels.len()
-                    && e.labels
-                        .iter()
-                        .zip(labels)
-                        .all(|((n, v), (ln, lv))| n == ln && v == lv)
-            })
-            .and_then(|e| match &e.value {
-                SnapshotValue::Counter(v) => Some(*v),
-                _ => None,
-            })
-    }
 }
 
 impl Registry {
@@ -330,20 +220,6 @@ impl Registry {
         let c = Arc::new(Counter::new());
         self.register(name, help, Metric::Counter(Arc::clone(&c)));
         c
-    }
-
-    /// Registers and returns a gauge.
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        let g = Arc::new(Gauge::new());
-        self.register(name, help, Metric::Gauge(Arc::clone(&g)));
-        g
-    }
-
-    /// Registers and returns a histogram.
-    pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        let h = Arc::new(Histogram::new());
-        self.register(name, help, Metric::Histogram(Arc::clone(&h)));
-        h
     }
 
     /// Registers and returns a labeled counter family.
@@ -379,50 +255,6 @@ impl Registry {
         f
     }
 
-    /// Plain-data view of every registered series.
-    pub fn snapshot(&self) -> Snapshot {
-        let entries = self.entries.lock().expect("registry lock").clone();
-        let mut out = Vec::new();
-        for e in &entries {
-            match &e.metric {
-                Metric::Counter(c) => out.push(SnapshotEntry {
-                    name: e.name.clone(),
-                    labels: Vec::new(),
-                    value: SnapshotValue::Counter(c.get()),
-                }),
-                Metric::Gauge(g) => out.push(SnapshotEntry {
-                    name: e.name.clone(),
-                    labels: Vec::new(),
-                    value: SnapshotValue::Gauge(g.get()),
-                }),
-                Metric::Histogram(h) => out.push(SnapshotEntry {
-                    name: e.name.clone(),
-                    labels: Vec::new(),
-                    value: SnapshotValue::Histogram(h.snapshot()),
-                }),
-                Metric::CounterFamily(f, names) => {
-                    for (values, c) in f.collect() {
-                        out.push(SnapshotEntry {
-                            name: e.name.clone(),
-                            labels: zip_labels(names, &values),
-                            value: SnapshotValue::Counter(c.get()),
-                        });
-                    }
-                }
-                Metric::HistogramFamily(f, names) => {
-                    for (values, h) in f.collect() {
-                        out.push(SnapshotEntry {
-                            name: e.name.clone(),
-                            labels: zip_labels(names, &values),
-                            value: SnapshotValue::Histogram(h.snapshot()),
-                        });
-                    }
-                }
-            }
-        }
-        Snapshot { entries: out }
-    }
-
     /// Renders every metric in the Prometheus text exposition format
     /// (version 0.0.4): `# HELP`/`# TYPE` headers, escaped label values,
     /// cumulative `_bucket{le=...}` series plus `_sum`/`_count` for
@@ -433,20 +265,13 @@ impl Registry {
         for e in &entries {
             let kind = match &e.metric {
                 Metric::Counter(_) | Metric::CounterFamily(..) => "counter",
-                Metric::Gauge(_) => "gauge",
-                Metric::Histogram(_) | Metric::HistogramFamily(..) => "histogram",
+                Metric::HistogramFamily(..) => "histogram",
             };
             let _ = writeln!(out, "# HELP {} {}", e.name, escape_help(&e.help));
             let _ = writeln!(out, "# TYPE {} {kind}", e.name);
             match &e.metric {
                 Metric::Counter(c) => {
                     let _ = writeln!(out, "{} {}", e.name, c.get());
-                }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(out, "{} {}", e.name, g.get());
-                }
-                Metric::Histogram(h) => {
-                    render_histogram(&mut out, &e.name, &[], &h.snapshot());
                 }
                 Metric::CounterFamily(f, names) => {
                     for (values, c) in f.collect() {
@@ -471,50 +296,6 @@ impl Registry {
                 }
             }
         }
-        out
-    }
-
-    /// Renders every metric as one JSON object: unlabeled metrics map
-    /// name to value, families map name to a `series` array, histograms
-    /// carry per-bucket counts with their upper bounds.
-    pub fn render_json(&self) -> String {
-        let snapshot = self.snapshot();
-        let mut grouped: BTreeMap<&str, Vec<&SnapshotEntry>> = BTreeMap::new();
-        for e in &snapshot.entries {
-            grouped.entry(&e.name).or_default().push(e);
-        }
-        let mut out = String::from("{");
-        let mut first = true;
-        for (name, series) in &grouped {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "{}:", json_string(name));
-            let labeled = series.iter().any(|e| !e.labels.is_empty());
-            if labeled {
-                out.push('[');
-                for (i, e) in series.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"labels\":{");
-                    for (j, (ln, lv)) in e.labels.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "{}:{}", json_string(ln), json_string(lv));
-                    }
-                    out.push_str("},\"value\":");
-                    json_value(&mut out, &e.value);
-                    out.push('}');
-                }
-                out.push(']');
-            } else if let Some(e) = series.first() {
-                json_value(&mut out, &e.value);
-            }
-        }
-        out.push('}');
         out
     }
 }
@@ -568,61 +349,6 @@ fn escape_label_value(s: &str) -> String {
         .replace('\n', "\\n")
 }
 
-/// A JSON string literal with the mandatory escapes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_value(out: &mut String, value: &SnapshotValue) {
-    match value {
-        SnapshotValue::Counter(v) => {
-            let _ = write!(out, "{v}");
-        }
-        SnapshotValue::Gauge(v) => {
-            let _ = write!(out, "{v}");
-        }
-        SnapshotValue::Histogram(h) => {
-            let _ = write!(
-                out,
-                "{{\"count\":{},\"sum\":{},\"buckets\":[",
-                h.count, h.sum
-            );
-            let mut first = true;
-            for (i, count) in h.buckets.iter().enumerate() {
-                if *count == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let bound = match bucket_bound(i) {
-                    Some(b) => format!("\"{b}\""),
-                    None => "\"+Inf\"".to_string(),
-                };
-                let _ = write!(out, "{{\"le\":{bound},\"count\":{count}}}");
-            }
-            out.push_str("]}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -654,7 +380,7 @@ mod tests {
 
     #[test]
     fn histogram_accumulates_sum_and_count() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for v in [0, 1, 2, 3, 100] {
             h.observe(v);
         }
@@ -681,7 +407,9 @@ mod tests {
     #[test]
     fn prometheus_histogram_is_cumulative_with_inf() {
         let r = Registry::new();
-        let h = r.histogram("dsarp_lat", "latency");
+        let h = r
+            .histogram_family("dsarp_lat", "latency", &[])
+            .with_labels(&[]);
         h.observe(1);
         h.observe(3);
         h.observe(u64::MAX);
@@ -694,52 +422,11 @@ mod tests {
     }
 
     #[test]
-    fn json_renderer_produces_expected_shapes() {
-        let r = Registry::new();
-        r.counter("plain_total", "a").add(7);
-        r.gauge("depth", "b").set(-2);
-        let f = r.counter_family("by_route_total", "c", &["route"]);
-        f.with_labels(&["/metrics"]).inc();
-        let json = r.render_json();
-        assert!(json.contains("\"plain_total\":7"));
-        assert!(json.contains("\"depth\":-2"));
-        assert!(
-            json.contains("\"by_route_total\":[{\"labels\":{\"route\":\"/metrics\"},\"value\":1}]")
-        );
-        assert!(json.starts_with('{') && json.ends_with('}'));
-    }
-
-    #[test]
-    fn snapshot_lookup_by_labels() {
-        let r = Registry::new();
-        let f = r.counter_family("reqs_total", "d", &["method", "route"]);
-        f.with_labels(&["GET", "/healthz"]).add(4);
-        let snap = r.snapshot();
-        assert_eq!(
-            snap.counter("reqs_total", &[("method", "GET"), ("route", "/healthz")]),
-            Some(4)
-        );
-        assert_eq!(
-            snap.counter("reqs_total", &[("method", "PUT"), ("route", "/healthz")]),
-            None
-        );
-    }
-
-    #[test]
-    fn span_timer_observes_on_drop() {
-        let h = Histogram::new();
-        {
-            let _span = h.time();
-        }
-        assert_eq!(h.snapshot().count, 1);
-    }
-
-    #[test]
     fn hammer_concurrent_counters_and_histograms_lose_nothing() {
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 50_000;
         let c = Counter::new();
-        let h = Histogram::new();
+        let h = Histogram::default();
         std::thread::scope(|s| {
             for t in 0..THREADS {
                 let c = &c;

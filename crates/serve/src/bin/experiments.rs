@@ -133,6 +133,22 @@ fn die(message: &str) -> ! {
     std::process::exit(2);
 }
 
+/// An environmental failure (dead server, unwritable path, full disk) is
+/// refused the same way — `error: cannot <what> <path|url>: <cause>`,
+/// exit 2 — instead of unwinding with a backtrace.
+trait OrDie<T> {
+    fn or_die(self, what: &str, at: impl std::fmt::Display) -> T;
+}
+
+impl<T, E: std::fmt::Display> OrDie<T> for Result<T, E> {
+    fn or_die(self, what: &str, at: impl std::fmt::Display) -> T {
+        self.unwrap_or_else(|e| die(&format!("cannot {what} {at}: {e}")))
+    }
+}
+
+const OPEN_STORE: &str = "open campaign store";
+const WRITE_OUT: &str = "write results under --out";
+
 struct Args {
     cmd: Cmd,
     scale: Scale,
@@ -468,10 +484,7 @@ fn parse_args() -> Args {
 /// absent. Console output is identical either way.
 fn event_log(args: &Args) -> Arc<EventLog> {
     match &args.events {
-        Some(path) => Arc::new(
-            EventLog::to_path(path)
-                .unwrap_or_else(|e| die(&format!("cannot open --events {}: {e}", path.display()))),
-        ),
+        Some(path) => Arc::new(EventLog::to_path(path).or_die("open --events", path.display())),
         None => Arc::new(EventLog::disabled()),
     }
 }
@@ -518,10 +531,8 @@ fn resolve_spec(args: &Args) -> (CampaignSpec, bool) {
                  use --cycles/--per-category/--threads to override individual knobs)",
             );
         }
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read --spec {}: {e}", path.display())));
-        let mut spec = CampaignSpec::from_json(&text)
-            .unwrap_or_else(|e| die(&format!("cannot parse --spec {}: {e}", path.display())));
+        let text = std::fs::read_to_string(path).or_die("read --spec", path.display());
+        let mut spec = CampaignSpec::from_json(&text).or_die("parse --spec", path.display());
         spec.scale = args.with_scale_overrides(spec.scale);
         (spec, "the custom spec")
     } else {
@@ -574,7 +585,7 @@ fn main() {
             Some(dir) => (trace_spec(&args, dir), "trace-sweep"),
             None => (CampaignSpec::paper(args.scale), "built-in paper"),
         };
-        std::fs::write(path, spec.to_json()).expect("write --emit-spec file");
+        std::fs::write(path, spec.to_json()).or_die("write --emit-spec", path.display());
         println!(
             "wrote the {what} spec ({} sweeps) to {}",
             spec.sweeps.len(),
@@ -626,8 +637,8 @@ fn run_status_cmd(args: &Args, spec: &CampaignSpec) {
     println!("shard   done missing  lease");
     let (mut total_done, mut total_expected) = (0usize, 0usize);
     for (shard, want) in expected.iter().enumerate() {
-        let present = Store::read_shard_fingerprints(&campaign_dir, shard)
-            .unwrap_or_else(|e| die(&format!("cannot read shard {shard}: {e}")));
+        let present =
+            Store::read_shard_fingerprints(&campaign_dir, shard).or_die("read shard", shard);
         let done = want.iter().filter(|fp| present.contains(fp)).count();
         total_done += done;
         total_expected += want.len();
@@ -666,11 +677,10 @@ fn run_status_cmd(args: &Args, spec: &CampaignSpec) {
 fn run_serve_cmd(args: &Args, spec: CampaignSpec) {
     use std::io::Write;
     let listen = args.listen.as_deref().unwrap_or("127.0.0.1:0");
-    let http = minihttp::Server::bind(listen)
-        .unwrap_or_else(|e| die(&format!("cannot bind --listen {listen}: {e}")));
+    let http = minihttp::Server::bind(listen).or_die("bind --listen", listen);
     let addr = http.local_addr().expect("bound listener has an address");
-    let server =
-        dsarp_serve::CampaignServer::new(&args.campaign_dir, spec).expect("open campaign store");
+    let server = dsarp_serve::CampaignServer::new(&args.campaign_dir, spec)
+        .or_die(OPEN_STORE, args.campaign_dir.display());
     println!(
         "serving {} at http://{addr} (store: {})",
         server.campaign_name(),
@@ -715,7 +725,7 @@ fn run_trace_capture(args: &Args) {
         args.capture_ops,
         dialect,
     )
-    .expect("capture trace files");
+    .or_die("capture trace files under", dir.display());
     println!(
         "[{:>7.1?}] captured {} workloads x {} cores ({} entries each, {dialect}) \
          into {} files under {}",
@@ -741,13 +751,11 @@ fn run_trace_convert(args: &Args) {
                 Some("dtrace") => TraceDialect::Bin,
                 _ => TraceDialect::TextExt,
             });
-    let bytes = std::fs::read(from)
-        .unwrap_or_else(|e| die(&format!("cannot read --from {}: {e}", from.display())));
+    let bytes = std::fs::read(from).or_die("read --from", from.display());
     let t0 = Instant::now();
     let (summary, out) = dsarp_cpu::trace_v1::convert_bytes(&bytes, target)
         .unwrap_or_else(|e| die(&format!("trace file {}: {e}", from.display())));
-    std::fs::write(to, &out)
-        .unwrap_or_else(|e| die(&format!("cannot write --to {}: {e}", to.display())));
+    std::fs::write(to, &out).or_die("write --to", to.display());
     println!(
         "[{:>7.1?}] converted {} ({}, {} entries, {} bytes) -> {} ({target}, {} bytes)",
         t0.elapsed(),
@@ -769,7 +777,7 @@ fn open_backend(args: &Args, spec: &CampaignSpec, events: &Arc<EventLog>) -> Box
             // Every store and lease operation goes through the campaign
             // server; nothing is created locally.
             let mut backend =
-                RemoteStore::connect(url, &spec.name).expect("connect to campaign server");
+                RemoteStore::connect(url, &spec.name).or_die("connect to campaign server", url);
             if events.is_recording() {
                 // Transport back-offs land in the same JSONL stream as
                 // lease churn, so a flaky server is visible per attempt.
@@ -789,14 +797,21 @@ fn open_backend(args: &Args, spec: &CampaignSpec, events: &Arc<EventLog>) -> Box
             Box::new(backend)
         }
         None => {
+            let dir = args.campaign_dir.display();
             let backend =
-                LocalBackend::open(&args.campaign_dir, &spec.name).expect("open campaign store");
+                LocalBackend::open(&args.campaign_dir, &spec.name).or_die(OPEN_STORE, &dir);
             let manifest = serde_json::to_value(spec).expect("specs serialize");
             Store::write_manifest(&args.campaign_dir, &spec.name, &manifest)
-                .expect("write campaign manifest");
+                .or_die("write campaign manifest under", &dir);
             Box::new(backend)
         }
     }
+}
+
+/// The store a `worker`/`merge` talks to, as the user named it.
+fn store_name(args: &Args) -> String {
+    let local = || args.campaign_dir.display().to_string();
+    args.store_url.clone().unwrap_or_else(local)
 }
 
 fn distributed_client(spec: CampaignSpec, events: Arc<EventLog>) -> CampaignClient {
@@ -813,7 +828,7 @@ fn run_worker_cmd(args: &Args, spec: CampaignSpec) {
     let backend = open_backend(args, &spec, &events);
     let report = distributed_client(spec, events)
         .run_worker(backend.as_ref(), &opts)
-        .expect("worker execution");
+        .or_die("drain campaign through", store_name(args));
     println!(
         "worker `{}` done in {:.1?}: {} shard leases ({} reclaimed from dead owners), \
          {} jobs simulated, {} wait rounds",
@@ -860,8 +875,8 @@ fn run_compact_cmd(args: &Args, spec: &CampaignSpec) {
     // (or its scale — cycles are part of the fingerprint) almost
     // certainly does not match what the store was populated with.
     let manifest = serde_json::to_value(spec).expect("specs serialize");
-    let store =
-        Store::open(&args.campaign_dir, &spec.name, &manifest).expect("open campaign store");
+    let store = Store::open(&args.campaign_dir, &spec.name, &manifest)
+        .or_die(OPEN_STORE, args.campaign_dir.display());
     let reachable = store
         .fingerprints()
         .filter(|fp| keep.contains(&fp.0))
@@ -934,7 +949,7 @@ fn run_compact_cmd(args: &Args, spec: &CampaignSpec) {
 
 fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
     let out = &args.out;
-    std::fs::create_dir_all(out).expect("create output dir");
+    std::fs::create_dir_all(out).or_die("create --out", out.display());
     let mut md = String::from("# DSARP reproduction — raw experiment output\n\n");
     md.push_str(&format!(
         "Scale: {} DRAM cycles/run, {} workloads/category, {} threads.\n\n",
@@ -947,7 +962,7 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
     if args.fresh {
         let store = args.campaign_dir.join(&spec.name);
         if store.exists() {
-            std::fs::remove_dir_all(&store).expect("wipe campaign store");
+            std::fs::remove_dir_all(&store).or_die("wipe campaign store", store.display());
         }
     }
     // The analytic Figure 5 alone needs no sweep: no store is opened and
@@ -956,7 +971,7 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
         CampaignReport::default()
     } else {
         let result = execute(args, spec, t0);
-        export::write_report_json(out, &result).unwrap();
+        export::write_report_json(out, &result).or_die(WRITE_OUT, out.display());
         result
     };
 
@@ -964,24 +979,25 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
         // Custom specs reduce to one generic grid CSV/JSONL per sweep.
         for (name, grid) in &result.grids {
             let file = format!("grid_{}", name.replace(['/', ' '], "-"));
-            export::write_grid(out, &file, grid).unwrap();
+            export::write_grid(out, &file, grid).or_die(WRITE_OUT, out.display());
             md.push_str(&report::to_markdown(&format!("Sweep {name}"), grid.rows()));
         }
         println!("[{:>7.1?}] grid exports done", t0.elapsed());
     } else {
         if let Some(grid) = result.grids.get(paper::MAIN_SWEEP) {
-            export::write_grid(out, "main_grid", grid).unwrap();
+            export::write_grid(out, "main_grid", grid).or_die(WRITE_OUT, out.display());
         }
         let only = args.only.as_deref();
         for artifact in paper::ARTIFACTS.iter().filter(|a| a.answers(only)) {
             for section in artifact.reduce(&result) {
-                report::write_csv(out, section.stem, &section.rows).unwrap();
+                report::write_csv(out, section.stem, &section.rows)
+                    .or_die(WRITE_OUT, out.display());
                 md.push_str(&section.markdown);
             }
             println!("[{:>7.1?}] {} done", t0.elapsed(), artifact.names.join("/"));
         }
     }
-    std::fs::write(out.join("EXPERIMENTS_RAW.md"), md).expect("write markdown report");
+    std::fs::write(out.join("EXPERIMENTS_RAW.md"), md).or_die(WRITE_OUT, out.display());
     println!(
         "[{:>7.1?}] all requested experiments written to {}",
         t0.elapsed(),
@@ -1001,7 +1017,7 @@ fn execute(args: &Args, spec: CampaignSpec, t0: Instant) -> CampaignReport {
         let backend = open_backend(args, &spec, &events);
         let (result, worker) = distributed_client(spec, events)
             .merge(backend.as_ref(), &opts)
-            .expect("campaign merge");
+            .or_die("merge campaign through", store_name(args));
         println!(
             "[{:>7.1?}] merge `{}`: {} shard leases ({} reclaimed), {} cells re-run \
              locally, {} wait rounds",
@@ -1014,12 +1030,13 @@ fn execute(args: &Args, spec: CampaignSpec, t0: Instant) -> CampaignReport {
         );
         result
     } else {
-        let mut campaign = Campaign::open(&args.campaign_dir, spec).expect("open campaign store");
+        let dir = args.campaign_dir.display();
+        let mut campaign = Campaign::open(&args.campaign_dir, spec).or_die(OPEN_STORE, &dir);
         campaign.verbose = true;
         campaign.telemetry = args.telemetry;
         campaign.per_cycle = args.per_cycle;
         campaign.set_events(events);
-        campaign.run().expect("campaign execution")
+        campaign.run().or_die("run campaign in", &dir)
     };
     println!(
         "[{:>7.1?}] campaign done: {} cells, {} cached, {} simulated",

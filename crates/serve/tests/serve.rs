@@ -135,6 +135,18 @@ fn cli_refuses_invalid_modes_naming_the_token() {
         (&["worker", "--fresh"], "--fresh would wipe records"),
         (&["merge", "--fresh"], "--fresh would wipe records"),
         (&["status", "--fresh"], "--fresh would wipe the store"),
+        // Environmental failures are refusals too, not panics.
+        (
+            &["worker", "--store-url", "http://127.0.0.1:1"],
+            "cannot connect to campaign server http://127.0.0.1:1",
+        ),
+        (
+            &[
+                "--emit-spec",
+                concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/x.json"),
+            ],
+            "cannot write --emit-spec",
+        ),
     ];
     for (args, needle) in cases {
         let out = Command::new(BIN).args(*args).output().unwrap();
@@ -149,6 +161,11 @@ fn cli_refuses_invalid_modes_naming_the_token() {
         assert!(
             stderr.contains(needle),
             "`{}` must name `{needle}`:\n{stderr}",
+            args.join(" ")
+        );
+        assert!(
+            stderr.lines().any(|l| l.starts_with("error:")) && !stderr.contains("panicked"),
+            "`{}` must refuse with an `error:` line, not a panic:\n{stderr}",
             args.join(" ")
         );
     }

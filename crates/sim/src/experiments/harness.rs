@@ -12,8 +12,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How big to run the experiments. The paper simulates 256 M CPU cycles per
-/// run; the defaults here are throughput-scaled but cover hundreds of
-/// refresh intervals, which is what the mechanisms react to.
+/// run; the defaults here are throughput-scaled: `quick` is 40 000 DRAM
+/// cycles = 15 `tREFIab` at 32 ms, `full` is 115 (see ROADMAP item 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Scale {
     /// DRAM cycles per multiprogrammed run (6 CPU cycles each).
@@ -192,7 +192,7 @@ pub struct WsRow {
 ///
 /// Rows are indexed by `(mechanism, density)` → workload name on
 /// construction, so [`Grid::get`] is O(1) and reductions like
-/// [`Grid::ws_ratios`] are linear instead of quadratic in the row count.
+/// `Grid::ws_ratios` are linear instead of quadratic in the row count.
 #[derive(Debug, Clone, Default)]
 pub struct Grid {
     rows: Vec<WsRow>,
@@ -317,7 +317,7 @@ impl Grid {
     }
 
     /// Per-workload WS ratios of `mech` over `base` at `density`.
-    pub fn ws_ratios(&self, mech: Mechanism, base: Mechanism, density: Density) -> Vec<f64> {
+    pub(crate) fn ws_ratios(&self, mech: Mechanism, base: Mechanism, density: Density) -> Vec<f64> {
         let mut out = Vec::new();
         for r in self
             .rows
@@ -332,12 +332,22 @@ impl Grid {
     }
 
     /// Geometric-mean WS improvement (%) of `mech` over `base`.
-    pub fn gmean_improvement(&self, mech: Mechanism, base: Mechanism, density: Density) -> f64 {
+    pub(crate) fn gmean_improvement(
+        &self,
+        mech: Mechanism,
+        base: Mechanism,
+        density: Density,
+    ) -> f64 {
         improvement_pct(gmean(&self.ws_ratios(mech, base, density)), 1.0)
     }
 
     /// Maximum WS improvement (%) of `mech` over `base`.
-    pub fn max_improvement(&self, mech: Mechanism, base: Mechanism, density: Density) -> f64 {
+    pub(crate) fn max_improvement(
+        &self,
+        mech: Mechanism,
+        base: Mechanism,
+        density: Density,
+    ) -> f64 {
         self.ws_ratios(mech, base, density)
             .into_iter()
             .map(|r| improvement_pct(r, 1.0))
@@ -345,7 +355,7 @@ impl Grid {
     }
 
     /// Merges another grid's rows into this one.
-    pub fn merge(&mut self, other: Grid) {
+    pub(crate) fn merge(&mut self, other: Grid) {
         let from = self.rows.len();
         self.rows.extend(other.rows);
         self.reindex(from);

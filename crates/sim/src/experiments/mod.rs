@@ -4,7 +4,7 @@
 //! Which artifact reduces from which sweeps, and under which `--exp`
 //! name, is declared once in `dsarp_campaign::paper::ARTIFACTS`. Each
 //! module here holds one artifact's row types and its pure `reduce(..)`
-//! over pre-computed [`Grid`]s ([`fig05`] is analytic); the `experiments`
+//! over pre-computed `Grid`s ([`fig05`] is analytic); the `experiments`
 //! binary (in `dsarp-serve`) computes every grid through the cached,
 //! resumable campaign engine and reduces the table's artifacts from them.
 
@@ -25,4 +25,4 @@ pub mod table4;
 pub mod table5;
 pub mod table6;
 
-pub use harness::{parallel_map, Grid, Scale, WsRow};
+pub use harness::Scale;

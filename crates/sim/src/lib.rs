@@ -29,13 +29,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
+mod config;
 pub mod experiments;
-pub mod metrics;
-pub mod system;
-pub mod telemetry;
+mod metrics;
+mod system;
+mod telemetry;
 
 pub use config::SimConfig;
-pub use metrics::{AloneIpcCache, Metrics};
-pub use system::{LoopStats, RunStats, System, SystemBuilder};
+pub use metrics::Metrics;
+pub use system::{RunStats, System, SystemBuilder};
 pub use telemetry::SimTelemetry;

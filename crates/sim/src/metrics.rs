@@ -1,5 +1,5 @@
-//! System-level performance metrics: weighted speedup, harmonic speedup,
-//! maximum slowdown, and the alone-IPC cache they all need.
+//! System-level performance metrics: weighted speedup, harmonic speedup
+//! and maximum slowdown.
 //!
 //! The paper (§5, §6.1.5) reports weighted speedup (WS) as the primary
 //! metric, plus harmonic speedup and maximum slowdown for fairness.
@@ -8,70 +8,8 @@
 //! policy comparison divides by the *same* alone values, the choice of
 //! alone baseline cancels out of relative improvements.
 
-use crate::config::SimConfig;
-use crate::system::{RunStats, SystemBuilder};
-use dsarp_dram::Density;
-use dsarp_workloads::{BenchmarkSpec, IntensityCategory, Workload};
+use crate::system::RunStats;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-
-/// Memoized alone-IPC measurements, keyed by (benchmark, density).
-#[derive(Debug, Default, Clone)]
-pub struct AloneIpcCache {
-    map: HashMap<(&'static str, Density), f64>,
-}
-
-impl AloneIpcCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Alone-IPC of `bench` under `base` (density/LLC taken from it),
-    /// simulating `dram_cycles` on first use.
-    pub fn get(
-        &mut self,
-        bench: &'static BenchmarkSpec,
-        base: &SimConfig,
-        dram_cycles: u64,
-    ) -> f64 {
-        *self
-            .map
-            .entry((bench.name, base.density))
-            .or_insert_with(|| {
-                let cfg = base.alone();
-                let wl = Workload {
-                    name: format!("alone-{}", bench.name),
-                    category: IntensityCategory::P100,
-                    benchmarks: vec![bench],
-                };
-                let stats = SystemBuilder::new(&cfg)
-                    .workload(&wl)
-                    .build()
-                    .run(dram_cycles);
-                stats.ipc[0].max(1e-9)
-            })
-    }
-
-    /// Pre-computes alone IPCs for every benchmark in `workloads`.
-    pub fn warm(&mut self, workloads: &[Workload], base: &SimConfig, dram_cycles: u64) {
-        for wl in workloads {
-            for b in &wl.benchmarks {
-                self.get(b, base, dram_cycles);
-            }
-        }
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
 
 /// The paper's multiprogram metrics for one run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -93,7 +31,7 @@ impl Metrics {
     ///
     /// Panics if `alone.len()` does not match the number of cores in
     /// `stats`.
-    pub fn compute(stats: &RunStats, alone: &[f64]) -> Self {
+    pub(crate) fn compute(stats: &RunStats, alone: &[f64]) -> Self {
         Self::from_ipcs(&stats.ipc, alone, stats.energy_per_access_nj())
     }
 
@@ -125,14 +63,14 @@ impl Metrics {
 }
 
 /// Geometric mean of a non-empty slice of positive values.
-pub fn gmean(values: &[f64]) -> f64 {
+pub(crate) fn gmean(values: &[f64]) -> f64 {
     assert!(!values.is_empty(), "gmean of empty slice");
     let log_sum: f64 = values.iter().map(|v| v.max(1e-12).ln()).sum();
     (log_sum / values.len() as f64).exp()
 }
 
 /// Percentage improvement of `new` over `base`.
-pub fn improvement_pct(new: f64, base: f64) -> f64 {
+pub(crate) fn improvement_pct(new: f64, base: f64) -> f64 {
     (new / base - 1.0) * 100.0
 }
 
@@ -177,18 +115,5 @@ mod tests {
         assert!((gmean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert!((improvement_pct(1.1, 1.0) - 10.0).abs() < 1e-9);
         assert!(improvement_pct(0.9, 1.0) < 0.0);
-    }
-
-    #[test]
-    fn alone_cache_memoizes() {
-        use dsarp_core::Mechanism;
-        let base = SimConfig::paper(Mechanism::RefAb, Density::G8);
-        let mut cache = AloneIpcCache::new();
-        let bench = &dsarp_workloads::catalogue::all()[0];
-        let a = cache.get(bench, &base, 2_000);
-        let b = cache.get(bench, &base, 999_999); // ignored: memoized
-        assert_eq!(a, b);
-        assert_eq!(cache.len(), 1);
-        assert!(a > 0.0);
     }
 }

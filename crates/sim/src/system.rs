@@ -8,8 +8,8 @@ use crate::config::SimConfig;
 use crate::telemetry::SimTelemetry;
 use dsarp_core::{Completion, ControllerStats, MemoryController, Request};
 use dsarp_cpu::{
-    AccessResult, Core, CoreIdle, CoreStats, Llc, LlcParams, LlcResult, LlcStats, MemoryInterface,
-    StallKind, TraceSource,
+    AccessResult, Core, CoreIdle, Llc, LlcParams, LlcResult, LlcStats, MemoryInterface, StallKind,
+    TraceSource,
 };
 use dsarp_dram::{
     Cycle, DramChannel, EnergyBreakdown, Geometry, IddValues, Location, PowerModel,
@@ -346,7 +346,7 @@ impl<'a> SystemBuilder<'a> {
     /// The sampling contract is **once per channel per DRAM cycle**,
     /// against post-command state; for the cycles [`System::run`] lets a
     /// channel sleep through, the identical per-cycle samples are folded in
-    /// arithmetically ([`crate::telemetry::DepthHistogram::observe_n`]), so
+    /// arithmetically (`crate::telemetry::DepthHistogram::observe_n`), so
     /// the histogram and bank counters are byte-identical to per-cycle
     /// stepping.
     pub fn telemetry(mut self, on: bool) -> Self {
@@ -773,11 +773,6 @@ impl System {
         }
     }
 
-    /// Per-core statistics (cumulative).
-    pub fn core_stats(&self) -> Vec<CoreStats> {
-        self.cores.iter().map(|c| *c.stats()).collect()
-    }
-
     fn collect(&mut self) -> RunStats {
         for c in &mut self.chans {
             c.finalize_energy(self.now);
@@ -923,9 +918,9 @@ mod tests {
             assert!(ctrl.reads_done > 100, "channel {ch} starved");
         }
         let busy: u64 = sys
-            .core_stats()
+            .cores
             .iter()
-            .map(|c| c.mem_busy_stall_cycles)
+            .map(|c| c.stats().mem_busy_stall_cycles)
             .sum();
         assert!(busy > 0, "the run never filled a 16-entry read queue");
         // The skip-ahead planner's `MemBusy` probe uses the same threshold.

@@ -9,7 +9,7 @@
 //! on [`crate::RunStats`] as an `Option` that stays `None` unless enabled.
 
 use dsarp_core::SchedulerScan;
-use dsarp_obs::{bucket_bound, bucket_index, NBUCKETS};
+use dsarp_obs::{bucket_index, NBUCKETS};
 use serde::{Deserialize, Error, Map, Serialize, Value};
 
 /// Per-run telemetry; attached to [`crate::RunStats::telemetry`] when
@@ -152,7 +152,7 @@ impl Default for DepthHistogram {
 
 impl DepthHistogram {
     /// Records one value.
-    pub fn observe(&mut self, value: u64) {
+    pub(crate) fn observe(&mut self, value: u64) {
         self.buckets[bucket_index(value)] += 1;
         self.sum += value;
         self.count += 1;
@@ -166,7 +166,7 @@ impl DepthHistogram {
     /// whole span, so the per-cycle samples it replaces are `n` identical
     /// observations — this folds them in arithmetically, leaving the bucket
     /// counts byte-identical to per-cycle stepping.
-    pub fn observe_n(&mut self, value: u64, n: u64) {
+    pub(crate) fn observe_n(&mut self, value: u64, n: u64) {
         self.buckets[bucket_index(value)] += n;
         self.sum += value * n;
         self.count += n;
@@ -180,22 +180,11 @@ impl DepthHistogram {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// `(inclusive upper bound, count)` for each non-empty bucket; `None`
-    /// bound = +Inf.
-    pub fn nonzero_buckets(&self) -> Vec<(Option<u64>, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_bound(i), c))
-            .collect()
-    }
 }
 
 impl SimTelemetry {
     /// Empty telemetry shaped for a `channels x ranks x banks` system.
-    pub fn for_geometry(channels: usize, ranks: usize, banks: usize) -> Self {
+    pub(crate) fn for_geometry(channels: usize, ranks: usize, banks: usize) -> Self {
         let mut t = Self::default();
         for c in 0..channels {
             for r in 0..ranks {
@@ -239,8 +228,7 @@ mod tests {
         assert_eq!(h.count, 4);
         assert_eq!(h.sum, 70);
         assert_eq!(h.buckets[bucket_index(5)], 1);
-        let nz = h.nonzero_buckets();
-        assert_eq!(nz.first(), Some(&(Some(0), 1)));
+        assert_eq!(h.buckets[0], 1);
     }
 
     #[test]

@@ -345,12 +345,12 @@ pub fn all() -> &'static [BenchmarkSpec] {
 }
 
 /// The memory-intensive archetypes (MPKI ≥ 10 by design).
-pub fn intensive() -> Vec<&'static BenchmarkSpec> {
+pub(crate) fn intensive() -> Vec<&'static BenchmarkSpec> {
     CATALOGUE.iter().filter(|s| s.is_intensive()).collect()
 }
 
 /// The memory-non-intensive archetypes.
-pub fn non_intensive() -> Vec<&'static BenchmarkSpec> {
+pub(crate) fn non_intensive() -> Vec<&'static BenchmarkSpec> {
     CATALOGUE.iter().filter(|s| !s.is_intensive()).collect()
 }
 

@@ -40,8 +40,8 @@
 
 pub mod catalogue;
 pub mod mixes;
-pub mod spec;
-pub mod synth;
+mod spec;
+mod synth;
 
 pub use mixes::{IntensityCategory, Workload};
 pub use spec::{measured_mpki, BenchmarkSpec, MemClass};

@@ -42,7 +42,7 @@ impl IntensityCategory {
     }
 
     /// Number of memory-intensive slots in a `cores`-wide workload.
-    pub fn intensive_count(self, cores: usize) -> usize {
+    pub(crate) fn intensive_count(self, cores: usize) -> usize {
         (cores * self.percent() as usize + 50) / 100
     }
 }
@@ -80,12 +80,6 @@ impl Workload {
     /// Number of cores this workload occupies.
     pub fn cores(&self) -> usize {
         self.benchmarks.len()
-    }
-
-    /// Fraction of memory-intensive benchmarks in the mix.
-    pub fn intensive_fraction(&self) -> f64 {
-        let n = self.benchmarks.iter().filter(|b| b.is_intensive()).count();
-        n as f64 / self.benchmarks.len() as f64
     }
 }
 
@@ -164,14 +158,8 @@ mod tests {
     fn category_controls_intensive_fraction() {
         let w = paper_workloads(8, 7);
         for wl in &w {
-            let expect = wl.category.intensive_count(8) as f64 / 8.0;
-            assert!(
-                (wl.intensive_fraction() - expect).abs() < 1e-9,
-                "{}: {} vs {}",
-                wl.name,
-                wl.intensive_fraction(),
-                expect
-            );
+            let intensive = wl.benchmarks.iter().filter(|b| b.is_intensive()).count();
+            assert_eq!(intensive, wl.category.intensive_count(8), "{}", wl.name);
         }
     }
 
@@ -195,7 +183,7 @@ mod tests {
         let w = intensive_mixes(8, 3);
         assert_eq!(w.len(), 16);
         for wl in &w {
-            assert_eq!(wl.intensive_fraction(), 1.0);
+            assert!(wl.benchmarks.iter().all(|b| b.is_intensive()));
             assert_eq!(wl.cores(), 8);
         }
     }

@@ -53,7 +53,7 @@ pub struct BenchmarkSpec {
 
 impl BenchmarkSpec {
     /// Whether this archetype is memory-intensive by design.
-    pub fn is_intensive(&self) -> bool {
+    pub(crate) fn is_intensive(&self) -> bool {
         self.class == MemClass::Intensive
     }
 }

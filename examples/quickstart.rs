@@ -3,7 +3,7 @@
 //! numbers.
 //!
 //! ```text
-//! cargo run --release -p dsarp-sim --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use dsarp_core::Mechanism;

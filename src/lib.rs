@@ -1,16 +1,8 @@
 //! Umbrella crate for the DSARP reproduction workspace.
 //!
-//! Re-exports the substrate crates so the repo-level integration tests and
-//! examples have a single dependency root. See `crates/*` for the actual
-//! implementation and `crates/campaign` for the experiment orchestration
-//! layer.
+//! Holds the repo-level integration tests (`tests/`) and the quickstart
+//! example, which name the substrate crates directly. See `crates/*` for
+//! the actual implementation and `crates/campaign` for the experiment
+//! orchestration layer.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub use dsarp_campaign as campaign;
-pub use dsarp_core as core;
-pub use dsarp_cpu as cpu;
-pub use dsarp_dram as dram;
-pub use dsarp_sim as sim;
-pub use dsarp_workloads as workloads;

@@ -89,18 +89,23 @@ fn log_hash(log: &[(u64, dsarp_dram::Command)]) -> String {
     fingerprint_bytes(text.as_bytes()).to_string()
 }
 
+/// Both channels' `(cycle, Command)` logs of `mech` on `wl` at 32 Gb.
+fn streams(wl: &Workload, mech: Mechanism) -> [Vec<(u64, dsarp_dram::Command)>; 2] {
+    let cfg = SimConfig::paper(mech, Density::G32);
+    let mut sys = SystemBuilder::new(&cfg)
+        .workload(wl)
+        .command_log(true)
+        .build();
+    sys.run(CYCLES);
+    [sys.take_command_log(0), sys.take_command_log(1)]
+}
+
 #[test]
 fn command_streams_match_the_pre_pruning_scheduler() {
     let mut actual = Vec::new();
     for wl in workloads() {
         for mech in MECHANISMS {
-            let cfg = SimConfig::paper(mech, Density::G32);
-            let mut sys = SystemBuilder::new(&cfg)
-                .workload(&wl)
-                .command_log(true)
-                .build();
-            sys.run(CYCLES);
-            let (ch0, ch1) = (sys.take_command_log(0), sys.take_command_log(1));
+            let [ch0, ch1] = streams(&wl, mech);
             assert!(ch0.len() + ch1.len() > 1_000, "{mech} on {}", wl.name);
             actual.push((
                 wl.name.clone(),
@@ -120,5 +125,34 @@ fn command_streams_match_the_pre_pruning_scheduler() {
             *want,
             "command stream diverged for {mech} on {wl}"
         );
+    }
+}
+
+/// Two identities the pinned table contains only by accident of its
+/// hashes (ROADMAP 2(d)), asserted on purpose and on the streams
+/// themselves: Adaptive Refresh never leaves 1x mode on this traffic, and
+/// the footnote-5 overlap extension never asks for a second in-flight
+/// `REFpb`, so each issues exactly its baseline's commands.
+#[test]
+fn adaptive_and_overlapped_refpb_emit_their_baselines_streams() {
+    for wl in workloads() {
+        for (mech, baseline) in [
+            (Mechanism::AdaptiveRefresh, Mechanism::RefAb),
+            (Mechanism::RefPbOverlapped, Mechanism::RefPb),
+        ] {
+            let (got, want) = (streams(&wl, mech), streams(&wl, baseline));
+            for ch in 0..2 {
+                let first = got[ch].iter().zip(&want[ch]).position(|(g, w)| g != w);
+                assert!(
+                    first.is_none() && got[ch].len() == want[ch].len(),
+                    "identity broken: {mech} must emit exactly {baseline}'s command stream \
+                     on {} channel {ch}, but they part at command {:?} ({} vs {} commands)",
+                    wl.name,
+                    first,
+                    got[ch].len(),
+                    want[ch].len()
+                );
+            }
+        }
     }
 }
