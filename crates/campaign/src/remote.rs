@@ -13,7 +13,7 @@ use crate::backend::{AcquireOutcome, StoreBackend};
 use crate::fingerprint::Fingerprint;
 use crate::lease::LeaseInfo;
 use crate::retry::{self, RetryPolicy};
-use crate::store::{Record, Store, FORMAT_VERSION, SHARDS};
+use crate::store::{Record, ShardView, Store, FORMAT_VERSION, SHARDS};
 use minihttp::{Client, Response};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -72,16 +72,6 @@ pub struct LeaseReply {
     pub holder: Option<LeaseInfo>,
 }
 
-/// Incremental read state for one shard: the offset the next read
-/// resumes from, and every record decoded so far (first-per-fingerprint,
-/// matching [`Store`] load semantics).
-#[derive(Debug, Default)]
-struct ShardCache {
-    offset: u64,
-    fps: HashSet<u128>,
-    records: HashMap<u128, Record>,
-}
-
 /// Callback invoked before each transient-failure back-off:
 /// `(what, attempt, delay, error)`.
 pub(crate) type RetryObserver =
@@ -107,7 +97,7 @@ impl std::fmt::Debug for ObserverCell {
 pub struct RemoteStore {
     url: String,
     client: Mutex<Client>,
-    shards: Vec<Mutex<ShardCache>>,
+    shards: Vec<Mutex<ShardView>>,
     policy: RetryPolicy,
     seed: u64,
     observer: ObserverCell,
@@ -162,7 +152,7 @@ impl RemoteStore {
             url: url.to_string(),
             client: Mutex::new(Client::new(host_of(url))),
             shards: (0..SHARDS)
-                .map(|_| Mutex::new(ShardCache::default()))
+                .map(|_| Mutex::new(ShardView::default()))
                 .collect(),
             policy: RetryPolicy::remote(),
             seed: retry::seed_for(url, 0),
@@ -224,31 +214,20 @@ impl RemoteStore {
     /// Pulls the bytes `shard` grew since the last pull into its cache.
     /// Line-clamping happens server-side ([`Store::read_tail`]), so a
     /// concurrent append never yields a torn JSON line here.
-    fn refresh_shard(&self, shard: usize) -> io::Result<std::sync::MutexGuard<'_, ShardCache>> {
+    fn refresh_shard(&self, shard: usize) -> io::Result<std::sync::MutexGuard<'_, ShardView>> {
         let mut cache = self.shards[shard]
             .lock()
             .expect("shard cache lock poisoned");
         let what = format!("read shard {shard}");
         let target = format!("/shards/{shard:02}?offset={}", cache.offset);
         let resp = self.request("GET", &target, &[], &[], &what)?;
-        if resp.header_value("x-shard-reset") == Some("1") {
-            // The server's shard is shorter than our offset (compaction):
-            // the reply restarted from byte 0, so must our cache.
-            *cache = ShardCache::default();
-        }
+        let reset = resp.header_value("x-shard-reset") == Some("1");
         let next: u64 = resp
             .header_value("x-next-offset")
             .ok_or_else(|| bad_reply(&what, "missing x-next-offset"))?
             .parse()
             .map_err(|e| bad_reply(&what, e))?;
-        for line in String::from_utf8_lossy(&resp.body).lines() {
-            if let Some((fp, record)) = Store::decode_line(line) {
-                if cache.fps.insert(fp.0) {
-                    cache.records.insert(fp.0, record);
-                }
-            }
-        }
-        cache.offset = next;
+        cache.apply(&resp.body, next, reset);
         Ok(cache)
     }
 
@@ -288,7 +267,7 @@ impl StoreBackend for RemoteStore {
     }
 
     fn shard_fingerprints(&self, shard: usize) -> io::Result<HashSet<u128>> {
-        Ok(self.refresh_shard(shard)?.fps.clone())
+        Ok(self.refresh_shard(shard)?.records.keys().copied().collect())
     }
 
     fn append(&self, fp: Fingerprint, record: &Record) -> io::Result<()> {

@@ -489,6 +489,34 @@ pub struct ShardTail {
     pub reset: bool,
 }
 
+/// In-memory view of one shard, grown from successive [`ShardTail`]s —
+/// read from the file by the campaign server, over HTTP by its clients.
+#[derive(Debug, Default)]
+pub struct ShardView {
+    /// How far the shard has been decoded: where the next tail read resumes.
+    pub offset: u64,
+    /// Every record decoded so far; the first per fingerprint wins,
+    /// matching [`Store`] load semantics.
+    pub records: HashMap<u128, Record>,
+}
+
+impl ShardView {
+    /// Folds one tail read into the view. A `reset` tail (the shard shrank
+    /// under the reader's offset: compaction) restarted from byte 0, so
+    /// the view restarts with it.
+    pub fn apply(&mut self, tail_bytes: &[u8], next_offset: u64, reset: bool) {
+        if reset {
+            self.records.clear();
+        }
+        for line in String::from_utf8_lossy(tail_bytes).lines() {
+            if let Some((fp, record)) = Store::decode_line(line) {
+                self.records.entry(fp.0).or_insert(record);
+            }
+        }
+        self.offset = next_offset;
+    }
+}
+
 /// Outcome of one [`Store::compact`] pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CompactionStats {
@@ -691,6 +719,17 @@ mod tests {
         let reset = Store::read_tail(&dir, 0, 1 << 30).unwrap();
         assert!(reset.reset);
         assert_eq!(reset.next_offset, healed.next_offset);
+
+        // A view folded over the same tails skips the torn line, and a
+        // reset tail restarts it (dropping what only the old bytes held).
+        let mut view = ShardView::default();
+        view.apply(&first.bytes, first.next_offset, first.reset);
+        view.apply(&healed.bytes, healed.next_offset, healed.reset);
+        assert_eq!((view.offset, view.records.len()), (healed.next_offset, 2));
+        view.records.insert(99, a.clone());
+        view.apply(&reset.bytes, reset.next_offset, reset.reset);
+        assert_eq!(view.records.get(&fp_a.0), Some(&a));
+        assert_eq!((view.offset, view.records.len()), (healed.next_offset, 2));
         let _ = std::fs::remove_dir_all(root);
     }
 

@@ -2,90 +2,18 @@
 //! the campaign engine: all runs are content-addressed, cached under the
 //! campaign store, and resumable — re-running reuses every completed cell.
 //!
-//! ```text
-//! experiments [run]     [--scale quick|full] [--cycles N] [--per-category N]
-//!                       [--threads N] [--out DIR] [--campaign DIR] [--fresh]
-//!                       [--exp NAME] [--spec FILE.json] [--emit-spec FILE]
-//!                       [--traces DIR [--trace-cores N] [--trace-glob G]]
-//!                       [--events FILE.jsonl] [--telemetry] [--no-skip-ahead]
-//! experiments worker    (--campaign DIR | --store-url URL)
-//!                       [--spec FILE | --traces DIR]
-//!                       [--owner ID] [--ttl-ms N] [--poll-ms N]
-//!                       [--threads N] [--exp NAME] [--events FILE.jsonl]
-//! experiments merge     (--campaign DIR | --store-url URL)
-//!                       [--spec FILE | --traces DIR] [... run flags]
-//! experiments status    [--campaign DIR] [--spec FILE | --traces DIR]
-//! experiments compact   --campaign DIR [--spec FILE | --traces DIR]
-//! experiments serve     [--listen ADDR] [--campaign DIR]
-//!                       [--spec FILE | --traces DIR]
-//! experiments trace-capture --traces DIR [--count N] [--trace-cores N]
-//!                       [--ops N] [--seed N] [--format text|text-ext|bin]
-//! experiments trace-convert --from FILE --to FILE [--format text|text-ext|bin]
-//! ```
+//! `experiments --help` lists the subcommands and every flag;
+//! `experiments <subcommand> --help` lists what that subcommand takes.
+//! Both print [`FLAGS`], the one table that parsing, the usage refusals
+//! and their tests are derived from.
 //!
-//! * `run` (default): single-process execution plus artifact reduction.
-//! * `worker`: leases shards of the missing-job set via `shard-NN.lock`
-//!   files, simulates only leased cells, and exits once the campaign is
-//!   drained (by itself and/or other workers). Run N of these — across
-//!   processes or hosts sharing the store directory — to distribute one
-//!   campaign.
-//! * `merge`: the coordinator — waits for leases to drain, reclaims dead
-//!   workers' unfinished cells (re-running them locally), then reduces
-//!   tables/figures exactly as `run` does, byte-identically.
-//! * `status`: one-shot progress table — per-shard done/missing cell
-//!   counts against the spec plus the current lease holders (live or
-//!   stale). Read-only; safe to run while workers drain. For a campaign
-//!   behind `experiments serve`, scrape `GET /status` instead.
-//! * `compact`: rewrites shards keeping only fingerprints reachable from
-//!   the spec, dropping orphaned records, duplicate appends and torn lines.
-//! * `serve`: hosts the campaign store over HTTP (prints the URL on the
-//!   first stdout line), so `worker --store-url URL` and
-//!   `merge --store-url URL` distribute the campaign across hosts with no
-//!   shared filesystem — leases, dedup and crash reclaim work exactly as
-//!   they do against a shared `--campaign DIR`. See the README's
-//!   "Campaign server" section for the endpoint table.
-//! * `trace-capture`: records synthetic memory-intensive mixes as a
-//!   directory of trace files (one file per workload per core), so users
-//!   and CI can self-generate trace suites to sweep. `--format` picks the
-//!   encoding: plain Ramulator `text` (default, lossy for store bubbles
-//!   and load dependence), the lossless `text-ext` dialect, or the
-//!   lossless binary `bin` (`.dtrace`) — see the README's trace dialect
-//!   spec.
-//! * `trace-convert`: re-encodes one trace file between dialects
-//!   (`--from FILE --to FILE`). The target dialect is inferred from the
-//!   `--to` extension (`.dtrace` means `bin`, anything else `text-ext`)
-//!   unless `--format` says otherwise. Conversions between the lossless
-//!   dialects round-trip byte-stably.
-//! * `--traces DIR` sweeps a directory of captured traces instead of the
-//!   built-in paper campaign: file names matching `--trace-glob` (default
-//!   `*.trace`; use `*.dtrace` for binary suites) are sorted and bundled
-//!   `--trace-cores` (default 1) at a time, and each file's content hash
-//!   feeds the job fingerprints, so editing a trace re-simulates exactly
-//!   its own cells. The sweep runs `REFab`/`REFpb`/`DSARP` at 32 Gb;
-//!   `--emit-spec` the spec and edit it for other axes.
-//! * `--spec FILE.json` executes a serialized [`CampaignSpec`] instead of
-//!   the built-in paper campaign (no recompilation for new sweeps);
-//!   `--emit-spec FILE` dumps the built-in (or `--traces`) spec as a
-//!   starting point.
-//! * `--events FILE.jsonl` appends one structured JSON event per campaign
-//!   progress step (planning, per-job simulation, lease churn, remote
-//!   retries) to `FILE.jsonl` — see the README's "Observability" section
-//!   for the schema. Console output is unchanged.
-//! * `--telemetry` (run only) additionally samples per-bank simulator
-//!   telemetry and writes one sidecar JSON per simulated cell under
-//!   `<store>/telemetry/<fingerprint>.json`. Shard records and grids are
-//!   byte-identical with or without it.
-//! * `--no-skip-ahead` (run only) forces per-cycle stepping
-//!   ([`dsarp_sim::System::run_per_cycle`]) instead of the event-driven
-//!   skip-ahead loop. Every record, grid and telemetry sidecar is
-//!   byte-identical either way (the simulator's exactness guarantee);
-//!   the flag exists to demonstrate that and to isolate the skip-ahead
-//!   engine when debugging. Wall time is the only difference.
-//!
-//! Outputs one CSV per artifact under `--out` (default `results/`), a
-//! combined `EXPERIMENTS_RAW.md`, and `campaign_report.json` with cache
-//! statistics. The result store lives under `--campaign` (default
-//! `.campaign/`); `--fresh` wipes it first.
+//! `run` and `merge` write one CSV per artifact under `--out`, a combined
+//! `EXPERIMENTS_RAW.md`, and `campaign_report.json` with cache statistics.
+//! A `--traces DIR` sweep bundles the sorted file names matching
+//! `--trace-glob`, `--trace-cores` at a time; each file's content hash
+//! feeds the job fingerprints, so editing a trace re-simulates exactly its
+//! own cells. `--spec` and `--traces` campaigns reduce to one generic
+//! `grid_<sweep>.csv` per sweep instead of the paper's named artifacts.
 
 use dsarp_campaign::store::SHARDS;
 use dsarp_campaign::{
@@ -94,36 +22,31 @@ use dsarp_campaign::{
     WorkerOptions, WorkloadSet,
 };
 use dsarp_core::Mechanism;
+use dsarp_cpu::TraceDialect;
 use dsarp_dram::Density;
 use dsarp_sim::experiments::{
     harness::{Scale, WORKLOAD_SEED},
     report,
 };
-use std::path::{Path, PathBuf};
+use std::collections::HashMap;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cmd {
-    Run,
-    Worker,
-    Merge,
-    Status,
-    Compact,
-    Serve,
-    TraceCapture,
-    TraceConvert,
-}
+/// A subcommand: its name, the summary `--help` prints, and what runs it.
+type Subcommand = (&'static str, &'static str, fn(&Args));
 
-const SUBCOMMANDS: [(&str, Cmd); 8] = [
-    ("run", Cmd::Run),
-    ("worker", Cmd::Worker),
-    ("merge", Cmd::Merge),
-    ("status", Cmd::Status),
-    ("compact", Cmd::Compact),
-    ("serve", Cmd::Serve),
-    ("trace-capture", Cmd::TraceCapture),
-    ("trace-convert", Cmd::TraceConvert),
+/// Every subcommand; the first is the default.
+#[rustfmt::skip] // a table reads as a table: one row per line
+const SUBCOMMANDS: [Subcommand; 8] = [
+    ("run", "simulate the campaign in this process, then reduce its artifacts (the default)", run_or_merge),
+    ("worker", "lease shards of the missing cells, simulate them, exit once all are drained", run_worker_cmd),
+    ("merge", "wait for the drain, re-run dead workers' cells, then reduce exactly as run does", run_or_merge),
+    ("status", "print done/missing cells and the lease holder of every shard (read-only)", run_status_cmd),
+    ("compact", "rewrite shards without orphaned records, duplicate appends and torn lines", run_compact_cmd),
+    ("serve", "host the store over HTTP for --store-url workers; prints the URL first", run_serve_cmd),
+    ("trace-capture", "record synthetic intensive mixes as trace files, one per core", run_trace_capture),
+    ("trace-convert", "re-encode one trace file (lossless dialects round-trip byte-stably)", run_trace_convert),
 ];
 
 /// CLI refusal: a named offending token and a nonzero exit, without the
@@ -149,361 +72,246 @@ impl<T, E: std::fmt::Display> OrDie<T> for Result<T, E> {
 const OPEN_STORE: &str = "open campaign store";
 const WRITE_OUT: &str = "write results under --out";
 
-struct Args {
-    cmd: Cmd,
-    scale: Scale,
-    out: PathBuf,
-    campaign_dir: PathBuf,
-    fresh: bool,
-    only: Option<String>,
-    spec_file: Option<PathBuf>,
-    emit_spec: Option<PathBuf>,
-    owner: Option<String>,
-    ttl_ms: u64,
-    poll_ms: u64,
-    /// Remote campaign store (worker/merge): talk to an `experiments
-    /// serve` instance instead of a shared `--campaign` directory.
-    store_url: Option<String>,
-    /// `serve` bind address (default `127.0.0.1:0`).
-    listen: Option<String>,
-    /// Explicit scale overrides, applied to `--spec` files too.
-    cycles: Option<u64>,
-    per_category: Option<usize>,
-    threads: Option<usize>,
-    /// Whether `--scale` was passed explicitly (invalid with `--spec`,
-    /// whose file carries its own scale).
-    scale_set: bool,
-    /// Trace directory: capture target for `trace-capture`, sweep source
-    /// otherwise.
-    traces: Option<PathBuf>,
-    trace_cores: usize,
-    trace_glob: String,
-    /// `trace-capture` knobs.
-    capture_count: usize,
-    capture_ops: usize,
-    capture_seed: u64,
-    capture_knobs_set: bool,
-    /// Trace encoding for `trace-capture` / `trace-convert` (`--format`).
-    trace_format: Option<dsarp_cpu::TraceDialect>,
-    /// `trace-convert` source and destination files.
-    convert_from: Option<PathBuf>,
-    convert_to: Option<PathBuf>,
-    /// Structured JSONL event log destination (`--events FILE`).
-    events: Option<PathBuf>,
-    /// Per-cell simulator telemetry sidecars (`--telemetry`, run only).
-    telemetry: bool,
-    /// Force per-cycle stepping (`--no-skip-ahead`, run only).
-    per_cycle: bool,
+/// The subcommands that resolve a campaign spec and its store.
+const CAMPAIGN: &[&str] = &["run", "worker", "merge", "status", "compact", "serve"];
+/// `--traces DIR` is a sweep source for those and the target of a capture.
+#[rustfmt::skip]
+const TRACES: &[&str] = &["run", "worker", "merge", "status", "compact", "serve", "trace-capture"];
+/// Those that may filter the spec's sweeps: all but `compact`.
+const FILTERED: &[&str] = &["run", "worker", "merge", "status", "serve"];
+
+/// Every flag: its name; the value that follows it, as `--help` shows it
+/// (`""` for a switch, `N` for a number, `a|b` for one of those words,
+/// anything else for free text such as a path, URL or name); the
+/// subcommands that consume it (every other one refuses it — a silently
+/// ignored flag would look configured); its `--help` line; and the reason
+/// appended to that refusal where "does not apply" alone would leave the
+/// user guessing, else `""`. Parsing, those refusals, `--help` and the
+/// refusal tests are all derived from these rows.
+#[rustfmt::skip] // one row per flag
+const FLAGS: &[(&str, &str, &[&str], &str, &str)] = &[
+    ("--scale", "quick|full", CAMPAIGN, "run-length and workload-count preset (default full)", ""),
+    ("--cycles", "N", CAMPAIGN, "DRAM cycles per run, over the preset's or the spec file's", ""),
+    ("--per-category", "N", CAMPAIGN, "workloads per intensity category, likewise", ""),
+    ("--threads", "N", CAMPAIGN, "simulation threads (default: every core)", ""),
+    ("--campaign", "DIR", CAMPAIGN, "result store directory (default .campaign)", ""),
+    ("--spec", "FILE", CAMPAIGN, "a serialized CampaignSpec to run instead of the paper campaign", ""),
+    ("--traces", "DIR", TRACES, "sweep REFab/REFpb/DSARP at 32 Gb over this trace directory", ""),
+    ("--trace-cores", "N", TRACES, "trace files bundled into one workload (default 1)", ""),
+    ("--trace-glob", "GLOB", CAMPAIGN, "which files of --traces to sweep (default *.trace)", ""),
+    ("--exp", "NAME", FILTERED, "only this artifact (of a custom spec: this sweep-name prefix)",
+        "compact keeps what the WHOLE spec reaches; it would drop every other sweep's records"),
+    ("--out", "DIR", &["run", "merge"], "where the CSVs and EXPERIMENTS_RAW.md go (default results)", ""),
+    ("--events", "FILE", &["run", "worker", "merge"], "append one JSON line per campaign progress step", ""),
+    ("--fresh", "", &["run"], "wipe the campaign's store first",
+        "it would wipe records other workers are producing, or the store being inspected"),
+    ("--emit-spec", "FILE", &["run"], "write the paper (or --traces) spec as JSON and exit", ""),
+    ("--telemetry", "", &["run"], "also write <store>/telemetry/<fingerprint>.json per simulated cell", ""),
+    ("--no-skip-ahead", "", &["run"], "step every cycle: byte-identical output, only slower",
+        "workers always use the default loop; results are identical by the exactness guarantee"),
+    ("--store-url", "URL", &["worker", "merge"], "use the store behind `experiments serve`, not a directory",
+        "run `experiments serve` where the store lives; its GET /status replaces `status`"),
+    ("--owner", "ID", &["worker", "merge"], "lease owner id (default worker-<pid>)", ""),
+    ("--poll-ms", "N", &["worker", "merge"], "wait between polls for other workers' cells (default 500)", ""),
+    ("--ttl-ms", "N", &["worker", "merge", "compact"], "lease lifetime without a heartbeat (default 30000)", ""),
+    ("--listen", "ADDR", &["serve"], "bind address (default 127.0.0.1:0, a free port)", ""),
+    ("--count", "N", &["trace-capture"], "mixes to capture (default 4)", ""),
+    ("--ops", "N", &["trace-capture"], "entries per trace file (default 50000)", ""),
+    ("--seed", "N", &["trace-capture"], "stream seed (default: the paper configuration's)", ""),
+    ("--format", "text|text-ext|bin", &["trace-capture", "trace-convert"],
+        "trace dialect (capture: text; convert: bin for a .dtrace target, else text-ext)", ""),
+    ("--from", "FILE", &["trace-convert"], "the trace file to read", ""),
+    ("--to", "FILE", &["trace-convert"], "the trace file to write", ""),
+];
+
+/// Pairs of flags that cannot both be given, and why.
+#[rustfmt::skip]
+const CONFLICTS: &[(&str, &str, &str)] = &[
+    ("--campaign", "--store-url", "the server owns the store directory"),
+    ("--spec", "--traces", "a spec file can hold a TraceDir sweep itself"),
+    ("--scale", "--spec", "the file carries its own scale; --cycles/--per-category/--threads override it"),
+    ("--emit-spec", "--spec", "it writes the built-in spec and exits; the file would be ignored"),
+];
+
+/// `(subject, needs, why)`: a flag or subcommand that does nothing without
+/// another flag.
+#[rustfmt::skip]
+const REQUIRES: &[(&str, &str, &str)] = &[
+    ("--trace-cores", "--traces", "it configures a trace-directory sweep or capture"),
+    ("--trace-glob", "--traces", "it configures a trace-directory sweep"),
+    ("trace-capture", "--traces", "the directory to capture into"),
+    ("trace-convert", "--from", "the trace file to read"),
+    ("trace-convert", "--to", "the trace file to write"),
+];
+
+/// `--help` text: the rows of [`FLAGS`] that `cmd` takes, or for `None`
+/// every subcommand and every row with the subcommands it applies to.
+fn help(cmd: Option<&str>) -> String {
+    let wanted = |cmds: &[&str]| cmd.is_none_or(|cmd| cmds.contains(&cmd));
+    let mut out = String::from("usage: experiments [subcommand] [flags]\n\n");
+    for (name, summary, _) in SUBCOMMANDS.iter().filter(|row| wanted(&[row.0])) {
+        out += &format!("  {name:<14} {summary}\n");
+    }
+    out += "\nflags (`experiments <subcommand> --help` lists one subcommand's):\n";
+    for (name, value, cmds, help, _) in FLAGS.iter().filter(|row| wanted(row.2)) {
+        let scope = cmd.map_or_else(|| format!(" [{}]", cmds.join(", ")), |_| String::new());
+        out += &format!("  {:<28} {help}{scope}\n", format!("{name} {value}"));
+    }
+    out
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            cmd: Cmd::Run,
-            scale: Scale::full(),
-            out: PathBuf::from("results"),
-            campaign_dir: PathBuf::from(".campaign"),
-            fresh: false,
-            only: None,
-            spec_file: None,
-            emit_spec: None,
-            owner: None,
-            ttl_ms: lease::DEFAULT_TTL_MS,
-            poll_ms: 500,
-            store_url: None,
-            listen: None,
-            cycles: None,
-            per_category: None,
-            threads: None,
-            scale_set: false,
-            traces: None,
-            trace_cores: 1,
-            trace_glob: String::from("*.trace"),
-            capture_count: 4,
-            capture_ops: 50_000,
-            // The paper SimConfig's seed: captured entries are the exact
-            // streams the synthetic default sweeps generate. (The text
-            // format itself is lossy for store bubbles and load
-            // dependence, so replay is bit-exact only for loads-only
-            // streams — see the README.)
-            capture_seed: 0xD5A2_2014,
-            capture_knobs_set: false,
-            trace_format: None,
-            convert_from: None,
-            convert_to: None,
-            events: None,
-            telemetry: false,
-            per_cycle: false,
+/// A parsed command line: the subcommand and every flag passed to it with
+/// its value (empty for a switch; the last occurrence wins). Whether a
+/// flag was passed is a lookup, and defaults live where a value is used.
+struct Args {
+    cmd: &'static str,
+    given: HashMap<&'static str, String>,
+}
+
+/// Parses `argv` (without the program name) against [`FLAGS`].
+///
+/// # Errors
+///
+/// Every usage mistake — nothing here touches a file, store or socket —
+/// as a message naming the offending token and ending with the `--help`
+/// invocation that lists what is accepted.
+fn parse(argv: &[String]) -> Result<Args, String> {
+    let (cmd, flags) = match argv.split_first() {
+        Some((word, rest)) if !word.starts_with('-') => {
+            let listed = SUBCOMMANDS.iter().find(|row| row.0 == word);
+            let all = SUBCOMMANDS.map(|row| row.0).join("|");
+            let unknown = format!("unknown subcommand `{word}` ({all}); see experiments --help");
+            (listed.ok_or(unknown)?.0, rest)
         }
+        _ => (SUBCOMMANDS[0].0, argv),
+    };
+    let see = |message| format!("{message}; see experiments {cmd} --help");
+    parse_flags(cmd, flags).map_err(see)
+}
+
+fn parse_flags(cmd: &'static str, flags: &[String]) -> Result<Args, String> {
+    let mut given = HashMap::new();
+    let mut words = flags.iter();
+    while let Some(word) = words.next() {
+        let row = FLAGS.iter().find(|row| row.0 == word);
+        let &(name, kind, cmds, _, note) = row.ok_or(format!("unknown argument `{word}`"))?;
+        if !cmds.contains(&cmd) {
+            let (to, colon) = (cmds.join(", "), if note.is_empty() { "" } else { ": " });
+            return Err(format!(
+                "{name} does not apply to `{cmd}` (applies to: {to}){colon}{note}"
+            ));
+        }
+        let value = match kind {
+            "" => "",
+            _ => words.next().ok_or(format!("missing value for {name}"))?,
+        };
+        let valid = match kind {
+            "N" => value.parse::<usize>().is_ok(),
+            _ if kind.contains('|') => kind.split('|').any(|choice| choice == value),
+            _ => true,
+        };
+        if !valid {
+            return Err(format!("{name} takes {kind}, not `{value}`"));
+        }
+        given.insert(name, value.to_string());
+    }
+    let args = Args { cmd, given };
+    for (a, b, why) in CONFLICTS {
+        if args.has(a) && args.has(b) {
+            return Err(format!("{a} conflicts with {b} ({why})"));
+        }
+    }
+    for (subject, needs, why) in REQUIRES {
+        if (*subject == cmd || args.given.contains_key(subject)) && !args.has(needs) {
+            return Err(format!("{subject} needs {needs} ({why})"));
+        }
+    }
+    // A --spec file and the --traces campaign carry their own sweep names;
+    // only the built-in paper campaign has a fixed list to check against.
+    let known: Vec<&str> = paper::names().collect();
+    let builtin = !args.has("--spec") && !args.has("--traces");
+    match args.get("--exp") {
+        Some(name) if builtin && !known.contains(&name) => Err(format!(
+            "unknown experiment `{name}`; expected one of {known:?}"
+        )),
+        _ => Ok(args),
     }
 }
 
 impl Args {
+    fn get(&self, flag: &str) -> Option<&str> {
+        debug_assert!(FLAGS.iter().any(|row| row.0 == flag));
+        self.given.get(flag).map(String::as_str)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.get(flag).is_some()
+    }
+
+    fn path(&self, flag: &str) -> Option<&Path> {
+        self.get(flag).map(Path::new)
+    }
+
+    /// The value of an `N` flag, which `parse` checked is one.
+    fn num<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        let fits = "parse() checked that N values fit usize, and u64 is no narrower";
+        self.get(flag).map(|value| value.parse().ok().expect(fits))
+    }
+
+    fn dialect(&self) -> Option<TraceDialect> {
+        let checked = |name| TraceDialect::parse(name).expect("parse() checked the choice");
+        self.get("--format").map(checked)
+    }
+
+    fn campaign_dir(&self) -> &Path {
+        self.path("--campaign").unwrap_or(Path::new(".campaign"))
+    }
+
+    fn ttl_ms(&self) -> u64 {
+        self.num("--ttl-ms").unwrap_or(lease::DEFAULT_TTL_MS)
+    }
+
+    fn trace_cores(&self) -> usize {
+        self.num("--trace-cores").unwrap_or(1)
+    }
+
+    /// The `--scale` preset with the explicit overrides applied.
+    fn scale(&self) -> Scale {
+        let quick = self.get("--scale") == Some("quick");
+        self.with_scale_overrides(if quick { Scale::quick() } else { Scale::full() })
+    }
+
     /// `scale` with the explicit `--cycles`/`--per-category`/`--threads`
     /// applied on top (of the `--scale` preset, or of a `--spec` file's).
     fn with_scale_overrides(&self, mut scale: Scale) -> Scale {
-        scale.dram_cycles = self.cycles.unwrap_or(scale.dram_cycles);
-        scale.per_category = self.per_category.unwrap_or(scale.per_category);
-        self.threads.map_or(scale, |t| scale.with_threads(t))
+        scale.dram_cycles = self.num("--cycles").unwrap_or(scale.dram_cycles);
+        scale.per_category = self.num("--per-category").unwrap_or(scale.per_category);
+        self.num("--threads")
+            .map_or(scale, |t| scale.with_threads(t))
     }
-}
-
-fn parse_args() -> Args {
-    // `--cycles`/`--per-category`/`--threads` are applied to the scale
-    // after the loop, so `--cycles 4000 --scale quick` and `--scale quick
-    // --cycles 4000` mean the same thing.
-    let mut args = Args::default();
-    let mut campaign_set = false;
-    let mut trace_knobs_set = false;
-    // Flags that only make sense for simulation-running subcommands; a
-    // trace-capture passing one must refuse, not look configured.
-    let mut run_only_flags: Vec<&'static str> = Vec::new();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    args.cmd = match argv.first() {
-        Some(word) if !word.starts_with("--") => {
-            i += 1;
-            let known = SUBCOMMANDS.iter().find(|(name, _)| name == word);
-            known.map(|(_, cmd)| *cmd).unwrap_or_else(|| {
-                let names: Vec<&str> = SUBCOMMANDS.iter().map(|(name, _)| *name).collect();
-                die(&format!(
-                    "unknown subcommand `{word}` ({})",
-                    names.join("|")
-                ))
-            })
-        }
-        _ => Cmd::Run,
-    };
-    fn num<T: std::str::FromStr>(flag: &str, value: String) -> T {
-        value
-            .parse()
-            .unwrap_or_else(|_| die(&format!("{flag}: `{value}` is not a valid number")))
-    }
-    while i < argv.len() {
-        let next = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i)
-                .unwrap_or_else(|| die(&format!("missing value for {}", argv[*i - 1])))
-                .clone()
-        };
-        match argv[i].as_str() {
-            "--scale" => {
-                args.scale_set = true;
-                args.scale = match next(&mut i).as_str() {
-                    "quick" => Scale::quick(),
-                    "full" => Scale::full(),
-                    other => die(&format!("unknown scale `{other}`")),
-                }
-            }
-            "--cycles" => args.cycles = Some(num("--cycles", next(&mut i))),
-            "--per-category" => args.per_category = Some(num("--per-category", next(&mut i))),
-            "--threads" => args.threads = Some(num("--threads", next(&mut i))),
-            "--out" => {
-                run_only_flags.push("--out");
-                args.out = PathBuf::from(next(&mut i));
-            }
-            "--campaign" => {
-                run_only_flags.push("--campaign");
-                campaign_set = true;
-                args.campaign_dir = PathBuf::from(next(&mut i));
-            }
-            "--store-url" => args.store_url = Some(next(&mut i)),
-            "--listen" => args.listen = Some(next(&mut i)),
-            "--fresh" => args.fresh = true,
-            "--exp" => args.only = Some(next(&mut i)),
-            "--spec" => args.spec_file = Some(PathBuf::from(next(&mut i))),
-            "--emit-spec" => args.emit_spec = Some(PathBuf::from(next(&mut i))),
-            "--owner" => {
-                run_only_flags.push("--owner");
-                args.owner = Some(next(&mut i));
-            }
-            "--ttl-ms" => {
-                run_only_flags.push("--ttl-ms");
-                args.ttl_ms = num("--ttl-ms", next(&mut i));
-            }
-            "--poll-ms" => {
-                run_only_flags.push("--poll-ms");
-                args.poll_ms = num("--poll-ms", next(&mut i));
-            }
-            "--events" => {
-                run_only_flags.push("--events");
-                args.events = Some(PathBuf::from(next(&mut i)));
-            }
-            "--telemetry" => {
-                run_only_flags.push("--telemetry");
-                args.telemetry = true;
-            }
-            "--no-skip-ahead" => {
-                run_only_flags.push("--no-skip-ahead");
-                args.per_cycle = true;
-            }
-            "--traces" => args.traces = Some(PathBuf::from(next(&mut i))),
-            "--trace-cores" => {
-                trace_knobs_set = true;
-                args.trace_cores = num("--trace-cores", next(&mut i));
-            }
-            "--trace-glob" => {
-                trace_knobs_set = true;
-                run_only_flags.push("--trace-glob");
-                args.trace_glob = next(&mut i);
-            }
-            "--count" => {
-                args.capture_knobs_set = true;
-                args.capture_count = num("--count", next(&mut i));
-            }
-            "--ops" => {
-                args.capture_knobs_set = true;
-                args.capture_ops = num("--ops", next(&mut i));
-            }
-            "--seed" => {
-                args.capture_knobs_set = true;
-                args.capture_seed = num("--seed", next(&mut i));
-            }
-            "--format" => {
-                let value = next(&mut i);
-                args.trace_format =
-                    Some(dsarp_cpu::TraceDialect::parse(&value).unwrap_or_else(|| {
-                        die(&format!("unknown --format `{value}` (text|text-ext|bin)"))
-                    }));
-            }
-            "--from" => args.convert_from = Some(PathBuf::from(next(&mut i))),
-            "--to" => args.convert_to = Some(PathBuf::from(next(&mut i))),
-            other => die(&format!("unknown argument `{other}` (see the module docs)")),
-        }
-        i += 1;
-    }
-    // Mode-invalid combinations refuse up front, naming the offending
-    // flag: a silently ignored `--store-url` would run against the local
-    // directory while the user believes the server is in the loop.
-    let cmd = args.cmd;
-    if args.store_url.is_some() {
-        if !matches!(cmd, Cmd::Worker | Cmd::Merge) {
-            let name = SUBCOMMANDS
-                .iter()
-                .find(|(_, c)| *c == cmd)
-                .expect("listed")
-                .0;
-            die(&format!(
-                "--store-url applies to worker/merge only, not `{name}` \
-                 (run `experiments serve` on the host that owns the store; \
-                 its GET /status endpoint replaces `status`)"
-            ));
-        }
-        if campaign_set {
-            die("--campaign conflicts with --store-url (the server owns the store directory)");
-        }
-        if args.fresh {
-            die("--fresh conflicts with --store-url (wipe the store on the serving host)");
-        }
-    }
-    if args.listen.is_some() && cmd != Cmd::Serve {
-        die("--listen applies to `serve` only");
-    }
-    if args.telemetry && cmd != Cmd::Run {
-        die("--telemetry applies to `run` only (sidecars are written by the local executor)");
-    }
-    if args.per_cycle && cmd != Cmd::Run {
-        die(
-            "--no-skip-ahead applies to `run` only (workers always use the default loop; \
-             results are identical by the exactness guarantee)",
-        );
-    }
-    if args.events.is_some() && !matches!(cmd, Cmd::Run | Cmd::Worker | Cmd::Merge) {
-        die("--events applies to run/worker/merge (the simulating subcommands)");
-    }
-    if args.fresh && matches!(cmd, Cmd::Worker | Cmd::Merge) {
-        die("--fresh would wipe records other workers are producing; use it with `run`");
-    }
-    if cmd == Cmd::Serve && args.fresh {
-        die("--fresh conflicts with serve (wipe the store before starting the server)");
-    }
-    args.scale = args.with_scale_overrides(args.scale);
-    let scale_knobs_set = args.scale_set
-        || args.cycles.is_some()
-        || args.per_category.is_some()
-        || args.threads.is_some();
-    // Silently ignored flags must refuse, not look configured.
-    if args.traces.is_none() && trace_knobs_set {
-        die(
-            "--trace-cores/--trace-glob configure a --traces DIR sweep (or trace-capture); \
-             pass --traces too",
-        );
-    }
-    if cmd == Cmd::TraceCapture {
-        if scale_knobs_set {
-            die(
-                "--scale/--cycles/--per-category/--threads configure simulation runs; \
-                 trace-capture only takes --traces/--count/--trace-cores/--ops/--seed/--format",
-            );
-        }
-        if !run_only_flags.is_empty() {
-            die(&format!(
-                "{} configure simulation runs and are ignored by trace-capture \
-                 (it only takes --traces/--count/--trace-cores/--ops/--seed/--format)",
-                run_only_flags.join("/")
-            ));
-        }
-    }
-    if args.trace_format.is_some() && !matches!(cmd, Cmd::TraceCapture | Cmd::TraceConvert) {
-        die("--format picks a trace encoding; it applies to trace-capture/trace-convert only");
-    }
-    if (args.convert_from.is_some() || args.convert_to.is_some()) && cmd != Cmd::TraceConvert {
-        die("--from/--to apply to trace-convert only");
-    }
-    if cmd == Cmd::TraceConvert {
-        if scale_knobs_set
-            || !run_only_flags.is_empty()
-            || trace_knobs_set
-            || args.capture_knobs_set
-            || args.traces.is_some()
-            || args.spec_file.is_some()
-            || args.only.is_some()
-            || args.fresh
-        {
-            die("trace-convert only takes --from FILE --to FILE [--format text|text-ext|bin]");
-        }
-        if args.convert_from.is_none() || args.convert_to.is_none() {
-            die("trace-convert needs both --from FILE and --to FILE");
-        }
-    }
-    if let Some(name) = args.only.as_deref() {
-        // A --spec file and the --traces campaign carry their own sweep
-        // names; only the built-in paper campaign has a fixed artifact
-        // list to validate against.
-        let known: Vec<&str> = paper::names().collect();
-        if args.spec_file.is_none() && args.traces.is_none() && !known.contains(&name) {
-            die(&format!(
-                "unknown experiment `{name}`; expected one of {known:?}"
-            ));
-        }
-    }
-    args
 }
 
 /// Opens the `--events` JSONL sink, or a disabled log when the flag is
 /// absent. Console output is identical either way.
 fn event_log(args: &Args) -> Arc<EventLog> {
-    match &args.events {
+    match args.path("--events") {
         Some(path) => Arc::new(EventLog::to_path(path).or_die("open --events", path.display())),
         None => Arc::new(EventLog::disabled()),
     }
 }
 
-/// The trace-sweep mechanisms `--traces DIR` evaluates by default; emit
-/// the spec and edit it for other axes.
-const TRACE_MECHS: [Mechanism; 3] = [Mechanism::RefAb, Mechanism::RefPb, Mechanism::Dsarp];
-
-/// The campaign a bare `--traces DIR` runs: one sweep over the directory's
-/// bundles at 32 Gb.
+/// The campaign a bare `--traces DIR` runs: one sweep of three mechanisms
+/// over the directory's bundles at 32 Gb; emit the spec and edit it for
+/// other axes.
 fn trace_spec(args: &Args, dir: &Path) -> CampaignSpec {
-    CampaignSpec::new("traces", args.scale).with_sweep(SweepSpec::new(
+    CampaignSpec::new("traces", args.scale()).with_sweep(SweepSpec::new(
         "traces",
         WorkloadSet::TraceDir {
             path: dir.to_string_lossy().into_owned(),
-            glob: args.trace_glob.clone(),
-            cores: args.trace_cores,
+            glob: args.get("--trace-glob").unwrap_or("*.trace").to_string(),
+            cores: args.trace_cores(),
         },
-        &TRACE_MECHS,
+        &[Mechanism::RefAb, Mechanism::RefPb, Mechanism::Dsarp],
         &[Density::G32],
     ))
 }
@@ -515,31 +323,19 @@ fn trace_spec(args: &Args, dir: &Path) -> CampaignSpec {
 /// second element is true for custom specs, which reduce to generic
 /// per-sweep grid CSVs instead of the paper's named artifacts.
 fn resolve_spec(args: &Args) -> (CampaignSpec, bool) {
-    // Two spec sources cannot both win; refuse rather than ignore one.
-    if args.spec_file.is_some() && args.traces.is_some() {
-        die("--traces conflicts with --spec (a spec file can hold a TraceDir sweep itself)");
-    }
-    let (spec, what) = if let Some(dir) = &args.traces {
+    let (spec, what) = if let Some(dir) = args.path("--traces") {
         let what = "the trace campaign (its sweep is `traces`)";
         (trace_spec(args, dir), what)
-    } else if let Some(path) = &args.spec_file {
-        // A silently ignored preset would run at the file's scale
-        // while the user believes they asked for another.
-        if args.scale_set {
-            die(
-                "--scale conflicts with --spec (the spec file carries its own scale; \
-                 use --cycles/--per-category/--threads to override individual knobs)",
-            );
-        }
+    } else if let Some(path) = args.path("--spec") {
         let text = std::fs::read_to_string(path).or_die("read --spec", path.display());
         let mut spec = CampaignSpec::from_json(&text).or_die("parse --spec", path.display());
         spec.scale = args.with_scale_overrides(spec.scale);
         (spec, "the custom spec")
     } else {
-        return (paper::spec(args.scale, args.only.as_deref()), false);
+        return (paper::spec(args.scale(), args.get("--exp")), false);
     };
     // A custom campaign carries its own sweep names: `--exp` is a prefix.
-    let Some(prefix) = args.only.as_deref() else {
+    let Some(prefix) = args.get("--exp") else {
         return (spec, true);
     };
     let spec = spec.filtered(&[prefix]);
@@ -550,75 +346,33 @@ fn resolve_spec(args: &Args) -> (CampaignSpec, bool) {
 }
 
 fn worker_options(args: &Args) -> WorkerOptions {
-    let job_delay_ms = std::env::var("DSARP_JOB_DELAY_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    let owner = args.get("--owner").map(String::from);
+    let delay = std::env::var("DSARP_JOB_DELAY_MS").ok();
     WorkerOptions {
-        owner: args
-            .owner
-            .clone()
-            .unwrap_or_else(|| format!("worker-{}", std::process::id())),
-        ttl_ms: args.ttl_ms,
-        poll_ms: args.poll_ms,
-        job_delay_ms,
+        owner: owner.unwrap_or_else(|| format!("worker-{}", std::process::id())),
+        ttl_ms: args.ttl_ms(),
+        poll_ms: args.num("--poll-ms").unwrap_or(500),
+        job_delay_ms: delay.and_then(|ms| ms.parse().ok()).unwrap_or(0),
     }
 }
 
 fn main() {
-    let args = parse_args();
-    // Capture knobs silently ignored by other subcommands would look like
-    // configuration while changing nothing.
-    if args.cmd != Cmd::TraceCapture && args.capture_knobs_set {
-        die("--count/--ops/--seed configure `trace-capture` only");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    // `--help` is not a flag: it configures nothing and is answered first.
+    if argv.iter().any(|word| word == "--help" || word == "-h") {
+        let listed = |word: &&str| SUBCOMMANDS.iter().any(|row| row.0 == *word);
+        return print!("{}", help(argv.first().map(String::as_str).filter(listed)));
     }
-    if let Some(path) = &args.emit_spec {
-        // Silently skipping a requested worker/merge/compact (or ignoring
-        // a --spec file) would look like success while doing nothing.
-        if args.cmd != Cmd::Run || args.spec_file.is_some() {
-            die(
-                "--emit-spec writes the built-in spec and exits; it cannot be combined \
-                 with a subcommand or --spec",
-            );
-        }
-        let (spec, what) = match &args.traces {
-            Some(dir) => (trace_spec(&args, dir), "trace-sweep"),
-            None => (CampaignSpec::paper(args.scale), "built-in paper"),
-        };
-        std::fs::write(path, spec.to_json()).or_die("write --emit-spec", path.display());
-        println!(
-            "wrote the {what} spec ({} sweeps) to {}",
-            spec.sweeps.len(),
-            path.display()
-        );
-        return;
-    }
-    if args.cmd == Cmd::TraceCapture {
-        run_trace_capture(&args);
-        return;
-    }
-    if args.cmd == Cmd::TraceConvert {
-        run_trace_convert(&args);
-        return;
-    }
-    let (spec, custom) = resolve_spec(&args);
-    match args.cmd {
-        Cmd::Worker => run_worker_cmd(&args, spec),
-        Cmd::Status => run_status_cmd(&args, &spec),
-        Cmd::Compact => run_compact_cmd(&args, &spec),
-        Cmd::Serve => run_serve_cmd(&args, spec),
-        Cmd::Run | Cmd::Merge => run_or_merge(&args, spec, custom),
-        Cmd::TraceCapture | Cmd::TraceConvert => unreachable!("handled above"),
-    }
+    let args = parse(&argv).unwrap_or_else(|message| die(&message));
+    let listed = SUBCOMMANDS.iter().find(|row| row.0 == args.cmd);
+    (listed.expect("parse() resolved the subcommand").2)(&args)
 }
 
 /// `status`: renders per-shard drain progress against the spec plus the
 /// current lease table, read-only (no lease taken, no record written).
-fn run_status_cmd(args: &Args, spec: &CampaignSpec) {
-    if args.fresh {
-        die("--fresh would wipe the store status is meant to inspect; use it with `run`");
-    }
-    let campaign_dir = args.campaign_dir.join(&spec.name);
+fn run_status_cmd(args: &Args) {
+    let spec = &resolve_spec(args).0;
+    let campaign_dir = args.campaign_dir().join(&spec.name);
     // Expected cells per shard, from the same expansion run/worker use;
     // cross-sweep duplicates collapse exactly as they do when simulating.
     let plan = CampaignPlan::build(spec).unwrap_or_else(|e| die(&e.to_string()));
@@ -635,13 +389,12 @@ fn run_status_cmd(args: &Args, spec: &CampaignSpec) {
         spec.sweeps.len()
     );
     println!("shard   done missing  lease");
-    let (mut total_done, mut total_expected) = (0usize, 0usize);
+    let (mut total_done, total_expected) = (0, plan.unique().len());
     for (shard, want) in expected.iter().enumerate() {
         let present =
             Store::read_shard_fingerprints(&campaign_dir, shard).or_die("read shard", shard);
         let done = want.iter().filter(|fp| present.contains(fp)).count();
         total_done += done;
-        total_expected += want.len();
         let lease_text = match leases.iter().find(|(s, _, _)| *s == shard) {
             Some((_, info, live)) => {
                 let age_ms = now.saturating_sub(info.heartbeat_ms);
@@ -660,10 +413,9 @@ fn run_status_cmd(args: &Args, spec: &CampaignSpec) {
             want.len() - done
         );
     }
-    let pct = if total_expected == 0 {
-        100.0
-    } else {
-        100.0 * total_done as f64 / total_expected as f64
+    let pct = match total_expected {
+        0 => 100.0,
+        cells => 100.0 * total_done as f64 / cells as f64,
     };
     println!(
         "total: {total_done}/{total_expected} cells done ({pct:.1}%), {} lease files on disk",
@@ -674,20 +426,21 @@ fn run_status_cmd(args: &Args, spec: &CampaignSpec) {
 /// `serve`: hosts the campaign store over HTTP until killed. The first
 /// stdout line is `serving <name> at http://ADDR` — scripts parse the URL
 /// from it (`--listen 127.0.0.1:0` picks a free port).
-fn run_serve_cmd(args: &Args, spec: CampaignSpec) {
+fn run_serve_cmd(args: &Args) {
+    let (spec, _) = resolve_spec(args);
     use std::io::Write;
-    let listen = args.listen.as_deref().unwrap_or("127.0.0.1:0");
+    let listen = args.get("--listen").unwrap_or("127.0.0.1:0");
     let http = minihttp::Server::bind(listen).or_die("bind --listen", listen);
     let addr = http.local_addr().expect("bound listener has an address");
-    let server = dsarp_serve::CampaignServer::new(&args.campaign_dir, spec)
-        .or_die(OPEN_STORE, args.campaign_dir.display());
+    let server = dsarp_serve::CampaignServer::new(args.campaign_dir(), spec)
+        .or_die(OPEN_STORE, args.campaign_dir().display());
     println!(
         "serving {} at http://{addr} (store: {})",
         server.campaign_name(),
         server.campaign_dir().display()
     );
     std::io::stdout().flush().expect("flush URL line");
-    server.serve(http).expect("serve campaign");
+    server.serve(http).or_die("serve campaign at", addr);
 }
 
 /// `trace-capture`: records `--count` memory-intensive synthetic mixes of
@@ -697,42 +450,33 @@ fn run_serve_cmd(args: &Args, spec: CampaignSpec) {
 /// consecutively, so a `--traces DIR --trace-cores N` sweep reassembles
 /// exactly these bundles.
 fn run_trace_capture(args: &Args) {
-    let dir = args
-        .traces
-        .as_deref()
-        .unwrap_or_else(|| die("trace-capture needs --traces DIR (the capture target directory)"));
-    if args.spec_file.is_some() || args.only.is_some() || args.fresh {
-        die("--spec/--exp/--fresh do not apply to trace-capture");
-    }
-    let dialect = args.trace_format.unwrap_or(dsarp_cpu::TraceDialect::Text);
-    let workloads: Vec<dsarp_workloads::Workload> =
-        dsarp_workloads::mixes::intensive_mixes(args.trace_cores, WORKLOAD_SEED)
-            .into_iter()
-            .take(args.capture_count)
-            .collect();
-    if workloads.len() != args.capture_count {
+    let dir = args.path("--traces").expect("parse() requires it");
+    let dialect = args.dialect().unwrap_or(TraceDialect::Text);
+    let count = args.num("--count").unwrap_or(4);
+    let ops = args.num("--ops").unwrap_or(50_000);
+    // The paper SimConfig's seed: captured entries are the exact streams
+    // the synthetic default sweeps generate. (The text format itself is
+    // lossy for store bubbles and load dependence, so replay is bit-exact
+    // only for loads-only streams — see the README.)
+    let seed = args.num("--seed").unwrap_or(0xD5A2_2014);
+    let mut workloads = dsarp_workloads::mixes::intensive_mixes(args.trace_cores(), WORKLOAD_SEED);
+    if workloads.len() < count {
         die(&format!(
-            "--count {} exceeds the {} available intensive mixes",
-            args.capture_count,
-            dsarp_workloads::mixes::intensive_mixes(args.trace_cores, WORKLOAD_SEED).len()
+            "--count {count} exceeds the {} available intensive mixes",
+            workloads.len()
         ));
     }
+    workloads.truncate(count);
     let t0 = Instant::now();
-    let written = traces::capture_workloads(
-        dir,
-        &workloads,
-        args.capture_seed,
-        args.capture_ops,
-        dialect,
-    )
-    .or_die("capture trace files under", dir.display());
+    let written = traces::capture_workloads(dir, &workloads, seed, ops, dialect)
+        .or_die("capture trace files under", dir.display());
     println!(
         "[{:>7.1?}] captured {} workloads x {} cores ({} entries each, {dialect}) \
          into {} files under {}",
         t0.elapsed(),
         workloads.len(),
-        args.trace_cores,
-        args.capture_ops,
+        args.trace_cores(),
+        ops,
         written.len(),
         dir.display()
     );
@@ -742,15 +486,13 @@ fn run_trace_capture(args: &Args) {
 /// dialect comes from `--format`, else from the `--to` extension
 /// (`.dtrace` means binary, anything else the lossless `text-ext`).
 fn run_trace_convert(args: &Args) {
-    use dsarp_cpu::TraceDialect;
-    let from = args.convert_from.as_deref().expect("checked at parse");
-    let to = args.convert_to.as_deref().expect("checked at parse");
-    let target =
-        args.trace_format
-            .unwrap_or_else(|| match to.extension().and_then(|e| e.to_str()) {
-                Some("dtrace") => TraceDialect::Bin,
-                _ => TraceDialect::TextExt,
-            });
+    let from = args.path("--from").expect("parse() requires it");
+    let to = args.path("--to").expect("parse() requires it");
+    let by_extension = match to.extension().and_then(|e| e.to_str()) {
+        Some("dtrace") => TraceDialect::Bin,
+        _ => TraceDialect::TextExt,
+    };
+    let target = args.dialect().unwrap_or(by_extension);
     let bytes = std::fs::read(from).or_die("read --from", from.display());
     let t0 = Instant::now();
     let (summary, out) = dsarp_cpu::trace_v1::convert_bytes(&bytes, target)
@@ -772,7 +514,7 @@ fn run_trace_convert(args: &Args) {
 /// `--store-url`, else the shared `--campaign` directory — and from there
 /// share one [`CampaignClient`] path.
 fn open_backend(args: &Args, spec: &CampaignSpec, events: &Arc<EventLog>) -> Box<dyn StoreBackend> {
-    match &args.store_url {
+    match args.get("--store-url") {
         Some(url) => {
             // Every store and lease operation goes through the campaign
             // server; nothing is created locally.
@@ -797,21 +539,15 @@ fn open_backend(args: &Args, spec: &CampaignSpec, events: &Arc<EventLog>) -> Box
             Box::new(backend)
         }
         None => {
-            let dir = args.campaign_dir.display();
+            let dir = args.campaign_dir().display();
             let backend =
-                LocalBackend::open(&args.campaign_dir, &spec.name).or_die(OPEN_STORE, &dir);
+                LocalBackend::open(args.campaign_dir(), &spec.name).or_die(OPEN_STORE, &dir);
             let manifest = serde_json::to_value(spec).expect("specs serialize");
-            Store::write_manifest(&args.campaign_dir, &spec.name, &manifest)
+            Store::write_manifest(args.campaign_dir(), &spec.name, &manifest)
                 .or_die("write campaign manifest under", &dir);
             Box::new(backend)
         }
     }
-}
-
-/// The store a `worker`/`merge` talks to, as the user named it.
-fn store_name(args: &Args) -> String {
-    let local = || args.campaign_dir.display().to_string();
-    args.store_url.clone().unwrap_or_else(local)
 }
 
 fn distributed_client(spec: CampaignSpec, events: Arc<EventLog>) -> CampaignClient {
@@ -821,14 +557,15 @@ fn distributed_client(spec: CampaignSpec, events: Arc<EventLog>) -> CampaignClie
     client
 }
 
-fn run_worker_cmd(args: &Args, spec: CampaignSpec) {
+fn run_worker_cmd(args: &Args) {
+    let (spec, _) = resolve_spec(args);
     let opts = worker_options(args);
     let events = event_log(args);
     let t0 = Instant::now();
     let backend = open_backend(args, &spec, &events);
     let report = distributed_client(spec, events)
         .run_worker(backend.as_ref(), &opts)
-        .or_die("drain campaign through", store_name(args));
+        .or_die("drain campaign through", backend.describe());
     println!(
         "worker `{}` done in {:.1?}: {} shard leases ({} reclaimed from dead owners), \
          {} jobs simulated, {} wait rounds",
@@ -840,22 +577,14 @@ fn run_worker_cmd(args: &Args, spec: CampaignSpec) {
         report.wait_rounds
     );
     // Persist failures never reach this point: run_worker aborts the
-    // drain with Err (and the expect above panics) rather than looping
+    // drain with Err (and the or_die above exits 2) rather than looping
     // on a failing disk.
 }
 
-fn run_compact_cmd(args: &Args, spec: &CampaignSpec) {
-    if args.fresh {
-        die("--fresh is meaningless for compact (use `run --fresh`)");
-    }
-    // A sweep filter would shrink the keep-set and delete every other
-    // sweep's cached records as "orphans" — almost certainly not what
-    // `--exp` was meant to do.
-    if args.only.is_some() {
-        die("compact keeps fingerprints reachable from the WHOLE spec; \
-             --exp would drop every other sweep's records (remove the flag)");
-    }
-    let campaign_dir = args.campaign_dir.join(&spec.name);
+fn run_compact_cmd(args: &Args) {
+    let spec = &resolve_spec(args).0;
+    let (root, ttl_ms) = (args.campaign_dir(), args.ttl_ms());
+    let campaign_dir = root.join(&spec.name);
 
     // Everything that can refuse runs BEFORE any lease is taken, so a
     // failed compact never strands 8 fresh locks that block workers (and
@@ -875,13 +604,8 @@ fn run_compact_cmd(args: &Args, spec: &CampaignSpec) {
     // (or its scale — cycles are part of the fingerprint) almost
     // certainly does not match what the store was populated with.
     let manifest = serde_json::to_value(spec).expect("specs serialize");
-    let store = Store::open(&args.campaign_dir, &spec.name, &manifest)
-        .or_die(OPEN_STORE, args.campaign_dir.display());
-    let reachable = store
-        .fingerprints()
-        .filter(|fp| keep.contains(&fp.0))
-        .count();
-    if !store.is_empty() && reachable == 0 {
+    let store = Store::open(root, &spec.name, &manifest).or_die(OPEN_STORE, root.display());
+    if !store.is_empty() && !store.fingerprints().any(|fp| keep.contains(&fp.0)) {
         die(&format!(
             "refusing to compact: the spec reaches none of the store's {} records — \
              wrong --spec file or --scale/--cycles for this store?",
@@ -897,21 +621,27 @@ fn run_compact_cmd(args: &Args, spec: &CampaignSpec) {
     let owner = format!("compact-{}", std::process::id());
     let mut held = Vec::new();
     for shard in 0..SHARDS {
-        match lease::Lease::acquire(&campaign_dir, shard, &owner, args.ttl_ms)
-            .expect("acquire compaction lease")
-        {
-            lease::Acquire::Acquired(lock) => held.push(lock),
-            lease::Acquire::Held { holder, .. } => {
-                for lock in held {
-                    let _ = lock.release();
-                }
-                die(&format!(
-                    "refusing to compact: shard {shard} is leased by `{}` \
-                     (wait for workers to finish, or let the lease go stale)",
-                    holder.owner
-                ));
+        let refusal = match lease::Lease::acquire(&campaign_dir, shard, &owner, ttl_ms) {
+            Ok(lease::Acquire::Acquired(lock)) => {
+                held.push(lock);
+                continue;
             }
+            Ok(lease::Acquire::Held { holder, .. }) => format!(
+                "refusing to compact: shard {shard} is leased by `{}` \
+                 (wait for workers to finish, or let the lease go stale)",
+                holder.owner
+            ),
+            Err(e) => format!(
+                "cannot acquire the compaction lease of shard {shard} under {}: {e}",
+                campaign_dir.display()
+            ),
+        };
+        // Never strand the leases already taken: they would block workers
+        // (and compact retries) for a whole TTL.
+        for lock in held {
+            let _ = lock.release();
         }
+        die(&refusal);
     }
     // The rewrite runs under a heartbeat so a slow pass (large store,
     // NFS) cannot let the compaction leases go stale and be reclaimed by
@@ -919,21 +649,22 @@ fn run_compact_cmd(args: &Args, spec: &CampaignSpec) {
     // unwrapped, so an I/O failure doesn't strand them either.
     let heartbeat = lease::Heartbeat::new();
     let lock_refs: Vec<&lease::Lease> = held.iter().collect();
-    let renew_every = std::time::Duration::from_millis((args.ttl_ms / 4).max(1));
+    let renew_every = std::time::Duration::from_millis((ttl_ms / 4).max(1));
     let result = std::thread::scope(|s| {
         s.spawn(|| heartbeat.run(&lock_refs, renew_every));
         let _stop = heartbeat.stopper();
-        let stats = Store::compact(&args.campaign_dir, &spec.name, &keep);
+        let stats = Store::compact(root, &spec.name, &keep);
         // While every writer is excluded anyway, clear temp files and
         // eviction tombstones orphaned by killed processes.
-        let swept = lease::sweep_orphans(&campaign_dir, args.ttl_ms).unwrap_or(0);
+        let swept = lease::sweep_orphans(&campaign_dir, ttl_ms).unwrap_or(0);
         (stats, swept)
     });
-    for lock in held {
-        lock.release().expect("release compaction lease");
-    }
+    // Every lease is released before the first failure is reported.
+    let released: Vec<_> = held.into_iter().map(|lock| lock.release()).collect();
+    let released: std::io::Result<()> = released.into_iter().collect();
+    released.or_die("release compaction leases under", campaign_dir.display());
     let (stats, swept) = result;
-    let stats = stats.expect("compact store");
+    let stats = stats.or_die("compact the store under", campaign_dir.display());
     println!(
         "compacted campaign `{}`: kept {} records, dropped {} orphans + {} duplicates + \
          {} torn lines ({} -> {} bytes); swept {swept} orphaned lease temp files",
@@ -947,8 +678,19 @@ fn run_compact_cmd(args: &Args, spec: &CampaignSpec) {
     );
 }
 
-fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
-    let out = &args.out;
+/// `run` and `merge`: execute or drain the campaign, then reduce it.
+fn run_or_merge(args: &Args) {
+    if let Some(path) = args.path("--emit-spec") {
+        let (spec, what) = match args.path("--traces") {
+            Some(dir) => (trace_spec(args, dir), "trace-sweep"),
+            None => (CampaignSpec::paper(args.scale()), "built-in paper"),
+        };
+        std::fs::write(path, spec.to_json()).or_die("write --emit-spec", path.display());
+        let (sweeps, path) = (spec.sweeps.len(), path.display());
+        return println!("wrote the {what} spec ({sweeps} sweeps) to {path}");
+    }
+    let (spec, custom) = resolve_spec(args);
+    let out = args.path("--out").unwrap_or(Path::new("results"));
     std::fs::create_dir_all(out).or_die("create --out", out.display());
     let mut md = String::from("# DSARP reproduction — raw experiment output\n\n");
     md.push_str(&format!(
@@ -959,11 +701,9 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
     ));
     let t0 = Instant::now();
 
-    if args.fresh {
-        let store = args.campaign_dir.join(&spec.name);
-        if store.exists() {
-            std::fs::remove_dir_all(&store).or_die("wipe campaign store", store.display());
-        }
+    let store = args.campaign_dir().join(&spec.name);
+    if args.has("--fresh") && store.exists() {
+        std::fs::remove_dir_all(&store).or_die("wipe campaign store", store.display());
     }
     // The analytic Figure 5 alone needs no sweep: no store is opened and
     // no campaign report written, it reduces from an empty one.
@@ -987,7 +727,7 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
         if let Some(grid) = result.grids.get(paper::MAIN_SWEEP) {
             export::write_grid(out, "main_grid", grid).or_die(WRITE_OUT, out.display());
         }
-        let only = args.only.as_deref();
+        let only = args.get("--exp");
         for artifact in paper::ARTIFACTS.iter().filter(|a| a.answers(only)) {
             for section in artifact.reduce(&result) {
                 report::write_csv(out, section.stem, &section.rows)
@@ -1009,7 +749,7 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
 /// the store backend (`merge`).
 fn execute(args: &Args, spec: CampaignSpec, t0: Instant) -> CampaignReport {
     let events = event_log(args);
-    let result = if args.cmd == Cmd::Merge {
+    let result = if args.cmd == "merge" {
         // Coordinator: drain + snapshot + assemble through the backend.
         // The output is byte-identical whichever transport carried the
         // records (assembly is deterministic in the record set).
@@ -1017,7 +757,7 @@ fn execute(args: &Args, spec: CampaignSpec, t0: Instant) -> CampaignReport {
         let backend = open_backend(args, &spec, &events);
         let (result, worker) = distributed_client(spec, events)
             .merge(backend.as_ref(), &opts)
-            .or_die("merge campaign through", store_name(args));
+            .or_die("merge campaign through", backend.describe());
         println!(
             "[{:>7.1?}] merge `{}`: {} shard leases ({} reclaimed), {} cells re-run \
              locally, {} wait rounds",
@@ -1030,11 +770,11 @@ fn execute(args: &Args, spec: CampaignSpec, t0: Instant) -> CampaignReport {
         );
         result
     } else {
-        let dir = args.campaign_dir.display();
-        let mut campaign = Campaign::open(&args.campaign_dir, spec).or_die(OPEN_STORE, &dir);
+        let dir = args.campaign_dir().display();
+        let mut campaign = Campaign::open(args.campaign_dir(), spec).or_die(OPEN_STORE, &dir);
         campaign.verbose = true;
-        campaign.telemetry = args.telemetry;
-        campaign.per_cycle = args.per_cycle;
+        campaign.telemetry = args.has("--telemetry");
+        campaign.per_cycle = args.has("--no-skip-ahead");
         campaign.set_events(events);
         campaign.run().or_die("run campaign in", &dir)
     };
@@ -1046,4 +786,98 @@ fn execute(args: &Args, spec: CampaignSpec, t0: Instant) -> CampaignReport {
         result.stats.simulated
     );
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn outcome(words: &[&str]) -> Result<(), String> {
+        let argv: Vec<String> = words.iter().map(|word| word.to_string()).collect();
+        parse(&argv).map(|_| ())
+    }
+
+    /// A flag with a value its row accepts (`fig5` is a known `--exp`, and
+    /// as good a path, URL or owner as any: `parse` opens nothing); a
+    /// subcommand as itself.
+    fn sample(token: &'static str) -> Vec<&'static str> {
+        match FLAGS.iter().find(|row| row.0 == token).map(|row| row.1) {
+            None | Some("") => vec![token],
+            Some("N") => vec![token, "3"],
+            Some(kind) if kind.contains('|') => vec![token, kind.split('|').next().unwrap()],
+            Some(_) => vec![token, "fig5"],
+        }
+    }
+
+    /// `words` plus whatever [`REQUIRES`] says they need, but for row `skip`.
+    fn complete(mut words: Vec<&'static str>, skip: Option<usize>) -> Vec<&'static str> {
+        for (i, (subject, needs, _)) in REQUIRES.iter().enumerate() {
+            if Some(i) != skip && words.contains(subject) && !words.contains(needs) {
+                words.extend(sample(needs));
+            }
+        }
+        words
+    }
+
+    #[test]
+    fn every_flag_applies_exactly_where_its_row_says() {
+        let mut consumed = [0; 8];
+        for &(name, _, cmds, help_line, _) in FLAGS {
+            assert!(!help_line.is_empty(), "{name} has no help string");
+            for (i, &(cmd, ..)) in SUBCOMMANDS.iter().enumerate() {
+                let words = complete([vec![cmd], sample(name)].concat(), None);
+                let listed = help(Some(cmd)).contains(&format!("  {name} "));
+                assert_eq!(listed, cmds.contains(&cmd), "{name} in `{cmd} --help`");
+                let refusal = format!("{name} does not apply to `{cmd}`");
+                let see = format!("see experiments {cmd} --help");
+                match outcome(&words) {
+                    Ok(()) if listed => consumed[i] += 1,
+                    Err(said) if !listed && said.starts_with(&refusal) && said.ends_with(&see) => {}
+                    other => panic!("{words:?}: {other:?}"),
+                }
+            }
+        }
+        // The consumers of each subcommand, in table order, as reviewed:
+        // widening a row takes code that reads the flag there and a new
+        // count here.
+        assert_eq!(consumed, [16, 15, 16, 10, 10, 11, 6, 3]);
+    }
+
+    #[test]
+    fn cross_flag_rules_refuse_naming_both_sides() {
+        for (a, b, _) in CONFLICTS {
+            let refused = SUBCOMMANDS.iter().any(|&(cmd, ..)| {
+                let both = outcome(&[vec![cmd], sample(a), sample(b)].concat());
+                both.is_err_and(|said| said.starts_with(&format!("{a} conflicts with {b}")))
+            });
+            assert!(refused, "{a} and {b} never meet in a subcommand");
+        }
+        for (i, (subject, needs, _)) in REQUIRES.iter().enumerate() {
+            let said = outcome(&complete(sample(subject), Some(i))).unwrap_err();
+            assert!(
+                said.starts_with(&format!("{subject} needs {needs}")),
+                "{said}"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_lines_name_the_token() {
+        for (words, needle) in [
+            (&["frobnicate"][..], "unknown subcommand `frobnicate`"),
+            (&["run", "--bogus"], "unknown argument `--bogus`"),
+            (&["worker", "--ttl-ms"], "missing value for --ttl-ms"),
+            (
+                &["--scale", "bogus"],
+                "--scale takes quick|full, not `bogus`",
+            ),
+            (&["--cycles", "abc"], "--cycles takes N, not `abc`"),
+            (&["--exp", "nope"], "unknown experiment `nope`"),
+        ] {
+            let said = outcome(words).unwrap_err();
+            assert!(said.starts_with(needle), "{words:?}: {said}");
+        }
+        assert!(FLAGS.iter().all(|row| help(None).contains(row.0)));
+        assert!(SUBCOMMANDS.iter().all(|row| help(None).contains(row.1)));
+    }
 }

@@ -47,26 +47,15 @@
 use dsarp_campaign::fingerprint::fingerprint_bytes;
 use dsarp_campaign::lease::{self, Acquire, Lease};
 use dsarp_campaign::remote::{AppendReply, CampaignInfo, LeaseReply, LeaseRequest, SizesReply};
-use dsarp_campaign::store::{Record, ShardTail, FORMAT_VERSION, SHARDS};
+use dsarp_campaign::store::{ShardTail, ShardView, FORMAT_VERSION, SHARDS};
 use dsarp_campaign::{CampaignPlan, CampaignSpec, Fingerprint, Store};
 use dsarp_obs::{Counter, Family, Histogram, Registry};
 use dsarp_sim::experiments::report;
 use minihttp::{Request, Response, Server};
-use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// In-memory view of one shard, grown incrementally from the shard file.
-/// `offset` is how far the file has been decoded; records keep
-/// first-per-fingerprint wins, matching [`Store`] load semantics.
-#[derive(Debug, Default)]
-struct ShardView {
-    offset: u64,
-    fps: HashSet<u128>,
-    records: HashMap<u128, Record>,
-}
 
 /// Request-level server metrics, registered once and bumped per request.
 #[derive(Debug)]
@@ -354,17 +343,7 @@ impl CampaignServer {
     fn refresh_view(&self, shard: usize) -> io::Result<std::sync::MutexGuard<'_, ShardView>> {
         let mut view = self.views[shard].lock().expect("shard view lock poisoned");
         let tail = Store::read_tail(&self.dir, shard, view.offset)?;
-        if tail.reset {
-            *view = ShardView::default();
-        }
-        for line in String::from_utf8_lossy(&tail.bytes).lines() {
-            if let Some((fp, record)) = Store::decode_line(line) {
-                if view.fps.insert(fp.0) {
-                    view.records.insert(fp.0, record);
-                }
-            }
-        }
-        view.offset = tail.next_offset;
+        view.apply(&tail.bytes, tail.next_offset, tail.reset);
         Ok(view)
     }
 
@@ -395,12 +374,11 @@ impl CampaignServer {
             // First record wins: a fingerprint already in the shard keeps
             // its original line, and the duplicate is dropped here rather
             // than appended and skipped at every future load.
-            if view.fps.contains(&fp.0) {
+            if view.records.contains_key(&fp.0) {
                 deduped += 1;
                 continue;
             }
             self.store.append(fp, &record)?;
-            view.fps.insert(fp.0);
             view.records.insert(fp.0, record);
             appended += 1;
         }

@@ -13,11 +13,11 @@ use dsarp_dram::Density;
 use serde::{Deserialize, Serialize};
 
 /// One bar of Figure 6.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig6Row {
-    /// Intensity category (0/25/50/75/100 = % memory-intensive), or `u32::MAX`
-    /// for the Gmean column.
-    pub category: u32,
+    /// Intensity category (`0`/`25`/`50`/`75`/`100` = % memory-intensive),
+    /// or `all` for the Gmean column.
+    pub category: String,
     /// DRAM density.
     pub density: Density,
     /// Performance (WS) loss of `REFab` vs no-refresh, percent.
@@ -58,13 +58,13 @@ pub fn reduce(grid: &Grid, densities: &[Density]) -> (Vec<Fig6Row>, Vec<Fig7Row>
     for &d in densities {
         for cat in [0u32, 25, 50, 75, 100] {
             fig6.push(Fig6Row {
-                category: cat,
+                category: cat.to_string(),
                 density: d,
                 loss_pct: loss_pct(grid, Mechanism::RefAb, d, Some(cat)),
             });
         }
         fig6.push(Fig6Row {
-            category: u32::MAX,
+            category: "all".into(),
             density: d,
             loss_pct: loss_pct(grid, Mechanism::RefAb, d, None),
         });

@@ -8,10 +8,10 @@ use dsarp_dram::Density;
 use serde::{Deserialize, Serialize};
 
 /// One bar of Figure 15.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fig15Row {
-    /// Intensity category (% memory-intensive; `u32::MAX` = average).
-    pub category: u32,
+    /// Intensity category (% memory-intensive; `all` = average).
+    pub category: String,
     /// DRAM density.
     pub density: Density,
     /// DSARP gmean WS improvement over `REFab`, percent.
@@ -38,14 +38,14 @@ pub fn reduce(grid: &Grid, densities: &[Density]) -> Vec<Fig15Row> {
     for &d in densities {
         for cat in [0u32, 25, 50, 75, 100] {
             out.push(Fig15Row {
-                category: cat,
+                category: cat.to_string(),
                 density: d,
                 over_refab_pct: improvement(grid, Mechanism::RefAb, d, Some(cat)),
                 over_refpb_pct: improvement(grid, Mechanism::RefPb, d, Some(cat)),
             });
         }
         out.push(Fig15Row {
-            category: u32::MAX,
+            category: "all".into(),
             density: d,
             over_refab_pct: improvement(grid, Mechanism::RefAb, d, None),
             over_refpb_pct: improvement(grid, Mechanism::RefPb, d, None),
