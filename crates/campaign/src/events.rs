@@ -18,7 +18,7 @@ use serde_json::{Map, Value};
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// One campaign progress event.
@@ -442,11 +442,12 @@ impl EventLog {
     /// Emits one event: appends its JSON line to the sink (if any) and
     /// prints its console line (progress lines only when `verbose`).
     /// Sink write failures are swallowed — diagnostics must never fail a
-    /// campaign.
+    /// campaign — and so is a sink poisoned by a thread that panicked while
+    /// holding it: an append-only handle has no state a panic can tear.
     pub fn emit(&self, verbose: bool, event: &Event) {
         if let Some(sink) = &self.sink {
             let line = event.to_json().to_string();
-            let mut f = sink.lock().expect("event sink lock");
+            let mut f = sink.lock().unwrap_or_else(PoisonError::into_inner);
             let _ = writeln!(f, "{line}");
             let _ = f.flush();
         }
@@ -536,6 +537,36 @@ mod tests {
             second.as_object().unwrap().get("event").unwrap().as_str(),
             Some("lease_released")
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_poisoned_sink_still_records() {
+        let dir = std::env::temp_dir()
+            .join("dsarp-events-tests")
+            .join(format!("poison-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("events.jsonl");
+        let log = EventLog::to_path(&path).unwrap();
+        // A worker panics while holding the sink, as one does when its job
+        // panics mid-`emit`; the scope joins it before anyone else emits.
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| {
+                let _held = log.sink.as_ref().unwrap().lock().unwrap();
+                panic!("worker dies holding the event sink");
+            });
+            assert!(worker.join().is_err());
+        });
+        assert!(log.sink.as_ref().unwrap().is_poisoned());
+        log.emit(
+            false,
+            &Event::WaitRound {
+                owner: "w".into(),
+                rounds: 1,
+            },
+        );
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,7 +16,8 @@
 
 use crate::queues::{Probe, RequestQueues};
 use crate::refresh::{
-    Mechanism, PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy, RefreshTarget,
+    DarpStats, Mechanism, PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy,
+    RefreshTarget, Wake,
 };
 use crate::request::Request;
 use dsarp_dram::{Command, Cycle, DramChannel, Geometry, IssueError, TimingParams};
@@ -142,6 +143,10 @@ pub struct MemoryController {
     /// Whether the last [`Self::step_and_rearm`] issued and delivered
     /// nothing.
     last_step_idle: bool,
+    /// The cycle of the last [`Self::step`], if its policy walk answered
+    /// `None` and no request has been accepted since: the one state in which
+    /// [`Self::next_event`] may run that walk again.
+    held_at: Option<Cycle>,
 }
 
 impl MemoryController {
@@ -173,6 +178,7 @@ impl MemoryController {
             scratch_cursors: Vec::new(),
             wake: 0,
             last_step_idle: false,
+            held_at: None,
         }
     }
 
@@ -203,9 +209,9 @@ impl MemoryController {
         &self.queues
     }
 
-    /// The refresh policy (for tests that inspect policy internals).
-    pub fn policy(&self) -> &dyn RefreshPolicy {
-        self.policy.as_ref()
+    /// How DARP earned its refreshes; `None` under any other policy.
+    pub fn darp_stats(&self) -> Option<DarpStats> {
+        self.policy.darp_stats()
     }
 
     /// The shadow copy of the refreshing subarray for (rank, bank), if a
@@ -227,7 +233,7 @@ impl MemoryController {
         debug_assert_eq!(req.loc.channel, self.channel_id);
         if self.queues.forwards_read(&req.loc) {
             self.stats.forwarded_reads += 1;
-            self.wake = 0;
+            self.note_accepted();
             self.inflight.push(Completion {
                 id: req.id,
                 core: req.core,
@@ -236,7 +242,7 @@ impl MemoryController {
             return true;
         }
         if self.queues.try_push_read(req) {
-            self.wake = 0;
+            self.note_accepted();
             true
         } else {
             self.stats.read_rejects += 1;
@@ -249,12 +255,19 @@ impl MemoryController {
         debug_assert!(req.is_write);
         debug_assert_eq!(req.loc.channel, self.channel_id);
         if self.queues.try_push_write(req) {
-            self.wake = 0;
+            self.note_accepted();
             true
         } else {
             self.stats.write_rejects += 1;
             false
         }
+    }
+
+    /// An accepted request must meet the very next step (see [`Self::wake`])
+    /// and outdates what the last policy walk saw of the queues.
+    fn note_accepted(&mut self) {
+        self.wake = 0;
+        self.held_at = None;
     }
 
     /// Advances the controller by one DRAM cycle: may issue one command on
@@ -273,15 +286,16 @@ impl MemoryController {
         // 2. Writeback-mode hysteresis.
         self.queues.update_drain_mode();
 
-        // 3. Refresh policy decision.
+        // 3. Refresh policy decision (wake sink off: see `next_event`).
         let directive = {
             let ctx = PolicyContext {
                 now,
                 queues: &self.queues,
                 chan,
             };
-            self.policy.decide(&ctx)
+            self.policy.decide(&ctx, &mut Wake::off())
         };
+        self.held_at = (directive == RefreshDirective::None).then_some(now);
 
         // 4. Urgent refresh: prep and issue, masking its scope.
         let mut mask: Option<RefreshTarget> = None;
@@ -351,14 +365,16 @@ impl MemoryController {
     /// mode, act on the refresh policy, or issue a demand command — or
     /// `None` when the controller is fully quiescent (empty queues, nothing
     /// in flight, and a policy that never fires). Call it *after* `step(now)`
-    /// so it sees this cycle's post-command state.
+    /// so it sees this cycle's post-command state; the refresh policy's
+    /// share of the bound is `now + 1` unless that step held the policy
+    /// still, issued nothing, and no request has been accepted since.
     ///
     /// The result is a conservative lower bound under the dead-span
     /// assumption (no commands issue and no requests arrive in between):
     /// skipping the intervening cycles and stepping again at the returned
     /// cycle is indistinguishable from stepping every cycle. `None` must
     /// never strand the clock — callers advance to their own horizon.
-    pub fn next_event(&self, chan: &DramChannel, now: Cycle) -> Option<Cycle> {
+    pub fn next_event(&mut self, chan: &DramChannel, now: Cycle) -> Option<Cycle> {
         // `now + 1` is the floor every considered time clamps to; once the
         // bound reaches it no later source can lower it, so each stage may
         // return immediately — the caller steps the next cycle either way.
@@ -381,13 +397,23 @@ impl MemoryController {
             return next;
         }
         // Refresh policy deadlines (tREFI expiries, idle windows, DARP
-        // pools). The policy reports `now + 1` whenever it would act.
+        // blockers): `step`'s own walk, run again with the wake sink on.
+        // That is exact only on the state that walk saw and left: it
+        // answered `None`, and neither a command at `now` nor a request
+        // since moved the queues it reads. Otherwise the policy may act or
+        // mutate next cycle, and is not walked.
+        if self.held_at != Some(now) || chan.last_issue() == Some(now) {
+            return Some(floor);
+        }
         let ctx = PolicyContext {
             now,
             queues: &self.queues,
             chan,
         };
-        if let Some(t) = self.policy.next_event(&ctx) {
+        let mut wake = Wake::on();
+        let again = self.policy.decide(&ctx, &mut wake);
+        debug_assert_eq!(again, RefreshDirective::None, "the re-walk acted");
+        if let Some(t) = wake.earliest() {
             consider(&mut next, floor, t);
         }
         // Demand candidates, derived per bank instead of per queued read: a
@@ -1223,6 +1249,7 @@ mod tests {
         // stepping anyway must do nothing (the caller may batch to any
         // horizon).
         let (mut chan, mut mc, _, _) = setup(Mechanism::NoRefresh);
+        mc.step(&mut chan, 123, &mut Vec::new());
         assert_eq!(mc.next_event(&chan, 123), None);
         chan.enable_command_log();
         let before = *mc.stats();
@@ -1238,15 +1265,16 @@ mod tests {
         mc.try_enqueue_read(Request::read(1, loc(0, 0, 5, 3), 0, 0));
         let mut done = Vec::new();
         mc.step(&mut chan, 0, &mut done); // ACT at 0
-                                          // Head read blocked on tRCD: the next event is its column command.
-        assert_eq!(mc.next_event(&chan, 0), Some(t.rcd));
-        for now in 1..=t.rcd {
+        mc.step(&mut chan, 1, &mut done);
+        // Head read blocked on tRCD: the next event is its column command.
+        assert_eq!(mc.next_event(&chan, 1), Some(t.rcd));
+        for now in 2..=t.rcd + 1 {
             mc.step(&mut chan, now, &mut done);
         }
         // Read issued at tRCD; only the in-flight completion remains.
         let ready = t.rcd + t.cl + t.bl;
-        assert_eq!(mc.next_event(&chan, t.rcd), Some(ready));
-        for now in (t.rcd + 1)..=ready {
+        assert_eq!(mc.next_event(&chan, t.rcd + 1), Some(ready));
+        for now in (t.rcd + 2)..=ready {
             mc.step(&mut chan, now, &mut done);
         }
         assert_eq!(done.len(), 1);
@@ -1267,8 +1295,56 @@ mod tests {
         assert_eq!(mc.next_event(&chan, t.refi_ab), Some(t.refi_ab + 1));
         mc.step(&mut chan, t.refi_ab + 1, &mut done);
         assert_eq!(mc.stats().refab_issued, 2);
-        // Both served: sleep until the next interval.
-        assert_eq!(mc.next_event(&chan, t.refi_ab + 1), Some(2 * t.refi_ab));
+        // Both served: one quiet step later, sleep until the next interval.
+        mc.step(&mut chan, t.refi_ab + 2, &mut done);
+        assert_eq!(mc.next_event(&chan, t.refi_ab + 2), Some(2 * t.refi_ab));
+    }
+
+    /// The policy's share of `next_event` is `now + 1`, with no second
+    /// walk, after a step whose walk asked for a refresh — here an urgent
+    /// `REFab` that cannot even precharge yet (tRAS), so nothing issues. A
+    /// second walk would answer `Urgent` again and trip the debug assert.
+    #[test]
+    fn next_event_does_not_rewalk_an_acting_policy() {
+        let (mut chan, mut mc, _, t) = setup(Mechanism::RefAb);
+        let mut done = Vec::new();
+        let act_at = t.refi_ab - 1;
+        mc.try_enqueue_read(Request::read(1, loc(0, 0, 5, 0), 0, act_at));
+        mc.step(&mut chan, act_at, &mut done);
+        assert_eq!(chan.last_issue(), Some(act_at), "ACT opens the row");
+        mc.step(&mut chan, t.refi_ab, &mut done);
+        assert_eq!(chan.last_issue(), Some(act_at), "tRAS holds the PRE back");
+        assert_eq!(mc.next_event(&chan, t.refi_ab), Some(t.refi_ab + 1));
+    }
+
+    /// ...and after a step that issued a command, even one the policy had
+    /// no part in: the demand it served may have flipped what the walk reads
+    /// of the queues. One quiet step later the real bound is back.
+    #[test]
+    fn next_event_does_not_rewalk_after_an_issuing_step() {
+        let (mut chan, mut mc, _, t) = setup(Mechanism::RefAb);
+        let mut done = Vec::new();
+        mc.try_enqueue_read(Request::read(1, loc(0, 0, 5, 3), 0, 0));
+        mc.step(&mut chan, 0, &mut done); // ACT at 0
+        assert_eq!(mc.next_event(&chan, 0), Some(1));
+        mc.step(&mut chan, 1, &mut done);
+        assert_eq!(mc.next_event(&chan, 1), Some(t.rcd));
+    }
+
+    /// ...and once a request has been accepted since the step, which an
+    /// idle-tracking policy must first see at the *next* cycle's walk. The
+    /// write below is not servable (no writeback mode), so the policy's
+    /// share is all that pulls the bound in.
+    #[test]
+    fn next_event_does_not_rewalk_after_an_accepted_request() {
+        let (mut chan, mut mc, _, t) = setup(Mechanism::Elastic);
+        let mut done = Vec::new();
+        mc.step(&mut chan, 0, &mut done);
+        assert_eq!(mc.next_event(&chan, 0), Some(t.refi_ab));
+        assert!(mc.try_enqueue_write(Request::write(1, loc(0, 0, 5, 0), 0, 0)));
+        assert_eq!(mc.next_event(&chan, 0), Some(1));
+        mc.step(&mut chan, 1, &mut done);
+        assert_eq!(mc.next_event(&chan, 1), Some(t.refi_ab));
     }
 
     #[test]

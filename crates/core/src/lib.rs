@@ -71,5 +71,5 @@ mod request;
 
 pub use controller::{Completion, ControllerStats, MemoryController, SchedulerScan};
 pub use queues::RequestQueues;
-pub use refresh::Mechanism;
+pub use refresh::{DarpStats, Mechanism};
 pub use request::Request;

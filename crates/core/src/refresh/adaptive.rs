@@ -10,7 +10,7 @@
 //! `REFab`, far below DSARP, because 4x FGR is intrinsically more expensive
 //! — does not depend on the exact switching heuristic.
 
-use super::{PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy, RefreshTarget};
+use super::{PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy, RefreshTarget, Wake};
 use dsarp_dram::{Cycle, FgrMode, TimingParams};
 
 /// Adaptive 1x/4x refresh.
@@ -23,8 +23,6 @@ pub(crate) struct AdaptiveRefresh {
     refi_1x: u64,
     /// Idleness window (cycles) after which a rank switches to 4x mode.
     idle_window: u64,
-    /// Mode chosen at each rank's last refresh (introspection for tests).
-    last_mode: Vec<FgrMode>,
 }
 
 impl AdaptiveRefresh {
@@ -36,35 +34,36 @@ impl AdaptiveRefresh {
             idle_since: vec![None; ranks],
             refi_1x: timing.refi_ab,
             idle_window: timing.rfc_ab,
-            last_mode: vec![FgrMode::X1; ranks],
         }
     }
 }
 
 impl RefreshPolicy for AdaptiveRefresh {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> RefreshDirective {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, wake: &mut Wake) -> RefreshDirective {
         for r in 0..self.owed_quarters.len() {
             // Accrue work in quarter-refresh units every tREFIab/4.
             while ctx.now >= self.next_due[r] {
                 self.owed_quarters[r] += 1;
                 self.next_due[r] += self.refi_1x / 4;
             }
-            // Idleness tracking.
+            wake.at(self.next_due[r]);
+            // Idleness tracking (mutates on busy/idle edges only).
             let busy = ctx.queues.rank_has_demand(r);
             if busy {
                 self.idle_since[r] = None;
             } else if self.idle_since[r].is_none() {
                 self.idle_since[r] = Some(ctx.now);
             }
-            if ctx.chan.rank(r).is_refab_busy(ctx.now) {
+            let owed = self.owed_quarters[r];
+            let rank = ctx.chan.rank(r);
+            if rank.is_refab_busy(ctx.now) {
+                if owed > 0 {
+                    wake.at(rank.refab_until());
+                }
                 continue;
             }
-            let idle_long =
-                self.idle_since[r].is_some_and(|since| ctx.now - since >= self.idle_window);
+            let crossing = self.idle_since[r].map(|since| since + self.idle_window);
+            let idle_long = crossing.is_some_and(|c| ctx.now >= c);
             // 4x commands retire 1 quarter; 1x commands retire 4. Choose 4x
             // when the rank looks idle and a single quarter is due; fall
             // back to 1x when work has piled up (a busy rank defers until
@@ -74,11 +73,15 @@ impl RefreshPolicy for AdaptiveRefresh {
                 FgrMode::X4 => 1,
                 _ => 4,
             };
-            if self.owed_quarters[r] >= quarters_needed {
+            if owed >= quarters_needed {
                 return RefreshDirective::Urgent(RefreshTarget {
                     rank: r,
                     kind: RefreshKind::AllBank(mode),
                 });
+            }
+            // A quarter is owed and the rank idle, but not for long enough.
+            if let (1.., Some(c)) = (owed, crossing) {
+                wake.at(c);
             }
         }
         RefreshDirective::None
@@ -94,51 +97,6 @@ impl RefreshPolicy for AdaptiveRefresh {
             FgrMode::X1 => 4,
         };
         self.owed_quarters[target.rank] = self.owed_quarters[target.rank].saturating_sub(quarters);
-        self.last_mode[target.rank] = mode;
-    }
-
-    fn next_event(&self, ctx: &PolicyContext<'_>) -> Option<Cycle> {
-        let now = ctx.now;
-        let mut next: Option<Cycle> = None;
-        let mut consider = |t: Cycle| {
-            if t > now {
-                next = Some(next.map_or(t, |n| n.min(t)));
-            }
-        };
-        for r in 0..self.owed_quarters.len() {
-            if self.next_due[r] <= now {
-                return Some(now + 1); // unaccrued quarters
-            }
-            consider(self.next_due[r]);
-            // Idleness tracking mutates on busy/idle edges; a disagreement
-            // with the queues means the next decide must run.
-            let busy = ctx.queues.rank_has_demand(r);
-            match (busy, self.idle_since[r]) {
-                (false, None) | (true, Some(_)) => return Some(now + 1),
-                _ => {}
-            }
-            let owed = self.owed_quarters[r];
-            let rank = ctx.chan.rank(r);
-            if rank.is_refab_busy(now) {
-                if owed > 0 {
-                    consider(rank.refab_until());
-                }
-                continue;
-            }
-            if owed >= 4 {
-                return Some(now + 1); // a full 1x unit is due right now
-            }
-            if owed >= 1 {
-                if let Some(since) = self.idle_since[r] {
-                    let crossing = since + self.idle_window;
-                    if now >= crossing {
-                        return Some(now + 1); // idle long enough for 4x mode
-                    }
-                    consider(crossing);
-                }
-            }
-        }
-        next
     }
 }
 
@@ -165,17 +123,16 @@ mod tests {
             queues: &q,
             chan: &chan,
         };
-        let _ = p.decide(&ctx0);
+        let _ = p.decide(&ctx0, &mut Wake::off());
         let ctx = PolicyContext {
             now: t.refi_ab / 4 + 1,
             queues: &q,
             chan: &chan,
         };
-        match p.decide(&ctx) {
+        match p.decide(&ctx, &mut Wake::off()) {
             RefreshDirective::Urgent(target) => {
                 assert_eq!(target.kind, RefreshKind::AllBank(FgrMode::X4));
                 p.refresh_issued(&target, t.refi_ab / 4 + 1);
-                assert_eq!(p.last_mode[0], FgrMode::X4);
             }
             other => panic!("expected 4x refresh, got {other:?}"),
         }
@@ -203,14 +160,25 @@ mod tests {
             queues: &q,
             chan: &chan,
         };
-        assert_eq!(p.decide(&ctx), RefreshDirective::None);
+        assert_eq!(p.decide(&ctx, &mut Wake::off()), RefreshDirective::None);
+        // The rank goes idle with that quarter owed: the walk holds until
+        // the idle window is crossed or another quarter accrues, and says so.
+        let idle = PolicyContext {
+            now: t.refi_ab / 4 + 2,
+            queues: &RequestQueues::paper_default(),
+            chan: &chan,
+        };
+        let mut wake = Wake::on();
+        assert_eq!(p.decide(&idle, &mut wake), RefreshDirective::None);
+        let crossing = idle.now + t.rfc_ab;
+        assert_eq!(wake.earliest(), Some(crossing.min(2 * (t.refi_ab / 4))));
         // Four quarters owed: busy rank issues a 1x refresh.
         let ctx4 = PolicyContext {
             now: t.refi_ab + 1,
             queues: &q,
             chan: &chan,
         };
-        match p.decide(&ctx4) {
+        match p.decide(&ctx4, &mut Wake::off()) {
             RefreshDirective::Urgent(target) => {
                 assert_eq!(target.kind, RefreshKind::AllBank(FgrMode::X1));
             }
@@ -231,7 +199,7 @@ mod tests {
                 queues: &q,
                 chan: &chan,
             };
-            if let RefreshDirective::Urgent(target) = p.decide(&ctx) {
+            if let RefreshDirective::Urgent(target) = p.decide(&ctx, &mut Wake::off()) {
                 p.refresh_issued(&target, now);
                 issued_quarters += match target.kind {
                     RefreshKind::AllBank(FgrMode::X4) => 1,

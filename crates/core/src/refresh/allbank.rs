@@ -2,7 +2,7 @@
 //! `tREFIab`, issued on schedule with no postponement — and, in its 2×/4×
 //! modes, DDR4 Fine Granularity Refresh (§6.5).
 
-use super::{PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy, RefreshTarget};
+use super::{PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy, RefreshTarget, Wake};
 use dsarp_dram::{Cycle, FgrMode, TimingParams};
 
 /// The commodity DDR refresh scheme: every `tREFIab` each rank owes one
@@ -46,33 +46,29 @@ impl AllBankRefresh {
 }
 
 impl RefreshPolicy for AllBankRefresh {
-    fn name(&self) -> &'static str {
-        match self.mode {
-            FgrMode::X1 => "refab",
-            FgrMode::X2 => "fgr2x",
-            FgrMode::X4 => "fgr4x",
-        }
-    }
-
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> RefreshDirective {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, wake: &mut Wake) -> RefreshDirective {
         self.accrue(ctx.now);
         for r in 0..self.pending.len() {
-            if self.pending[r] > 0 && !ctx.chan.rank(r).is_refab_busy(ctx.now) {
-                // SARP-ab refreshes do not set the blocking flag; avoid
-                // requesting a second refresh while one is in flight.
-                if ctx
-                    .chan
-                    .rank(r)
-                    .banks()
-                    .any(|b| b.sarp_refresh(ctx.now).is_some())
-                {
-                    continue;
-                }
-                return RefreshDirective::Urgent(RefreshTarget {
-                    rank: r,
-                    kind: RefreshKind::AllBank(self.mode),
-                });
+            wake.at(self.next_due[r]);
+            if self.pending[r] == 0 {
+                continue;
             }
+            let rank = ctx.chan.rank(r);
+            if rank.is_refab_busy(ctx.now) {
+                wake.at(rank.refab_until());
+                continue;
+            }
+            // SARP-ab refreshes do not set the blocking flag; avoid
+            // requesting a second refresh until every in-flight window ends.
+            let sarp_windows = rank.banks().filter_map(|b| b.sarp_refresh(ctx.now));
+            if let Some(until) = sarp_windows.map(|s| s.until).max() {
+                wake.at(until);
+                continue;
+            }
+            return RefreshDirective::Urgent(RefreshTarget {
+                rank: r,
+                kind: RefreshKind::AllBank(self.mode),
+            });
         }
         RefreshDirective::None
     }
@@ -80,38 +76,6 @@ impl RefreshPolicy for AllBankRefresh {
     fn refresh_issued(&mut self, target: &RefreshTarget, _now: Cycle) {
         debug_assert!(matches!(target.kind, RefreshKind::AllBank(_)));
         self.pending[target.rank] = self.pending[target.rank].saturating_sub(1);
-    }
-
-    fn next_event(&self, ctx: &PolicyContext<'_>) -> Option<Cycle> {
-        let now = ctx.now;
-        let mut next: Option<Cycle> = None;
-        let mut consider = |t: Cycle| {
-            if t > now {
-                next = Some(next.map_or(t, |n| n.min(t)));
-            }
-        };
-        for r in 0..self.next_due.len() {
-            if self.next_due[r] <= now {
-                return Some(now + 1); // unaccrued debt: no skipping
-            }
-            consider(self.next_due[r]);
-            if self.pending[r] > 0 {
-                let rank = ctx.chan.rank(r);
-                if rank.is_refab_busy(now) {
-                    consider(rank.refab_until());
-                } else if let Some(until) = rank
-                    .banks()
-                    .filter_map(|b| b.sarp_refresh(now).map(|s| s.until))
-                    .max()
-                {
-                    // SARP-ab gate clears once every in-flight window ends.
-                    consider(until);
-                } else {
-                    return Some(now + 1); // decide would act right now
-                }
-            }
-        }
-        next
     }
 }
 
@@ -137,7 +101,9 @@ mod tests {
             queues: &q,
             chan: &chan,
         };
-        assert_eq!(p.decide(&ctx), RefreshDirective::None);
+        let mut wake = Wake::on();
+        assert_eq!(p.decide(&ctx, &mut wake), RefreshDirective::None);
+        assert_eq!(wake.earliest(), Some(t.refi_ab), "the first tick");
     }
 
     #[test]
@@ -148,7 +114,7 @@ mod tests {
             queues: &q,
             chan: &chan,
         };
-        let d = p.decide(&ctx);
+        let d = p.decide(&ctx, &mut Wake::off());
         let target = match d {
             RefreshDirective::Urgent(t) => t,
             other => panic!("expected urgent, got {other:?}"),
@@ -157,7 +123,7 @@ mod tests {
         p.refresh_issued(&target, t.refi_ab);
         assert_eq!(p.pending[0], 0);
         // Rank 1 still owes one.
-        match p.decide(&ctx) {
+        match p.decide(&ctx, &mut Wake::off()) {
             RefreshDirective::Urgent(t2) => assert_eq!(t2.rank, 1),
             other => panic!("expected urgent for rank 1, got {other:?}"),
         }
@@ -171,7 +137,7 @@ mod tests {
             queues: &q,
             chan: &chan,
         };
-        let _ = p.decide(&ctx);
+        let _ = p.decide(&ctx, &mut Wake::off());
         assert_eq!(p.pending[0], 3);
         assert_eq!(p.pending[1], 3);
     }
@@ -193,7 +159,7 @@ mod tests {
             chan: &chan,
         };
         // refi_ab (2600) > rfc_ab (234), so the refresh finished: rank 0 ok.
-        match p.decide(&ctx) {
+        match p.decide(&ctx, &mut Wake::off()) {
             RefreshDirective::Urgent(_) => {}
             other => panic!("unexpected {other:?}"),
         }
@@ -217,7 +183,7 @@ mod tests {
             queues: &q,
             chan: &chan2,
         };
-        match p.decide(&ctx2) {
+        match p.decide(&ctx2, &mut Wake::off()) {
             RefreshDirective::Urgent(t2) => {
                 assert_eq!(t2.rank, 1, "rank 0 is busy; rank 1 serves its debt")
             }
@@ -236,14 +202,13 @@ mod tests {
             queues: &q,
             chan: &chan,
         };
-        match p.decide(&ctx) {
+        match p.decide(&ctx, &mut Wake::off()) {
             RefreshDirective::Urgent(target) => {
                 assert_eq!(target.kind, RefreshKind::AllBank(FgrMode::X4));
             }
             other => panic!("expected urgent, got {other:?}"),
         }
         assert_eq!(p.pending[0], 4);
-        assert_eq!(p.name(), "fgr4x");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! `dsarp-dram` retention tracker verifies the resulting gap bound in the
 //! workspace integration tests.
 
-use super::{PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy, RefreshTarget};
+use super::{PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy, RefreshTarget, Wake};
 use dsarp_dram::{Cycle, TimingParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -48,7 +48,7 @@ pub(crate) struct Darp {
     /// when the controller actually issues it.
     proposal: Option<(RefreshTarget, Source)>,
     /// Reusable (rank, bank) pools for the out-of-order pick; `decide` runs
-    /// every cycle, so these must not reallocate per call.
+    /// on every controller step, so these must not reallocate per call.
     postponed: Vec<(usize, usize)>,
     pullable: Vec<(usize, usize)>,
 }
@@ -63,7 +63,7 @@ enum Source {
 /// Counters exposing how DARP earned its refreshes (for analysis and the
 /// §6.1.2 component breakdown).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct DarpStats {
+pub struct DarpStats {
     /// Refreshes forced by a bank reaching the postponement limit.
     pub forced: u64,
     /// Refreshes issued during writeback mode by Algorithm 1.
@@ -134,18 +134,32 @@ impl Darp {
         let b = ctx.chan.rank(rank).bank(bank);
         !b.is_refresh_busy(ctx.now) && b.sarp_refresh(ctx.now).is_none()
     }
+
+    /// The wake side of a walk that found nothing refreshable: the next
+    /// schedule tick, and for each bank the walk would take — forced
+    /// whatever its demand, idle for the out-of-order pool — the cycle the
+    /// last of its blockers ([`Self::rank_refreshable`],
+    /// [`Self::bank_refreshable`]) expires; their maximum is exact while
+    /// nothing new issues. Algorithm 1's candidates are left out: the
+    /// controller never sleeps in or on the edge of writeback mode.
+    fn report_blockers(&self, ctx: &PolicyContext<'_>, wake: &mut Wake) {
+        for (r, st) in self.ranks.iter().enumerate() {
+            wake.at(st.next_tick);
+            let rk = ctx.chan.rank(r);
+            let rank_clear = Cycle::max(rk.refab_until(), rk.refpb_slot_free(ctx.now).unwrap_or(0));
+            for (b, &d) in st.debt.iter().enumerate() {
+                if d >= MAX_DEBT || (d > -MAX_DEBT && !ctx.queues.bank_has_demand(r, b)) {
+                    let bank = rk.bank(b);
+                    let sarp_clear = bank.sarp_refresh(ctx.now).map_or(0, |s| s.until);
+                    wake.at(rank_clear.max(bank.refresh_until()).max(sarp_clear));
+                }
+            }
+        }
+    }
 }
 
 impl RefreshPolicy for Darp {
-    fn name(&self) -> &'static str {
-        if self.wrp {
-            "darp"
-        } else {
-            "darp-ooo"
-        }
-    }
-
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> RefreshDirective {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, wake: &mut Wake) -> RefreshDirective {
         self.advance_ticks(ctx.now);
 
         // 1. Forced: a bank at the postponement limit outranks demands.
@@ -220,8 +234,14 @@ impl RefreshPolicy for Darp {
             &self.pullable
         };
         if pool.is_empty() {
+            // The per-bank blocker scan costs more than the walk it follows,
+            // so it runs only when the controller asks for the bound.
+            if wake.is_on() {
+                self.report_blockers(ctx, wake);
+            }
             return RefreshDirective::None;
         }
+        // The only randomness, drawn on the way to a non-`None` answer.
         let (rank, bank) = pool[self.rng.gen_range(0..pool.len())];
         let target = RefreshTarget {
             rank,
@@ -256,119 +276,8 @@ impl RefreshPolicy for Darp {
         }
     }
 
-    fn next_event(&self, ctx: &PolicyContext<'_>) -> Option<Cycle> {
-        let now = ctx.now;
-        // Unaccrued ticks: decide must run to advance debt.
-        for st in &self.ranks {
-            if st.next_tick <= now {
-                return Some(now + 1);
-            }
-        }
-        // Would decide() act right now? Replicate its scans read-only (no
-        // RNG draw — decide only consumes randomness when its candidate
-        // pool is non-empty, which is exactly the would-act case reported
-        // as `now + 1` here, so the RNG stream is preserved across skips).
-        for (r, st) in self.ranks.iter().enumerate() {
-            if !Self::rank_refreshable(ctx, r) {
-                continue;
-            }
-            if st
-                .debt
-                .iter()
-                .enumerate()
-                .any(|(b, &d)| d >= MAX_DEBT && Self::bank_refreshable(ctx, r, b))
-            {
-                return Some(now + 1); // forced refresh due
-            }
-        }
-        if self.wrp && ctx.queues.in_drain_mode() {
-            for (r, st) in self.ranks.iter().enumerate() {
-                if !Self::rank_refreshable(ctx, r) {
-                    continue;
-                }
-                if (0..st.debt.len())
-                    .any(|b| st.debt[b] > -MAX_DEBT && Self::bank_refreshable(ctx, r, b))
-                {
-                    return Some(now + 1); // Algorithm 1 would fire
-                }
-            }
-        }
-        for (r, st) in self.ranks.iter().enumerate() {
-            if !Self::rank_refreshable(ctx, r) {
-                continue;
-            }
-            for b in 0..st.debt.len() {
-                if !ctx.queues.bank_has_demand(r, b)
-                    && st.debt[b] > -MAX_DEBT
-                    && Self::bank_refreshable(ctx, r, b)
-                {
-                    return Some(now + 1); // opportunistic pool non-empty
-                }
-            }
-        }
-        // Nothing actionable now: wake when a tick accrues or when a
-        // candidate bank's refresh blockers have all cleared.
-        let mut next: Option<Cycle> = None;
-        let mut consider = |t: Cycle| {
-            if t > now {
-                next = Some(next.map_or(t, |n| n.min(t)));
-            }
-        };
-        for (r, st) in self.ranks.iter().enumerate() {
-            consider(st.next_tick);
-            let rk = ctx.chan.rank(r);
-            for (b, &d) in st.debt.iter().enumerate() {
-                let forced_candidate = d >= MAX_DEBT;
-                // Algorithm 1 refreshes a bank whatever its demand; the
-                // out-of-order pool takes idle banks only.
-                let pool_candidate = d > -MAX_DEBT
-                    && (!ctx.queues.bank_has_demand(r, b)
-                        || (self.wrp && ctx.queues.in_drain_mode()));
-                if !forced_candidate && !pool_candidate {
-                    continue;
-                }
-                // The bank becomes refreshable when *all* active blockers
-                // expire; their maximum is exact while nothing new issues.
-                let mut clear = now + 1;
-                let mut blocked = false;
-                if rk.is_refpb_busy(now) {
-                    if let Some(free) = rk.refpb_slot_free(now) {
-                        clear = clear.max(free);
-                        blocked = true;
-                    }
-                }
-                if rk.is_refab_busy(now) {
-                    clear = clear.max(rk.refab_until());
-                    blocked = true;
-                }
-                let bank = rk.bank(b);
-                if bank.is_refresh_busy(now) {
-                    clear = clear.max(bank.refresh_until());
-                    blocked = true;
-                }
-                if let Some(s) = bank.sarp_refresh(now) {
-                    clear = clear.max(s.until);
-                    blocked = true;
-                }
-                if !blocked {
-                    // Refreshable already — the would-act scans above must
-                    // have caught it; be conservative regardless.
-                    return Some(now + 1);
-                }
-                consider(clear);
-            }
-        }
-        next
-    }
-
-    fn telemetry(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("darp_forced", self.stats.forced),
-            ("darp_write_parallelized", self.stats.write_parallelized),
-            ("darp_opportunistic", self.stats.opportunistic),
-            ("darp_postponed_catchup", self.stats.postponed_catchup),
-            ("darp_pulled_in", self.stats.pulled_in),
-        ]
+    fn darp_stats(&self) -> Option<DarpStats> {
+        Some(self.stats)
     }
 }
 
@@ -385,6 +294,17 @@ mod tests {
 
     fn chan() -> DramChannel {
         DramChannel::new(Geometry::paper_default(), timing(), SarpSupport::Disabled)
+    }
+
+    /// A channel with a `REFpb` in flight on rank 0 since cycle 0, and the
+    /// cycle its slot frees (before the first schedule tick).
+    fn chan_mid_refpb() -> (DramChannel, Cycle) {
+        let mut c = chan();
+        c.issue(Command::RefreshPerBank { rank: 0, bank: 0 }, 0)
+            .expect("idle channel accepts a REFpb");
+        let slot_free = c.rank(0).refpb_until();
+        assert!(slot_free < timing().refi_pb);
+        (c, slot_free)
     }
 
     fn req(rank: usize, bank: usize) -> Request {
@@ -419,7 +339,7 @@ mod tests {
             queues: &q_busy,
             chan: &c,
         };
-        let _ = p.decide(&ctx);
+        let _ = p.decide(&ctx, &mut Wake::off());
         assert_eq!(p.ranks[0].debt[0], 1);
         assert_eq!(p.ranks[0].debt[1], 1);
         assert_eq!(p.ranks[0].debt[2], 1);
@@ -442,7 +362,7 @@ mod tests {
             chan: &c,
         };
         assert_eq!(
-            p.decide(&ctx),
+            p.decide(&ctx, &mut Wake::off()),
             RefreshDirective::None,
             "all banks busy, none forced yet"
         );
@@ -466,7 +386,7 @@ mod tests {
             queues: &q,
             chan: &c,
         };
-        match p.decide(&ctx) {
+        match p.decide(&ctx, &mut Wake::off()) {
             RefreshDirective::Urgent(target) => {
                 assert_eq!(target.rank, 0);
                 assert!(matches!(target.kind, RefreshKind::PerBank { .. }));
@@ -492,7 +412,7 @@ mod tests {
             queues: &q,
             chan: &c,
         };
-        match p.decide(&ctx) {
+        match p.decide(&ctx, &mut Wake::off()) {
             RefreshDirective::Relaxed(target) => {
                 assert_eq!(target.kind, RefreshKind::PerBank { bank: 7 });
             }
@@ -515,7 +435,7 @@ mod tests {
             chan: &c,
         };
         assert_eq!(
-            p.decide(&ctx2),
+            p.decide(&ctx2, &mut Wake::off()),
             RefreshDirective::None,
             "no candidate once the only idle bank hits -8"
         );
@@ -534,7 +454,7 @@ mod tests {
             queues: &q,
             chan: &c,
         };
-        let _ = p.decide(&ctx);
+        let _ = p.decide(&ctx, &mut Wake::off());
         assert_eq!(p.ranks[0].debt[0], 1);
         // ...then it goes idle: the postponed bank must be chosen over
         // random zero-debt banks.
@@ -544,7 +464,7 @@ mod tests {
             queues: &q_idle,
             chan: &c,
         };
-        match p.decide(&ctx2) {
+        match p.decide(&ctx2, &mut Wake::off()) {
             RefreshDirective::Relaxed(target) => {
                 assert_eq!(target.kind, RefreshKind::PerBank { bank: 0 });
             }
@@ -582,7 +502,7 @@ mod tests {
             queues: &q,
             chan: &c,
         };
-        match p.decide(&ctx) {
+        match p.decide(&ctx, &mut Wake::off()) {
             RefreshDirective::Urgent(target) => {
                 let RefreshKind::PerBank { bank } = target.kind else {
                     unreachable!()
@@ -597,16 +517,8 @@ mod tests {
 
     #[test]
     fn drain_mode_wakes_when_the_refpb_slot_frees_despite_demand() {
-        let t = timing();
-        let mut p = Darp::new(1, 8, &t, 3, true);
-        let mut c = chan();
-        c.issue(Command::RefreshPerBank { rank: 0, bank: 0 }, 0)
-            .expect("idle channel accepts a REFpb");
-        let slot_free = c.rank(0).refpb_until();
-        assert!(
-            slot_free < t.refi_pb,
-            "the slot frees before the first tick"
-        );
+        let mut p = Darp::new(1, 8, &timing(), 3, true);
+        let (c, slot_free) = chan_mid_refpb();
         // Writeback mode with demand queued on every bank: nothing is idle,
         // so only Algorithm 1 can act, and only once the rank has a slot.
         let mut q = RequestQueues::new(64, 64, 4, 2);
@@ -626,19 +538,51 @@ mod tests {
         }
         q.update_drain_mode();
         assert!(q.in_drain_mode());
+        // The controller steps every cycle of writeback mode, so there is no
+        // bound to report here: each of those walks must hold until the slot
+        // frees, and the first one after must fire whatever the demand.
+        for now in 1..=slot_free {
+            let ctx = PolicyContext {
+                now,
+                queues: &q,
+                chan: &c,
+            };
+            let fired = matches!(
+                p.decide(&ctx, &mut Wake::off()),
+                RefreshDirective::Urgent(_)
+            );
+            assert_eq!(fired, now == slot_free, "cycle {now}");
+        }
+    }
+
+    #[test]
+    fn sleeps_until_the_refpb_slot_frees() {
+        let mut p = Darp::new(1, 8, &timing(), 3, true);
+        let (c, slot_free) = chan_mid_refpb();
+        // Every bank is idle and pullable, but the rank's one REFpb slot is
+        // taken: the walk holds and reports the cycle the slot frees — the
+        // same on a second walk, which must leave no trace.
+        let q = RequestQueues::paper_default();
         let asleep = PolicyContext {
             now: 1,
             queues: &q,
             chan: &c,
         };
-        assert_eq!(p.decide(&asleep), RefreshDirective::None);
-        assert_eq!(p.next_event(&asleep), Some(slot_free));
+        assert_eq!(p.decide(&asleep, &mut Wake::off()), RefreshDirective::None);
+        for _ in 0..2 {
+            let mut wake = Wake::on();
+            assert_eq!(p.decide(&asleep, &mut wake), RefreshDirective::None);
+            assert_eq!(wake.earliest(), Some(slot_free));
+        }
         let awake = PolicyContext {
             now: slot_free,
             queues: &q,
             chan: &c,
         };
-        assert!(matches!(p.decide(&awake), RefreshDirective::Urgent(_)));
+        assert!(matches!(
+            p.decide(&awake, &mut Wake::off()),
+            RefreshDirective::Relaxed(_)
+        ));
     }
 
     #[test]
@@ -680,7 +624,7 @@ mod tests {
         };
         // Without WRP the drain mode does not produce urgent refreshes; the
         // idle banks still get relaxed pull-ins.
-        match p.decide(&ctx) {
+        match p.decide(&ctx, &mut Wake::off()) {
             RefreshDirective::Relaxed(_) => {}
             other => panic!("expected relaxed only, got {other:?}"),
         }
@@ -701,7 +645,7 @@ mod tests {
                 queues: &q,
                 chan: &c,
             };
-            match p.decide(&ctx) {
+            match p.decide(&ctx, &mut Wake::off()) {
                 RefreshDirective::Urgent(target) | RefreshDirective::Relaxed(target) => {
                     if step % 3 != 0 {
                         p.refresh_issued(&target, now);

@@ -12,7 +12,7 @@
 //! idleness stalls demand requests — both of which emerge naturally from
 //! this implementation.
 
-use super::{PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy, RefreshTarget};
+use super::{PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy, RefreshTarget, Wake};
 use dsarp_dram::{Cycle, FgrMode, TimingParams};
 
 /// Maximum refreshes the DDR standard lets a rank postpone.
@@ -66,13 +66,10 @@ impl ElasticRefresh {
 }
 
 impl RefreshPolicy for ElasticRefresh {
-    fn name(&self) -> &'static str {
-        "elastic"
-    }
-
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> RefreshDirective {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, wake: &mut Wake) -> RefreshDirective {
         for r in 0..self.ranks.len() {
-            // Track idleness and the idle-period estimator.
+            // Track idleness and the idle-period estimator. Only a busy/idle
+            // edge mutates, so a second walk at the same cycle changes nothing.
             let busy = ctx.queues.rank_has_demand(r);
             match (busy, self.ranks[r].idle_since) {
                 (false, None) => self.ranks[r].idle_since = Some(ctx.now),
@@ -91,9 +88,15 @@ impl RefreshPolicy for ElasticRefresh {
                 self.ranks[r].pending = (self.ranks[r].pending + 1).min(MAX_POSTPONED);
                 self.ranks[r].next_due += self.refi;
             }
+            wake.at(self.ranks[r].next_due);
 
             let pending = self.ranks[r].pending;
-            if pending == 0 || ctx.chan.rank(r).is_refab_busy(ctx.now) {
+            if pending == 0 {
+                continue;
+            }
+            let rank = ctx.chan.rank(r);
+            if rank.is_refab_busy(ctx.now) {
+                wake.at(rank.refab_until());
                 continue;
             }
             let target = RefreshTarget {
@@ -103,10 +106,13 @@ impl RefreshPolicy for ElasticRefresh {
             if pending >= MAX_POSTPONED {
                 return RefreshDirective::Urgent(target);
             }
+            // A busy rank below the cap waits for an accrual or an idle edge.
             if let Some(since) = self.ranks[r].idle_since {
-                if ctx.now - since >= self.idle_threshold(r, pending) {
+                let crossing = since + self.idle_threshold(r, pending);
+                if ctx.now >= crossing {
                     return RefreshDirective::Urgent(target);
                 }
+                wake.at(crossing);
             }
         }
         RefreshDirective::None
@@ -115,52 +121,6 @@ impl RefreshPolicy for ElasticRefresh {
     fn refresh_issued(&mut self, target: &RefreshTarget, _now: Cycle) {
         let s = &mut self.ranks[target.rank];
         s.pending = s.pending.saturating_sub(1);
-    }
-
-    fn next_event(&self, ctx: &PolicyContext<'_>) -> Option<Cycle> {
-        let now = ctx.now;
-        let mut next: Option<Cycle> = None;
-        let mut consider = |t: Cycle| {
-            if t > now {
-                next = Some(next.map_or(t, |n| n.min(t)));
-            }
-        };
-        for (r, s) in self.ranks.iter().enumerate() {
-            if s.next_due <= now {
-                return Some(now + 1); // unaccrued debt (decide returned early)
-            }
-            consider(s.next_due);
-            // The idle-period estimator mutates on busy/idle edges; if the
-            // tracked state disagrees with the queues (a request arrived
-            // after this cycle's decide), the next decide call is a
-            // non-idempotent mutation and must not be skipped.
-            let busy = ctx.queues.rank_has_demand(r);
-            match (busy, s.idle_since) {
-                (false, None) | (true, Some(_)) => return Some(now + 1),
-                _ => {}
-            }
-            if s.pending == 0 {
-                continue;
-            }
-            let rank = ctx.chan.rank(r);
-            if rank.is_refab_busy(now) {
-                consider(rank.refab_until());
-                continue;
-            }
-            if s.pending >= MAX_POSTPONED {
-                return Some(now + 1); // would force right now
-            }
-            if let Some(since) = s.idle_since {
-                let crossing = since + self.idle_threshold(r, s.pending);
-                if now >= crossing {
-                    return Some(now + 1); // idle threshold already met
-                }
-                consider(crossing);
-            }
-            // Busy rank below the cap: only accrual (next_due) changes its
-            // state, and that is already in the minimum.
-        }
-        next
     }
 }
 
@@ -201,17 +161,29 @@ mod tests {
             chan: &chan,
         };
         // First decide observes idleness start for rank 1; idle threshold
-        // not yet met, so nothing fires immediately...
-        let _ = p.decide(&ctx);
+        // not yet met, so nothing fires immediately, and the walk reports
+        // the cycle the threshold is crossed...
+        let mut wake = Wake::on();
+        assert_eq!(p.decide(&ctx, &mut wake), RefreshDirective::None);
         assert_eq!(p.ranks[0].pending, 1);
-        // ...but after a long idle stretch rank 1 fires.
-        let later = t.refi_ab + 1 + 10 * t.rfc_ab;
-        let ctx2 = PolicyContext {
-            now: later,
+        let crossing = t.refi_ab + 1 + p.idle_threshold(1, 1);
+        assert_eq!(wake.earliest(), Some(crossing));
+        let just_before = PolicyContext {
+            now: crossing - 1,
             queues: &q,
             chan: &chan,
         };
-        match p.decide(&ctx2) {
+        assert_eq!(
+            p.decide(&just_before, &mut Wake::off()),
+            RefreshDirective::None
+        );
+        // ...which is exactly when rank 1 fires.
+        let ctx2 = PolicyContext {
+            now: crossing,
+            queues: &q,
+            chan: &chan,
+        };
+        match p.decide(&ctx2, &mut Wake::off()) {
             RefreshDirective::Urgent(target) => assert_eq!(target.rank, 1),
             other => panic!("expected rank 1 refresh, got {other:?}"),
         }
@@ -229,7 +201,7 @@ mod tests {
         };
         // Rank 0 has been busy for 9 intervals: pending caps at 8 => forced
         // even though the rank is busy.
-        match p.decide(&ctx) {
+        match p.decide(&ctx, &mut Wake::off()) {
             RefreshDirective::Urgent(target) => {
                 assert_eq!(target.rank, 0);
                 assert_eq!(p.ranks[0].pending, 8);
@@ -258,7 +230,7 @@ mod tests {
             queues: &q,
             chan: &chan,
         };
-        let _ = p.decide(&ctx);
+        let _ = p.decide(&ctx, &mut Wake::off());
         let before = p.ranks[0].pending;
         p.refresh_issued(
             &RefreshTarget {

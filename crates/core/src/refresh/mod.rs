@@ -1,11 +1,15 @@
 //! Refresh-scheduling policies.
 //!
 //! Every mechanism the paper evaluates (§6) is a [`RefreshPolicy`]
-//! implementation. Each DRAM cycle the controller asks the policy for a
-//! [`RefreshDirective`]; *urgent* directives outrank demand requests
-//! (the controller precharges the target and issues the refresh as soon as
-//! the timing allows), *relaxed* directives are served only on cycles when
-//! no demand command could issue (DARP's idle-bank pull-in, Fig. 8 ③).
+//! implementation: one *gate walk* ([`RefreshPolicy::decide`]) that the
+//! controller runs on each cycle it steps, ahead of demand scheduling. The
+//! walk answers with a [`RefreshDirective`]; *urgent* directives outrank
+//! demand requests (the controller precharges the target and issues the
+//! refresh as soon as the timing allows), *relaxed* directives are served
+//! only on cycles when no demand command could issue (DARP's idle-bank
+//! pull-in, Fig. 8 ③). The same walk is the policy's event source for the
+//! skip-ahead loop: every time-based gate it finds closed reports the cycle
+//! it opens to the [`Wake`] sink the controller passes in.
 
 use crate::queues::RequestQueues;
 use dsarp_dram::{Cycle, DramChannel, FgrMode, SarpSupport, TimingParams};
@@ -21,6 +25,7 @@ mod perbank;
 use adaptive::AdaptiveRefresh;
 use allbank::AllBankRefresh;
 use darp::Darp;
+pub use darp::DarpStats;
 use elastic::ElasticRefresh;
 use norefresh::NoRefresh;
 use perbank::PerBankRefresh;
@@ -57,7 +62,7 @@ pub enum RefreshDirective {
     Relaxed(RefreshTarget),
 }
 
-/// Read-only controller state handed to the policy each cycle.
+/// Read-only controller state handed to the policy's walk.
 pub struct PolicyContext<'a> {
     /// Current DRAM cycle.
     pub now: Cycle,
@@ -67,40 +72,71 @@ pub struct PolicyContext<'a> {
     pub chan: &'a DramChannel,
 }
 
+/// Where a gate walk reports when its closed gates open. The controller
+/// alone constructs one: [`Wake::off`] for the walk `step` acts on (a report
+/// is then a no-op, so `step` never pays for the bound), [`Wake::on`] to
+/// collect the earliest reported cycle.
+pub struct Wake(Option<Cycle>);
+
+impl Wake {
+    /// A sink that discards every report.
+    pub fn off() -> Self {
+        Wake(None)
+    }
+
+    /// A sink that keeps the earliest reported cycle.
+    pub fn on() -> Self {
+        Wake(Some(Cycle::MAX))
+    }
+
+    /// Whether reports are kept — a walk may skip work that only feeds them.
+    pub fn is_on(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Reports that a gate closed now opens at cycle `t`.
+    pub fn at(&mut self, t: Cycle) {
+        if let Some(earliest) = &mut self.0 {
+            *earliest = (*earliest).min(t);
+        }
+    }
+
+    /// The earliest reported cycle; `None` when off or nothing reported.
+    pub fn earliest(&self) -> Option<Cycle> {
+        self.0.filter(|&t| t != Cycle::MAX)
+    }
+}
+
 /// A refresh-scheduling policy (one instance per channel).
 pub trait RefreshPolicy: std::fmt::Debug + Send {
-    /// Policy name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Called every DRAM cycle before demand scheduling.
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> RefreshDirective;
+    /// The policy's one gate walk, run before demand scheduling on every
+    /// cycle the controller steps: what to refresh at `ctx.now`, if anything.
+    ///
+    /// The walk doubles as the policy's event source. Every *time-based*
+    /// gate it finds closed — the next `tREFI` tick, a refresh still in
+    /// flight, an idle threshold not yet crossed — must report the cycle it
+    /// opens to `wake`; gates that only a command or an arriving request can
+    /// open report nothing, because either wakes the controller anyway. When
+    /// the walk answers [`RefreshDirective::None`], the earliest report is
+    /// then the first cycle it could answer otherwise, as long as nothing
+    /// issues or arrives in between. A report that is too early is always
+    /// exact; one that is too late would break cycle-exactness.
+    ///
+    /// The controller walks with the sink off in `step` and, to put itself
+    /// to sleep, walks *again at the same cycle* with the sink on — only
+    /// after a walk that answered `None`, with nothing issued or accepted
+    /// since. The second walk is exact because, on unchanged state at the
+    /// same cycle, every mutation a walk makes must be idempotent (tick
+    /// accrual, idle-edge tracking) and randomness may be drawn only on the
+    /// way to a non-`None` answer.
+    fn decide(&mut self, ctx: &PolicyContext<'_>, wake: &mut Wake) -> RefreshDirective;
 
     /// Notification that the controller issued `target` at `now`.
     fn refresh_issued(&mut self, target: &RefreshTarget, now: Cycle);
 
-    /// The earliest cycle strictly after `ctx.now` at which this policy's
-    /// [`Self::decide`] could first return a different (non-`None`)
-    /// directive, assuming no commands issue and no requests arrive in
-    /// between, or `None` when the policy can never act again on its own
-    /// (e.g. [`NoRefresh`]).
-    ///
-    /// This is the policy's event source for the skip-ahead loop. The
-    /// contract is *conservative*: returning an earlier cycle than necessary
-    /// (including `ctx.now + 1`, the default, which disables skipping) is
-    /// always exact; returning a later cycle than the true next action
-    /// would break cycle-exactness. Implementations must return
-    /// `ctx.now + 1` whenever `decide` would act *right now*, so the
-    /// controller never skips over a cycle in which the policy wants to
-    /// issue, mask demand, or mutate non-idempotent state.
-    fn next_event(&self, ctx: &PolicyContext<'_>) -> Option<Cycle> {
-        Some(ctx.now + 1)
-    }
-
-    /// Policy-specific telemetry counters as `(name, value)` pairs, for
-    /// the simulator's opt-in telemetry. Names are stable snake_case
-    /// identifiers; policies without interesting internals return nothing.
-    fn telemetry(&self) -> Vec<(&'static str, u64)> {
-        Vec::new()
+    /// How DARP earned its refreshes; `None` for every other policy.
+    fn darp_stats(&self) -> Option<DarpStats> {
+        None
     }
 }
 
@@ -142,6 +178,33 @@ pub enum Mechanism {
 }
 
 impl Mechanism {
+    /// Every mechanism, in declaration order.
+    pub const ALL: [Mechanism; 14] = {
+        use Mechanism::*;
+        // Exhaustive on purpose: a new variant stops this compiling until
+        // it is listed here and in the array below.
+        match NoRefresh {
+            NoRefresh | RefAb | RefPb | Elastic | Darp | DarpOooOnly | SarpAb | SarpPb | Dsarp
+            | Fgr2x | Fgr4x | AdaptiveRefresh | RefPbOverlapped | DsarpOverlapped => {}
+        }
+        [
+            NoRefresh,
+            RefAb,
+            RefPb,
+            Elastic,
+            Darp,
+            DarpOooOnly,
+            SarpAb,
+            SarpPb,
+            Dsarp,
+            Fgr2x,
+            Fgr4x,
+            AdaptiveRefresh,
+            RefPbOverlapped,
+            DsarpOverlapped,
+        ]
+    };
+
     /// Whether the DRAM device must be built with SARP support.
     pub fn sarp_support(self) -> SarpSupport {
         match self {
@@ -249,24 +312,8 @@ mod tests {
     #[test]
     fn build_all_policies() {
         let t = TimingParams::ddr3_1333(Density::G8, Retention::Ms32);
-        for m in [
-            Mechanism::NoRefresh,
-            Mechanism::RefAb,
-            Mechanism::RefPb,
-            Mechanism::Elastic,
-            Mechanism::Darp,
-            Mechanism::DarpOooOnly,
-            Mechanism::SarpAb,
-            Mechanism::SarpPb,
-            Mechanism::Dsarp,
-            Mechanism::Fgr2x,
-            Mechanism::Fgr4x,
-            Mechanism::AdaptiveRefresh,
-            Mechanism::RefPbOverlapped,
-            Mechanism::DsarpOverlapped,
-        ] {
-            let p = m.build_policy(2, 8, &t, 1);
-            assert!(!p.name().is_empty());
+        for m in Mechanism::ALL {
+            let _ = m.build_policy(2, 8, &t, 1);
             assert!(!m.label().is_empty());
         }
     }

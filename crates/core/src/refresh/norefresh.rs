@@ -1,6 +1,6 @@
 //! The ideal no-refresh bound ("No REF" in the paper's figures).
 
-use super::{PolicyContext, RefreshDirective, RefreshPolicy, RefreshTarget};
+use super::{PolicyContext, RefreshDirective, RefreshPolicy, RefreshTarget, Wake};
 use dsarp_dram::Cycle;
 
 /// Never refreshes. The upper bound every real policy is compared against.
@@ -8,20 +8,14 @@ use dsarp_dram::Cycle;
 pub(crate) struct NoRefresh;
 
 impl RefreshPolicy for NoRefresh {
-    fn name(&self) -> &'static str {
-        "norefresh"
-    }
-
-    fn decide(&mut self, _ctx: &PolicyContext<'_>) -> RefreshDirective {
+    /// No gate ever opens, so nothing is reported and the controller may
+    /// sleep for good.
+    fn decide(&mut self, _ctx: &PolicyContext<'_>, _wake: &mut Wake) -> RefreshDirective {
         RefreshDirective::None
     }
 
     fn refresh_issued(&mut self, _target: &RefreshTarget, _now: Cycle) {
         unreachable!("NoRefresh never requests a refresh");
-    }
-
-    fn next_event(&self, _ctx: &PolicyContext<'_>) -> Option<Cycle> {
-        None
     }
 }
 
@@ -46,7 +40,9 @@ mod tests {
                 queues: &q,
                 chan: &chan,
             };
-            assert_eq!(p.decide(&ctx), RefreshDirective::None);
+            let mut wake = Wake::on();
+            assert_eq!(p.decide(&ctx, &mut wake), RefreshDirective::None);
+            assert_eq!(wake.earliest(), None, "nothing to wake for");
         }
     }
 }

@@ -2,7 +2,7 @@
 //! `tREFIpb`, in the strict sequential round-robin order the LPDDR standard
 //! hard-wires into the device.
 
-use super::{PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy, RefreshTarget};
+use super::{PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy, RefreshTarget, Wake};
 use dsarp_dram::{Cycle, TimingParams};
 
 /// The LPDDR per-bank refresh scheme. The controller has no say in the bank
@@ -33,23 +33,26 @@ impl PerBankRefresh {
 }
 
 impl RefreshPolicy for PerBankRefresh {
-    fn name(&self) -> &'static str {
-        "refpb"
-    }
-
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> RefreshDirective {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, wake: &mut Wake) -> RefreshDirective {
         for r in 0..self.next_due.len() {
             while ctx.now >= self.next_due[r] {
                 self.pending[r] += 1;
                 self.next_due[r] += self.refi_pb;
             }
+            wake.at(self.next_due[r]);
+            if self.pending[r] == 0 {
+                continue;
+            }
             // The JEDEC rule serializes REFpb within a rank: wait out an
             // in-flight one before requesting the next.
-            if self.pending[r] > 0 && !ctx.chan.rank(r).is_refpb_busy(ctx.now) {
-                return RefreshDirective::Urgent(RefreshTarget {
-                    rank: r,
-                    kind: RefreshKind::PerBank { bank: self.rr[r] },
-                });
+            match ctx.chan.rank(r).refpb_slot_free(ctx.now) {
+                Some(free) => wake.at(free),
+                None => {
+                    return RefreshDirective::Urgent(RefreshTarget {
+                        rank: r,
+                        kind: RefreshKind::PerBank { bank: self.rr[r] },
+                    })
+                }
             }
         }
         RefreshDirective::None
@@ -65,32 +68,6 @@ impl RefreshPolicy for PerBankRefresh {
         );
         self.pending[target.rank] = self.pending[target.rank].saturating_sub(1);
         self.rr[target.rank] = (self.rr[target.rank] + 1) % self.banks;
-    }
-
-    fn next_event(&self, ctx: &PolicyContext<'_>) -> Option<Cycle> {
-        let now = ctx.now;
-        let mut next: Option<Cycle> = None;
-        let mut consider = |t: Cycle| {
-            if t > now {
-                next = Some(next.map_or(t, |n| n.min(t)));
-            }
-        };
-        for r in 0..self.next_due.len() {
-            if self.next_due[r] <= now {
-                // decide() accrues inside its per-rank scan and returns
-                // early on the first actionable rank, so later ranks can be
-                // behind: no skipping until they catch up.
-                return Some(now + 1);
-            }
-            consider(self.next_due[r]);
-            if self.pending[r] > 0 {
-                match ctx.chan.rank(r).refpb_slot_free(now) {
-                    Some(free) => consider(free), // rank serialized until then
-                    None => return Some(now + 1), // decide would act right now
-                }
-            }
-        }
-        next
     }
 }
 
@@ -118,7 +95,7 @@ mod tests {
                 queues: &q,
                 chan: &chan,
             };
-            match p.decide(&ctx) {
+            match p.decide(&ctx, &mut Wake::off()) {
                 RefreshDirective::Urgent(target) => {
                     assert_eq!(target.rank, 0, "rank 0 due first each tick");
                     assert_eq!(
@@ -134,7 +111,7 @@ mod tests {
                         queues: &q,
                         chan: &chan,
                     };
-                    if let RefreshDirective::Urgent(t1) = p.decide(&ctx2) {
+                    if let RefreshDirective::Urgent(t1) = p.decide(&ctx2, &mut Wake::off()) {
                         assert_eq!(t1.rank, 1);
                         p.refresh_issued(&t1, now + 1);
                     }
@@ -165,7 +142,7 @@ mod tests {
             queues: &q,
             chan: &chan,
         };
-        match p.decide(&ctx) {
+        match p.decide(&ctx, &mut Wake::off()) {
             RefreshDirective::Urgent(target) => assert_eq!(target.rank, 1),
             RefreshDirective::None => {}
             other => panic!("unexpected {other:?}"),
@@ -182,7 +159,7 @@ mod tests {
                 queues: &q,
                 chan: &chan,
             };
-            if let RefreshDirective::Urgent(target) = p.decide(&ctx) {
+            if let RefreshDirective::Urgent(target) = p.decide(&ctx, &mut Wake::off()) {
                 assert_eq!(
                     match target.kind {
                         RefreshKind::PerBank { bank } => bank,

@@ -5,23 +5,6 @@ use dsarp_core::{Mechanism, MemoryController, Request};
 use dsarp_dram::{Command, Density, DramChannel, Geometry, Location, Retention, TimingParams};
 use proptest::prelude::*;
 
-fn all_mechanisms() -> Vec<Mechanism> {
-    vec![
-        Mechanism::NoRefresh,
-        Mechanism::RefAb,
-        Mechanism::RefPb,
-        Mechanism::Elastic,
-        Mechanism::Darp,
-        Mechanism::DarpOooOnly,
-        Mechanism::SarpAb,
-        Mechanism::SarpPb,
-        Mechanism::Dsarp,
-        Mechanism::Fgr2x,
-        Mechanism::Fgr4x,
-        Mechanism::AdaptiveRefresh,
-    ]
-}
-
 /// Drives one controller with a random arrival pattern and checks:
 /// * every accepted read completes exactly once, within a latency bound;
 /// * the device never reports an issue error (the controller only issues
@@ -31,6 +14,7 @@ fn drive(mech: Mechanism, arrivals: &[(u16, u8, bool)], cycles: u64, seed: u64) 
     let geom = Geometry::paper_default();
     let timing = TimingParams::ddr3_1333(Density::G8, Retention::Ms32);
     let mut chan = DramChannel::new(geom, timing, mech.sarp_support());
+    chan.set_refpb_overlap_ways(mech.refpb_overlap_ways());
     chan.enable_retention_tracking();
     let mut mc = MemoryController::new(0, geom, timing, mech, seed);
 
@@ -111,7 +95,7 @@ proptest! {
         arrivals in prop::collection::vec((any::<u16>(), any::<u8>(), any::<bool>()), 4..60),
         seed in any::<u64>(),
     ) {
-        for mech in all_mechanisms() {
+        for mech in Mechanism::ALL {
             drive(mech, &arrivals, 12_000, seed);
         }
     }
@@ -206,11 +190,11 @@ proptest! {
     ) {
         let cycles = 12_000;
         let mut steps = 0;
-        for mech in all_mechanisms() {
+        for mech in Mechanism::ALL {
             steps += drive_sleeper(mech, &arrivals, cycles, seed);
         }
         // The comparison is not vacuous: the sleeper did sleep.
-        prop_assert!(steps < all_mechanisms().len() as u64 * cycles / 2, "{}", steps);
+        prop_assert!(steps < Mechanism::ALL.len() as u64 * cycles / 2, "{}", steps);
     }
 }
 
@@ -219,7 +203,7 @@ fn starvation_freedom_under_saturation() {
     // Saturate one bank with reads for a long time under every mechanism;
     // every request must still complete (FR-FCFS ages out, refreshes are
     // bounded).
-    for mech in all_mechanisms() {
+    for mech in Mechanism::ALL {
         drive(mech, &[(0, 0, false)], 30_000, 99);
     }
 }

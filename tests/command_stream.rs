@@ -18,23 +18,6 @@ use std::fmt::Write;
 
 const CYCLES: u64 = 30_000;
 
-const MECHANISMS: [Mechanism; 14] = [
-    Mechanism::NoRefresh,
-    Mechanism::RefAb,
-    Mechanism::RefPb,
-    Mechanism::Elastic,
-    Mechanism::Darp,
-    Mechanism::DarpOooOnly,
-    Mechanism::SarpAb,
-    Mechanism::SarpPb,
-    Mechanism::Dsarp,
-    Mechanism::Fgr2x,
-    Mechanism::Fgr4x,
-    Mechanism::AdaptiveRefresh,
-    Mechanism::RefPbOverlapped,
-    Mechanism::DsarpOverlapped,
-];
-
 /// `(workload, mechanism label, channel-0 hash, channel-1 hash)`.
 #[rustfmt::skip]
 const EXPECTED: &[(&str, &str, &str, &str)] = &[
@@ -104,7 +87,7 @@ fn streams(wl: &Workload, mech: Mechanism) -> [Vec<(u64, dsarp_dram::Command)>; 
 fn command_streams_match_the_pre_pruning_scheduler() {
     let mut actual = Vec::new();
     for wl in workloads() {
-        for mech in MECHANISMS {
+        for mech in Mechanism::ALL {
             let [ch0, ch1] = streams(&wl, mech);
             assert!(ch0.len() + ch1.len() > 1_000, "{mech} on {}", wl.name);
             actual.push((

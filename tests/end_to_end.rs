@@ -12,20 +12,7 @@ fn workload() -> dsarp_workloads::Workload {
 
 #[test]
 fn every_mechanism_runs_and_reports() {
-    for mech in [
-        Mechanism::NoRefresh,
-        Mechanism::RefAb,
-        Mechanism::RefPb,
-        Mechanism::Elastic,
-        Mechanism::Darp,
-        Mechanism::DarpOooOnly,
-        Mechanism::SarpAb,
-        Mechanism::SarpPb,
-        Mechanism::Dsarp,
-        Mechanism::Fgr2x,
-        Mechanism::Fgr4x,
-        Mechanism::AdaptiveRefresh,
-    ] {
+    for mech in Mechanism::ALL {
         let cfg = SimConfig::paper(mech, Density::G16);
         // Long enough that even Elastic (which may legally postpone its
         // first refresh by up to 9 x tREFIab = 23.4K cycles) must refresh.
