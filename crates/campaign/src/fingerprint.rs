@@ -34,7 +34,9 @@ const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
 /// A running FNV-1a-128. Text written to it is hashed as it arrives, so
-/// a key can be fingerprinted without ever being assembled.
+/// a key can be fingerprinted without ever being assembled — and a copy
+/// of its state resumes from a shared prefix without rehashing it.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Hasher(u128);
 
 impl Hasher {

@@ -70,6 +70,15 @@ pub enum JobOutput {
     Grid(RunSummary),
 }
 
+/// What [`Job::content_key`] leaves for [`Job::fingerprint_with`]: the
+/// key's hash state up to its `cfg` member's value, and the text that
+/// closes the key after `kind` (empty unless the content sorts there).
+#[derive(Debug, Clone)]
+pub(crate) struct ContentKey {
+    head: Hasher,
+    tail: String,
+}
+
 impl Job {
     /// A human-readable label (for logs and store records).
     pub fn label(&self) -> String {
@@ -155,10 +164,26 @@ impl Job {
         Value::Object(m)
     }
 
-    /// The canonical rendering of the key's content member, identical
-    /// for every job that runs the same benchmarks or traces.
-    pub(crate) fn content_fragment(&self) -> String {
-        canonical(&self.content())
+    /// The key's content member, hashed as far as it can be without the
+    /// configuration — identical for every job of a kind that runs the
+    /// same benchmarks or traces, so a campaign computes it once however
+    /// many cells share it. Members stream into the hash in sorted-key
+    /// order: `bench` / `benchmarks` sort before `cfg`, so the ~1 kB of
+    /// benchmark parameters is folded into the hash state; `trace` /
+    /// `traces` sort after `kind` and are kept as text to close the key.
+    pub(crate) fn content_key(&self) -> ContentKey {
+        let (_, what, _, _) = self.key_head();
+        assert!(!("cfg"..="kind").contains(&what), "`{what}` sorts mid-key");
+        let content = canonical(&self.content());
+        let mut head = Hasher::new();
+        let tail = if what < "cfg" {
+            write!(head, "{{\"{what}\":{content},\"cfg\":").expect("hashing cannot fail");
+            String::new()
+        } else {
+            head.write_str("{\"cfg\":").expect("hashing cannot fail");
+            format!(",\"{what}\":{content}")
+        };
+        ContentKey { head, tail }
     }
 
     /// The canonical rendering of a configuration as a key's `cfg` member.
@@ -166,35 +191,22 @@ impl Job {
         canonical(&serde_json::to_value(cfg).expect("infallible"))
     }
 
-    /// The job's fingerprint from its [`Self::content_fragment`] and the
+    /// The job's fingerprint from its [`Self::content_key`] and the
     /// [`Self::cfg_fragment`] of its configuration: the hash of the text
-    /// [`canonical`] renders for [`Self::key_value`], with the two large
-    /// members supplied already rendered — a campaign renders each
-    /// configuration and each workload once, however many cells share
-    /// them. Members stream into the hash in sorted-key order: `bench` /
-    /// `benchmarks` sort before `cfg`, `trace` / `traces` after `kind`.
-    pub(crate) fn fingerprint_from(&self, content: &str, cfg: &str) -> Fingerprint {
-        let (kind, what, _, cycles) = self.key_head();
-        assert!(!("cfg"..="kind").contains(&what), "`{what}` sorts mid-key");
-        let mut h = Hasher::new();
-        if what < "cfg" {
-            write!(
-                h,
-                "{{\"{what}\":{content},\"cfg\":{cfg},\"cycles\":{cycles},\"kind\":\"{kind}\"}}"
-            )
-        } else {
-            write!(
-                h,
-                "{{\"cfg\":{cfg},\"cycles\":{cycles},\"kind\":\"{kind}\",\"{what}\":{content}}}"
-            )
-        }
-        .expect("hashing cannot fail");
+    /// [`canonical`] renders for [`Self::key_value`], resumed after the
+    /// content it shares with other jobs.
+    pub(crate) fn fingerprint_with(&self, content: &ContentKey, cfg: &str) -> Fingerprint {
+        let (kind, _, _, cycles) = self.key_head();
+        let mut h = content.head;
+        let tail = &content.tail;
+        write!(h, "{cfg},\"cycles\":{cycles},\"kind\":\"{kind}\"{tail}}}")
+            .expect("hashing cannot fail");
         h.finish()
     }
 
     /// The job's content fingerprint.
     pub fn fingerprint(&self) -> Fingerprint {
-        self.fingerprint_from(&self.content_fragment(), &Self::cfg_fragment(self.cfg()))
+        self.fingerprint_with(&self.content_key(), &Self::cfg_fragment(self.cfg()))
     }
 
     /// Runs the simulation and packages the result as a store

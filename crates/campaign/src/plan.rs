@@ -6,12 +6,19 @@
 //!
 //! Most of a job's key is shared — its `cfg` member by every workload of
 //! a (sweep, mechanism, density), its content member wherever a workload
-//! or benchmark recurs — so the plan renders each such fragment once and
+//! or benchmark recurs — so the plan computes each shared part once and
 //! composes them per cell through the same function [`Job::fingerprint`]
-//! feeds freshly rendered ones: one key definition with memoized inputs.
+//! feeds fresh ones: one key definition with memoized inputs. A `cfg`
+//! is rendered once per run of cells sharing it. A content member is
+//! kept as the FNV state after the key prefix `{"benchmarks":<content>,
+//! "cfg":` (16 bytes instead of ~1 kB of text; trace content, which
+//! sorts after `kind`, is kept as text), memoized campaign-wide by
+//! [`CampaignWorkload::alone_keys`] — benchmark names, unique in the
+//! catalogue, or trace content hashes — so each cell hashes only its
+//! ~300 B `cfg` and the tail.
 
 use crate::fingerprint::Fingerprint;
-use crate::job::Job;
+use crate::job::{ContentKey, Job};
 use crate::spec::{AloneKey, CampaignSpec, CampaignWorkload};
 use crate::store::Record;
 use crate::traces::TraceSetError;
@@ -88,19 +95,22 @@ impl CampaignPlan {
         // Expansion groups jobs by configuration, so remembering the last
         // one rendered renders each exactly once.
         let mut last_cfg: Option<(SimConfig, String)> = None;
-        let mut admit = |job: Job, content: &str| {
+        let mut admit = |job: Job, content: &ContentKey| {
             if !matches!(&last_cfg, Some((cfg, _)) if cfg == job.cfg()) {
                 last_cfg = Some((*job.cfg(), Job::cfg_fragment(job.cfg())));
             }
             let (_, cfg) = last_cfg.as_ref().expect("rendered above");
-            let fp = job.fingerprint_from(content, cfg);
+            let fp = job.fingerprint_with(content, cfg);
             cells += 1;
             if seen.insert(fp) {
                 unique.push((fp, job));
             }
             fp
         };
-        let mut bench_content: HashMap<AloneKey, String> = HashMap::new();
+        // Content keys, campaign-wide: an alone job's by what it measures,
+        // a cell's by what each of its cores measures.
+        let mut alone_content: HashMap<AloneKey, ContentKey> = HashMap::new();
+        let mut cell_content: HashMap<Vec<AloneKey>, ContentKey> = HashMap::new();
         let mut sweeps = Vec::new();
         for sweep in &spec.sweeps {
             let resolved = sweep.workloads.resolve(&spec.scale, spec.workload_seed);
@@ -114,16 +124,17 @@ impl CampaignPlan {
             let mut alone = Vec::with_capacity(expansion.alone.len());
             for (key, job) in expansion.alone {
                 let density = job.cfg().density;
-                let content = bench_content
+                let content = alone_content
                     .entry(key)
-                    .or_insert_with(|| job.content_fragment());
+                    .or_insert_with(|| job.content_key());
                 alone.push(((density, key), admit(job, content)));
             }
-            let mut contents = vec![None; workloads.len()];
             let mut planned = Vec::with_capacity(expansion.cells.len());
             for (workload, job) in expansion.cells {
                 let (mechanism, density) = (job.cfg().mechanism, job.cfg().density);
-                let content = contents[workload].get_or_insert_with(|| job.content_fragment());
+                let content = cell_content
+                    .entry(workloads[workload].alone_keys())
+                    .or_insert_with(|| job.content_key());
                 planned.push(PlannedCell {
                     fingerprint: admit(job, content),
                     mechanism,

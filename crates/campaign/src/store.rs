@@ -537,6 +537,7 @@ pub struct CompactionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -731,6 +732,44 @@ mod tests {
         assert_eq!(view.records.get(&fp_a.0), Some(&a));
         assert_eq!((view.offset, view.records.len()), (healed.next_offset, 2));
         let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn mutated_and_torn_lines_never_panic_the_decoder() {
+        let fp = Fingerprint(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef);
+        let line = Store::encode_line(&Record::grid(fp, "w0/DSARP@32Gb".into(), sample_summary()));
+        assert!(Store::decode_line(&line).is_some());
+        let bytes = line.as_bytes();
+        for at in 0..bytes.len() {
+            let _ = Store::decode_line(&line[..at]);
+            for b in 0..=u8::MAX {
+                let mut mutated = bytes.to_vec();
+                mutated[at] = b;
+                let text = String::from_utf8_lossy(&mutated);
+                let _ = serde_json::parse_value(&text);
+                let _ = Store::decode_line(&text);
+            }
+        }
+    }
+
+    #[test]
+    fn a_megabyte_label_decodes_in_linear_time() {
+        let fp = Fingerprint(9);
+        let record = Record::alone(fp, "λ".repeat(1 << 19), 1.5);
+        let line = Store::encode_line(&record);
+        let start = std::time::Instant::now();
+        assert_eq!(Store::decode_line(&line), Some((fp, record)));
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoder(
+            bytes in prop::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let _ = Store::decode_line(&String::from_utf8_lossy(&bytes));
+        }
     }
 
     #[test]

@@ -316,6 +316,24 @@ fn concurrent_reader_never_observes_torn_lines() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A deeply nested body is a bad request on both endpoints that parse
+/// JSON, not a stack overflow that takes the whole server down.
+#[test]
+fn deeply_nested_bodies_are_refused_and_the_server_keeps_serving() {
+    let dir = tmpdir("nested");
+    let (_, host, handle) = start_server(&dir, small_spec("nested"));
+    let mut client = Client::new(host);
+    let body = "[".repeat(50_000);
+    for path in ["/shards/00/append", "/leases/00"] {
+        let resp = client.request("POST", path, &[], body.as_bytes()).unwrap();
+        assert_eq!(resp.status, 400, "{path}: {}", resp.text_body());
+    }
+    let resp = client.request("GET", "/status", &[], &[]).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.text_body());
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// Cells are content-addressed, so the fingerprint doubles as a strong
 /// ETag (304 without a store read); grid exports hash their CSV bytes.
 #[test]
