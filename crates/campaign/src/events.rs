@@ -48,6 +48,9 @@ pub enum Event {
         campaign: String,
         /// Jobs simulated this run.
         simulated: usize,
+        /// Functional warm-ups they took (shared across mechanisms and
+        /// densities, so at most `simulated`).
+        warmups: usize,
         /// Wall time since the run started.
         wall: Duration,
     },
@@ -210,10 +213,12 @@ impl Event {
             Event::CampaignSimulated {
                 campaign,
                 simulated,
+                warmups,
                 wall,
             } => {
                 put("campaign", Value::String(campaign.clone()));
                 put("simulated", num(*simulated as u64));
+                put("warmups", num(*warmups as u64));
                 put("wall_ms", num(ms(*wall)));
             }
             Event::JobSimulated {
@@ -334,6 +339,7 @@ impl Event {
                 campaign,
                 simulated,
                 wall,
+                ..
             } => Some((
                 false,
                 true,

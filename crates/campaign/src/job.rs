@@ -2,7 +2,7 @@
 
 use crate::fingerprint::{canonical, Fingerprint, Hasher};
 use crate::traces::{TraceRef, TraceWorkload};
-use dsarp_sim::{SimConfig, SimTelemetry, SystemBuilder};
+use dsarp_sim::{SimConfig, SimTelemetry, SystemBuilder, WarmKey, WarmState};
 use dsarp_workloads::{BenchmarkSpec, Workload};
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
@@ -228,8 +228,9 @@ impl Job {
         fp: Fingerprint,
         telemetry: bool,
         per_cycle: bool,
+        warm: Option<WarmState>,
     ) -> (crate::store::Record, Option<Box<SimTelemetry>>) {
-        let (output, telemetry) = self.simulate(telemetry, per_cycle);
+        let (output, telemetry) = self.simulate(telemetry, per_cycle, warm);
         let record = match output {
             JobOutput::Alone(ipc) => crate::store::Record::alone(fp, self.label(), ipc),
             JobOutput::Grid(summary) => crate::store::Record::grid(fp, self.label(), summary),
@@ -245,37 +246,53 @@ impl Job {
     /// vanishes or its content changes between campaign expansion and
     /// execution — see `TraceRef::open`.
     pub fn execute(&self) -> JobOutput {
-        self.simulate(false, false).0
+        self.simulate(false, false, None).0
     }
 
-    /// Builds the job's [`dsarp_sim::System`], runs it and reduces the raw
-    /// stats to the job's output.
-    fn simulate(&self, telemetry: bool, per_cycle: bool) -> (JobOutput, Option<Box<SimTelemetry>>) {
-        let alone;
-        let (builder, cycles) = match self {
-            Job::Alone { cfg, bench, cycles } => {
-                alone = Workload::alone_for(bench);
-                (SystemBuilder::new(cfg).workload(&alone), *cycles)
+    /// What a synthetic job's functional warm-up depends on, so jobs with
+    /// equal keys can start from one [`WarmState`]; `None` for trace jobs,
+    /// which warm up per cell. An alone job's key is its one benchmark at
+    /// one core, whatever the density.
+    pub(crate) fn warm_key(&self) -> Option<WarmKey> {
+        let synthetic = matches!(self, Job::Alone { .. } | Job::Grid { .. });
+        synthetic.then(|| self.builder(&mut None).warm_key())
+    }
+
+    /// The functional warm-up this job's system starts with, for it and
+    /// every job with the same [`Self::warm_key`] to start from.
+    pub(crate) fn warm(&self) -> WarmState {
+        self.builder(&mut None).warm()
+    }
+
+    /// The builder of the job's [`dsarp_sim::System`]; an alone job's
+    /// one-benchmark workload lives in `alone`.
+    fn builder<'a>(&'a self, alone: &'a mut Option<Workload>) -> SystemBuilder<'a> {
+        let builder = SystemBuilder::new(self.cfg());
+        match self {
+            Job::Alone { bench, .. } => builder.workload(alone.insert(Workload::alone_for(bench))),
+            Job::Grid { workload, .. } => builder.workload(workload),
+            Job::TraceAlone { trace, .. } => builder.trace_sources(vec![trace.open()]),
+            Job::TraceGrid { cfg, workload, .. } => {
+                builder.trace_sources(workload.sources(cfg.cores))
             }
-            Job::Grid {
-                cfg,
-                workload,
-                cycles,
-            } => (SystemBuilder::new(cfg).workload(workload), *cycles),
-            Job::TraceAlone { cfg, trace, cycles } => (
-                SystemBuilder::new(cfg).trace_sources(vec![trace.open()]),
-                *cycles,
-            ),
-            Job::TraceGrid {
-                cfg,
-                workload,
-                cycles,
-            } => (
-                SystemBuilder::new(cfg).trace_sources(workload.sources(cfg.cores)),
-                *cycles,
-            ),
-        };
-        let mut system = builder.telemetry(telemetry).build();
+        }
+    }
+
+    /// Builds the job's [`dsarp_sim::System`] — from `warm` if given —
+    /// runs it and reduces the raw stats to the job's output.
+    fn simulate(
+        &self,
+        telemetry: bool,
+        per_cycle: bool,
+        warm: Option<WarmState>,
+    ) -> (JobOutput, Option<Box<SimTelemetry>>) {
+        let mut alone = None;
+        let mut builder = self.builder(&mut alone).telemetry(telemetry);
+        if let Some(state) = warm {
+            builder = builder.warmed(state);
+        }
+        let mut system = builder.build();
+        let cycles = self.key_head().3;
         let mut stats = if per_cycle {
             system.run_per_cycle(cycles)
         } else {

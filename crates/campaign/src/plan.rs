@@ -19,7 +19,7 @@
 
 use crate::fingerprint::Fingerprint;
 use crate::job::{ContentKey, Job};
-use crate::spec::{AloneKey, CampaignSpec, CampaignWorkload};
+use crate::spec::{AloneKey, CampaignSpec, CampaignWorkload, SpecError};
 use crate::store::Record;
 use crate::traces::TraceSetError;
 use dsarp_core::Mechanism;
@@ -28,18 +28,28 @@ use dsarp_sim::experiments::harness::{Grid, WsRow};
 use dsarp_sim::{Metrics, SimConfig};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// A sweep whose workload set failed to resolve.
+/// A campaign that cannot be planned.
 #[derive(Debug)]
-pub struct PlanError {
-    /// The sweep that could not be expanded.
-    pub sweep: String,
-    /// Why, naming the offending trace file.
-    pub error: TraceSetError,
+pub enum PlanError {
+    /// A sweep the simulator cannot run.
+    Spec(SpecError),
+    /// A sweep whose workload set failed to resolve.
+    Traces {
+        /// The sweep that could not be expanded.
+        sweep: String,
+        /// Why, naming the offending trace file.
+        error: TraceSetError,
+    },
 }
 
 impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "sweep `{}` failed to expand: {}", self.sweep, self.error)
+        match self {
+            PlanError::Spec(e) => e.fmt(f),
+            PlanError::Traces { sweep, error } => {
+                write!(f, "sweep `{sweep}` failed to expand: {error}")
+            }
+        }
     }
 }
 
@@ -47,7 +57,10 @@ impl std::error::Error for PlanError {}
 
 impl From<PlanError> for std::io::Error {
     fn from(e: PlanError) -> Self {
-        e.error.into()
+        match e {
+            PlanError::Spec(e) => e.into(),
+            PlanError::Traces { error, .. } => error.into(),
+        }
     }
 }
 
@@ -88,9 +101,10 @@ impl CampaignPlan {
     ///
     /// # Errors
     ///
-    /// `PlanError` naming the first sweep whose trace set fails to
-    /// resolve.
+    /// `PlanError` naming the first sweep that cannot be simulated
+    /// ([`CampaignSpec::validate`]) or whose trace set fails to resolve.
     pub fn build(spec: &CampaignSpec) -> Result<Self, PlanError> {
+        spec.validate().map_err(PlanError::Spec)?;
         let (mut cells, mut unique, mut seen) = (0, Vec::new(), HashSet::new());
         // Expansion groups jobs by configuration, so remembering the last
         // one rendered renders each exactly once.
@@ -114,7 +128,7 @@ impl CampaignPlan {
         let mut sweeps = Vec::new();
         for sweep in &spec.sweeps {
             let resolved = sweep.workloads.resolve(&spec.scale, spec.workload_seed);
-            let workloads = resolved.map_err(|error| PlanError {
+            let workloads = resolved.map_err(|error| PlanError::Traces {
                 sweep: sweep.name.clone(),
                 error,
             })?;

@@ -27,10 +27,11 @@ use crate::retry::{self, RetryPolicy};
 use crate::spec::CampaignSpec;
 use crate::store::{Record, Store};
 use dsarp_sim::experiments::harness::{parallel_map, Grid};
-use std::collections::BTreeMap;
+use dsarp_sim::{WarmKey, WarmState};
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Cache behaviour of one campaign run.
@@ -47,6 +48,10 @@ pub struct CacheStats {
     /// Freshly simulated results whose shard append failed (kept in memory
     /// for this run; they will re-simulate next time instead of resuming).
     pub persist_failures: usize,
+    /// Functional warm-ups performed: one per distinct warm-up among the
+    /// simulated jobs. Every mechanism and density of a synthetic workload
+    /// shares one; every trace job warms up its own.
+    pub warmups: usize,
 }
 
 impl CacheStats {
@@ -141,11 +146,83 @@ pub struct WorkerReport {
     pub wait_rounds: usize,
     /// Shard appends that failed (results recompute next run).
     pub persist_failures: usize,
+    /// Functional warm-ups performed, summed over leased shards (see
+    /// [`CacheStats::warmups`]).
+    pub warmups: usize,
+}
+
+/// A key's warm state, once computed, and the jobs yet to copy it.
+type Slot = (Arc<OnceLock<WarmState>>, usize);
+
+/// The warm states one [`CellRunner::run`] shares between its jobs, by
+/// warm key: the state — computed by the key's first job, waited on by a
+/// concurrent one — and how many jobs have yet to take a copy. The last
+/// copy drops the entry, so no cache outlives the run and, with jobs run
+/// in key order, at most one shared state per worker thread is alive.
+///
+/// The last job copies too rather than taking the state by move: a moved
+/// state stays allocated in the arena of the thread that warmed it up for
+/// the whole of that job, while the same thread warms up the next
+/// workload beside it — about 1 MB more peak RSS on the perf ledger's
+/// `campaign_cold`, against one 768 KB copy per workload.
+struct WarmShare {
+    slots: Mutex<HashMap<WarmKey, Slot>>,
+    /// States computed so far.
+    computed: AtomicUsize,
+}
+
+impl WarmShare {
+    /// An empty slot per key, for that many jobs.
+    fn new(jobs_per_key: impl Iterator<Item = (WarmKey, usize)>) -> Self {
+        let slots = jobs_per_key.map(|(key, jobs)| (key, (Arc::default(), jobs)));
+        WarmShare {
+            slots: Mutex::new(slots.collect()),
+            computed: AtomicUsize::new(0),
+        }
+    }
+
+    /// A copy of `key`'s warm state, computed by `warm` if no job has
+    /// computed it yet. Every job with the key must take one exactly once.
+    fn take(&self, key: &WarmKey, warm: impl FnOnce() -> WarmState) -> WarmState {
+        let slots = || self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        let slot = Arc::clone(&slots()[key].0);
+        let state = slot.get_or_init(|| {
+            self.computed.fetch_add(1, Ordering::Relaxed);
+            warm()
+        });
+        let copy = state.clone();
+        let mut slots = slots();
+        let left = &mut slots.get_mut(key).expect("a counted key").1;
+        *left -= 1;
+        if *left == 0 {
+            slots.remove(key);
+        }
+        copy
+    }
+}
+
+/// What [`CellRunner::run`] did.
+struct Ran {
+    /// The records, in job order.
+    records: Vec<Record>,
+    /// Failed appends (those records are still usable in memory this run;
+    /// they re-simulate next time instead of resuming).
+    append_failures: usize,
+    /// [`CacheStats::warmups`].
+    warmups: usize,
 }
 
 /// The simulate-and-persist loop shared by the single-process executor
 /// ([`Campaign::run`]) and a distributed worker's leased drain
 /// ([`CampaignClient::run_worker`]).
+///
+/// Every mechanism and density of a synthetic workload — and every
+/// density of an alone-IPC job — starts from the same functional warm-up
+/// ([`Job::warm_key`]), so the loop runs jobs grouped by warm key, warms
+/// each key up once ([`WarmShare`]) and starts its jobs' systems from
+/// copies of that state. Results are identical to warming up per cell;
+/// only the order in which records are appended changes. Trace jobs, and
+/// a job whose key no other job has, warm up as they build.
 struct CellRunner<'a> {
     events: &'a EventLog,
     verbose: bool,
@@ -161,26 +238,47 @@ struct CellRunner<'a> {
 }
 
 impl CellRunner<'_> {
-    /// Simulates `jobs` on the thread pool, handing every completed record
-    /// to `append` — which flushes it to its shard — before the thread
-    /// picks up its next job, so progress survives kill/restart. Returns
-    /// the records in job order plus the number of failed appends (those
-    /// records are still usable in memory this run; they re-simulate next
-    /// time instead of resuming).
+    /// Simulates `jobs` on the thread pool, grouped by warm key, handing
+    /// every completed record to `append` — which flushes it to its shard
+    /// — before the thread picks up its next job, so progress survives
+    /// kill/restart.
     fn run(
         &self,
         jobs: &[&(Fingerprint, Job)],
         append: impl Fn(Fingerprint, &Record) -> std::io::Result<()> + Sync,
-    ) -> (Vec<Record>, usize) {
+    ) -> Ran {
+        let mut keys: Vec<Option<WarmKey>> = jobs.iter().map(|(_, job)| job.warm_key()).collect();
+        // Per key, its first job and how many jobs have it.
+        let mut shared: HashMap<WarmKey, (usize, usize)> = HashMap::new();
+        for (i, key) in keys.iter().enumerate() {
+            if let Some(key) = key {
+                shared.entry(key.clone()).or_insert((i, 0)).1 += 1;
+            }
+        }
+        // A key no other job has is not shared: its job warms up as it
+        // builds, without a copy.
+        shared.retain(|_, (_, jobs)| *jobs > 1);
+        for key in &mut keys {
+            if key.as_ref().is_some_and(|key| !shared.contains_key(key)) {
+                *key = None;
+            }
+        }
+        // Jobs sharing a key run adjacent, in order of first appearance.
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by_key(|&i| keys[i].as_ref().map_or(i, |key| shared[key].0));
+        let share = WarmShare::new(shared.into_iter().map(|(key, (_, jobs))| (key, jobs)));
+
         let append_errors = AtomicUsize::new(0);
         let owner = || self.owner.map(str::to_string);
-        let records = parallel_map(jobs, self.threads, |(fp, job)| {
+        let mut ran = parallel_map(&order, self.threads, |&i| {
+            let (fp, job) = jobs[i];
             if !self.job_delay.is_zero() {
                 std::thread::sleep(self.job_delay);
             }
             let t_job = Instant::now();
+            let warm = keys[i].as_ref().map(|key| share.take(key, || job.warm()));
             let (record, telemetry) =
-                job.run_record(*fp, self.telemetry_dir.is_some(), self.per_cycle);
+                job.run_record(*fp, self.telemetry_dir.is_some(), self.per_cycle, warm);
             if let (Some(dir), Some(telemetry)) = (self.telemetry_dir, telemetry) {
                 let path = dir.join(format!("{fp}.json"));
                 let doc = serde_json::to_string(&telemetry).expect("telemetry serializes");
@@ -212,9 +310,15 @@ impl CellRunner<'_> {
                 );
                 append_errors.fetch_add(1, Ordering::Relaxed);
             }
-            record
+            (i, record)
         });
-        (records, append_errors.load(Ordering::Relaxed))
+        ran.sort_unstable_by_key(|&(i, _)| i);
+        let unshared = keys.iter().filter(|key| key.is_none()).count();
+        Ran {
+            records: ran.into_iter().map(|(_, record)| record).collect(),
+            append_failures: append_errors.into_inner(),
+            warmups: share.computed.into_inner() + unshared,
+        }
     }
 }
 
@@ -298,6 +402,7 @@ impl Campaign {
             cache_hits: unique.len() - missing.len(),
             simulated: missing.len(),
             persist_failures: 0,
+            warmups: 0,
         };
         let mut timing = PhaseTiming {
             expand_ms: elapsed_ms(t0),
@@ -327,7 +432,7 @@ impl Campaign {
             None
         };
         let store = &self.store;
-        let (records, persist_failures) = CellRunner {
+        let ran = CellRunner {
             events: &self.events,
             verbose: self.verbose,
             threads: scale.resolved_threads(),
@@ -337,10 +442,11 @@ impl Campaign {
             job_delay: Duration::ZERO,
         }
         .run(&missing, |fp, record| store.append(fp, record));
-        for ((fp, _), record) in missing.iter().zip(records) {
+        for ((fp, _), record) in missing.iter().zip(ran.records) {
             self.store.absorb(*fp, record);
         }
-        stats.persist_failures = persist_failures;
+        stats.persist_failures = ran.append_failures;
+        stats.warmups = ran.warmups;
         timing.simulate_ms = elapsed_ms(t_sim);
         if stats.persist_failures > 0 {
             self.events.emit(
@@ -357,6 +463,7 @@ impl Campaign {
                 &Event::CampaignSimulated {
                     campaign: self.spec.name.clone(),
                     simulated: stats.simulated,
+                    warmups: stats.warmups,
                     wall: t0.elapsed(),
                 },
             );
@@ -679,7 +786,7 @@ impl CampaignClient {
             owner: &opts.owner,
             shard,
         };
-        let (_, persist_failures) = std::thread::scope(|s| {
+        let ran = std::thread::scope(|s| {
             s.spawn(|| heartbeat.run(&[&observed], renew_every));
             // Stopped via Drop, not a trailing statement: if a job panics,
             // thread::scope must still join the heartbeat thread, which
@@ -698,7 +805,8 @@ impl CampaignClient {
             .run(&jobs, |fp, record| backend.append(fp, record))
         });
         report.simulated += jobs.len();
-        report.persist_failures += persist_failures;
+        report.persist_failures += ran.append_failures;
+        report.warmups += ran.warmups;
         Ok(())
     }
 
@@ -736,6 +844,7 @@ impl CampaignClient {
             cache_hits: worker.unique_jobs - worker.simulated,
             simulated: worker.simulated,
             persist_failures: worker.persist_failures,
+            warmups: worker.warmups,
         };
         let grids = plan.assemble(|fp| records.get(&fp.0))?;
         let timing = PhaseTiming {

@@ -11,7 +11,7 @@ use crate::fingerprint::Fingerprint;
 use crate::job::Job;
 use crate::traces::{self, TraceSetError, TraceWorkload};
 use dsarp_core::Mechanism;
-use dsarp_dram::{Density, Retention};
+use dsarp_dram::{Density, Geometry, Retention};
 use dsarp_sim::experiments::{harness::WORKLOAD_SEED, Scale};
 use dsarp_sim::SimConfig;
 use dsarp_workloads::Workload;
@@ -69,6 +69,39 @@ pub(crate) enum CampaignWorkload {
 pub(crate) enum AloneKey {
     Bench(&'static str),
     Trace(Fingerprint),
+}
+
+/// A sweep the simulator cannot run, named by the field at fault.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecError {
+    /// The sweep.
+    pub sweep: String,
+    /// The field at fault, as the spec's JSON names it.
+    pub field: &'static str,
+    /// What is wrong with its value.
+    pub problem: String,
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let SpecError {
+            sweep,
+            field,
+            problem,
+        } = self;
+        write!(
+            f,
+            "sweep `{sweep}` cannot be simulated: `{field}` {problem}"
+        )
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+impl From<SpecError> for std::io::Error {
+    fn from(e: SpecError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
+    }
 }
 
 /// One sweep's jobs in expansion order.
@@ -210,6 +243,38 @@ impl SweepSpec {
         }
     }
 
+    /// Refuses what the simulator cannot build: `cores` must be a nonzero
+    /// power of two (the shared LLC's set count and the synthetic address
+    /// map need one) no wider than the workloads, and `subarrays` a power
+    /// of two dividing a bank's rows ([`Geometry::with_subarrays`]).
+    fn validate(&self) -> Result<(), SpecError> {
+        let refuse = |field, problem| {
+            Err(SpecError {
+                sweep: self.name.clone(),
+                field,
+                problem,
+            })
+        };
+        let cores = self.cores;
+        if !cores.is_power_of_two() {
+            return refuse("cores", format!("= {cores} is not a nonzero power of two"));
+        }
+        let width = match &self.workloads {
+            WorkloadSet::Paper => 8,
+            WorkloadSet::Intensive { cores }
+            | WorkloadSet::TraceDir { cores, .. }
+            | WorkloadSet::TraceFiles { cores, .. } => *cores,
+        };
+        if cores > width {
+            let problem = format!("= {cores} is wider than its {width}-core workloads");
+            return refuse("cores", problem);
+        }
+        if let Err(e) = Geometry::paper_default().with_subarrays(self.subarrays) {
+            return refuse("subarrays", format!("= {}: {e}", self.subarrays));
+        }
+        Ok(())
+    }
+
     /// The cell configuration for one (mechanism, density).
     pub(crate) fn make_cfg(&self, mechanism: Mechanism, density: Density) -> SimConfig {
         let mut cfg = SimConfig::paper(mechanism, density)
@@ -341,6 +406,16 @@ impl CampaignSpec {
         );
         self.sweeps.push(sweep);
         self
+    }
+
+    /// Checks that every sweep can be simulated, before anything is
+    /// opened or expanded.
+    ///
+    /// # Errors
+    ///
+    /// `SpecError` naming the first offending sweep and field.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        self.sweeps.iter().try_for_each(SweepSpec::validate)
     }
 
     /// The sweep named `name`, if present.
@@ -585,6 +660,48 @@ mod tests {
         assert_eq!(shared, 2, "per-trace alone jobs dedup across sweeps");
         assert_eq!(file_jobs.len(), 3, "2 alone + 1 grid");
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn sweeps_the_simulator_cannot_build_are_refused() {
+        let paper = CampaignSpec::paper(tiny_scale());
+        assert_eq!(paper.validate(), Ok(()));
+        type Edit = fn(&mut SweepSpec);
+        let cases: [(Edit, &str, &str); 5] = [
+            (
+                |s| s.cores = 0,
+                "cores",
+                "= 0 is not a nonzero power of two",
+            ),
+            (
+                |s| s.cores = 6,
+                "cores",
+                "= 6 is not a nonzero power of two",
+            ),
+            (
+                |s| s.cores = 16,
+                "cores",
+                "= 16 is wider than its 8-core workloads",
+            ),
+            (|s| s.subarrays = 3, "subarrays", "= 3: dimension"),
+            (
+                |s| s.subarrays = 1 << 17,
+                "subarrays",
+                "must divide rows_per_bank",
+            ),
+        ];
+        for (edit, field, problem) in cases {
+            let mut spec = paper.clone();
+            edit(&mut spec.sweeps[0]);
+            let err = spec.validate().unwrap_err();
+            assert_eq!(
+                (err.sweep.as_str(), err.field),
+                (spec.sweeps[0].name.as_str(), field)
+            );
+            assert!(err.problem.contains(problem), "{err}");
+            let planned = crate::plan::CampaignPlan::build(&spec).unwrap_err();
+            assert_eq!(planned.to_string(), err.to_string());
+        }
     }
 
     #[test]

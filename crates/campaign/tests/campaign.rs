@@ -280,6 +280,101 @@ fn simulated_labels(events: &std::path::Path) -> Vec<String> {
     labels
 }
 
+/// `(simulated, warmups)` of the one `campaign_simulated` line of a JSONL
+/// event log.
+fn simulated_and_warmups(events: &std::path::Path) -> (u64, u64) {
+    let text = std::fs::read_to_string(events).unwrap();
+    let mut lines = text
+        .lines()
+        .map(|line| serde_json::from_str::<serde_json::Value>(line).unwrap())
+        .filter(|e| e.get("event").and_then(|v| v.as_str()) == Some("campaign_simulated"));
+    let event = lines.next().expect("a campaign_simulated line");
+    assert!(lines.next().is_none(), "one campaign_simulated line");
+    let count = |key: &str| event.get(key).and_then(|v| v.as_u64()).unwrap();
+    (count("simulated"), count("warmups"))
+}
+
+/// Runs `spec` cold with a JSONL event log: the rendered grids, the
+/// sorted record lines, and the `(simulated, warmups)` the log's
+/// `campaign_simulated` line counts (which the report's stats must match).
+fn cold_run_counting_warmups(tag: &str, spec: CampaignSpec) -> (String, Vec<String>, (u64, u64)) {
+    let dir = tmpdir(tag);
+    let events = dir.join("events.jsonl");
+    let name = spec.name.clone();
+    let mut campaign = Campaign::open(&dir, spec).unwrap();
+    campaign.set_events(Arc::new(EventLog::to_path(&events).unwrap()));
+    let report = campaign.run().unwrap();
+    let counted = simulated_and_warmups(&events);
+    assert_eq!(
+        counted,
+        (report.stats.simulated as u64, report.stats.warmups as u64)
+    );
+    let records = sorted_record_lines(&dir.join(name));
+    let _ = std::fs::remove_dir_all(dir);
+    (render(&report), records, counted)
+}
+
+/// Every mechanism and density of a mix, and every density of an
+/// alone-IPC benchmark, start from one functional warm-up: a cold run of
+/// 2 mixes x 3 mechanisms x 2 densities warms up once per distinct mix
+/// plus once per distinct benchmark, at one thread or two, and the two
+/// runs' grids and record lines are byte-identical.
+#[test]
+fn one_warmup_per_workload_at_any_thread_count() {
+    let spec = |threads| {
+        let scale = Scale {
+            threads,
+            ..tiny_scale()
+        };
+        CampaignSpec::new("warm", scale).with_sweep(SweepSpec::new(
+            "mixes",
+            WorkloadSet::Intensive { cores: 2 },
+            &[Mechanism::RefAb, Mechanism::Darp, Mechanism::Dsarp],
+            &[Density::G8, Density::G32],
+        ))
+    };
+    let mixes = tiny_scale().intensive_workloads_with_seed(2, spec_seed());
+    assert_eq!(mixes.len(), 2);
+    let names = |wl: &dsarp_workloads::Workload| -> Vec<&'static str> {
+        wl.benchmarks.iter().map(|b| b.name).collect()
+    };
+    let distinct_mixes: std::collections::HashSet<_> = mixes.iter().map(names).collect();
+    let benchmarks: std::collections::HashSet<_> = mixes.iter().flat_map(names).collect();
+    let simulated = 2 * 3 * 2 + 2 * benchmarks.len() as u64;
+    let warmups = (distinct_mixes.len() + benchmarks.len()) as u64;
+
+    let one = cold_run_counting_warmups("warmups-1", spec(1));
+    let two = cold_run_counting_warmups("warmups-2", spec(2));
+    assert_eq!(one.2, (simulated, warmups));
+    assert_eq!(one, two, "nothing may depend on the thread count");
+}
+
+/// The perf ledger's `campaign_cold` spec — the paper workload set (one
+/// mix per category) x five mechanisms at 32 Gb, seeded as the ledger
+/// seeds it — at a tiny run length: 25 cells and 21 alone-IPC jobs take
+/// 5 + 21 warm-ups.
+#[test]
+fn ledger_cold_campaign_warms_up_26_times_for_46_jobs() {
+    const LEDGER_SEED: u64 = 0xD5A2_2014;
+    let mut sweep = SweepSpec::new(
+        "ledger",
+        WorkloadSet::Paper,
+        &[
+            Mechanism::RefAb,
+            Mechanism::RefPb,
+            Mechanism::Darp,
+            Mechanism::SarpPb,
+            Mechanism::Dsarp,
+        ],
+        &[Density::G32],
+    );
+    sweep.sim_seed = Some(LEDGER_SEED);
+    let mut spec = CampaignSpec::new("bench", tiny_scale()).with_sweep(sweep);
+    spec.workload_seed = LEDGER_SEED;
+    let (_, _, counted) = cold_run_counting_warmups("warmups-ledger", spec);
+    assert_eq!(counted, (46, 26));
+}
+
 /// The single-process executor and a distributed merge over a
 /// [`LocalBackend`] are one simulate-and-persist path: the same spec
 /// through either yields the same grids, counters, shard lines and

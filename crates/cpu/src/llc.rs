@@ -69,33 +69,40 @@ impl LlcStats {
     }
 }
 
-/// Per-way state other than the tag. Tags live in a separate dense array
-/// (`Llc::tags`) so the hit scan — the hottest loop in the CPU model —
-/// touches 16 contiguous `u64`s (two cache lines per set) instead of
-/// striding across full way records.
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    valid: bool,
-    dirty: bool,
-    /// Higher = more recently used.
-    lru: u64,
-}
-
 /// Tag value no line can produce (addresses are < 2^58 lines); marks an
 /// invalid way in the tag array so the hit scan needs no `valid` check.
 const INVALID_TAG: u64 = u64::MAX;
 
+/// The dirty bit of a way's stamp.
+const DIRTY: u32 = 1 << 31;
+
+/// The recency bits of a way's stamp, and the largest tick they hold.
+const RECENCY: u32 = DIRTY - 1;
+
 /// The shared LLC. Addresses are hashed to sets by their line index, which
 /// spreads each core's partitioned address space across all slices —
 /// matching the "512 KB private cache-slice per core" organization.
+///
+/// A line costs 12 bytes of simulator memory: its `u64` tag, in a dense
+/// array of its own so the hit scan — the hottest loop in the CPU model —
+/// touches 16 contiguous tags (two cache lines per set), and a `u32`
+/// stamp holding the tick of its last access in the low 31 bits and its
+/// dirty bit in bit 31. A stamp of 0 is an invalid way (ticks start at
+/// 1), whose tag is `INVALID_TAG`. When the tick reaches 2³¹−1, every
+/// set's valid ways are renumbered 1..=k by recency and the tick restarts
+/// above them (`Llc::renumber`). Only the order of stamps *within* a
+/// set ever picks a victim, and renumbering keeps that order, so every
+/// hit, miss and writeback is the one an unbounded tick would produce.
 #[derive(Debug, Clone)]
 pub struct Llc {
     params: LlcParams,
     /// Way tags, set-major; `INVALID_TAG` for invalid ways.
     tags: Vec<u64>,
-    ways: Vec<Way>,
+    /// Way stamps, set-major: recency | `DIRTY`; 0 for invalid ways.
+    stamps: Vec<u32>,
     stats: LlcStats,
-    tick: u64,
+    /// The stamp of the latest access; at most `RECENCY`.
+    tick: u32,
     /// `log2(line_bytes)` — the access path runs once per retired memory
     /// instruction, so the line/set math must be shifts and masks, not
     /// divisions by runtime parameters.
@@ -124,7 +131,7 @@ impl Llc {
         Self {
             params,
             tags: vec![INVALID_TAG; sets * params.assoc],
-            ways: vec![Way::default(); sets * params.assoc],
+            stamps: vec![0; sets * params.assoc],
             stats: LlcStats::default(),
             tick: 0,
             line_shift: params.line_bytes.trailing_zeros(),
@@ -150,41 +157,59 @@ impl Llc {
 
     /// Accesses the line containing `addr`; `is_store` marks it dirty.
     pub fn access(&mut self, addr: u64, is_store: bool) -> LlcResult {
+        if self.tick == RECENCY {
+            self.renumber();
+        }
         self.tick += 1;
+        let dirty = if is_store { DIRTY } else { 0 };
         let line = addr >> self.line_shift;
         let set = self.set_of(line);
         let base = set * self.params.assoc;
         let tags = &self.tags[base..base + self.params.assoc];
 
         if let Some(i) = tags.iter().position(|&t| t == line) {
-            let w = &mut self.ways[base + i];
-            w.lru = self.tick;
-            w.dirty |= is_store;
+            let stamp = &mut self.stamps[base + i];
+            *stamp = self.tick | (*stamp & DIRTY) | dirty;
             self.stats.hits += 1;
             return LlcResult::Hit;
         }
 
-        // Miss: choose an invalid way or the LRU victim.
+        // Miss: choose an invalid way (recency 0) or the LRU victim.
         self.stats.misses += 1;
-        let ways = &mut self.ways[base..base + self.params.assoc];
-        let (i, victim) = ways
+        let stamps = &mut self.stamps[base..base + self.params.assoc];
+        let (i, victim) = stamps
             .iter_mut()
             .enumerate()
-            .min_by_key(|(_, w)| if w.valid { w.lru } else { 0 })
+            .min_by_key(|(_, stamp)| **stamp & RECENCY)
             .expect("associativity > 0");
-        let writeback = if victim.valid && victim.dirty {
+        let writeback = if *victim & DIRTY != 0 {
             self.stats.writebacks += 1;
             Some(self.tags[base + i] * self.params.line_bytes as u64)
         } else {
             None
         };
-        *victim = Way {
-            valid: true,
-            dirty: is_store,
-            lru: self.tick,
-        };
+        *victim = self.tick | dirty;
         self.tags[base + i] = line;
         LlcResult::Miss { writeback }
+    }
+
+    /// Renumbers each set's valid ways 1..=k from least to most recently
+    /// used, keeping their dirty bits, and restarts the tick at the
+    /// associativity, above every renumbered stamp. Runs once per 2³¹
+    /// accesses; see the type docs for why it is exact.
+    #[cold]
+    fn renumber(&mut self) {
+        let assoc = self.params.assoc;
+        let mut order = Vec::with_capacity(assoc);
+        for set in self.stamps.chunks_exact_mut(assoc) {
+            order.clear();
+            order.extend((0..assoc).filter(|&w| set[w] != 0));
+            order.sort_unstable_by_key(|&w| set[w] & RECENCY);
+            for (rank, &w) in (1..).zip(&order) {
+                set[w] = (set[w] & DIRTY) | rank;
+            }
+        }
+        self.tick = u32::try_from(assoc).expect("associativity fits a stamp");
     }
 }
 
@@ -298,6 +323,43 @@ mod tests {
             a += 64;
         }
         assert!(c.tags.contains(&0));
+    }
+
+    /// A tick that runs out mid-stream renumbers every set by recency: each
+    /// result and the counters equal a fresh cache's, access for access.
+    /// Raising the tick keeps every set's order, so the stream is made to
+    /// wrap four times.
+    #[test]
+    fn renumbering_matches_a_fresh_cache() {
+        // 64 sets x 4 ways under 1024 lines: hits, evictions and dirty
+        // writebacks in every set.
+        let params = LlcParams {
+            capacity_bytes: 64 * 4 * 64,
+            assoc: 4,
+            line_bytes: 64,
+        };
+        let mut fresh = Llc::new(params);
+        let mut wrapping = Llc::new(params);
+        wrapping.tick = RECENCY - 1_000;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut wraps = 0;
+        for i in 0..200_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let addr = (x >> 33) % (1024 * 64);
+            let store = (x >> 20).is_multiple_of(4);
+            let before = wrapping.tick;
+            let got = wrapping.access(addr, store);
+            assert_eq!(got, fresh.access(addr, store), "access {i}");
+            wraps += u32::from(wrapping.tick < before);
+            if i % 50_000 == 49_999 {
+                wrapping.tick = RECENCY - 7;
+            }
+        }
+        assert_eq!(wrapping.stats(), fresh.stats());
+        assert!(fresh.stats().writebacks > 1_000, "{:?}", fresh.stats());
+        assert_eq!(wraps, 4);
     }
 
     #[test]

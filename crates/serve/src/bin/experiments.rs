@@ -334,6 +334,8 @@ fn resolve_spec(args: &Args) -> (CampaignSpec, bool) {
     } else {
         return (paper::spec(args.scale(), args.get("--exp")), false);
     };
+    // Refused before any store, lease or worker thread exists.
+    spec.validate().unwrap_or_else(|e| die(&e.to_string()));
     // A custom campaign carries its own sweep names: `--exp` is a prefix.
     let Some(prefix) = args.get("--exp") else {
         return (spec, true);
@@ -594,9 +596,8 @@ fn run_compact_cmd(args: &Args) {
     // otherwise compact every cached record away as orphans.
     let plan = CampaignPlan::build(spec).unwrap_or_else(|e| {
         die(&format!(
-            "refusing to compact: sweep `{}` failed to expand — {} \
-             (fix or restore the trace, or compact with the spec that matches the store)",
-            e.sweep, e.error
+            "refusing to compact: {e} \
+             (fix or restore the trace, or compact with the spec that matches the store)"
         ))
     });
     let keep: std::collections::HashSet<u128> = plan.unique().iter().map(|(fp, _)| fp.0).collect();

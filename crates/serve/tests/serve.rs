@@ -171,6 +171,47 @@ fn cli_refuses_invalid_modes_naming_the_token() {
     let _ = std::fs::remove_dir_all(blocked);
 }
 
+/// A spec whose sweep the simulator cannot build — 3 cores (the LLC needs
+/// a power-of-two set count) or 3 subarrays per bank — is refused with
+/// exit 2 naming the sweep and the field, by `run` and `worker` alike,
+/// before any store, output directory or worker thread exists.
+#[test]
+fn unsimulatable_specs_are_refused_before_any_store_exists() {
+    let dir = tmpdir("cli-bad-spec");
+    for (field, value) in [("cores", 3), ("subarrays", 3)] {
+        let mut spec = small_spec("bad");
+        match field {
+            "cores" => spec.sweeps[1].cores = value,
+            _ => spec.sweeps[1].subarrays = value,
+        }
+        let path = dir.join(format!("{field}.json"));
+        std::fs::write(&path, spec.to_json()).unwrap();
+        let store = dir.join(format!("store-{field}"));
+        let out = dir.join(format!("out-{field}"));
+        for cmd in ["run", "worker"] {
+            let mut args = vec![cmd, "--spec", path.to_str().unwrap()];
+            args.extend(["--campaign", store.to_str().unwrap()]);
+            if cmd == "run" {
+                args.extend(["--out", out.to_str().unwrap()]);
+            }
+            let run = Command::new(BIN).args(&args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(2), "{cmd} {field}: {stderr}");
+            assert!(
+                stderr.starts_with("error: sweep `beta` cannot be simulated: ")
+                    && stderr.contains(&format!("`{field}` = 3")),
+                "{cmd} {field}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{stderr}");
+            assert!(
+                !store.exists() && !out.exists(),
+                "{cmd} {field} created a directory"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// The full lease lifecycle over HTTP: acquire, contention with holder
 /// identity, renew-by-owner, permanent refusal of a non-owner renew,
 /// release, and stale reclaim after a dead owner's TTL lapses.

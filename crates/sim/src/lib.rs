@@ -37,5 +37,5 @@ mod telemetry;
 
 pub use config::SimConfig;
 pub use metrics::Metrics;
-pub use system::{RunStats, System, SystemBuilder};
+pub use system::{RunStats, System, SystemBuilder, WarmKey, WarmState};
 pub use telemetry::SimTelemetry;

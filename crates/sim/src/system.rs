@@ -8,14 +8,14 @@ use crate::config::SimConfig;
 use crate::telemetry::SimTelemetry;
 use dsarp_core::{Completion, ControllerStats, MemoryController, Request};
 use dsarp_cpu::{
-    AccessResult, Core, CoreIdle, Llc, LlcParams, LlcResult, LlcStats, MemoryInterface, StallKind,
-    TraceSource,
+    AccessResult, Core, CoreIdle, Llc, LlcParams, LlcResult, LlcStats, MemKind, MemoryInterface,
+    StallKind, TraceSource,
 };
 use dsarp_dram::{
     Cycle, DramChannel, EnergyBreakdown, Geometry, IddValues, Location, PowerModel,
     CPU_CYCLES_PER_DRAM_CYCLE,
 };
-use dsarp_workloads::{SyntheticTrace, Workload};
+use dsarp_workloads::{BenchmarkSpec, SyntheticTrace, Workload};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -283,8 +283,116 @@ struct CoreLag {
     horizon: Cycle,
 }
 
+/// What a functional warm-up reads of a build — nothing else of its
+/// configuration reaches it, so every mechanism and density of a
+/// workload starts from the same [`WarmState`]. Builds with equal keys
+/// can share one warm-up ([`SystemBuilder::warm_key`]); a state is only
+/// accepted by a build with its key ([`SystemBuilder::warmed`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct WarmKey {
+    cores: usize,
+    seed: u64,
+    warmup_ops: u64,
+    llc_bytes: usize,
+    /// The first `cores` benchmarks of the workload, one per core.
+    benchmarks: Vec<BenchmarkSpec>,
+}
+
+// Benchmark parameters are never NaN, so equality is reflexive.
+impl Eq for WarmKey {}
+
+impl std::hash::Hash for WarmKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (self.cores, self.seed, self.warmup_ops, self.llc_bytes).hash(state);
+        // Equal benchmarks have equal names (unique in the catalogue).
+        for bench in &self.benchmarks {
+            bench.name.hash(state);
+        }
+    }
+}
+
+impl WarmKey {
+    /// # Panics
+    ///
+    /// Panics if the workload has fewer benchmarks than configured cores.
+    fn new(cfg: &SimConfig, wl: &Workload) -> Self {
+        assert!(
+            wl.benchmarks.len() >= cfg.cores,
+            "workload {} has {} benchmarks for {} cores",
+            wl.name,
+            wl.benchmarks.len(),
+            cfg.cores
+        );
+        Self {
+            cores: cfg.cores,
+            seed: cfg.seed,
+            warmup_ops: cfg.warmup_ops,
+            llc_bytes: cfg.llc_bytes(),
+            benchmarks: wl.benchmarks[..cfg.cores].iter().map(|b| **b).collect(),
+        }
+    }
+
+    /// The first input in which `self` and `other` differ.
+    fn differs_from(&self, other: &Self) -> Option<&'static str> {
+        [
+            ("cores", self.cores == other.cores),
+            ("seed", self.seed == other.seed),
+            ("warmup_ops", self.warmup_ops == other.warmup_ops),
+            ("llc_bytes", self.llc_bytes == other.llc_bytes),
+            ("benchmarks", self.benchmarks == other.benchmarks),
+        ]
+        .into_iter()
+        .find_map(|(name, same)| (!same).then_some(name))
+    }
+}
+
+/// A synthetic workload's system after its functional warm-up and before
+/// cycle 0: the primed LLC and each core's trace advanced past the
+/// operations that primed it. [`SystemBuilder::warm`] computes it and
+/// [`SystemBuilder::warmed`] starts a system from it, so the cells of a
+/// sweep that differ only in mechanism or density — or in anything else
+/// the warm-up never reads — share one warm-up by cloning the state.
+#[derive(Debug, Clone)]
+pub struct WarmState {
+    key: WarmKey,
+    llc: Llc,
+    traces: Vec<SyntheticTrace>,
+}
+
+/// The functional warm-up, the one routine both stream kinds go through:
+/// each trace's first `cfg.warmup_ops` memory operations, core by core,
+/// through a fresh LLC with no timing. Short timed runs then observe
+/// steady-state cache behaviour, as the paper's long runs do.
+fn prime<'t, T: TraceSource + ?Sized + 't>(
+    cfg: &SimConfig,
+    traces: impl IntoIterator<Item = &'t mut T>,
+) -> Llc {
+    let mut llc = Llc::new(LlcParams {
+        capacity_bytes: cfg.llc_bytes(),
+        assoc: 16,
+        line_bytes: 64,
+    });
+    for trace in traces {
+        for _ in 0..cfg.warmup_ops {
+            let op = trace.next_op();
+            llc.access(op.addr & !63, op.kind == MemKind::Store);
+        }
+    }
+    llc.reset_stats();
+    llc
+}
+
 /// Builds a [`System`]: configuration, then trace sources, then
 /// observability toggles, then [`SystemBuilder::build`].
+///
+/// Building is a functional warm-up followed by assembly. For a
+/// [`workload`](Self::workload) the warm-up can be split off:
+/// [`warm`](Self::warm) runs it once, and any number of builders whose
+/// configurations differ only in what it never reads (mechanism, density,
+/// geometry, timing, queues, core parameters) start from a clone of the
+/// result through [`warmed`](Self::warmed), with results identical to
+/// their own `build()`. A state warmed for anything else is refused with a
+/// panic, never simulated.
 ///
 /// ```
 /// use dsarp_core::Mechanism;
@@ -297,11 +405,19 @@ struct CoreLag {
 /// let mut sys = SystemBuilder::new(&cfg).workload(&wl).telemetry(true).build();
 /// let stats = sys.run(1_000);
 /// assert!(stats.telemetry.is_some());
+///
+/// // REFab at 32 Gb starts from the same warm-up as DSARP at 8 Gb.
+/// let shared = SystemBuilder::new(&cfg).workload(&wl).warm();
+/// let refab = SimConfig::paper(Mechanism::RefAb, Density::G32);
+/// let fresh = SystemBuilder::new(&refab).workload(&wl).build().run(1_000);
+/// let mut reused = SystemBuilder::new(&refab).workload(&wl).warmed(shared).build();
+/// assert_eq!(reused.run(1_000), fresh);
 /// ```
 pub struct SystemBuilder<'a> {
     cfg: &'a SimConfig,
     workload: Option<&'a Workload>,
     sources: Option<Vec<Box<dyn TraceSource>>>,
+    warm: Option<WarmState>,
     telemetry: bool,
     retention_tracking: bool,
     command_log: bool,
@@ -316,6 +432,7 @@ impl<'a> SystemBuilder<'a> {
             cfg,
             workload: None,
             sources: None,
+            warm: None,
             telemetry: false,
             retention_tracking: false,
             command_log: false,
@@ -368,71 +485,119 @@ impl<'a> SystemBuilder<'a> {
         self
     }
 
-    /// Builds the system. Whichever stream was chosen, the first
-    /// `cfg.warmup_ops` memory operations of each source prime the LLC with
-    /// no timing before cycle 0.
+    /// Starts the system from `state` instead of warming up: `build` then
+    /// only assembles. Results are identical to warming up afresh.
+    ///
+    /// `build` panics unless a [`workload`](Self::workload) is the stream
+    /// and `state` was warmed from exactly what that build would warm from
+    /// — the workload's first `cores` benchmarks, `cores`, `seed`,
+    /// `warmup_ops` and the LLC capacity. The check runs in every profile:
+    /// a state warmed for another cell is a panic naming the first input
+    /// that differs, not a silently wrong simulation.
+    pub fn warmed(mut self, state: WarmState) -> Self {
+        self.warm = Some(state);
+        self
+    }
+
+    /// Runs the functional warm-up [`build`](Self::build) starts with and
+    /// returns its result, for any number of [`warmed`](Self::warmed)
+    /// builds to start from.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a [`workload`](Self::workload) is the stream (trace
+    /// sources are consumed by the one system they warm), or if it has
+    /// fewer benchmarks than configured cores.
+    pub fn warm(&self) -> WarmState {
+        let cfg = self.cfg;
+        let key = self.warm_key();
+        let mut traces: Vec<SyntheticTrace> = key
+            .benchmarks
+            .iter()
+            .enumerate()
+            .map(|(i, bench)| SyntheticTrace::new(bench, i, cfg.cores, cfg.seed))
+            .collect();
+        let llc = prime(cfg, &mut traces);
+        WarmState { key, llc, traces }
+    }
+
+    /// What [`warm`](Self::warm) would warm up from: builds with equal
+    /// keys can start from one state.
+    ///
+    /// # Panics
+    ///
+    /// As [`warm`](Self::warm).
+    pub fn warm_key(&self) -> WarmKey {
+        let wl = self
+            .workload
+            .expect("SystemBuilder::warm: provide a workload");
+        WarmKey::new(self.cfg, wl)
+    }
+
+    /// Builds the system: the functional warm-up — the first
+    /// `cfg.warmup_ops` memory operations of each core's stream prime the
+    /// LLC with no timing before cycle 0 — or the [`warmed`](Self::warmed)
+    /// state, then assembly.
     ///
     /// # Panics
     ///
     /// Panics if no instruction stream was provided, if a workload has
-    /// fewer benchmarks than configured cores, or if fewer trace sources
-    /// than cores were given.
-    pub fn build(self) -> System {
+    /// fewer benchmarks than configured cores, if fewer trace sources
+    /// than cores were given, or on a warm state that does not match (see
+    /// [`warmed`](Self::warmed)).
+    pub fn build(mut self) -> System {
         let cfg = self.cfg;
-        let sources: Vec<Box<dyn TraceSource>> = match (self.workload, self.sources) {
-            (Some(wl), None) => {
+        let (llc, sources): (Llc, Vec<Box<dyn TraceSource>>) = match self.sources.take() {
+            Some(mut sources) => {
                 assert!(
-                    wl.benchmarks.len() >= cfg.cores,
-                    "workload {} has {} benchmarks for {} cores",
-                    wl.name,
-                    wl.benchmarks.len(),
+                    self.warm.is_none(),
+                    "SystemBuilder: a warm state needs a workload, not trace sources"
+                );
+                assert!(
+                    sources.len() >= cfg.cores,
+                    "{} trace sources for {} cores",
+                    sources.len(),
                     cfg.cores
                 );
-                (0..cfg.cores)
-                    .map(|i| {
-                        Box::new(SyntheticTrace::new(
-                            wl.benchmarks[i],
-                            i,
-                            cfg.cores,
-                            cfg.seed,
-                        )) as Box<dyn TraceSource>
-                    })
-                    .collect()
+                sources.truncate(cfg.cores);
+                (prime(cfg, sources.iter_mut().map(|s| &mut **s)), sources)
             }
-            (None, Some(sources)) => sources,
-            (None, None) => panic!("SystemBuilder: provide a workload or trace sources"),
-            (Some(_), Some(_)) => unreachable!("stream setters clear each other"),
+            None => {
+                assert!(
+                    self.workload.is_some(),
+                    "SystemBuilder: provide a workload or trace sources"
+                );
+                let state = match self.warm.take() {
+                    Some(state) => {
+                        if let Some(input) = state.key.differs_from(&self.warm_key()) {
+                            panic!(
+                                "SystemBuilder::warmed: the state was warmed for another \
+                                 cell (its `{input}` differs from this build's)"
+                            );
+                        }
+                        state
+                    }
+                    None => self.warm(),
+                };
+                let traces = state.traces.into_iter();
+                let sources = traces.map(|t| Box::new(t) as Box<dyn TraceSource>);
+                (state.llc, sources.collect())
+            }
         };
-        assert!(
-            sources.len() >= cfg.cores,
-            "{} trace sources for {} cores",
-            sources.len(),
-            cfg.cores
-        );
+        self.assemble(llc, sources)
+    }
+
+    /// Wires warmed-up `llc` and `sources` (one per core, already advanced
+    /// past the warm-up) to fresh controllers and channels.
+    fn assemble(self, llc: Llc, sources: Vec<Box<dyn TraceSource>>) -> System {
+        let cfg = self.cfg;
         let geom = cfg.geometry();
         let timing = cfg.timing();
-        let mut llc = Llc::new(LlcParams {
-            capacity_bytes: cfg.llc_bytes(),
-            assoc: 16,
-            line_bytes: 64,
-        });
-        // Functional warmup: run each trace's first `warmup_ops` memory
-        // operations through the LLC with no timing, then hand the (already
-        // advanced) trace to its core. Short timed runs then observe
-        // steady-state cache behaviour, as the paper's long runs do.
         let cores = sources
             .into_iter()
-            .take(cfg.cores)
             .enumerate()
-            .map(|(i, mut trace)| {
-                for _ in 0..cfg.warmup_ops {
-                    let op = trace.next_op();
-                    llc.access(op.addr & !63, op.kind == dsarp_cpu::MemKind::Store);
-                }
-                Core::new(i, cfg.core_params, trace)
-            })
+            .map(|(i, trace)| Core::new(i, cfg.core_params, trace))
             .collect();
-        llc.reset_stats();
         let mcs = (0..geom.channels())
             .map(|ch| {
                 let mc = MemoryController::new(ch, geom, timing, cfg.mechanism, cfg.seed);
@@ -999,6 +1164,70 @@ mod tests {
         let _ = SystemBuilder::new(&cfg).build();
     }
 
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("expected a panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// A state warmed from anything the build would not warm from is
+    /// refused by name, whichever input differs; so is one handed to a
+    /// trace-driven build, and `warm` without a workload.
+    #[test]
+    fn warm_state_for_another_cell_is_refused() {
+        let wl = mixes::intensive_mixes(4, 1)[0].clone();
+        let cfg = SimConfig::paper(Mechanism::Dsarp, Density::G8)
+            .with_cores(4)
+            .with_warmup_ops(300);
+        let shared = SystemBuilder::new(&cfg).workload(&wl).warm();
+        let mut other_benchmarks = wl.clone();
+        other_benchmarks.benchmarks.swap(0, 1);
+        let mut smaller_llc = cfg;
+        smaller_llc.llc_capacity = Some(1 << 20);
+        let cases = [
+            ("cores", cfg.with_cores(2), &wl),
+            ("seed", cfg.with_seed(7), &wl),
+            ("warmup_ops", cfg.with_warmup_ops(301), &wl),
+            ("llc_bytes", smaller_llc, &wl),
+            ("benchmarks", cfg, &other_benchmarks),
+        ];
+        for (input, cfg, wl) in cases {
+            let message = panic_message(|| {
+                SystemBuilder::new(&cfg)
+                    .workload(wl)
+                    .warmed(shared.clone())
+                    .build();
+            });
+            assert!(
+                message.contains("warmed for another cell") && message.contains(input),
+                "{input}: {message}"
+            );
+        }
+        let message = panic_message(|| {
+            SystemBuilder::new(&cfg)
+                .trace_sources(channel0_store_sources(&cfg))
+                .warmed(shared.clone())
+                .build();
+        });
+        assert!(message.contains("needs a workload"), "{message}");
+        let message = panic_message(|| {
+            SystemBuilder::new(&cfg)
+                .trace_sources(channel0_store_sources(&cfg))
+                .warm();
+        });
+        assert!(message.contains("provide a workload"), "{message}");
+        // And the matching configuration is accepted.
+        SystemBuilder::new(&cfg.with_subarrays(64))
+            .workload(&wl)
+            .warmed(shared)
+            .build();
+    }
+
     /// Skip-ahead vs forced per-cycle stepping across every mechanism
     /// family on a memory-intensive mix: cumulative stats (including
     /// telemetry, down to every histogram bucket) must be equal field for
@@ -1321,6 +1550,50 @@ mod tests {
             }
             let slow = mk().run_per_cycle(chunks.iter().sum());
             prop_assert_eq!(last, Some(slow), "{:?} x{} {}", mech, cores, wl.name);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Several cells of one workload — any mechanisms and densities —
+        /// started from clones of one shared warm state return exactly
+        /// what their own fresh `build()` returns, chunk by chunk,
+        /// telemetry included.
+        #[test]
+        fn warmed_cells_match_fresh_builds(
+            cells in prop::collection::vec(
+                (
+                    prop::sample::select(Mechanism::ALL.to_vec()),
+                    prop::sample::select(vec![Density::G8, Density::G16, Density::G32, Density::G64]),
+                ),
+                1..4,
+            ),
+            cores in prop::sample::select(vec![1usize, 2, 4, 8]),
+            seed in any::<u64>(),
+            chunks in prop::collection::vec(1u64..2_500, 1..3),
+        ) {
+            let wl = mixes::paper_workloads(cores, seed)[(seed % 100) as usize].clone();
+            let cfg = |(mech, density): (Mechanism, Density)| {
+                SimConfig::paper(mech, density)
+                    .with_cores(cores)
+                    .with_seed(seed)
+                    .with_warmup_ops(2_000)
+            };
+            let shared = SystemBuilder::new(&cfg(cells[0])).workload(&wl).warm();
+            for &cell in &cells {
+                let cfg = cfg(cell);
+                let builder = || SystemBuilder::new(&cfg).workload(&wl).telemetry(true);
+                let mut fresh = builder().build();
+                let mut reused = builder().warmed(shared.clone()).build();
+                for &chunk in &chunks {
+                    prop_assert_eq!(
+                        reused.run(chunk),
+                        fresh.run(chunk),
+                        "{:?} x{} {}", cell, cores, wl.name
+                    );
+                }
+            }
         }
     }
 
