@@ -21,7 +21,6 @@
 //! | `table4` | Table 4, tFAW | [`table4`] |
 //! | `table5` | Table 5, subarrays | [`table5`] |
 //! | `table6` | Table 6, 64 ms retention | [`table6`] |
-//! | `overlap` | Extension: footnote-5 overlapped REFpb | [`overlap`] |
 //! | `ablations` | Throttle, DARP split, watermarks | [`ablations`] |
 
 use crate::runner::CampaignReport;
@@ -30,8 +29,8 @@ use dsarp_core::Mechanism;
 use dsarp_dram::{Density, Retention};
 use dsarp_sim::experiments::harness::{Grid, MAIN_GRID_MECHS};
 use dsarp_sim::experiments::{
-    ablations, chart, fig05, fig06_07, fig12_table2, fig13, fig14, fig15, fig16, overlap, report,
-    table3, table4, table5, table6, Scale,
+    ablations, chart, fig05, fig06_07, fig12_table2, fig13, fig14, fig15, fig16, report, table3,
+    table4, table5, table6, Scale,
 };
 use serde::Serialize;
 use serde_json::Value;
@@ -107,14 +106,13 @@ impl Artifact {
 /// The shared 12-mechanism grid Figures 6/7/12–16 and Table 2 reduce from;
 /// the binary also exports it raw.
 pub const MAIN_SWEEP: &str = "main";
-// Table 6 and the overlap study reduce from one sweep named as they are;
-// the ablations write one file named as they are.
+// Table 6 reduces from one sweep named as it is; the ablations write one
+// file named as they are.
 const TABLE6: &str = "table6";
-const OVERLAP: &str = "overlap";
 const ABLATIONS: &str = "ablations";
 
 /// Every artifact of the evaluation, in sweep (and report) order.
-pub static ARTIFACTS: [Artifact; 13] = [
+pub static ARTIFACTS: [Artifact; 12] = [
     Artifact {
         names: &["fig5"],
         sections: &[section(
@@ -242,19 +240,6 @@ pub static ARTIFACTS: [Artifact; 13] = [
         reduce: |r| vec![rows(&table6::reduce(r.grid(TABLE6), &Density::evaluated()))],
     },
     Artifact {
-        names: &[OVERLAP],
-        sections: &[section(
-            "overlap_extension",
-            Some("Extension: footnote-5 overlapped REFpb (% over REFpb)"),
-        )],
-        sweeps: || {
-            let mut mechs = vec![Mechanism::RefPb];
-            mechs.extend(overlap::OVERLAP_MECHS);
-            vec![intensive(OVERLAP.into(), &mechs, &OVERLAP_DENSITIES)]
-        },
-        reduce: |r| vec![rows(&overlap::reduce(r.grid(OVERLAP), &OVERLAP_DENSITIES))],
-    },
-    Artifact {
         names: &[ABLATIONS],
         sections: &[section(ABLATIONS, Some("Ablations (32 Gb, intensive, %)"))],
         sweeps: ablation_sweeps,
@@ -330,7 +315,6 @@ fn intensive(name: String, mechanisms: &[Mechanism], densities: &[Density]) -> S
 }
 
 const G32: [Density; 1] = [Density::G32];
-const OVERLAP_DENSITIES: [Density; 2] = [Density::G8, Density::G32];
 const REFPB_SARPPB: [Mechanism; 2] = [Mechanism::RefPb, Mechanism::SarpPb];
 const REF_DSARP: [Mechanism; 3] = [Mechanism::RefAb, Mechanism::RefPb, Mechanism::Dsarp];
 
@@ -440,7 +424,7 @@ mod tests {
     #[test]
     fn exp_names_and_file_stems_are_unique() {
         let names: Vec<&str> = names().collect();
-        assert_eq!(names.len(), 15);
+        assert_eq!(names.len(), 14);
         assert_eq!(names.iter().collect::<HashSet<_>>().len(), names.len());
         let stems: Vec<&str> = ARTIFACTS
             .iter()
@@ -474,8 +458,9 @@ mod tests {
         }
     }
 
-    /// The 25 sweep names of the paper campaign, written down from the
-    /// commit before the table existed: the derived spec must be that spec.
+    /// The 24 sweep names of the paper campaign, written down from the
+    /// commit before the table existed (less the `overlap` sweep, deleted
+    /// since): the derived spec must be that spec.
     #[test]
     fn paper_spec_sweeps_are_the_pre_table_list_in_order() {
         let spec = CampaignSpec::paper(Scale::quick());
@@ -501,7 +486,6 @@ mod tests {
                 "table5/sub32",
                 "table5/sub64",
                 "table6",
-                "overlap",
                 "ablations/throttle",
                 "ablations/unthrottled",
                 "ablations/darp",

@@ -424,9 +424,8 @@ impl CampaignSpec {
     }
 
     /// The full paper evaluation: the main 12-mechanism grid plus every
-    /// sensitivity sweep (Tables 3–6, the footnote-5 overlap study and the
-    /// design ablations) — the union of the sweeps
-    /// [`crate::paper::ARTIFACTS`] declares.
+    /// sensitivity sweep (Tables 3–6 and the design ablations) — the union
+    /// of the sweeps [`crate::paper::ARTIFACTS`] declares.
     pub fn paper(scale: Scale) -> Self {
         crate::paper::spec(scale, None)
     }
@@ -483,13 +482,12 @@ mod tests {
             "table4/faw5-rrd1",
             "table5/sub64",
             "table6",
-            "overlap",
             "ablations/throttle",
             "ablations/wm48-32",
         ] {
             assert!(spec.sweep(name).is_some(), "missing sweep {name}");
         }
-        assert_eq!(spec.sweeps.len(), 1 + 3 + 6 + 7 + 1 + 1 + 3 + 3);
+        assert_eq!(spec.sweeps.len(), 1 + 3 + 6 + 7 + 1 + 3 + 3);
     }
 
     #[test]
@@ -521,8 +519,9 @@ mod tests {
     fn identical_cells_share_fingerprints_across_sweeps() {
         let scale = tiny_scale();
         let spec = CampaignSpec::paper(scale);
-        // overlap (at G32) and ablations/throttle share RefPb and SarpPb
-        // cells on the same workloads, so their job sets must intersect.
+        // table5/sub8 and ablations/throttle are both RefPb and SarpPb at
+        // 32 Gb with 8 subarrays on the same workloads, so their job sets
+        // must intersect.
         let fp = |name: &str| -> std::collections::HashSet<_> {
             spec.sweep(name)
                 .unwrap()
@@ -532,10 +531,10 @@ mod tests {
                 .map(Job::fingerprint)
                 .collect()
         };
-        let overlap = fp("overlap");
+        let sub8 = fp("table5/sub8");
         let throttle = fp("ablations/throttle");
         assert!(
-            throttle.iter().filter(|f| overlap.contains(f)).count() > 0,
+            throttle.iter().filter(|f| sub8.contains(f)).count() > 0,
             "cross-sweep dedup opportunity must exist"
         );
         // The ablated SARP sweep shares nothing with the plain one except

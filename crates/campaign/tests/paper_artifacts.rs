@@ -15,7 +15,6 @@ use dsarp_sim::experiments::{
     fig14::Fig14Row,
     fig15::Fig15Row,
     fig16::Fig16Row,
-    overlap::OverlapRow,
     table3::Table3Row,
     table4::Table4Row,
     table5::Table5Row,
@@ -295,28 +294,6 @@ fn gains_positive_and_growing_with_density() {
         at(Density::G32).gmean_over_refab_pct >= at(Density::G8).gmean_over_refab_pct - 0.5,
         "gain should grow with density"
     );
-}
-
-#[test]
-fn overlap_helps_baseline_but_adds_little_to_dsarp() {
-    let rows: Vec<OverlapRow> = rows("overlap_extension");
-    let at = |m: Mechanism, d: Density| {
-        rows.iter()
-            .find(|r| r.mechanism == m && r.density == d)
-            .unwrap()
-            .over_refpb_pct
-    };
-    // Overlapped plain REFpb must not *hurt* the baseline.
-    assert!(
-        at(Mechanism::RefPbOverlapped, Density::G32) > -1.5,
-        "overlap on baseline: {}",
-        at(Mechanism::RefPbOverlapped, Density::G32)
-    );
-    // DSARP with overlap stays within noise of plain DSARP: the
-    // scheduling already removed the serialization the overlap targets.
-    let d = at(Mechanism::Dsarp, Density::G32);
-    let dv = at(Mechanism::DsarpOverlapped, Density::G32);
-    assert!((dv - d).abs() < 4.0, "DSARP {d} vs DSARP-ovl {dv}");
 }
 
 #[test]

@@ -1224,26 +1224,6 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_refpb_mechanism_overlaps_on_device() {
-        let (mut chan, mut mc, _, t) = setup(Mechanism::RefPbOverlapped);
-        chan.set_refpb_overlap_ways(Mechanism::RefPbOverlapped.refpb_overlap_ways());
-        let mut done = Vec::new();
-        // Start stepping late so the per-bank schedule has backed up by 16
-        // ticks: the policy then issues refreshes back-to-back, and with
-        // overlap the rank accepts a second while the first is in flight.
-        let start = 16 * t.refi_pb;
-        let mut max_inflight = 0;
-        for now in start..start + 4 * t.refi_pb {
-            mc.step(&mut chan, now, &mut done);
-            max_inflight = max_inflight.max(chan.rank(0).refpb_in_flight(now));
-        }
-        assert!(
-            max_inflight >= 2,
-            "overlap mechanism should run concurrent REFpb, saw {max_inflight}"
-        );
-    }
-
-    #[test]
     fn next_event_none_never_strands_an_idle_controller() {
         // NoRefresh + empty queues: fully quiescent, no events — and
         // stepping anyway must do nothing (the caller may batch to any

@@ -121,8 +121,8 @@ impl Darp {
         }
     }
 
-    /// Whether `rank` can accept any `REFpb` right now: a free refresh slot
-    /// and no `REFab` in flight. Checked once per rank, ahead of its banks.
+    /// Whether `rank` can accept any `REFpb` right now: no `REFpb` and no
+    /// `REFab` in flight. Checked once per rank, ahead of its banks.
     fn rank_refreshable(ctx: &PolicyContext<'_>, rank: usize) -> bool {
         let rk = ctx.chan.rank(rank);
         !rk.is_refpb_busy(ctx.now) && !rk.is_refab_busy(ctx.now)
@@ -146,7 +146,7 @@ impl Darp {
         for (r, st) in self.ranks.iter().enumerate() {
             wake.at(st.next_tick);
             let rk = ctx.chan.rank(r);
-            let rank_clear = Cycle::max(rk.refab_until(), rk.refpb_slot_free(ctx.now).unwrap_or(0));
+            let rank_clear = rk.refab_until().max(rk.refpb_until());
             for (b, &d) in st.debt.iter().enumerate() {
                 if d >= MAX_DEBT || (d > -MAX_DEBT && !ctx.queues.bank_has_demand(r, b)) {
                     let bank = rk.bank(b);
@@ -297,14 +297,14 @@ mod tests {
     }
 
     /// A channel with a `REFpb` in flight on rank 0 since cycle 0, and the
-    /// cycle its slot frees (before the first schedule tick).
+    /// cycle it completes (before the first schedule tick).
     fn chan_mid_refpb() -> (DramChannel, Cycle) {
         let mut c = chan();
         c.issue(Command::RefreshPerBank { rank: 0, bank: 0 }, 0)
             .expect("idle channel accepts a REFpb");
-        let slot_free = c.rank(0).refpb_until();
-        assert!(slot_free < timing().refi_pb);
-        (c, slot_free)
+        let refpb_done = c.rank(0).refpb_until();
+        assert!(refpb_done < timing().refi_pb);
+        (c, refpb_done)
     }
 
     fn req(rank: usize, bank: usize) -> Request {
@@ -516,11 +516,11 @@ mod tests {
     }
 
     #[test]
-    fn drain_mode_wakes_when_the_refpb_slot_frees_despite_demand() {
+    fn drain_mode_wakes_when_the_refpb_completes_despite_demand() {
         let mut p = Darp::new(1, 8, &timing(), 3, true);
-        let (c, slot_free) = chan_mid_refpb();
+        let (c, refpb_done) = chan_mid_refpb();
         // Writeback mode with demand queued on every bank: nothing is idle,
-        // so only Algorithm 1 can act, and only once the rank has a slot.
+        // so only Algorithm 1 can act, and only once the REFpb completes.
         let mut q = RequestQueues::new(64, 64, 4, 2);
         for bank in 0..8 {
             q.try_push_write(Request::write(
@@ -539,9 +539,10 @@ mod tests {
         q.update_drain_mode();
         assert!(q.in_drain_mode());
         // The controller steps every cycle of writeback mode, so there is no
-        // bound to report here: each of those walks must hold until the slot
-        // frees, and the first one after must fire whatever the demand.
-        for now in 1..=slot_free {
+        // bound to report here: each of those walks must hold until the
+        // REFpb completes, and the first one after must fire whatever the
+        // demand.
+        for now in 1..=refpb_done {
             let ctx = PolicyContext {
                 now,
                 queues: &q,
@@ -551,17 +552,17 @@ mod tests {
                 p.decide(&ctx, &mut Wake::off()),
                 RefreshDirective::Urgent(_)
             );
-            assert_eq!(fired, now == slot_free, "cycle {now}");
+            assert_eq!(fired, now == refpb_done, "cycle {now}");
         }
     }
 
     #[test]
-    fn sleeps_until_the_refpb_slot_frees() {
+    fn sleeps_until_the_refpb_completes() {
         let mut p = Darp::new(1, 8, &timing(), 3, true);
-        let (c, slot_free) = chan_mid_refpb();
-        // Every bank is idle and pullable, but the rank's one REFpb slot is
-        // taken: the walk holds and reports the cycle the slot frees — the
-        // same on a second walk, which must leave no trace.
+        let (c, refpb_done) = chan_mid_refpb();
+        // Every bank is idle and pullable, but the rank already has its one
+        // REFpb in flight: the walk holds and reports the cycle it completes
+        // — the same on a second walk, which must leave no trace.
         let q = RequestQueues::paper_default();
         let asleep = PolicyContext {
             now: 1,
@@ -572,10 +573,10 @@ mod tests {
         for _ in 0..2 {
             let mut wake = Wake::on();
             assert_eq!(p.decide(&asleep, &mut wake), RefreshDirective::None);
-            assert_eq!(wake.earliest(), Some(slot_free));
+            assert_eq!(wake.earliest(), Some(refpb_done));
         }
         let awake = PolicyContext {
-            now: slot_free,
+            now: refpb_done,
             queues: &q,
             chan: &c,
         };

@@ -170,22 +170,17 @@ pub enum Mechanism {
     Fgr4x,
     /// Adaptive refresh \[Mukundan+ ISCA'13\]: dynamic 1x/4x switching.
     AdaptiveRefresh,
-    /// Extension (paper footnote 5): baseline per-bank refresh on a
-    /// modified standard allowing up to 4 overlapped `REFpb` per rank.
-    RefPbOverlapped,
-    /// Extension: DSARP on the footnote-5 overlapped-refresh standard.
-    DsarpOverlapped,
 }
 
 impl Mechanism {
     /// Every mechanism, in declaration order.
-    pub const ALL: [Mechanism; 14] = {
+    pub const ALL: [Mechanism; 12] = {
         use Mechanism::*;
         // Exhaustive on purpose: a new variant stops this compiling until
         // it is listed here and in the array below.
         match NoRefresh {
             NoRefresh | RefAb | RefPb | Elastic | Darp | DarpOooOnly | SarpAb | SarpPb | Dsarp
-            | Fgr2x | Fgr4x | AdaptiveRefresh | RefPbOverlapped | DsarpOverlapped => {}
+            | Fgr2x | Fgr4x | AdaptiveRefresh => {}
         }
         [
             NoRefresh,
@@ -200,29 +195,21 @@ impl Mechanism {
             Fgr2x,
             Fgr4x,
             AdaptiveRefresh,
-            RefPbOverlapped,
-            DsarpOverlapped,
         ]
     };
 
     /// Whether the DRAM device must be built with SARP support.
     pub fn sarp_support(self) -> SarpSupport {
         match self {
-            Mechanism::SarpAb
-            | Mechanism::SarpPb
-            | Mechanism::Dsarp
-            | Mechanism::DsarpOverlapped => SarpSupport::Enabled,
+            Mechanism::SarpAb | Mechanism::SarpPb | Mechanism::Dsarp => SarpSupport::Enabled,
             _ => SarpSupport::Disabled,
         }
     }
 
-    /// Concurrent `REFpb` limit the device must be configured with
-    /// (1 = JEDEC; 4 = the footnote-5 overlapped-refresh extension).
+    /// Always 1: one `REFpb` in flight per rank. Exists only for the call in
+    /// `ledger/src/sim.rs` and goes with it.
     pub fn refpb_overlap_ways(self) -> usize {
-        match self {
-            Mechanism::RefPbOverlapped | Mechanism::DsarpOverlapped => 4,
-            _ => 1,
-        }
+        1
     }
 
     /// Builds the policy instance for one channel.
@@ -241,11 +228,11 @@ impl Mechanism {
             Mechanism::RefAb | Mechanism::SarpAb => {
                 Box::new(AllBankRefresh::new(ranks, timing, FgrMode::X1))
             }
-            Mechanism::RefPb | Mechanism::SarpPb | Mechanism::RefPbOverlapped => {
+            Mechanism::RefPb | Mechanism::SarpPb => {
                 Box::new(PerBankRefresh::new(ranks, banks_per_rank, timing))
             }
             Mechanism::Elastic => Box::new(ElasticRefresh::new(ranks, timing)),
-            Mechanism::Darp | Mechanism::Dsarp | Mechanism::DsarpOverlapped => {
+            Mechanism::Darp | Mechanism::Dsarp => {
                 Box::new(Darp::new(ranks, banks_per_rank, timing, seed, true))
             }
             Mechanism::DarpOooOnly => {
@@ -272,8 +259,6 @@ impl Mechanism {
             Mechanism::Fgr2x => "FGR 2x",
             Mechanism::Fgr4x => "FGR 4x",
             Mechanism::AdaptiveRefresh => "AR",
-            Mechanism::RefPbOverlapped => "REFpb-ovl",
-            Mechanism::DsarpOverlapped => "DSARP-ovl",
         }
     }
 }
@@ -296,17 +281,6 @@ mod tests {
         assert_eq!(Mechanism::SarpPb.sarp_support(), SarpSupport::Enabled);
         assert_eq!(Mechanism::Dsarp.sarp_support(), SarpSupport::Enabled);
         assert_eq!(Mechanism::Darp.sarp_support(), SarpSupport::Disabled);
-        assert_eq!(
-            Mechanism::DsarpOverlapped.sarp_support(),
-            SarpSupport::Enabled
-        );
-    }
-
-    #[test]
-    fn overlap_ways() {
-        assert_eq!(Mechanism::RefPb.refpb_overlap_ways(), 1);
-        assert_eq!(Mechanism::RefPbOverlapped.refpb_overlap_ways(), 4);
-        assert_eq!(Mechanism::DsarpOverlapped.refpb_overlap_ways(), 4);
     }
 
     #[test]

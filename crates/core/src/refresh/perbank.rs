@@ -45,15 +45,14 @@ impl RefreshPolicy for PerBankRefresh {
             }
             // The JEDEC rule serializes REFpb within a rank: wait out an
             // in-flight one before requesting the next.
-            match ctx.chan.rank(r).refpb_slot_free(ctx.now) {
-                Some(free) => wake.at(free),
-                None => {
-                    return RefreshDirective::Urgent(RefreshTarget {
-                        rank: r,
-                        kind: RefreshKind::PerBank { bank: self.rr[r] },
-                    })
-                }
+            let free = ctx.chan.rank(r).refpb_until();
+            if ctx.now >= free {
+                return RefreshDirective::Urgent(RefreshTarget {
+                    rank: r,
+                    kind: RefreshKind::PerBank { bank: self.rr[r] },
+                });
             }
+            wake.at(free);
         }
         RefreshDirective::None
     }

@@ -14,7 +14,6 @@ fn drive(mech: Mechanism, arrivals: &[(u16, u8, bool)], cycles: u64, seed: u64) 
     let geom = Geometry::paper_default();
     let timing = TimingParams::ddr3_1333(Density::G8, Retention::Ms32);
     let mut chan = DramChannel::new(geom, timing, mech.sarp_support());
-    chan.set_refpb_overlap_ways(mech.refpb_overlap_ways());
     chan.enable_retention_tracking();
     let mut mc = MemoryController::new(0, geom, timing, mech, seed);
 
@@ -119,7 +118,6 @@ fn drive_sleeper(mech: Mechanism, arrivals: &[(u16, u8, bool)], cycles: u64, see
     let timing = TimingParams::ddr3_1333(Density::G8, Retention::Ms32);
     let mk = || {
         let mut chan = DramChannel::new(geom, timing, mech.sarp_support());
-        chan.set_refpb_overlap_ways(mech.refpb_overlap_ways());
         chan.enable_command_log();
         (chan, MemoryController::new(0, geom, timing, mech, seed))
     };

@@ -124,15 +124,11 @@ impl DramChannel {
         self.power_throttle = false;
     }
 
-    /// Enables the paper's footnote-5 extension: up to `ways` per-bank
-    /// refreshes may overlap within a rank (the JEDEC standard fixes this
-    /// at 1). A real device would also need new current-budget timing
-    /// constraints; the model keeps tRRD/tFAW accounting per refresh, which
-    /// rate-limits the overlap the same way back-to-back ACTs are limited.
+    /// Accepts only `ways == 1` (one `REFpb` in flight per rank) and changes
+    /// nothing. Exists only for the call in `ledger/src/sim.rs` and goes
+    /// with it.
     pub fn set_refpb_overlap_ways(&mut self, ways: usize) {
-        for r in &mut self.ranks {
-            r.set_max_refpb(ways);
-        }
+        assert_eq!(ways, 1, "a rank allows one REFpb in flight");
     }
 
     /// Enables retention-integrity tracking (used by tests; off by default
@@ -320,10 +316,7 @@ impl DramChannel {
                 if !rank.all_banks_closed() {
                     return None;
                 }
-                let mut t = now.max(rank.refab_until());
-                if let Some(free) = rank.refpb_slot_free(now) {
-                    t = t.max(free);
-                }
+                let mut t = now.max(rank.refab_until()).max(rank.refpb_until());
                 for b in rank.banks() {
                     t = t.max(b.refresh_until()).max(b.next_act());
                     if let Some(r) = b.sarp_refresh(now) {
@@ -339,11 +332,9 @@ impl DramChannel {
                 }
                 let mut t = now
                     .max(rank.refab_until())
+                    .max(rank.refpb_until())
                     .max(b.refresh_until())
                     .max(b.next_act());
-                if let Some(free) = rank.refpb_slot_free(now) {
-                    t = t.max(free);
-                }
                 if let Some(r) = b.sarp_refresh(now) {
                     t = t.max(r.until);
                 }
@@ -443,7 +434,10 @@ impl DramChannel {
                 Ok(())
             }
             Command::RefreshAllBank { .. } => {
-                if rank.is_refab_busy(now) || rank.is_refpb_busy(now) {
+                if rank.is_refab_busy(now) {
+                    return Err(IssueError::RefreshBusy);
+                }
+                if rank.is_refpb_busy(now) {
                     return Err(IssueError::RefpbOverlap);
                 }
                 if !rank.all_banks_closed() {
@@ -639,9 +633,9 @@ impl DramChannel {
         } else {
             self.ranks[rank].bank_mut(bank).do_refresh_blocking(done);
         }
-        // The (possibly relaxed) overlap rule and the internal-activation
-        // rate cost apply either way (§4.2.3, footnote 5).
-        self.ranks[rank].start_refpb(now, done);
+        // The no-overlap rule and the internal-activation rate cost apply
+        // either way (§4.2.3).
+        self.ranks[rank].start_refpb(done);
         self.ranks[rank].record_act(now);
         self.refresh_unit.advance_rr(rank);
         if let Some(rt) = &mut self.retention {
@@ -818,6 +812,27 @@ mod tests {
         assert!(c.can_issue(&next, c.timing().rfc_pb));
         // A REFpb in the *other* rank may overlap freely.
         assert!(c.can_issue(&Command::RefreshPerBank { rank: 1, bank: 0 }, 4));
+    }
+
+    #[test]
+    fn refab_names_the_refresh_that_blocks_it() {
+        let mut c = chan(SarpSupport::Disabled);
+        let refab = Command::RefreshAllBank {
+            rank: 0,
+            fgr: FgrMode::X1,
+        };
+        // A REFab in flight is a busy rank, not a REFpb conflict.
+        c.issue(refab, 100).unwrap();
+        assert!(!c.rank(0).is_refpb_busy(101));
+        assert_eq!(c.check(&refab, 101), Err(IssueError::RefreshBusy));
+        // A REFpb in flight is.
+        let rank1 = Command::RefreshAllBank {
+            rank: 1,
+            fgr: FgrMode::X1,
+        };
+        c.issue(Command::RefreshPerBank { rank: 1, bank: 0 }, 102)
+            .unwrap();
+        assert_eq!(c.check(&rank1, 103), Err(IssueError::RefpbOverlap));
     }
 
     #[test]

@@ -13,13 +13,9 @@ pub struct Rank {
     /// Only the last 4 matter for `tFAW`; the last one for `tRRD`.
     act_history: [Cycle; 4],
     act_count: u64,
-    /// In-flight `REFpb` completion deadlines. The JEDEC LPDDR3 standard
-    /// allows exactly one (`max_refpb` = 1); the paper's footnote 5 sketches
-    /// a modified standard allowing a subset of banks to overlap, modeled by
-    /// `max_refpb` > 1.
-    refpb_deadlines: Vec<Cycle>,
-    /// Concurrent `REFpb` limit (1 = JEDEC behaviour).
-    max_refpb: usize,
+    /// First cycle after the last `REFpb` window: the LPDDR standard allows
+    /// one `REFpb` in flight per rank.
+    refpb_until: Cycle,
     /// Whole-rank `REFab` busy window (non-SARP all-bank refresh).
     refab_until: Cycle,
     /// SARP inflation window: while `now < sarp_until`, effective
@@ -39,8 +35,7 @@ impl Rank {
             banks: (0..banks).map(|_| Bank::new()).collect(),
             act_history: [Cycle::MIN; 4],
             act_count: 0,
-            refpb_deadlines: Vec::new(),
-            max_refpb: 1,
+            refpb_until: 0,
             refab_until: 0,
             sarp_until: 0,
             sarp_factor: 1.0,
@@ -79,48 +74,22 @@ impl Rank {
         now < self.refab_until
     }
 
-    /// Whether the rank cannot accept another `REFpb` at `now`: under JEDEC
-    /// rules one in flight saturates the rank; with the footnote-5 overlap
-    /// extension, up to `max_refpb` may proceed concurrently.
+    /// Whether a `REFpb` is in flight in the rank at `now`, so no other
+    /// may start (the JEDEC no-overlap rule).
     pub fn is_refpb_busy(&self, now: Cycle) -> bool {
-        self.refpb_in_flight(now) >= self.max_refpb
+        now < self.refpb_until
     }
 
-    /// Number of `REFpb` operations in flight at `now`.
-    pub fn refpb_in_flight(&self, now: Cycle) -> usize {
-        self.refpb_deadlines.iter().filter(|&&d| now < d).count()
-    }
-
-    /// First cycle after the *latest* in-flight `REFpb` window.
+    /// First cycle after the rank's `REFpb` window (0 if none was ever
+    /// issued). `is_refpb_busy(c)` is exactly `c < refpb_until()`.
     pub fn refpb_until(&self) -> Cycle {
-        self.refpb_deadlines.iter().copied().max().unwrap_or(0)
-    }
-
-    /// When the rank is `REFpb`-saturated at `now`, the earliest cycle a
-    /// slot frees up (the *minimum* in-flight deadline); `None` while a
-    /// slot is already free.
-    pub fn refpb_slot_free(&self, now: Cycle) -> Option<Cycle> {
-        if self.is_refpb_busy(now) {
-            self.refpb_deadlines
-                .iter()
-                .copied()
-                .filter(|&d| d > now)
-                .min()
-        } else {
-            None
-        }
+        self.refpb_until
     }
 
     /// First cycle after the rank's blocking `REFab` window (0 if none was
     /// ever issued). `is_refab_busy(c)` is exactly `c < refab_until()`.
     pub fn refab_until(&self) -> Cycle {
         self.refab_until
-    }
-
-    /// Sets the concurrent `REFpb` limit (footnote-5 extension; 1 = JEDEC).
-    pub(crate) fn set_max_refpb(&mut self, max: usize) {
-        assert!(max >= 1);
-        self.max_refpb = max;
     }
 
     /// Effective `tRRD` at `now`, including SARP inflation (Eq. 3).
@@ -198,18 +167,9 @@ impl Rank {
         self.act_count += 1;
     }
 
-    /// Marks a `REFpb` starting at `now` and occupying one refresh slot
-    /// until `until`. The caller must have checked capacity via
-    /// [`Rank::is_refpb_busy`].
-    pub(crate) fn start_refpb(&mut self, now: Cycle, until: Cycle) {
-        debug_assert!(self.refpb_in_flight(now) < self.max_refpb);
-        // Reuse an expired slot so the vec stays bounded by max_refpb.
-        if let Some(slot) = self.refpb_deadlines.iter_mut().find(|d| **d <= now) {
-            *slot = until;
-        } else {
-            self.refpb_deadlines.push(until);
-        }
-        debug_assert!(self.refpb_deadlines.len() <= self.max_refpb);
+    /// Marks a `REFpb` in flight in the rank until `until`.
+    pub(crate) fn start_refpb(&mut self, until: Cycle) {
+        self.refpb_until = until;
     }
 
     /// Marks a blocking `REFab` occupying the whole rank until `until`.
@@ -280,27 +240,10 @@ mod tests {
     #[test]
     fn refpb_nonoverlap_window() {
         let mut r = Rank::new(8);
-        r.start_refpb(0, 300);
+        r.start_refpb(300);
         assert!(r.is_refpb_busy(299));
         assert!(!r.is_refpb_busy(300));
         assert_eq!(r.refpb_until(), 300);
-        assert_eq!(r.refpb_in_flight(100), 1);
-    }
-
-    #[test]
-    fn footnote5_overlap_allows_concurrent_refpb() {
-        let mut r = Rank::new(8);
-        r.set_max_refpb(2);
-        r.start_refpb(0, 300);
-        assert!(!r.is_refpb_busy(10), "one slot free with 2-way overlap");
-        r.start_refpb(10, 310);
-        assert!(r.is_refpb_busy(20), "both slots occupied");
-        assert_eq!(r.refpb_in_flight(20), 2);
-        // First completes: a slot frees up and is reused.
-        assert!(!r.is_refpb_busy(301));
-        r.start_refpb(301, 500);
-        assert_eq!(r.refpb_in_flight(302), 2);
-        assert_eq!(r.refpb_until(), 500);
     }
 
     #[test]
@@ -325,17 +268,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn refpb_slot_free_reports_min_inflight_deadline() {
-        let mut r = Rank::new(8);
-        r.set_max_refpb(2);
-        r.start_refpb(0, 300);
-        assert_eq!(r.refpb_slot_free(10), None, "one slot still free");
-        r.start_refpb(10, 310);
-        assert_eq!(r.refpb_slot_free(10), Some(300), "earliest deadline frees");
-        assert_eq!(r.refpb_slot_free(305), None, "first window already over");
     }
 
     #[test]

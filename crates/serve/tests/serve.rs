@@ -212,6 +212,42 @@ fn unsimulatable_specs_are_refused_before_any_store_exists() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A spec emitted while the footnote-5 mechanisms existed, and `--exp
+/// overlap`, are refused with exit 2 naming what is gone, before any store
+/// exists.
+#[test]
+fn deleted_mechanisms_and_artifacts_are_refused() {
+    let dir = tmpdir("cli-deleted");
+    let emitted = dir.join("paper.json");
+    let emit = Command::new(BIN)
+        .args(["--emit-spec", emitted.to_str().unwrap(), "--scale", "quick"])
+        .output()
+        .unwrap();
+    assert!(emit.status.success());
+    let text = std::fs::read_to_string(&emitted).unwrap();
+    let old = text.replacen(r#"["RefAb","Dsarp"]"#, r#"["RefAb","RefPbOverlapped"]"#, 1);
+    assert_ne!(old, text, "no REFab + DSARP sweep to edit");
+    let path = dir.join("old.json");
+    std::fs::write(&path, old).unwrap();
+    let store = dir.join("store");
+    let refuse = |flag: &str, value: &str| {
+        let args = [flag, value, "--campaign", store.to_str().unwrap()];
+        let out = Command::new(BIN).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked") && !store.exists(), "{stderr}");
+        stderr
+    };
+    let stderr = refuse("--spec", path.to_str().unwrap());
+    assert!(stderr.contains("`RefPbOverlapped`"), "{stderr}");
+    let stderr = refuse("--exp", "overlap");
+    let names: Vec<&str> = dsarp_campaign::paper::names().collect();
+    assert_eq!(names.len(), 14);
+    let listed = format!("unknown experiment `overlap`; expected one of {names:?}");
+    assert!(stderr.contains(&listed), "{stderr}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// The full lease lifecycle over HTTP: acquire, contention with holder
 /// identity, renew-by-owner, permanent refusal of a non-owner renew,
 /// release, and stale reclaim after a dead owner's TTL lapses.

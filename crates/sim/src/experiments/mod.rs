@@ -18,7 +18,6 @@ pub mod fig14;
 pub mod fig15;
 pub mod fig16;
 pub mod harness;
-pub mod overlap;
 pub mod report;
 pub mod table3;
 pub mod table4;

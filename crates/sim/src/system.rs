@@ -615,7 +615,6 @@ impl<'a> SystemBuilder<'a> {
                 if cfg.ablate_sarp_throttle {
                     ch.disable_power_throttle();
                 }
-                ch.set_refpb_overlap_ways(cfg.mechanism.refpb_overlap_ways());
                 if self.retention_tracking {
                     ch.enable_retention_tracking();
                 }

@@ -11,7 +11,7 @@
 
 use dsarp_campaign::fingerprint::fingerprint_bytes;
 use dsarp_core::Mechanism;
-use dsarp_dram::Density;
+use dsarp_dram::{Command, Density, FgrMode};
 use dsarp_sim::{SimConfig, SystemBuilder};
 use dsarp_workloads::{catalogue, mixes, Workload};
 use std::fmt::Write;
@@ -33,8 +33,6 @@ const EXPECTED: &[(&str, &str, &str, &str)] = &[
     ("mi01", "FGR 2x", "16048d046f5c858569f227a61e7eddac", "91242c42a9518d18fb815df066971743"),
     ("mi01", "FGR 4x", "c8d75419dbdae14de2ae8cb1571c9bfe", "86996c4d37b936de885fbefb282d1a07"),
     ("mi01", "AR", "e68abb15f1b281901d2e8c4c39b1d21a", "dff43af1667f0ef0cfa21a89fe120129"),
-    ("mi01", "REFpb-ovl", "8564b447d925594013d6ba2b481028ad", "b2ab8b1d1de46c75a7e3d8a88af81783"),
-    ("mi01", "DSARP-ovl", "da0ded21abeed88cd456f3224007fd78", "c0e2647a48ea824c3fe64ddf26a55629"),
     ("8x-lbm_like", "No REF", "4ea99b69664c75536449eb75f78e6e90", "7a1c39ec500ea5c1b778369d04fe9bc3"),
     ("8x-lbm_like", "REFab", "8a7ece0697eaae5662f6115a8e45e871", "2250bc15762939b54c4c5766be8bdb9a"),
     ("8x-lbm_like", "REFpb", "b73f6c7bbc483711a8077d53c330cdbf", "a0ce03e2900aa0cf64fba1f0d4e30744"),
@@ -47,11 +45,21 @@ const EXPECTED: &[(&str, &str, &str, &str)] = &[
     ("8x-lbm_like", "FGR 2x", "1377fca032b12b79916d43112a70f180", "f0ca01144ae1ede0d3a4dbf0c4ecd49a"),
     ("8x-lbm_like", "FGR 4x", "b4c48d9310fbe9b8d0546ee9ab59a8aa", "3a590f3a058670709dee75f2781f519f"),
     ("8x-lbm_like", "AR", "8a7ece0697eaae5662f6115a8e45e871", "2250bc15762939b54c4c5766be8bdb9a"),
-    ("8x-lbm_like", "REFpb-ovl", "b73f6c7bbc483711a8077d53c330cdbf", "a0ce03e2900aa0cf64fba1f0d4e30744"),
-    ("8x-lbm_like", "DSARP-ovl", "8328866c0a3617e970eff61cf7ce7fc3", "66ea2039c7aa07296fdf0e0cfbac575f"),
+    ("w000", "No REF", "ecb38fb9d71e044ee6cd5ff9e33d2c1d", "49c9e5afc39a03af12553e0f35347985"),
+    ("w000", "REFab", "ff2586c8d50bc0fc5a7401e9edb48a83", "38b861b15f8f56524bcb32aba2da594d"),
+    ("w000", "REFpb", "169415657af4168196b84c32aef1ec25", "9e91217a374794652ab88ba968b8b6e4"),
+    ("w000", "Elastic", "e258f5aa5c16ee634daca243beb911c0", "f5d8351dd61e877d8d9dc86bedbd4f89"),
+    ("w000", "DARP", "f5d301a9a94e2c283e7ede1da6a60f21", "4c193a282984ece08cb2667e31284055"),
+    ("w000", "DARP (OoO only)", "f5d301a9a94e2c283e7ede1da6a60f21", "4c193a282984ece08cb2667e31284055"),
+    ("w000", "SARPab", "b0facbc1a5f89d5841ff654f661597a0", "8e75f5d7bbc3fb611f15f5da42b4fd9e"),
+    ("w000", "SARPpb", "97574f828a564688faec36aaf6818436", "409623932d9563822d118b9845763e8d"),
+    ("w000", "DSARP", "19c31552e0f77b88cb78a47db7eac759", "0d8e9d79eee3d3542ba7c463cc9f05dc"),
+    ("w000", "FGR 2x", "908c80620d56446f9617acff5aa802ef", "f4770b6adc4cbe1c685b3c0c0a2745d5"),
+    ("w000", "FGR 4x", "43801faa9324d226249fbeeab27e99d6", "0fe26a3deadc12399f62aeca45e34618"),
+    ("w000", "AR", "9596967e70dc81ad04396cce25918f81", "fdf30dac98e5462148fad27d6537bd9c"),
 ];
 
-fn workloads() -> [Workload; 2] {
+fn workloads() -> [Workload; 3] {
     let lbm = catalogue::by_name("lbm_like").expect("catalogue has lbm_like");
     [
         mixes::intensive_mixes(8, 7)[1].clone(),
@@ -60,11 +68,13 @@ fn workloads() -> [Workload; 2] {
             category: mixes::IntensityCategory::P100,
             benchmarks: vec![lbm; 8],
         },
+        // A mixed-intensity mix on which Adaptive Refresh leaves 1x mode.
+        mixes::paper_workloads(8, 7)[0].clone(),
     ]
 }
 
 /// FNV-128 of one channel's log rendered one `cycle command` line each.
-fn log_hash(log: &[(u64, dsarp_dram::Command)]) -> String {
+fn log_hash(log: &[(u64, Command)]) -> String {
     let mut text = String::with_capacity(log.len() * 48);
     for (cycle, cmd) in log {
         writeln!(text, "{cycle} {cmd:?}").expect("writing to a String");
@@ -73,7 +83,7 @@ fn log_hash(log: &[(u64, dsarp_dram::Command)]) -> String {
 }
 
 /// Both channels' `(cycle, Command)` logs of `mech` on `wl` at 32 Gb.
-fn streams(wl: &Workload, mech: Mechanism) -> [Vec<(u64, dsarp_dram::Command)>; 2] {
+fn streams(wl: &Workload, mech: Mechanism) -> [Vec<(u64, Command)>; 2] {
     let cfg = SimConfig::paper(mech, Density::G32);
     let mut sys = SystemBuilder::new(&cfg)
         .workload(wl)
@@ -111,31 +121,42 @@ fn command_streams_match_the_pre_pruning_scheduler() {
     }
 }
 
-/// Two identities the pinned table contains only by accident of its
-/// hashes (ROADMAP 2(d)), asserted on purpose and on the streams
-/// themselves: Adaptive Refresh never leaves 1x mode on this traffic, and
-/// the footnote-5 overlap extension never asks for a second in-flight
-/// `REFpb`, so each issues exactly its baseline's commands.
+/// Streams that are equal only by accident of the pinned hashes pin
+/// nothing (ROADMAP 2(d)), so both sides are asserted on the streams
+/// themselves: Adaptive Refresh never leaves 1x mode on the two intensive
+/// workloads, so it issues exactly `REFab`'s commands there, and it does
+/// switch on `w000`, which the `AR` rows therefore cover.
 #[test]
-fn adaptive_and_overlapped_refpb_emit_their_baselines_streams() {
-    for wl in workloads() {
-        for (mech, baseline) in [
-            (Mechanism::AdaptiveRefresh, Mechanism::RefAb),
-            (Mechanism::RefPbOverlapped, Mechanism::RefPb),
-        ] {
-            let (got, want) = (streams(&wl, mech), streams(&wl, baseline));
-            for ch in 0..2 {
-                let first = got[ch].iter().zip(&want[ch]).position(|(g, w)| g != w);
-                assert!(
-                    first.is_none() && got[ch].len() == want[ch].len(),
-                    "identity broken: {mech} must emit exactly {baseline}'s command stream \
-                     on {} channel {ch}, but they part at command {:?} ({} vs {} commands)",
-                    wl.name,
-                    first,
-                    got[ch].len(),
-                    want[ch].len()
-                );
-            }
+fn adaptive_refresh_emits_refab_stream_only_where_it_holds_1x() {
+    let [mi01, lbm, w000] = workloads();
+    for wl in [mi01, lbm] {
+        let (ar, refab) = (
+            streams(&wl, Mechanism::AdaptiveRefresh),
+            streams(&wl, Mechanism::RefAb),
+        );
+        for ch in 0..2 {
+            let first = ar[ch].iter().zip(&refab[ch]).position(|(g, w)| g != w);
+            assert!(
+                first.is_none() && ar[ch].len() == refab[ch].len(),
+                "identity broken: AR must emit exactly REFab's command stream on {} \
+                 channel {ch}, but they part at command {:?} ({} vs {} commands)",
+                wl.name,
+                first,
+                ar[ch].len(),
+                refab[ch].len()
+            );
         }
     }
+    let ar = streams(&w000, Mechanism::AdaptiveRefresh);
+    assert_ne!(ar, streams(&w000, Mechanism::RefAb), "AR on {}", w000.name);
+    let four_x = ar.iter().flatten().any(|(_, cmd)| {
+        matches!(
+            cmd,
+            Command::RefreshAllBank {
+                fgr: FgrMode::X4,
+                ..
+            }
+        )
+    });
+    assert!(four_x, "AR must leave 1x mode on {}", w000.name);
 }
