@@ -14,15 +14,17 @@
 //! records or grids, so enabling the log cannot perturb campaign results.
 
 use crate::lease::now_ms;
-use serde_json::{Map, Value};
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-/// One campaign progress event.
-#[derive(Debug, Clone, PartialEq)]
+/// One campaign progress event. Its JSONL line is this declaration:
+/// `event` is the variant's snake_case name, then `ts_ms`, then the
+/// variant's fields in declaration order.
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[serde(tag = "event", rename_all = "snake_case")]
 pub enum Event {
     /// A campaign run finished planning: expansion, dedup and cache
     /// partition are known, simulation is about to start.
@@ -51,24 +53,26 @@ pub enum Event {
         /// Functional warm-ups they took (shared across mechanisms and
         /// densities, so at most `simulated`).
         warmups: usize,
-        /// Wall time since the run started.
-        wall: Duration,
+        /// Wall time since the run started (ms).
+        wall_ms: u64,
     },
     /// One cell was simulated (by the single-process executor or a
     /// leased worker).
     JobSimulated {
         /// Worker id, when run under a lease.
+        #[serde(skip_serializing_if = "Option::is_none")]
         owner: Option<String>,
         /// The shard the result routes to.
         shard: usize,
         /// Job label.
         label: String,
-        /// Simulation wall time.
-        wall: Duration,
+        /// Simulation wall time (ms).
+        wall_ms: u64,
     },
     /// A freshly simulated result could not be appended to its shard.
     AppendFailed {
         /// Worker id, when run under a lease.
+        #[serde(skip_serializing_if = "Option::is_none")]
         owner: Option<String>,
         /// The shard the append targeted.
         shard: usize,
@@ -115,8 +119,8 @@ pub enum Event {
         shard: usize,
         /// 0-based failed attempt number.
         attempt: u32,
-        /// Back-off before the next attempt.
-        delay: Duration,
+        /// Back-off before the next attempt (ms).
+        delay_ms: u64,
     },
     /// A heartbeat renewal of a held lease.
     LeaseRenewed {
@@ -148,168 +152,21 @@ pub enum Event {
         what: String,
         /// 0-based failed attempt number.
         attempt: u32,
-        /// Back-off before the next attempt.
-        delay: Duration,
+        /// Back-off before the next attempt (ms).
+        delay_ms: u64,
         /// The transient error.
         error: String,
     },
 }
 
-fn ms(d: Duration) -> u64 {
-    u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
-}
-
-fn num(n: u64) -> Value {
-    Value::Number(serde_json::Number::from_u64(n))
-}
-
 impl Event {
-    /// The event's stable snake_case name (the JSONL `event` field).
-    pub(crate) fn name(&self) -> &'static str {
-        match self {
-            Event::CampaignPlanned { .. } => "campaign_planned",
-            Event::CampaignSimulated { .. } => "campaign_simulated",
-            Event::JobSimulated { .. } => "job_simulated",
-            Event::AppendFailed { .. } => "append_failed",
-            Event::PersistFailures { .. } => "persist_failures",
-            Event::LeaseAcquired { .. } => "lease_acquired",
-            Event::LeaseHeld { .. } => "lease_held",
-            Event::LeaseRetry { .. } => "lease_retry",
-            Event::LeaseRenewed { .. } => "lease_renewed",
-            Event::LeaseReleased { .. } => "lease_released",
-            Event::WaitRound { .. } => "wait_round",
-            Event::RetryAttempt { .. } => "retry_attempt",
-        }
-    }
-
-    /// The event as a flat JSON object: `event`, `ts_ms`, then the
-    /// variant's fields. Hand-assembled (the vendored serde has no enum
-    /// tagging attributes), so the schema is exactly what this renders.
-    pub(crate) fn to_json(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("event".into(), Value::String(self.name().into()));
-        m.insert("ts_ms".into(), num(now_ms()));
-        let mut put = |k: &str, v: Value| {
-            m.insert(k.into(), v);
-        };
-        match self {
-            Event::CampaignPlanned {
-                campaign,
-                cells,
-                unique_jobs,
-                deduped,
-                cached,
-                to_simulate,
-                threads,
-            } => {
-                put("campaign", Value::String(campaign.clone()));
-                put("cells", num(*cells as u64));
-                put("unique_jobs", num(*unique_jobs as u64));
-                put("deduped", num(*deduped as u64));
-                put("cached", num(*cached as u64));
-                put("to_simulate", num(*to_simulate as u64));
-                put("threads", num(*threads as u64));
-            }
-            Event::CampaignSimulated {
-                campaign,
-                simulated,
-                warmups,
-                wall,
-            } => {
-                put("campaign", Value::String(campaign.clone()));
-                put("simulated", num(*simulated as u64));
-                put("warmups", num(*warmups as u64));
-                put("wall_ms", num(ms(*wall)));
-            }
-            Event::JobSimulated {
-                owner,
-                shard,
-                label,
-                wall,
-            } => {
-                if let Some(owner) = owner {
-                    put("owner", Value::String(owner.clone()));
-                }
-                put("shard", num(*shard as u64));
-                put("label", Value::String(label.clone()));
-                put("wall_ms", num(ms(*wall)));
-            }
-            Event::AppendFailed {
-                owner,
-                shard,
-                label,
-                error,
-            } => {
-                if let Some(owner) = owner {
-                    put("owner", Value::String(owner.clone()));
-                }
-                put("shard", num(*shard as u64));
-                put("label", Value::String(label.clone()));
-                put("error", Value::String(error.clone()));
-            }
-            Event::PersistFailures { campaign, count } => {
-                put("campaign", Value::String(campaign.clone()));
-                put("count", num(*count as u64));
-            }
-            Event::LeaseAcquired {
-                owner,
-                shard,
-                missing_jobs,
-                reclaimed,
-            } => {
-                put("owner", Value::String(owner.clone()));
-                put("shard", num(*shard as u64));
-                put("missing_jobs", num(*missing_jobs as u64));
-                put("reclaimed", Value::Bool(*reclaimed));
-            }
-            Event::LeaseHeld {
-                owner,
-                shard,
-                holder,
-                evicted_stale,
-            } => {
-                put("owner", Value::String(owner.clone()));
-                put("shard", num(*shard as u64));
-                put("holder", Value::String(holder.clone()));
-                put("evicted_stale", Value::Bool(*evicted_stale));
-            }
-            Event::LeaseRetry {
-                owner,
-                shard,
-                attempt,
-                delay,
-            } => {
-                put("owner", Value::String(owner.clone()));
-                put("shard", num(*shard as u64));
-                put("attempt", num(u64::from(*attempt)));
-                put("delay_ms", num(ms(*delay)));
-            }
-            Event::LeaseRenewed { owner, shard, ok } => {
-                put("owner", Value::String(owner.clone()));
-                put("shard", num(*shard as u64));
-                put("ok", Value::Bool(*ok));
-            }
-            Event::LeaseReleased { owner, shard } => {
-                put("owner", Value::String(owner.clone()));
-                put("shard", num(*shard as u64));
-            }
-            Event::WaitRound { owner, rounds } => {
-                put("owner", Value::String(owner.clone()));
-                put("rounds", num(*rounds as u64));
-            }
-            Event::RetryAttempt {
-                what,
-                attempt,
-                delay,
-                error,
-            } => {
-                put("what", Value::String(what.clone()));
-                put("attempt", num(u64::from(*attempt)));
-                put("delay_ms", num(ms(*delay)));
-                put("error", Value::String(error.clone()));
-            }
-        }
-        Value::Object(m)
+    /// The JSONL line: the derived object with `ts_ms` spliced in after
+    /// the `event` tag. The tag is a snake_case name, so the first comma
+    /// ends it, and every variant writes at least one field after it.
+    fn line(&self, ts_ms: u64) -> String {
+        let json = serde_json::to_string(self).expect("events serialize");
+        let (tag, fields) = json.split_once(',').expect("every event has fields");
+        format!("{tag},\"ts_ms\":{ts_ms},{fields}")
     }
 
     /// The human console line, if this event has one: `(to_stderr,
@@ -317,6 +174,8 @@ impl Event {
     /// progress lines go to stdout only when verbose. The texts are the
     /// runner's historical lines, which tooling greps.
     fn console(&self) -> Option<(bool, bool, String)> {
+        let progress = |line: String| Some((false, true, line));
+        let failure = |line: String| Some((true, false, line));
         match self {
             Event::CampaignPlanned {
                 campaign,
@@ -326,76 +185,57 @@ impl Event {
                 cached,
                 to_simulate,
                 threads,
-            } => Some((
-                false,
-                true,
-                format!(
-                    "campaign `{campaign}`: {cells} cells -> {unique_jobs} unique jobs \
-                     ({deduped} deduped in flight), {cached} cached, {to_simulate} to \
-                     simulate on {threads} threads"
-                ),
+            } => progress(format!(
+                "campaign `{campaign}`: {cells} cells -> {unique_jobs} unique jobs \
+                 ({deduped} deduped in flight), {cached} cached, {to_simulate} to \
+                 simulate on {threads} threads"
             )),
             Event::CampaignSimulated {
                 campaign,
                 simulated,
-                wall,
+                wall_ms,
                 ..
-            } => Some((
-                false,
-                true,
-                format!("campaign `{campaign}`: simulated {simulated} jobs in {wall:.1?}"),
+            } => progress(format!(
+                "campaign `{campaign}`: simulated {simulated} jobs in {:.1?}",
+                Duration::from_millis(*wall_ms)
             )),
             Event::AppendFailed {
                 shard,
                 label,
                 error,
                 ..
-            } => Some((
-                true,
-                false,
-                format!("campaign store: append failed for {label} (shard {shard}): {error}"),
+            } => failure(format!(
+                "campaign store: append failed for {label} (shard {shard}): {error}"
             )),
-            Event::PersistFailures { campaign, count } => Some((
-                true,
-                false,
-                format!(
-                    "campaign `{campaign}`: {count} results could not be persisted and \
-                     will re-simulate on the next run"
-                ),
+            Event::PersistFailures { campaign, count } => failure(format!(
+                "campaign `{campaign}`: {count} results could not be persisted and \
+                 will re-simulate on the next run"
             )),
             Event::LeaseAcquired {
                 owner,
                 shard,
                 missing_jobs,
                 reclaimed,
-            } => Some((
-                false,
-                true,
-                format!(
-                    "worker `{owner}`: leased shard {shard} ({missing_jobs} missing jobs{})",
-                    if *reclaimed {
-                        ", reclaimed from dead owner"
-                    } else {
-                        ""
-                    }
-                ),
+            } => progress(format!(
+                "worker `{owner}`: leased shard {shard} ({missing_jobs} missing jobs{})",
+                if *reclaimed {
+                    ", reclaimed from dead owner"
+                } else {
+                    ""
+                }
             )),
             Event::LeaseHeld {
                 owner,
                 shard,
                 holder,
                 evicted_stale,
-            } => Some((
-                false,
-                true,
-                format!(
-                    "worker `{owner}`: shard {shard} held by `{holder}`{}",
-                    if *evicted_stale {
-                        " (after this worker evicted a stale lease)"
-                    } else {
-                        ""
-                    }
-                ),
+            } => progress(format!(
+                "worker `{owner}`: shard {shard} held by `{holder}`{}",
+                if *evicted_stale {
+                    " (after this worker evicted a stale lease)"
+                } else {
+                    ""
+                }
             )),
             Event::JobSimulated { .. }
             | Event::LeaseRetry { .. }
@@ -452,7 +292,7 @@ impl EventLog {
     /// holding it: an append-only handle has no state a panic can tear.
     pub fn emit(&self, verbose: bool, event: &Event) {
         if let Some(sink) = &self.sink {
-            let line = event.to_json().to_string();
+            let line = event.line(now_ms());
             let mut f = sink.lock().unwrap_or_else(PoisonError::into_inner);
             let _ = writeln!(f, "{line}");
             let _ = f.flush();
@@ -470,6 +310,7 @@ impl EventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     #[test]
     fn events_render_flat_json_with_name_and_timestamp() {
@@ -479,10 +320,10 @@ mod tests {
             missing_jobs: 7,
             reclaimed: true,
         };
-        let v = e.to_json();
+        let v: Value = serde_json::from_str(&e.line(42)).unwrap();
         let obj = v.as_object().unwrap();
         assert_eq!(obj.get("event").unwrap().as_str(), Some("lease_acquired"));
-        assert!(obj.get("ts_ms").unwrap().as_u64().unwrap() > 0);
+        assert_eq!(obj.get("ts_ms").unwrap().as_u64(), Some(42));
         assert_eq!(obj.get("owner").unwrap().as_str(), Some("w-1"));
         assert_eq!(obj.get("shard").unwrap().as_u64(), Some(3));
         assert_eq!(obj.get("reclaimed"), Some(&Value::Bool(true)));
@@ -500,7 +341,7 @@ mod tests {
         assert!(to_stderr);
         assert!(line.contains("mix00/DSARP@32Gb"), "{line}");
         assert!(line.contains("shard 5"), "{line}");
-        let obj = e.to_json();
+        let obj: Value = serde_json::from_str(&e.line(1)).unwrap();
         assert_eq!(
             obj.as_object().unwrap().get("label").unwrap().as_str(),
             Some("mix00/DSARP@32Gb")
@@ -573,6 +414,181 @@ mod tests {
         );
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1, "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_event_renders_its_documented_keys() {
+        let w = || String::from("w");
+        // One value per variant (both `owner` cases where it is optional)
+        // and the README's field list for it: `event` and `ts_ms` come
+        // first, then exactly these keys in this order.
+        let cases: [(Event, &str, &[&str]); 14] = [
+            (
+                Event::CampaignPlanned {
+                    campaign: w(),
+                    cells: 4,
+                    unique_jobs: 3,
+                    deduped: 1,
+                    cached: 1,
+                    to_simulate: 2,
+                    threads: 2,
+                },
+                "campaign_planned",
+                &[
+                    "campaign",
+                    "cells",
+                    "unique_jobs",
+                    "deduped",
+                    "cached",
+                    "to_simulate",
+                    "threads",
+                ],
+            ),
+            (
+                Event::CampaignSimulated {
+                    campaign: w(),
+                    simulated: 2,
+                    warmups: 1,
+                    wall_ms: 7,
+                },
+                "campaign_simulated",
+                &["campaign", "simulated", "warmups", "wall_ms"],
+            ),
+            (
+                Event::JobSimulated {
+                    owner: None,
+                    shard: 1,
+                    label: w(),
+                    wall_ms: 7,
+                },
+                "job_simulated",
+                &["shard", "label", "wall_ms"],
+            ),
+            (
+                Event::JobSimulated {
+                    owner: Some(w()),
+                    shard: 1,
+                    label: w(),
+                    wall_ms: 7,
+                },
+                "job_simulated",
+                &["owner", "shard", "label", "wall_ms"],
+            ),
+            (
+                Event::AppendFailed {
+                    owner: None,
+                    shard: 1,
+                    label: w(),
+                    error: w(),
+                },
+                "append_failed",
+                &["shard", "label", "error"],
+            ),
+            (
+                Event::AppendFailed {
+                    owner: Some(w()),
+                    shard: 1,
+                    label: w(),
+                    error: w(),
+                },
+                "append_failed",
+                &["owner", "shard", "label", "error"],
+            ),
+            (
+                Event::PersistFailures {
+                    campaign: w(),
+                    count: 1,
+                },
+                "persist_failures",
+                &["campaign", "count"],
+            ),
+            (
+                Event::LeaseAcquired {
+                    owner: w(),
+                    shard: 1,
+                    missing_jobs: 2,
+                    reclaimed: false,
+                },
+                "lease_acquired",
+                &["owner", "shard", "missing_jobs", "reclaimed"],
+            ),
+            (
+                Event::LeaseHeld {
+                    owner: w(),
+                    shard: 1,
+                    holder: w(),
+                    evicted_stale: true,
+                },
+                "lease_held",
+                &["owner", "shard", "holder", "evicted_stale"],
+            ),
+            (
+                Event::LeaseRetry {
+                    owner: w(),
+                    shard: 1,
+                    attempt: 0,
+                    delay_ms: 7,
+                },
+                "lease_retry",
+                &["owner", "shard", "attempt", "delay_ms"],
+            ),
+            (
+                Event::LeaseRenewed {
+                    owner: w(),
+                    shard: 1,
+                    ok: true,
+                },
+                "lease_renewed",
+                &["owner", "shard", "ok"],
+            ),
+            (
+                Event::LeaseReleased {
+                    owner: w(),
+                    shard: 1,
+                },
+                "lease_released",
+                &["owner", "shard"],
+            ),
+            (
+                Event::WaitRound {
+                    owner: w(),
+                    rounds: 1,
+                },
+                "wait_round",
+                &["owner", "rounds"],
+            ),
+            (
+                Event::RetryAttempt {
+                    what: w(),
+                    attempt: 1,
+                    delay_ms: 7,
+                    error: w(),
+                },
+                "retry_attempt",
+                &["what", "attempt", "delay_ms", "error"],
+            ),
+        ];
+        let dir = std::env::temp_dir()
+            .join("dsarp-events-tests")
+            .join(format!("keys-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("events.jsonl");
+        let log = EventLog::to_path(&path).unwrap();
+        for (event, _, _) in &cases {
+            log.emit(false, event);
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), cases.len(), "{text}");
+        for ((_, name, fields), line) in cases.iter().zip(text.lines()) {
+            let doc: Value = serde_json::from_str(line).unwrap();
+            let doc = doc.as_object().unwrap();
+            let keys: Vec<&str> = doc.iter().map(|(k, _)| k.as_str()).collect();
+            let want: Vec<&str> = ["event", "ts_ms"].iter().chain(*fields).copied().collect();
+            assert_eq!(keys, want, "{line}");
+            assert_eq!(doc.get("event").unwrap().as_str(), Some(*name), "{line}");
+            assert!(doc.get("ts_ms").unwrap().as_u64().unwrap() > 0, "{line}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

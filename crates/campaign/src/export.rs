@@ -1,7 +1,7 @@
 //! Artifact export: campaign grids and cache stats as CSV / JSON-lines,
 //! feeding the `report`/`chart` modules and external tooling.
 
-use crate::runner::CampaignReport;
+use crate::runner::{CacheStats, CampaignReport, PhaseTiming};
 use dsarp_sim::experiments::harness::Grid;
 use dsarp_sim::experiments::report;
 use std::io::Write;
@@ -36,6 +36,21 @@ pub(crate) fn write_jsonl<T: serde::Serialize>(
     Ok(())
 }
 
+/// `campaign_report.json`: this declaration is its schema.
+#[derive(serde::Serialize)]
+struct ReportDoc {
+    stats: CacheStats,
+    timing: PhaseTiming,
+    sweeps: Vec<SweepRows>,
+}
+
+/// One sweep of [`ReportDoc`]: its name and grid row count.
+#[derive(serde::Serialize)]
+struct SweepRows {
+    name: String,
+    rows: usize,
+}
+
 /// Writes the campaign's cache stats, per-phase wall times and sweep
 /// inventory as `<dir>/campaign_report.json`.
 ///
@@ -44,31 +59,18 @@ pub(crate) fn write_jsonl<T: serde::Serialize>(
 /// Propagates filesystem errors.
 pub fn write_report_json(dir: &Path, report: &CampaignReport) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let mut doc = serde_json::Map::new();
-    doc.insert(
-        "stats".into(),
-        serde_json::to_value(report.stats).expect("stats serialize"),
-    );
-    doc.insert(
-        "timing".into(),
-        serde_json::to_value(report.timing).expect("timing serializes"),
-    );
-    let sweeps: Vec<serde_json::Value> = report
-        .grids
-        .iter()
-        .map(|(name, grid)| {
-            let mut m = serde_json::Map::new();
-            m.insert("name".into(), serde_json::Value::String(name.clone()));
-            m.insert(
-                "rows".into(),
-                serde_json::to_value(grid.rows().len()).expect("infallible"),
-            );
-            serde_json::Value::Object(m)
-        })
-        .collect();
-    doc.insert("sweeps".into(), serde_json::Value::Array(sweeps));
-    std::fs::write(
-        dir.join("campaign_report.json"),
-        format!("{}\n", serde_json::Value::Object(doc)),
-    )
+    let doc = ReportDoc {
+        stats: report.stats,
+        timing: report.timing,
+        sweeps: report
+            .grids
+            .iter()
+            .map(|(name, grid)| SweepRows {
+                name: name.clone(),
+                rows: grid.rows().len(),
+            })
+            .collect(),
+    };
+    let json = serde_json::to_string(&doc).expect("reports serialize");
+    std::fs::write(dir.join("campaign_report.json"), format!("{json}\n"))
 }

@@ -86,6 +86,7 @@ pub mod remote;
 mod retry;
 mod runner;
 mod spec;
+mod status;
 pub mod store;
 pub mod traces;
 
@@ -99,5 +100,6 @@ pub use runner::{
     CacheStats, Campaign, CampaignClient, CampaignReport, PhaseTiming, WorkerOptions,
 };
 pub use spec::{CampaignSpec, SweepSpec, WorkloadSet};
+pub use status::CampaignStatus;
 pub use store::{Record, Store};
 pub use traces::{TraceRef, TraceWorkload};

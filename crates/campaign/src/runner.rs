@@ -295,7 +295,7 @@ impl CellRunner<'_> {
                     owner: owner(),
                     shard: Store::shard_of(*fp),
                     label: record.label.clone(),
-                    wall: t_job.elapsed(),
+                    wall_ms: elapsed_ms(t_job),
                 },
             );
             if let Err(e) = append(*fp, &record) {
@@ -464,7 +464,7 @@ impl Campaign {
                     campaign: self.spec.name.clone(),
                     simulated: stats.simulated,
                     warmups: stats.warmups,
-                    wall: t0.elapsed(),
+                    wall_ms: elapsed_ms(t0),
                 },
             );
         }
@@ -733,7 +733,7 @@ impl CampaignClient {
                             owner: opts.owner.clone(),
                             shard,
                             attempt,
-                            delay,
+                            delay_ms: u64::try_from(delay.as_millis()).unwrap_or(u64::MAX),
                         },
                     );
                     std::thread::sleep(delay);

@@ -73,6 +73,14 @@ impl Record {
     }
 }
 
+/// `manifest.json`: this declaration is its schema.
+#[derive(Serialize)]
+struct Manifest {
+    format_version: u32,
+    campaign: String,
+    spec: Value,
+}
+
 /// An open campaign store.
 #[derive(Debug)]
 pub struct Store {
@@ -130,18 +138,17 @@ impl Store {
     ) -> std::io::Result<()> {
         let dir = root.join(campaign_name);
         std::fs::create_dir_all(&dir)?;
-        let mut manifest_doc = serde_json::Map::new();
-        manifest_doc.insert(
-            "format_version".into(),
-            serde_json::to_value(FORMAT_VERSION).expect("infallible"),
-        );
-        manifest_doc.insert("campaign".into(), Value::String(campaign_name.into()));
-        manifest_doc.insert("spec".into(), manifest.clone());
+        let doc = Manifest {
+            format_version: FORMAT_VERSION,
+            campaign: campaign_name.into(),
+            spec: manifest.clone(),
+        };
         // Written via a pid-unique temp file + rename: concurrent worker
         // processes open the same store, and interleaved direct writes
         // could tear the manifest.
         let tmp = dir.join(format!("manifest.json.tmp-{}", std::process::id()));
-        std::fs::write(&tmp, format!("{}\n", Value::Object(manifest_doc)))?;
+        let json = serde_json::to_string(&doc).expect("manifests serialize");
+        std::fs::write(&tmp, format!("{json}\n"))?;
         std::fs::rename(&tmp, dir.join("manifest.json"))
     }
 

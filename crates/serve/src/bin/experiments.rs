@@ -18,8 +18,8 @@
 use dsarp_campaign::store::SHARDS;
 use dsarp_campaign::{
     export, lease, paper, traces, Campaign, CampaignClient, CampaignPlan, CampaignReport,
-    CampaignSpec, Event, EventLog, LocalBackend, RemoteStore, Store, StoreBackend, SweepSpec,
-    WorkerOptions, WorkloadSet,
+    CampaignSpec, CampaignStatus, Event, EventLog, LocalBackend, RemoteStore, Store, StoreBackend,
+    SweepSpec, WorkerOptions, WorkloadSet,
 };
 use dsarp_core::Mechanism;
 use dsarp_cpu::TraceDialect;
@@ -375,54 +375,33 @@ fn main() {
 fn run_status_cmd(args: &Args) {
     let spec = &resolve_spec(args).0;
     let campaign_dir = args.campaign_dir().join(&spec.name);
-    // Expected cells per shard, from the same expansion run/worker use;
-    // cross-sweep duplicates collapse exactly as they do when simulating.
-    let plan = CampaignPlan::build(spec).unwrap_or_else(|e| die(&e.to_string()));
-    let mut expected = vec![Vec::new(); SHARDS];
-    for (fp, _) in plan.unique() {
-        expected[Store::shard_of(*fp)].push(fp.0);
-    }
-    let leases = lease::list(&campaign_dir, SHARDS);
-    let now = lease::now_ms();
-    println!(
-        "campaign `{}` at {} ({} sweeps)",
-        spec.name,
-        campaign_dir.display(),
-        spec.sweeps.len()
-    );
+    let status = CampaignStatus::read(spec, &campaign_dir)
+        .or_die("read campaign store", campaign_dir.display());
+    let (name, dir, sweeps) = (&status.campaign, campaign_dir.display(), status.sweeps);
+    println!("campaign `{name}` at {dir} ({sweeps} sweeps)");
     println!("shard   done missing  lease");
-    let (mut total_done, total_expected) = (0, plan.unique().len());
-    for (shard, want) in expected.iter().enumerate() {
-        let present =
-            Store::read_shard_fingerprints(&campaign_dir, shard).or_die("read shard", shard);
-        let done = want.iter().filter(|fp| present.contains(fp)).count();
-        total_done += done;
-        let lease_text = match leases.iter().find(|(s, _, _)| *s == shard) {
-            Some((_, info, live)) => {
-                let age_ms = now.saturating_sub(info.heartbeat_ms);
-                format!(
-                    "{} `{}` (pid {}, heartbeat {age_ms} ms ago, ttl {} ms)",
-                    if *live { "held by" } else { "STALE from" },
-                    info.owner,
-                    info.pid,
-                    info.ttl_ms
-                )
-            }
+    for shard in &status.shards {
+        let lease_text = match &shard.lease {
+            Some(lease) => format!(
+                "{} `{}` (pid {}, heartbeat {} ms ago, ttl {} ms)",
+                if lease.live { "held by" } else { "STALE from" },
+                lease.owner,
+                lease.pid,
+                lease.heartbeat_ms_ago,
+                lease.ttl_ms
+            ),
             None => String::from("-"),
         };
-        println!(
-            "  {shard:02}  {done:>5} {:>7}  {lease_text}",
-            want.len() - done
-        );
+        let (n, done, missing) = (shard.shard, shard.done, shard.missing);
+        println!("  {n:02}  {done:>5} {missing:>7}  {lease_text}");
     }
-    let pct = match total_expected {
+    let pct = match status.cells {
         0 => 100.0,
-        cells => 100.0 * total_done as f64 / cells as f64,
+        cells => 100.0 * status.done as f64 / cells as f64,
     };
-    println!(
-        "total: {total_done}/{total_expected} cells done ({pct:.1}%), {} lease files on disk",
-        leases.len()
-    );
+    let leases = status.shards.iter().filter(|s| s.lease.is_some()).count();
+    let (done, cells) = (status.done, status.cells);
+    println!("total: {done}/{cells} cells done ({pct:.1}%), {leases} lease files on disk");
 }
 
 /// `serve`: hosts the campaign store over HTTP until killed. The first
@@ -532,7 +511,7 @@ fn open_backend(args: &Args, spec: &CampaignSpec, events: &Arc<EventLog>) -> Box
                         &Event::RetryAttempt {
                             what: what.to_string(),
                             attempt,
-                            delay,
+                            delay_ms: u64::try_from(delay.as_millis()).unwrap_or(u64::MAX),
                             error: error.to_string(),
                         },
                     );

@@ -18,7 +18,7 @@
 //! | `GET /cells/{fingerprint}` | one record; fingerprint doubles as ETag |
 //! | `GET /export/grid_{sweep}.csv` | assembled grid CSV with content ETag |
 //! | `GET /metrics` | server metrics, Prometheus text exposition |
-//! | `GET /status` | campaign progress + lease table as JSON |
+//! | `GET /status` | drain progress against the spec + lease table as JSON |
 //!
 //! Leases taken over HTTP are the same `shard-NN.lock` files local
 //! workers use — acquire runs [`Lease::acquire`] with the caller's owner
@@ -48,7 +48,7 @@ use dsarp_campaign::fingerprint::fingerprint_bytes;
 use dsarp_campaign::lease::{self, Acquire, Lease};
 use dsarp_campaign::remote::{AppendReply, CampaignInfo, LeaseReply, LeaseRequest, SizesReply};
 use dsarp_campaign::store::{ShardTail, ShardView, FORMAT_VERSION, SHARDS};
-use dsarp_campaign::{CampaignPlan, CampaignSpec, Fingerprint, Store};
+use dsarp_campaign::{CampaignPlan, CampaignSpec, CampaignStatus, Fingerprint, Store};
 use dsarp_obs::{Counter, Family, Histogram, Registry};
 use dsarp_sim::experiments::report;
 use minihttp::{Request, Response, Server};
@@ -127,6 +127,14 @@ fn status_class(status: u16) -> &'static str {
         5 => "5xx",
         _ => "other",
     }
+}
+
+/// A 200 response carrying `doc` as JSON.
+fn json(doc: &impl serde::Serialize) -> Response {
+    Response::json(
+        200,
+        serde_json::to_string(doc).expect("documents serialize"),
+    )
 }
 
 /// One campaign store served over HTTP.
@@ -243,74 +251,23 @@ impl CampaignServer {
         )
     }
 
-    /// `GET /status`: campaign identity, per-shard record counts/bytes and
-    /// the lease table as one JSON object — the remote twin of the
-    /// `experiments status` subcommand.
+    /// `GET /status`: the [`CampaignStatus`] `experiments status` renders,
+    /// as JSON. Planned per request, as exports are.
     fn status_json(&self) -> io::Result<Response> {
-        fn num(n: u64) -> serde_json::Value {
-            serde_json::Value::Number(serde_json::Number::from_u64(n))
-        }
-        let now = lease::now_ms();
-        let leases = lease::list(&self.dir, SHARDS);
-        let mut shards = Vec::new();
-        let mut total_records = 0u64;
-        for shard in 0..SHARDS {
-            let records = self.refresh_view(shard)?.records.len() as u64;
-            total_records += records;
-            let mut m = serde_json::Map::new();
-            m.insert("shard".into(), num(shard as u64));
-            m.insert("records".into(), num(records));
-            m.insert("bytes".into(), num(self.store.shard_size(shard)));
-            let lease_value = match leases.iter().find(|(s, _, _)| *s == shard) {
-                Some((_, info, live)) => {
-                    let mut l = serde_json::Map::new();
-                    l.insert(
-                        "owner".into(),
-                        serde_json::Value::String(info.owner.clone()),
-                    );
-                    l.insert("pid".into(), num(u64::from(info.pid)));
-                    l.insert("live".into(), serde_json::Value::Bool(*live));
-                    l.insert(
-                        "heartbeat_ms_ago".into(),
-                        num(now.saturating_sub(info.heartbeat_ms)),
-                    );
-                    l.insert("ttl_ms".into(), num(info.ttl_ms));
-                    serde_json::Value::Object(l)
-                }
-                None => serde_json::Value::Null,
-            };
-            m.insert("lease".into(), lease_value);
-            shards.push(serde_json::Value::Object(m));
-        }
-        let mut doc = serde_json::Map::new();
-        doc.insert(
-            "campaign".into(),
-            serde_json::Value::String(self.spec.name.clone()),
-        );
-        doc.insert("format_version".into(), num(u64::from(FORMAT_VERSION)));
-        doc.insert("sweeps".into(), num(self.spec.sweeps.len() as u64));
-        doc.insert("records".into(), num(total_records));
-        doc.insert("shards".into(), serde_json::Value::Array(shards));
-        Ok(Response::json(
-            200,
-            serde_json::Value::Object(doc).to_string(),
-        ))
+        Ok(json(&CampaignStatus::read(&self.spec, &self.dir)?))
     }
 
     fn campaign_info(&self) -> Response {
-        let info = CampaignInfo {
+        json(&CampaignInfo {
             name: self.spec.name.clone(),
             shards: SHARDS,
             format_version: FORMAT_VERSION,
-        };
-        Response::json(200, serde_json::to_string(&info).expect("info serializes"))
+        })
     }
 
     fn shard_sizes(&self) -> Response {
-        let reply = SizesReply {
-            sizes: (0..SHARDS).map(|s| self.store.shard_size(s)).collect(),
-        };
-        Response::json(200, serde_json::to_string(&reply).expect("sizes serialize"))
+        let sizes = (0..SHARDS).map(|s| self.store.shard_size(s)).collect();
+        json(&SizesReply { sizes })
     }
 
     fn parse_shard(nn: &str) -> io::Result<usize> {
@@ -384,10 +341,7 @@ impl CampaignServer {
         }
         view.offset = self.store.shard_size(shard);
         let reply = AppendReply { appended, deduped };
-        Ok(Response::json(
-            200,
-            serde_json::to_string(&reply).expect("reply serializes"),
-        ))
+        Ok(json(&reply))
     }
 
     fn lease_op(&self, nn: &str, req: &Request) -> io::Result<Response> {
@@ -428,10 +382,7 @@ impl CampaignServer {
                         holder: Some(holder),
                     },
                 };
-                Ok(Response::json(
-                    200,
-                    serde_json::to_string(&reply).expect("reply serializes"),
-                ))
+                Ok(json(&reply))
             }
             "renew" => match lease::renew_as(&self.dir, shard, &body.owner, body.ttl_ms) {
                 Ok(()) => Ok(Response::text(200, "renewed")),
@@ -469,11 +420,7 @@ impl CampaignServer {
         }
         let view = self.refresh_view(Store::shard_of(fp))?;
         match view.records.get(&fp.0) {
-            Some(record) => Ok(Response::json(
-                200,
-                serde_json::to_string(record).expect("records serialize"),
-            )
-            .header("etag", &etag)),
+            Some(record) => Ok(json(record).header("etag", &etag)),
             None => Ok(Response::text(404, format!("no record {fp}"))),
         }
     }

@@ -679,6 +679,69 @@ fn status_subcommand_reports_progress_table() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// `GET /status` carries what `experiments status` shows: on a store that
+/// holds one sweep of a two-sweep spec, each shard's done/missing and the
+/// totals read the same from the JSON as from the table.
+#[test]
+fn status_endpoint_matches_status_subcommand() {
+    let dir = tmpdir("status-both");
+    let spec = small_spec("statusboth");
+    let spec_path = dir.join("spec.json");
+    std::fs::write(&spec_path, spec.to_json()).unwrap();
+    Campaign::open(&dir, spec.clone().filtered(&["alpha"]))
+        .unwrap()
+        .run()
+        .unwrap();
+
+    let out = Command::new(BIN)
+        .args(["status", "--campaign", dir.to_str().unwrap()])
+        .args(["--spec", spec_path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let table = String::from_utf8_lossy(&out.stdout).into_owned();
+    let rows: Vec<[u64; 3]> = table
+        .lines()
+        .filter(|line| line.starts_with("  "))
+        .map(|line| {
+            let mut cols = line.split_whitespace().map(|c| c.parse().unwrap());
+            [(); 3].map(|()| cols.next().unwrap())
+        })
+        .collect();
+    let total = table.lines().last().unwrap();
+    let (done, cells) = total["total: ".len()..]
+        .split_once(" cells")
+        .unwrap()
+        .0
+        .split_once('/')
+        .unwrap();
+
+    let server = CampaignServer::new(&dir, spec).unwrap();
+    let resp = server.handle(&get("/status", &[], &[]));
+    assert_eq!(resp.status, 200, "{}", resp.text_body());
+    let doc: serde_json::Value = serde_json::from_str(&resp.text_body()).unwrap();
+    let field = |v: &serde_json::Value, key| v.get(key).and_then(|n| n.as_u64()).unwrap();
+    let shards: Vec<[u64; 3]> = doc
+        .get("shards")
+        .and_then(|s| s.as_array())
+        .unwrap()
+        .iter()
+        .map(|s| [field(s, "shard"), field(s, "done"), field(s, "missing")])
+        .collect();
+    assert_eq!(shards, rows, "{table}");
+    assert_eq!(field(&doc, "done").to_string(), done, "{table}");
+    assert_eq!(field(&doc, "cells").to_string(), cells, "{table}");
+    assert!(
+        field(&doc, "done") > 0 && field(&doc, "done") < field(&doc, "cells"),
+        "one of two sweeps drained must read partly done: {table}"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 fn lock_files(campaign_dir: &Path) -> Vec<PathBuf> {
     std::fs::read_dir(lease::lease_dir(campaign_dir))
         .map(|rd| {

@@ -10,18 +10,15 @@
 
 use dsarp_core::SchedulerScan;
 use dsarp_obs::{bucket_index, NBUCKETS};
-use serde::{Deserialize, Error, Map, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Per-run telemetry; attached to [`crate::RunStats::telemetry`] when
 /// enabled.
 ///
-/// The serialized (JSON) form covers exactly the fields up to
-/// `row_conflicts`, in declaration order — the hand-written
-/// [`Serialize`]/[`Deserialize`] impls below pin that shape so persisted
-/// campaign sidecars stay byte-identical as in-memory telemetry grows.
-/// `write_queue_depth` and `scheduler` are in-memory only: deserializing
-/// a sidecar leaves them at their defaults.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// This declaration is the sidecar's schema: every field is written in
+/// declaration order except the `#[serde(skip)]` ones, which are
+/// in-memory only and read back as their defaults.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimTelemetry {
     /// DRAM cycles the run covered (sampling denominator).
     pub dram_cycles: u64,
@@ -38,52 +35,13 @@ pub struct SimTelemetry {
     /// Precharges issued to close a conflicting open row for a demand
     /// request.
     pub row_conflicts: u64,
-    /// Write-queue depth sampled once per channel per DRAM cycle
-    /// (not serialized).
+    /// Write-queue depth sampled once per channel per DRAM cycle.
+    #[serde(skip)]
     pub write_queue_depth: DepthHistogram,
     /// Demand-scheduler work accounting summed over controllers: candidates
-    /// the FR-FCFS passes examined on issuing cycles (not serialized).
+    /// the FR-FCFS passes examined on issuing cycles.
+    #[serde(skip)]
     pub scheduler: SchedulerScan,
-}
-
-impl Serialize for SimTelemetry {
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("dram_cycles".to_string(), self.dram_cycles.to_value());
-        m.insert("banks".to_string(), self.banks.to_value());
-        m.insert("refreshes".to_string(), self.refreshes.to_value());
-        m.insert(
-            "read_queue_depth".to_string(),
-            self.read_queue_depth.to_value(),
-        );
-        m.insert("row_hits".to_string(), self.row_hits.to_value());
-        m.insert("row_misses".to_string(), self.row_misses.to_value());
-        m.insert("row_conflicts".to_string(), self.row_conflicts.to_value());
-        Value::Object(m)
-    }
-}
-
-impl Deserialize for SimTelemetry {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        fn field<T: Deserialize>(v: &Value, name: &'static str) -> Result<T, Error> {
-            T::from_value(v.get(name).unwrap_or(&Value::Null))
-                .map_err(|e| e.context(&format!("SimTelemetry.{name}")))
-        }
-        if v.as_object().is_none() {
-            return Err(Error::custom("expected object for SimTelemetry"));
-        }
-        Ok(Self {
-            dram_cycles: field(v, "dram_cycles")?,
-            banks: field(v, "banks")?,
-            refreshes: field(v, "refreshes")?,
-            read_queue_depth: field(v, "read_queue_depth")?,
-            row_hits: field(v, "row_hits")?,
-            row_misses: field(v, "row_misses")?,
-            row_conflicts: field(v, "row_conflicts")?,
-            write_queue_depth: DepthHistogram::default(),
-            scheduler: SchedulerScan::default(),
-        })
-    }
 }
 
 /// Cycle accounting for one bank.
