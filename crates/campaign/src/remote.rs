@@ -267,7 +267,7 @@ impl StoreBackend for RemoteStore {
     }
 
     fn shard_fingerprints(&self, shard: usize) -> io::Result<HashSet<u128>> {
-        Ok(self.refresh_shard(shard)?.records.keys().copied().collect())
+        Ok(self.refresh_shard(shard)?.fingerprints().clone())
     }
 
     fn append(&self, fp: Fingerprint, record: &Record) -> io::Result<()> {
@@ -317,7 +317,7 @@ impl StoreBackend for RemoteStore {
             let cache = self.refresh_shard(shard)?;
             // Fingerprints route to exactly one shard, so per-shard
             // first-record-wins maps merge without conflicts.
-            all.extend(cache.records.iter().map(|(k, v)| (*k, v.clone())));
+            all.extend(cache.records().iter().map(|(k, v)| (*k, v.clone())));
         }
         Ok(all)
     }

@@ -504,20 +504,43 @@ pub struct ShardView {
     pub offset: u64,
     /// Every record decoded so far; the first per fingerprint wins,
     /// matching [`Store`] load semantics.
-    pub records: HashMap<u128, Record>,
+    records: HashMap<u128, Record>,
+    /// The key set of `records`, kept so a caller asking which cells a
+    /// shard holds gets a copy instead of a rehash of every key. The
+    /// default keyed hasher stays: fingerprints arrive from clients.
+    fingerprints: HashSet<u128>,
 }
 
 impl ShardView {
+    /// Every record decoded so far, by fingerprint.
+    pub fn records(&self) -> &HashMap<u128, Record> {
+        &self.records
+    }
+
+    /// The fingerprints of [`ShardView::records`].
+    pub fn fingerprints(&self) -> &HashSet<u128> {
+        &self.fingerprints
+    }
+
+    /// Adds one record unless its fingerprint is already present: the
+    /// first record wins, as at [`Store`] load.
+    pub fn insert(&mut self, fp: Fingerprint, record: Record) {
+        if self.fingerprints.insert(fp.0) {
+            self.records.insert(fp.0, record);
+        }
+    }
+
     /// Folds one tail read into the view. A `reset` tail (the shard shrank
     /// under the reader's offset: compaction) restarted from byte 0, so
     /// the view restarts with it.
     pub fn apply(&mut self, tail_bytes: &[u8], next_offset: u64, reset: bool) {
         if reset {
             self.records.clear();
+            self.fingerprints.clear();
         }
         for line in String::from_utf8_lossy(tail_bytes).lines() {
             if let Some((fp, record)) = Store::decode_line(line) {
-                self.records.entry(fp.0).or_insert(record);
+                self.insert(fp, record);
             }
         }
         self.offset = next_offset;
@@ -734,7 +757,7 @@ mod tests {
         view.apply(&first.bytes, first.next_offset, first.reset);
         view.apply(&healed.bytes, healed.next_offset, healed.reset);
         assert_eq!((view.offset, view.records.len()), (healed.next_offset, 2));
-        view.records.insert(99, a.clone());
+        view.insert(Fingerprint(99), a.clone());
         view.apply(&reset.bytes, reset.next_offset, reset.reset);
         assert_eq!(view.records.get(&fp_a.0), Some(&a));
         assert_eq!((view.offset, view.records.len()), (healed.next_offset, 2));
@@ -776,6 +799,44 @@ mod tests {
             bytes in prop::collection::vec(any::<u8>(), 0..96),
         ) {
             let _ = Store::decode_line(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// Tails (resets and torn lines included) and direct inserts over
+        /// a few colliding fingerprints: `fingerprints` stays the key set
+        /// of `records`, and every fingerprint keeps its first record.
+        #[test]
+        fn shard_view_fingerprints_track_records(
+            ops in prop::collection::vec((0u8..3, prop::collection::vec(0u8..12, 0..5)), 1..24),
+        ) {
+            let mut view = ShardView::default();
+            let mut model: HashMap<u128, Record> = HashMap::new();
+            for (step, (op, fps)) in ops.into_iter().enumerate() {
+                let records = fps.iter().map(|&fp| {
+                    let fp = Fingerprint(u128::from(fp));
+                    (fp, Record::alone(fp, format!("step{step}"), 1.0))
+                });
+                if op == 2 {
+                    for (fp, record) in records {
+                        model.entry(fp.0).or_insert_with(|| record.clone());
+                        view.insert(fp, record);
+                    }
+                } else {
+                    let reset = op == 1;
+                    if reset {
+                        model.clear();
+                    }
+                    let mut tail = String::new();
+                    for (fp, record) in records {
+                        tail.push_str(&Store::encode_line(&record));
+                        tail.push_str("\n{\"fp\":\"torn\n");
+                        model.entry(fp.0).or_insert(record);
+                    }
+                    view.apply(tail.as_bytes(), step as u64, reset);
+                }
+                let keys: HashSet<u128> = view.records.keys().copied().collect();
+                prop_assert_eq!(&view.fingerprints, &keys);
+                prop_assert_eq!(&view.records, &model);
+            }
         }
     }
 

@@ -32,14 +32,17 @@
 //! observes a torn JSON line. Records are content-addressed, which makes
 //! `GET /cells/{fp}` trivially cacheable: the fingerprint IS the ETag,
 //! and a matching `If-None-Match` short-circuits to `304 Not Modified`
-//! without touching the store.
+//! without touching the store. A cell read or append on a shard that has
+//! not grown since the server last read it costs one `stat`; the file is
+//! reopened only when its length moved.
 //!
 //! Every request is also counted into a [`dsarp_obs::Registry`]:
 //! `dsarp_http_requests_total{method,route,code}`,
 //! `dsarp_http_request_duration_us{route}` and the request/response byte
 //! counters, scraped at `GET /metrics`. Routes are normalized (the shard
-//! number or fingerprint collapses to a `{..}` placeholder), so label
-//! cardinality is bounded by the route table above, not by traffic.
+//! number or fingerprint collapses to a `{..}` placeholder) and methods
+//! other than `GET`/`POST` are labelled `other`, so label cardinality is
+//! bounded by the route table above, not by traffic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,7 +57,7 @@ use dsarp_sim::experiments::report;
 use minihttp::{Request, Response, Server};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Request-level server metrics, registered once and bumped per request.
@@ -63,6 +66,13 @@ struct ServerMetrics {
     registry: Registry,
     requests: Arc<Family<Counter>>,
     latency: Arc<Family<Histogram>>,
+    /// The series of `requests`, by [`series_index`]; each is resolved
+    /// from its family on first use, so that recording a request takes
+    /// no lock and allocates nothing. A series is created only once a
+    /// request needs it, as the family alone would.
+    request_series: Vec<OnceLock<Arc<Counter>>>,
+    /// The series of `latency`, by [`Route`].
+    latency_series: Vec<OnceLock<Arc<Histogram>>>,
     request_bytes: Arc<Counter>,
     response_bytes: Arc<Counter>,
 }
@@ -92,41 +102,116 @@ impl ServerMetrics {
             registry,
             requests,
             latency,
+            request_series: (0..METHODS.len() * Route::COUNT * CLASSES.len())
+                .map(|_| OnceLock::new())
+                .collect(),
+            latency_series: (0..Route::COUNT).map(|_| OnceLock::new()).collect(),
             request_bytes,
             response_bytes,
         }
     }
-}
 
-/// The normalized route label for a request: path parameters (shard
-/// number, fingerprint, export file) collapse to `{..}` so metric label
-/// cardinality is bounded by the route table, not by traffic.
-fn route_label(method: &str, segments: &[&str]) -> &'static str {
-    match (method, segments) {
-        ("GET", ["healthz"]) => "/healthz",
-        ("GET", ["campaign"]) => "/campaign",
-        ("GET", ["shards"]) => "/shards",
-        ("GET", ["shards", _]) => "/shards/{..}",
-        ("POST", ["shards", _, "append"]) => "/shards/{..}/append",
-        ("POST", ["leases", _]) => "/leases/{..}",
-        ("GET", ["cells", _]) => "/cells/{..}",
-        ("GET", ["export", _]) => "/export/{..}",
-        ("GET", ["metrics"]) => "/metrics",
-        ("GET", ["status"]) => "/status",
-        _ => "other",
+    /// Counts one handled request.
+    fn record(&self, req: &Request, route: Route, resp: &Response, us: u64) {
+        let (method, class) = (method_index(&req.method), class_index(resp.status));
+        self.request_series[series_index(method, route, class)]
+            .get_or_init(|| {
+                self.requests
+                    .with_labels(&[METHODS[method], route.label(), CLASSES[class]])
+            })
+            .inc();
+        self.latency_series[route as usize]
+            .get_or_init(|| self.latency.with_labels(&[route.label()]))
+            .observe(us);
+        self.request_bytes.add(req.body.len() as u64);
+        self.response_bytes.add(resp.body.len() as u64);
     }
 }
 
-/// `NNN` → `"2xx"`-style status class, the `code` label of
-/// `dsarp_http_requests_total`.
-fn status_class(status: u16) -> &'static str {
+/// The `method` label values. Every method but `GET` and `POST` is
+/// `other`: no route takes one, and labelling it verbatim would let
+/// traffic mint series.
+const METHODS: [&str; 3] = ["GET", "POST", "other"];
+
+/// The `code` label values, by status class.
+const CLASSES: [&str; 5] = ["2xx", "3xx", "4xx", "5xx", "other"];
+
+/// A request's normalized route, the `route` label: path parameters
+/// (shard number, fingerprint, export file) collapse to `{..}` so metric
+/// label cardinality is bounded by the route table, not by traffic.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    Healthz,
+    Campaign,
+    Shards,
+    ShardTail,
+    ShardAppend,
+    Lease,
+    Cell,
+    Export,
+    Metrics,
+    Status,
+    Other,
+}
+
+impl Route {
+    /// How many routes there are, `Other` included.
+    const COUNT: usize = Route::Other as usize + 1;
+
+    fn of(method: &str, segments: &[&str]) -> Route {
+        match (method, segments) {
+            ("GET", ["healthz"]) => Route::Healthz,
+            ("GET", ["campaign"]) => Route::Campaign,
+            ("GET", ["shards"]) => Route::Shards,
+            ("GET", ["shards", _]) => Route::ShardTail,
+            ("POST", ["shards", _, "append"]) => Route::ShardAppend,
+            ("POST", ["leases", _]) => Route::Lease,
+            ("GET", ["cells", _]) => Route::Cell,
+            ("GET", ["export", _]) => Route::Export,
+            ("GET", ["metrics"]) => Route::Metrics,
+            ("GET", ["status"]) => Route::Status,
+            _ => Route::Other,
+        }
+    }
+
+    fn label(self) -> &'static str {
+        match self {
+            Route::Healthz => "/healthz",
+            Route::Campaign => "/campaign",
+            Route::Shards => "/shards",
+            Route::ShardTail => "/shards/{..}",
+            Route::ShardAppend => "/shards/{..}/append",
+            Route::Lease => "/leases/{..}",
+            Route::Cell => "/cells/{..}",
+            Route::Export => "/export/{..}",
+            Route::Metrics => "/metrics",
+            Route::Status => "/status",
+            Route::Other => "other",
+        }
+    }
+}
+
+/// A request method's index into [`METHODS`].
+fn method_index(method: &str) -> usize {
+    match method {
+        "GET" => 0,
+        "POST" => 1,
+        _ => 2,
+    }
+}
+
+/// `NNN` → the index of its `"2xx"`-style class in [`CLASSES`].
+fn class_index(status: u16) -> usize {
     match status / 100 {
-        2 => "2xx",
-        3 => "3xx",
-        4 => "4xx",
-        5 => "5xx",
-        _ => "other",
+        class @ 2..=5 => usize::from(class - 2),
+        _ => 4,
     }
+}
+
+/// Where one `(method, route, code)` series sits in
+/// `ServerMetrics::request_series`.
+fn series_index(method: usize, route: Route, class: usize) -> usize {
+    (method * Route::COUNT + route as usize) * CLASSES.len() + class
 }
 
 /// A 200 response carrying `doc` as JSON.
@@ -193,19 +278,11 @@ impl CampaignServer {
     /// so tests can drive the server without sockets.
     pub fn handle(&self, req: &Request) -> Response {
         let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-        let route = route_label(&req.method, &segments);
-        // Resolve the series once per request, then drop the handles: the
-        // per-request path is not hot enough to justify caching them.
+        let route = Route::of(&req.method, &segments);
         let start = Instant::now();
         let resp = self.route(req, &segments);
         let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.metrics
-            .requests
-            .with_labels(&[&req.method, route, status_class(resp.status)])
-            .inc();
-        self.metrics.latency.with_labels(&[route]).observe(us);
-        self.metrics.request_bytes.add(req.body.len() as u64);
-        self.metrics.response_bytes.add(resp.body.len() as u64);
+        self.metrics.record(req, route, &resp, us);
         resp
     }
 
@@ -297,10 +374,21 @@ impl CampaignServer {
     /// Brings one shard's in-memory view up to date with its file. Also
     /// how appends see records other processes wrote directly to the
     /// directory (mixed local/remote topologies).
+    ///
+    /// A shard whose length is still the view's offset costs one `stat`:
+    /// [`Store::read_tail`] would return an empty tail at that offset, so
+    /// the file is not opened. A missing shard has length 0, as there.
     fn refresh_view(&self, shard: usize) -> io::Result<std::sync::MutexGuard<'_, ShardView>> {
         let mut view = self.views[shard].lock().expect("shard view lock poisoned");
-        let tail = Store::read_tail(&self.dir, shard, view.offset)?;
-        view.apply(&tail.bytes, tail.next_offset, tail.reset);
+        let len = match std::fs::metadata(Store::shard_file(&self.dir, shard)) {
+            Ok(meta) => meta.len(),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
+            Err(e) => return Err(e),
+        };
+        if len != view.offset {
+            let tail = Store::read_tail(&self.dir, shard, view.offset)?;
+            view.apply(&tail.bytes, tail.next_offset, tail.reset);
+        }
         Ok(view)
     }
 
@@ -331,12 +419,12 @@ impl CampaignServer {
             // First record wins: a fingerprint already in the shard keeps
             // its original line, and the duplicate is dropped here rather
             // than appended and skipped at every future load.
-            if view.records.contains_key(&fp.0) {
+            if view.fingerprints().contains(&fp.0) {
                 deduped += 1;
                 continue;
             }
             self.store.append(fp, &record)?;
-            view.records.insert(fp.0, record);
+            view.insert(fp, record);
             appended += 1;
         }
         view.offset = self.store.shard_size(shard);
@@ -419,7 +507,7 @@ impl CampaignServer {
             return Ok(Response::new(304).header("etag", &etag));
         }
         let view = self.refresh_view(Store::shard_of(fp))?;
-        match view.records.get(&fp.0) {
+        match view.records().get(&fp.0) {
             Some(record) => Ok(json(record).header("etag", &etag)),
             None => Ok(Response::text(404, format!("no record {fp}"))),
         }
@@ -466,7 +554,7 @@ impl CampaignServer {
             let views = (0..SHARDS)
                 .map(|shard| self.refresh_view(shard))
                 .collect::<io::Result<Vec<_>>>()?;
-            plan.assemble(|fp| views[Store::shard_of(fp)].records.get(&fp.0))?
+            plan.assemble(|fp| views[Store::shard_of(fp)].records().get(&fp.0))?
         };
         let grid = grids.get(sweep).expect("assembled spec sweep");
         let csv = report::to_csv(grid.rows());

@@ -469,6 +469,74 @@ fn cells_and_exports_honor_etags() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// The server answers cell reads from an in-memory view it refreshes only
+/// when a shard's length moved. A record a local worker appends straight
+/// into the served directory (mixed topology) is served on the very next
+/// read, and a shard that compaction shrank still resets the view.
+#[test]
+fn cell_reads_see_direct_appends_and_compaction() {
+    let dir = tmpdir("stat-gate");
+    let spec = small_spec("gate");
+    let server = CampaignServer::new(&dir, spec.clone()).unwrap();
+    let local = Store::open(&dir, &spec.name, &serde_json::to_value(&spec).unwrap()).unwrap();
+    // Both route to shard 0.
+    let (a, b) = (Fingerprint(8), Fingerprint(16));
+    let cell = |fp: Fingerprint| server.handle(&get(&format!("/cells/{fp}"), &[], &[]));
+
+    let append = Request {
+        method: "POST".into(),
+        path: "/shards/00/append".into(),
+        body: Store::encode_line(&Record::alone(a, "a".into(), 1.0)).into_bytes(),
+        ..get("", &[], &[])
+    };
+    assert_eq!(server.handle(&append).status, 200);
+    assert_eq!(cell(a).status, 200);
+    assert_eq!(cell(b).status, 404);
+
+    local.append(b, &Record::alone(b, "b".into(), 2.0)).unwrap();
+    let resp = cell(b);
+    assert_eq!(resp.status, 200, "a direct append must be served at once");
+    assert!(
+        resp.text_body().contains("\"label\":\"b\""),
+        "{}",
+        resp.text_body()
+    );
+
+    let keep: HashSet<u128> = [b.0].into_iter().collect();
+    let stats = Store::compact(&dir, &spec.name, &keep).unwrap();
+    assert_eq!(stats.dropped_orphans, 1);
+    assert_eq!(cell(a).status, 404, "compaction must reset the view");
+    assert_eq!(cell(b).status, 200);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Requests with made-up methods share one `method="other"` series: the
+/// label set is bounded by the route table, whatever the traffic.
+#[test]
+fn unknown_methods_share_one_metric_series() {
+    let dir = tmpdir("methods");
+    let server = CampaignServer::new(&dir, small_spec("methods")).unwrap();
+    for i in 0..200 {
+        let req = Request {
+            method: format!("FOO{i}"),
+            ..get("/healthz", &[], &[])
+        };
+        assert_eq!(server.handle(&req).status, 404);
+    }
+    let text = server.handle(&get("/metrics", &[], &[])).text_body();
+    let other: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("dsarp_http_requests_total{method=\"other\""))
+        .collect();
+    assert_eq!(
+        other,
+        ["dsarp_http_requests_total{method=\"other\",route=\"other\",code=\"4xx\"} 200"],
+        "{text}"
+    );
+    assert!(!text.contains("FOO"), "{text}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// Sums every series of one Prometheus counter family in an exposition
 /// text (histogram series have `_bucket`/`_sum`/`_count` suffixes and are
 /// excluded by the `{`-or-space check right after the name).
