@@ -58,8 +58,7 @@ pub struct LeaseRequest {
     pub ttl_ms: u64,
 }
 
-/// `POST /leases/{nn}` acquire reply (flat rather than tagged: the
-/// vendored serde has no enum-tagging attributes).
+/// `POST /leases/{nn}` acquire reply: one flat object of flags.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct LeaseReply {
     /// Whether the caller now holds the shard.

@@ -125,7 +125,7 @@ impl Store {
     /// Writes `manifest.json` (format version, campaign name, `manifest`
     /// as the spec echo) into the store directory for `campaign_name`
     /// under `root`, creating it if needed. [`Store::open`] does this
-    /// itself; a process that only `Store::attach`es calls it to leave
+    /// itself; a process that only [`Store::attach`]es calls it to leave
     /// the same directory behind.
     ///
     /// # Errors
@@ -154,14 +154,14 @@ impl Store {
 
     /// Attaches to (creating if needed) the store directory for
     /// `campaign_name` under `root` WITHOUT loading records or rewriting
-    /// the manifest — the append-only path for workers that learn shard
-    /// contents through [`Store::read_shard_fingerprints`] instead of a
-    /// full load.
+    /// the manifest — the append-only path for workers and the campaign
+    /// server, which learn shard contents by reading the shards
+    /// themselves instead of a full load.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub(crate) fn attach(root: &Path, campaign_name: &str) -> std::io::Result<Self> {
+    pub fn attach(root: &Path, campaign_name: &str) -> std::io::Result<Self> {
         let dir = root.join(campaign_name);
         std::fs::create_dir_all(dir.join("shards"))?;
         Ok(Store {
@@ -438,10 +438,10 @@ impl Store {
         campaign_name: &str,
         keep: &std::collections::HashSet<u128>,
     ) -> std::io::Result<CompactionStats> {
-        let shards_dir = root.join(campaign_name).join("shards");
+        let campaign_dir = root.join(campaign_name);
         let mut stats = CompactionStats::default();
         for shard in 0..SHARDS {
-            let path = shards_dir.join(format!("shard-{shard:02}.jsonl"));
+            let path = Self::shard_file(&campaign_dir, shard);
             let text = match std::fs::read_to_string(&path) {
                 Ok(text) => text,
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,

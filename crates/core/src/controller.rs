@@ -1,6 +1,9 @@
 //! The per-channel memory controller: FR-FCFS demand scheduling with the
 //! paper's closed-row policy, batched write draining, refresh-policy
-//! integration, and SARP shadow-counter tracking (§4.3.2).
+//! integration, and SARP-aware activation (§4.3.2). The controller keeps no
+//! refresh state of its own: the subarray a SARP refresh holds is read from
+//! [`DramChannel::refreshing_subarray`], and the `REFpb` bank order belongs
+//! to the refresh policy.
 //!
 //! Scheduling priority each DRAM cycle (one command per cycle):
 //!
@@ -20,7 +23,7 @@ use crate::refresh::{
     RefreshTarget, Wake,
 };
 use crate::request::Request;
-use dsarp_dram::{Command, Cycle, DramChannel, Geometry, IssueError, TimingParams};
+use dsarp_dram::{Command, Cycle, DramChannel, Geometry, TimingParams};
 use serde::{Deserialize, Serialize};
 
 /// A finished read returned to the system glue.
@@ -120,10 +123,6 @@ pub struct MemoryController {
     queues: RequestQueues,
     policy: Box<dyn RefreshPolicy>,
     inflight: Vec<Completion>,
-    /// §4.3.2 shadow copies: per (rank, bank) refresh row counter and the
-    /// subarray an in-flight SARP refresh occupies.
-    shadow_ref_row: Vec<Vec<u32>>,
-    shadow_sarp: Vec<Vec<Option<(usize, Cycle)>>>,
     stats: ControllerStats,
     /// Precharges issued to close a conflicting open row for a demand
     /// request (a strict subset of `stats.precharges`, which also counts
@@ -169,8 +168,6 @@ impl MemoryController {
             queues: RequestQueues::paper_default(),
             policy,
             inflight: Vec::new(),
-            shadow_ref_row: vec![vec![0; banks]; ranks],
-            shadow_sarp: vec![vec![None; banks]; ranks],
             stats: ControllerStats::default(),
             row_conflicts: 0,
             sched_scan: SchedulerScan::default(),
@@ -212,17 +209,6 @@ impl MemoryController {
     /// How DARP earned its refreshes; `None` under any other policy.
     pub fn darp_stats(&self) -> Option<DarpStats> {
         self.policy.darp_stats()
-    }
-
-    /// The shadow copy of the refreshing subarray for (rank, bank), if a
-    /// SARP refresh is in flight at `now` (paper §4.3.2).
-    pub(crate) fn shadow_refreshing_subarray(
-        &self,
-        rank: usize,
-        bank: usize,
-        now: Cycle,
-    ) -> Option<usize> {
-        self.shadow_sarp[rank][bank].and_then(|(sub, until)| (now < until).then_some(sub))
     }
 
     /// Enqueues a read (line fill). Returns `false` on a full queue
@@ -557,43 +543,12 @@ impl MemoryController {
         now: Cycle,
         target: &RefreshTarget,
     ) -> bool {
-        let Ok(receipt) = chan.issue(Self::refresh_command(target), now) else {
+        if chan.issue(Self::refresh_command(target), now).is_err() {
             return false;
-        };
-        let done = receipt
-            .refresh_done
-            .expect("refresh commands report completion");
-        let sarp = chan.sarp_support().is_enabled();
+        }
         match target.kind {
-            RefreshKind::AllBank(fgr) => {
-                self.stats.refab_issued += 1;
-                let rows = (self.geom.rows_per_refresh() / fgr.rate() as u32).max(1);
-                for b in 0..self.geom.banks_per_rank() {
-                    let first = self.shadow_ref_row[target.rank][b];
-                    if sarp {
-                        self.shadow_sarp[target.rank][b] =
-                            Some((self.geom.subarray_of_row(first), done));
-                    }
-                    self.shadow_ref_row[target.rank][b] =
-                        (first + rows) % self.geom.rows_per_bank() as u32;
-                }
-            }
-            RefreshKind::PerBank { bank } => {
-                self.stats.refpb_issued += 1;
-                let rows = self.geom.rows_per_refresh();
-                let first = self.shadow_ref_row[target.rank][bank];
-                if sarp {
-                    self.shadow_sarp[target.rank][bank] =
-                        Some((self.geom.subarray_of_row(first), done));
-                }
-                self.shadow_ref_row[target.rank][bank] =
-                    (first + rows) % self.geom.rows_per_bank() as u32;
-                // The shadow must agree with the device (§4.3.2).
-                debug_assert_eq!(
-                    self.shadow_refreshing_subarray(target.rank, bank, now + 1),
-                    chan.refreshing_subarray(target.rank, bank, now + 1),
-                );
-            }
+            RefreshKind::AllBank(_) => self.stats.refab_issued += 1,
+            RefreshKind::PerBank { .. } => self.stats.refpb_issued += 1,
         }
         self.policy.refresh_issued(target, now);
         true
@@ -771,32 +726,24 @@ impl MemoryController {
                 cursors.swap_remove(i);
                 continue;
             }
-            // SARP §4.3.2: consult the shadow counters first; a conflicting
-            // request leaves the bank open for younger requests to other
+            // SARP §4.3.2: a request to the subarray the device is
+            // refreshing leaves the bank open for younger requests to other
             // subarrays (it advances the cursor, where a timing-blocked ACT
             // drops it).
-            let shadow = self.shadow_refreshing_subarray(rank, bank, now);
-            if shadow != Some(self.geom.subarray_of_row(c.row)) {
+            let refreshing = chan.refreshing_subarray(rank, bank, now);
+            if refreshing != Some(self.geom.subarray_of_row(c.row)) {
                 let act = Command::Activate {
                     rank,
                     bank,
                     row: c.row,
                 };
-                match chan.issue(act, now) {
-                    Ok(_) => {
-                        self.stats.acts += 1;
-                        self.note_issue(scanned);
-                        return true;
-                    }
-                    // Shadow/device disagreement would be a bug.
-                    Err(IssueError::SubarrayConflict) => {
-                        debug_assert!(false, "subarray conflict not caught by shadow counters");
-                    }
-                    Err(_) => {
-                        cursors.swap_remove(i);
-                        continue;
-                    }
+                if chan.issue(act, now).is_ok() {
+                    self.stats.acts += 1;
+                    self.note_issue(scanned);
+                    return true;
                 }
+                cursors.swap_remove(i);
+                continue;
             }
             match self.queues.next_probe(c.slot, drain) {
                 Some(next) => cursors[i] = next,
@@ -1103,17 +1050,28 @@ mod tests {
     fn dsarp_serves_other_subarray_during_refresh() {
         let (mut chan, mut mc, geom, t) = setup(Mechanism::Dsarp);
         chan.enable_command_log();
-        // Requests to two different subarrays of bank 0.
-        let row_sub0 = 0u32;
-        let row_sub1 = geom.rows_per_subarray() as u32;
+        let rows_per_sub = geom.rows_per_subarray() as u32;
         let mut done = Vec::new();
-        let mut issued = false;
+        // (rank, bank, subarray, completion) of the REFpb the reads race.
+        let mut held = None;
         for now in 0..40 * t.refi_pb {
-            if !issued && mc.stats().refpb_issued > 0 {
-                // A refresh just happened; race two reads against it.
-                mc.try_enqueue_read(Request::read(1, loc(0, 0, row_sub0, 0), 0, now));
-                mc.try_enqueue_read(Request::read(2, loc(0, 0, row_sub1, 0), 0, now));
-                issued = true;
+            if held.is_none() && mc.stats().refpb_issued > 0 {
+                // A REFpb just issued and holds subarray S of bank B: queue
+                // an older read to S and a younger one to another subarray.
+                let (at, rank, bank) = chan
+                    .take_command_log()
+                    .into_iter()
+                    .find_map(|(at, c)| match c {
+                        Command::RefreshPerBank { rank, bank } => Some((at, rank, bank)),
+                        _ => None,
+                    })
+                    .expect("the REFpb is in the log");
+                let sub = chan.refreshing_subarray(rank, bank, now).expect("SARP");
+                let other = (sub + 1) % geom.subarrays_per_bank();
+                let first_row = |s: usize| loc(rank, bank, s as u32 * rows_per_sub, 0);
+                assert!(mc.try_enqueue_read(Request::read(1, first_row(sub), 0, now)));
+                assert!(mc.try_enqueue_read(Request::read(2, first_row(other), 0, now)));
+                held = Some((rank, bank, sub, at + t.rfc_pb));
             }
             mc.step(&mut chan, now, &mut done);
             if done.len() == 2 {
@@ -1121,6 +1079,33 @@ mod tests {
             }
         }
         assert_eq!(done.len(), 2, "both reads complete");
+        let (rank, bank, sub, refresh_done) = held.expect("a REFpb issued");
+        let log = chan.take_command_log();
+        let act_at = |in_held: bool| {
+            log.iter()
+                .find_map(|&(at, c)| match c {
+                    Command::Activate {
+                        rank: r,
+                        bank: b,
+                        row,
+                    } if (r, b) == (rank, bank)
+                        && (geom.subarray_of_row(row) == sub) == in_held =>
+                    {
+                        Some(at)
+                    }
+                    _ => None,
+                })
+                .expect("both reads activate")
+        };
+        let (held_act, other_act) = (act_at(true), act_at(false));
+        assert!(
+            held_act >= refresh_done,
+            "ACT to the refreshing subarray at {held_act}"
+        );
+        assert!(
+            other_act < refresh_done,
+            "the younger read waited until {other_act}"
+        );
     }
 
     #[test]
@@ -1371,24 +1356,5 @@ mod tests {
             chan.take_command_log().is_empty(),
             "skipped span must be command-free"
         );
-    }
-
-    #[test]
-    fn shadow_counters_match_device() {
-        let (mut chan, mut mc, _, t) = setup(Mechanism::SarpPb);
-        let mut done = Vec::new();
-        for now in 0..20 * t.refi_pb {
-            mc.step(&mut chan, now, &mut done);
-            for rank in 0..2 {
-                for bank in 0..8 {
-                    assert_eq!(
-                        mc.shadow_refreshing_subarray(rank, bank, now),
-                        chan.refreshing_subarray(rank, bank, now),
-                        "shadow diverged at cycle {now} (r{rank} b{bank})"
-                    );
-                }
-            }
-        }
-        assert!(mc.stats().refpb_issued > 0);
     }
 }

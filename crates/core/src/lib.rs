@@ -22,8 +22,9 @@
 //!   - Adaptive Refresh \[Mukundan+ ISCA'13\] (`refresh::AdaptiveRefresh`),
 //!   - the ideal no-refresh bound (`refresh::NoRefresh`);
 //! * SARP support: when the attached [`dsarp_dram::DramChannel`] is built
-//!   with [`dsarp_dram::SarpSupport::Enabled`], the controller tracks the
-//!   refreshing subarray per bank with shadow counters (paper §4.3.2) and
+//!   with [`dsarp_dram::SarpSupport::Enabled`], the controller reads the
+//!   refreshing subarray per bank from
+//!   [`dsarp_dram::DramChannel::refreshing_subarray`] (paper §4.3.2) and
 //!   keeps scheduling around it.
 //!
 //! The paper's mechanism names map onto configurations of this crate:

@@ -272,7 +272,7 @@ impl std::fmt::Display for Mechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsarp_dram::{Density, Retention};
+    use dsarp_dram::{Density, FgrMode, Geometry, Retention};
 
     #[test]
     fn sarp_mapping_matches_paper_table() {
@@ -290,5 +290,13 @@ mod tests {
             let _ = m.build_policy(2, 8, &t, 1);
             assert!(!m.label().is_empty());
         }
+    }
+
+    #[test]
+    fn fgr_scales_rows_per_command() {
+        let geom = Geometry::paper_default();
+        assert_eq!(geom.rows_per_command(FgrMode::X1), 8);
+        assert_eq!(geom.rows_per_command(FgrMode::X2), 4);
+        assert_eq!(geom.rows_per_command(FgrMode::X4), 2);
     }
 }

@@ -5,10 +5,9 @@
 use super::{PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy, RefreshTarget, Wake};
 use dsarp_dram::{Cycle, TimingParams};
 
-/// The LPDDR per-bank refresh scheme. The controller has no say in the bank
-/// order — this policy mirrors the in-DRAM round-robin counter (the command
-/// still carries the bank id because our device model lets the controller
-/// name the bank; the baseline always names the counter's bank).
+/// The LPDDR per-bank refresh scheme. A real LPDDR device keeps the
+/// round-robin bank counter; in this model every `REFpb` names its bank, so
+/// the order is this policy's `rr` and the device keeps no copy of it.
 #[derive(Debug, Clone)]
 pub(crate) struct PerBankRefresh {
     next_due: Vec<Cycle>,
@@ -145,41 +144,6 @@ mod tests {
             RefreshDirective::Urgent(target) => assert_eq!(target.rank, 1),
             RefreshDirective::None => {}
             other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn mirrors_device_round_robin_counter() {
-        let (mut chan, q, mut p, t) = setup();
-        for i in 1..=20u64 {
-            let now = t.refi_pb * i;
-            let ctx = PolicyContext {
-                now,
-                queues: &q,
-                chan: &chan,
-            };
-            if let RefreshDirective::Urgent(target) = p.decide(&ctx, &mut Wake::off()) {
-                assert_eq!(
-                    match target.kind {
-                        RefreshKind::PerBank { bank } => bank,
-                        _ => unreachable!(),
-                    },
-                    chan.next_rr_bank(target.rank),
-                    "policy mirror diverged from the in-DRAM counter"
-                );
-                let RefreshKind::PerBank { bank } = target.kind else {
-                    unreachable!()
-                };
-                chan.issue(
-                    dsarp_dram::Command::RefreshPerBank {
-                        rank: target.rank,
-                        bank,
-                    },
-                    now,
-                )
-                .unwrap();
-                p.refresh_issued(&target, now);
-            }
         }
     }
 }

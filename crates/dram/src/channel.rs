@@ -12,7 +12,6 @@ use crate::command::Command;
 use crate::geometry::Geometry;
 use crate::power::EnergyCounters;
 use crate::rank::Rank;
-use crate::refresh::RefreshUnit;
 use crate::retention::RetentionTracker;
 use crate::sarp::{sarp_inflation, RefreshScope, SarpSupport};
 use crate::timing::{FgrMode, TimingParams};
@@ -66,7 +65,7 @@ pub struct Receipt {
     pub refresh_done: Option<Cycle>,
 }
 
-/// One DRAM channel with its ranks, banks, refresh unit, and energy/retention
+/// One DRAM channel with its ranks, banks, and energy/retention
 /// bookkeeping. See the crate docs for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct DramChannel {
@@ -78,7 +77,6 @@ pub struct DramChannel {
     /// turnaround constraints).
     next_rd: Cycle,
     next_wr: Cycle,
-    refresh_unit: RefreshUnit,
     energy: EnergyCounters,
     retention: Option<RetentionTracker>,
     last_issue: Option<Cycle>,
@@ -104,7 +102,6 @@ impl DramChannel {
             ranks,
             next_rd: 0,
             next_wr: 0,
-            refresh_unit: RefreshUnit::new(&geom),
             energy: EnergyCounters::new(geom.ranks_per_channel()),
             retention: None,
             last_issue: None,
@@ -165,12 +162,6 @@ impl DramChannel {
     /// Immutable access to a rank.
     pub fn rank(&self, idx: usize) -> &Rank {
         &self.ranks[idx]
-    }
-
-    /// The in-DRAM round-robin refresh counter for `rank` (what a baseline
-    /// LPDDR device would refresh next).
-    pub fn next_rr_bank(&self, rank: usize) -> usize {
-        self.refresh_unit.next_rr_bank(rank)
     }
 
     /// The subarray currently being refreshed in (rank, bank) under SARP, or
@@ -578,8 +569,8 @@ impl DramChannel {
     fn apply_refab(&mut self, rank: usize, fgr: FgrMode, now: Cycle) -> Cycle {
         let rfc = self.timing.rfc_ab_for(fgr);
         let done = now + rfc;
-        let rows = self.refresh_unit.rows_per_command(fgr);
-        let rows_per_bank = self.refresh_unit.rows_per_bank();
+        let rows = self.geom.rows_per_command(fgr);
+        let rows_per_bank = self.geom.rows_per_bank() as u32;
         let num_banks = self.ranks[rank].num_banks();
         if self.sarp.is_enabled() {
             let factor = if self.power_throttle {
@@ -616,8 +607,8 @@ impl DramChannel {
 
     fn apply_refpb(&mut self, rank: usize, bank: usize, now: Cycle) -> Cycle {
         let done = now + self.timing.rfc_pb;
-        let rows = self.refresh_unit.rows_per_command(FgrMode::X1);
-        let rows_per_bank = self.refresh_unit.rows_per_bank();
+        let rows = self.geom.rows_per_command(FgrMode::X1);
+        let rows_per_bank = self.geom.rows_per_bank() as u32;
         let first = self.ranks[rank]
             .bank_mut(bank)
             .advance_ref_counter(rows, rows_per_bank);
@@ -637,7 +628,6 @@ impl DramChannel {
         // either way (§4.2.3).
         self.ranks[rank].start_refpb(done);
         self.ranks[rank].record_act(now);
-        self.refresh_unit.advance_rr(rank);
         if let Some(rt) = &mut self.retention {
             rt.record(rank, bank, first, rows, now);
         }

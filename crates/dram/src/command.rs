@@ -61,8 +61,8 @@ pub enum Command {
     /// Per-bank refresh (`REFpb`): refreshes rows in a single bank.
     ///
     /// The bank index travels on the address bus — the DARP modification of
-    /// §4.2.3 (baseline LPDDR uses the in-DRAM round-robin counter instead;
-    /// the baseline controller mirrors that counter when choosing `bank`).
+    /// §4.2.3. Baseline LPDDR picks the bank with an in-DRAM round-robin
+    /// counter instead; here the baseline policy names that order itself.
     RefreshPerBank {
         /// Target rank.
         rank: usize,

@@ -6,6 +6,7 @@
 //! row stay in the same (rank, bank, row) — preserving row-buffer locality —
 //! while channels interleave at line granularity.
 
+use crate::timing::FgrMode;
 use serde::{Deserialize, Serialize};
 
 /// Shape of the DRAM system: channels × ranks × banks × subarrays × rows.
@@ -197,6 +198,12 @@ impl Geometry {
     /// `rows_per_bank / 8192` rows in each refreshed bank.
     pub fn rows_per_refresh(&self) -> u32 {
         (self.rows_per_bank / crate::timing::REFRESH_COMMANDS_PER_WINDOW).max(1) as u32
+    }
+
+    /// Rows refreshed in each covered bank by one refresh command in `fgr`
+    /// mode: DDR4 FGR trades more commands for fewer rows per command.
+    pub fn rows_per_command(&self, fgr: FgrMode) -> u32 {
+        (self.rows_per_refresh() / fgr.rate() as u32).max(1)
     }
 
     /// Number of refresh "groups" per bank: the granularity at which the

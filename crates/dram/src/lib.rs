@@ -24,6 +24,11 @@
 //! The memory controller (crate `dsarp-core`) drives a [`DramChannel`] by
 //! issuing [`Command`]s; the channel validates every command against the
 //! timing constraints and returns a `Receipt` with the data-return cycle.
+//! Refresh state lives here once: each bank's refresh row counter and the
+//! subarray an in-flight SARP refresh holds, which the controller reads
+//! through [`DramChannel::refreshing_subarray`] (§4.3.2). Every refresh
+//! command names its bank, so the `REFpb` bank order belongs to the
+//! controller's refresh policy.
 //!
 //! # Example
 //!
@@ -54,7 +59,6 @@ mod command;
 mod geometry;
 mod power;
 mod rank;
-mod refresh;
 mod retention;
 mod sarp;
 pub mod timing;

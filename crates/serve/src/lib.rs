@@ -233,16 +233,18 @@ pub struct CampaignServer {
 }
 
 impl CampaignServer {
-    /// Opens (or creates) the campaign's store under `root` and prepares
-    /// to serve it. The manifest compatibility check is the same one
-    /// local runs perform.
+    /// Attaches to (or creates) the campaign's store under `root`, writes
+    /// its manifest, and prepares to serve it. No record is loaded here:
+    /// cells, exports and append dedup read the shards through the
+    /// per-shard views.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors and manifest mismatches.
+    /// Propagates filesystem errors.
     pub fn new(root: &Path, spec: CampaignSpec) -> io::Result<Self> {
         let manifest = serde_json::to_value(&spec).expect("specs serialize");
-        let store = Store::open(root, &spec.name, &manifest)?;
+        let store = Store::attach(root, &spec.name)?;
+        Store::write_manifest(root, &spec.name, &manifest)?;
         Ok(CampaignServer {
             dir: store.dir().to_path_buf(),
             spec,
