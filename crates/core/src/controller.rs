@@ -626,7 +626,7 @@ impl MemoryController {
             }
             // The rank-level tRRD/tFAW window, once per rank instead of
             // inside every ACT probe.
-            let rank_act_ready = now >= rk.next_act_allowed(now, &self.timing);
+            let rank_act_ready = rk.earliest_act_allowed(now, &self.timing) <= now;
             for bank in 0..self.geom.banks_per_rank() {
                 let b = rk.bank(bank);
                 if b.is_refresh_busy(now) || Self::masked(&mask, rank, bank) {

@@ -16,9 +16,8 @@
 //! number of its scheduled refreshes not yet performed. Debt is bounded to
 //! `[-8, +8]` — at most 8 postponed (more would violate retention) and at
 //! most 8 pulled in (the standard's flexibility window). A bank hitting
-//! debt = +8 forces a refresh that outranks demand requests. The
-//! `dsarp-dram` retention tracker verifies the resulting gap bound in the
-//! workspace integration tests.
+//! debt = +8 forces a refresh that outranks demand requests. The workspace
+//! integration tests verify the resulting gap bound from the command log.
 
 use super::{PolicyContext, RefreshDirective, RefreshKind, RefreshPolicy, RefreshTarget, Wake};
 use dsarp_dram::{Cycle, TimingParams};

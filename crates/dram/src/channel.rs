@@ -4,15 +4,23 @@
 //! This is the device-side contract: [`DramChannel::issue`] validates every
 //! command ([`DramChannel::check`]) before touching any state and returns an
 //! [`IssueError`] — with nothing changed — when it is not legal *this
-//! cycle*. A controller may therefore probe with [`DramChannel::can_issue`]
-//! or simply try to issue and treat `Err` as "not now"; either way no
+//! cycle*. A controller may therefore probe with `check(..).is_ok()` or
+//! simply try to issue and treat `Err` as "not now"; either way no
 //! scheduler bug can corrupt timing state.
+//!
+//! Legality is one walk over a command's gates. A *state* gate (address in
+//! range, bank open or closed as the command needs) passes or blocks until
+//! another command changes device state; every *time* gate contributes the
+//! cycle it opens. [`DramChannel::check`] asks whether the latest of those
+//! cycles is `now` and otherwise names the first gate still shut;
+//! [`DramChannel::earliest_issue`] returns the cycle itself. One walk
+//! answers both "legal now?" and "legal from when?", as Ramulator's
+//! per-command next-legal-cycle does.
 
 use crate::command::Command;
 use crate::geometry::Geometry;
 use crate::power::EnergyCounters;
 use crate::rank::Rank;
-use crate::retention::RetentionTracker;
 use crate::sarp::{sarp_inflation, RefreshScope, SarpSupport};
 use crate::timing::{FgrMode, TimingParams};
 use crate::{Cycle, IddValues};
@@ -65,8 +73,8 @@ pub struct Receipt {
     pub refresh_done: Option<Cycle>,
 }
 
-/// One DRAM channel with its ranks, banks, and energy/retention
-/// bookkeeping. See the crate docs for an end-to-end example.
+/// One DRAM channel with its ranks, banks, and energy bookkeeping. See the
+/// crate docs for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct DramChannel {
     geom: Geometry,
@@ -78,7 +86,6 @@ pub struct DramChannel {
     next_rd: Cycle,
     next_wr: Cycle,
     energy: EnergyCounters,
-    retention: Option<RetentionTracker>,
     last_issue: Option<Cycle>,
     log: Option<Vec<(Cycle, Command)>>,
     idd: IddValues,
@@ -103,7 +110,6 @@ impl DramChannel {
             next_rd: 0,
             next_wr: 0,
             energy: EnergyCounters::new(geom.ranks_per_channel()),
-            retention: None,
             last_issue: None,
             log: None,
             idd: IddValues::micron_8gb_ddr3_1333(),
@@ -128,13 +134,8 @@ impl DramChannel {
         assert_eq!(ways, 1, "a rank allows one REFpb in flight");
     }
 
-    /// Enables retention-integrity tracking (used by tests; off by default
-    /// because it allocates one slot per refresh group).
-    pub fn enable_retention_tracking(&mut self) {
-        self.retention = Some(RetentionTracker::new(&self.geom));
-    }
-
-    /// Enables the command log (used by the timeline examples).
+    /// Enables the command log (used by the timeline examples and by the
+    /// tests that judge refresh deadlines from it).
     pub fn enable_command_log(&mut self) {
         self.log = Some(Vec::new());
     }
@@ -189,19 +190,9 @@ impl DramChannel {
         &self.energy
     }
 
-    /// Retention tracker, if enabled.
-    pub fn retention_tracker(&self) -> Option<&RetentionTracker> {
-        self.retention.as_ref()
-    }
-
     /// Finalizes background-energy accounting at the end of a run.
     pub fn finalize_energy(&mut self, now: Cycle) {
         self.energy.finalize(now);
-    }
-
-    /// Whether `cmd` may issue at `now`.
-    pub fn can_issue(&self, cmd: &Command, now: Cycle) -> bool {
-        self.check(cmd, now).is_ok()
     }
 
     /// The cycle of the most recent successfully issued command, if any.
@@ -222,10 +213,12 @@ impl DramChannel {
         }
     }
 
-    /// The earliest cycle `t >= now` at which every *time-based* gate in
-    /// [`DramChannel::check`] admits `cmd`, or `None` when a *state-based*
-    /// gate (bad address, wrong open/closed bank state) blocks it until some
-    /// other command changes device state.
+    /// The earliest cycle `t >= now` at which every *time-based* gate of
+    /// `cmd` is open, or `None` when a *state-based* gate (bad address,
+    /// wrong open/closed bank state) blocks it until some other command
+    /// changes device state. The same walk as [`DramChannel::check`], read
+    /// for its cycle instead of its verdict; the name stays because the
+    /// perf ledger calls it.
     ///
     /// This is an event source for the skip-ahead loop and is exact only
     /// under its dead-span assumption: no command issues to this channel in
@@ -233,108 +226,11 @@ impl DramChannel {
     /// precisely when its window expires. The command-bus gate is ignored —
     /// callers only ask after a cycle where nothing issued.
     pub fn earliest_issue(&self, cmd: &Command, now: Cycle) -> Option<Cycle> {
-        let rank_idx = cmd.rank();
-        if rank_idx >= self.ranks.len() {
-            return None;
-        }
-        let rank = &self.ranks[rank_idx];
-        if let Some(b) = cmd.bank() {
-            if b >= rank.num_banks() {
-                return None;
-            }
-        }
-        match *cmd {
-            Command::Activate { bank, row, .. } => {
-                if row as usize >= self.geom.rows_per_bank() {
-                    return None;
-                }
-                let b = rank.bank(bank);
-                if !b.is_closed() {
-                    return None;
-                }
-                let mut t = now
-                    .max(rank.refab_until())
-                    .max(b.refresh_until())
-                    .max(b.next_act());
-                if let Some(r) = b.sarp_refresh(now) {
-                    if self.geom.subarray_of_row(row) == r.subarray {
-                        t = t.max(r.until);
-                    }
-                }
-                Some(t.max(rank.earliest_act_allowed(t, &self.timing)))
-            }
-            Command::Precharge { bank, .. } => {
-                let b = rank.bank(bank);
-                if b.is_closed() {
-                    return None;
-                }
-                Some(
-                    now.max(rank.refab_until())
-                        .max(b.refresh_until())
-                        .max(b.next_pre()),
-                )
-            }
-            Command::PrechargeAll { .. } => {
-                let mut t = now.max(rank.refab_until());
-                for b in rank.banks() {
-                    if !b.is_closed() {
-                        t = t.max(b.next_pre());
-                    }
-                }
-                Some(t)
-            }
-            Command::Read { bank, col, .. } | Command::Write { bank, col, .. } => {
-                if col as usize >= self.geom.cols_per_row() {
-                    return None;
-                }
-                let b = rank.bank(bank);
-                if b.is_closed() {
-                    return None;
-                }
-                let bus = if matches!(cmd, Command::Read { .. }) {
-                    self.next_rd
-                } else {
-                    self.next_wr
-                };
-                Some(
-                    now.max(rank.refab_until())
-                        .max(b.refresh_until())
-                        .max(b.next_col())
-                        .max(bus),
-                )
-            }
-            Command::RefreshAllBank { .. } => {
-                if !rank.all_banks_closed() {
-                    return None;
-                }
-                let mut t = now.max(rank.refab_until()).max(rank.refpb_until());
-                for b in rank.banks() {
-                    t = t.max(b.refresh_until()).max(b.next_act());
-                    if let Some(r) = b.sarp_refresh(now) {
-                        t = t.max(r.until);
-                    }
-                }
-                Some(t.max(rank.earliest_act_allowed(t, &self.timing)))
-            }
-            Command::RefreshPerBank { bank, .. } => {
-                let b = rank.bank(bank);
-                if !b.is_closed() {
-                    return None;
-                }
-                let mut t = now
-                    .max(rank.refab_until())
-                    .max(rank.refpb_until())
-                    .max(b.refresh_until())
-                    .max(b.next_act());
-                if let Some(r) = b.sarp_refresh(now) {
-                    t = t.max(r.until);
-                }
-                Some(t.max(rank.earliest_act_allowed(t, &self.timing)))
-            }
-        }
+        self.walk(cmd, now).ok().map(|g| g.open_at)
     }
 
-    /// Validates `cmd` at `now` without issuing it.
+    /// Validates `cmd` at `now` without issuing it: legal iff the command
+    /// bus is free this cycle and the gate walk's earliest cycle is `now`.
     ///
     /// # Errors
     ///
@@ -343,133 +239,94 @@ impl DramChannel {
         if self.last_issue == Some(now) {
             return Err(IssueError::CommandBusBusy);
         }
-        let rank_idx = cmd.rank();
-        if rank_idx >= self.ranks.len() {
-            return Err(IssueError::BadAddress);
+        self.walk(cmd, now)?.shut.map_or(Ok(()), Err)
+    }
+
+    /// The one legality walk: every gate of `cmd`, in the order `check`
+    /// reports them. `Err` is a state gate that blocks `cmd` whatever the
+    /// cycle (carrying the first gate already shut at `now`, if one came
+    /// before it); `Ok` carries the cycle every time gate admits `cmd` and
+    /// the first of them still shut at `now`.
+    fn walk(&self, cmd: &Command, now: Cycle) -> Result<Gates, IssueError> {
+        use IssueError::{
+            BadAddress, BankNotClosed, NoOpenRow, RefpbOverlap, RefreshBusy, SubarrayConflict,
+            TooEarly,
+        };
+        let rank = self.ranks.get(cmd.rank()).ok_or(BadAddress)?;
+        if cmd.bank().is_some_and(|b| b >= rank.num_banks()) {
+            return Err(BadAddress);
         }
-        let rank = &self.ranks[rank_idx];
-        if let Some(b) = cmd.bank() {
-            if b >= rank.num_banks() {
-                return Err(IssueError::BadAddress);
-            }
-        }
+        let mut g = Gates::new(now);
         match *cmd {
             Command::Activate { bank, row, .. } => {
                 if row as usize >= self.geom.rows_per_bank() {
-                    return Err(IssueError::BadAddress);
+                    return Err(BadAddress);
                 }
                 let b = rank.bank(bank);
-                if rank.is_refab_busy(now) || b.is_refresh_busy(now) {
-                    return Err(IssueError::RefreshBusy);
-                }
-                if !b.is_closed() {
-                    return Err(IssueError::BankNotClosed);
-                }
+                g.wait(rank.refab_until(), RefreshBusy);
+                g.wait(b.refresh_until(), RefreshBusy);
+                g.require(b.is_closed(), BankNotClosed)?;
                 if let Some(r) = b.sarp_refresh(now) {
                     debug_assert!(self.sarp.is_enabled());
                     if self.geom.subarray_of_row(row) == r.subarray {
-                        return Err(IssueError::SubarrayConflict);
+                        g.wait(r.until, SubarrayConflict);
                     }
                 }
-                if now < b.next_act() || now < rank.next_act_allowed(now, &self.timing) {
-                    return Err(IssueError::TooEarly);
-                }
-                Ok(())
+                g.wait(b.next_act(), TooEarly);
+                g.wait(rank.earliest_act_allowed(g.open_at, &self.timing), TooEarly);
             }
             Command::Precharge { bank, .. } => {
                 let b = rank.bank(bank);
-                if rank.is_refab_busy(now) || b.is_refresh_busy(now) {
-                    return Err(IssueError::RefreshBusy);
-                }
-                if b.is_closed() {
-                    return Err(IssueError::NoOpenRow);
-                }
-                if now < b.next_pre() {
-                    return Err(IssueError::TooEarly);
-                }
-                Ok(())
+                g.wait(rank.refab_until(), RefreshBusy);
+                g.wait(b.refresh_until(), RefreshBusy);
+                g.require(!b.is_closed(), NoOpenRow)?;
+                g.wait(b.next_pre(), TooEarly);
             }
             Command::PrechargeAll { .. } => {
-                if rank.is_refab_busy(now) {
-                    return Err(IssueError::RefreshBusy);
+                g.wait(rank.refab_until(), RefreshBusy);
+                for b in rank.banks().filter(|b| !b.is_closed()) {
+                    g.wait(b.next_pre(), TooEarly);
                 }
-                for b in rank.banks() {
-                    if !b.is_closed() && now < b.next_pre() {
-                        return Err(IssueError::TooEarly);
-                    }
-                }
-                Ok(())
             }
             Command::Read { bank, col, .. } | Command::Write { bank, col, .. } => {
                 if col as usize >= self.geom.cols_per_row() {
-                    return Err(IssueError::BadAddress);
+                    return Err(BadAddress);
                 }
                 let b = rank.bank(bank);
-                if rank.is_refab_busy(now) || b.is_refresh_busy(now) {
-                    return Err(IssueError::RefreshBusy);
-                }
-                if b.is_closed() {
-                    return Err(IssueError::NoOpenRow);
-                }
-                if now < b.next_col() {
-                    return Err(IssueError::TooEarly);
-                }
-                let bus = if matches!(cmd, Command::Read { .. }) {
-                    self.next_rd
-                } else {
-                    self.next_wr
-                };
-                if now < bus {
-                    return Err(IssueError::TooEarly);
-                }
-                Ok(())
+                g.wait(rank.refab_until(), RefreshBusy);
+                g.wait(b.refresh_until(), RefreshBusy);
+                g.require(!b.is_closed(), NoOpenRow)?;
+                g.wait(b.next_col(), TooEarly);
+                let write = matches!(cmd, Command::Write { .. });
+                g.wait(self.col_bus_ready(write), TooEarly);
             }
             Command::RefreshAllBank { .. } => {
-                if rank.is_refab_busy(now) {
-                    return Err(IssueError::RefreshBusy);
-                }
-                if rank.is_refpb_busy(now) {
-                    return Err(IssueError::RefpbOverlap);
-                }
-                if !rank.all_banks_closed() {
-                    return Err(IssueError::BankNotClosed);
-                }
+                g.wait(rank.refab_until(), RefreshBusy);
+                g.wait(rank.refpb_until(), RefpbOverlap);
+                g.require(rank.all_banks_closed(), BankNotClosed)?;
                 for b in rank.banks() {
-                    if b.is_refresh_busy(now) {
-                        return Err(IssueError::RefreshBusy);
+                    g.wait(b.refresh_until(), RefreshBusy);
+                    if let Some(r) = b.sarp_refresh(now) {
+                        g.wait(r.until, RefreshBusy);
                     }
-                    if b.sarp_refresh(now).is_some() {
-                        return Err(IssueError::RefreshBusy);
-                    }
-                    if now < b.next_act() {
-                        return Err(IssueError::TooEarly);
-                    }
+                    g.wait(b.next_act(), TooEarly);
                 }
-                if now < rank.next_act_allowed(now, &self.timing) {
-                    return Err(IssueError::TooEarly);
-                }
-                Ok(())
+                g.wait(rank.earliest_act_allowed(g.open_at, &self.timing), TooEarly);
             }
             Command::RefreshPerBank { bank, .. } => {
                 let b = rank.bank(bank);
-                if rank.is_refab_busy(now) {
-                    return Err(IssueError::RefreshBusy);
+                g.wait(rank.refab_until(), RefreshBusy);
+                g.wait(rank.refpb_until(), RefpbOverlap);
+                g.wait(b.refresh_until(), RefreshBusy);
+                if let Some(r) = b.sarp_refresh(now) {
+                    g.wait(r.until, RefreshBusy);
                 }
-                if rank.is_refpb_busy(now) {
-                    return Err(IssueError::RefpbOverlap);
-                }
-                if b.is_refresh_busy(now) || b.sarp_refresh(now).is_some() {
-                    return Err(IssueError::RefreshBusy);
-                }
-                if !b.is_closed() {
-                    return Err(IssueError::BankNotClosed);
-                }
-                if now < b.next_act() || now < rank.next_act_allowed(now, &self.timing) {
-                    return Err(IssueError::TooEarly);
-                }
-                Ok(())
+                g.require(b.is_closed(), BankNotClosed)?;
+                g.wait(b.next_act(), TooEarly);
+                g.wait(rank.earliest_act_allowed(g.open_at, &self.timing), TooEarly);
             }
         }
+        Ok(g)
     }
 
     /// Issues `cmd` at `now`, updating all device state.
@@ -580,25 +437,16 @@ impl DramChannel {
             };
             self.ranks[rank].start_sarp_window(done, factor, &self.timing);
             for b in 0..num_banks {
-                let first = self.ranks[rank]
-                    .bank_mut(b)
-                    .advance_ref_counter(rows, rows_per_bank);
-                let sub = self.geom.subarray_of_row(first);
-                self.ranks[rank].bank_mut(b).do_refresh_sarp(sub, done);
-                if let Some(rt) = &mut self.retention {
-                    rt.record(rank, b, first, rows, now);
-                }
+                let bank = self.ranks[rank].bank_mut(b);
+                let first = bank.advance_ref_counter(rows, rows_per_bank);
+                bank.do_refresh_sarp(self.geom.subarray_of_row(first), done);
             }
         } else {
             self.ranks[rank].start_refab_blocking(done);
             for b in 0..num_banks {
-                let first = self.ranks[rank]
-                    .bank_mut(b)
-                    .advance_ref_counter(rows, rows_per_bank);
-                self.ranks[rank].bank_mut(b).do_refresh_blocking(done);
-                if let Some(rt) = &mut self.retention {
-                    rt.record(rank, b, first, rows, now);
-                }
+                let bank = self.ranks[rank].bank_mut(b);
+                bank.advance_ref_counter(rows, rows_per_bank);
+                bank.do_refresh_blocking(done);
             }
         }
         self.energy.record_refab(rfc);
@@ -628,11 +476,44 @@ impl DramChannel {
         // either way (§4.2.3).
         self.ranks[rank].start_refpb(done);
         self.ranks[rank].record_act(now);
-        if let Some(rt) = &mut self.retention {
-            rt.record(rank, bank, first, rows, now);
-        }
         self.energy.record_refpb(self.timing.rfc_pb);
         done
+    }
+}
+
+/// The gates of one command folded in `check`'s order: the cycle all of
+/// them admit it, and the first one still shut at the query cycle.
+struct Gates {
+    now: Cycle,
+    open_at: Cycle,
+    shut: Option<IssueError>,
+}
+
+impl Gates {
+    fn new(now: Cycle) -> Self {
+        Self {
+            now,
+            open_at: now,
+            shut: None,
+        }
+    }
+
+    /// A time gate that opens at `open`, reported as `err` while shut.
+    fn wait(&mut self, open: Cycle, err: IssueError) {
+        if open > self.now && self.shut.is_none() {
+            self.shut = Some(err);
+        }
+        self.open_at = self.open_at.max(open);
+    }
+
+    /// A state gate: unless `ok`, `cmd` is blocked at every cycle, and
+    /// `check` reports the first time gate already shut, else `err`.
+    fn require(&self, ok: bool, err: IssueError) -> Result<(), IssueError> {
+        if ok {
+            Ok(())
+        } else {
+            Err(self.shut.unwrap_or(err))
+        }
     }
 }
 
@@ -692,7 +573,7 @@ mod tests {
         let mut c = chan(SarpSupport::Disabled);
         c.issue(act(0, 0, 5), 10).unwrap();
         assert_eq!(c.check(&act(0, 1, 5), 10), Err(IssueError::CommandBusBusy));
-        assert!(c.can_issue(&act(0, 1, 5), 14));
+        assert!(c.check(&act(0, 1, 5), 14).is_ok());
     }
 
     #[test]
@@ -737,7 +618,7 @@ mod tests {
         };
         let earliest = t.rcd + t.cwl + t.bl + t.wtr;
         assert_eq!(c.check(&rd, earliest - 1), Err(IssueError::TooEarly));
-        assert!(c.can_issue(&rd, earliest));
+        assert!(c.check(&rd, earliest).is_ok());
     }
 
     #[test]
@@ -769,9 +650,9 @@ mod tests {
             c.check(&act(0, 0, 1), rfc - 1),
             Err(IssueError::RefreshBusy)
         );
-        assert!(c.can_issue(&act(0, 0, 1), rfc));
+        assert!(c.check(&act(0, 0, 1), rfc).is_ok());
         // Other rank unaffected.
-        assert!(c.can_issue(&act(1, 0, 1), 5));
+        assert!(c.check(&act(1, 0, 1), 5).is_ok());
     }
 
     #[test]
@@ -786,7 +667,7 @@ mod tests {
         );
         // Another bank in the same rank is accessible (after tRRD, since a
         // refresh is internally an activation).
-        assert!(c.can_issue(&act(0, 3, 1), c.timing().rrd));
+        assert!(c.check(&act(0, 3, 1), c.timing().rrd).is_ok());
     }
 
     #[test]
@@ -799,9 +680,10 @@ mod tests {
             c.check(&next, c.timing().rrd),
             Err(IssueError::RefpbOverlap)
         );
-        assert!(c.can_issue(&next, c.timing().rfc_pb));
+        assert!(c.check(&next, c.timing().rfc_pb).is_ok());
         // A REFpb in the *other* rank may overlap freely.
-        assert!(c.can_issue(&Command::RefreshPerBank { rank: 1, bank: 0 }, 4));
+        let other_rank = Command::RefreshPerBank { rank: 1, bank: 0 };
+        assert!(c.check(&other_rank, 4).is_ok());
     }
 
     #[test]
@@ -834,14 +716,14 @@ mod tests {
         assert_eq!(c.refreshing_subarray(0, 0, 1), Some(0));
         // Row in subarray 0 conflicts...
         let conflict = act(0, 0, 5);
-        let inflated_rrd = c.rank(0).effective_rrd(5, c.timing());
+        let inflated_rrd = c.rank(0).earliest_act_allowed(0, c.timing());
         assert_eq!(
             c.check(&conflict, inflated_rrd),
             Err(IssueError::SubarrayConflict)
         );
         // ...but a row in subarray 1 is accessible while refreshing.
         let ok = act(0, 0, 8_192);
-        assert!(c.can_issue(&ok, inflated_rrd));
+        assert!(c.check(&ok, inflated_rrd).is_ok());
         c.issue(ok, inflated_rrd).unwrap();
     }
 
@@ -853,12 +735,12 @@ mod tests {
             .unwrap();
         // Effective tRRD = ceil(4 * 1.1375) = 5 during the refresh.
         assert_eq!(c.check(&act(0, 1, 0), t.rrd), Err(IssueError::TooEarly));
-        assert!(c.can_issue(&act(0, 1, 0), 5));
+        assert!(c.check(&act(0, 1, 0), 5).is_ok());
         // After the refresh completes, nominal tRRD applies again.
         let after = t.rfc_pb + 10;
         let mut c2 = c.clone();
         c2.issue(act(0, 1, 0), after).unwrap();
-        assert!(c2.can_issue(&act(0, 2, 0), after + t.rrd));
+        assert!(c2.check(&act(0, 2, 0), after + t.rrd).is_ok());
     }
 
     #[test]
@@ -873,7 +755,8 @@ mod tests {
         )
         .unwrap();
         // Every bank refreshes subarray 0; rows in other subarrays work.
-        let inflated_rrd = c.rank(0).effective_rrd(0, c.timing());
+        let factor = sarp_inflation(&c.idd, RefreshScope::AllBank);
+        let inflated_rrd = (c.timing().rrd as f64 * factor).ceil() as u64;
         assert!(
             inflated_rrd >= 8,
             "2.1x inflation expected, got {inflated_rrd}"
@@ -882,7 +765,7 @@ mod tests {
             c.check(&act(0, 0, 0), inflated_rrd),
             Err(IssueError::SubarrayConflict)
         );
-        assert!(c.can_issue(&act(0, 0, 8_192), inflated_rrd));
+        assert!(c.check(&act(0, 0, 8_192), inflated_rrd).is_ok());
     }
 
     #[test]
@@ -1009,6 +892,6 @@ mod tests {
         // Row closed by auto-precharge; re-activate after tRAS+tRP (>= tRC).
         let ready = (t.ras + t.rp).max(t.rc);
         assert_eq!(c.check(&act(0, 0, 2), ready - 1), Err(IssueError::TooEarly));
-        assert!(c.can_issue(&act(0, 0, 2), ready));
+        assert!(c.check(&act(0, 0, 2), ready).is_ok());
     }
 }

@@ -86,7 +86,7 @@ impl Command {
     }
 
     /// The bank this command addresses, if it is bank-scoped.
-    pub(crate) fn bank(&self) -> Option<usize> {
+    pub fn bank(&self) -> Option<usize> {
         match *self {
             Command::Activate { bank, .. }
             | Command::Precharge { bank, .. }

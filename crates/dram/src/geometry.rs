@@ -206,12 +206,6 @@ impl Geometry {
         (self.rows_per_refresh() / fgr.rate() as u32).max(1)
     }
 
-    /// Number of refresh "groups" per bank: the granularity at which the
-    /// retention tracker records refreshes.
-    pub(crate) fn refresh_groups_per_bank(&self) -> usize {
-        self.rows_per_bank / self.rows_per_refresh() as usize
-    }
-
     /// Decodes a physical address into its DRAM location.
     ///
     /// Bit layout, low to high:
@@ -276,7 +270,6 @@ mod tests {
     fn rows_per_refresh_is_eight_for_64k_rows() {
         let g = Geometry::paper_default();
         assert_eq!(g.rows_per_refresh(), 8);
-        assert_eq!(g.refresh_groups_per_bank(), 8_192);
     }
 
     #[test]

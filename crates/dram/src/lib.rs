@@ -17,13 +17,16 @@
 //!   serving `ACT`/`RD`/`WR` to its other subarrays, while `tFAW`/`tRRD` are
 //!   inflated by the power-integrity factors of the paper's Eq. (1)–(3);
 //! * an IDD-based energy model following the Micron power-calculator
-//!   methodology ([`PowerModel`], [`EnergyBreakdown`]);
-//! * retention bookkeeping used by tests to prove that no scheduling policy
-//!   ever starves a row of refreshes (`RetentionTracker`).
+//!   methodology ([`PowerModel`], [`EnergyBreakdown`]).
 //!
 //! The memory controller (crate `dsarp-core`) drives a [`DramChannel`] by
 //! issuing [`Command`]s; the channel validates every command against the
 //! timing constraints and returns a `Receipt` with the data-return cycle.
+//! Validation is one walk over the command's gates, read two ways:
+//! [`DramChannel::check`] ("legal now?") and [`DramChannel::earliest_issue`]
+//! ("legal from when?"). The device does not judge its own refresh
+//! deadlines: whether every bank is refreshed in time is judged from the
+//! `(cycle, Command)` log ([`DramChannel::enable_command_log`]).
 //! Refresh state lives here once: each bank's refresh row counter and the
 //! subarray an in-flight SARP refresh holds, which the controller reads
 //! through [`DramChannel::refreshing_subarray`] (§4.3.2). Every refresh
@@ -59,7 +62,6 @@ mod command;
 mod geometry;
 mod power;
 mod rank;
-mod retention;
 mod sarp;
 pub mod timing;
 

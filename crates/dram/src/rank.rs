@@ -92,50 +92,17 @@ impl Rank {
         self.refab_until
     }
 
-    /// Effective `tRRD` at `now`, including SARP inflation (Eq. 3).
-    pub(crate) fn effective_rrd(&self, now: Cycle, timing: &TimingParams) -> u64 {
-        if now < self.sarp_until {
-            self.sarp_rrd
-        } else {
-            timing.rrd
-        }
-    }
-
-    /// Effective `tFAW` at `now`, including SARP inflation (Eq. 2).
-    pub(crate) fn effective_faw(&self, now: Cycle, timing: &TimingParams) -> u64 {
-        if now < self.sarp_until {
-            self.sarp_faw
-        } else {
-            timing.faw
-        }
-    }
-
-    /// Earliest cycle a new activation (ACT or internal refresh activation)
-    /// may start, considering `tRRD` and the four-activate window.
-    pub fn next_act_allowed(&self, now: Cycle, timing: &TimingParams) -> Cycle {
-        let mut t = now;
-        if self.act_count > 0 {
-            let last = self.act_history[((self.act_count - 1) % 4) as usize];
-            t = t.max(last + self.effective_rrd(now, timing));
-        }
-        if self.act_count >= 4 {
-            let fourth_last = self.act_history[(self.act_count % 4) as usize];
-            t = t.max(fourth_last + self.effective_faw(now, timing));
-        }
-        t
-    }
-
-    /// The earliest cycle `c >= now` at which `next_act_allowed(c) == c` —
-    /// i.e. when the rank's activation rate limits next admit an ACT.
+    /// The earliest cycle `c >= now` at which the rank's activation rate
+    /// limits admit a new activation (an ACT or a refresh's internal one):
+    /// `c` is at least `tRRD` after the last activation and `tFAW` after
+    /// the fourth-last, with the rates in force *at `c`*.
     ///
-    /// Unlike [`Rank::next_act_allowed`] (which answers "how long must an
-    /// ACT issued *now* wait"), this solves for the release time directly,
-    /// which requires handling the SARP inflation window's two regimes:
-    /// the effective `tRRD`/`tFAW` are inflated for query cycles before
-    /// `sarp_until` and nominal after it, so the earliest legal cycle is
-    /// the inflated-regime bound if it lands inside the window, and
-    /// otherwise the nominal bound clamped to the window's end.
-    pub(crate) fn earliest_act_allowed(&self, now: Cycle, timing: &TimingParams) -> Cycle {
+    /// SARP inflates those rates (Eq. 2-3) for cycles before the window's
+    /// end and not after it, so the earliest legal cycle is the inflated
+    /// bound if it lands inside the window, and otherwise the nominal bound
+    /// clamped to the window's end. `earliest_act_allowed(now) == now` is
+    /// "an activation may start now".
+    pub fn earliest_act_allowed(&self, now: Cycle, timing: &TimingParams) -> Cycle {
         let bound = |rrd: u64, faw: u64| {
             let mut t = now;
             if self.act_count > 0 {
@@ -204,14 +171,27 @@ mod tests {
         TimingParams::ddr3_1333(Density::G8, Retention::Ms32)
     }
 
+    /// The pointwise rule [`Rank::earliest_act_allowed`] solves for: may
+    /// an activation start at `c`, under the rates in force at `c`.
+    fn act_legal_at(r: &Rank, c: Cycle, t: &TimingParams) -> bool {
+        let (rrd, faw) = if c < r.sarp_until {
+            (r.sarp_rrd, r.sarp_faw)
+        } else {
+            (t.rrd, t.faw)
+        };
+        let n = r.act_count;
+        (n == 0 || c >= r.act_history[((n - 1) % 4) as usize] + rrd)
+            && (n < 4 || c >= r.act_history[(n % 4) as usize] + faw)
+    }
+
     #[test]
     fn trrd_spaces_consecutive_activations() {
         let t = timing();
         let mut r = Rank::new(8);
-        assert_eq!(r.next_act_allowed(0, &t), 0);
+        assert_eq!(r.earliest_act_allowed(0, &t), 0);
         r.record_act(10);
-        assert_eq!(r.next_act_allowed(10, &t), 10 + t.rrd);
-        assert_eq!(r.next_act_allowed(20, &t), 20);
+        assert_eq!(r.earliest_act_allowed(10, &t), 10 + t.rrd);
+        assert_eq!(r.earliest_act_allowed(20, &t), 20);
     }
 
     #[test]
@@ -222,19 +202,35 @@ mod tests {
             r.record_act(i * t.rrd);
         }
         // Fifth ACT must wait until first + tFAW = 0 + 20.
-        assert_eq!(r.next_act_allowed(3 * t.rrd + t.rrd, &t), t.faw);
+        assert_eq!(r.earliest_act_allowed(3 * t.rrd + t.rrd, &t), t.faw);
     }
 
     #[test]
     fn sarp_window_inflates_rates() {
         let t = timing();
-        let mut r = Rank::new(8);
-        r.start_sarp_window(1_000, 2.1, &t);
-        assert_eq!(r.effective_rrd(500, &t), (4.0f64 * 2.1).ceil() as u64);
-        assert_eq!(r.effective_faw(500, &t), 42);
-        // After the window, back to nominal.
-        assert_eq!(r.effective_rrd(1_000, &t), t.rrd);
-        assert_eq!(r.effective_faw(1_000, &t), t.faw);
+        let (rrd, faw) = ((4.0f64 * 2.1).ceil() as u64, 42);
+        let windowed = |acts: &[Cycle]| {
+            let mut r = Rank::new(8);
+            r.start_sarp_window(1_000, 2.1, &t);
+            for &a in acts {
+                r.record_act(a);
+            }
+            r
+        };
+        // Inside the window, tRRD and tFAW are inflated...
+        assert_eq!(windowed(&[500]).earliest_act_allowed(500, &t), 500 + rrd);
+        let four = [500, 500 + rrd, 500 + 2 * rrd, 500 + 3 * rrd];
+        assert_eq!(windowed(&four).earliest_act_allowed(four[3], &t), 500 + faw);
+        // ...and after it, back to nominal.
+        assert_eq!(
+            windowed(&[1_000]).earliest_act_allowed(1_000, &t),
+            1_000 + t.rrd
+        );
+        let four = [1_000, 1_000 + t.rrd, 1_000 + 2 * t.rrd, 1_000 + 3 * t.rrd];
+        assert_eq!(
+            windowed(&four).earliest_act_allowed(four[3], &t),
+            1_000 + t.faw
+        );
     }
 
     #[test]
@@ -260,10 +256,10 @@ mod tests {
         for now in 0..60 {
             let e = r.earliest_act_allowed(now, &t);
             assert!(e >= now);
-            assert_eq!(r.next_act_allowed(e, &t), e, "now={now}: {e} not legal");
+            assert!(act_legal_at(&r, e, &t), "now={now}: {e} not legal");
             for c in now..e {
                 assert!(
-                    r.next_act_allowed(c, &t) > c,
+                    !act_legal_at(&r, c, &t),
                     "now={now}: {c} legal before reported {e}"
                 );
             }

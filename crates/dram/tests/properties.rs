@@ -1,7 +1,8 @@
 //! Property-based tests for the DRAM device model.
 
 use dsarp_dram::{
-    Command, Cycle, Density, DramChannel, FgrMode, Geometry, Retention, SarpSupport, TimingParams,
+    Command, Cycle, Density, DramChannel, FgrMode, Geometry, IssueError, Retention, SarpSupport,
+    TimingParams,
 };
 use proptest::prelude::*;
 
@@ -53,15 +54,206 @@ proptest! {
     }
 }
 
+/// `DramChannel::check` as it stood before it and `earliest_issue` became
+/// one gate walk, kept verbatim as the differential oracle except for
+/// spellings through the public API: `self.ranks[i]` is `chan.rank(i)`,
+/// the bank count comes from the geometry, the data-bus registers are
+/// `col_bus_ready`, and the rank's pointwise tRRD/tFAW test at `now` is
+/// spelled `rank.earliest_act_allowed(now) > now`, the same predicate (the
+/// rank tests prove that solve against the pointwise rule).
+fn reference_check(chan: &DramChannel, cmd: &Command, now: Cycle) -> Result<(), IssueError> {
+    if chan.last_issue() == Some(now) {
+        return Err(IssueError::CommandBusBusy);
+    }
+    let rank_idx = cmd.rank();
+    if rank_idx >= chan.geometry().ranks_per_channel() {
+        return Err(IssueError::BadAddress);
+    }
+    let rank = chan.rank(rank_idx);
+    if let Some(b) = cmd.bank() {
+        if b >= chan.geometry().banks_per_rank() {
+            return Err(IssueError::BadAddress);
+        }
+    }
+    let timing = chan.timing();
+    match *cmd {
+        Command::Activate { bank, row, .. } => {
+            if row as usize >= chan.geometry().rows_per_bank() {
+                return Err(IssueError::BadAddress);
+            }
+            let b = rank.bank(bank);
+            if rank.is_refab_busy(now) || b.is_refresh_busy(now) {
+                return Err(IssueError::RefreshBusy);
+            }
+            if !b.is_closed() {
+                return Err(IssueError::BankNotClosed);
+            }
+            if let Some(r) = b.sarp_refresh(now) {
+                debug_assert!(chan.sarp_support().is_enabled());
+                if chan.geometry().subarray_of_row(row) == r.subarray {
+                    return Err(IssueError::SubarrayConflict);
+                }
+            }
+            if now < b.next_act() || rank.earliest_act_allowed(now, timing) > now {
+                return Err(IssueError::TooEarly);
+            }
+            Ok(())
+        }
+        Command::Precharge { bank, .. } => {
+            let b = rank.bank(bank);
+            if rank.is_refab_busy(now) || b.is_refresh_busy(now) {
+                return Err(IssueError::RefreshBusy);
+            }
+            if b.is_closed() {
+                return Err(IssueError::NoOpenRow);
+            }
+            if now < b.next_pre() {
+                return Err(IssueError::TooEarly);
+            }
+            Ok(())
+        }
+        Command::PrechargeAll { .. } => {
+            if rank.is_refab_busy(now) {
+                return Err(IssueError::RefreshBusy);
+            }
+            for b in rank.banks() {
+                if !b.is_closed() && now < b.next_pre() {
+                    return Err(IssueError::TooEarly);
+                }
+            }
+            Ok(())
+        }
+        Command::Read { bank, col, .. } | Command::Write { bank, col, .. } => {
+            if col as usize >= chan.geometry().cols_per_row() {
+                return Err(IssueError::BadAddress);
+            }
+            let b = rank.bank(bank);
+            if rank.is_refab_busy(now) || b.is_refresh_busy(now) {
+                return Err(IssueError::RefreshBusy);
+            }
+            if b.is_closed() {
+                return Err(IssueError::NoOpenRow);
+            }
+            if now < b.next_col() {
+                return Err(IssueError::TooEarly);
+            }
+            let bus = chan.col_bus_ready(matches!(cmd, Command::Write { .. }));
+            if now < bus {
+                return Err(IssueError::TooEarly);
+            }
+            Ok(())
+        }
+        Command::RefreshAllBank { .. } => {
+            if rank.is_refab_busy(now) {
+                return Err(IssueError::RefreshBusy);
+            }
+            if rank.is_refpb_busy(now) {
+                return Err(IssueError::RefpbOverlap);
+            }
+            if !rank.all_banks_closed() {
+                return Err(IssueError::BankNotClosed);
+            }
+            for b in rank.banks() {
+                if b.is_refresh_busy(now) {
+                    return Err(IssueError::RefreshBusy);
+                }
+                if b.sarp_refresh(now).is_some() {
+                    return Err(IssueError::RefreshBusy);
+                }
+                if now < b.next_act() {
+                    return Err(IssueError::TooEarly);
+                }
+            }
+            if rank.earliest_act_allowed(now, timing) > now {
+                return Err(IssueError::TooEarly);
+            }
+            Ok(())
+        }
+        Command::RefreshPerBank { bank, .. } => {
+            let b = rank.bank(bank);
+            if rank.is_refab_busy(now) {
+                return Err(IssueError::RefreshBusy);
+            }
+            if rank.is_refpb_busy(now) {
+                return Err(IssueError::RefpbOverlap);
+            }
+            if b.is_refresh_busy(now) || b.sarp_refresh(now).is_some() {
+                return Err(IssueError::RefreshBusy);
+            }
+            if !b.is_closed() {
+                return Err(IssueError::BankNotClosed);
+            }
+            if now < b.next_act() || rank.earliest_act_allowed(now, timing) > now {
+                return Err(IssueError::TooEarly);
+            }
+            Ok(())
+        }
+    }
+}
+
+/// Commands probed at every step of the fuzzer: every kind on rank 0's
+/// bank 0 (an ACT in the subarray a SARP refresh holds first and one
+/// outside it) and on rank 1's bank 5.
+fn probes() -> Vec<Command> {
+    let mut probes = Vec::new();
+    for (rank, bank) in [(0, 0), (1, 5)] {
+        probes.extend([
+            Command::Activate { rank, bank, row: 0 },
+            Command::Activate {
+                rank,
+                bank,
+                row: 8_192,
+            },
+            Command::Precharge { rank, bank },
+            Command::PrechargeAll { rank },
+            Command::Read {
+                rank,
+                bank,
+                col: 3,
+                auto_precharge: false,
+            },
+            Command::Write {
+                rank,
+                bank,
+                col: 3,
+                auto_precharge: true,
+            },
+            Command::RefreshPerBank { rank, bank },
+            Command::RefreshAllBank {
+                rank,
+                fgr: FgrMode::X1,
+            },
+        ]);
+    }
+    probes
+}
+
 /// A randomized legal-command fuzzer: attempt random commands at advancing
-/// cycles; whatever `can_issue` admits must also succeed in `issue`, and the
-/// device state must stay internally consistent.
+/// cycles; whatever `check` admits must also succeed in `issue`, and the
+/// device state must stay internally consistent. Before each attempt,
+/// every probe command is judged two ways on the frozen state: `check`
+/// must return exactly the oracle's `Result`, and `earliest_issue` must be
+/// the first cycle within a horizon at which `check` admits it.
 fn fuzz_channel(sarp: SarpSupport, seed_cmds: Vec<(u8, u8, u8, u16, u8)>) {
+    const HORIZON: Cycle = 400;
+    let probes = probes();
     let mut chan = paper_channel(sarp);
     let mut now: Cycle = 0;
     let mut refpb_windows: Vec<(usize, Cycle, Cycle)> = Vec::new(); // rank, start, end
     for (kind, rank, bank, row, gap) in seed_cmds {
         now += 1 + gap as Cycle;
+        for probe in &probes {
+            assert_eq!(
+                chan.check(probe, now),
+                reference_check(&chan, probe, now),
+                "{probe:?} at cycle {now}"
+            );
+            assert_eq!(
+                chan.earliest_issue(probe, now),
+                (now..now + HORIZON).find(|&t| chan.check(probe, t).is_ok()),
+                "{probe:?} from cycle {now}"
+            );
+        }
         let rank = (rank % 2) as usize;
         let bank = (bank % 8) as usize;
         let row = (row % 1024) as u32 * 64; // spread across subarrays
@@ -86,10 +278,8 @@ fn fuzz_channel(sarp: SarpSupport, seed_cmds: Vec<(u8, u8, u8, u16, u8)>) {
                 fgr: FgrMode::X1,
             },
         };
-        if chan.can_issue(&cmd, now) {
-            let receipt = chan
-                .issue(cmd, now)
-                .expect("can_issue admitted the command");
+        if chan.check(&cmd, now).is_ok() {
+            let receipt = chan.issue(cmd, now).expect("check admitted the command");
             if let Command::RefreshPerBank { rank, .. } = cmd {
                 let end = receipt.refresh_done.unwrap();
                 // JEDEC non-overlap: no other REFpb window in this rank may
@@ -140,7 +330,7 @@ proptest! {
         let mut now = 10; // inside the tRFCpb window (102 cycles)
         for row in rows {
             let cmd = Command::Activate { rank: 0, bank: 0, row };
-            if chan.can_issue(&cmd, now) {
+            if chan.check(&cmd, now).is_ok() {
                 prop_assert_ne!(geom.subarray_of_row(row), refreshing);
                 chan.issue(cmd, now).unwrap();
                 // Close it again so the next ACT has a chance.
@@ -169,7 +359,7 @@ proptest! {
             } else {
                 Command::Read { rank: 0, bank: 0, col: 0, auto_precharge: true }
             };
-            if chan.can_issue(&cmd, now) {
+            if chan.check(&cmd, now).is_ok() {
                 chan.issue(cmd, now).unwrap();
                 open = !open;
             }

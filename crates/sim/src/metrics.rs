@@ -87,7 +87,6 @@ mod tests {
             ctrl: vec![],
             llc: Default::default(),
             energy: Default::default(),
-            max_refresh_gap: None,
             telemetry: None,
         }
     }

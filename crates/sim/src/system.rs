@@ -36,9 +36,6 @@ pub struct RunStats {
     pub llc: LlcStats,
     /// Total DRAM energy across channels.
     pub energy: EnergyBreakdown,
-    /// Largest per-bank refresh gap observed (cycles), when retention
-    /// tracking was enabled.
-    pub max_refresh_gap: Option<u64>,
     /// Internal-behavior telemetry, when [`SystemBuilder::telemetry`] was
     /// set; `None` (and free) otherwise. Telemetry is observationally
     /// pure: every other field is identical with or without it.
@@ -419,7 +416,6 @@ pub struct SystemBuilder<'a> {
     sources: Option<Vec<Box<dyn TraceSource>>>,
     warm: Option<WarmState>,
     telemetry: bool,
-    retention_tracking: bool,
     command_log: bool,
 }
 
@@ -434,7 +430,6 @@ impl<'a> SystemBuilder<'a> {
             sources: None,
             warm: None,
             telemetry: false,
-            retention_tracking: false,
             command_log: false,
         }
     }
@@ -468,13 +463,6 @@ impl<'a> SystemBuilder<'a> {
     /// stepping.
     pub fn telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
-        self
-    }
-
-    /// Enables per-refresh retention bookkeeping
-    /// ([`RunStats::max_refresh_gap`]).
-    pub fn retention_tracking(mut self, on: bool) -> Self {
-        self.retention_tracking = on;
         self
     }
 
@@ -615,9 +603,6 @@ impl<'a> SystemBuilder<'a> {
                 if cfg.ablate_sarp_throttle {
                     ch.disable_power_throttle();
                 }
-                if self.retention_tracking {
-                    ch.enable_retention_tracking();
-                }
                 if self.command_log {
                     ch.enable_command_log();
                 }
@@ -642,7 +627,6 @@ impl<'a> SystemBuilder<'a> {
             wb_spill: VecDeque::new(),
             max_spill: 0,
             now: 0,
-            retention_tracking: self.retention_tracking,
             telemetry,
             loop_stats: LoopStats::default(),
         }
@@ -662,7 +646,6 @@ pub struct System {
     wb_spill: VecDeque<Request>,
     max_spill: usize,
     now: Cycle,
-    retention_tracking: bool,
     telemetry: Option<Sampler>,
     loop_stats: LoopStats,
 }
@@ -957,14 +940,6 @@ impl System {
             energy.background_nj += e.background_nj;
             energy.accesses += e.accesses;
         }
-        let max_refresh_gap = if self.retention_tracking {
-            self.chans
-                .iter()
-                .filter_map(|c| c.retention_tracker().map(|t| t.max_bank_gap(self.now)))
-                .max()
-        } else {
-            None
-        };
         // Fill the counter-derived telemetry fields from cumulative stats.
         // The stored accumulator only ever carries the per-cycle samples,
         // so assigning fresh totals keeps repeated `run` calls consistent.
@@ -1006,7 +981,6 @@ impl System {
             ctrl: self.mcs.iter().map(|m| *m.stats()).collect(),
             llc: *self.llc.stats(),
             energy,
-            max_refresh_gap,
             telemetry,
         }
     }
@@ -1143,17 +1117,6 @@ mod tests {
             .run(cycles);
         let synthetic = SystemBuilder::new(&cfg).workload(&wl).build().run(cycles);
         assert_eq!(from_sources, synthetic);
-    }
-
-    #[test]
-    fn retention_tracking_reports_gap() {
-        let cfg = SimConfig::paper(Mechanism::RefPb, Density::G8);
-        let mut sys = SystemBuilder::new(&cfg)
-            .workload(&intensive_workload())
-            .retention_tracking(true)
-            .build();
-        let stats = sys.run(10_000);
-        assert!(stats.max_refresh_gap.is_some());
     }
 
     #[test]

@@ -9,12 +9,16 @@
 //! To print the current values: `cargo test --test command_stream -- --nocapture`
 //! after emptying `EXPECTED`.
 
+mod refresh_deadline;
+
 use dsarp_campaign::fingerprint::fingerprint_bytes;
 use dsarp_core::Mechanism;
 use dsarp_dram::{Command, Density, FgrMode};
 use dsarp_sim::{SimConfig, SystemBuilder};
 use dsarp_workloads::{catalogue, mixes, Workload};
+use refresh_deadline::{longest_refresh_gap, ON_SCHEDULE, POSTPONING};
 use std::fmt::Write;
+use std::sync::OnceLock;
 
 const CYCLES: u64 = 30_000;
 
@@ -83,30 +87,49 @@ fn log_hash(log: &[(u64, Command)]) -> String {
 }
 
 /// Both channels' `(cycle, Command)` logs of `mech` on `wl` at 32 Gb.
-fn streams(wl: &Workload, mech: Mechanism) -> [Vec<(u64, Command)>; 2] {
-    let cfg = SimConfig::paper(mech, Density::G32);
-    let mut sys = SystemBuilder::new(&cfg)
-        .workload(wl)
-        .command_log(true)
-        .build();
-    sys.run(CYCLES);
-    [sys.take_command_log(0), sys.take_command_log(1)]
+type Streams = [Vec<(u64, Command)>; 2];
+
+fn config(mech: Mechanism) -> SimConfig {
+    SimConfig::paper(mech, Density::G32)
+}
+
+/// Every pinned `(workload, mechanism, streams)`, simulated once and
+/// shared by the tests below.
+fn pinned() -> &'static [(String, Mechanism, Streams)] {
+    static PINNED: OnceLock<Vec<(String, Mechanism, Streams)>> = OnceLock::new();
+    PINNED.get_or_init(|| {
+        let mut runs = Vec::new();
+        for wl in workloads() {
+            for mech in Mechanism::ALL {
+                let cfg = config(mech);
+                let mut sys = SystemBuilder::new(&cfg)
+                    .workload(&wl)
+                    .command_log(true)
+                    .build();
+                sys.run(CYCLES);
+                let streams = [sys.take_command_log(0), sys.take_command_log(1)];
+                runs.push((wl.name.clone(), mech, streams));
+            }
+        }
+        runs
+    })
+}
+
+/// The pinned streams of `mech` on the workload named `wl`.
+fn streams(wl: &str, mech: Mechanism) -> &'static Streams {
+    pinned()
+        .iter()
+        .find(|(w, m, _)| w == wl && *m == mech)
+        .map(|(_, _, streams)| streams)
+        .expect("a pinned run")
 }
 
 #[test]
 fn command_streams_match_the_pre_pruning_scheduler() {
     let mut actual = Vec::new();
-    for wl in workloads() {
-        for mech in Mechanism::ALL {
-            let [ch0, ch1] = streams(&wl, mech);
-            assert!(ch0.len() + ch1.len() > 1_000, "{mech} on {}", wl.name);
-            actual.push((
-                wl.name.clone(),
-                mech.label(),
-                log_hash(&ch0),
-                log_hash(&ch1),
-            ));
-        }
+    for (wl, mech, [ch0, ch1]) in pinned() {
+        assert!(ch0.len() + ch1.len() > 1_000, "{mech} on {wl}");
+        actual.push((wl, mech.label(), log_hash(ch0), log_hash(ch1)));
     }
     for (wl, mech, ch0, ch1) in &actual {
         println!("    ({wl:?}, {mech:?}, {ch0:?}, {ch1:?}),");
@@ -121,6 +144,43 @@ fn command_streams_match_the_pre_pruning_scheduler() {
     }
 }
 
+/// The per-bank refresh deadline on every pinned stream, with each
+/// mechanism's budget from `retention_integrity.rs`. `None`: the
+/// mechanism issues no refresh command at all.
+fn refresh_budget(mech: Mechanism) -> Option<u64> {
+    use Mechanism::*;
+    match mech {
+        NoRefresh => None,
+        RefAb | RefPb | SarpAb | SarpPb | Fgr2x | Fgr4x | AdaptiveRefresh => Some(ON_SCHEDULE),
+        Elastic | Darp | DarpOooOnly | Dsarp => Some(POSTPONING),
+    }
+}
+
+#[test]
+fn pinned_streams_meet_their_refresh_deadlines() {
+    let geom = config(Mechanism::RefAb).geometry();
+    for (wl, mech, streams) in pinned() {
+        let gap = longest_refresh_gap(streams, &geom, CYCLES);
+        println!(
+            "{wl:>12} {:>16}: max bank gap {gap:>5} cycles",
+            mech.label()
+        );
+        match refresh_budget(*mech) {
+            Some(budget) => assert!(
+                gap <= budget,
+                "{mech} on {wl}: a bank went {gap} cycles without refresh (budget {budget})"
+            ),
+            None => assert!(
+                !streams.iter().flatten().any(|(_, cmd)| matches!(
+                    cmd,
+                    Command::RefreshAllBank { .. } | Command::RefreshPerBank { .. }
+                )),
+                "{mech} on {wl} issued a refresh"
+            ),
+        }
+    }
+}
+
 /// Streams that are equal only by accident of the pinned hashes pin
 /// nothing (ROADMAP 2(d)), so both sides are asserted on the streams
 /// themselves: Adaptive Refresh never leaves 1x mode on the two intensive
@@ -128,27 +188,25 @@ fn command_streams_match_the_pre_pruning_scheduler() {
 /// switch on `w000`, which the `AR` rows therefore cover.
 #[test]
 fn adaptive_refresh_emits_refab_stream_only_where_it_holds_1x() {
-    let [mi01, lbm, w000] = workloads();
-    for wl in [mi01, lbm] {
+    for wl in ["mi01", "8x-lbm_like"] {
         let (ar, refab) = (
-            streams(&wl, Mechanism::AdaptiveRefresh),
-            streams(&wl, Mechanism::RefAb),
+            streams(wl, Mechanism::AdaptiveRefresh),
+            streams(wl, Mechanism::RefAb),
         );
         for ch in 0..2 {
             let first = ar[ch].iter().zip(&refab[ch]).position(|(g, w)| g != w);
             assert!(
                 first.is_none() && ar[ch].len() == refab[ch].len(),
-                "identity broken: AR must emit exactly REFab's command stream on {} \
+                "identity broken: AR must emit exactly REFab's command stream on {wl} \
                  channel {ch}, but they part at command {:?} ({} vs {} commands)",
-                wl.name,
                 first,
                 ar[ch].len(),
                 refab[ch].len()
             );
         }
     }
-    let ar = streams(&w000, Mechanism::AdaptiveRefresh);
-    assert_ne!(ar, streams(&w000, Mechanism::RefAb), "AR on {}", w000.name);
+    let ar = streams("w000", Mechanism::AdaptiveRefresh);
+    assert_ne!(ar, streams("w000", Mechanism::RefAb), "AR on w000");
     let four_x = ar.iter().flatten().any(|(_, cmd)| {
         matches!(
             cmd,
@@ -158,5 +216,31 @@ fn adaptive_refresh_emits_refab_stream_only_where_it_holds_1x() {
             }
         )
     });
-    assert!(four_x, "AR must leave 1x mode on {}", w000.name);
+    assert!(four_x, "AR must leave 1x mode on w000");
+}
+
+/// DARP is DARP-OoO-only plus write-refresh parallelization, so the two
+/// emit one stream exactly where that component never acts. Telemetry
+/// gives the reason on both sides: on `w000` DARP parallelizes no refresh
+/// with a write drain on either channel, and on `8x-lbm_like` it does.
+#[test]
+fn darp_equals_its_ooo_only_half_exactly_where_no_write_drain_is_parallelized() {
+    let workloads = workloads();
+    let write_parallelized = |wl: &str| {
+        let wl = workloads.iter().find(|w| w.name == wl).expect("a workload");
+        let cfg = config(Mechanism::Darp);
+        let stats = SystemBuilder::new(&cfg)
+            .workload(wl)
+            .telemetry(true)
+            .build()
+            .run(CYCLES);
+        let tel = stats.telemetry.expect("telemetry was on");
+        tel.refreshes.darp_write_parallelized
+    };
+    let darp = |wl| streams(wl, Mechanism::Darp);
+    let ooo_only = |wl| streams(wl, Mechanism::DarpOooOnly);
+    assert_eq!(write_parallelized("w000"), 0, "summed over both channels");
+    assert!(darp("w000") == ooo_only("w000"), "DARP vs OoO-only on w000");
+    assert!(write_parallelized("8x-lbm_like") > 0);
+    assert!(darp("8x-lbm_like") != ooo_only("8x-lbm_like"));
 }

@@ -1,24 +1,31 @@
 //! Data-integrity invariants: no matter how aggressively a policy reorders,
 //! postpones or pulls in refreshes, every bank keeps receiving them within
 //! the bound the erratum establishes (≤ 8 postponed ⇒ gap ≤ 9 periods).
+//! The gaps are judged from the command log, not by the device.
+
+mod refresh_deadline;
 
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
 use dsarp_sim::{SimConfig, SystemBuilder};
 use dsarp_workloads::mixes;
-
-/// Per-bank refresh period: a bank's turn comes every 8 ticks of tREFIpb,
-/// i.e. every tREFIab = 2600 cycles at 32 ms retention.
-const PER_BANK_PERIOD: u64 = 2_600;
+use refresh_deadline::{longest_refresh_gap, ON_SCHEDULE, POSTPONING};
 
 fn max_gap(mech: Mechanism, cycles: u64) -> u64 {
     let wl = &mixes::intensive_mixes(8, 3)[0];
     let cfg = SimConfig::paper(mech, Density::G8);
     let mut sys = SystemBuilder::new(&cfg)
         .workload(wl)
-        .retention_tracking(true)
+        .command_log(true)
         .build();
-    sys.run(cycles).max_refresh_gap.expect("tracking enabled")
+    let end = sys.run(cycles).dram_cycles;
+    let geom = cfg.geometry();
+    let logs: Vec<_> = (0..geom.channels())
+        .map(|ch| sys.take_command_log(ch))
+        .collect();
+    let gap = longest_refresh_gap(&logs, &geom, end);
+    println!("{mech}: max bank gap {gap} cycles over {cycles}");
+    gap
 }
 
 #[test]
@@ -27,7 +34,7 @@ fn baseline_refab_meets_schedule() {
     // preparation under load.
     let gap = max_gap(Mechanism::RefAb, 40_000);
     assert!(
-        gap <= 2 * PER_BANK_PERIOD,
+        gap <= ON_SCHEDULE,
         "REFab max bank gap {gap} cycles exceeds twice the period"
     );
 }
@@ -35,7 +42,7 @@ fn baseline_refab_meets_schedule() {
 #[test]
 fn baseline_refpb_meets_schedule() {
     let gap = max_gap(Mechanism::RefPb, 40_000);
-    assert!(gap <= 2 * PER_BANK_PERIOD, "REFpb max bank gap {gap}");
+    assert!(gap <= ON_SCHEDULE, "REFpb max bank gap {gap}");
 }
 
 #[test]
@@ -44,7 +51,7 @@ fn darp_respects_the_erratum_bound() {
     // gap between consecutive refreshes of one bank is bounded by 9 periods
     // (plus scheduling slack).
     let gap = max_gap(Mechanism::Darp, 120_000);
-    let bound = 9 * PER_BANK_PERIOD + 2 * PER_BANK_PERIOD;
+    let bound = POSTPONING;
     assert!(
         gap <= bound,
         "DARP max bank gap {gap} exceeds erratum bound {bound}"
@@ -54,7 +61,7 @@ fn darp_respects_the_erratum_bound() {
 #[test]
 fn dsarp_respects_the_erratum_bound() {
     let gap = max_gap(Mechanism::Dsarp, 120_000);
-    let bound = 9 * PER_BANK_PERIOD + 2 * PER_BANK_PERIOD;
+    let bound = POSTPONING;
     assert!(
         gap <= bound,
         "DSARP max bank gap {gap} exceeds erratum bound {bound}"
@@ -65,7 +72,7 @@ fn dsarp_respects_the_erratum_bound() {
 fn elastic_respects_the_postponement_cap() {
     // Elastic postpones up to 8 rank-level refreshes: same 9-period bound.
     let gap = max_gap(Mechanism::Elastic, 120_000);
-    let bound = 9 * PER_BANK_PERIOD + 2 * PER_BANK_PERIOD;
+    let bound = POSTPONING;
     assert!(
         gap <= bound,
         "Elastic max bank gap {gap} exceeds bound {bound}"
@@ -79,10 +86,7 @@ fn total_refresh_work_is_conserved_under_darp() {
     // window (8 per bank, pulled in or postponed).
     let wl = &mixes::intensive_mixes(8, 3)[0];
     let cfg = SimConfig::paper(Mechanism::Dsarp, Density::G8);
-    let mut sys = SystemBuilder::new(&cfg)
-        .workload(wl)
-        .retention_tracking(true)
-        .build();
+    let mut sys = SystemBuilder::new(&cfg).workload(wl).build();
     let cycles = 100_000;
     let stats = sys.run(cycles);
     let scheduled_per_rank = cycles / 325; // tREFIpb ticks
