@@ -17,8 +17,8 @@
 //!   killed campaign resumes where it stopped and an identical re-run
 //!   simulates nothing.
 //! * [`Campaign::run`] executes the misses on the shared thread pool and
-//!   assembles per-sweep `dsarp_sim::experiments::Grid`s, which the
-//!   existing figure/table reducers consume unchanged.
+//!   assembles per-sweep `dsarp_sim::experiments::harness::Grid`s, which
+//!   the [`paper`] table's reducers consume.
 //!
 //! * The [`traces`] module adds **trace-driven workloads**: a
 //!   [`WorkloadSet::TraceDir`] sweeps a whole directory of captured

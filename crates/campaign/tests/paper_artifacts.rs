@@ -4,23 +4,14 @@
 //! definitions, the sweep-name formats and the reducers fed the shared
 //! 12-mechanism `main` grid are what is under test.
 
+use dsarp_campaign::paper::{
+    AblationRow, Fig12Point, Fig13Row, Fig14Row, Fig15Row, Fig16Row, Fig7Row, Table2Row, Table3Row,
+    Table4Row, Table5Row, Table6Row,
+};
 use dsarp_campaign::{paper, Campaign, CampaignSpec};
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
-use dsarp_sim::experiments::{
-    ablations::AblationRow,
-    fig06_07::Fig7Row,
-    fig12_table2::{Fig12Point, Table2Row},
-    fig13::Fig13Row,
-    fig14::Fig14Row,
-    fig15::Fig15Row,
-    fig16::Fig16Row,
-    table3::Table3Row,
-    table4::Table4Row,
-    table5::Table5Row,
-    table6::Table6Row,
-    Scale,
-};
+use dsarp_sim::experiments::Scale;
 use serde::Deserialize;
 use serde_json::Value;
 use std::collections::HashMap;

@@ -56,7 +56,9 @@ pub struct ControllerStats {
     pub refab_issued: u64,
     /// `REFpb` commands issued.
     pub refpb_issued: u64,
-    /// Column commands that hit an already-open row.
+    /// Column commands issued: every one issues from the row-hit pass
+    /// after its row's ACT, so this counts each miss's first column
+    /// command too. True row hits are `row_hits - acts`.
     pub row_hits: u64,
     /// Reads rejected because the read queue was full.
     pub read_rejects: u64,

@@ -10,7 +10,9 @@ use proptest::prelude::*;
 /// * the device never reports an issue error (the controller only issues
 ///   validated commands — `issue` would panic through `expect`);
 /// * completions are never duplicated or invented;
-/// * the device logged exactly the refresh commands the controller counted.
+/// * the device logged exactly the ACT, PRE/PREA, RD, WR and refresh
+///   commands the controller counted, and every column command counts as
+///   a row hit.
 fn drive(mech: Mechanism, arrivals: &[(u16, u8, bool)], cycles: u64, seed: u64) {
     let geom = Geometry::paper_default();
     let timing = TimingParams::ddr3_1333(Density::G8, Retention::Ms32);
@@ -79,19 +81,33 @@ fn drive(mech: Mechanism, arrivals: &[(u16, u8, bool)], cycles: u64, seed: u64) 
         outstanding.len()
     );
 
-    // Refresh accounting: the refresh commands the device logged are
-    // exactly the ones the controller counted; there are none without
-    // refresh, and some with it once postponement cannot explain it.
-    let logged = chan
-        .take_command_log()
-        .iter()
-        .filter(|(_, cmd)| {
-            matches!(
-                cmd,
-                Command::RefreshAllBank { .. } | Command::RefreshPerBank { .. }
-            )
-        })
-        .count() as u64;
+    // Command accounting: the device logged exactly the commands the
+    // controller counted, kind by kind. Every column command issues from
+    // the row-hit pass (after its row's ACT), so `row_hits` is all of them.
+    let log = chan.take_command_log();
+    let count = |kind: fn(&Command) -> bool| log.iter().filter(|(_, c)| kind(c)).count() as u64;
+    let acts = count(|c| matches!(c, Command::Activate { .. }));
+    let precharges =
+        count(|c| matches!(c, Command::Precharge { .. } | Command::PrechargeAll { .. }));
+    let reads = count(|c| matches!(c, Command::Read { .. }));
+    let writes = count(|c| matches!(c, Command::Write { .. }));
+    assert_eq!(acts, stats.acts, "{mech}: ACT");
+    assert_eq!(precharges, stats.precharges, "{mech}: PRE + PREA");
+    assert_eq!(reads, stats.reads_done, "{mech}: RD");
+    assert_eq!(writes, stats.writes_done, "{mech}: WR");
+    assert_eq!(
+        stats.row_hits,
+        stats.reads_done + stats.writes_done,
+        "{mech}: row hits"
+    );
+    // Refresh accounting: there are none without refresh, and some with it
+    // once postponement cannot explain it.
+    let logged = count(|c| {
+        matches!(
+            c,
+            Command::RefreshAllBank { .. } | Command::RefreshPerBank { .. }
+        )
+    });
     assert_eq!(logged, stats.refab_issued + stats.refpb_issued, "{mech}");
     if mech == Mechanism::NoRefresh {
         assert_eq!(logged, 0);

@@ -901,6 +901,7 @@ impl TraceSource for BinTraceSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ld(bubbles: u32, addr: u64) -> TraceOp {
         TraceOp {
@@ -1249,6 +1250,64 @@ mod tests {
             flipped[i] ^= 0x01;
             // A flip the scanner rejects never gets an identity at all.
             assert_ne!(hash(&flipped), base, "byte {i}");
+        }
+    }
+
+    /// One valid file per dialect: plain text, text-ext and bin.
+    fn valid_files() -> [Vec<u8>; 3] {
+        let plain = b"# header\n3 0x1000 4096\n0 512\n\n7 0x40 0x80\n1 0x99\n";
+        [
+            plain.to_vec(),
+            emit(&awkward_ops(), TraceDialect::TextExt),
+            emit(&awkward_ops(), TraceDialect::Bin),
+        ]
+    }
+
+    /// Every single-byte flip (each position to each other value), insert
+    /// and delete of a valid file in each dialect: no edit panics, chunked
+    /// and whole-slice scans agree (`scan_chunked` asserts it), and a flip
+    /// that still scans changes the hash, so an edited trace never replays
+    /// under a stale fingerprint.
+    #[test]
+    fn single_byte_edits_never_panic_and_flips_change_the_hash() {
+        for valid in valid_files() {
+            let base = scan_chunked(&valid, Materialize::All).unwrap().hash;
+            for at in 0..=valid.len() {
+                for byte in 0..=u8::MAX {
+                    let mut inserted = valid.clone();
+                    inserted.insert(at, byte);
+                    let _ = scan_chunked(&inserted, Materialize::All);
+                    if at == valid.len() || byte == valid[at] {
+                        continue;
+                    }
+                    let mut flipped = valid.clone();
+                    flipped[at] = byte;
+                    if let Ok(summary) = scan_chunked(&flipped, Materialize::All) {
+                        assert_ne!(summary.hash, base, "byte {at} -> {byte:#04x}");
+                    }
+                }
+                if at < valid.len() {
+                    let mut deleted = valid.clone();
+                    deleted.remove(at);
+                    let _ = scan_chunked(&deleted, Materialize::All);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, bare or behind a text-ext or bin header, never
+        /// panic the scanner and scan alike whole and chunked.
+        #[test]
+        fn arbitrary_bytes_never_panic_and_scan_alike(
+            header in 0usize..3,
+            tail in prop::collection::vec(any::<u8>(), 0..160),
+        ) {
+            let ext_header = format!("{TEXT_EXT_HEADER}\n");
+            let header: &[u8] = [&[][..], ext_header.as_bytes(), &BIN_MAGIC][header];
+            let _ = scan_chunked(&[header, &tail].concat(), Materialize::All);
         }
     }
 

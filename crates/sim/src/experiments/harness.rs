@@ -2,7 +2,7 @@
 //! the main (workload × mechanism × density) result grid.
 
 use crate::config::SimConfig;
-use crate::metrics::{gmean, improvement_pct, Metrics};
+use crate::metrics::Metrics;
 use crate::system::SystemBuilder;
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
@@ -106,24 +106,6 @@ impl Scale {
 /// Seed fixing the randomly-mixed workload selection.
 pub const WORKLOAD_SEED: u64 = 0x2014_D5A2;
 
-/// Every mechanism the main evaluation grid covers: the baselines, the
-/// paper's mechanisms, and the DDR4/adaptive comparison points — enough
-/// for Figures 6/7/12–16 and Table 2 to reduce from one grid.
-pub const MAIN_GRID_MECHS: [Mechanism; 12] = [
-    Mechanism::NoRefresh,
-    Mechanism::RefAb,
-    Mechanism::RefPb,
-    Mechanism::Elastic,
-    Mechanism::DarpOooOnly,
-    Mechanism::Darp,
-    Mechanism::SarpAb,
-    Mechanism::SarpPb,
-    Mechanism::Dsarp,
-    Mechanism::Fgr2x,
-    Mechanism::Fgr4x,
-    Mechanism::AdaptiveRefresh,
-];
-
 /// Runs `f` over `items` on a scoped thread pool, preserving order.
 ///
 /// Workers pull indices from a shared counter and send index-tagged
@@ -191,8 +173,8 @@ pub struct WsRow {
 /// The main grid: metrics for every (workload, mechanism, density) tuple.
 ///
 /// Rows are indexed by `(mechanism, density)` → workload name on
-/// construction, so [`Grid::get`] is O(1) and reductions like
-/// `Grid::ws_ratios` are linear instead of quadratic in the row count.
+/// construction, so [`Grid::get`] is O(1) and [`Grid::pairs`] is linear
+/// instead of quadratic in the row count.
 #[derive(Debug, Clone, Default)]
 pub struct Grid {
     rows: Vec<WsRow>,
@@ -316,46 +298,23 @@ impl Grid {
             .map(|&i| &self.rows[i])
     }
 
-    /// Per-workload WS ratios of `mech` over `base` at `density`.
-    pub(crate) fn ws_ratios(&self, mech: Mechanism, base: Mechanism, density: Density) -> Vec<f64> {
-        let mut out = Vec::new();
-        for r in self
-            .rows
+    /// Each `mechanism` row at `density`, in row order, paired with the
+    /// same workload's `base` row (a row without one is skipped): the
+    /// one place a reduction finds a row's baseline.
+    pub fn pairs(
+        &self,
+        mechanism: Mechanism,
+        base: Mechanism,
+        density: Density,
+    ) -> impl Iterator<Item = (&WsRow, &WsRow)> {
+        self.rows
             .iter()
-            .filter(|r| r.mechanism == mech && r.density == density)
-        {
-            if let Some(b) = self.get(&r.workload, base, density) {
-                out.push(r.ws / b.ws);
-            }
-        }
-        out
-    }
-
-    /// Geometric-mean WS improvement (%) of `mech` over `base`.
-    pub(crate) fn gmean_improvement(
-        &self,
-        mech: Mechanism,
-        base: Mechanism,
-        density: Density,
-    ) -> f64 {
-        improvement_pct(gmean(&self.ws_ratios(mech, base, density)), 1.0)
-    }
-
-    /// Maximum WS improvement (%) of `mech` over `base`.
-    pub(crate) fn max_improvement(
-        &self,
-        mech: Mechanism,
-        base: Mechanism,
-        density: Density,
-    ) -> f64 {
-        self.ws_ratios(mech, base, density)
-            .into_iter()
-            .map(|r| improvement_pct(r, 1.0))
-            .fold(f64::NEG_INFINITY, f64::max)
+            .filter(move |r| r.mechanism == mechanism && r.density == density)
+            .filter_map(move |r| Some((r, self.get(&r.workload, base, density)?)))
     }
 
     /// Merges another grid's rows into this one.
-    pub(crate) fn merge(&mut self, other: Grid) {
+    pub fn merge(&mut self, other: Grid) {
         let from = self.rows.len();
         self.rows.extend(other.rows);
         self.reindex(from);
@@ -446,8 +405,8 @@ mod tests {
             grid.get("b", Mechanism::RefPb, Density::G8).unwrap().ws,
             2.5
         );
-        let ratios = grid.ws_ratios(Mechanism::RefPb, Mechanism::RefPb, Density::G8);
-        assert_eq!(ratios.len(), 3);
+        let pairs = grid.pairs(Mechanism::RefPb, Mechanism::RefPb, Density::G8);
+        assert_eq!(pairs.count(), 3);
     }
 
     #[test]
@@ -468,10 +427,13 @@ mod tests {
             |m, d| SimConfig::paper(*m, *d),
         );
         assert_eq!(grid.rows().len(), 4);
-        let ratios = grid.ws_ratios(Mechanism::NoRefresh, Mechanism::RefAb, Density::G32);
-        assert_eq!(ratios.len(), 2);
-        for r in ratios {
-            assert!(r > 0.0);
+        let pairs: Vec<_> = grid
+            .pairs(Mechanism::NoRefresh, Mechanism::RefAb, Density::G32)
+            .collect();
+        assert_eq!(pairs.len(), 2);
+        for (row, base) in pairs {
+            assert_eq!(row.workload, base.workload);
+            assert!(row.ws / base.ws > 0.0);
         }
     }
 }

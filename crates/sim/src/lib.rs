@@ -7,10 +7,12 @@
 //! at 4 GHz over 2 channels × 2 ranks × 8 banks × 8 subarrays of
 //! DDR3-1333.
 //!
-//! The [`experiments`] module regenerates every table and figure of the
-//! paper's evaluation; the `experiments` binary in the `dsarp-campaign`
-//! crate (`cargo run --release -p dsarp-campaign --bin experiments`) drives
-//! them through the cached campaign engine and writes them to `results/`.
+//! The [`experiments`] module holds what every table and figure of the
+//! paper's evaluation is computed with (run scaling, the result grid, CSV
+//! and markdown writers); the artifacts themselves are declared in
+//! `dsarp_campaign::paper`, and the `experiments` binary in `dsarp-serve`
+//! (`cargo run --release -p dsarp-serve --bin experiments`) drives them
+//! through the cached campaign engine and writes them to `results/`.
 //!
 //! # Example
 //!
@@ -36,6 +38,6 @@ mod system;
 mod telemetry;
 
 pub use config::SimConfig;
-pub use metrics::Metrics;
+pub use metrics::{gmean, improvement_pct, Metrics};
 pub use system::{RunStats, System, SystemBuilder, WarmKey, WarmState};
 pub use telemetry::SimTelemetry;

@@ -63,14 +63,14 @@ impl Metrics {
 }
 
 /// Geometric mean of a non-empty slice of positive values.
-pub(crate) fn gmean(values: &[f64]) -> f64 {
+pub fn gmean(values: &[f64]) -> f64 {
     assert!(!values.is_empty(), "gmean of empty slice");
     let log_sum: f64 = values.iter().map(|v| v.max(1e-12).ln()).sum();
     (log_sum / values.len() as f64).exp()
 }
 
 /// Percentage improvement of `new` over `base`.
-pub(crate) fn improvement_pct(new: f64, base: f64) -> f64 {
+pub fn improvement_pct(new: f64, base: f64) -> f64 {
     (new / base - 1.0) * 100.0
 }
 

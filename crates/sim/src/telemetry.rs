@@ -28,7 +28,10 @@ pub struct SimTelemetry {
     pub refreshes: RefreshTelemetry,
     /// Read-queue depth sampled once per channel per DRAM cycle.
     pub read_queue_depth: DepthHistogram,
-    /// Column commands that hit an already-open row.
+    /// Column commands issued (`ControllerStats::row_hits`): each miss's
+    /// first column command is counted here as well as in `row_misses`,
+    /// so true row hits are `row_hits - row_misses` and
+    /// `row_hits + row_misses` counts every miss twice.
     pub row_hits: u64,
     /// Demand activations (row misses — every ACT opens a missed row).
     pub row_misses: u64,
