@@ -67,10 +67,30 @@ pub struct CoreStats {
     pub mem_busy_stall_cycles: u64,
 }
 
+/// A window slot that is not done at issue: a load that hit in the LLC
+/// (done at a known cycle) or one waiting on memory. Every other slot — a
+/// bubble, a store — is done from the cycle it issues, so the window keeps
+/// only these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
     DoneAt(u64),
     WaitMem,
+}
+
+impl Slot {
+    /// Whether the slot is done at CPU cycle `now`.
+    fn done(self, now: u64) -> bool {
+        matches!(self, Slot::DoneAt(t) if t <= now)
+    }
+
+    /// The cycle the slot finishes by itself (`None` while it waits on
+    /// memory, which only a completion ends).
+    fn expiry(self) -> Option<u64> {
+        match self {
+            Slot::DoneAt(t) => Some(t),
+            Slot::WaitMem => None,
+        }
+    }
 }
 
 /// Why a core's next [`Core::step`] would make no progress (see
@@ -92,7 +112,7 @@ pub enum StallKind {
 /// core state beyond the cycle counter (and one stall counter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreIdle {
-    /// The next step retires, fetches, or issues something: do not skip.
+    /// The next step retires, issues, or accesses memory: do not skip.
     Active,
     /// The next step is a pure stall. `wake` is the CPU cycle at which the
     /// blocking slot's completion time expires (`None` when the core waits
@@ -105,31 +125,45 @@ pub enum CoreIdle {
     },
 }
 
+/// The memory interface [`Core::advance`] steps against: inside a quiet
+/// span no step reaches it, so an access is a broken bound.
+struct NoAccess;
+
+impl MemoryInterface for NoAccess {
+    fn access(&mut self, core: usize, addr: u64, _is_store: bool) -> AccessResult {
+        panic!("core {core} accessed {addr:#x} inside its quiet span");
+    }
+}
+
 /// One simulated core. See the crate-level example.
 pub struct Core {
     id: usize,
     params: CoreParams,
     trace: Box<dyn TraceSource>,
-    window: VecDeque<Slot>,
+    /// The window's slots that were not done at issue (loads), each with
+    /// its sequence number, oldest first. A slot of `head_seq..next_seq`
+    /// that is not here is done.
+    pending: VecDeque<(u64, Slot)>,
+    /// Sequence number of the oldest unretired slot.
     head_seq: u64,
+    /// Sequence number of the next slot to issue: the window holds
+    /// `next_seq - head_seq` slots.
     next_seq: u64,
+    /// Bubbles still to issue ahead of `staged`.
     bubbles_left: u32,
-    staged: Option<TraceOp>,
+    /// The next memory operation, fetched as soon as the previous one
+    /// commits (each core's trace is private, so when it is fetched is
+    /// unobservable).
+    staged: TraceOp,
     mshrs: MshrTable,
-    last_load_seq: Option<u64>,
     stats: CoreStats,
-    /// Leading window slots known to be expired `DoneAt`s (a cache for
-    /// [`Self::bubble_run`]'s prefix scan). Stamps are fixed and the cycle
-    /// counter only grows, so an expired slot stays expired: the count is
-    /// only ever invalidated downward, by front pops.
-    expired_front: u32,
 }
 
 impl std::fmt::Debug for Core {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Core")
             .field("id", &self.id)
-            .field("window_occupancy", &self.window.len())
+            .field("window_occupancy", &self.occupancy())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -137,20 +171,19 @@ impl std::fmt::Debug for Core {
 
 impl Core {
     /// Creates a core with the given id, parameters and instruction trace.
-    pub fn new(id: usize, params: CoreParams, trace: Box<dyn TraceSource>) -> Self {
+    pub fn new(id: usize, params: CoreParams, mut trace: Box<dyn TraceSource>) -> Self {
+        let staged = trace.next_op();
         Self {
             id,
             params,
             trace,
-            window: VecDeque::with_capacity(params.window_size),
+            pending: VecDeque::with_capacity(params.window_size),
             head_seq: 0,
             next_seq: 0,
-            bubbles_left: 0,
-            staged: None,
+            bubbles_left: staged.bubbles,
+            staged,
             mshrs: MshrTable::new(params.mshrs),
-            last_load_seq: None,
             stats: CoreStats::default(),
-            expired_front: 0,
         }
     }
 
@@ -178,79 +211,65 @@ impl Core {
         }
     }
 
-    fn slot_done(&self, seq: u64, now: u64) -> bool {
-        if seq < self.head_seq {
-            return true; // already retired
+    fn width(&self) -> u64 {
+        self.params.issue_width as u64
+    }
+
+    /// Slots in the window.
+    fn occupancy(&self) -> u64 {
+        self.next_seq - self.head_seq
+    }
+
+    /// The window head's slot, if it was not done at issue.
+    fn pending_head(&self) -> Option<Slot> {
+        match self.pending.front() {
+            Some(&(seq, slot)) if seq == self.head_seq => Some(slot),
+            _ => None,
         }
-        match self.window[(seq - self.head_seq) as usize] {
-            Slot::DoneAt(t) => t <= now,
-            Slot::WaitMem => false,
-        }
+    }
+
+    /// The slot of the newest load, if it has not retired. Loads retire in
+    /// order, so an unretired one is the newest pending slot.
+    fn last_load(&self) -> Option<Slot> {
+        self.pending.back().map(|&(_, slot)| slot)
     }
 
     /// Advances the core by one CPU cycle.
     pub fn step(&mut self, mem: &mut dyn MemoryInterface) {
         self.stats.cycles += 1;
         let now = self.stats.cycles;
-
-        // Retire in order.
-        let mut retired = 0;
-        while retired < self.params.issue_width {
-            match self.window.front() {
-                Some(Slot::DoneAt(t)) if *t <= now => {
-                    self.window.pop_front();
-                    self.head_seq += 1;
-                    self.stats.retired += 1;
-                    retired += 1;
-                }
-                _ => break,
-            }
-        }
-        self.expired_front = self.expired_front.saturating_sub(retired as u32);
+        self.retire(now);
 
         // Issue in order.
+        let w = self.width();
         let mut issued = 0;
-        while issued < self.params.issue_width {
-            if self.window.len() >= self.params.window_size {
+        while issued < w {
+            let room = self.params.window_size as u64 - self.occupancy();
+            if room == 0 {
                 self.stats.window_stall_cycles += 1;
                 break;
             }
-            if self.staged.is_none() && self.bubbles_left == 0 {
-                let op = self.trace.next_op();
-                self.bubbles_left = op.bubbles;
-                self.staged = Some(op);
-            }
             if self.bubbles_left > 0 {
-                self.window.push_back(Slot::DoneAt(now));
-                self.next_seq += 1;
-                self.bubbles_left -= 1;
-                issued += 1;
+                // Bubbles are done at issue: only their count is kept.
+                let n = u64::from(self.bubbles_left).min(w - issued).min(room);
+                self.next_seq += n;
+                self.bubbles_left -= n as u32;
+                issued += n;
                 continue;
             }
-            let op = self
-                .staged
-                .expect("staged op present when bubbles are drained");
+            let op = self.staged;
 
             // Load-to-load dependence: wait for the previous load's data.
-            if op.dependent {
-                if let Some(seq) = self.last_load_seq {
-                    if !self.slot_done(seq, now) {
-                        break;
-                    }
-                }
+            if op.dependent && self.last_load().is_some_and(|slot| !slot.done(now)) {
+                break;
             }
 
             let is_store = op.kind == MemKind::Store;
             let line = op.addr & !63u64;
+            // A store is done at issue; a load missing the LLC waits.
+            let waiting = (!is_store).then_some(Slot::WaitMem);
             if self.mshrs.merge(line, (!is_store).then_some(self.next_seq)) {
-                self.commit_mem_op(
-                    op,
-                    if is_store {
-                        Slot::DoneAt(now)
-                    } else {
-                        Slot::WaitMem
-                    },
-                );
+                self.commit(waiting);
                 issued += 1;
                 continue;
             }
@@ -260,35 +279,65 @@ impl Core {
             }
             match mem.access(self.id, op.addr, is_store) {
                 AccessResult::Hit => {
-                    let slot = if is_store {
-                        Slot::DoneAt(now)
-                    } else {
-                        Slot::DoneAt(now + self.params.llc_hit_latency)
-                    };
-                    self.commit_mem_op(op, slot);
-                    issued += 1;
+                    let done = now + self.params.llc_hit_latency;
+                    self.commit((!is_store).then_some(Slot::DoneAt(done)));
                 }
                 AccessResult::Miss(token) => {
                     let ok = self
                         .mshrs
                         .allocate(line, token, (!is_store).then_some(self.next_seq));
                     debug_assert!(ok, "allocate after is_full check cannot fail");
-                    self.commit_mem_op(
-                        op,
-                        if is_store {
-                            Slot::DoneAt(now)
-                        } else {
-                            Slot::WaitMem
-                        },
-                    );
-                    issued += 1;
+                    self.commit(waiting);
                 }
                 AccessResult::Busy => {
                     self.stats.mem_busy_stall_cycles += 1;
                     break;
                 }
             }
+            issued += 1;
         }
+    }
+
+    /// Retires up to `issue_width` done slots from the window head, in
+    /// order.
+    fn retire(&mut self, now: u64) {
+        let w = self.width();
+        let mut budget = w;
+        loop {
+            // The slots ahead of the oldest pending one are done.
+            let limit = self.pending.front().map_or(self.next_seq, |&(seq, _)| seq);
+            let run = (limit - self.head_seq).min(budget);
+            self.head_seq += run;
+            budget -= run;
+            if budget == 0 {
+                break;
+            }
+            match self.pending.front() {
+                Some(&(_, slot)) if slot.done(now) => {
+                    self.pending.pop_front();
+                    self.head_seq += 1;
+                    budget -= 1;
+                }
+                _ => break,
+            }
+        }
+        self.stats.retired += w - budget;
+    }
+
+    /// Commits the staged memory operation — a load with its `slot`, or a
+    /// store (`None`), done at issue — and fetches the next one.
+    fn commit(&mut self, slot: Option<Slot>) {
+        match slot {
+            Some(slot) => {
+                self.stats.loads += 1;
+                self.pending.push_back((self.next_seq, slot));
+            }
+            None => self.stats.stores += 1,
+        }
+        self.stats.mem_ops += 1;
+        self.next_seq += 1;
+        self.staged = self.trace.next_op();
+        self.bubbles_left = self.staged.bubbles;
     }
 
     /// Predicts, without mutating anything, whether the next [`Self::step`]
@@ -304,50 +353,39 @@ impl Core {
     /// `mem_busy(addr)` must answer what [`MemoryInterface::access`] would
     /// answer with `Busy` for `addr`, without side effects. The probe is
     /// only meaningful while the memory system delivers no completions to
-    /// this core; the skip-ahead loop guarantees that during a skipped span.
+    /// this core.
     pub fn idle_probe(&self, mem_busy: &dyn Fn(u64) -> bool) -> CoreIdle {
         let now = self.stats.cycles + 1;
-        // Retire in order: a finished head retires something.
-        if let Some(Slot::DoneAt(t)) = self.window.front() {
-            if *t <= now {
-                return CoreIdle::Active;
-            }
-        }
-        // An unexpired head completion self-resolves (retires) at its
-        // expiry; a head waiting on memory resolves only via `complete`.
-        let head_wake = match self.window.front() {
-            Some(Slot::DoneAt(t)) => Some(*t),
-            _ => None,
-        };
-        let min_wake = |a: Option<u64>, b: Option<u64>| match (a, b) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (x, None) | (None, x) => x,
+        // Retire in order: a done head retires something. An unexpired
+        // head completion self-resolves (retires) at its expiry; a head
+        // waiting on memory resolves only via `complete`.
+        let head_wake = match self.pending_head() {
+            Some(slot) if !slot.done(now) => slot.expiry(),
+            None if self.occupancy() == 0 => None,
+            _ => return CoreIdle::Active,
         };
         // Issue in order, first slot only (later iterations cannot be
         // reached when the first one breaks).
-        if self.window.len() >= self.params.window_size {
+        if self.occupancy() >= self.params.window_size as u64 {
             return CoreIdle::Stalled {
                 kind: StallKind::WindowFull,
                 wake: head_wake,
             };
         }
-        if self.bubbles_left > 0 || self.staged.is_none() {
-            // Would insert a bubble or fetch the next trace op.
+        if self.bubbles_left > 0 {
             return CoreIdle::Active;
         }
-        let op = self.staged.expect("checked above");
+        let op = self.staged;
         if op.dependent {
-            if let Some(seq) = self.last_load_seq {
-                if !self.slot_done(seq, now) {
-                    let dep = match self.window[(seq - self.head_seq) as usize] {
-                        Slot::DoneAt(t) => Some(t),
-                        Slot::WaitMem => None,
-                    };
-                    return CoreIdle::Stalled {
-                        kind: StallKind::DepWait,
-                        wake: min_wake(head_wake, dep),
-                    };
-                }
+            if let Some(dep) = self.last_load().filter(|slot| !slot.done(now)) {
+                let wake = match (head_wake, dep.expiry()) {
+                    (Some(x), Some(y)) => Some(x.min(y)),
+                    (x, None) | (None, x) => x,
+                };
+                return CoreIdle::Stalled {
+                    kind: StallKind::DepWait,
+                    wake,
+                };
             }
         }
         let line = op.addr & !63u64;
@@ -369,174 +407,182 @@ impl Core {
         CoreIdle::Active
     }
 
+    /// A lower bound on the CPU cycles before [`Self::step`] next calls
+    /// [`MemoryInterface::access`], valid while no completion reaches the
+    /// core: the pure stall ahead ([`Self::idle_probe`]; `u64::MAX` when
+    /// only a completion ends it), plus `bubbles_left / issue_width` — no
+    /// step reaches the staged op while `issue_width` bubbles are left
+    /// ahead of it, and a step issues at most that many. A core about to
+    /// access memory gets 0, also when the access will be refused: asking
+    /// is an access.
+    ///
+    /// Within the span the core touches no shared state, so
+    /// [`Self::advance`] may run it at any time.
+    pub fn quiet_span(&self) -> u64 {
+        let bubble_steps = u64::from(self.bubbles_left) / self.width();
+        match self.idle_probe(&|_| false) {
+            CoreIdle::Active => bubble_steps,
+            CoreIdle::Stalled { wake: None, .. } => u64::MAX,
+            CoreIdle::Stalled { wake: Some(t), .. } => t - 1 - self.stats.cycles + bubble_steps,
+        }
+    }
+
+    /// Runs `cpu_cycles` steps exactly as that many [`Self::step`] calls
+    /// would, for `cpu_cycles <= quiet_span()` and no completion in
+    /// between. Chains the closed forms of the regimes it passes through —
+    /// a pure stall, a bubble run, issue behind a blocked head — and steps
+    /// a cycle that fits none of them against a memory interface that
+    /// panics on access.
+    pub fn advance(&mut self, mut cpu_cycles: u64) {
+        debug_assert!(
+            cpu_cycles <= self.quiet_span(),
+            "advance past the quiet span"
+        );
+        while cpu_cycles > 0 {
+            let n = match self.idle_probe(&|_| false) {
+                CoreIdle::Stalled { kind, wake } => {
+                    let stall = wake.map_or(u64::MAX, |t| t - 1 - self.stats.cycles);
+                    let n = stall.min(cpu_cycles);
+                    self.skip_idle(n, kind);
+                    n
+                }
+                CoreIdle::Active => {
+                    if let Some(n) = self.bubble_run() {
+                        let n = n.min(cpu_cycles);
+                        self.skip_bubbles(n);
+                        n
+                    } else if let Some(n) = self.blocked_head_run() {
+                        let n = n.min(cpu_cycles);
+                        self.skip_blocked_head(n);
+                        n
+                    } else {
+                        self.step(&mut NoAccess);
+                        1
+                    }
+                }
+            };
+            cpu_cycles -= n;
+        }
+    }
+
     /// How many CPU cycles of *pure bubble execution* can be batched from
     /// the current state, or `None` when the next step is not a pure bubble
-    /// cycle. A pure bubble cycle retires `issue_width` finished slots (or
-    /// the whole window if smaller) and inserts `issue_width` bubbles — no
-    /// trace fetch, no memory op, no stall — so a span of them is pure
-    /// arithmetic on the stats and a window rotation. Requirements:
+    /// cycle. A pure bubble cycle retires `issue_width` done slots (or the
+    /// whole window if smaller) and issues `issue_width` bubbles — no
+    /// memory op, no stall — so a span of them is arithmetic on the
+    /// sequence numbers. Requirements:
     ///
     /// - at least `issue_width` bubbles remain, so no cycle in the span
-    ///   fetches the next trace op mid-cycle;
-    /// - retirement never touches an unexpired slot: either every slot is
-    ///   an expired `DoneAt`, or the leading run of expired slots is at
-    ///   least `issue_width` long and the span is cut so pops stay inside
-    ///   that run (an in-flight LLC hit parked mid-window is fine — it
-    ///   just caps how far the run extends).
+    ///   reaches the staged op;
+    /// - retirement never reaches a slot that is not done: either every
+    ///   slot is done, or the leading run of done slots is at least
+    ///   `issue_width` long and the span is cut so retirement stays inside
+    ///   it (an in-flight LLC hit parked mid-window is fine — it just caps
+    ///   how far the run extends).
     ///
-    /// The bound is `bubbles_left / issue_width` (every cycle in the span
-    /// starts with at least `issue_width` bubbles), further capped by
-    /// `run / issue_width` when an unexpired slot follows the run. The
-    /// prefix scan resumes from the cached expired-prefix length (slots
-    /// already counted stay expired, since stamps are fixed and the cycle
-    /// counter only grows), so repeated probes are amortized O(1): each
-    /// window slot is scanned at most once between the pops that shrink
-    /// the prefix. Like [`Self::idle_probe`], only valid while no
-    /// completions arrive.
-    pub fn bubble_run(&mut self) -> Option<u64> {
+    /// The bound is `bubbles_left / issue_width`, further capped by
+    /// `run / issue_width` when a slot that is not done follows the run.
+    /// Like [`Self::idle_probe`], only valid while no completions arrive.
+    pub fn bubble_run(&self) -> Option<u64> {
         let now = self.stats.cycles + 1;
-        let w = self.params.issue_width as u64;
-        if (self.bubbles_left as u64) < w {
+        let w = self.width();
+        let bubbles = u64::from(self.bubbles_left);
+        if bubbles < w {
             return None;
         }
-        let fetch_bound = self.bubbles_left as u64 / w;
-        let mut run = self.expired_front as usize;
-        while run < self.window.len() {
-            match self.window[run] {
-                Slot::DoneAt(t) if t <= now => run += 1,
-                _ => break,
-            }
-        }
-        self.expired_front = run as u32;
-        let run = run as u64;
-        if run as usize == self.window.len() {
-            // Every slot is expired: only the bubble supply bounds the span.
-            Some(fetch_bound)
-        } else if run >= w {
-            Some((run / w).min(fetch_bound))
-        } else {
-            None
+        let fetch_bound = bubbles / w;
+        let blocker = self.pending.iter().find(|&&(_, slot)| !slot.done(now));
+        match blocker.map(|&(seq, _)| seq - self.head_seq) {
+            None => Some(fetch_bound),
+            Some(run) if run >= w => Some((run / w).min(fetch_bound)),
+            Some(_) => None,
         }
     }
 
     /// Batches `cpu_cycles` pure bubble cycles (see [`Self::bubble_run`];
-    /// `cpu_cycles` must not exceed its bound). Each cycle retires
-    /// `min(issue_width, occupancy)` slots and pushes `issue_width` bubbles.
-    ///
-    /// Expired slots are behaviorally interchangeable: every read of a slot
-    /// is either an expiry comparison (`DoneAt(t)` vs. a monotonically
-    /// growing `now`, so an expired slot stays expired forever) or a
-    /// completion/dependency lookup, which only distinguishes `WaitMem` and
-    /// unexpired slots. The batched window update exploits that instead of
-    /// re-stamping every surviving bubble:
-    ///
-    /// - when the whole original window is consumed, the deque is merely
-    ///   topped up to the surviving count (O(issue_width));
-    /// - otherwise pops equal pushes and stay inside the expired leading
-    ///   run, so rotating the consumed front slots to the back reproduces
-    ///   every unexpired slot's position exactly, with the rotated (expired)
-    ///   slots standing in for the freshly stamped bubbles.
-    pub fn skip_bubbles(&mut self, cpu_cycles: u64) {
+    /// `cpu_cycles` must not exceed its bound).
+    pub(crate) fn skip_bubbles(&mut self, cpu_cycles: u64) {
         if cpu_cycles == 0 {
             return;
         }
-        let w = self.params.issue_width as u64;
-        debug_assert!(cpu_cycles <= self.bubbles_left as u64 / w, "past bound");
-        let occ0 = self.window.len() as u64;
-        // Cycle 1 retires min(w, occ0); once the window holds a full
-        // cycle's worth of bubbles, every later cycle retires exactly w.
-        let retired = occ0.min(w) + w * (cpu_cycles - 1);
+        debug_assert!(
+            self.bubble_run().is_some_and(|n| cpu_cycles <= n),
+            "past bound"
+        );
+        let w = self.width();
+        // Cycle 1 retires min(w, occupancy); from then on the window holds
+        // a cycle's worth of done bubbles, so every later cycle retires w.
+        let retired = self.occupancy().min(w) + w * (cpu_cycles - 1);
         let pushes = w * cpu_cycles;
-        if retired >= occ0 {
-            // Every original slot was consumed (only possible when the
-            // whole window was expired), leaving `pushes - retired` net new
-            // bubbles on top of the original count.
-            let target = (occ0 + pushes - retired) as usize;
-            let stamp = self.stats.cycles + cpu_cycles;
-            while self.window.len() < target {
-                self.window.push_back(Slot::DoneAt(stamp));
-            }
-            // Every surviving slot is an expired (or expiring-now) bubble.
-            self.expired_front = self.window.len() as u32;
-        } else {
-            // Pops stay inside the expired leading run and equal the number
-            // of pushed bubbles (`occ0 >= w` here, so `retired == pushes`).
-            debug_assert_eq!(retired, pushes);
-            self.window.rotate_left(retired as usize);
-            if (self.expired_front as u64) < occ0 {
-                // The known prefix loses its front `retired` slots; when it
-                // covered the whole window, rotation preserves that.
-                self.expired_front = self.expired_front.saturating_sub(retired as u32);
-            }
-        }
-        self.stats.cycles += cpu_cycles;
-        self.stats.retired += retired;
         self.head_seq += retired;
+        // The loads retired with them were done: the span stops short of
+        // the first one that is not.
+        while self
+            .pending
+            .front()
+            .is_some_and(|&(seq, _)| seq < self.head_seq)
+        {
+            self.pending.pop_front();
+        }
         self.next_seq += pushes;
         self.bubbles_left -= pushes as u32;
+        self.stats.cycles += cpu_cycles;
+        self.stats.retired += retired;
     }
 
     /// How many CPU cycles of *issue-only* execution can be batched when
     /// the window head is an unexpired completion, or `None` when the next
     /// step is not such a cycle. In this regime every cycle retires nothing
     /// (the head is a `DoneAt` in the future or still waiting on memory)
-    /// and pushes `issue_width` bubbles behind it. The bound is cut so that
+    /// and issues `issue_width` bubbles behind it. The bound is cut so that
     /// within the span:
     ///
     /// - the head never expires (`head DoneAt(t)` caps it at `t - 1`);
     /// - the window never fills mid-issue (no partial-issue cycle, no
     ///   window-full stall);
-    /// - bubbles never run out (no trace fetch).
+    /// - bubbles never run out (the staged op is not reached).
     ///
     /// Complements [`Self::bubble_run`], which needs a retireable run at
     /// the front. Like [`Self::idle_probe`], only valid while no
     /// completions arrive.
     pub fn blocked_head_run(&self) -> Option<u64> {
         let now = self.stats.cycles;
-        let w = self.params.issue_width as u64;
-        if (self.bubbles_left as u64) < w {
+        let w = self.width();
+        let bubbles = u64::from(self.bubbles_left);
+        if bubbles < w {
             return None;
         }
-        let head_bound = match self.window.front() {
-            Some(Slot::WaitMem) => u64::MAX,
-            Some(Slot::DoneAt(t)) if *t > now + 1 => *t - 1 - now,
-            _ => return None,
+        let head_bound = match self.pending_head()? {
+            Slot::WaitMem => u64::MAX,
+            Slot::DoneAt(t) if t > now + 1 => t - 1 - now,
+            Slot::DoneAt(_) => return None,
         };
-        let room = (self.params.window_size - self.window.len()) as u64 / w;
+        let room = (self.params.window_size as u64 - self.occupancy()) / w;
         if room == 0 {
             return None;
         }
-        Some(head_bound.min(room).min(self.bubbles_left as u64 / w))
+        Some(head_bound.min(room).min(bubbles / w))
     }
 
     /// Batches `cpu_cycles` issue-only cycles (see [`Self::blocked_head_run`];
-    /// `cpu_cycles` must not exceed its bound). Each cycle pushes
-    /// `issue_width` bubbles stamped with its own cycle number; nothing
-    /// retires.
-    pub fn skip_blocked_head(&mut self, cpu_cycles: u64) {
-        if cpu_cycles == 0 {
-            return;
-        }
-        let w = self.params.issue_width as u64;
+    /// `cpu_cycles` must not exceed its bound). Each cycle issues
+    /// `issue_width` bubbles; nothing retires.
+    pub(crate) fn skip_blocked_head(&mut self, cpu_cycles: u64) {
         debug_assert!(
-            self.blocked_head_run().is_some_and(|n| cpu_cycles <= n),
+            cpu_cycles == 0 || self.blocked_head_run().is_some_and(|n| cpu_cycles <= n),
             "past bound"
         );
-        let start = self.stats.cycles;
-        let pushes = w * cpu_cycles;
-        for p in 0..pushes {
-            self.window.push_back(Slot::DoneAt(start + 1 + p / w));
-        }
-        self.stats.cycles += cpu_cycles;
+        let pushes = self.width() * cpu_cycles;
         self.next_seq += pushes;
         self.bubbles_left -= pushes as u32;
+        self.stats.cycles += cpu_cycles;
     }
 
     /// Batches `cpu_cycles` consecutive stalled steps of kind `kind`:
     /// advances the cycle counter and the matching stall counter exactly as
     /// that many [`Self::step`] calls would have (`DepWait` stalls increment
     /// no counter in `step`, so none is charged here either).
-    pub fn skip_idle(&mut self, cpu_cycles: u64, kind: StallKind) {
+    pub(crate) fn skip_idle(&mut self, cpu_cycles: u64, kind: StallKind) {
         self.stats.cycles += cpu_cycles;
         match kind {
             StallKind::WindowFull => self.stats.window_stall_cycles += cpu_cycles,
@@ -546,28 +592,17 @@ impl Core {
         }
     }
 
-    fn commit_mem_op(&mut self, op: TraceOp, slot: Slot) {
-        if op.kind == MemKind::Load {
-            self.stats.loads += 1;
-            self.last_load_seq = Some(self.next_seq);
-        } else {
-            self.stats.stores += 1;
-        }
-        self.stats.mem_ops += 1;
-        self.window.push_back(slot);
-        self.next_seq += 1;
-        self.staged = None;
-    }
-
     /// Delivers the data for request `token` (called by the system glue when
     /// the memory controller completes a read).
     pub fn complete(&mut self, token: ReqToken) {
         let now = self.stats.cycles;
         if let Some(waiters) = self.mshrs.complete(token) {
             for seq in waiters {
-                debug_assert!(seq >= self.head_seq, "waiting slot cannot have retired");
-                let idx = (seq - self.head_seq) as usize;
-                self.window[idx] = Slot::DoneAt(now);
+                let i = self
+                    .pending
+                    .binary_search_by_key(&seq, |&(s, _)| s)
+                    .expect("a load waiting on memory cannot have retired");
+                self.pending[i].1 = Slot::DoneAt(now);
             }
         }
     }
@@ -577,6 +612,8 @@ impl Core {
 mod tests {
     use super::*;
     use crate::trace::CyclicTrace;
+    use dsarp_workloads::{catalogue, BenchmarkSpec};
+    use proptest::prelude::*;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -954,7 +991,7 @@ mod tests {
         }
         b.skip_bubbles(n);
         assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.window.len(), b.window.len());
+        assert_eq!(a.occupancy(), b.occupancy());
         // The reconstructed window must be behaviourally identical: keep
         // stepping both through the trailing memory op and the next bubble
         // burst.
@@ -1052,7 +1089,7 @@ mod tests {
         }
         b.skip_blocked_head(n);
         assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.window.len(), b.window.len());
+        assert_eq!(a.occupancy(), b.occupancy());
         // Past the head expiry the pure-bubble regime takes over; keep
         // stepping both through it and the next memory op.
         for _ in 0..500 {
@@ -1109,7 +1146,7 @@ mod tests {
             }
             t += n;
             assert_eq!(a.stats(), b.stats(), "diverged by cycle {t}");
-            assert_eq!(a.window.len(), b.window.len());
+            assert_eq!(a.occupancy(), b.occupancy());
         }
         assert!(batched_bubbles > 0, "bubble batches exercised");
         assert!(batched_blocked > 0, "blocked-head batches exercised");
@@ -1156,6 +1193,143 @@ mod tests {
         assert_eq!(a.idle_probe(&|_| false), CoreIdle::Active);
     }
 
+    /// A catalogue benchmark's op mix, as the synthetic traces draw it —
+    /// bubbles uniform in `0..=2 * mem_interval`, stores at `store_frac`,
+    /// dependent loads at `dep_frac` — over 32 lines, so that LLC hits,
+    /// misses, same-line merges and full MSHR tables all come up.
+    struct OpMix {
+        spec: &'static BenchmarkSpec,
+        x: u64,
+    }
+
+    /// splitmix64: the next draw of the generator whose state is `x`.
+    fn splitmix(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    impl OpMix {
+        fn chance(&mut self, p: f64) -> bool {
+            ((splitmix(&mut self.x) >> 11) as f64) < p * (1u64 << 53) as f64
+        }
+    }
+
+    impl TraceSource for OpMix {
+        fn next_op(&mut self) -> TraceOp {
+            let span = 2 * u64::from(self.spec.mem_interval) + 1;
+            let bubbles = (splitmix(&mut self.x) % span) as u32;
+            let kind = if self.chance(self.spec.store_frac) {
+                MemKind::Store
+            } else {
+                MemKind::Load
+            };
+            let dependent = kind == MemKind::Load && self.chance(self.spec.dep_frac);
+            let word = splitmix(&mut self.x) % (32 * 8);
+            TraceOp {
+                bubbles,
+                kind,
+                addr: word * 8,
+                dependent,
+            }
+        }
+    }
+
+    /// Memory for the real steps: the lowest 8 lines hit, the others miss
+    /// and complete 20-400 CPU cycles later, and one access in 16 is
+    /// refused. Two instances with one seed answer two cores in lockstep
+    /// alike.
+    struct Flaky {
+        x: u64,
+        now: u64,
+        next_token: ReqToken,
+        in_flight: Vec<(u64, ReqToken)>,
+    }
+
+    impl MemoryInterface for Flaky {
+        fn access(&mut self, _core: usize, addr: u64, _store: bool) -> AccessResult {
+            let draw = splitmix(&mut self.x);
+            if draw.is_multiple_of(16) {
+                return AccessResult::Busy;
+            }
+            if addr < 8 * 64 {
+                return AccessResult::Hit;
+            }
+            self.next_token += 1;
+            let due = self.now + 20 + (draw >> 8) % 381;
+            self.in_flight.push((due, self.next_token));
+            AccessResult::Miss(self.next_token)
+        }
+    }
+
+    impl Flaky {
+        /// One real step of `core`, after delivering the completions due.
+        fn step(&mut self, core: &mut Core) {
+            self.now = core.cycles();
+            self.in_flight.retain(|&(due, token)| {
+                if due <= self.now {
+                    core.complete(token);
+                }
+                due > self.now
+            });
+            core.step(self);
+        }
+    }
+
+    /// Everything a step can change.
+    fn state(core: &Core) -> impl PartialEq + std::fmt::Debug {
+        (
+            core.stats,
+            core.head_seq,
+            core.next_seq,
+            core.pending.clone(),
+            core.bubbles_left,
+            core.staged,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `advance(n)` for any `n <= quiet_span()` equals `n` steps, field
+        /// for field, from wherever a prefix of real steps left the core;
+        /// each round runs another prefix and another span. Both sides step
+        /// against memory that panics on access, which also proves the span
+        /// a true bound.
+        #[test]
+        fn advance_equals_stepping_through_the_quiet_span(
+            spec in prop::sample::select(
+                catalogue::all().iter().chain([&catalogue::COMPUTE_BOUND]).collect::<Vec<_>>()
+            ),
+            seed in any::<u64>(),
+            rounds in prop::collection::vec(
+                (prop::sample::select(vec![0u64, 1, 3, 17, 60, 250, 1_000]), any::<u64>()),
+                1..8,
+            ),
+        ) {
+            let core = || Core::new(0, CoreParams::paper_default(), Box::new(OpMix { spec, x: seed }));
+            let memory = || Flaky { x: !seed, now: 0, next_token: 0, in_flight: Vec::new() };
+            let (mut fast, mut slow) = (core(), core());
+            let (mut fast_mem, mut slow_mem) = (memory(), memory());
+            for (round, &(prefix, pick)) in rounds.iter().enumerate() {
+                for _ in 0..prefix {
+                    fast_mem.step(&mut fast);
+                    slow_mem.step(&mut slow);
+                }
+                // Half the spans run to the bound, where a loose one shows.
+                let quiet = fast.quiet_span().min(20_000);
+                let n = if pick.is_multiple_of(2) { quiet } else { (pick >> 1) % (quiet + 1) };
+                fast.advance(n);
+                for _ in 0..n {
+                    slow.step(&mut NoAccess);
+                }
+                prop_assert_eq!(state(&fast), state(&slow), "{} round {}: {} steps", spec.name, round, n);
+            }
+        }
+    }
+
     #[test]
     fn window_fills_behind_stalled_head() {
         let ops = vec![
@@ -1172,7 +1346,7 @@ mod tests {
             core.step(&mut mem);
         }
         // Head load never completes; window fills with bubbles behind it.
-        assert_eq!(core.window.len(), 128);
+        assert_eq!(core.occupancy(), 128);
         assert!(core.stats().window_stall_cycles > 0);
         assert_eq!(core.retired(), 0);
     }

@@ -8,12 +8,10 @@ use crate::config::SimConfig;
 use crate::telemetry::SimTelemetry;
 use dsarp_core::{Completion, ControllerStats, MemoryController, Request};
 use dsarp_cpu::{
-    AccessResult, Core, CoreIdle, Llc, LlcParams, LlcResult, LlcStats, MemKind, MemoryInterface,
-    StallKind, TraceSource,
+    AccessResult, Core, Llc, LlcParams, LlcResult, LlcStats, MemKind, MemoryInterface, TraceSource,
 };
 use dsarp_dram::{
-    Cycle, DramChannel, EnergyBreakdown, Geometry, IddValues, Location, PowerModel,
-    CPU_CYCLES_PER_DRAM_CYCLE,
+    Cycle, DramChannel, EnergyBreakdown, Geometry, IddValues, PowerModel, CPU_CYCLES_PER_DRAM_CYCLE,
 };
 use dsarp_workloads::{BenchmarkSpec, SyntheticTrace, Workload};
 use serde::{Deserialize, Serialize};
@@ -98,7 +96,8 @@ pub struct LoopStats {
     pub clock_jumps: u64,
     /// Cycles never visited (the sum of those advances, less one each).
     pub cycles_jumped: u64,
-    /// `Core::step` calls (CPU cycles micro-stepped rather than batched).
+    /// `Core::step` calls made by the loop (CPU cycles micro-stepped rather
+    /// than fast-forwarded by [`Core::advance`]).
     pub core_micro_steps: u64,
 }
 
@@ -214,22 +213,16 @@ impl MemBridge<'_> {
     }
 }
 
-/// Read-queue backpressure: a fill for `loc` must wait while its channel's
-/// read queue is at capacity, unless a queued write forwards it. The one
-/// definition both the bridge and the skip-ahead planner's `MemBusy` probe
-/// answer from.
-fn read_blocked(mc: &MemoryController, loc: &Location) -> bool {
-    let queues = mc.queues();
-    queues.read_len() >= queues.read_cap() && !queues.forwards_read(loc)
-}
-
 impl MemoryInterface for MemBridge<'_> {
     fn access(&mut self, core: usize, addr: u64, is_store: bool) -> AccessResult {
         let line = addr & !63u64;
         let loc = self.geom.decode(line);
-        // Backpressure *before* touching the LLC: a rejected fill must not
-        // leave the line installed.
-        if read_blocked(&self.mcs[loc.channel], &loc) {
+        // Backpressure *before* touching the LLC: a fill waits while its
+        // channel's read queue is at capacity, unless a queued write
+        // forwards it, and a rejected fill must not leave the line
+        // installed.
+        let queues = self.mcs[loc.channel].queues();
+        if queues.read_len() >= queues.read_cap() && !queues.forwards_read(&loc) {
             return AccessResult::Busy;
         }
         match self.llc.access(line, is_store) {
@@ -250,34 +243,10 @@ impl MemoryInterface for MemBridge<'_> {
     }
 }
 
-/// What a lagging core does across its batched span (computed by the
-/// skip-ahead planner, applied arithmetically at settlement).
-#[derive(Debug, Clone, Copy)]
-enum CorePlan {
-    /// Pure stall: advance the cycle counter and one stall counter.
-    Stall(StallKind),
-    /// Pure bubble execution: retire/issue arithmetic (see
-    /// [`Core::skip_bubbles`]).
-    Bubbles,
-    /// Issue-only execution behind an unexpired window head (see
-    /// [`Core::skip_blocked_head`]).
-    BlockedHead,
-}
-
-/// A core lagging behind the DRAM clock under a self-contained plan.
-///
-/// The plan's validity depends only on the core's own state, so the core
-/// needs no attention until either its `horizon` arrives or a memory
-/// completion addressed to it forces an early settlement. Lagged cores
-/// make no LLC or memory accesses, so leaving them behind preserves the
-/// exact inter-core access order of per-cycle stepping.
-#[derive(Debug, Clone, Copy)]
-struct CoreLag {
-    plan: CorePlan,
-    /// First DRAM cycle the core has not yet executed.
-    synced: Cycle,
-    /// First DRAM cycle at which the plan expires and the core must step.
-    horizon: Cycle,
+/// The last CPU cycle through which `core` provably makes no LLC access
+/// ([`Core::quiet_span`]).
+fn quiet_until(core: &Core) -> u64 {
+    core.cycles().saturating_add(core.quiet_span())
 }
 
 /// What a functional warm-up reads of a build — nothing else of its
@@ -659,19 +628,20 @@ impl System {
     /// Runs for `dram_cycles` more DRAM cycles and returns cumulative
     /// stats, visiting only the cycles at which something is due.
     ///
-    /// Every component has exactly one wake cycle. A core whose current
-    /// regime is self-contained ([`Core::idle_probe`], [`Core::bubble_run`],
-    /// [`Core::blocked_head_run`]: no memory accesses, validity depending
-    /// only on its own state) *lags* behind the DRAM clock until its
-    /// horizon, or until a completion addressed to it lands, and is settled
-    /// arithmetically then; any other core is due next cycle. A controller
-    /// is due at its [`MemoryController::wake`] and is not stepped before
-    /// it. Spilled writebacks retry every cycle. The clock moves to the
-    /// earliest wake and only the components due there are touched; the
-    /// per-cycle telemetry samples a sleeping channel misses are folded in
-    /// arithmetically. Every wake is a conservative lower bound — waking
-    /// early costs only time — so results are **exactly** those of
-    /// [`System::run_per_cycle`], field for field.
+    /// Every component has exactly one wake cycle. A core is planned to
+    /// its next possible LLC access ([`Core::quiet_span`]); until then it
+    /// touches no shared state, so it *lags* behind the DRAM clock and is
+    /// fast-forwarded ([`Core::advance`]) when the clock reaches that
+    /// access's cycle, or when a completion addressed to it lands. A core
+    /// that may access memory in the current cycle is micro-stepped, and is
+    /// re-planned straight after a step that commits a memory operation.
+    /// A controller is due at its [`MemoryController::wake`] and is not
+    /// stepped before it. Spilled writebacks retry every cycle. The clock
+    /// moves to the earliest wake and only the components due there are
+    /// touched; the per-cycle telemetry samples a sleeping channel misses
+    /// are folded in arithmetically. Every wake is a conservative lower
+    /// bound — waking early costs only time — so results are **exactly**
+    /// those of [`System::run_per_cycle`], field for field.
     pub fn run(&mut self, dram_cycles: u64) -> RunStats {
         self.run_loop(dram_cycles, true)
     }
@@ -692,7 +662,7 @@ impl System {
         let end = self.now + dram_cycles;
         let channels = self.mcs.len() as u64;
         let mut completions: Vec<Completion> = Vec::with_capacity(16);
-        let mut lags: Vec<Option<CoreLag>> = vec![None; self.cores.len()];
+        let mut lags: Vec<Option<u64>> = vec![None; self.cores.len()];
         let mut resume: Vec<u8> = vec![0; self.cores.len()];
         // The cores' earliest wake; every core starts out active.
         let mut cores_wake = self.now;
@@ -738,10 +708,11 @@ impl System {
             let mut delivered = false;
             for c in &completions {
                 if c.core != usize::MAX {
-                    // A completion invalidates the target core's plan:
-                    // catch the core up to this cycle, then deliver at the
-                    // same CPU time per-cycle stepping would have.
-                    Self::settle(&mut self.cores[c.core], &mut lags[c.core], now);
+                    // A completion ends the target core's quiet span: catch
+                    // the core up to this cycle, then deliver at the same
+                    // CPU time per-cycle stepping would have.
+                    let synced = now * CPU_CYCLES_PER_DRAM_CYCLE;
+                    Self::settle(&mut self.cores[c.core], &mut lags[c.core], synced);
                     self.cores[c.core].complete(c.id);
                     delivered = true;
                 }
@@ -773,7 +744,7 @@ impl System {
         // Settle outstanding lags and samples so reported stats cover
         // every cycle.
         for (core, lag) in self.cores.iter_mut().zip(lags.iter_mut()) {
-            Self::settle(core, lag, end);
+            Self::settle(core, lag, end * CPU_CYCLES_PER_DRAM_CYCLE);
         }
         if let Some(sampler) = &mut self.telemetry {
             for (ci, (mc, chan)) in self.mcs.iter().zip(self.chans.iter()).enumerate() {
@@ -783,33 +754,52 @@ impl System {
         self.collect()
     }
 
-    /// Runs the cores through DRAM cycle `now` — settles the plans that
-    /// expire at it, re-plans every unlagged core, micro-steps the active
-    /// ones — and returns their earliest wake: the next cycle for an active
-    /// core, its horizon for a lagging one.
+    /// Runs the cores through DRAM cycle `now` — settles the lags that end
+    /// in it, plans every core not lagging, micro-steps the ones that may
+    /// access memory in it — and returns their earliest wake: the next
+    /// cycle for a core that is not lagging, the cycle of its next possible
+    /// access for one that is.
+    ///
+    /// `lags[i]` is the last CPU cycle through which lagging core `i` makes
+    /// no access. A core planned quiet for part of this cycle is
+    /// fast-forwarded through that part at once, and `resume` records the
+    /// micro-step phase at which it re-enters the step loop. Quiet phases
+    /// make no accesses, so skipping them preserves the CPU-major
+    /// interleaving of the remaining LLC traffic exactly.
     fn step_cores(
         &mut self,
         now: Cycle,
         skip: bool,
-        lags: &mut [Option<CoreLag>],
+        lags: &mut [Option<u64>],
         resume: &mut [u8],
     ) -> Cycle {
-        for (core, lag) in self.cores.iter_mut().zip(lags.iter_mut()) {
-            if lag.is_some_and(|l| now >= l.horizon) {
-                Self::settle(core, lag, now);
+        const PHASES: u64 = CPU_CYCLES_PER_DRAM_CYCLE;
+        // CPU cycles before this DRAM cycle, and after it.
+        let (first, last) = (now * PHASES, (now + 1) * PHASES);
+        if skip {
+            for ((core, lag), from) in self
+                .cores
+                .iter_mut()
+                .zip(lags.iter_mut())
+                .zip(resume.iter_mut())
+            {
+                *from = 0;
+                if let Some(until) = *lag {
+                    if until >= last {
+                        continue;
+                    }
+                    Self::settle(core, lag, until);
+                }
+                let until = quiet_until(core);
+                if until >= last {
+                    *lag = Some(until);
+                } else {
+                    core.advance(until - core.cycles());
+                    *from = (until - first) as u8;
+                }
             }
         }
 
-        // Plan each unlagged core once per cycle: a span of at least one
-        // DRAM cycle starts a lag; a shorter span is applied immediately
-        // and the core resumes micro-stepping mid-cycle.
-        if skip {
-            self.plan_cores(now, lags, resume);
-        }
-
-        // Micro-step the active cores. Lagged and batched-over phases make
-        // no memory accesses, so skipping them preserves the CPU-major
-        // interleaving of the remaining LLC traffic exactly.
         if lags.iter().any(Option::is_none) {
             let mut bridge = MemBridge {
                 llc: &mut self.llc,
@@ -822,101 +812,40 @@ impl System {
                 wb_spill: &mut self.wb_spill,
                 max_spill: &mut self.max_spill,
             };
-            for phase in 0..CPU_CYCLES_PER_DRAM_CYCLE {
-                for ((core, lag), from) in self.cores.iter_mut().zip(lags.iter()).zip(resume.iter())
-                {
-                    if lag.is_none() && u64::from(*from) <= phase {
-                        core.step(&mut bridge);
-                        self.loop_stats.core_micro_steps += 1;
+            for phase in 0..PHASES {
+                let cores = self
+                    .cores
+                    .iter_mut()
+                    .zip(lags.iter_mut())
+                    .zip(resume.iter());
+                for ((core, lag), from) in cores {
+                    if lag.is_some() || u64::from(*from) > phase {
+                        continue;
+                    }
+                    let mem_ops = core.stats().mem_ops;
+                    core.step(&mut bridge);
+                    self.loop_stats.core_micro_steps += 1;
+                    // A committed memory op stages the next one: a core
+                    // quiet through the rest of this cycle lags from here.
+                    if skip && core.stats().mem_ops != mem_ops {
+                        let until = quiet_until(core);
+                        if until >= last {
+                            *lag = Some(until);
+                        }
                     }
                 }
             }
         }
-        let wakes = lags.iter().map(|lag| lag.map_or(now + 1, |l| l.horizon));
+        let wakes = lags.iter().map(|lag| lag.map_or(now + 1, |q| q / PHASES));
         wakes.min().unwrap_or(Cycle::MAX)
     }
 
-    /// Applies a lagging core's plan up to (excluding) DRAM cycle `upto`
-    /// and clears the lag. No-op for active cores.
-    fn settle(core: &mut Core, lag: &mut Option<CoreLag>, upto: Cycle) {
-        if let Some(l) = lag.take() {
-            debug_assert!(upto <= l.horizon, "settlement past plan horizon");
-            let d = upto - l.synced;
-            if d > 0 {
-                let cpu = d * CPU_CYCLES_PER_DRAM_CYCLE;
-                match l.plan {
-                    CorePlan::Stall(kind) => core.skip_idle(cpu, kind),
-                    CorePlan::Bubbles => core.skip_bubbles(cpu),
-                    CorePlan::BlockedHead => core.skip_blocked_head(cpu),
-                }
-            }
-        }
-    }
-
-    /// Probes each unlagged core once for a self-contained plan. A plan
-    /// spanning at least one full DRAM cycle starts a lag covering this
-    /// cycle onward; a shorter one is applied immediately and `resume`
-    /// records the micro-step phase at which the core re-enters this
-    /// cycle's step loop (the batched phases make no accesses, so the
-    /// CPU-major interleaving of the rest is untouched).
-    ///
-    /// `MemBusy` stalls are excluded: their validity depends on shared
-    /// controller queue state, which other (active) cores mutate — those
-    /// cores keep stepping per-cycle.
-    fn plan_cores(&mut self, now: Cycle, lags: &mut [Option<CoreLag>], resume: &mut [u8]) {
-        let mcs = &self.mcs;
-        let geom = &self.geom;
-        let mem_busy = move |addr: u64| {
-            let line = addr & !63u64;
-            let loc = geom.decode(line);
-            read_blocked(&mcs[loc.channel], &loc)
-        };
-        for (i, lag) in lags.iter_mut().enumerate() {
-            resume[i] = 0;
-            if lag.is_some() {
-                continue;
-            }
-            let core = &mut self.cores[i];
-            let cpu_now = core.cycles();
-            // How many CPU cycles the core is provably self-contained for.
-            let (plan, cpu_span) = match core.idle_probe(&mem_busy) {
-                CoreIdle::Stalled {
-                    kind: StallKind::MemBusy,
-                    ..
-                } => continue,
-                CoreIdle::Stalled { kind, wake } => {
-                    let span = wake.map_or(u64::MAX, |w| {
-                        debug_assert!(w > cpu_now + 1, "a stalled core cannot wake immediately");
-                        w - 1 - cpu_now
-                    });
-                    (CorePlan::Stall(kind), span)
-                }
-                CoreIdle::Active => {
-                    if let Some(n) = core.bubble_run() {
-                        (CorePlan::Bubbles, n)
-                    } else if let Some(n) = core.blocked_head_run() {
-                        (CorePlan::BlockedHead, n)
-                    } else {
-                        continue;
-                    }
-                }
-            };
-            let dram_span = cpu_span / CPU_CYCLES_PER_DRAM_CYCLE;
-            if dram_span == 0 {
-                // Sub-cycle span: batch it within this DRAM cycle.
-                match plan {
-                    CorePlan::Stall(kind) => core.skip_idle(cpu_span, kind),
-                    CorePlan::Bubbles => core.skip_bubbles(cpu_span),
-                    CorePlan::BlockedHead => core.skip_blocked_head(cpu_span),
-                }
-                resume[i] = cpu_span as u8;
-                continue;
-            }
-            *lag = Some(CoreLag {
-                plan,
-                synced: now,
-                horizon: now.saturating_add(dram_span),
-            });
+    /// Fast-forwards a lagging core to CPU cycle `upto`, within its quiet
+    /// span, and clears the lag. No-op for a core that is not lagging.
+    fn settle(core: &mut Core, lag: &mut Option<u64>, upto: u64) {
+        if let Some(until) = lag.take() {
+            debug_assert!(upto <= until, "settlement past the quiet span");
+            core.advance(upto - core.cycles());
         }
     }
 
@@ -1058,7 +987,7 @@ mod tests {
             .map(|c| c.stats().mem_busy_stall_cycles)
             .sum();
         assert!(busy > 0, "the run never filled a 16-entry read queue");
-        // The skip-ahead planner's `MemBusy` probe uses the same threshold.
+        // A core the bridge refuses asks again every cycle, in both modes.
         assert_eq!(stats, mk().run_per_cycle(10_000));
     }
 
@@ -1282,7 +1211,7 @@ mod tests {
                 };
                 let ops = (0..4096)
                     .map(|i| {
-                        let loc = Location {
+                        let loc = dsarp_dram::Location {
                             channel: 0,
                             rank: draw(geom.ranks_per_channel()),
                             bank: draw(geom.banks_per_rank()),
@@ -1416,8 +1345,10 @@ mod tests {
     /// configurations (`examples/profile_high_mpki.rs`: same seed, mixes,
     /// mechanisms and warm-up) at a tenth of its run length. A looser wake
     /// bound anywhere — a policy gate, a demand probe, a core plan — moves a
-    /// count here while every result stays exact. The values were recorded
-    /// at the commit before the refresh policies' `next_event` twins went.
+    /// count here while every result stays exact. The controller counts
+    /// date from before the refresh policies' `next_event` twins went; the
+    /// core counts, iterations and jumps from when each core was first
+    /// planned to its next LLC access in one span.
     #[test]
     fn skip_ahead_loop_stats_are_pinned() {
         const LEDGER_SEED: u64 = 0xD5A2_2014;
@@ -1439,7 +1370,7 @@ mod tests {
                     controller_steps_elided: 2_087,
                     clock_jumps: 14,
                     cycles_jumped: 14,
-                    core_micro_steps: 154_367,
+                    core_micro_steps: 128_060,
                 },
             ),
             (
@@ -1452,7 +1383,7 @@ mod tests {
                     controller_steps_elided: 1_495,
                     clock_jumps: 5,
                     cycles_jumped: 7,
-                    core_micro_steps: 120_253,
+                    core_micro_steps: 103_246,
                 },
             ),
             (
@@ -1460,12 +1391,12 @@ mod tests {
                 Mechanism::Dsarp,
                 1_200_000,
                 LoopStats {
-                    iterations: 137_561,
+                    iterations: 64_836,
                     controller_steps: 33_866,
                     controller_steps_elided: 2_366_134,
-                    clock_jumps: 72_848,
-                    cycles_jumped: 1_062_439,
-                    core_micro_steps: 170_144,
+                    clock_jumps: 46_931,
+                    cycles_jumped: 1_135_164,
+                    core_micro_steps: 43_265,
                 },
             ),
         ];

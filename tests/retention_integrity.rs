@@ -8,13 +8,12 @@ mod refresh_deadline;
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
 use dsarp_sim::{SimConfig, SystemBuilder};
-use dsarp_workloads::mixes;
+use dsarp_workloads::{catalogue, mixes, IntensityCategory, Workload};
 use refresh_deadline::{longest_refresh_gap, ON_SCHEDULE, POSTPONING};
 
-fn max_gap(mech: Mechanism, cycles: u64) -> u64 {
-    let wl = &mixes::intensive_mixes(8, 3)[0];
-    let cfg = SimConfig::paper(mech, Density::G8);
-    let mut sys = SystemBuilder::new(&cfg)
+/// The longest refresh gap of any bank over `cycles` of `wl` under `cfg`.
+fn longest_gap(cfg: &SimConfig, wl: &Workload, cycles: u64) -> u64 {
+    let mut sys = SystemBuilder::new(cfg)
         .workload(wl)
         .command_log(true)
         .build();
@@ -24,8 +23,13 @@ fn max_gap(mech: Mechanism, cycles: u64) -> u64 {
         .map(|ch| sys.take_command_log(ch))
         .collect();
     let gap = longest_refresh_gap(&logs, &geom, end);
-    println!("{mech}: max bank gap {gap} cycles over {cycles}");
+    println!("{}: max bank gap {gap} cycles over {cycles}", cfg.mechanism);
     gap
+}
+
+fn max_gap(mech: Mechanism, cycles: u64) -> u64 {
+    let wl = &mixes::intensive_mixes(8, 3)[0];
+    longest_gap(&SimConfig::paper(mech, Density::G8), wl, cycles)
 }
 
 #[test]
@@ -77,6 +81,45 @@ fn elastic_respects_the_postponement_cap() {
         gap <= bound,
         "Elastic max bank gap {gap} exceeds bound {bound}"
     );
+}
+
+/// One full retention window, `tREFW` (the 8192 `tREFIab` intervals of
+/// 32 ms), plus the 9 intervals a postponing mechanism may run behind: the
+/// first run in which every bank of every rank must have been refreshed
+/// end to end, judged by the same budgets as the short runs above. A
+/// compute-bound mix leaves the DRAM idle, so skip-ahead makes it cheap in
+/// the release profile (about half a second per mechanism); a dev build
+/// takes minutes.
+///
+/// DARP and DSARP fail it (about 41 700 cycles, 16 periods): their debt
+/// window of [-8, +8] lets a bank that was pulled in 8 refreshes ahead be
+/// postponed 8 behind while a write left queued after a drain keeps it
+/// out of the idle pool, so the erratum's 9-period gap holds only for a
+/// bank that starts on schedule.
+#[test]
+#[ignore = "release only: cargo test --release --test retention_integrity -- --ignored"]
+fn every_bank_is_refreshed_through_a_full_retention_window() {
+    let wl = Workload {
+        name: "8x-compute_bound".into(),
+        category: IntensityCategory::P0,
+        benchmarks: vec![&catalogue::COMPUTE_BOUND; 8],
+    };
+    let mut over = Vec::new();
+    for (mech, budget) in [
+        (Mechanism::RefAb, ON_SCHEDULE),
+        (Mechanism::RefPb, ON_SCHEDULE),
+        (Mechanism::Elastic, POSTPONING),
+        (Mechanism::Darp, POSTPONING),
+        (Mechanism::Dsarp, POSTPONING),
+    ] {
+        let cfg = SimConfig::paper(mech, Density::G32);
+        let refi = cfg.timing().refi_ab;
+        let gap = longest_gap(&cfg, &wl, (8_192 + 9) * refi);
+        if gap > budget {
+            over.push(format!("{mech}: {gap} > {budget}"));
+        }
+    }
+    assert!(over.is_empty(), "max bank gap over budget: {over:?}");
 }
 
 #[test]
