@@ -612,7 +612,6 @@ impl Core {
 mod tests {
     use super::*;
     use crate::trace::CyclicTrace;
-    use dsarp_workloads::{catalogue, BenchmarkSpec};
     use proptest::prelude::*;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -1193,12 +1192,15 @@ mod tests {
         assert_eq!(a.idle_probe(&|_| false), CoreIdle::Active);
     }
 
-    /// A catalogue benchmark's op mix, as the synthetic traces draw it —
-    /// bubbles uniform in `0..=2 * mem_interval`, stores at `store_frac`,
-    /// dependent loads at `dep_frac` — over 32 lines, so that LLC hits,
-    /// misses, same-line merges and full MSHR tables all come up.
+    /// An op mix in the shape of a synthetic benchmark's — bubbles uniform
+    /// in `0..=2 * mem_interval`, stores at `store_frac`, dependent loads
+    /// at `dep_frac` — over 32 lines, so that LLC hits, misses, same-line
+    /// merges and full MSHR tables all come up.
+    #[derive(Clone, Copy, Debug)]
     struct OpMix {
-        spec: &'static BenchmarkSpec,
+        mem_interval: u32,
+        store_frac: f64,
+        dep_frac: f64,
         x: u64,
     }
 
@@ -1219,14 +1221,14 @@ mod tests {
 
     impl TraceSource for OpMix {
         fn next_op(&mut self) -> TraceOp {
-            let span = 2 * u64::from(self.spec.mem_interval) + 1;
+            let span = 2 * u64::from(self.mem_interval) + 1;
             let bubbles = (splitmix(&mut self.x) % span) as u32;
-            let kind = if self.chance(self.spec.store_frac) {
+            let kind = if self.chance(self.store_frac) {
                 MemKind::Store
             } else {
                 MemKind::Load
             };
-            let dependent = kind == MemKind::Load && self.chance(self.spec.dep_frac);
+            let dependent = kind == MemKind::Load && self.chance(self.dep_frac);
             let word = splitmix(&mut self.x) % (32 * 8);
             TraceOp {
                 bubbles,
@@ -1297,19 +1299,27 @@ mod tests {
         /// for field, from wherever a prefix of real steps left the core;
         /// each round runs another prefix and another span. Both sides step
         /// against memory that panics on access, which also proves the span
-        /// a true bound.
+        /// a true bound. The op mix spans the benchmark catalogue's range:
+        /// half the draws are memory-intensive (up to 32 bubbles between
+        /// accesses), half reach the compute-bound 4 000.
         #[test]
         fn advance_equals_stepping_through_the_quiet_span(
-            spec in prop::sample::select(
-                catalogue::all().iter().chain([&catalogue::COMPUTE_BOUND]).collect::<Vec<_>>()
-            ),
+            interval in (prop::sample::select(vec![32u32, 4_000]), any::<u32>()),
+            store_per_mille in 0u32..=1_000,
+            dep_per_mille in 0u32..=1_000,
             seed in any::<u64>(),
             rounds in prop::collection::vec(
                 (prop::sample::select(vec![0u64, 1, 3, 17, 60, 250, 1_000]), any::<u64>()),
                 1..8,
             ),
         ) {
-            let core = || Core::new(0, CoreParams::paper_default(), Box::new(OpMix { spec, x: seed }));
+            let mix = OpMix {
+                mem_interval: interval.1 % (interval.0 + 1),
+                store_frac: f64::from(store_per_mille) / 1_000.0,
+                dep_frac: f64::from(dep_per_mille) / 1_000.0,
+                x: seed,
+            };
+            let core = || Core::new(0, CoreParams::paper_default(), Box::new(mix));
             let memory = || Flaky { x: !seed, now: 0, next_token: 0, in_flight: Vec::new() };
             let (mut fast, mut slow) = (core(), core());
             let (mut fast_mem, mut slow_mem) = (memory(), memory());
@@ -1325,7 +1335,7 @@ mod tests {
                 for _ in 0..n {
                     slow.step(&mut NoAccess);
                 }
-                prop_assert_eq!(state(&fast), state(&slow), "{} round {}: {} steps", spec.name, round, n);
+                prop_assert_eq!(state(&fast), state(&slow), "{:?} round {}: {} steps", mix, round, n);
             }
         }
     }
