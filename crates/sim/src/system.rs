@@ -96,8 +96,10 @@ pub struct LoopStats {
     pub clock_jumps: u64,
     /// Cycles never visited (the sum of those advances, less one each).
     pub cycles_jumped: u64,
-    /// `Core::step` calls made by the loop (CPU cycles micro-stepped rather
-    /// than fast-forwarded by [`Core::advance`]).
+    /// `Core::step` calls made by the loop: every core every CPU cycle
+    /// under [`System::run_per_cycle`]; under [`System::run`], one per
+    /// cycle a core is due on the agenda (its next possible LLC access),
+    /// the cycles in between fast-forwarded by [`Core::advance`].
     pub core_micro_steps: u64,
 }
 
@@ -243,10 +245,12 @@ impl MemoryInterface for MemBridge<'_> {
     }
 }
 
-/// The last CPU cycle through which `core` provably makes no LLC access
-/// ([`Core::quiet_span`]).
-fn quiet_until(core: &Core) -> u64 {
-    core.cycles().saturating_add(core.quiet_span())
+/// The first CPU cycle whose step may make an LLC access: `core` provably
+/// makes none through its quiet span ([`Core::quiet_span`]).
+fn due(core: &Core) -> u64 {
+    core.cycles()
+        .saturating_add(core.quiet_span())
+        .saturating_add(1)
 }
 
 /// What a functional warm-up reads of a build — nothing else of its
@@ -628,20 +632,20 @@ impl System {
     /// Runs for `dram_cycles` more DRAM cycles and returns cumulative
     /// stats, visiting only the cycles at which something is due.
     ///
-    /// Every component has exactly one wake cycle. A core is planned to
-    /// its next possible LLC access ([`Core::quiet_span`]); until then it
-    /// touches no shared state, so it *lags* behind the DRAM clock and is
-    /// fast-forwarded ([`Core::advance`]) when the clock reaches that
-    /// access's cycle, or when a completion addressed to it lands. A core
-    /// that may access memory in the current cycle is micro-stepped, and is
-    /// re-planned straight after a step that commits a memory operation.
-    /// A controller is due at its [`MemoryController::wake`] and is not
-    /// stepped before it. Spilled writebacks retry every cycle. The clock
-    /// moves to the earliest wake and only the components due there are
-    /// touched; the per-cycle telemetry samples a sleeping channel misses
-    /// are folded in arithmetically. Every wake is a conservative lower
-    /// bound — waking early costs only time — so results are **exactly**
-    /// those of [`System::run_per_cycle`], field for field.
+    /// Every component has exactly one wake cycle. The cores share one
+    /// agenda: each is due at the CPU cycle of its next possible LLC access
+    /// ([`Core::quiet_span`]) and touches no shared state before it. The
+    /// cores due in a visited DRAM cycle are taken in (due, core index)
+    /// order — the CPU-major order of per-cycle stepping — and each is
+    /// fast-forwarded ([`Core::advance`]) to its due cycle, stepped once and
+    /// re-planned; a completion addressed to a core catches it up and
+    /// re-plans it. A controller is due at its [`MemoryController::wake`]
+    /// and is not stepped before it. Spilled writebacks retry every cycle.
+    /// The clock moves to the earliest wake and only the components due
+    /// there are touched; the per-cycle telemetry samples a sleeping
+    /// channel misses are folded in arithmetically. Every wake is a
+    /// conservative lower bound — waking early costs only time — so results
+    /// are **exactly** those of [`System::run_per_cycle`], field for field.
     pub fn run(&mut self, dram_cycles: u64) -> RunStats {
         self.run_loop(dram_cycles, true)
     }
@@ -662,10 +666,8 @@ impl System {
         let end = self.now + dram_cycles;
         let channels = self.mcs.len() as u64;
         let mut completions: Vec<Completion> = Vec::with_capacity(16);
-        let mut lags: Vec<Option<u64>> = vec![None; self.cores.len()];
-        let mut resume: Vec<u8> = vec![0; self.cores.len()];
-        // The cores' earliest wake; every core starts out active.
-        let mut cores_wake = self.now;
+        // Each core's agenda entry, its due CPU cycle (`run` only).
+        let mut dues: Vec<u64> = self.cores.iter().map(due).collect();
         while self.now < end {
             let now = self.now;
 
@@ -705,21 +707,23 @@ impl System {
                 }
                 stepped += 1;
             }
-            let mut delivered = false;
             for c in &completions {
                 if c.core != usize::MAX {
                     // A completion ends the target core's quiet span: catch
-                    // the core up to this cycle, then deliver at the same
-                    // CPU time per-cycle stepping would have.
-                    let synced = now * CPU_CYCLES_PER_DRAM_CYCLE;
-                    Self::settle(&mut self.cores[c.core], &mut lags[c.core], synced);
-                    self.cores[c.core].complete(c.id);
-                    delivered = true;
+                    // the core up to this cycle, deliver at the same CPU
+                    // time per-cycle stepping would have, and re-plan it.
+                    let core = &mut self.cores[c.core];
+                    core.advance(now * CPU_CYCLES_PER_DRAM_CYCLE - core.cycles());
+                    core.complete(c.id);
+                    dues[c.core] = due(core);
                 }
             }
-            if delivered || now >= cores_wake {
-                cores_wake = self.step_cores(now, skip, &mut lags, &mut resume);
-            }
+            let cores_wake = if skip {
+                self.step_due_cores(now, &mut dues)
+            } else {
+                self.step_every_core(now);
+                now + 1
+            };
 
             // Move to the earliest wake: the cores', each controller's own
             // (already pulled back by whatever the cores just enqueued),
@@ -741,10 +745,10 @@ impl System {
             stats.clock_jumps += u64::from(span > 1);
             stats.cycles_jumped += span - 1;
         }
-        // Settle outstanding lags and samples so reported stats cover
-        // every cycle.
-        for (core, lag) in self.cores.iter_mut().zip(lags.iter_mut()) {
-            Self::settle(core, lag, end * CPU_CYCLES_PER_DRAM_CYCLE);
+        // Catch every core and sampler up so reported stats cover every
+        // cycle.
+        for core in &mut self.cores {
+            core.advance(end * CPU_CYCLES_PER_DRAM_CYCLE - core.cycles());
         }
         if let Some(sampler) = &mut self.telemetry {
             for (ci, (mc, chan)) in self.mcs.iter().zip(self.chans.iter()).enumerate() {
@@ -754,99 +758,62 @@ impl System {
         self.collect()
     }
 
-    /// Runs the cores through DRAM cycle `now` — settles the lags that end
-    /// in it, plans every core not lagging, micro-steps the ones that may
-    /// access memory in it — and returns their earliest wake: the next
-    /// cycle for a core that is not lagging, the cycle of its next possible
-    /// access for one that is.
-    ///
-    /// `lags[i]` is the last CPU cycle through which lagging core `i` makes
-    /// no access. A core planned quiet for part of this cycle is
-    /// fast-forwarded through that part at once, and `resume` records the
-    /// micro-step phase at which it re-enters the step loop. Quiet phases
-    /// make no accesses, so skipping them preserves the CPU-major
-    /// interleaving of the remaining LLC traffic exactly.
-    fn step_cores(
-        &mut self,
-        now: Cycle,
-        skip: bool,
-        lags: &mut [Option<u64>],
-        resume: &mut [u8],
-    ) -> Cycle {
+    /// Runs the cores through DRAM cycle `now` off one agenda: `dues[i]` is
+    /// the CPU cycle of core `i`'s next possible LLC access ([`due`]).
+    /// Every core due by the end of the cycle is fast-forwarded
+    /// ([`Core::advance`]) to just before its due cycle, stepped once and
+    /// re-planned, in (due, core index) order — exactly the CPU-major
+    /// order in which [`Self::step_every_core`] steps them, so the LLC and
+    /// the queues see the same traffic in the same order. Returns the DRAM
+    /// cycle of the earliest due left.
+    fn step_due_cores(&mut self, now: Cycle, dues: &mut [u64]) -> Cycle {
         const PHASES: u64 = CPU_CYCLES_PER_DRAM_CYCLE;
-        // CPU cycles before this DRAM cycle, and after it.
-        let (first, last) = (now * PHASES, (now + 1) * PHASES);
-        if skip {
-            for ((core, lag), from) in self
-                .cores
-                .iter_mut()
-                .zip(lags.iter_mut())
-                .zip(resume.iter_mut())
-            {
-                *from = 0;
-                if let Some(until) = *lag {
-                    if until >= last {
-                        continue;
-                    }
-                    Self::settle(core, lag, until);
-                }
-                let until = quiet_until(core);
-                if until >= last {
-                    *lag = Some(until);
-                } else {
-                    core.advance(until - core.cycles());
-                    *from = (until - first) as u8;
-                }
-            }
-        }
-
-        if lags.iter().any(Option::is_none) {
-            let mut bridge = MemBridge {
-                llc: &mut self.llc,
-                mcs: &mut self.mcs,
-                chans: &self.chans,
-                sampler: self.telemetry.as_mut(),
-                geom: &self.geom,
-                now,
-                next_token: &mut self.next_token,
-                wb_spill: &mut self.wb_spill,
-                max_spill: &mut self.max_spill,
+        let last = (now + 1) * PHASES;
+        let (cores, mut bridge) = self.split(now);
+        let mut steps = 0;
+        let wake = loop {
+            // `min_by_key` keeps the first minimum: ties go to the lower
+            // core index.
+            let next = dues.iter().enumerate().min_by_key(|&(_, &d)| d);
+            let Some((i, &at)) = next.filter(|&(_, &d)| d <= last) else {
+                break next.map_or(Cycle::MAX, |(_, &d)| (d - 1) / PHASES);
             };
-            for phase in 0..PHASES {
-                let cores = self
-                    .cores
-                    .iter_mut()
-                    .zip(lags.iter_mut())
-                    .zip(resume.iter());
-                for ((core, lag), from) in cores {
-                    if lag.is_some() || u64::from(*from) > phase {
-                        continue;
-                    }
-                    let mem_ops = core.stats().mem_ops;
-                    core.step(&mut bridge);
-                    self.loop_stats.core_micro_steps += 1;
-                    // A committed memory op stages the next one: a core
-                    // quiet through the rest of this cycle lags from here.
-                    if skip && core.stats().mem_ops != mem_ops {
-                        let until = quiet_until(core);
-                        if until >= last {
-                            *lag = Some(until);
-                        }
-                    }
-                }
-            }
-        }
-        let wakes = lags.iter().map(|lag| lag.map_or(now + 1, |q| q / PHASES));
-        wakes.min().unwrap_or(Cycle::MAX)
+            let core = &mut cores[i];
+            core.advance(at - 1 - core.cycles());
+            core.step(&mut bridge);
+            dues[i] = due(core);
+            steps += 1;
+        };
+        self.loop_stats.core_micro_steps += steps;
+        wake
     }
 
-    /// Fast-forwards a lagging core to CPU cycle `upto`, within its quiet
-    /// span, and clears the lag. No-op for a core that is not lagging.
-    fn settle(core: &mut Core, lag: &mut Option<u64>, upto: u64) {
-        if let Some(until) = lag.take() {
-            debug_assert!(upto <= until, "settlement past the quiet span");
-            core.advance(upto - core.cycles());
+    /// The reference: steps every core through each CPU cycle of DRAM
+    /// cycle `now`, cycle by cycle, in core order.
+    fn step_every_core(&mut self, now: Cycle) {
+        let (cores, mut bridge) = self.split(now);
+        for _ in 0..CPU_CYCLES_PER_DRAM_CYCLE {
+            for core in cores.iter_mut() {
+                core.step(&mut bridge);
+            }
         }
+        self.loop_stats.core_micro_steps += CPU_CYCLES_PER_DRAM_CYCLE * self.cores.len() as u64;
+    }
+
+    /// The cores, and the memory system they access in DRAM cycle `now`.
+    fn split(&mut self, now: Cycle) -> (&mut [Core], MemBridge<'_>) {
+        let bridge = MemBridge {
+            llc: &mut self.llc,
+            mcs: &mut self.mcs,
+            chans: &self.chans,
+            sampler: self.telemetry.as_mut(),
+            geom: &self.geom,
+            now,
+            next_token: &mut self.next_token,
+            wb_spill: &mut self.wb_spill,
+            max_spill: &mut self.max_spill,
+        };
+        (&mut self.cores, bridge)
     }
 
     fn collect(&mut self) -> RunStats {
@@ -1280,6 +1247,58 @@ mod tests {
         }
     }
 
+    /// Cores that are due on the same CPU cycle are stepped in core order,
+    /// as per-cycle stepping steps them. Four cores issue one memory op per
+    /// CPU cycle each, in lockstep, into a one-set LLC (16 ways) over a
+    /// shared pool of 24 lines: on every tie, which core misses, which hits
+    /// the line the other just installed and which line is evicted depend
+    /// on the order the cores are taken in.
+    #[test]
+    fn skip_ahead_matches_per_cycle_on_same_cycle_set_conflicts() {
+        let mut cfg = SimConfig::paper(Mechanism::Darp, Density::G32)
+            .with_cores(4)
+            .with_warmup_ops(64);
+        cfg.llc_capacity = Some(16 * 64);
+        let sources = || -> Vec<Box<dyn TraceSource>> {
+            (0..4u64)
+                .map(|core| {
+                    let mut x = 0x2545_F491_4F6C_DD1D ^ core;
+                    let ops = (0..2048)
+                        .map(|i| {
+                            x = x
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            dsarp_cpu::TraceOp {
+                                // Two bubbles and the op fill one cycle's
+                                // three issue slots.
+                                bubbles: 2,
+                                kind: if i % 4 == 0 {
+                                    dsarp_cpu::MemKind::Store
+                                } else {
+                                    dsarp_cpu::MemKind::Load
+                                },
+                                addr: (x >> 33) % 24 * 0x2_0040,
+                                dependent: false,
+                            }
+                        })
+                        .collect();
+                    Box::new(dsarp_cpu::trace::CyclicTrace::new(ops)) as Box<dyn TraceSource>
+                })
+                .collect()
+        };
+        let mk = || {
+            SystemBuilder::new(&cfg)
+                .trace_sources(sources())
+                .telemetry(true)
+                .build()
+        };
+        let fast = mk().run(6_000);
+        assert_eq!(fast, mk().run_per_cycle(6_000));
+        // The scenario is the one described: the set both hits and evicts.
+        assert!(fast.llc.hits > 0 && fast.llc.misses > 0, "{:?}", fast.llc);
+        assert!(fast.llc.writebacks > 0, "{:?}", fast.llc);
+    }
+
     /// `run` and `run_per_cycle` mixed on one `System` equal one long
     /// `run`: a controller wake or telemetry cursor carried across calls
     /// must not go stale over a per-cycle chunk.
@@ -1343,12 +1362,15 @@ mod tests {
 
     /// How much the loop skips, pinned: the perf ledger's three simulator
     /// configurations (`examples/profile_high_mpki.rs`: same seed, mixes,
-    /// mechanisms and warm-up) at a tenth of its run length. A looser wake
-    /// bound anywhere — a policy gate, a demand probe, a core plan — moves a
-    /// count here while every result stays exact. The controller counts
-    /// date from before the refresh policies' `next_event` twins went; the
-    /// core counts, iterations and jumps from when each core was first
-    /// planned to its next LLC access in one span.
+    /// mechanisms and warm-up) at a tenth of its run length, plus the
+    /// harness's `cache_bound` cell (a P0 campaign cell, whole) where the
+    /// cores' LLC traffic dominates. A looser wake bound anywhere — a
+    /// policy gate, a demand probe, a core plan — moves a count here while
+    /// every result stays exact. The controller counts date from before the
+    /// refresh policies' `next_event` twins went, the iterations and jumps
+    /// from when each core was first planned to its next LLC access in one
+    /// span, and the core counts from when the cores first shared one
+    /// agenda.
     #[test]
     fn skip_ahead_loop_stats_are_pinned() {
         const LEDGER_SEED: u64 = 0xD5A2_2014;
@@ -1363,6 +1385,7 @@ mod tests {
             (
                 mixes::intensive_mixes(8, LEDGER_SEED)[0].clone(),
                 Mechanism::Dsarp,
+                100_000,
                 60_000,
                 LoopStats {
                     iterations: 59_986,
@@ -1370,12 +1393,13 @@ mod tests {
                     controller_steps_elided: 2_087,
                     clock_jumps: 14,
                     cycles_jumped: 14,
-                    core_micro_steps: 128_060,
+                    core_micro_steps: 78_932,
                 },
             ),
             (
                 uniform("8x-lbm_like", lbm, mixes::IntensityCategory::P100),
                 Mechanism::Darp,
+                100_000,
                 60_000,
                 LoopStats {
                     iterations: 59_993,
@@ -1383,12 +1407,13 @@ mod tests {
                     controller_steps_elided: 1_495,
                     clock_jumps: 5,
                     cycles_jumped: 7,
-                    core_micro_steps: 103_246,
+                    core_micro_steps: 66_750,
                 },
             ),
             (
                 uniform("8x-compute_bound", compute, mixes::IntensityCategory::P0),
                 Mechanism::Dsarp,
+                100_000,
                 1_200_000,
                 LoopStats {
                     iterations: 64_836,
@@ -1396,14 +1421,28 @@ mod tests {
                     controller_steps_elided: 2_366_134,
                     clock_jumps: 46_931,
                     cycles_jumped: 1_135_164,
-                    core_micro_steps: 43_265,
+                    core_micro_steps: 43_255,
+                },
+            ),
+            (
+                mixes::paper_workloads(8, LEDGER_SEED)[0].clone(),
+                Mechanism::Darp,
+                25_000,
+                40_000,
+                LoopStats {
+                    iterations: 39_982,
+                    controller_steps: 27_539,
+                    controller_steps_elided: 52_461,
+                    clock_jumps: 18,
+                    cycles_jumped: 18,
+                    core_micro_steps: 236_573,
                 },
             ),
         ];
-        for (wl, mech, cycles, pinned) in cases {
+        for (wl, mech, warmup_ops, cycles, pinned) in cases {
             let cfg = SimConfig::paper(mech, Density::G32)
                 .with_seed(LEDGER_SEED)
-                .with_warmup_ops(100_000);
+                .with_warmup_ops(warmup_ops);
             let mut system = SystemBuilder::new(&cfg).workload(&wl).build();
             system.run(cycles);
             assert_eq!(system.loop_stats(), pinned, "{}", wl.name);
