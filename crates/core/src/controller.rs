@@ -23,7 +23,7 @@ use crate::refresh::{
     RefreshTarget, Wake,
 };
 use crate::request::Request;
-use dsarp_dram::{Command, Cycle, DramChannel, Geometry, TimingParams};
+use dsarp_dram::{Command, Cycle, DramChannel, Geometry, IssueError, TimingParams};
 use serde::{Deserialize, Serialize};
 
 /// A finished read returned to the system glue.
@@ -116,6 +116,20 @@ impl SchedulerScan {
     }
 }
 
+/// The one command class a bank's servable demand can contribute to FR-FCFS
+/// (see [`MemoryController::schedule_demand_with`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// No servable request is queued for the bank.
+    None,
+    /// A queued request hits the open row: a column command.
+    Column,
+    /// Queued demand, none of it hitting the open row: a conflict `PRE`.
+    Precharge,
+    /// Queued demand on a closed bank: an `ACT`.
+    Activate,
+}
+
 /// One memory controller, driving one [`DramChannel`].
 #[derive(Debug)]
 pub struct MemoryController {
@@ -137,6 +151,12 @@ pub struct MemoryController {
     /// scheduler runs every cycle, so these must not reallocate per call.
     scratch_hits: Vec<Probe>,
     scratch_cursors: Vec<Probe>,
+    /// The readiness table, indexed `rank * banks_per_rank + bank`: each
+    /// bank's [`Class`] and the cycle its own registers admit it (see
+    /// [`Self::schedule_demand_with`]), and the entries events outdated.
+    class: Vec<Class>,
+    ready: Vec<Cycle>,
+    stale: u64,
     /// First cycle whose [`Self::step`] could do observable work, as far as
     /// the controller knows (see [`Self::wake`]). Only ever raised by
     /// [`Self::step_and_rearm`]; an accepted request pulls it back to 0.
@@ -163,6 +183,7 @@ impl MemoryController {
         let ranks = geom.ranks_per_channel();
         let banks = geom.banks_per_rank();
         let policy = mechanism.build_policy(ranks, banks, &timing, seed ^ channel_id as u64);
+        assert!(ranks * banks <= 64, "the readiness table is one u64 mask");
         Self {
             channel_id,
             geom,
@@ -175,6 +196,9 @@ impl MemoryController {
             sched_scan: SchedulerScan::default(),
             scratch_hits: Vec::new(),
             scratch_cursors: Vec::new(),
+            class: vec![Class::None; ranks * banks],
+            ready: vec![Cycle::MAX; ranks * banks],
+            stale: u64::MAX >> (64 - ranks * banks),
             wake: 0,
             last_step_idle: false,
             held_at: None,
@@ -184,6 +208,7 @@ impl MemoryController {
     /// Replaces the queue configuration (tests and sweeps).
     pub fn with_queues(mut self, queues: RequestQueues) -> Self {
         self.queues = queues;
+        self.stale = u64::MAX >> (64 - self.ready.len());
         self.wake = 0;
         self
     }
@@ -221,7 +246,7 @@ impl MemoryController {
         debug_assert_eq!(req.loc.channel, self.channel_id);
         if self.queues.forwards_read(&req.loc) {
             self.stats.forwarded_reads += 1;
-            self.note_accepted();
+            self.note_accepted(&req);
             self.inflight.push(Completion {
                 id: req.id,
                 core: req.core,
@@ -230,7 +255,7 @@ impl MemoryController {
             return true;
         }
         if self.queues.try_push_read(req) {
-            self.note_accepted();
+            self.note_accepted(&req);
             true
         } else {
             self.stats.read_rejects += 1;
@@ -243,7 +268,7 @@ impl MemoryController {
         debug_assert!(req.is_write);
         debug_assert_eq!(req.loc.channel, self.channel_id);
         if self.queues.try_push_write(req) {
-            self.note_accepted();
+            self.note_accepted(&req);
             true
         } else {
             self.stats.write_rejects += 1;
@@ -252,10 +277,12 @@ impl MemoryController {
     }
 
     /// An accepted request must meet the very next step (see [`Self::wake`])
-    /// and outdates what the last policy walk saw of the queues.
-    fn note_accepted(&mut self) {
+    /// and outdates what the last policy walk saw of the queues, and its
+    /// bank's readiness entry.
+    fn note_accepted(&mut self, req: &Request) {
         self.wake = 0;
         self.held_at = None;
+        self.stale |= self.bits(req.loc.rank, Some(req.loc.bank));
     }
 
     /// Advances the controller by one DRAM cycle: may issue one command on
@@ -271,8 +298,12 @@ impl MemoryController {
             }
         }
 
-        // 2. Writeback-mode hysteresis.
+        // 2. Writeback-mode hysteresis; a flip outdates every bank's entry.
+        let drain = self.queues.in_drain_mode();
         self.queues.update_drain_mode();
+        if self.queues.in_drain_mode() != drain {
+            self.stale = u64::MAX >> (64 - self.ready.len());
+        }
 
         // 3. Refresh policy decision (wake sink off: see `next_event`).
         let directive = {
@@ -492,6 +523,30 @@ impl MemoryController {
         next
     }
 
+    /// Issues `cmd` on `chan` — every command the controller issues goes
+    /// through here — and marks the readiness entries it outdates: its bank,
+    /// or its whole rank for `PREA` and `REFab`. `Ok` carries an issued
+    /// read's data-return cycle.
+    fn issue(
+        &mut self,
+        chan: &mut DramChannel,
+        cmd: Command,
+        now: Cycle,
+    ) -> Result<Option<Cycle>, IssueError> {
+        let receipt = chan.issue(cmd, now)?;
+        self.stale |= self.bits(cmd.rank(), cmd.bank());
+        Ok(receipt.data_ready)
+    }
+
+    /// The readiness-table bits of `rank`'s bank `bank`, or of all its banks.
+    fn bits(&self, rank: usize, bank: Option<usize>) -> u64 {
+        let banks = self.geom.banks_per_rank();
+        match bank {
+            Some(bank) => 1 << (rank * banks + bank),
+            None => (u64::MAX >> (64 - banks)) << (rank * banks),
+        }
+    }
+
     fn refresh_command(target: &RefreshTarget) -> Command {
         match target.kind {
             RefreshKind::AllBank(fgr) => Command::RefreshAllBank {
@@ -518,20 +573,21 @@ impl MemoryController {
         }
         // Precharge the refresh scope. `issue` is the legality test: an
         // `Err` leaves the device untouched and means "not this cycle".
-        let rank = target.rank;
-        let precharge = |chan: &mut DramChannel, bank: usize| {
-            !chan.rank(rank).bank(bank).is_closed()
-                && chan.issue(Command::Precharge { rank, bank }, now).is_ok()
+        let (rank, banks) = (target.rank, self.geom.banks_per_rank());
+        let prea = Command::PrechargeAll { rank };
+        let precharge = |mc: &mut Self, chan: &mut DramChannel, bank: usize| {
+            let cmd = Command::Precharge { rank, bank };
+            !chan.rank(rank).bank(bank).is_closed() && mc.issue(chan, cmd, now).is_ok()
         };
         let issued = match target.kind {
             // When PREA is blocked (some bank's tRAS pending), close any
             // individually ready bank to make progress.
             RefreshKind::AllBank(_) => {
                 !chan.rank(rank).all_banks_closed()
-                    && (chan.issue(Command::PrechargeAll { rank }, now).is_ok()
-                        || (0..self.geom.banks_per_rank()).any(|bank| precharge(chan, bank)))
+                    && (self.issue(chan, prea, now).is_ok()
+                        || (0..banks).any(|bank| precharge(self, chan, bank)))
             }
-            RefreshKind::PerBank { bank } => precharge(chan, bank),
+            RefreshKind::PerBank { bank } => precharge(self, chan, bank),
         };
         self.stats.precharges += u64::from(issued);
         issued
@@ -545,7 +601,8 @@ impl MemoryController {
         now: Cycle,
         target: &RefreshTarget,
     ) -> bool {
-        if chan.issue(Self::refresh_command(target), now).is_err() {
+        let cmd = Self::refresh_command(target);
+        if self.issue(chan, cmd, now).is_err() {
             return false;
         }
         match target.kind {
@@ -556,17 +613,31 @@ impl MemoryController {
         true
     }
 
-    fn masked(mask: &Option<RefreshTarget>, rank: usize, bank: usize) -> bool {
+    /// The readiness-table bits an urgent refresh's scope masks.
+    fn masked(&self, mask: &Option<RefreshTarget>) -> u64 {
         match mask {
-            None => false,
-            Some(t) => {
-                t.rank == rank
-                    && match t.kind {
-                        RefreshKind::AllBank(_) => true,
-                        RefreshKind::PerBank { bank: b } => b == bank,
-                    }
-            }
+            None => 0,
+            Some(t) => match t.kind {
+                RefreshKind::AllBank(_) => self.bits(t.rank, None),
+                RefreshKind::PerBank { bank } => self.bits(t.rank, Some(bank)),
+            },
         }
+    }
+
+    /// Bank `i`'s readiness entry, computed afresh from its registers and
+    /// the servable queue's index.
+    fn readiness(&self, chan: &DramChannel, i: usize) -> (Class, Cycle) {
+        let banks = self.geom.banks_per_rank();
+        let (rank, bank) = (i / banks, i % banks);
+        let (q, drain) = (&self.queues, self.queues.in_drain_mode());
+        let b = chan.rank(rank).bank(bank);
+        let (class, register) = match b.open_row() {
+            _ if q.bank_len(rank, bank, drain) == 0 => return (Class::None, Cycle::MAX),
+            Some(row) if q.row_hits(rank, bank, row, drain) > 0 => (Class::Column, b.next_col()),
+            Some(_) => (Class::Precharge, b.next_pre()),
+            None => (Class::Activate, b.next_act()),
+        };
+        (class, register.max(b.refresh_until()))
     }
 
     /// FR-FCFS demand scheduling. Returns whether a command was issued.
@@ -594,17 +665,22 @@ impl MemoryController {
     /// scan visited them (see each pass's comment), so command choice and
     /// tie-breaking are byte-identical to the scan scheduler.
     ///
-    /// **Ready-bank pruning.** A bank can contribute one command class this
-    /// cycle — a column command if a queued request hits its open row, a PRE
-    /// if its open row has no queued hit, an ACT if it is closed — and it
-    /// becomes a candidate only if every gate for that class is open: the
-    /// shared ones (data bus, rank/bank refresh in progress, tRRD/tFAW
-    /// window) and the bank's own `next_col`/`next_pre`/`next_act` register.
-    /// [`DramChannel::check`] tests each of those gates as a conjunct, so a
-    /// pruned candidate could only have failed, and a failed probe never
-    /// changes which command issues (for a closed bank the SARP-conflict
-    /// "advance" path only walks toward more doomed ACTs). Debug builds
-    /// re-run `check` on every pruned bank
+    /// **Readiness table.** A bank can contribute one [`Class`] of command — a
+    /// column command if a queued request hits its open row, a PRE if its open
+    /// row has no queued hit, an ACT if it is closed — and the table keeps that
+    /// class and the cycle its `next_col`/`next_pre`/`next_act` register and
+    /// whole-bank refresh admit it. Only events change an entry, and they mark
+    /// it stale: an accepted request its bank, an issued command its bank or
+    /// rank ([`Self::issue`]), a writeback-mode flip every bank. A step
+    /// recomputes the stale entries and turns only the banks whose ready cycle
+    /// has come into candidates, through the shared gates (urgent mask, data
+    /// bus, tRRD/tFAW window). A blocking `REFab` needs no gate of its own: it
+    /// sets every bank's refresh window to its rank's. [`DramChannel::check`]
+    /// tests each of those gates as a conjunct, so a pruned candidate could
+    /// only have failed, and a failed probe never changes which command issues
+    /// (for a closed bank the SARP-conflict "advance" path only walks toward
+    /// more doomed ACTs). Debug builds check every entry against
+    /// [`Self::readiness`] and re-run `check` on every pruned bank
     /// ([`Self::assert_pruned_banks_doomed`]). What survives is validated
     /// exactly once, by [`DramChannel::issue`], whose `Err` is the
     /// not-legal-this-cycle branch.
@@ -617,57 +693,52 @@ impl MemoryController {
         cursors: &mut Vec<Probe>,
     ) -> bool {
         let drain = self.queues.in_drain_mode();
-        // Every column command needs the shared data bus.
+        let banks = self.geom.banks_per_rank();
+        let mut stale = std::mem::take(&mut self.stale);
+        while stale != 0 {
+            let i = stale.trailing_zeros() as usize;
+            stale &= stale - 1;
+            (self.class[i], self.ready[i]) = self.readiness(chan, i);
+        }
+        let mut live = 0u64;
+        for (i, &ready) in self.ready.iter().enumerate() {
+            live |= u64::from(ready <= now) << i;
+        }
+        live &= !self.masked(&mask);
+        // Every column command needs the shared data bus; the rank-level
+        // tRRD/tFAW window is asked once per rank with an ACT candidate.
         let col_bus_ready = now >= chan.col_bus_ready(drain);
+        let mut act_window: Option<(usize, bool)> = None;
         hits.clear();
         cursors.clear();
-        for rank in 0..self.geom.ranks_per_channel() {
+        while live != 0 {
+            let i = live.trailing_zeros() as usize;
+            live &= live - 1;
+            let (rank, bank) = (i / banks, i % banks);
             let rk = chan.rank(rank);
-            if rk.is_refab_busy(now) {
-                continue;
-            }
-            // The rank-level tRRD/tFAW window, once per rank instead of
-            // inside every ACT probe.
-            let rank_act_ready = rk.earliest_act_allowed(now, &self.timing) <= now;
-            for bank in 0..self.geom.banks_per_rank() {
-                let b = rk.bank(bank);
-                if b.is_refresh_busy(now) || Self::masked(&mask, rank, bank) {
-                    continue;
+            match self.class[i] {
+                Class::Column if col_bus_ready => {
+                    let open = rk.bank(bank).open_row().expect("a column bank is open");
+                    hits.extend(self.queues.hit_probe(rank, bank, open, drain));
                 }
-                // Registers before queues: most banks are ruled out here
-                // without touching the request index.
-                let head = match b.open_row() {
-                    Some(open) => {
-                        let col_ready = col_bus_ready && now >= b.next_col();
-                        let pre_ready = now >= b.next_pre();
-                        if !(col_ready || pre_ready) {
-                            continue;
-                        }
-                        match self.queues.hit_probe(rank, bank, open, drain) {
-                            // Pass-1 candidate: the oldest hit on the open row.
-                            Some(hit) => {
-                                if col_ready {
-                                    hits.push(hit);
-                                }
-                                continue;
-                            }
-                            // Conflict with nothing left to hit the open
-                            // row: the bank's oldest request wants it closed.
-                            None if pre_ready => self.queues.head_probe(rank, bank, drain),
-                            None => None,
-                        }
+                Class::Precharge => cursors.extend(self.queues.head_probe(rank, bank, drain)),
+                Class::Activate => {
+                    if act_window.is_none_or(|(r, _)| r != rank) {
+                        let open = rk.earliest_act_allowed(now, &self.timing) <= now;
+                        act_window = Some((rank, open));
                     }
-                    None if rank_act_ready && now >= b.next_act() => {
-                        self.queues.head_probe(rank, bank, drain)
+                    if act_window == Some((rank, true)) {
+                        cursors.extend(self.queues.head_probe(rank, bank, drain));
                     }
-                    None => None,
-                };
-                if let Some(head) = head {
-                    cursors.push(head);
                 }
+                Class::Column | Class::None => {}
             }
         }
         if cfg!(debug_assertions) {
+            for i in 0..self.ready.len() {
+                let fresh = self.readiness(chan, i);
+                debug_assert_eq!((self.class[i], self.ready[i]), fresh, "bank {i} is stale");
+            }
             self.assert_pruned_banks_doomed(chan, now, &mask, hits, cursors);
         }
         let mut scanned = 0u64;
@@ -682,7 +753,8 @@ impl MemoryController {
             let hit = hits.swap_remove(i);
             scanned += 1;
             let auto_precharge = self.queues.row_hits(hit.rank, hit.bank, hit.row, drain) == 1;
-            let Ok(receipt) = chan.issue(Self::column(&hit, drain, auto_precharge), now) else {
+            let cmd = Self::column(&hit, drain, auto_precharge);
+            let Ok(data_ready) = self.issue(chan, cmd, now) else {
                 continue;
             };
             self.stats.row_hits += 1;
@@ -691,7 +763,7 @@ impl MemoryController {
                 self.stats.writes_done += 1;
             } else {
                 let req = self.queues.take_read(hit.slot);
-                let ready = receipt.data_ready.expect("reads report data time");
+                let ready = data_ready.expect("reads report data time");
                 self.stats.reads_done += 1;
                 self.stats.read_latency_sum += ready - req.arrival;
                 self.inflight.push(Completion {
@@ -719,7 +791,8 @@ impl MemoryController {
             let (rank, bank) = (c.rank, c.bank);
             if !chan.rank(rank).bank(bank).is_closed() {
                 // Only conflicted banks with no queued hit were built.
-                if chan.issue(Command::Precharge { rank, bank }, now).is_ok() {
+                let pre = Command::Precharge { rank, bank };
+                if self.issue(chan, pre, now).is_ok() {
                     self.stats.precharges += 1;
                     self.row_conflicts += 1;
                     self.note_issue(scanned);
@@ -739,7 +812,7 @@ impl MemoryController {
                     bank,
                     row: c.row,
                 };
-                if chan.issue(act, now).is_ok() {
+                if self.issue(chan, act, now).is_ok() {
                     self.stats.acts += 1;
                     self.note_issue(scanned);
                     return true;
@@ -799,7 +872,8 @@ impl MemoryController {
         for rank in 0..self.geom.ranks_per_channel() {
             for bank in 0..self.geom.banks_per_rank() {
                 let mut kept = hits.iter().chain(cursors);
-                if Self::masked(mask, rank, bank) || kept.any(|p| (p.rank, p.bank) == (rank, bank))
+                if self.masked(mask) & self.bits(rank, Some(bank)) != 0
+                    || kept.any(|p| (p.rank, p.bank) == (rank, bank))
                 {
                     continue;
                 }
@@ -1171,6 +1245,50 @@ mod tests {
             rank1_activity,
             "rank 1 should not be blocked by rank 0's refresh"
         );
+    }
+
+    #[test]
+    fn refab_prep_precharges_reach_the_readiness_table() {
+        // Four rows of rank 0 open as its REFab falls due, each with row
+        // hits still queued. PREA waits on the youngest row's tRAS, so the
+        // older rows close one per-bank PRE at a time, each on a step that
+        // returns before demand scheduling runs. The readiness table must
+        // see every one: after the refresh, the oldest request's bank
+        // activates exactly when the device first admits it.
+        let (mut chan, mut mc, _, t) = setup(Mechanism::RefAb);
+        chan.enable_command_log();
+        let start = t.refi_ab - 14;
+        for id in 0..12 {
+            let (bank, col) = ((id / 3) as usize, (id % 3) as u32);
+            assert!(mc.try_enqueue_read(Request::read(id, loc(0, bank, 7, col), 0, start)));
+        }
+        let mut done = Vec::new();
+        let mut now = start;
+        while mc.stats().refab_issued == 0 {
+            mc.step(&mut chan, now, &mut done);
+            now += 1;
+        }
+        let refab_at = now - 1;
+        let act = Command::Activate {
+            rank: 0,
+            bank: 0,
+            row: 7,
+        };
+        let admitted = chan.earliest_issue(&act, now).expect("bank 0 is closed");
+        done.extend(run(&mut mc, &mut chan, now, now + 2_000));
+        let log = chan.take_command_log();
+        let prep = log.iter().filter(|&&(at, c)| {
+            (t.refi_ab..refab_at).contains(&at) && matches!(c, Command::Precharge { rank: 0, .. })
+        });
+        assert!(
+            prep.count() >= 2,
+            "per-bank PREs prepared the REFab: {log:?}"
+        );
+        let reopened = log
+            .iter()
+            .find(|&&(at, c)| at > refab_at && matches!(c, Command::Activate { rank: 0, .. }));
+        assert_eq!(reopened, Some(&(admitted, act)));
+        assert_eq!(done.len(), 12, "every read completes");
     }
 
     #[test]
