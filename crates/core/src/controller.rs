@@ -126,7 +126,9 @@ enum Class {
     Column,
     /// Queued demand, none of it hitting the open row: a conflict `PRE`.
     Precharge,
-    /// Queued demand on a closed bank: an `ACT`.
+    /// Queued demand on a closed bank: an `ACT`. While a SARP refresh holds
+    /// one of its subarrays and every queued request targets that subarray
+    /// (§4.3.2), the ACT waits for the refresh's end.
     Activate,
 }
 
@@ -388,6 +390,11 @@ impl MemoryController {
     /// share of the bound is `now + 1` unless that step held the policy
     /// still, issued nothing, and no request has been accepted since.
     ///
+    /// The demand share is read from the readiness table FR-FCFS schedules
+    /// from: each bank's ready cycle passed through the gate the scheduler
+    /// puts its class behind (data bus for a column command, the rank's
+    /// tRRD/tFAW window for an ACT).
+    ///
     /// The result is a conservative lower bound under the dead-span
     /// assumption (no commands issue and no requests arrive in between):
     /// skipping the intervening cycles and stepping again at the returned
@@ -435,90 +442,23 @@ impl MemoryController {
         if let Some(t) = wake.earliest() {
             consider(&mut next, floor, t);
         }
-        // Demand candidates, derived per bank instead of per queued read: a
-        // read's next command (column on a row hit, PRE on a conflict, ACT
-        // on a closed bank) has an earliest-issue time that depends only on
-        // its bank's state — `earliest_issue` ignores the column address and
-        // auto-precharge flag, and an ACT's row matters only through the
-        // subarray class an in-flight SARP refresh occupies — so one probe
-        // per command class per bank covers every queued read exactly. This
-        // is a superset of what FR-FCFS would pick — extra wake-ups are
-        // exact, missed ones are not. Queued writes need no events here:
-        // outside writeback mode they are not servable, and entering it is
-        // gated above.
-        for rank in 0..self.geom.ranks_per_channel() {
-            for bank in 0..self.geom.banks_per_rank() {
-                if next == Some(floor) {
-                    return next;
+        // Demand: the first cycle each bank's entry clears the gates
+        // `schedule_demand_with` puts its class behind. Queued writes need
+        // no events here: outside writeback mode they are not servable, and
+        // entering it is gated above.
+        self.refresh_table(chan);
+        let banks = self.geom.banks_per_rank();
+        for (i, (&class, &ready)) in self.class.iter().zip(&self.ready).enumerate() {
+            let t = match class {
+                Class::None => continue,
+                Class::Column => ready.max(chan.col_bus_ready(false)),
+                Class::Precharge => ready,
+                Class::Activate => {
+                    let rank = chan.rank(i / banks);
+                    rank.earliest_act_allowed(ready.max(floor), &self.timing)
                 }
-                let queued = self.queues.bank_len(rank, bank, false);
-                if queued == 0 {
-                    continue;
-                }
-                match chan.rank(rank).bank(bank).open_row() {
-                    Some(row) => {
-                        let hits = self.queues.row_hits(rank, bank, row, false);
-                        if hits > 0 {
-                            let rd = Command::Read {
-                                rank,
-                                bank,
-                                col: 0,
-                                auto_precharge: false,
-                            };
-                            if let Some(t) = chan.earliest_issue(&rd, now) {
-                                consider(&mut next, floor, t);
-                            }
-                        }
-                        if queued > hits {
-                            if let Some(t) =
-                                chan.earliest_issue(&Command::Precharge { rank, bank }, now)
-                            {
-                                consider(&mut next, floor, t);
-                            }
-                        }
-                    }
-                    None => {
-                        let head = self.queues.head_probe(rank, bank, false).expect("occupied");
-                        match chan.refreshing_subarray(rank, bank, now) {
-                            None => {
-                                let act = Command::Activate {
-                                    rank,
-                                    bank,
-                                    row: head.row,
-                                };
-                                if let Some(t) = chan.earliest_issue(&act, now) {
-                                    consider(&mut next, floor, t);
-                                }
-                            }
-                            Some(sub) => {
-                                // Probe one representative row per subarray
-                                // class (conflicting with the refresh / not).
-                                let mut seen = [false; 2];
-                                let mut cur = Some(head);
-                                while let Some(c) = cur {
-                                    let class =
-                                        usize::from(self.geom.subarray_of_row(c.row) == sub);
-                                    if !seen[class] {
-                                        seen[class] = true;
-                                        let act = Command::Activate {
-                                            rank,
-                                            bank,
-                                            row: c.row,
-                                        };
-                                        if let Some(t) = chan.earliest_issue(&act, now) {
-                                            consider(&mut next, floor, t);
-                                        }
-                                        if seen[0] && seen[1] {
-                                            break;
-                                        }
-                                    }
-                                    cur = self.queues.next_probe(c.slot, false);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            };
+            consider(&mut next, floor, t);
         }
         next
     }
@@ -635,9 +575,29 @@ impl MemoryController {
             _ if q.bank_len(rank, bank, drain) == 0 => return (Class::None, Cycle::MAX),
             Some(row) if q.row_hits(rank, bank, row, drain) > 0 => (Class::Column, b.next_col()),
             Some(_) => (Class::Precharge, b.next_pre()),
-            None => (Class::Activate, b.next_act()),
+            None => {
+                // SARP §4.3.2: a refresh still holding a subarray when the
+                // bank may next activate blocks the bank only if every
+                // queued request targets that subarray.
+                let held = b.sarp_refresh(b.next_act()).filter(|r| {
+                    let head = q.head_probe(rank, bank, drain);
+                    let mut queued = std::iter::successors(head, |p| q.next_probe(p.slot, drain));
+                    queued.all(|p| self.geom.subarray_of_row(p.row) == r.subarray)
+                });
+                (Class::Activate, held.map_or(b.next_act(), |r| r.until))
+            }
         };
         (class, register.max(b.refresh_until()))
+    }
+
+    /// Recomputes the readiness entries events have marked stale.
+    fn refresh_table(&mut self, chan: &DramChannel) {
+        let mut stale = std::mem::take(&mut self.stale);
+        while stale != 0 {
+            let i = stale.trailing_zeros() as usize;
+            stale &= stale - 1;
+            (self.class[i], self.ready[i]) = self.readiness(chan, i);
+        }
     }
 
     /// FR-FCFS demand scheduling. Returns whether a command was issued.
@@ -665,17 +625,21 @@ impl MemoryController {
     /// scan visited them (see each pass's comment), so command choice and
     /// tie-breaking are byte-identical to the scan scheduler.
     ///
-    /// **Readiness table.** A bank can contribute one [`Class`] of command — a
-    /// column command if a queued request hits its open row, a PRE if its open
-    /// row has no queued hit, an ACT if it is closed — and the table keeps that
-    /// class and the cycle its `next_col`/`next_pre`/`next_act` register and
-    /// whole-bank refresh admit it. Only events change an entry, and they mark
+    /// **Readiness table.** The controller's one model of when a bank can next
+    /// act, read here and by [`Self::next_event`]. A bank can contribute one
+    /// [`Class`] of command — a column command if a queued request hits its
+    /// open row, a PRE if its open row has no queued hit, an ACT if it is
+    /// closed — and the table keeps that class and the cycle its
+    /// `next_col`/`next_pre`/`next_act` register and whole-bank refresh admit
+    /// it, or for an ACT the end of a SARP refresh that holds the subarray of
+    /// every queued request. Only events change an entry, and they mark
     /// it stale: an accepted request its bank, an issued command its bank or
     /// rank ([`Self::issue`]), a writeback-mode flip every bank. A step
-    /// recomputes the stale entries and turns only the banks whose ready cycle
-    /// has come into candidates, through the shared gates (urgent mask, data
-    /// bus, tRRD/tFAW window). A blocking `REFab` needs no gate of its own: it
-    /// sets every bank's refresh window to its rank's. [`DramChannel::check`]
+    /// recomputes the stale entries ([`Self::refresh_table`]) and turns only
+    /// the banks whose ready cycle has come into candidates, through the
+    /// shared gates (urgent mask, data bus, tRRD/tFAW window). A blocking
+    /// `REFab` needs no gate of its own: it sets every bank's refresh window
+    /// to its rank's. [`DramChannel::check`]
     /// tests each of those gates as a conjunct, so a pruned candidate could
     /// only have failed, and a failed probe never changes which command issues
     /// (for a closed bank the SARP-conflict "advance" path only walks toward
@@ -694,12 +658,7 @@ impl MemoryController {
     ) -> bool {
         let drain = self.queues.in_drain_mode();
         let banks = self.geom.banks_per_rank();
-        let mut stale = std::mem::take(&mut self.stale);
-        while stale != 0 {
-            let i = stale.trailing_zeros() as usize;
-            stale &= stale - 1;
-            (self.class[i], self.ready[i]) = self.readiness(chan, i);
-        }
+        self.refresh_table(chan);
         let mut live = 0u64;
         for (i, &ready) in self.ready.iter().enumerate() {
             live |= u64::from(ready <= now) << i;
@@ -1443,6 +1402,52 @@ mod tests {
         mc.step(&mut chan, t.refi_pb, &mut done);
         assert_eq!(mc.stats().refpb_issued, 1);
         assert_eq!(mc.next_event(&chan, t.refi_pb), Some(t.refi_pb + 1));
+    }
+
+    /// SARP's rule is in the readiness table the wake reads: a closed bank
+    /// whose every queued request targets the subarray an in-flight `REFpb`
+    /// holds sleeps until that refresh ends, and one request elsewhere
+    /// brings it back to the rank's ACT window.
+    #[test]
+    fn next_event_waits_out_a_sarp_refresh_only_for_its_subarray() {
+        let (mut chan, mut mc, geom, _) = setup(Mechanism::Dsarp);
+        chan.enable_command_log();
+        let mut done = Vec::new();
+        // Idle DARP pulls a refresh in on each rank at once.
+        mc.step(&mut chan, 0, &mut done);
+        mc.step(&mut chan, 1, &mut done);
+        let log = chan.take_command_log();
+        let Some(&(0, Command::RefreshPerBank { rank: 0, bank })) = log.first() else {
+            panic!("rank 0 refreshes at cycle 0: {log:?}");
+        };
+        let held = chan
+            .rank(0)
+            .bank(bank)
+            .sarp_refresh(2)
+            .expect("a SARP refresh");
+        let rows = geom.rows_per_subarray() as u32;
+        let row = |sub: usize, i: u32| sub as u32 * rows + i;
+        let other = (held.subarray + 1) % geom.subarrays_per_bank();
+        for i in 0..2 {
+            let req = Request::read(i.into(), loc(0, bank, row(held.subarray, i), 0), 0, 2);
+            assert!(mc.try_enqueue_read(req));
+        }
+        // Rank 0's REFpb window ends with the refresh, so the policy's share
+        // of the bound is no earlier than the demand's.
+        mc.step(&mut chan, 2, &mut done);
+        assert_eq!(chan.last_issue(), Some(1));
+        assert_eq!(mc.next_event(&chan, 2), Some(held.until));
+        assert!(mc.try_enqueue_read(Request::read(2, loc(0, bank, row(other, 0), 0), 0, 3)));
+        mc.step(&mut chan, 3, &mut done);
+        assert_eq!(chan.last_issue(), Some(1), "tRRD holds the ACT back");
+        let act = Command::Activate {
+            rank: 0,
+            bank,
+            row: row(other, 0),
+        };
+        let window = chan.earliest_issue(&act, 3).expect("the bank is closed");
+        assert!(window > 4 && window < held.until, "ACT window at {window}");
+        assert_eq!(mc.next_event(&chan, 3), Some(window));
     }
 
     #[test]

@@ -174,11 +174,6 @@ impl DramChannel {
             .map(|r| r.subarray)
     }
 
-    /// Whether (rank, bank) is unavailable due to a blocking refresh.
-    pub fn bank_refresh_busy(&self, rank: usize, bank: usize, now: Cycle) -> bool {
-        self.ranks[rank].bank(bank).is_refresh_busy(now) || self.ranks[rank].is_refab_busy(now)
-    }
-
     /// ACTs issued to a bank while a SARP refresh was in flight in that
     /// same bank — the accesses SARP parallelized with refresh.
     pub fn sarp_parallel_acts(&self) -> u64 {
@@ -220,11 +215,11 @@ impl DramChannel {
     /// for its cycle instead of its verdict; the name stays because the
     /// perf ledger calls it.
     ///
-    /// This is an event source for the skip-ahead loop and is exact only
-    /// under its dead-span assumption: no command issues to this channel in
+    /// The answer holds only while no command issues to this channel in
     /// `[now, t)`, so every timing register is frozen and each gate clears
-    /// precisely when its window expires. The command-bus gate is ignored —
-    /// callers only ask after a cycle where nothing issued.
+    /// precisely when its window expires. The command-bus gate is ignored.
+    /// It is not a skip-ahead event source: the controller's wake reads its
+    /// own readiness table, built from the same bank registers.
     pub fn earliest_issue(&self, cmd: &Command, now: Cycle) -> Option<Cycle> {
         self.walk(cmd, now).ok().map(|g| g.open_at)
     }

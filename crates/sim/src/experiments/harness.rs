@@ -13,7 +13,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How big to run the experiments. The paper simulates 256 M CPU cycles per
 /// run; the defaults here are throughput-scaled: `quick` is 40 000 DRAM
-/// cycles = 15 `tREFIab` at 32 ms, `full` is 115 (see ROADMAP item 1).
+/// cycles = 15 `tREFIab` at 32 ms, `full` is 115. Windows this short have
+/// not converged: a policy that may postpone up to 8 refreshes can end a
+/// run still owing them, and is credited for the refresh work it skipped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Scale {
     /// DRAM cycles per multiprogrammed run (6 CPU cycles each).

@@ -107,7 +107,8 @@ pub struct LoopStats {
 /// cycle against post-command state; a channel's samples only change when
 /// it steps or accepts a request, so each channel carries a cursor and the
 /// cycles it slept through are folded in arithmetically
-/// ([`Sampler::catch_up`]) just before either happens.
+/// ([`Sampler::catch_up`]) just before either happens. A step's own cycle
+/// is the one-cycle span folded in right after it.
 struct Sampler {
     /// Per-cycle samples only; counter-derived fields are filled at
     /// collect time.
@@ -122,27 +123,6 @@ impl Sampler {
     fn shape(chan: &DramChannel) -> (usize, usize) {
         let geom = chan.geometry();
         (geom.ranks_per_channel(), geom.banks_per_rank())
-    }
-
-    /// Samples channel `ci` for cycle `now`, which it just stepped.
-    fn sample(&mut self, ci: usize, mc: &MemoryController, chan: &DramChannel, now: Cycle) {
-        debug_assert_eq!(self.sampled[ci], now, "catch up before stepping");
-        self.sampled[ci] = now + 1;
-        let tel = &mut self.acc;
-        tel.read_queue_depth.observe(mc.queues().read_len() as u64);
-        tel.write_queue_depth
-            .observe(mc.queues().write_len() as u64);
-        let (ranks, banks) = Self::shape(chan);
-        for r in 0..ranks {
-            for b in 0..banks {
-                let bt = &mut tel.banks[(ci * ranks + r) * banks + b];
-                if chan.bank_refresh_busy(r, b, now) {
-                    bt.refresh_blocked_cycles += 1;
-                } else if !chan.rank(r).bank(b).is_closed() {
-                    bt.busy_cycles += 1;
-                }
-            }
-        }
     }
 
     /// Folds in channel `ci`'s samples for the cycles before `upto` it has
@@ -165,8 +145,9 @@ impl Sampler {
             let refab_until = rank.refab_until();
             for b in 0..banks {
                 let bank = rank.bank(b);
-                // `bank_refresh_busy(r, b, c)` over the frozen span is
-                // exactly `c < blocked_until`.
+                // Over the frozen span, the bank is refresh-blocked (its
+                // own window or its rank's `REFab`) exactly at `c <
+                // blocked_until`.
                 let blocked_until = bank.refresh_until().max(refab_until);
                 let blocked = blocked_until.saturating_sub(from).min(span);
                 let bt = &mut tel.banks[(ci * ranks + r) * banks + b];
@@ -703,7 +684,7 @@ impl System {
                     mc.step(chan, now, &mut completions);
                 }
                 if let Some(sampler) = &mut self.telemetry {
-                    sampler.sample(ci, mc, chan, now);
+                    sampler.catch_up(ci, mc, chan, now + 1);
                 }
                 stepped += 1;
             }
@@ -1388,11 +1369,11 @@ mod tests {
                 100_000,
                 60_000,
                 LoopStats {
-                    iterations: 59_986,
-                    controller_steps: 117_913,
-                    controller_steps_elided: 2_087,
-                    clock_jumps: 14,
-                    cycles_jumped: 14,
+                    iterations: 59_976,
+                    controller_steps: 117_788,
+                    controller_steps_elided: 2_212,
+                    clock_jumps: 24,
+                    cycles_jumped: 24,
                     core_micro_steps: 78_932,
                 },
             ),
@@ -1402,11 +1383,11 @@ mod tests {
                 100_000,
                 60_000,
                 LoopStats {
-                    iterations: 59_993,
-                    controller_steps: 118_505,
-                    controller_steps_elided: 1_495,
-                    clock_jumps: 5,
-                    cycles_jumped: 7,
+                    iterations: 59_977,
+                    controller_steps: 118_200,
+                    controller_steps_elided: 1_800,
+                    clock_jumps: 18,
+                    cycles_jumped: 23,
                     core_micro_steps: 66_750,
                 },
             ),

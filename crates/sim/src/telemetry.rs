@@ -112,13 +112,6 @@ impl Default for DepthHistogram {
 }
 
 impl DepthHistogram {
-    /// Records one value.
-    pub(crate) fn observe(&mut self, value: u64) {
-        self.buckets[bucket_index(value)] += 1;
-        self.sum += value;
-        self.count += 1;
-    }
-
     /// Records `value` as if observed on `n` consecutive samples.
     ///
     /// The sampling contract is **once per channel per DRAM cycle**
@@ -184,7 +177,7 @@ mod tests {
     fn depth_histogram_matches_obs_bucketing() {
         let mut h = DepthHistogram::default();
         for v in [0, 1, 5, 64] {
-            h.observe(v);
+            h.observe_n(v, 1);
         }
         assert_eq!(h.count, 4);
         assert_eq!(h.sum, 70);
@@ -192,12 +185,13 @@ mod tests {
         assert_eq!(h.buckets[0], 1);
     }
 
+    /// n one-cycle spans fold in exactly as one n-cycle span.
     #[test]
     fn observe_n_equals_repeated_observe() {
         let mut a = DepthHistogram::default();
         let mut b = DepthHistogram::default();
         for _ in 0..37 {
-            a.observe(5);
+            a.observe_n(5, 1);
         }
         b.observe_n(5, 37);
         assert_eq!(a, b);
@@ -209,7 +203,7 @@ mod tests {
     fn serialized_shape_excludes_in_memory_fields() {
         let mut t = SimTelemetry::for_geometry(1, 1, 2);
         t.dram_cycles = 7;
-        t.write_queue_depth.observe(3);
+        t.write_queue_depth.observe_n(3, 1);
         t.scheduler.issue_cycles = 5;
         let v = t.to_value();
         let keys: Vec<&str> = v
