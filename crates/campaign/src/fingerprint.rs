@@ -6,6 +6,7 @@
 //! knob, a benchmark parameter, or the run length changes the fingerprint,
 //! while re-serializing an identical key always reproduces it.
 
+use dsarp_cpu::Fnv128;
 use serde::value::write_json_string;
 use serde_json::Value;
 use std::fmt::{self, Write};
@@ -30,35 +31,26 @@ impl Fingerprint {
     }
 }
 
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-
-/// A running FNV-1a-128. Text written to it is hashed as it arrives, so
-/// a key can be fingerprinted without ever being assembled — and a copy
-/// of its state resumes from a shared prefix without rehashing it.
+/// A running FNV-1a-128 ([`Fnv128`]'s byte-wise fold). Text written to it
+/// is hashed as it arrives, so a key can be fingerprinted without ever
+/// being assembled — and a copy of its state resumes from a shared prefix
+/// without rehashing it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Hasher(u128);
+pub(crate) struct Hasher(Fnv128);
 
 impl Hasher {
     pub(crate) fn new() -> Self {
-        Hasher(FNV128_OFFSET)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u128::from(b);
-            self.0 = self.0.wrapping_mul(FNV128_PRIME);
-        }
+        Hasher(Fnv128::new())
     }
 
     pub(crate) fn finish(self) -> Fingerprint {
-        Fingerprint(self.0)
+        Fingerprint(self.0.finish())
     }
 }
 
 impl Write for Hasher {
     fn write_str(&mut self, text: &str) -> fmt::Result {
-        self.update(text.as_bytes());
+        self.0.update(text.as_bytes());
         Ok(())
     }
 }
@@ -74,9 +66,9 @@ pub fn fingerprint_value(v: &Value) -> Fingerprint {
 /// each trace's byte hash into its job fingerprints, so editing a trace
 /// on disk invalidates exactly the cells that replay it.
 pub fn fingerprint_bytes(bytes: &[u8]) -> Fingerprint {
-    let mut h = Hasher::new();
+    let mut h = Fnv128::new();
     h.update(bytes);
-    h.finish()
+    Fingerprint(h.finish())
 }
 
 /// Renders `v` as JSON with object keys sorted recursively, so field

@@ -33,9 +33,10 @@
 //! simulation.
 
 use crate::fingerprint::Fingerprint;
+use dsarp_cpu::trace::CyclicTrace;
 use dsarp_cpu::{
-    read_trace_path, BinTraceSource, Materialize, SharedCyclicTrace, TraceDialect, TraceFileError,
-    TraceOp, TraceSource,
+    read_trace_path, BinTraceSource, Materialize, TraceDialect, TraceFileError, TraceOp,
+    TraceSource,
 };
 use dsarp_workloads::{SyntheticTrace, Workload};
 use std::path::{Path, PathBuf};
@@ -220,7 +221,7 @@ impl TraceRef {
     /// [`TraceRef::content_hash`].
     pub(crate) fn open(&self) -> Box<dyn TraceSource> {
         if let Some(ops) = &self.ops {
-            return Box::new(SharedCyclicTrace::new(Arc::clone(ops)));
+            return Box::new(CyclicTrace::new(Arc::clone(ops)));
         }
         self.reads.fetch_add(1, Ordering::Relaxed);
         if self.dialect == TraceDialect::Bin {
@@ -250,7 +251,7 @@ impl TraceRef {
             self.path.display()
         );
         let ops = summary.ops.expect("Materialize::All keeps ops");
-        Box::new(SharedCyclicTrace::new(ops.into()))
+        Box::new(CyclicTrace::new(ops))
     }
 }
 

@@ -573,15 +573,17 @@ impl MemoryController {
         let b = chan.rank(rank).bank(bank);
         let (class, register) = match b.open_row() {
             _ if q.bank_len(rank, bank, drain) == 0 => return (Class::None, Cycle::MAX),
-            Some(row) if q.row_hits(rank, bank, row, drain) > 0 => (Class::Column, b.next_col()),
+            Some(row) if q.first_row_hit(rank, bank, row, drain).is_some() => {
+                (Class::Column, b.next_col())
+            }
             Some(_) => (Class::Precharge, b.next_pre()),
             None => {
                 // SARP §4.3.2: a refresh still holding a subarray when the
                 // bank may next activate blocks the bank only if every
                 // queued request targets that subarray.
                 let held = b.sarp_refresh(b.next_act()).filter(|r| {
-                    let head = q.head_probe(rank, bank, drain);
-                    let mut queued = std::iter::successors(head, |p| q.next_probe(p.slot, drain));
+                    let head = q.bank_head(rank, bank, drain);
+                    let mut queued = std::iter::successors(head, |p| q.next_in_bank(p.slot, drain));
                     queued.all(|p| self.geom.subarray_of_row(p.row) == r.subarray)
                 });
                 (Class::Activate, held.map_or(b.next_act(), |r| r.until))
@@ -678,16 +680,16 @@ impl MemoryController {
             match self.class[i] {
                 Class::Column if col_bus_ready => {
                     let open = rk.bank(bank).open_row().expect("a column bank is open");
-                    hits.extend(self.queues.hit_probe(rank, bank, open, drain));
+                    hits.extend(self.queues.first_row_hit(rank, bank, open, drain));
                 }
-                Class::Precharge => cursors.extend(self.queues.head_probe(rank, bank, drain)),
+                Class::Precharge => cursors.extend(self.queues.bank_head(rank, bank, drain)),
                 Class::Activate => {
                     if act_window.is_none_or(|(r, _)| r != rank) {
                         let open = rk.earliest_act_allowed(now, &self.timing) <= now;
                         act_window = Some((rank, open));
                     }
                     if act_window == Some((rank, true)) {
-                        cursors.extend(self.queues.head_probe(rank, bank, drain));
+                        cursors.extend(self.queues.bank_head(rank, bank, drain));
                     }
                 }
                 Class::Column | Class::None => {}
@@ -711,7 +713,7 @@ impl MemoryController {
         while let Some(i) = Self::oldest(hits) {
             let hit = hits.swap_remove(i);
             scanned += 1;
-            let auto_precharge = self.queues.row_hits(hit.rank, hit.bank, hit.row, drain) == 1;
+            let auto_precharge = self.queues.lone_hit(&hit, drain);
             let cmd = Self::column(&hit, drain, auto_precharge);
             let Ok(data_ready) = self.issue(chan, cmd, now) else {
                 continue;
@@ -779,7 +781,7 @@ impl MemoryController {
                 cursors.swap_remove(i);
                 continue;
             }
-            match self.queues.next_probe(c.slot, drain) {
+            match self.queues.next_in_bank(c.slot, drain) {
                 Some(next) => cursors[i] = next,
                 None => {
                     cursors.swap_remove(i);
@@ -836,11 +838,11 @@ impl MemoryController {
                 {
                     continue;
                 }
-                let Some(head) = self.queues.head_probe(rank, bank, drain) else {
+                let Some(head) = self.queues.bank_head(rank, bank, drain) else {
                     continue;
                 };
                 let cmd = match chan.rank(rank).bank(bank).open_row() {
-                    Some(open) => match self.queues.hit_probe(rank, bank, open, drain) {
+                    Some(open) => match self.queues.first_row_hit(rank, bank, open, drain) {
                         Some(hit) => Self::column(&hit, drain, false),
                         None => Command::Precharge { rank, bank },
                     },

@@ -71,6 +71,6 @@ mod refresh;
 mod request;
 
 pub use controller::{Completion, ControllerStats, MemoryController, SchedulerScan};
-pub use queues::RequestQueues;
+pub use queues::{Probe, RequestQueues};
 pub use refresh::{DarpStats, Mechanism};
 pub use request::Request;

@@ -7,30 +7,25 @@
 //! no reads. Write-refresh parallelization (DARP's second component) rides
 //! on exactly this mode.
 //!
-//! # The per-bank index
+//! # One FIFO per bank
 //!
-//! The scheduler and the refresh policies interrogate these queues every
-//! DRAM cycle (`demand_count`, `bank_has_demand`, `rank_has_demand`,
-//! `another_row_hit_queued`, `forwards_read`), and FR-FCFS needs each
-//! bank's oldest request and oldest row hit. A flat `Vec` makes every one
-//! of those an O(queue) scan — the dominant cost on memory-intensive
-//! workloads where skip-ahead cannot skip. Instead, requests live in
-//! slot-stable storage (no `Vec::remove` compaction) threaded onto three
-//! intrusive FIFO chains, all maintained incrementally on push/take:
+//! Requests live in slot-stable storage (no `Vec::remove` compaction), each
+//! linked onto one intrusive FIFO chain per (rank, bank) in arrival order.
+//! Per-bank, per-rank and per-side occupancy counters, maintained on
+//! push/take, answer the refresh policies' queries (`demand_count`,
+//! `bank_has_demand`, `rank_has_demand`) in O(1). Every other query walks
+//! one bank's FIFO: FR-FCFS pass 2 reads its head and successors, pass 1
+//! and the readiness check look for its first entry on the open row, the
+//! closed-row auto-precharge test ([`RequestQueues::lone_hit`]) looks for a
+//! later one, and read-after-write forwarding compares full locations along
+//! the write side's FIFO — a handful of entries, no hashing.
 //!
-//! * a **global chain** in arrival order (iteration, oracle tests);
-//! * a **per-(rank, bank) chain** in arrival order — FR-FCFS pass 2
-//!   ("oldest request per bank") reads chain heads;
-//! * a **per-(rank, bank, row) chain** in arrival order — FR-FCFS pass 1
-//!   ("oldest hit on the open row") and the closed-row auto-precharge
-//!   test read row-chain heads and counts.
-//!
-//! Per-bank and per-rank occupancy counters make the policy queries O(1),
-//! and read-after-write forwarding walks the write side's row chain for the
-//! read's (rank, bank, row) comparing columns — a handful of entries, no
-//! hashing. Arrival order is captured in a monotonically increasing per-side
-//! sequence number, so FR-FCFS tie-breaking is *identical* to scanning a
-//! flat queue front-to-back: every query answers exactly what the scan would
+//! The walks are enough because the controller's readiness table asks the
+//! queues about a bank only when an event has marked that bank stale or its
+//! command can issue this cycle, not about every bank on every cycle. Each
+//! request also carries a per-side sequence number, strictly increasing in
+//! arrival order, so FR-FCFS tie-breaking is *identical* to scanning a flat
+//! queue front-to-back: every query answers exactly what the scan would
 //! have answered.
 
 use crate::request::Request;
@@ -54,62 +49,42 @@ const NIL: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotId(u32);
 
-/// One scheduling candidate: a queued request, its storage slot, and its
-/// arrival sequence number — the FR-FCFS tie-breaker (lower = older).
+/// A queued request's scheduling coordinates without its payload — what
+/// every query returns and the FR-FCFS passes order and probe on. The
+/// [`Request`] itself comes out of `slot` only when its command issues
+/// ([`RequestQueues::take_read`]/[`RequestQueues::take_write`]).
 #[derive(Debug, Clone, Copy)]
-pub struct Candidate {
-    /// Storage slot, for [`RequestQueues::take_read`]/[`RequestQueues::take_write`].
-    pub slot: SlotId,
-    /// Arrival order within the side; strictly increasing across pushes.
+pub struct Probe {
+    /// Arrival order within the side (lower = older): the FR-FCFS
+    /// tie-breaker, strictly increasing across pushes.
     pub seq: u64,
-    /// The queued request.
-    pub req: Request,
+    /// Storage slot of the request.
+    pub slot: SlotId,
+    /// Target rank.
+    pub rank: usize,
+    /// Target bank within the rank.
+    pub bank: usize,
+    /// Target row.
+    pub row: u32,
+    /// Target column.
+    pub col: u32,
 }
 
-/// A queued request's scheduling coordinates without its payload — what the
-/// FR-FCFS passes order and probe on. The [`Request`] itself is read from
-/// `slot` only when its command issues.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Probe {
-    pub(crate) seq: u64,
-    pub(crate) slot: SlotId,
-    pub(crate) rank: usize,
-    pub(crate) bank: usize,
-    pub(crate) row: u32,
-    pub(crate) col: u32,
-}
-
-/// Slot payload plus its links on the three chains.
+/// Slot payload plus its links on its bank's chain.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     req: Request,
     seq: u64,
-    all_prev: u32,
-    all_next: u32,
-    bank_prev: u32,
-    bank_next: u32,
-    row_prev: u32,
-    row_next: u32,
+    prev: u32,
+    next: u32,
 }
 
-/// Per-(rank, bank, row) FIFO sub-chain.
+/// Per-(rank, bank) FIFO chain and occupancy.
 #[derive(Debug, Clone, Copy)]
-struct RowChain {
-    row: u32,
-    count: u32,
-    head: u32,
-    tail: u32,
-}
-
-/// Per-(rank, bank) index: arrival-order chain, occupancy, row sub-chains.
-#[derive(Debug, Clone)]
 struct BankIndex {
     head: u32,
     tail: u32,
     count: u32,
-    /// Row sub-chains for rows currently queued to this bank; unordered
-    /// (looked up by row value), at most one entry per distinct row.
-    rows: Vec<RowChain>,
 }
 
 impl Default for BankIndex {
@@ -118,12 +93,11 @@ impl Default for BankIndex {
             head: NIL,
             tail: NIL,
             count: 0,
-            rows: Vec::new(),
         }
     }
 }
 
-/// One queue direction (reads or writes): slot-stable storage + indexes.
+/// One queue direction (reads or writes): slot-stable storage + bank FIFOs.
 #[derive(Debug, Clone)]
 struct Side {
     slots: Vec<Option<Entry>>,
@@ -131,8 +105,6 @@ struct Side {
     free: Vec<u32>,
     next_seq: u64,
     len: usize,
-    all_head: u32,
-    all_tail: u32,
     /// `rank * stride + bank`, grown on demand — the queues are
     /// geometry-agnostic.
     banks: Vec<BankIndex>,
@@ -149,8 +121,6 @@ impl Side {
             free: (0..cap as u32).rev().collect(),
             next_seq: 0,
             len: 0,
-            all_head: NIL,
-            all_tail: NIL,
             banks: Vec::new(),
             stride: 0,
             rank_counts: Vec::new(),
@@ -173,10 +143,9 @@ impl Side {
     fn grow(&mut self, rank: usize, bank: usize) -> usize {
         if bank >= self.stride {
             let stride = bank + 1;
-            let mut wider = Vec::new();
-            wider.resize_with(self.rank_counts.len() * stride, BankIndex::default);
-            for (i, bi) in std::mem::take(&mut self.banks).into_iter().enumerate() {
-                wider[i / self.stride * stride + i % self.stride] = bi;
+            let mut wider = vec![BankIndex::default(); self.rank_counts.len() * stride];
+            for (i, bi) in self.banks.iter().enumerate() {
+                wider[i / self.stride * stride + i % self.stride] = *bi;
             }
             self.banks = wider;
             self.stride = stride;
@@ -184,7 +153,7 @@ impl Side {
         if rank >= self.rank_counts.len() {
             self.rank_counts.resize(rank + 1, 0);
             self.banks
-                .resize_with((rank + 1) * self.stride, BankIndex::default);
+                .resize((rank + 1) * self.stride, BankIndex::default());
         }
         rank * self.stride + bank
     }
@@ -195,15 +164,6 @@ impl Side {
 
     fn entry_mut(&mut self, slot: u32) -> &mut Entry {
         self.slots[slot as usize].as_mut().expect("live slot")
-    }
-
-    fn candidate(&self, slot: u32) -> Candidate {
-        let e = self.entry(slot);
-        Candidate {
-            slot: SlotId(slot),
-            seq: e.seq,
-            req: e.req,
-        }
     }
 
     fn probe(&self, slot: u32) -> Probe {
@@ -222,58 +182,25 @@ impl Side {
         let Some(slot) = self.free.pop() else {
             return false;
         };
-        let (rank, bank, row) = (req.loc.rank, req.loc.bank, req.loc.row);
-        let flat = self.grow(rank, bank);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-
-        let all_tail = self.all_tail;
-        let bank_tail = self.banks[flat].tail;
-        let row_pos = self.banks[flat].rows.iter().position(|rc| rc.row == row);
-        let row_tail = row_pos.map_or(NIL, |i| self.banks[flat].rows[i].tail);
-
+        let rank = req.loc.rank;
+        let flat = self.grow(rank, req.loc.bank);
+        let tail = self.banks[flat].tail;
         self.slots[slot as usize] = Some(Entry {
             req,
-            seq,
-            all_prev: all_tail,
-            all_next: NIL,
-            bank_prev: bank_tail,
-            bank_next: NIL,
-            row_prev: row_tail,
-            row_next: NIL,
+            seq: self.next_seq,
+            prev: tail,
+            next: NIL,
         });
-        if all_tail == NIL {
-            self.all_head = slot;
-        } else {
-            self.entry_mut(all_tail).all_next = slot;
+        self.next_seq += 1;
+        if tail != NIL {
+            self.entry_mut(tail).next = slot;
         }
-        self.all_tail = slot;
-        if bank_tail != NIL {
-            self.entry_mut(bank_tail).bank_next = slot;
-        }
-        if row_tail != NIL {
-            self.entry_mut(row_tail).row_next = slot;
-        }
-
         let bi = &mut self.banks[flat];
         if bi.head == NIL {
             bi.head = slot;
         }
         bi.tail = slot;
         bi.count += 1;
-        match row_pos {
-            Some(i) => {
-                let rc = &mut bi.rows[i];
-                rc.count += 1;
-                rc.tail = slot;
-            }
-            None => bi.rows.push(RowChain {
-                row,
-                count: 1,
-                head: slot,
-                tail: slot,
-            }),
-        }
         self.rank_counts[rank] += 1;
         self.len += 1;
         true
@@ -282,56 +209,21 @@ impl Side {
     fn take(&mut self, slot: SlotId) -> Request {
         let idx = slot.0;
         let e = self.slots[idx as usize].take().expect("live slot");
-        let (rank, bank, row) = (e.req.loc.rank, e.req.loc.bank, e.req.loc.row);
-
-        if e.all_prev == NIL {
-            self.all_head = e.all_next;
-        } else {
-            self.entry_mut(e.all_prev).all_next = e.all_next;
+        let (rank, bank) = (e.req.loc.rank, e.req.loc.bank);
+        if e.prev != NIL {
+            self.entry_mut(e.prev).next = e.next;
         }
-        if e.all_next == NIL {
-            self.all_tail = e.all_prev;
-        } else {
-            self.entry_mut(e.all_next).all_prev = e.all_prev;
+        if e.next != NIL {
+            self.entry_mut(e.next).prev = e.prev;
         }
-        if e.bank_prev != NIL {
-            self.entry_mut(e.bank_prev).bank_next = e.bank_next;
-        }
-        if e.bank_next != NIL {
-            self.entry_mut(e.bank_next).bank_prev = e.bank_prev;
-        }
-        if e.row_prev != NIL {
-            self.entry_mut(e.row_prev).row_next = e.row_next;
-        }
-        if e.row_next != NIL {
-            self.entry_mut(e.row_next).row_prev = e.row_prev;
-        }
-
         let bi = &mut self.banks[rank * self.stride + bank];
         if bi.head == idx {
-            bi.head = e.bank_next;
+            bi.head = e.next;
         }
         if bi.tail == idx {
-            bi.tail = e.bank_prev;
+            bi.tail = e.prev;
         }
         bi.count -= 1;
-        let i = bi
-            .rows
-            .iter()
-            .position(|rc| rc.row == row)
-            .expect("row chain of a live entry");
-        let rc = &mut bi.rows[i];
-        rc.count -= 1;
-        if rc.count == 0 {
-            bi.rows.swap_remove(i);
-        } else {
-            if rc.head == idx {
-                rc.head = e.row_next;
-            }
-            if rc.tail == idx {
-                rc.tail = e.row_prev;
-            }
-        }
         self.rank_counts[rank] -= 1;
         self.len -= 1;
         self.free.push(idx);
@@ -346,42 +238,24 @@ impl Side {
         self.rank_counts.get(rank).copied().unwrap_or(0) as usize
     }
 
-    fn row_chain(&self, rank: usize, bank: usize, row: u32) -> Option<&RowChain> {
-        self.bank(rank, bank)?.rows.iter().find(|rc| rc.row == row)
+    /// The chain from `slot` (inclusive) to its bank's tail.
+    fn chain_from(&self, slot: Option<u32>) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors(slot, |&s| link(self.entry(s).next))
     }
 
-    fn row_len(&self, rank: usize, bank: usize, row: u32) -> usize {
-        self.row_chain(rank, bank, row)
-            .map_or(0, |rc| rc.count as usize)
-    }
-
-    /// Slot of the oldest request hitting `row` in the bank.
-    fn first_row_hit(&self, rank: usize, bank: usize, row: u32) -> Option<u32> {
-        self.row_chain(rank, bank, row).map(|rc| rc.head)
-    }
-
-    /// Slot of the bank's oldest request.
-    fn bank_head(&self, rank: usize, bank: usize) -> Option<u32> {
-        link(self.bank(rank, bank)?.head)
-    }
-
-    /// Slot of `slot`'s successor on its bank chain.
-    fn next_in_bank(&self, slot: SlotId) -> Option<u32> {
-        link(self.entry(slot.0).bank_next)
-    }
-
-    /// Whether a request to exactly `loc` is queued: walks the (rank, bank,
-    /// row) chain comparing the rest of the location.
-    fn holds(&self, loc: &Location) -> bool {
-        let head = self.first_row_hit(loc.rank, loc.bank, loc.row);
-        std::iter::successors(head, |&s| link(self.entry(s).row_next))
-            .any(|s| self.entry(s).req.loc == *loc)
+    /// The bank's chain, oldest first.
+    fn bank_chain(&self, rank: usize, bank: usize) -> impl Iterator<Item = u32> + '_ {
+        self.chain_from(self.bank(rank, bank).and_then(|b| link(b.head)))
     }
 
     /// The side's requests in arrival order.
-    fn iter(&self) -> impl Iterator<Item = Candidate> + '_ {
-        std::iter::successors(link(self.all_head), |&s| link(self.entry(s).all_next))
-            .map(|s| self.candidate(s))
+    fn iter(&self) -> impl Iterator<Item = Probe> + '_ {
+        let slots = self.slots.iter().zip(0..);
+        let mut live: Vec<(u64, u32)> = slots
+            .filter_map(|(e, s)| e.as_ref().map(|e| (e.seq, s)))
+            .collect();
+        live.sort_unstable();
+        live.into_iter().map(|(_, s)| self.probe(s))
     }
 }
 
@@ -481,13 +355,14 @@ impl RequestQueues {
         !self.draining && self.writes.len >= self.high
     }
 
-    /// Pending reads in arrival order (oldest first).
-    pub fn iter_reads(&self) -> impl Iterator<Item = Candidate> + '_ {
+    /// Pending reads in arrival order (oldest first). Sorts the live slots:
+    /// for tests and tools, not the scheduler.
+    pub fn iter_reads(&self) -> impl Iterator<Item = Probe> + '_ {
         self.reads.iter()
     }
 
-    /// Pending writes in arrival order (oldest first).
-    pub fn iter_writes(&self) -> impl Iterator<Item = Candidate> + '_ {
+    /// Pending writes in arrival order (oldest first). Sorts the live slots.
+    pub fn iter_writes(&self) -> impl Iterator<Item = Probe> + '_ {
         self.writes.iter()
     }
 
@@ -518,27 +393,14 @@ impl RequestQueues {
         self.reads.rank_len(rank) + self.writes.rank_len(rank) > 0
     }
 
-    /// Whether any *other* queued request in the currently *servable* queue
-    /// targets the same open row — the closed-row policy's auto-precharge
-    /// test. Only the servable queue counts: outside writeback mode a
-    /// queued write cannot be serviced, so letting it hold a row open would
-    /// starve conflicting reads until the next drain. A request being
-    /// scheduled (which itself hits `loc`'s row by construction) excludes
-    /// itself with `exclude_self`. O(1).
-    pub fn another_row_hit_queued(
-        &self,
-        loc: &Location,
-        in_drain: bool,
-        exclude_self: bool,
-    ) -> bool {
-        let hits = self.side(in_drain).row_len(loc.rank, loc.bank, loc.row);
-        hits > usize::from(exclude_self)
-    }
-
     /// Searches the write queue for a pending write to the same line
-    /// (read-after-write forwarding). O(writes queued to `loc`'s row).
+    /// (read-after-write forwarding): a walk of `loc`'s bank FIFO on the
+    /// write side.
     pub fn forwards_read(&self, loc: &Location) -> bool {
-        self.writes.holds(loc)
+        let writes = &self.writes;
+        writes
+            .bank_chain(loc.rank, loc.bank)
+            .any(|s| writes.entry(s).req.loc == *loc)
     }
 
     /// Queued requests for one bank on one side (`writes` selects the
@@ -547,58 +409,37 @@ impl RequestQueues {
         self.side(writes).bank_len(rank, bank)
     }
 
-    /// Queued requests hitting `row` in one bank on one side. O(1).
-    pub fn row_hits(&self, rank: usize, bank: usize, row: u32, writes: bool) -> usize {
-        self.side(writes).row_len(rank, bank, row)
+    /// The oldest queued request hitting `row` in one bank on one side.
+    pub fn first_row_hit(&self, rank: usize, bank: usize, row: u32, writes: bool) -> Option<Probe> {
+        let side = self.side(writes);
+        let mut chain = side.bank_chain(rank, bank);
+        chain
+            .find(|&s| side.entry(s).req.loc.row == row)
+            .map(|s| side.probe(s))
     }
 
-    /// The oldest queued request hitting `row` in one bank on one side.
-    pub fn first_row_hit(
-        &self,
-        rank: usize,
-        bank: usize,
-        row: u32,
-        writes: bool,
-    ) -> Option<Candidate> {
+    /// Whether no request queued after `hit` on its side targets `hit`'s
+    /// row in its bank — for the oldest hit ([`Self::first_row_hit`]), that
+    /// it is the row's only queued request. The closed-row policy's
+    /// auto-precharge test: only the servable side counts, because outside
+    /// writeback mode a queued write cannot be serviced, and letting it hold
+    /// a row open would starve conflicting reads until the next drain.
+    pub fn lone_hit(&self, hit: &Probe, writes: bool) -> bool {
         let side = self.side(writes);
-        side.first_row_hit(rank, bank, row)
-            .map(|s| side.candidate(s))
+        let mut later = side.chain_from(link(side.entry(hit.slot.0).next));
+        later.all(|s| side.entry(s).req.loc.row != hit.row)
     }
 
     /// The oldest queued request for one bank on one side.
-    pub fn bank_head(&self, rank: usize, bank: usize, writes: bool) -> Option<Candidate> {
+    pub fn bank_head(&self, rank: usize, bank: usize, writes: bool) -> Option<Probe> {
         let side = self.side(writes);
-        side.bank_head(rank, bank).map(|s| side.candidate(s))
+        side.bank_chain(rank, bank).next().map(|s| side.probe(s))
     }
 
     /// The next-older-to-younger successor of `slot` within its bank chain.
-    pub fn next_in_bank(&self, slot: SlotId, writes: bool) -> Option<Candidate> {
+    pub fn next_in_bank(&self, slot: SlotId, writes: bool) -> Option<Probe> {
         let side = self.side(writes);
-        side.next_in_bank(slot).map(|s| side.candidate(s))
-    }
-
-    /// [`Self::first_row_hit`] without the payload copy (scheduler hot path).
-    pub(crate) fn hit_probe(
-        &self,
-        rank: usize,
-        bank: usize,
-        row: u32,
-        writes: bool,
-    ) -> Option<Probe> {
-        let side = self.side(writes);
-        side.first_row_hit(rank, bank, row).map(|s| side.probe(s))
-    }
-
-    /// [`Self::bank_head`] without the payload copy.
-    pub(crate) fn head_probe(&self, rank: usize, bank: usize, writes: bool) -> Option<Probe> {
-        let side = self.side(writes);
-        side.bank_head(rank, bank).map(|s| side.probe(s))
-    }
-
-    /// [`Self::next_in_bank`] without the payload copy.
-    pub(crate) fn next_probe(&self, slot: SlotId, writes: bool) -> Option<Probe> {
-        let side = self.side(writes);
-        side.next_in_bank(slot).map(|s| side.probe(s))
+        link(side.entry(slot.0).next).map(|s| side.probe(s))
     }
 
     /// Read-queue occupancy.
@@ -700,20 +541,28 @@ mod tests {
     }
 
     #[test]
-    fn row_hit_detection_for_auto_precharge() {
+    fn lone_hit_counts_only_later_same_row_entries_on_its_side() {
         let mut q = RequestQueues::paper_default();
-        let l = loc(0, 1, 42);
-        q.try_push_read(Request::read(1, l, 0, 0));
-        q.try_push_write(Request::write(2, loc(0, 1, 42), 0, 0));
-        // Outside drain mode only reads count; the queued read matches.
-        assert!(q.another_row_hit_queued(&l, false, false));
-        // A write to the same row is invisible outside drain mode...
-        let slot = q.first_row_hit(0, 1, 42, false).expect("read queued").slot;
-        q.take_read(slot);
-        assert!(!q.another_row_hit_queued(&l, false, false));
-        // ...but visible inside drain mode, where it must not match itself.
-        assert!(q.another_row_hit_queued(&l, true, false));
-        assert!(!q.another_row_hit_queued(&l, true, true));
+        q.try_push_read(Request::read(1, loc(0, 1, 42), 0, 0));
+        q.try_push_read(Request::read(2, loc(0, 1, 7), 0, 0));
+        // A write to the same row sits on the other side: it cannot hold
+        // the row open for a read.
+        q.try_push_write(Request::write(3, loc(0, 1, 42), 0, 0));
+        let read = q.first_row_hit(0, 1, 42, false).expect("read queued");
+        assert!(q.lone_hit(&read, false), "the write is on the other side");
+        let write = q.first_row_hit(0, 1, 42, true).expect("write queued");
+        assert!(q.lone_hit(&write, true), "the read is on the other side");
+
+        // A younger read to the row, behind a conflicting one: no longer lone.
+        q.try_push_read(Request::read(4, loc(0, 1, 42), 0, 0));
+        assert!(!q.lone_hit(&read, false));
+        // The younger hit has nothing after it.
+        let younger = q.next_in_bank(q.next_in_bank(read.slot, false).unwrap().slot, false);
+        assert!(q.lone_hit(&younger.expect("id 4 queued"), false));
+        // Taking the older hit leaves the younger one lone.
+        assert_eq!(q.take_read(read.slot).id, 1);
+        let read = q.first_row_hit(0, 1, 42, false).expect("id 4 queued");
+        assert!(q.lone_hit(&read, false));
     }
 
     #[test]
@@ -745,30 +594,36 @@ mod tests {
     fn fifo_chains_preserve_arrival_order_across_takes() {
         let mut q = RequestQueues::paper_default();
         // Interleave two banks; take from the middle; order must hold.
-        q.try_push_read(Request::read(1, loc(0, 0, 1), 0, 0));
-        q.try_push_read(Request::read(2, loc(0, 1, 1), 0, 1));
-        q.try_push_read(Request::read(3, loc(0, 0, 2), 0, 2));
-        q.try_push_read(Request::read(4, loc(0, 0, 1), 0, 3));
-        let ids: Vec<u64> = q.iter_reads().map(|c| c.req.id).collect();
-        assert_eq!(ids, [1, 2, 3, 4]);
-        assert_eq!(q.bank_head(0, 0, false).unwrap().req.id, 1);
-        assert_eq!(q.first_row_hit(0, 0, 1, false).unwrap().req.id, 1);
-        assert_eq!(q.row_hits(0, 0, 1, false), 2);
+        // Each request's column is its id, so probes identify it.
+        let push = |q: &mut RequestQueues, id: u32, bank: usize, row: u32| {
+            let l = Location {
+                col: id,
+                ..loc(0, bank, row)
+            };
+            assert!(q.try_push_read(Request::read(u64::from(id), l, 0, 0)));
+        };
+        let ids = |q: &RequestQueues| q.iter_reads().map(|p| p.col).collect::<Vec<_>>();
+        push(&mut q, 1, 0, 1);
+        push(&mut q, 2, 1, 1);
+        push(&mut q, 3, 0, 2);
+        push(&mut q, 4, 0, 1);
+        assert_eq!(ids(&q), [1, 2, 3, 4]);
+        assert_eq!(q.bank_head(0, 0, false).unwrap().col, 1);
+        assert_eq!(q.first_row_hit(0, 0, 1, false).unwrap().col, 1);
 
         // Take the oldest; id 3 becomes the bank head, id 4 the row hit.
         let head = q.bank_head(0, 0, false).unwrap().slot;
-        q.take_read(head);
-        assert_eq!(q.bank_head(0, 0, false).unwrap().req.id, 3);
-        assert_eq!(q.first_row_hit(0, 0, 1, false).unwrap().req.id, 4);
+        assert_eq!(q.take_read(head).id, 1);
+        assert_eq!(q.bank_head(0, 0, false).unwrap().col, 3);
+        assert_eq!(q.first_row_hit(0, 0, 1, false).unwrap().col, 4);
         let next = q.next_in_bank(q.bank_head(0, 0, false).unwrap().slot, false);
-        assert_eq!(next.unwrap().req.id, 4);
+        assert_eq!(next.unwrap().col, 4);
         assert_eq!(q.bank_len(0, 0, false), 2);
 
         // Slot reuse keeps seq strictly increasing (arrival order intact).
-        q.try_push_read(Request::read(5, loc(0, 0, 1), 0, 4));
-        let ids: Vec<u64> = q.iter_reads().map(|c| c.req.id).collect();
-        assert_eq!(ids, [2, 3, 4, 5]);
-        let seqs: Vec<u64> = q.iter_reads().map(|c| c.seq).collect();
+        push(&mut q, 5, 0, 1);
+        assert_eq!(ids(&q), [2, 3, 4, 5]);
+        let seqs: Vec<u64> = q.iter_reads().map(|p| p.seq).collect();
         assert!(seqs.windows(2).all(|w| w[0] < w[1]));
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the memory controller: random request streams
 //! under every mechanism must preserve the core invariants.
 
-use dsarp_core::{Mechanism, MemoryController, Request};
+use dsarp_core::{Mechanism, MemoryController, Probe, Request};
 use dsarp_dram::{Command, Density, DramChannel, Geometry, Location, Retention, TimingParams};
 use proptest::prelude::*;
 
@@ -308,36 +308,36 @@ fn drive_work_conserving(arrivals: &[(u8, u8, u8, bool)], cycles: u64) {
             continue;
         }
         let drain = mc.queues().in_drain_mode();
-        let servable: Vec<Request> = if drain {
-            mc.queues().iter_writes().map(|c| c.req).collect()
+        let servable: Vec<Probe> = if drain {
+            mc.queues().iter_writes().collect()
         } else {
-            mc.queues().iter_reads().map(|c| c.req).collect()
+            mc.queues().iter_reads().collect()
         };
         idle_cycles_with_demand += u64::from(!servable.is_empty());
         for req in &servable {
-            let (rank, bank) = (req.loc.rank, req.loc.bank);
+            let (rank, bank) = (req.rank, req.bank);
             let cmd = match chan.rank(rank).bank(bank).open_row() {
                 None => Command::Activate {
                     rank,
                     bank,
-                    row: req.loc.row,
+                    row: req.row,
                 },
-                Some(open) if open == req.loc.row && drain => Command::Write {
+                Some(open) if open == req.row && drain => Command::Write {
                     rank,
                     bank,
-                    col: req.loc.col,
+                    col: req.col,
                     auto_precharge: false,
                 },
-                Some(open) if open == req.loc.row => Command::Read {
+                Some(open) if open == req.row => Command::Read {
                     rank,
                     bank,
-                    col: req.loc.col,
+                    col: req.col,
                     auto_precharge: false,
                 },
                 Some(open) => {
                     let hit_queued = servable
                         .iter()
-                        .any(|r| r.targets_bank(rank, bank) && r.loc.row == open);
+                        .any(|r| (r.rank, r.bank, r.row) == (rank, bank, open));
                     if hit_queued {
                         continue; // the row stays open for its hits
                     }

@@ -1,12 +1,12 @@
-//! Oracle test for the per-bank request index: random push/take/drain
+//! Oracle test for the per-bank request FIFOs: random push/take/drain
 //! sequences driven against [`RequestQueues`] and a naive flat-`Vec` model
-//! in lockstep. After every operation, every indexed query — occupancy
-//! counters, row-hit probes, forwarding probes, bank heads, chain walks,
+//! in lockstep. After every operation, every query — occupancy counters,
+//! row-hit and lone-hit probes, forwarding probes, bank heads, FIFO walks,
 //! arrival-order iteration — must answer exactly what a front-to-back scan
 //! of the flat model answers. This is what licenses the O(1)/O(banks)
 //! scheduler rewrite: any divergence here would change FR-FCFS behavior.
 
-use dsarp_core::{Request, RequestQueues};
+use dsarp_core::{Probe, Request, RequestQueues};
 use dsarp_dram::Location;
 use proptest::prelude::*;
 
@@ -82,7 +82,7 @@ fn check(q: &RequestQueues, m: &Model) {
         };
         assert_eq!(cands.len(), model.len());
         for (c, r) in cands.iter().zip(model) {
-            assert_eq!(c.req, *r, "iteration order diverged from arrival order");
+            assert!(probes(c, r), "iteration order diverged from arrival order");
         }
         for w in cands.windows(2) {
             assert!(w[0].seq < w[1].seq, "seq must increase in arrival order");
@@ -119,30 +119,27 @@ fn check_bank(q: &RequestQueues, m: &Model, rank: usize, bank: usize) {
         let mut chain = Vec::new();
         let mut cur = q.bank_head(rank, bank, writes);
         while let Some(c) = cur {
-            chain.push(c.req);
+            chain.push(c);
             cur = q.next_in_bank(c.slot, writes);
         }
-        assert_eq!(
-            chain,
-            flat.iter().map(|r| **r).collect::<Vec<_>>(),
+        assert!(
+            chain.len() == flat.len() && chain.iter().zip(&flat).all(|(c, r)| probes(c, r)),
             "per-bank chain must be the bank's requests in arrival order"
         );
+        // The auto-precharge test: no younger request on the same row.
+        for (k, c) in chain.iter().enumerate() {
+            let later = flat[k + 1..].iter().any(|r| r.loc.row == c.row);
+            assert_eq!(q.lone_hit(c, writes), !later, "lone_hit diverged");
+        }
 
         // Row-hit probes: FR-FCFS pass 1 and auto-precharge.
         for row in 0..ROWS {
             let hits: Vec<&&Request> = flat.iter().filter(|r| r.loc.row == row).collect();
-            assert_eq!(q.row_hits(rank, bank, row, writes), hits.len());
-            assert_eq!(
-                q.first_row_hit(rank, bank, row, writes).map(|c| c.req),
-                hits.first().map(|r| ***r),
-                "first_row_hit must be the oldest matching request"
-            );
-            for exclude_self in [false, true] {
-                let l = loc(rank, bank, row, 0);
-                assert_eq!(
-                    q.another_row_hit_queued(&l, writes, exclude_self),
-                    hits.len() > usize::from(exclude_self)
-                );
+            let first = q.first_row_hit(rank, bank, row, writes);
+            assert_eq!(first.is_some(), !hits.is_empty());
+            if let (Some(p), Some(r)) = (first, hits.first()) {
+                assert!(probes(&p, r), "first_row_hit must be the oldest match");
+                assert_eq!(q.lone_hit(&p, writes), hits.len() == 1, "lone hit");
             }
         }
     }
@@ -158,6 +155,11 @@ fn check_bank(q: &RequestQueues, m: &Model, rank: usize, bank: usize) {
             );
         }
     }
+}
+
+/// Whether `p` probes exactly `r`'s coordinates.
+fn probes(p: &Probe, r: &Request) -> bool {
+    (p.rank, p.bank, p.row, p.col) == (r.loc.rank, r.loc.bank, r.loc.row, r.loc.col)
 }
 
 /// One scripted operation, decoded from raw bytes so proptest shrinking
@@ -248,7 +250,7 @@ proptest! {
 }
 
 /// Read-after-write forwarding without the location hash: the probe walks
-/// the write side's (rank, bank, row) chain comparing columns, so it must
+/// the write side's (rank, bank) FIFO comparing whole locations, so it must
 /// count duplicates correctly and must not confuse neighbours on the row.
 #[test]
 fn hash_free_forwarding_matches_the_flat_scan() {

@@ -56,9 +56,11 @@ pub mod trace_v1;
 pub use crate::core::{Core, CoreIdle, CoreParams, StallKind};
 pub use llc::{Llc, LlcParams, LlcResult, LlcStats};
 use mshr::ReqToken;
-pub use trace::{MemKind, SharedCyclicTrace, TraceOp, TraceSource};
+pub use trace::{MemKind, TraceOp, TraceSource};
 pub use trace_file::TraceFileError;
-pub use trace_v1::{read_trace_path, scan_trace_bytes, BinTraceSource, Materialize, TraceDialect};
+pub use trace_v1::{
+    read_trace_path, scan_trace_bytes, BinTraceSource, Fnv128, Materialize, TraceDialect,
+};
 
 /// Result of asking the memory hierarchy for a cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -6,6 +6,7 @@
 //! that realize SPEC/STREAM/TPC/RandomAccess-like behaviour.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Kind of memory operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -40,10 +41,12 @@ pub trait TraceSource {
     fn next_op(&mut self) -> TraceOp;
 }
 
-/// A fixed cyclic trace, convenient for tests.
+/// A fixed cyclic trace. The ops are shared, so many sources (the alone
+/// run and the grid cells of one captured file) replay one parsed snapshot
+/// without copying it per job.
 #[derive(Debug, Clone)]
 pub struct CyclicTrace {
-    ops: Vec<TraceOp>,
+    ops: Arc<[TraceOp]>,
     pos: usize,
 }
 
@@ -53,42 +56,14 @@ impl CyclicTrace {
     /// # Panics
     ///
     /// Panics if `ops` is empty.
-    pub fn new(ops: Vec<TraceOp>) -> Self {
+    pub fn new(ops: impl Into<Arc<[TraceOp]>>) -> Self {
+        let ops = ops.into();
         assert!(!ops.is_empty(), "cyclic trace needs at least one op");
         Self { ops, pos: 0 }
     }
 }
 
 impl TraceSource for CyclicTrace {
-    fn next_op(&mut self) -> TraceOp {
-        let op = self.ops[self.pos];
-        self.pos = (self.pos + 1) % self.ops.len();
-        op
-    }
-}
-
-/// A cyclic trace over shared ops: many sources (alone + grid cells of
-/// the same captured file) replay one parsed snapshot without cloning
-/// the `Vec<TraceOp>` per job.
-#[derive(Debug, Clone)]
-pub struct SharedCyclicTrace {
-    ops: std::sync::Arc<[TraceOp]>,
-    pos: usize,
-}
-
-impl SharedCyclicTrace {
-    /// Creates a trace repeating the shared `ops` forever.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ops` is empty.
-    pub fn new(ops: std::sync::Arc<[TraceOp]>) -> Self {
-        assert!(!ops.is_empty(), "cyclic trace needs at least one op");
-        Self { ops, pos: 0 }
-    }
-}
-
-impl TraceSource for SharedCyclicTrace {
     fn next_op(&mut self) -> TraceOp {
         let op = self.ops[self.pos];
         self.pos = (self.pos + 1) % self.ops.len();

@@ -122,16 +122,16 @@ impl std::fmt::Display for TraceDialect {
     }
 }
 
-/// A streaming FNV-1a-128 hasher (the campaign fingerprint fold).
+/// A streaming FNV-1a-128 hasher: the one fold of the workspace.
 ///
-/// [`Fnv128::update`] folds byte-wise — identical to the campaign's
-/// `fingerprint_bytes`, so text traces hash to the values existing stores
-/// already key on. [`Fnv128::update_words`] folds 64-bit little-endian
-/// words (8 bytes per multiply) and is the content hash of `.dtrace`
-/// files; the two folds are different functions, which is fine because a
-/// file's dialect is part of its bytes (magic vs. text).
-#[derive(Debug, Clone)]
-pub(crate) struct Fnv128 {
+/// [`Fnv128::update`] folds byte-wise. The campaign's `fingerprint_bytes`
+/// and job fingerprints fold through it, so text traces hash to the values
+/// existing stores already key on. The crate-private `update_words` folds
+/// 64-bit little-endian words (8 bytes per multiply) and is the content
+/// hash of `.dtrace` files; the two folds are different functions, which
+/// is fine because a file's dialect is part of its bytes (magic vs. text).
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv128 {
     h: u128,
 }
 
@@ -140,12 +140,13 @@ const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
 impl Fnv128 {
     /// Starts a fresh hash at the FNV offset basis.
-    pub(crate) fn new() -> Self {
+    pub fn new() -> Self {
         Fnv128 { h: FNV128_OFFSET }
     }
 
-    /// Byte-wise FNV-1a fold (text dialects).
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
+    /// Byte-wise FNV-1a fold (text dialects, campaign fingerprints).
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
         let mut h = self.h;
         for &b in bytes {
             h ^= u128::from(b);
@@ -167,7 +168,7 @@ impl Fnv128 {
     }
 
     /// The 128-bit digest so far.
-    pub(crate) fn finish(&self) -> u128 {
+    pub fn finish(&self) -> u128 {
         self.h
     }
 }
@@ -1308,16 +1309,6 @@ mod tests {
             let ext_header = format!("{TEXT_EXT_HEADER}\n");
             let header: &[u8] = [&[][..], ext_header.as_bytes(), &BIN_MAGIC][header];
             let _ = scan_chunked(&[header, &tail].concat(), Materialize::All);
-        }
-    }
-
-    #[test]
-    fn shared_cyclic_trace_matches_cyclic_trace() {
-        let ops = awkward_ops();
-        let mut a = CyclicTrace::new(ops.clone());
-        let mut b = crate::trace::SharedCyclicTrace::new(ops.clone().into());
-        for _ in 0..2 * ops.len() + 3 {
-            assert_eq!(a.next_op(), b.next_op());
         }
     }
 }

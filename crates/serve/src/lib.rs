@@ -282,26 +282,29 @@ impl CampaignServer {
         let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
         let route = Route::of(&req.method, &segments);
         let start = Instant::now();
-        let resp = self.route(req, &segments);
+        let resp = self.route(req, route, &segments);
         let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.metrics.record(req, route, &resp, us);
         resp
     }
 
-    /// The uninstrumented route table behind [`CampaignServer::handle`].
-    fn route(&self, req: &Request, segments: &[&str]) -> Response {
-        let out = match (req.method.as_str(), segments) {
-            ("GET", ["healthz"]) => Ok(Response::text(200, "ok")),
-            ("GET", ["campaign"]) => Ok(self.campaign_info()),
-            ("GET", ["shards"]) => Ok(self.shard_sizes()),
-            ("GET", ["shards", nn]) => self.shard_tail(nn, req),
-            ("POST", ["shards", nn, "append"]) => self.shard_append(nn, req),
-            ("POST", ["leases", nn]) => self.lease_op(nn, req),
-            ("GET", ["cells", fp]) => self.cell(fp, req),
-            ("GET", ["export", file]) => self.export(file, req),
-            ("GET", ["metrics"]) => Ok(self.metrics_text()),
-            ("GET", ["status"]) => self.status_json(),
-            _ => Ok(Response::text(
+    /// The uninstrumented dispatch behind [`CampaignServer::handle`]:
+    /// [`Route::of`] is the route table, so a handler and its metric
+    /// label cannot drift apart. A parameterized route's argument is
+    /// `segments[1]`.
+    fn route(&self, req: &Request, route: Route, segments: &[&str]) -> Response {
+        let out = match route {
+            Route::Healthz => Ok(Response::text(200, "ok")),
+            Route::Campaign => Ok(self.campaign_info()),
+            Route::Shards => Ok(self.shard_sizes()),
+            Route::ShardTail => self.shard_tail(segments[1], req),
+            Route::ShardAppend => self.shard_append(segments[1], req),
+            Route::Lease => self.lease_op(segments[1], req),
+            Route::Cell => self.cell(segments[1], req),
+            Route::Export => self.export(segments[1], req),
+            Route::Metrics => Ok(self.metrics_text()),
+            Route::Status => self.status_json(),
+            Route::Other => Ok(Response::text(
                 404,
                 format!("no route for {} {}", req.method, req.path),
             )),

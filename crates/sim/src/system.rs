@@ -984,7 +984,7 @@ mod tests {
         let sources: Vec<Box<dyn TraceSource>> = (0..2)
             .map(|i| {
                 let mut synth = SyntheticTrace::new(wl.benchmarks[i], i, 2, cfg.seed);
-                let ops = (0..need).map(|_| synth.next_op()).collect();
+                let ops: Vec<_> = (0..need).map(|_| synth.next_op()).collect();
                 Box::new(dsarp_cpu::trace::CyclicTrace::new(ops)) as Box<dyn TraceSource>
             })
             .collect();
@@ -1157,7 +1157,7 @@ mod tests {
                         .wrapping_add(1442695040888963407);
                     (x >> 33) as usize % n
                 };
-                let ops = (0..4096)
+                let ops: Vec<_> = (0..4096)
                     .map(|i| {
                         let loc = dsarp_dram::Location {
                             channel: 0,
@@ -1244,7 +1244,7 @@ mod tests {
             (0..4u64)
                 .map(|core| {
                     let mut x = 0x2545_F491_4F6C_DD1D ^ core;
-                    let ops = (0..2048)
+                    let ops: Vec<_> = (0..2048)
                         .map(|i| {
                             x = x
                                 .wrapping_mul(6364136223846793005)
