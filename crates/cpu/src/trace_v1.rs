@@ -1,4 +1,4 @@
-//! DSARP trace v1: lossless dialects and the single-pass streaming reader.
+//! DSARP trace v1: lossless dialects and the one pull-based trace reader.
 //!
 //! The plain Ramulator text format (see `crate::trace_file`) cannot
 //! express two generator features — store bubbles and load dependence —
@@ -21,13 +21,17 @@
 //!   little-endian and every record is 16-byte aligned, so the format is
 //!   mmap- and chunk-read-friendly.
 //!
-//! [`scan_trace_bytes`] / [`read_trace_path`] auto-detect the dialect and
-//! validate, count, content-hash and (optionally) materialize the ops in
-//! **one pass** over the bytes, in `READ_CHUNK`-sized chunks — the
-//! campaign layer resolves traces through this instead of reading and
-//! hashing files twice. [`BinTraceSource`] replays a `.dtrace` file as an
-//! infinite cyclic [`TraceSource`] holding at most one chunk in memory,
-//! so million-request traces never need whole-file buffers.
+//! [`scan_trace_bytes`] and [`read_trace_path`] run one pull-based reader
+//! over a `BufRead` (the slice, or the file behind a `READ_CHUNK`-byte
+//! buffer): the first `BIN_MAGIC`-length bytes pick the dialect, then one
+//! pass validates, counts, content-hashes and (optionally) materializes
+//! the ops, so the campaign layer never reads or hashes a file twice. Text
+//! is pulled a line at a time, and a line longer than `READ_CHUNK` bytes is
+//! a [`TraceFileError::Parse`] error; `.dtrace` records are pulled up to
+//! `READ_CHUNK` bytes at a time. Memory stays O(`READ_CHUNK`) in every
+//! dialect unless the ops are materialized. [`BinTraceSource`] replays a
+//! `.dtrace` file as an infinite cyclic [`TraceSource`] through the same
+//! record reader, so million-request traces never need whole-file buffers.
 //!
 //! Both text dialects are content-hashed with the same byte-wise
 //! FNV-1a-128 the campaign store has always used, so existing cached
@@ -45,7 +49,8 @@
 
 use crate::trace::{CyclicTrace, MemKind, TraceOp, TraceSource};
 use crate::trace_file::TraceFileError;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// The `text-ext` header line (without the trailing newline). Must be the
@@ -71,7 +76,7 @@ const FLAG_STORE: u32 = 1;
 const FLAG_DEP: u32 = 2;
 
 /// Chunk size for streaming reads (a multiple of [`BIN_RECORD_LEN`] and
-/// of the 8-byte hash word).
+/// of the 8-byte hash word), and the longest text line with its newline.
 pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
 /// Which encoding a trace file uses.
@@ -264,252 +269,163 @@ enum TextMode {
     Ext,
 }
 
-enum State {
-    /// Fewer than [`BIN_MAGIC`] bytes seen; dialect undecided.
-    Detect(Vec<u8>),
-    Text {
-        mode: TextMode,
-        /// Partial last line carried across chunks.
-        carry: Vec<u8>,
-        /// 1-based number of the next line.
-        line: usize,
-        last_byte: u8,
-    },
-    /// Magic matched; accumulating the rest of the header.
-    BinHeader(Vec<u8>),
-    BinRecords {
-        count: u64,
-        seen: u64,
-        /// Partial last record carried across chunks.
-        carry: Vec<u8>,
-    },
+/// Reads until `buf` is full or the input ends; returns the bytes read.
+fn fill(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut n = 0;
+    while n < buf.len() {
+        match r.read(&mut buf[n..]) {
+            Ok(0) => break,
+            Ok(k) => n += k,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(n)
 }
 
-/// Single-pass streaming trace scanner: feed chunks in file order, then
-/// [`Scanner::finish`]. Validation, entry counting, content hashing and
-/// (optional) op materialization all happen in the same pass.
-struct Scanner {
-    materialize: Materialize,
+/// The one trace reader: the first `BIN_MAGIC.len()` bytes pick the
+/// dialect, then one pass over `r` validates, counts, content-hashes and
+/// (optionally) materializes the ops. An input shorter than the magic is
+/// text.
+fn scan(mut r: impl BufRead, materialize: Materialize) -> Result<TraceSummary, TraceFileError> {
+    let mut prefix = [0u8; BIN_MAGIC.len()];
+    let n = fill(&mut r, &mut prefix)?;
+    let r = (&prefix[..n]).chain(r);
+    if prefix[..n] == BIN_MAGIC {
+        scan_bin(BinBody::new(r)?, materialize == Materialize::All)
+    } else {
+        scan_text(r, materialize != Materialize::No)
+    }
+}
+
+/// Pulls text lines (each at most `READ_CHUNK` bytes with its newline),
+/// folding every line with its newline into the byte-wise hash. A last
+/// line without a newline is [`TraceFileError::Truncated`].
+fn scan_text(mut r: impl BufRead, keep: bool) -> Result<TraceSummary, TraceFileError> {
+    let mut hasher = Fnv128::new();
+    let (mut mode, mut entries, mut ops, mut bytes) = (TextMode::Unknown, 0, Vec::new(), 0);
+    let mut line = Vec::new();
+    for line_no in 1.. {
+        line.clear();
+        let n = (&mut r)
+            .take(READ_CHUNK as u64 + 1)
+            .read_until(b'\n', &mut line)?;
+        if n == 0 {
+            break;
+        }
+        if n > READ_CHUNK {
+            return Err(TraceFileError::Parse {
+                line: line_no,
+                text: format!("<line longer than {READ_CHUNK} bytes>"),
+            });
+        }
+        let Some(text) = line.strip_suffix(b"\n") else {
+            return Err(TraceFileError::Truncated);
+        };
+        hasher.update(&line);
+        bytes += n as u64;
+        parse_text_line(text, line_no, &mut mode, keep, &mut entries, &mut ops)?;
+    }
+    if entries == 0 {
+        return Err(TraceFileError::Empty);
+    }
+    Ok(TraceSummary {
+        dialect: match mode {
+            TextMode::Ext => TraceDialect::TextExt,
+            _ => TraceDialect::Text,
+        },
+        entries,
+        bytes,
+        hash: hasher.finish(),
+        ops: keep.then_some(ops),
+    })
+}
+
+/// A `.dtrace` stream past its header: whole records, read a chunk at a
+/// time and folded into the word hash as they arrive. Scanning and replay
+/// both read records through it.
+struct BinBody<R> {
+    reader: R,
+    /// Records the header declares (never zero).
+    count: u64,
+    /// Records read so far.
+    read: u64,
+    /// The whole records of the last chunk read.
+    chunk: Vec<u8>,
     hasher: Fnv128,
-    bytes: u64,
-    entries: usize,
-    ops: Vec<TraceOp>,
-    state: State,
 }
 
-impl Scanner {
-    fn new(materialize: Materialize) -> Self {
-        Scanner {
-            materialize,
-            hasher: Fnv128::new(),
-            bytes: 0,
-            entries: 0,
-            ops: Vec::new(),
-            state: State::Detect(Vec::new()),
+impl<R: Read> BinBody<R> {
+    /// Reads and checks the header (magic, non-zero record count) and
+    /// folds it into a fresh hash.
+    fn new(mut reader: R) -> Result<Self, TraceFileError> {
+        let mut header = [0u8; BIN_HEADER_LEN];
+        if fill(&mut reader, &mut header)? < BIN_HEADER_LEN {
+            return Err(TraceFileError::Truncated);
         }
-    }
-
-    fn keep_ops(&self, dialect: TraceDialect) -> bool {
-        match self.materialize {
-            Materialize::No => false,
-            Materialize::TextOnly => dialect != TraceDialect::Bin,
-            Materialize::All => true,
+        if header[..BIN_MAGIC.len()] != BIN_MAGIC {
+            return Err(binary_err(0, "bad magic (not a .dtrace file)"));
         }
-    }
-
-    fn feed(&mut self, chunk: &[u8]) -> Result<(), TraceFileError> {
-        self.bytes += chunk.len() as u64;
-        match &mut self.state {
-            State::Detect(buf) => {
-                buf.extend_from_slice(chunk);
-                if buf.len() < BIN_MAGIC.len() {
-                    return Ok(());
-                }
-                let buf = std::mem::take(buf);
-                if buf[..BIN_MAGIC.len()] == BIN_MAGIC {
-                    self.state = State::BinHeader(Vec::new());
-                } else {
-                    self.state = State::Text {
-                        mode: TextMode::Unknown,
-                        carry: Vec::new(),
-                        line: 1,
-                        last_byte: 0,
-                    };
-                }
-                self.dispatch(&buf)
-            }
-            _ => self.dispatch(chunk),
-        }
-    }
-
-    fn dispatch(&mut self, data: &[u8]) -> Result<(), TraceFileError> {
-        match &self.state {
-            State::Detect(_) => unreachable!("feed resolves detection first"),
-            State::Text { .. } => self.feed_text(data),
-            State::BinHeader(_) | State::BinRecords { .. } => self.feed_bin(data),
-        }
-    }
-
-    fn feed_text(&mut self, data: &[u8]) -> Result<(), TraceFileError> {
-        if data.is_empty() {
-            return Ok(());
-        }
-        self.hasher.update(data);
-        let keep = self.keep_ops(TraceDialect::TextExt); // same for both text dialects
-        let State::Text {
-            mode,
-            carry,
-            line,
-            last_byte,
-        } = &mut self.state
-        else {
-            unreachable!("feed_text outside text state");
-        };
-        *last_byte = data[data.len() - 1];
-        let mut rest = data;
-        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
-            let (head, tail) = rest.split_at(nl);
-            rest = &tail[1..];
-            let full;
-            let text: &[u8] = if carry.is_empty() {
-                head
-            } else {
-                carry.extend_from_slice(head);
-                full = std::mem::take(carry);
-                &full
-            };
-            let n = *line;
-            *line += 1;
-            parse_text_line(text, n, mode, keep, &mut self.entries, &mut self.ops)?;
-        }
-        carry.extend_from_slice(rest);
-        Ok(())
-    }
-
-    fn feed_bin(&mut self, mut data: &[u8]) -> Result<(), TraceFileError> {
-        if let State::BinHeader(buf) = &mut self.state {
-            let need = BIN_HEADER_LEN - buf.len();
-            let take = need.min(data.len());
-            buf.extend_from_slice(&data[..take]);
-            data = &data[take..];
-            if buf.len() < BIN_HEADER_LEN {
-                return Ok(());
-            }
-            let count = u64::from_le_bytes(buf[8..16].try_into().expect("header count"));
-            self.hasher.update_words(buf);
-            if count == 0 {
-                return Err(TraceFileError::Empty);
-            }
-            self.state = State::BinRecords {
-                count,
-                seen: 0,
-                carry: Vec::new(),
-            };
-        }
-        let keep = self.keep_ops(TraceDialect::Bin);
-        let State::BinRecords { count, seen, carry } = &mut self.state else {
-            unreachable!("feed_bin outside binary state");
-        };
-        // Finish a partial record carried from the previous chunk first.
-        if !carry.is_empty() {
-            let need = BIN_RECORD_LEN - carry.len();
-            let take = need.min(data.len());
-            carry.extend_from_slice(&data[..take]);
-            data = &data[take..];
-            if carry.len() < BIN_RECORD_LEN {
-                return Ok(());
-            }
-            let rec = std::mem::take(carry);
-            if *seen == *count {
-                return Err(binary_err(
-                    BIN_HEADER_LEN as u64 + *count * BIN_RECORD_LEN as u64,
-                    "bytes beyond the declared record count",
-                ));
-            }
-            self.hasher.update_words(&rec);
-            let op = decode_record(&rec).map_err(|flags| bad_flags_err(*seen, flags))?;
-            *seen += 1;
-            self.entries += 1;
-            if keep {
-                self.ops.push(op);
-            }
-        }
-        let State::BinRecords { count, seen, carry } = &mut self.state else {
-            unreachable!("feed_bin outside binary state");
-        };
-        let whole = data.len() / BIN_RECORD_LEN * BIN_RECORD_LEN;
-        let (records, tail) = data.split_at(whole);
-        if *seen + (records.len() / BIN_RECORD_LEN) as u64 > *count
-            || (*seen == *count && !tail.is_empty())
-        {
-            return Err(binary_err(
-                BIN_HEADER_LEN as u64 + *count * BIN_RECORD_LEN as u64,
-                "bytes beyond the declared record count",
-            ));
-        }
-        self.hasher.update_words(records);
-        for rec in records.chunks_exact(BIN_RECORD_LEN) {
-            let op = decode_record(rec).map_err(|flags| bad_flags_err(*seen, flags))?;
-            *seen += 1;
-            self.entries += 1;
-            if keep {
-                self.ops.push(op);
-            }
-        }
-        carry.extend_from_slice(tail);
-        Ok(())
-    }
-
-    fn finish(mut self) -> Result<TraceSummary, TraceFileError> {
-        // A file shorter than the magic can only be (tiny) text: rerun
-        // the buffered prefix through the text path, then finish again.
-        if let State::Detect(buf) = &mut self.state {
-            if buf.is_empty() {
-                return Err(TraceFileError::Empty);
-            }
-            let buf = std::mem::take(buf);
-            self.state = State::Text {
-                mode: TextMode::Unknown,
-                carry: Vec::new(),
-                line: 1,
-                last_byte: 0,
-            };
-            self.feed_text(&buf)?;
-            return self.finish();
-        }
-        let dialect = match &self.state {
-            State::Detect(_) => unreachable!("handled above"),
-            State::Text {
-                mode, last_byte, ..
-            } => {
-                if *last_byte != b'\n' {
-                    return Err(TraceFileError::Truncated);
-                }
-                match mode {
-                    TextMode::Ext => TraceDialect::TextExt,
-                    _ => TraceDialect::Text,
-                }
-            }
-            State::BinHeader(_) => return Err(TraceFileError::Truncated),
-            State::BinRecords { count, seen, carry } => {
-                if !carry.is_empty() || seen < count {
-                    return Err(TraceFileError::Truncated);
-                }
-                TraceDialect::Bin
-            }
-        };
-        if self.entries == 0 {
+        let count = u64::from_le_bytes(header[8..].try_into().expect("8-byte count"));
+        if count == 0 {
             return Err(TraceFileError::Empty);
         }
-        let keep = self.keep_ops(dialect);
-        Ok(TraceSummary {
-            dialect,
-            entries: self.entries,
-            bytes: self.bytes,
-            hash: self.hasher.finish(),
-            ops: keep.then_some(self.ops),
+        let mut hasher = Fnv128::new();
+        hasher.update_words(&header);
+        Ok(BinBody {
+            reader,
+            count,
+            read: 0,
+            chunk: Vec::new(),
+            hasher,
         })
     }
+
+    /// Reads the next whole records (at most `READ_CHUNK` bytes, none past
+    /// the declared count) into `chunk` and folds them into the hash. The
+    /// chunk is empty once every record was read. Returns `true` when the
+    /// input ended before the chunk was full.
+    fn next_chunk(&mut self) -> std::io::Result<bool> {
+        let records = (self.count - self.read).min((READ_CHUNK / BIN_RECORD_LEN) as u64);
+        let want = records as usize * BIN_RECORD_LEN;
+        self.chunk.resize(want, 0);
+        let got = fill(&mut self.reader, &mut self.chunk)?;
+        self.chunk.truncate(got / BIN_RECORD_LEN * BIN_RECORD_LEN);
+        self.hasher.update_words(&self.chunk);
+        self.read += (self.chunk.len() / BIN_RECORD_LEN) as u64;
+        Ok(got < want)
+    }
+}
+
+/// Reads every declared record, then probes one byte for data past them.
+/// The records read are decoded before a short input is reported, so a
+/// bad record ahead of a torn tail is named as such.
+fn scan_bin(mut body: BinBody<impl Read>, keep: bool) -> Result<TraceSummary, TraceFileError> {
+    let mut ops = Vec::new();
+    while body.read < body.count {
+        let first = body.read;
+        let short = body.next_chunk()?;
+        for (i, rec) in body.chunk.chunks_exact(BIN_RECORD_LEN).enumerate() {
+            let op = decode_record(rec).map_err(|flags| bad_flags_err(first + i as u64, flags))?;
+            if keep {
+                ops.push(op);
+            }
+        }
+        if short {
+            return Err(TraceFileError::Truncated);
+        }
+    }
+    let bytes = BIN_HEADER_LEN as u64 + body.count * BIN_RECORD_LEN as u64;
+    if fill(&mut body.reader, &mut [0u8; 1])? > 0 {
+        return Err(binary_err(bytes, "bytes beyond the declared record count"));
+    }
+    Ok(TraceSummary {
+        dialect: TraceDialect::Bin,
+        entries: body.count as usize,
+        bytes,
+        hash: body.hasher.finish(),
+        ops: keep.then_some(ops),
+    })
 }
 
 fn bad_flags_err(record: u64, flags: u32) -> TraceFileError {
@@ -621,15 +537,11 @@ pub fn scan_trace_bytes(
     bytes: &[u8],
     materialize: Materialize,
 ) -> Result<TraceSummary, TraceFileError> {
-    let mut scanner = Scanner::new(materialize);
-    for chunk in bytes.chunks(READ_CHUNK) {
-        scanner.feed(chunk)?;
-    }
-    scanner.finish()
+    scan(bytes, materialize)
 }
 
-/// [`scan_trace_bytes`] over a file, reading it in `READ_CHUNK`-sized
-/// chunks — one read per file, O(chunk) memory unless materializing.
+/// [`scan_trace_bytes`] over a file, read through one `READ_CHUNK`-byte
+/// buffer — O(chunk) memory unless materializing.
 ///
 /// # Errors
 ///
@@ -638,17 +550,8 @@ pub fn read_trace_path(
     path: &Path,
     materialize: Materialize,
 ) -> Result<TraceSummary, TraceFileError> {
-    let mut file = std::fs::File::open(path)?;
-    let mut scanner = Scanner::new(materialize);
-    let mut buf = vec![0u8; READ_CHUNK];
-    loop {
-        let n = file.read(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        scanner.feed(&buf[..n])?;
-    }
-    scanner.finish()
+    let file = File::open(path)?;
+    scan(BufReader::with_capacity(READ_CHUNK, file), materialize)
 }
 
 /// Writes `n` ops of `source` in the `text-ext` dialect (header + one
@@ -743,18 +646,16 @@ pub fn convert_bytes(
 
 /// An infinite cyclic [`TraceSource`] streaming a `.dtrace` file in
 /// `READ_CHUNK`-sized chunks: memory stays O(chunk) however long the
-/// trace is. Each full pass re-reads the header and re-folds the word
-/// hash; on wrap the digest is checked against the hash the campaign
-/// resolved, so a mid-campaign edit panics (naming the file) instead of
-/// silently replaying different bytes under a stale fingerprint.
+/// trace is. Each full pass re-opens the file, re-checks its header and
+/// length and re-folds the word hash; on wrap the digest is checked against
+/// the hash the campaign resolved, so a mid-campaign edit panics (naming
+/// the file) instead of silently replaying different bytes under a stale
+/// fingerprint.
 pub struct BinTraceSource {
     path: PathBuf,
-    file: std::fs::File,
-    count: u64,
-    produced: u64,
-    buf: Vec<u8>,
+    body: BinBody<File>,
+    /// Byte offset of the next record in `body.chunk`.
     pos: usize,
-    hasher: Fnv128,
     expect_hash: u128,
 }
 
@@ -762,9 +663,28 @@ impl std::fmt::Debug for BinTraceSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BinTraceSource")
             .field("path", &self.path)
-            .field("count", &self.count)
-            .field("produced", &self.produced)
+            .field("count", &self.body.count)
             .finish_non_exhaustive()
+    }
+}
+
+/// Opens a `.dtrace` file for replay: the header checks, then the file
+/// length against the declared record count.
+fn open_bin(path: &Path) -> Result<BinBody<File>, TraceFileError> {
+    let body = BinBody::new(File::open(path)?)?;
+    let records_len = body
+        .reader
+        .metadata()?
+        .len()
+        .saturating_sub(BIN_HEADER_LEN as u64);
+    match body.count.checked_mul(BIN_RECORD_LEN as u64) {
+        Some(n) if n == records_len => Ok(body),
+        Some(n) if n < records_len => Err(binary_err(
+            BIN_HEADER_LEN as u64 + n,
+            "bytes beyond the declared record count",
+        )),
+        // Too short, or a count whose length overflows `u64`.
+        _ => Err(TraceFileError::Truncated),
     }
 }
 
@@ -780,121 +700,69 @@ impl BinTraceSource {
     /// file, or a length that does not match the header.
     pub fn open(path: impl Into<PathBuf>, expect_hash: u128) -> Result<Self, TraceFileError> {
         let path = path.into();
-        let mut file = std::fs::File::open(&path)?;
-        let mut hasher = Fnv128::new();
-        let count = read_bin_header(&mut file, &mut hasher)?;
-        let len = file.metadata()?.len();
-        let expect_len = BIN_HEADER_LEN as u64 + count * BIN_RECORD_LEN as u64;
-        if len < expect_len {
-            return Err(TraceFileError::Truncated);
-        }
-        if len > expect_len {
-            return Err(binary_err(
-                expect_len,
-                "bytes beyond the declared record count",
-            ));
-        }
+        let body = open_bin(&path)?;
         Ok(BinTraceSource {
             path,
-            file,
-            count,
-            produced: 0,
-            buf: Vec::new(),
+            body,
             pos: 0,
-            hasher,
             expect_hash,
         })
     }
 
     /// Records per full pass (the file's declared count).
     pub fn len(&self) -> u64 {
-        self.count
+        self.body.count
     }
 
     /// Never true for an opened source (zero-record files are rejected).
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.body.count == 0
     }
 
     fn refill(&mut self) {
-        if self.produced == self.count {
+        let path = self.path.display();
+        if self.body.read == self.body.count {
             // End of a full pass: the accumulated word hash must still
             // match what resolution saw.
             assert!(
-                self.hasher.finish() == self.expect_hash,
-                "trace file {} changed while the campaign was running \
-                 (content hash mismatch); re-run to pick up the new contents",
-                self.path.display()
+                self.body.hasher.finish() == self.expect_hash,
+                "trace file {path} changed while the campaign was running \
+                 (content hash mismatch); re-run to pick up the new contents"
             );
-            self.file.seek(SeekFrom::Start(0)).unwrap_or_else(|e| {
-                panic!(
-                    "trace file {}: rewind failed mid-campaign: {e}",
-                    self.path.display()
-                )
-            });
-            self.hasher = Fnv128::new();
-            let count = read_bin_header(&mut self.file, &mut self.hasher).unwrap_or_else(|e| {
-                panic!(
-                    "trace file {} changed while the campaign was running: {e}",
-                    self.path.display()
-                )
-            });
-            assert!(
-                count == self.count,
-                "trace file {} changed while the campaign was running \
-                 (record count {count} != {})",
-                self.path.display(),
-                self.count
-            );
-            self.produced = 0;
+            match open_bin(&self.path) {
+                Ok(body) if body.count == self.body.count => self.body = body,
+                Ok(body) => panic!(
+                    "trace file {path} changed while the campaign was running \
+                     (record count {} != {})",
+                    body.count, self.body.count
+                ),
+                Err(e) => panic!("trace file {path} changed while the campaign was running: {e}"),
+            }
         }
-        let remaining = (self.count - self.produced) * BIN_RECORD_LEN as u64;
-        let n = remaining.min(READ_CHUNK as u64) as usize;
-        self.buf.resize(n, 0);
-        self.file.read_exact(&mut self.buf).unwrap_or_else(|e| {
-            panic!(
-                "trace file {} shrank or vanished while the campaign was \
-                 running: {e}",
-                self.path.display()
-            )
-        });
-        self.hasher.update_words(&self.buf);
-        self.pos = 0;
+        match self.body.next_chunk() {
+            Ok(false) => self.pos = 0,
+            Ok(true) => panic!("trace file {path} shrank while the campaign was running"),
+            Err(e) => panic!("trace file {path} vanished while the campaign was running: {e}"),
+        }
     }
-}
-
-/// Reads and validates a `.dtrace` header, folding it into `hasher`.
-fn read_bin_header(file: &mut std::fs::File, hasher: &mut Fnv128) -> Result<u64, TraceFileError> {
-    let mut header = [0u8; BIN_HEADER_LEN];
-    file.read_exact(&mut header)
-        .map_err(|_| TraceFileError::Truncated)?;
-    if header[..BIN_MAGIC.len()] != BIN_MAGIC {
-        return Err(binary_err(0, "bad magic (not a .dtrace file)"));
-    }
-    let count = u64::from_le_bytes(header[8..16].try_into().expect("header count"));
-    if count == 0 {
-        return Err(TraceFileError::Empty);
-    }
-    hasher.update_words(&header);
-    Ok(count)
 }
 
 impl TraceSource for BinTraceSource {
     fn next_op(&mut self) -> TraceOp {
-        if self.pos == self.buf.len() {
+        if self.pos == self.body.chunk.len() {
             self.refill();
         }
-        let rec = &self.buf[self.pos..self.pos + BIN_RECORD_LEN];
+        let rec = &self.body.chunk[self.pos..self.pos + BIN_RECORD_LEN];
         let op = decode_record(rec).unwrap_or_else(|flags| {
+            let left = (self.body.chunk.len() - self.pos) / BIN_RECORD_LEN;
             panic!(
                 "trace file {} changed while the campaign was running \
                  (record {} has invalid flags {flags:#x})",
                 self.path.display(),
-                self.produced
+                self.body.read - left as u64
             )
         });
         self.pos += BIN_RECORD_LEN;
-        self.produced += 1;
         op
     }
 }
@@ -949,35 +817,44 @@ mod tests {
         out
     }
 
-    /// Scans with a pathological chunking (1, then 3, then 7, ... bytes)
-    /// to exercise every carry path, asserting agreement with the
-    /// whole-slice scan.
+    /// Returns 1, then 3, then 7, ... bytes per call, to tear every line,
+    /// header and record across reads.
+    struct ShortReads<'a> {
+        bytes: &'a [u8],
+        calls: usize,
+    }
+
+    impl Read for ShortReads<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let sizes = [1usize, 3, 7, 16, 5, 64, 2];
+            let n = sizes[self.calls % sizes.len()]
+                .min(buf.len())
+                .min(self.bytes.len());
+            self.calls += 1;
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Scans through short reads behind a 5-byte `BufReader`, asserting
+    /// agreement (summary or error) with the whole-slice scan.
     fn scan_chunked(
         bytes: &[u8],
         materialize: Materialize,
     ) -> Result<TraceSummary, TraceFileError> {
         let whole = scan_trace_bytes(bytes, materialize);
-        let mut scanner = Scanner::new(materialize);
-        let sizes = [1usize, 3, 7, 16, 5, 64, 2];
-        let mut pos = 0;
-        let mut i = 0;
-        let mut chunked = (|| {
-            while pos < bytes.len() {
-                let n = sizes[i % sizes.len()].min(bytes.len() - pos);
-                i += 1;
-                scanner.feed(&bytes[pos..pos + n])?;
-                pos += n;
-            }
-            scanner.finish()
-        })();
-        match (&whole, &mut chunked) {
+        let reads = ShortReads { bytes, calls: 0 };
+        let chunked = scan(BufReader::with_capacity(5, reads), materialize);
+        match (&whole, &chunked) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.dialect, b.dialect);
                 assert_eq!(a.entries, b.entries);
+                assert_eq!(a.bytes, b.bytes);
                 assert_eq!(a.hash, b.hash);
                 assert_eq!(a.ops, b.ops);
             }
-            (Err(_), Err(_)) => {}
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
             _ => panic!("chunked and whole-slice scans disagree: {whole:?} vs {chunked:?}"),
         }
         whole
@@ -1113,6 +990,12 @@ mod tests {
         let tiny = b"1 2\n";
         let s = scan_chunked(tiny, Materialize::All).unwrap();
         assert_eq!((s.dialect, s.entries), (TraceDialect::Text, 1));
+        // A line longer than the read chunk is rejected, not buffered.
+        let long = format!("#{}\n1 0x40\n", "x".repeat(READ_CHUNK));
+        assert!(matches!(
+            scan_chunked(long.as_bytes(), Materialize::No),
+            Err(TraceFileError::Parse { line: 1, .. })
+        ));
     }
 
     #[test]
@@ -1172,23 +1055,32 @@ mod tests {
 
     #[test]
     fn bin_source_streams_cyclically_with_bounded_memory() {
-        let ops = awkward_ops();
-        let bytes = emit(&ops, TraceDialect::Bin);
-        let hash = scan_trace_bytes(&bytes, Materialize::No).unwrap().hash;
-        let path = tmpfile("stream", &bytes);
-        let summary = read_trace_path(&path, Materialize::No).unwrap();
-        assert_eq!(summary.hash, hash);
-        let mut src = BinTraceSource::open(&path, hash).unwrap();
-        assert_eq!(src.len(), ops.len() as u64);
-        assert!(!src.is_empty());
-        // Three full passes: the wrap re-reads and re-verifies the file.
-        for pass in 0..3 {
-            for (i, want) in ops.iter().enumerate() {
-                assert_eq!(src.next_op(), *want, "pass {pass} op {i}");
+        // One chunk per pass, and one that crosses a chunk boundary.
+        let shapes = awkward_ops();
+        let long: Vec<TraceOp> = (0..READ_CHUNK / BIN_RECORD_LEN + 3)
+            .map(|i| TraceOp {
+                addr: i as u64 * 64,
+                ..shapes[i % shapes.len()]
+            })
+            .collect();
+        for (tag, ops, passes) in [("stream", awkward_ops(), 3), ("stream-long", long, 2)] {
+            let bytes = emit(&ops, TraceDialect::Bin);
+            let hash = scan_trace_bytes(&bytes, Materialize::No).unwrap().hash;
+            let path = tmpfile(tag, &bytes);
+            let summary = read_trace_path(&path, Materialize::No).unwrap();
+            assert_eq!(summary.hash, hash);
+            let mut src = BinTraceSource::open(&path, hash).unwrap();
+            assert_eq!(src.len(), ops.len() as u64);
+            assert!(!src.is_empty());
+            // Every wrap re-reads and re-verifies the file.
+            for pass in 0..passes {
+                for (i, want) in ops.iter().enumerate() {
+                    assert_eq!(src.next_op(), *want, "{tag} pass {pass} op {i}");
+                }
             }
+            assert!(src.body.chunk.capacity() <= READ_CHUNK);
+            let _ = std::fs::remove_file(path);
         }
-        assert!(src.buf.capacity() <= READ_CHUNK);
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]
@@ -1235,7 +1127,16 @@ mod tests {
             BinTraceSource::open(&bad, hash),
             Err(TraceFileError::Binary { offset: 0, .. })
         ));
-        for p in [torn, bad] {
+        // A count whose byte length overflows `u64`, over one record.
+        let mut huge = BIN_MAGIC.to_vec();
+        huge.extend_from_slice(&((1u64 << 60) + 1).to_le_bytes());
+        huge.extend_from_slice(&bytes[BIN_HEADER_LEN..BIN_HEADER_LEN + BIN_RECORD_LEN]);
+        let huge = tmpfile("huge", &huge);
+        assert!(matches!(
+            BinTraceSource::open(&huge, hash),
+            Err(TraceFileError::Truncated)
+        ));
+        for p in [torn, bad, huge] {
             let _ = std::fs::remove_file(p);
         }
     }
