@@ -149,7 +149,8 @@ pub struct LocalBackend {
 
 impl LocalBackend {
     /// Attaches to the campaign's store directory under `root` (creating
-    /// it if needed) without loading records.
+    /// it if needed). Records are read shard by shard, as the drain asks
+    /// for them, and kept: a rescan reads only what a shard grew.
     ///
     /// # Errors
     ///
@@ -171,7 +172,7 @@ impl StoreBackend for LocalBackend {
     }
 
     fn shard_fingerprints(&self, shard: usize) -> std::io::Result<HashSet<u128>> {
-        Store::read_shard_fingerprints(self.store.dir(), shard)
+        Ok(self.store.refresh(shard)?.fingerprints().clone())
     }
 
     fn append(&self, fp: Fingerprint, record: &Record) -> std::io::Result<()> {
@@ -206,7 +207,7 @@ impl StoreBackend for LocalBackend {
     }
 
     fn snapshot(&self) -> std::io::Result<HashMap<u128, Record>> {
-        Store::read_all(self.store.dir())
+        self.store.views().snapshot(self.store.dir())
     }
 }
 
@@ -258,7 +259,7 @@ mod tests {
 
         // The store the campaign loads sees the appended record.
         let store = Store::open(&root, "c", &Value::Null).unwrap();
-        assert_eq!(store.get(fp), Some(&rec));
+        assert_eq!(store.refresh(0).unwrap().records().get(&fp.0), Some(&rec));
         let _ = std::fs::remove_dir_all(root);
     }
 }

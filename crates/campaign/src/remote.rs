@@ -2,7 +2,8 @@
 //!
 //! Talks to an `experiments serve` campaign server (crate `dsarp-serve`),
 //! so workers on hosts with no shared filesystem can drain the same
-//! campaign. Shard contents are read incrementally — each `GET
+//! campaign. Shard contents are read incrementally, through the same
+//! [`ShardViews`] a local store reads its files with — each `GET
 //! /shards/{nn}` resumes from the offset the previous read returned, so
 //! rescan rounds transfer only the bytes peers appended since. Transient
 //! transport failures and HTTP 5xx are retried with bounded backoff
@@ -13,7 +14,7 @@ use crate::backend::{AcquireOutcome, StoreBackend};
 use crate::fingerprint::Fingerprint;
 use crate::lease::LeaseInfo;
 use crate::retry::{self, RetryPolicy};
-use crate::store::{Record, ShardView, Store, FORMAT_VERSION, SHARDS};
+use crate::store::{Record, ShardTail, ShardViews, Store, TailSource, FORMAT_VERSION, SHARDS};
 use minihttp::{Client, Response};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -96,7 +97,7 @@ impl std::fmt::Debug for ObserverCell {
 pub struct RemoteStore {
     url: String,
     client: Mutex<Client>,
-    shards: Vec<Mutex<ShardView>>,
+    views: ShardViews,
     policy: RetryPolicy,
     seed: u64,
     observer: ObserverCell,
@@ -150,9 +151,7 @@ impl RemoteStore {
         let store = RemoteStore {
             url: url.to_string(),
             client: Mutex::new(Client::new(host_of(url))),
-            shards: (0..SHARDS)
-                .map(|_| Mutex::new(ShardView::default()))
-                .collect(),
+            views: ShardViews::default(),
             policy: RetryPolicy::remote(),
             seed: retry::seed_for(url, 0),
             observer: ObserverCell::default(),
@@ -210,26 +209,6 @@ impl RemoteStore {
         )
     }
 
-    /// Pulls the bytes `shard` grew since the last pull into its cache.
-    /// Line-clamping happens server-side ([`Store::read_tail`]), so a
-    /// concurrent append never yields a torn JSON line here.
-    fn refresh_shard(&self, shard: usize) -> io::Result<std::sync::MutexGuard<'_, ShardView>> {
-        let mut cache = self.shards[shard]
-            .lock()
-            .expect("shard cache lock poisoned");
-        let what = format!("read shard {shard}");
-        let target = format!("/shards/{shard:02}?offset={}", cache.offset);
-        let resp = self.request("GET", &target, &[], &[], &what)?;
-        let reset = resp.header_value("x-shard-reset") == Some("1");
-        let next: u64 = resp
-            .header_value("x-next-offset")
-            .ok_or_else(|| bad_reply(&what, "missing x-next-offset"))?
-            .parse()
-            .map_err(|e| bad_reply(&what, e))?;
-        cache.apply(&resp.body, next, reset);
-        Ok(cache)
-    }
-
     fn lease_op(&self, shard: usize, op: &str, owner: &str, ttl_ms: u64) -> io::Result<Response> {
         let body = serde_json::to_string(&LeaseRequest {
             op: op.to_string(),
@@ -244,6 +223,26 @@ impl RemoteStore {
             body.as_bytes(),
             &format!("{op} lease {shard}"),
         )
+    }
+}
+
+/// The server's [`Store::read_tail`], so a concurrent append never yields
+/// a torn JSON line here either.
+impl TailSource for RemoteStore {
+    fn tail(&self, shard: usize, offset: u64) -> io::Result<ShardTail> {
+        let what = format!("read shard {shard}");
+        let target = format!("/shards/{shard:02}?offset={offset}");
+        let resp = self.request("GET", &target, &[], &[], &what)?;
+        let next_offset = resp
+            .header_value("x-next-offset")
+            .ok_or_else(|| bad_reply(&what, "missing x-next-offset"))?
+            .parse()
+            .map_err(|e| bad_reply(&what, e))?;
+        Ok(ShardTail {
+            reset: resp.header_value("x-shard-reset") == Some("1"),
+            next_offset,
+            bytes: resp.body,
+        })
     }
 }
 
@@ -266,7 +265,7 @@ impl StoreBackend for RemoteStore {
     }
 
     fn shard_fingerprints(&self, shard: usize) -> io::Result<HashSet<u128>> {
-        Ok(self.refresh_shard(shard)?.fingerprints().clone())
+        Ok(self.views.refresh(shard, self)?.fingerprints().clone())
     }
 
     fn append(&self, fp: Fingerprint, record: &Record) -> io::Result<()> {
@@ -311,14 +310,7 @@ impl StoreBackend for RemoteStore {
     }
 
     fn snapshot(&self) -> io::Result<HashMap<u128, Record>> {
-        let mut all = HashMap::new();
-        for shard in 0..SHARDS {
-            let cache = self.refresh_shard(shard)?;
-            // Fingerprints route to exactly one shard, so per-shard
-            // first-record-wins maps merge without conflicts.
-            all.extend(cache.records().iter().map(|(k, v)| (*k, v.clone())));
-        }
-        Ok(all)
+        self.views.snapshot(self)
     }
 }
 

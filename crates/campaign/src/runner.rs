@@ -392,10 +392,12 @@ impl Campaign {
         let unique = plan.unique();
 
         // 2. Partition against the store.
+        let views = self.store.refresh_all()?;
         let missing: Vec<&(Fingerprint, Job)> = unique
             .iter()
-            .filter(|(fp, _)| !self.store.contains(*fp))
+            .filter(|(fp, _)| !views[Store::shard_of(*fp)].fingerprints().contains(&fp.0))
             .collect();
+        drop(views);
         let mut stats = CacheStats {
             cells: plan.cells(),
             unique_jobs: unique.len(),
@@ -442,9 +444,6 @@ impl Campaign {
             job_delay: Duration::ZERO,
         }
         .run(&missing, |fp, record| store.append(fp, record));
-        for ((fp, _), record) in missing.iter().zip(ran.records) {
-            self.store.absorb(*fp, record);
-        }
         stats.persist_failures = ran.append_failures;
         stats.warmups = ran.warmups;
         timing.simulate_ms = elapsed_ms(t_sim);
@@ -469,9 +468,16 @@ impl Campaign {
             );
         }
 
-        // 4. Assemble per-sweep grids from the (now complete) store.
+        // 4. Assemble per-sweep grids over the locked views. A record whose
+        //    append failed joins them here, kept in memory for this run.
         let t_asm = Instant::now();
-        let grids = plan.assemble(|fp| self.store.get(fp))?;
+        let grids = {
+            let mut views = self.store.refresh_all()?;
+            for ((fp, _), record) in missing.iter().zip(ran.records) {
+                views[Store::shard_of(*fp)].insert(*fp, record);
+            }
+            plan.assemble(|fp| views[Store::shard_of(fp)].records().get(&fp.0))?
+        };
         timing.assemble_ms = elapsed_ms(t_asm);
         timing.total_ms = elapsed_ms(t0);
         Ok(CampaignReport {

@@ -5,7 +5,7 @@
 use crate::lease;
 use crate::plan::CampaignPlan;
 use crate::spec::CampaignSpec;
-use crate::store::{Store, FORMAT_VERSION, SHARDS};
+use crate::store::{ShardViews, Store, FORMAT_VERSION, SHARDS};
 use serde::Serialize;
 use std::path::Path;
 
@@ -74,19 +74,20 @@ impl CampaignStatus {
         let plan = CampaignPlan::build(spec)?;
         let leases = lease::list(campaign_dir, SHARDS);
         let now = lease::now_ms();
+        let views = ShardViews::default();
         let mut shards = Vec::new();
         for shard in 0..SHARDS {
-            let present = Store::read_shard_fingerprints(campaign_dir, shard)?;
+            let view = views.refresh(shard, campaign_dir)?;
             let routed = plan
                 .unique()
                 .iter()
                 .filter(|(fp, _)| Store::shard_of(*fp) == shard);
             let (done, missing): (Vec<_>, Vec<_>) =
-                routed.partition(|(fp, _)| present.contains(&fp.0));
+                routed.partition(|(fp, _)| view.fingerprints().contains(&fp.0));
             let held = leases.iter().find(|(s, _, _)| *s == shard);
             shards.push(ShardStatus {
                 shard,
-                records: present.len(),
+                records: view.records().len(),
                 bytes: std::fs::metadata(Store::shard_file(campaign_dir, shard))
                     .map_or(0, |m| m.len()),
                 done: done.len(),

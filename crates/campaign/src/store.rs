@@ -13,10 +13,12 @@
 //!
 //! Records are routed to `shard-(fp % SHARDS)` and appended with an
 //! immediate flush, so a killed run loses at most the record being
-//! written. On open, every parseable line is loaded; a torn final line
-//! (from a crash mid-append) is skipped with a warning and its job simply
-//! re-runs. Duplicate fingerprints keep the first record, so re-appends
-//! after a partial flush are harmless.
+//! written. Every reader turns shards into records through one
+//! [`ShardViews`], folding in the whole lines past what it has read
+//! ([`Store::read_tail`]). A torn final line (a crash mid-append) is held
+//! back until its newline lands; the next append terminates it into an
+//! undecodable line, skipped with a warning at open, and its job re-runs.
+//! Duplicate fingerprints keep the first record, so re-appends are harmless.
 
 use crate::fingerprint::Fingerprint;
 use crate::job::RunSummary;
@@ -24,9 +26,9 @@ use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Number of shard files a store splits its records across.
 pub const SHARDS: usize = 8;
@@ -85,38 +87,31 @@ struct Manifest {
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
-    records: HashMap<u128, Record>,
     /// Per-shard append handles, lazily opened; mutexed so executor worker
     /// threads can flush completed jobs concurrently.
     writers: Vec<Mutex<Option<File>>>,
-    loaded: usize,
+    /// What this process has read of every shard.
+    views: ShardViews,
 }
 
 impl Store {
     /// Opens (creating if needed) the store for `campaign_name` under
-    /// `root`, loading every existing record.
+    /// `root`, reading every existing record.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors. Unparseable shard *lines* are skipped,
     /// not errors: they re-run.
     pub fn open(root: &Path, campaign_name: &str, manifest: &Value) -> std::io::Result<Self> {
-        let mut store = Self::attach(root, campaign_name)?;
-        for shard in 0..SHARDS {
-            Self::for_each_line(&store.dir, shard, |decoded| match decoded {
-                Some((fp, record)) => {
-                    store.records.entry(fp.0).or_insert(record);
-                    store.loaded += 1;
-                }
-                None => {
-                    // Torn append from a killed run: drop it, the job
-                    // will simply be simulated again.
-                    eprintln!(
-                        "campaign store: skipping unparseable line in {}",
-                        Self::shard_file(&store.dir, shard).display()
-                    );
-                }
-            })?;
+        let store = Self::attach(root, campaign_name)?;
+        for (shard, view) in store.refresh_all()?.iter().enumerate() {
+            if view.skipped > 0 {
+                eprintln!(
+                    "campaign store: skipping {} unparseable line(s) in {}",
+                    view.skipped,
+                    Self::shard_file(&store.dir, shard).display()
+                );
+            }
         }
         Self::write_manifest(root, campaign_name, manifest)?;
         Ok(store)
@@ -153,10 +148,9 @@ impl Store {
     }
 
     /// Attaches to (creating if needed) the store directory for
-    /// `campaign_name` under `root` WITHOUT loading records or rewriting
+    /// `campaign_name` under `root` WITHOUT reading records or rewriting
     /// the manifest — the append-only path for workers and the campaign
-    /// server, which learn shard contents by reading the shards
-    /// themselves instead of a full load.
+    /// server, whose views read each shard when it is first asked for.
     ///
     /// # Errors
     ///
@@ -166,18 +160,15 @@ impl Store {
         std::fs::create_dir_all(dir.join("shards"))?;
         Ok(Store {
             dir,
-            records: HashMap::new(),
             writers: (0..SHARDS).map(|_| Mutex::new(None)).collect(),
-            loaded: 0,
+            views: ShardViews::default(),
         })
     }
 
     /// Decodes one shard line into `(fingerprint, record)`; `None` for a
     /// torn or otherwise unparseable line. The single decoder behind
-    /// [`Store::open`], [`Store::read_all`],
-    /// [`Store::read_shard_fingerprints`], [`Store::compact`] and the
-    /// campaign server's append endpoint, so the readers cannot drift
-    /// apart.
+    /// [`ShardViews`], [`Store::compact`] and the campaign server's append
+    /// endpoint, so the readers cannot drift apart.
     pub fn decode_line(line: &str) -> Option<(Fingerprint, Record)> {
         serde_json::from_str::<Record>(line)
             .ok()
@@ -190,37 +181,11 @@ impl Store {
         serde_json::to_string(record).expect("records serialize")
     }
 
-    /// Feeds every non-blank line of one shard of the campaign at
-    /// `campaign_dir` to `visit`, decoded (`None` for a torn or otherwise
-    /// unparseable line). A shard never written has no lines.
-    fn for_each_line(
-        campaign_dir: &Path,
-        shard: usize,
-        mut visit: impl FnMut(Option<(Fingerprint, Record)>),
-    ) -> std::io::Result<()> {
-        let file = match File::open(Self::shard_file(campaign_dir, shard)) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        for line in BufReader::new(file).lines() {
-            let line = line?;
-            if !line.trim().is_empty() {
-                visit(Self::decode_line(&line));
-            }
-        }
-        Ok(())
-    }
-
     /// The shard file path for `shard` of the campaign at `campaign_dir`.
     pub fn shard_file(campaign_dir: &Path, shard: usize) -> PathBuf {
         campaign_dir
             .join("shards")
             .join(format!("shard-{shard:02}.jsonl"))
-    }
-
-    fn shard_path(&self, shard: usize) -> PathBuf {
-        Self::shard_file(&self.dir, shard)
     }
 
     /// Which shard `fp` routes to.
@@ -233,54 +198,84 @@ impl Store {
         &self.dir
     }
 
-    /// Number of records loaded from disk at open.
+    /// Distinct records this store's views hold: right after
+    /// [`Store::open`], every record on disk.
     pub fn loaded(&self) -> usize {
-        self.loaded
+        (0..SHARDS).map(|s| self.views.lock(s).records.len()).sum()
     }
 
-    /// Looks up a cached record.
-    pub(crate) fn get(&self, fp: Fingerprint) -> Option<&Record> {
-        self.records.get(&fp.0)
+    /// This store's per-shard views.
+    pub(crate) fn views(&self) -> &ShardViews {
+        &self.views
     }
 
-    /// Whether `fp` is cached.
-    pub(crate) fn contains(&self, fp: Fingerprint) -> bool {
-        self.records.contains_key(&fp.0)
+    /// Brings one shard's view up to date with its file, returned locked.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn refresh(&self, shard: usize) -> std::io::Result<MutexGuard<'_, ShardView>> {
+        self.views.refresh(shard, self.dir.as_path())
+    }
+
+    /// [`Store::refresh`] for every shard, locked in shard order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn refresh_all(&self) -> std::io::Result<Vec<MutexGuard<'_, ShardView>>> {
+        (0..SHARDS).map(|shard| self.refresh(shard)).collect()
     }
 
     /// Appends `record` to its shard and flushes immediately. Safe to call
-    /// from executor worker threads (`&self`); the in-memory map is updated
-    /// separately by `Store::absorb` on the coordinating thread.
+    /// from executor worker threads (`&self`). The store's view of the
+    /// shard reads the line at its next refresh.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn append(&self, fp: Fingerprint, record: &Record) -> std::io::Result<()> {
+        self.append_locked(fp, record, None)
+    }
+
+    /// [`Store::append`], and the record joins `view` if given: this
+    /// store's view of `fp`'s shard, held from [`Store::refresh`]. The
+    /// view's offset moves past the line only if the write began there, as
+    /// read from the write's own end position: a later `stat` could count
+    /// a foreign append as read. Otherwise the next refresh reads the gap.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors; on error, `view` is unchanged.
+    pub fn append_locked(
+        &self,
+        fp: Fingerprint,
+        record: &Record,
+        view: Option<&mut ShardView>,
+    ) -> std::io::Result<()> {
         let shard = Self::shard_of(fp);
-        let mut guard = self.writers[shard].lock().expect("shard writer lock");
+        // A panic while this lock was held leaves at worst an open handle
+        // or a written line: both are what the next append expects.
+        let mut guard = self.writers[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if guard.is_none() {
-            let path = self.shard_path(shard);
+            use std::io::{Read, SeekFrom};
+            let mut file = OpenOptions::new()
+                .create(true)
+                .read(true)
+                .append(true)
+                .open(Self::shard_file(&self.dir, shard))?;
             // A writer killed mid-append can leave a partial line with no
             // trailing newline; appending straight after it would splice
             // the next record into the torn bytes and lose BOTH. Heal the
             // tail once, when this process first opens the shard.
-            let torn_tail = match std::fs::File::open(&path) {
-                Ok(mut f) => {
-                    use std::io::{Read, Seek, SeekFrom};
-                    if f.seek(SeekFrom::End(0))? == 0 {
-                        false
-                    } else {
-                        f.seek(SeekFrom::End(-1))?;
-                        let mut last = [0u8; 1];
-                        f.read_exact(&mut last)?;
-                        last[0] != b'\n'
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
-                Err(e) => return Err(e),
-            };
-            let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-            if torn_tail {
+            let mut last = [b'\n'];
+            if file.seek(SeekFrom::End(0))? > 0 {
+                file.seek(SeekFrom::End(-1))?;
+                file.read_exact(&mut last)?;
+            }
+            if last[0] != b'\n' {
                 file.write_all(b"\n")?;
             }
             *guard = Some(file);
@@ -288,47 +283,34 @@ impl Store {
         let file = guard.as_mut().expect("just opened");
         let line = format!("{}\n", Self::encode_line(record));
         file.write_all(line.as_bytes())?;
-        file.flush()
-    }
-
-    /// Inserts a freshly computed record into the in-memory map (first
-    /// record per fingerprint wins, matching load semantics).
-    pub(crate) fn absorb(&mut self, fp: Fingerprint, record: Record) {
-        self.records.entry(fp.0).or_insert(record);
-    }
-
-    /// Total records known (disk + absorbed).
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the store holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Iterates the fingerprints of every known record.
-    pub fn fingerprints(&self) -> impl Iterator<Item = Fingerprint> + '_ {
-        self.records.keys().map(|&fp| Fingerprint(fp))
+        file.flush()?;
+        if let Some(view) = view {
+            // In append mode the handle's position is the end of this write.
+            let end = file.stream_position()?;
+            view.insert(fp, record.clone());
+            if end - line.len() as u64 == view.offset {
+                view.offset = end;
+            }
+        }
+        Ok(())
     }
 
     /// Reads every record currently on disk for the campaign at
-    /// `campaign_dir`, first record per fingerprint winning — the
-    /// snapshot [`crate::backend::StoreBackend`]s assemble grids from.
+    /// `campaign_dir`, first record per fingerprint winning, through a
+    /// fresh [`ShardViews`]. Creates and writes nothing.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; unparseable lines are skipped.
     pub fn read_all(campaign_dir: &Path) -> std::io::Result<HashMap<u128, Record>> {
-        let mut records = HashMap::new();
+        let (views, mut all) = (ShardViews::default(), HashMap::new());
         for shard in 0..SHARDS {
-            Self::for_each_line(campaign_dir, shard, |decoded| {
-                if let Some((fp, record)) = decoded {
-                    records.entry(fp.0).or_insert(record);
-                }
-            })?;
+            // The views end here: move each shard's records, do not copy.
+            all.extend(std::mem::take(
+                &mut views.refresh(shard, campaign_dir)?.records,
+            ));
         }
-        Ok(records)
+        Ok(all)
     }
 
     /// The current byte size of one shard file (0 if never written).
@@ -336,73 +318,46 @@ impl Store {
     /// contents — workers use this to skip re-parsing shards between
     /// rescan rounds.
     pub fn shard_size(&self, shard: usize) -> u64 {
-        std::fs::metadata(self.shard_path(shard))
-            .map(|m| m.len())
-            .unwrap_or(0)
-    }
-
-    /// Reads one shard file of the campaign at `campaign_dir`, returning
-    /// the fingerprints present right now. Distributed workers call this
-    /// after acquiring a shard lease: their view may predate records
-    /// another worker appended, and only still-missing cells should re-run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; unparseable lines are ignored.
-    pub fn read_shard_fingerprints(
-        campaign_dir: &Path,
-        shard: usize,
-    ) -> std::io::Result<HashSet<u128>> {
-        let mut out = HashSet::new();
-        Self::for_each_line(campaign_dir, shard, |decoded| {
-            if let Some((fp, _)) = decoded {
-                out.insert(fp.0);
-            }
-        })?;
-        Ok(out)
+        std::fs::metadata(Self::shard_file(&self.dir, shard)).map_or(0, |m| m.len())
     }
 
     /// Reads the shard's bytes from `offset` to the end of the **last
     /// complete line** — the read-side twin of [`Store::append`]'s torn-
     /// tail healing. A writer killed mid-append (or caught mid-write by
-    /// this read) leaves a partial line with no trailing newline; a
-    /// reader consuming raw tails would observe the torn JSON. Clamping
-    /// at the final newline guarantees every returned chunk is whole
-    /// lines, and the skipped bytes are re-served once the line completes
-    /// (appends are flushed newline-terminated) or is healed.
+    /// this read) leaves a partial line with no trailing newline; clamping
+    /// at the final newline withholds it until the line completes or is
+    /// healed, so every returned chunk is whole lines. A shard with nothing
+    /// past `offset` costs one `stat` and is not opened.
     ///
     /// `reset` is true when `offset` lies beyond the current file end
     /// (the shard was compacted since the reader's last poll): the tail
-    /// is then served from offset 0 and the reader should replace, not
-    /// extend, its view.
+    /// is then served from offset 0 and the reader's view restarts.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; a missing shard file is an empty
-    /// tail at offset 0.
+    /// Propagates filesystem errors; a missing shard file is empty.
     pub fn read_tail(campaign_dir: &Path, shard: usize, offset: u64) -> std::io::Result<ShardTail> {
-        use std::io::{Read, Seek, SeekFrom};
+        use std::io::{ErrorKind::NotFound, Read, SeekFrom};
         let path = Self::shard_file(campaign_dir, shard);
-        let mut file = match File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(ShardTail {
-                    bytes: Vec::new(),
-                    next_offset: 0,
-                    reset: offset > 0,
-                })
-            }
+        let len = match std::fs::metadata(&path) {
+            Ok(meta) => meta.len(),
+            Err(e) if e.kind() == NotFound => 0,
             Err(e) => return Err(e),
         };
-        let len = file.seek(SeekFrom::End(0))?;
-        let (start, reset) = if offset > len {
-            (0, true)
-        } else {
-            (offset, false)
-        };
-        file.seek(SeekFrom::Start(start))?;
+        let reset = offset > len;
+        let start = if reset { 0 } else { offset };
         let mut bytes = Vec::with_capacity(usize::try_from(len - start).unwrap_or(0));
-        file.read_to_end(&mut bytes)?;
+        if start < len {
+            // A shard deleted since the `stat` (compacted empty) reads empty.
+            match File::open(&path) {
+                Ok(mut file) => {
+                    file.seek(SeekFrom::Start(start))?;
+                    file.read_to_end(&mut bytes)?;
+                }
+                Err(e) if e.kind() == NotFound => {}
+                Err(e) => return Err(e),
+            }
+        }
         // Clamp to the last complete line; a torn tail is withheld until
         // its newline lands (or healing terminates it).
         let complete = bytes
@@ -490,25 +445,23 @@ pub struct ShardTail {
     /// served length from 0 after a `reset`.
     pub next_offset: u64,
     /// The requested offset was past the end of the file (compacted
-    /// shard): `bytes` restarts from offset 0 and replaces the reader's
-    /// accumulated view of raw bytes (accumulated *records* stay valid —
-    /// compaction only drops orphans, duplicates and torn lines).
+    /// shard): `bytes` restart from offset 0, and so does the reader's view.
     pub reset: bool,
 }
 
-/// In-memory view of one shard, grown from successive [`ShardTail`]s —
-/// read from the file by the campaign server, over HTTP by its clients.
+/// In-memory view of one shard, grown from successive [`ShardTail`]s.
 #[derive(Debug, Default)]
 pub struct ShardView {
     /// How far the shard has been decoded: where the next tail read resumes.
-    pub offset: u64,
-    /// Every record decoded so far; the first per fingerprint wins,
-    /// matching [`Store`] load semantics.
+    offset: u64,
+    /// Every record decoded so far; the first per fingerprint wins.
     records: HashMap<u128, Record>,
     /// The key set of `records`, kept so a caller asking which cells a
     /// shard holds gets a copy instead of a rehash of every key. The
     /// default keyed hasher stays: fingerprints arrive from clients.
     fingerprints: HashSet<u128>,
+    /// Complete lines that did not decode since the view last restarted.
+    skipped: usize,
 }
 
 impl ShardView {
@@ -523,8 +476,8 @@ impl ShardView {
     }
 
     /// Adds one record unless its fingerprint is already present: the
-    /// first record wins, as at [`Store`] load.
-    pub fn insert(&mut self, fp: Fingerprint, record: Record) {
+    /// first record wins.
+    pub(crate) fn insert(&mut self, fp: Fingerprint, record: Record) {
         if self.fingerprints.insert(fp.0) {
             self.records.insert(fp.0, record);
         }
@@ -532,18 +485,87 @@ impl ShardView {
 
     /// Folds one tail read into the view. A `reset` tail (the shard shrank
     /// under the reader's offset: compaction) restarted from byte 0, so
-    /// the view restarts with it.
-    pub fn apply(&mut self, tail_bytes: &[u8], next_offset: u64, reset: bool) {
-        if reset {
+    /// the view restarts with it. The offset moves last, so a fold cut
+    /// short leaves a view that the same tail, read again, completes.
+    fn apply(&mut self, tail: &ShardTail) {
+        if tail.reset {
             self.records.clear();
             self.fingerprints.clear();
+            self.skipped = 0;
         }
-        for line in String::from_utf8_lossy(tail_bytes).lines() {
-            if let Some((fp, record)) = Store::decode_line(line) {
-                self.insert(fp, record);
+        for line in String::from_utf8_lossy(&tail.bytes).lines() {
+            match Store::decode_line(line) {
+                Some((fp, record)) => self.insert(fp, record),
+                None if !line.trim().is_empty() => self.skipped += 1,
+                None => {}
             }
         }
-        self.offset = next_offset;
+        self.offset = tail.next_offset;
+    }
+}
+
+/// Where a [`ShardViews`] reads shard bytes from: a campaign directory
+/// (a [`Path`]) or a campaign server ([`crate::RemoteStore`]).
+pub(crate) trait TailSource {
+    /// The whole-line tail of `shard` from `offset`: [`Store::read_tail`].
+    ///
+    /// # Errors
+    ///
+    /// Filesystem or transport errors.
+    fn tail(&self, shard: usize, offset: u64) -> std::io::Result<ShardTail>;
+}
+
+impl TailSource for Path {
+    fn tail(&self, shard: usize, offset: u64) -> std::io::Result<ShardTail> {
+        Store::read_tail(self, shard, offset)
+    }
+}
+
+/// One [`ShardView`] per shard, each behind its own lock: the one reader
+/// that turns shards into records.
+#[derive(Debug, Default)]
+pub struct ShardViews([Mutex<ShardView>; SHARDS]);
+
+impl ShardViews {
+    /// Locks one shard's view as it stands. A poisoned lock is recovered:
+    /// [`ShardView::apply`] moves the offset last, and first-record-wins
+    /// makes folding the same bytes again harmless.
+    pub(crate) fn lock(&self, shard: usize) -> MutexGuard<'_, ShardView> {
+        self.0[shard].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Brings one shard's view up to date from `source`, returned locked.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `source`'s errors; the view is then unchanged.
+    pub(crate) fn refresh<S: TailSource + ?Sized>(
+        &self,
+        shard: usize,
+        source: &S,
+    ) -> std::io::Result<MutexGuard<'_, ShardView>> {
+        let mut view = self.lock(shard);
+        let tail = source.tail(shard, view.offset)?;
+        view.apply(&tail);
+        Ok(view)
+    }
+
+    /// Every record, each shard refreshed in turn (fingerprints route to
+    /// one shard, so the per-shard maps merge without conflicts).
+    ///
+    /// # Errors
+    ///
+    /// Propagates `source`'s errors.
+    pub(crate) fn snapshot<S: TailSource + ?Sized>(
+        &self,
+        source: &S,
+    ) -> std::io::Result<HashMap<u128, Record>> {
+        let mut all = HashMap::new();
+        for shard in 0..SHARDS {
+            let view = self.refresh(shard, source)?;
+            all.extend(view.records.iter().map(|(k, v)| (*k, v.clone())));
+        }
+        Ok(all)
     }
 }
 
@@ -578,6 +600,12 @@ mod tests {
         dir
     }
 
+    /// `fp`'s record as `store`'s view of its shard holds it.
+    fn get(store: &Store, fp: Fingerprint) -> Option<Record> {
+        let view = store.views().lock(Store::shard_of(fp));
+        view.records.get(&fp.0).cloned()
+    }
+
     fn sample_summary() -> RunSummary {
         RunSummary {
             ipc: vec![0.5, 1.25],
@@ -590,8 +618,8 @@ mod tests {
     fn append_reopen_roundtrip() {
         let root = tmpdir("roundtrip");
         let manifest = Value::Null;
-        let mut store = Store::open(&root, "c", &manifest).unwrap();
-        assert!(store.is_empty());
+        let store = Store::open(&root, "c", &manifest).unwrap();
+        assert_eq!(store.loaded(), 0);
 
         let fp_a = Fingerprint(1);
         let fp_g = Fingerprint(2);
@@ -599,15 +627,19 @@ mod tests {
         let g = Record::grid(fp_g, "w0/DSARP".into(), sample_summary());
         store.append(fp_a, &a).unwrap();
         store.append(fp_g, &g).unwrap();
-        store.absorb(fp_a, a.clone());
-        store.absorb(fp_g, g.clone());
-        assert_eq!(store.len(), 2);
+        let view = store.refresh(Store::shard_of(fp_a)).unwrap();
+        assert_eq!(
+            view.records.get(&fp_a.0),
+            Some(&a),
+            "a refresh reads an append"
+        );
+        drop(view);
 
         let reopened = Store::open(&root, "c", &manifest).unwrap();
         assert_eq!(reopened.loaded(), 2);
-        assert_eq!(reopened.get(fp_a), Some(&a));
-        assert_eq!(reopened.get(fp_g), Some(&g));
-        assert!(reopened.get(Fingerprint(3)).is_none());
+        assert_eq!(get(&reopened, fp_a), Some(a));
+        assert_eq!(get(&reopened, fp_g), Some(g));
+        assert!(get(&reopened, Fingerprint(3)).is_none());
         assert!(root.join("c").join("manifest.json").exists());
         let _ = std::fs::remove_dir_all(root);
     }
@@ -631,7 +663,7 @@ mod tests {
 
         let reopened = Store::open(&root, "c", &manifest).unwrap();
         assert_eq!(reopened.loaded(), 1);
-        assert!(reopened.contains(fp));
+        assert!(get(&reopened, fp).is_some());
         let _ = std::fs::remove_dir_all(root);
     }
 
@@ -658,7 +690,7 @@ mod tests {
         // The new record must NOT be spliced into the torn bytes.
         let reopened = Store::open(&root, "c", &Value::Null).unwrap();
         assert_eq!(reopened.loaded(), 2);
-        assert_eq!(reopened.get(fp_b), Some(&b));
+        assert_eq!(get(&reopened, fp_b), Some(b));
         let _ = std::fs::remove_dir_all(root);
     }
 
@@ -689,8 +721,8 @@ mod tests {
 
         let reopened = Store::open(&root, "c", &Value::Null).unwrap();
         assert_eq!(reopened.loaded(), 1);
-        assert_eq!(reopened.get(keep_fp), Some(&kept));
-        assert!(!reopened.contains(orphan_fp));
+        assert_eq!(get(&reopened, keep_fp), Some(kept));
+        assert!(get(&reopened, orphan_fp).is_none());
 
         // Compacting everything away deletes the shard file.
         let stats = Store::compact(&root, "c", &std::collections::HashSet::new()).unwrap();
@@ -754,11 +786,11 @@ mod tests {
         // A view folded over the same tails skips the torn line, and a
         // reset tail restarts it (dropping what only the old bytes held).
         let mut view = ShardView::default();
-        view.apply(&first.bytes, first.next_offset, first.reset);
-        view.apply(&healed.bytes, healed.next_offset, healed.reset);
+        view.apply(&first);
+        view.apply(&healed);
         assert_eq!((view.offset, view.records.len()), (healed.next_offset, 2));
         view.insert(Fingerprint(99), a.clone());
-        view.apply(&reset.bytes, reset.next_offset, reset.reset);
+        view.apply(&reset);
         assert_eq!(view.records.get(&fp_a.0), Some(&a));
         assert_eq!((view.offset, view.records.len()), (healed.next_offset, 2));
         let _ = std::fs::remove_dir_all(root);
@@ -831,13 +863,160 @@ mod tests {
                         tail.push_str("\n{\"fp\":\"torn\n");
                         model.entry(fp.0).or_insert(record);
                     }
-                    view.apply(tail.as_bytes(), step as u64, reset);
+                    view.apply(&ShardTail {
+                        bytes: tail.into_bytes(),
+                        next_offset: step as u64,
+                        reset,
+                    });
                 }
                 let keys: HashSet<u128> = view.records.keys().copied().collect();
                 prop_assert_eq!(&view.fingerprints, &keys);
                 prop_assert_eq!(&view.records, &model);
             }
         }
+    }
+
+    /// The flat model of a shard file: its complete lines, decoded, the
+    /// first record per fingerprint winning.
+    fn first_records_of_complete_lines(bytes: &[u8]) -> HashMap<u128, Record> {
+        let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+        let mut model = HashMap::new();
+        for line in String::from_utf8_lossy(&bytes[..complete]).lines() {
+            if let Some((fp, record)) = Store::decode_line(line) {
+                model.entry(fp.0).or_insert(record);
+            }
+        }
+        model
+    }
+
+    proptest! {
+        /// One shard grows in chunks cut at arbitrary bytes (record lines,
+        /// duplicate fingerprints, garbage lines, torn lines later finished
+        /// or healed by an append) and shrinks by compaction. After every
+        /// chunk, a view refreshed chunk by chunk holds exactly what a
+        /// fresh one-shot read and the flat model over complete lines hold.
+        #[test]
+        fn refreshed_view_matches_a_fresh_read_and_the_line_model(
+            ops in prop::collection::vec((0u8..6, prop::collection::vec(0u8..14, 0..4), any::<u16>()), 1..24),
+        ) {
+            let root = tmpdir("one-reader");
+            let dir = root.join("c");
+            let path = Store::shard_file(&dir, 0);
+            std::fs::create_dir_all(dir.join("shards")).unwrap();
+            let views = ShardViews::default();
+            let mut pending: Vec<u8> = Vec::new();
+            for (step, (op, items, cut)) in ops.into_iter().enumerate() {
+                let record = |v: u8| Record::alone(Fingerprint(u128::from(v)), format!("s{step}"), 1.0);
+                match op {
+                    // Heal: a fresh writer terminates a torn tail, then appends.
+                    3 => {
+                        let v = items.first().copied().unwrap_or(0) % 12;
+                        let store = Store::attach(&root, "c").unwrap();
+                        store.append(Fingerprint(u128::from(v)), &record(v)).unwrap();
+                    }
+                    // Shrink: compaction keeps the even fingerprints.
+                    4 => {
+                        let keep: HashSet<u128> = (0..12).step_by(2).collect();
+                        Store::compact(&root, "c", &keep).unwrap();
+                    }
+                    _ => {
+                        for v in items {
+                            match v {
+                                0..=11 => pending.extend(Store::encode_line(&record(v)).bytes()),
+                                12 => pending.extend(b"{\"fp\":\"torn"),
+                                _ => pending.extend(b"not json"),
+                            }
+                            pending.push(b'\n');
+                        }
+                        let n = usize::from(cut) % (pending.len() + 1);
+                        let mut f = OpenOptions::new().create(true).append(true).open(&path).unwrap();
+                        f.write_all(&pending[..n]).unwrap();
+                        pending.drain(..n);
+                    }
+                }
+                let view = views.refresh(0, dir.as_path()).unwrap();
+                let fresh = ShardViews::default();
+                let fresh = fresh.refresh(0, dir.as_path()).unwrap();
+                let model = first_records_of_complete_lines(&std::fs::read(&path).unwrap_or_default());
+                let keys: HashSet<u128> = view.records.keys().copied().collect();
+                prop_assert_eq!(&view.fingerprints, &keys);
+                prop_assert_eq!(&view.records, &fresh.records);
+                prop_assert_eq!(&view.records, &model);
+            }
+            let _ = std::fs::remove_dir_all(root);
+        }
+    }
+
+    /// A record another writer appends between a refresh and this store's
+    /// own append is not skipped: the view does not advance over it, and
+    /// the next refresh reads it.
+    #[test]
+    fn own_append_does_not_skip_a_foreign_one() {
+        let root = tmpdir("foreign");
+        let first = Store::attach(&root, "c").unwrap();
+        let second = Store::attach(&root, "c").unwrap();
+        let [a, b, c] = [8, 16, 24].map(Fingerprint); // all shard 0
+        first.append(a, &Record::alone(a, "a".into(), 1.0)).unwrap();
+        {
+            let mut view = first.refresh(0).unwrap();
+            second
+                .append(b, &Record::alone(b, "foreign".into(), 2.0))
+                .unwrap();
+            first
+                .append_locked(c, &Record::alone(c, "c".into(), 3.0), Some(&mut view))
+                .unwrap();
+            assert!(
+                view.records.contains_key(&c.0),
+                "an own append joins the view"
+            );
+        }
+        let view = first.refresh(0).unwrap();
+        assert_eq!(view.records[&b.0].label, "foreign");
+        assert_eq!(view.offset, first.shard_size(0));
+        assert_eq!(view.records, Store::read_all(first.dir()).unwrap());
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// Poisons `lock`: a thread panics while holding it.
+    fn poison<T: Send>(lock: &Mutex<T>) {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = lock.lock();
+                panic!("poisoning the lock on purpose");
+            })
+            .join()
+            .unwrap_err();
+        });
+        assert!(lock.is_poisoned());
+    }
+
+    #[test]
+    fn a_poisoned_writer_lock_still_appends() {
+        let root = tmpdir("poison-writer");
+        let store = Store::attach(&root, "c").unwrap();
+        let fp = Fingerprint(8);
+        poison(&store.writers[0]);
+        store
+            .append(fp, &Record::alone(fp, "a".into(), 1.0))
+            .unwrap();
+        assert!(Store::read_all(store.dir()).unwrap().contains_key(&fp.0));
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn a_poisoned_view_lock_still_refreshes_and_appends() {
+        let root = tmpdir("poison-view");
+        let writer = Store::attach(&root, "c").unwrap();
+        let (a, b) = (Fingerprint(8), Fingerprint(16));
+        writer
+            .append(a, &Record::alone(a, "a".into(), 1.0))
+            .unwrap();
+        let store = Store::attach(&root, "c").unwrap();
+        poison(&store.views.0[0]);
+        assert!(store.refresh(0).unwrap().records.contains_key(&a.0));
+        store.append(b, &Record::alone(b, "b".into(), 2.0)).unwrap();
+        assert_eq!(store.refresh(0).unwrap().records.len(), 2);
+        let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]

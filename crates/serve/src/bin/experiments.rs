@@ -582,17 +582,17 @@ fn run_compact_cmd(args: &Args) {
     let keep: std::collections::HashSet<u128> = plan.unique().iter().map(|(fp, _)| fp.0).collect();
     // Refuse a compaction that would empty a non-empty store: the spec
     // (or its scale — cycles are part of the fingerprint) almost
-    // certainly does not match what the store was populated with.
-    let manifest = serde_json::to_value(spec).expect("specs serialize");
-    let store = Store::open(root, &spec.name, &manifest).or_die(OPEN_STORE, root.display());
-    if !store.is_empty() && !store.fingerprints().any(|fp| keep.contains(&fp.0)) {
+    // certainly does not match what the store was populated with. The
+    // check only reads: a refused compact leaves the store as it was.
+    let records = Store::read_all(&campaign_dir).or_die(OPEN_STORE, root.display());
+    if !records.is_empty() && !records.keys().any(|fp| keep.contains(fp)) {
         die(&format!(
             "refusing to compact: the spec reaches none of the store's {} records — \
              wrong --spec file or --scale/--cycles for this store?",
-            store.len()
+            records.len()
         ));
     }
-    drop(store);
+    drop(records);
 
     // Exclude every writer for the rewrite: appends only happen under a
     // shard lease, so holding all of them is sufficient. (A point-in-time

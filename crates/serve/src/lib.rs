@@ -32,9 +32,10 @@
 //! observes a torn JSON line. Records are content-addressed, which makes
 //! `GET /cells/{fp}` trivially cacheable: the fingerprint IS the ETag,
 //! and a matching `If-None-Match` short-circuits to `304 Not Modified`
-//! without touching the store. A cell read or append on a shard that has
-//! not grown since the server last read it costs one `stat`; the file is
-//! reopened only when its length moved.
+//! without touching the store. Cells, exports and append dedup read the
+//! store's [`dsarp_campaign::store::ShardViews`]: a shard costs one `stat`,
+//! and is reopened only when its length moved (another process appended,
+//! or compaction shrank it); the server's own appends join the view.
 //!
 //! Every request is also counted into a [`dsarp_obs::Registry`]:
 //! `dsarp_http_requests_total{method,route,code}`,
@@ -50,14 +51,14 @@
 use dsarp_campaign::fingerprint::fingerprint_bytes;
 use dsarp_campaign::lease::{self, Acquire, Lease};
 use dsarp_campaign::remote::{AppendReply, CampaignInfo, LeaseReply, LeaseRequest, SizesReply};
-use dsarp_campaign::store::{ShardTail, ShardView, FORMAT_VERSION, SHARDS};
+use dsarp_campaign::store::{ShardTail, FORMAT_VERSION, SHARDS};
 use dsarp_campaign::{CampaignPlan, CampaignSpec, CampaignStatus, Fingerprint, Store};
 use dsarp_obs::{Counter, Family, Histogram, Registry};
 use dsarp_sim::experiments::report;
 use minihttp::{Request, Response, Server};
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::path::Path;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Request-level server metrics, registered once and bumped per request.
@@ -225,18 +226,16 @@ fn json(doc: &impl serde::Serialize) -> Response {
 /// One campaign store served over HTTP.
 #[derive(Debug)]
 pub struct CampaignServer {
-    dir: PathBuf,
     spec: CampaignSpec,
     store: Store,
-    views: Vec<Mutex<ShardView>>,
     metrics: ServerMetrics,
 }
 
 impl CampaignServer {
     /// Attaches to (or creates) the campaign's store under `root`, writes
-    /// its manifest, and prepares to serve it. No record is loaded here:
-    /// cells, exports and append dedup read the shards through the
-    /// per-shard views.
+    /// its manifest, and prepares to serve it. No record is read here:
+    /// cells, exports and append dedup read each shard through the
+    /// store's views when they first need it.
     ///
     /// # Errors
     ///
@@ -246,12 +245,8 @@ impl CampaignServer {
         let store = Store::attach(root, &spec.name)?;
         Store::write_manifest(root, &spec.name, &manifest)?;
         Ok(CampaignServer {
-            dir: store.dir().to_path_buf(),
             spec,
             store,
-            views: (0..SHARDS)
-                .map(|_| Mutex::new(ShardView::default()))
-                .collect(),
             metrics: ServerMetrics::new(),
         })
     }
@@ -263,7 +258,7 @@ impl CampaignServer {
 
     /// The campaign store directory being served.
     pub fn campaign_dir(&self) -> &Path {
-        &self.dir
+        self.store.dir()
     }
 
     /// Serves requests on `server` until its handle is shut down.
@@ -336,7 +331,7 @@ impl CampaignServer {
     /// `GET /status`: the [`CampaignStatus`] `experiments status` renders,
     /// as JSON. Planned per request, as exports are.
     fn status_json(&self) -> io::Result<Response> {
-        Ok(json(&CampaignStatus::read(&self.spec, &self.dir)?))
+        Ok(json(&CampaignStatus::read(&self.spec, self.store.dir())?))
     }
 
     fn campaign_info(&self) -> Response {
@@ -370,31 +365,10 @@ impl CampaignServer {
             })?,
             None => 0,
         };
-        let tail: ShardTail = Store::read_tail(&self.dir, shard, offset)?;
+        let tail: ShardTail = Store::read_tail(self.store.dir(), shard, offset)?;
         Ok(Response::with_body(200, "application/x-ndjson", tail.bytes)
             .header("x-next-offset", &tail.next_offset.to_string())
             .header("x-shard-reset", if tail.reset { "1" } else { "0" }))
-    }
-
-    /// Brings one shard's in-memory view up to date with its file. Also
-    /// how appends see records other processes wrote directly to the
-    /// directory (mixed local/remote topologies).
-    ///
-    /// A shard whose length is still the view's offset costs one `stat`:
-    /// [`Store::read_tail`] would return an empty tail at that offset, so
-    /// the file is not opened. A missing shard has length 0, as there.
-    fn refresh_view(&self, shard: usize) -> io::Result<std::sync::MutexGuard<'_, ShardView>> {
-        let mut view = self.views[shard].lock().expect("shard view lock poisoned");
-        let len = match std::fs::metadata(Store::shard_file(&self.dir, shard)) {
-            Ok(meta) => meta.len(),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
-            Err(e) => return Err(e),
-        };
-        if len != view.offset {
-            let tail = Store::read_tail(&self.dir, shard, view.offset)?;
-            view.apply(&tail.bytes, tail.next_offset, tail.reset);
-        }
-        Ok(view)
     }
 
     fn shard_append(&self, nn: &str, req: &Request) -> io::Result<Response> {
@@ -418,7 +392,9 @@ impl CampaignServer {
             }
             incoming.push((fp, record));
         }
-        let mut view = self.refresh_view(shard)?;
+        // The refresh also reads what other processes appended straight
+        // to the directory (mixed local/remote topologies).
+        let mut view = self.store.refresh(shard)?;
         let (mut appended, mut deduped) = (0, 0);
         for (fp, record) in incoming {
             // First record wins: a fingerprint already in the shard keeps
@@ -428,17 +404,15 @@ impl CampaignServer {
                 deduped += 1;
                 continue;
             }
-            self.store.append(fp, &record)?;
-            view.insert(fp, record);
+            self.store.append_locked(fp, &record, Some(&mut view))?;
             appended += 1;
         }
-        view.offset = self.store.shard_size(shard);
         let reply = AppendReply { appended, deduped };
         Ok(json(&reply))
     }
 
     fn lease_op(&self, nn: &str, req: &Request) -> io::Result<Response> {
-        let shard = Self::parse_shard(nn)?;
+        let (shard, dir) = (Self::parse_shard(nn)?, self.store.dir());
         let body: LeaseRequest = serde_json::from_str(&String::from_utf8_lossy(&req.body))
             .map_err(|e| {
                 io::Error::new(
@@ -454,7 +428,7 @@ impl CampaignServer {
         }
         match body.op.as_str() {
             "acquire" => {
-                let reply = match Lease::acquire(&self.dir, shard, &body.owner, body.ttl_ms)? {
+                let reply = match Lease::acquire(dir, shard, &body.owner, body.ttl_ms)? {
                     // Drop (not release) the Lease value: the lock file on
                     // disk IS the lease. The remote owner renews it through
                     // the stateless by-owner path below, and if it dies,
@@ -477,7 +451,7 @@ impl CampaignServer {
                 };
                 Ok(json(&reply))
             }
-            "renew" => match lease::renew_as(&self.dir, shard, &body.owner, body.ttl_ms) {
+            "renew" => match lease::renew_as(dir, shard, &body.owner, body.ttl_ms) {
                 Ok(()) => Ok(Response::text(200, "renewed")),
                 // Ownership loss is a conflict the client must not retry,
                 // not a server fault.
@@ -487,7 +461,7 @@ impl CampaignServer {
                 Err(e) => Err(e),
             },
             "release" => {
-                lease::release_as(&self.dir, shard, &body.owner)?;
+                lease::release_as(dir, shard, &body.owner)?;
                 Ok(Response::text(200, "released"))
             }
             other => Err(io::Error::new(
@@ -511,7 +485,7 @@ impl CampaignServer {
         if req.header("if-none-match") == Some(etag.as_str()) {
             return Ok(Response::new(304).header("etag", &etag));
         }
-        let view = self.refresh_view(Store::shard_of(fp))?;
+        let view = self.store.refresh(Store::shard_of(fp))?;
         match view.records().get(&fp.0) {
             Some(record) => Ok(json(record).header("etag", &etag)),
             None => Ok(Response::text(404, format!("no record {fp}"))),
@@ -556,9 +530,7 @@ impl CampaignServer {
         // the export.
         let plan = CampaignPlan::build(&self.spec)?;
         let grids = {
-            let views = (0..SHARDS)
-                .map(|shard| self.refresh_view(shard))
-                .collect::<io::Result<Vec<_>>>()?;
+            let views = self.store.refresh_all()?;
             plan.assemble(|fp| views[Store::shard_of(fp)].records().get(&fp.0))?
         };
         let grid = grids.get(sweep).expect("assembled spec sweep");

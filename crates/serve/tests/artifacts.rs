@@ -1,7 +1,8 @@
 //! The `experiments` binary's artifact dispatch, end to end: a full run
 //! writes exactly the files the artifact table declares, every
 //! `--exp NAME` answers from the warm store with byte-identical CSVs, and
-//! `compact` refuses a spec that does not match the store with exit 2.
+//! `compact` refuses a spec that does not match the store with exit 2,
+//! writing nothing.
 
 use dsarp_campaign::paper;
 use std::collections::BTreeSet;
@@ -92,7 +93,10 @@ fn full_run_writes_the_declared_files_and_every_exp_answers_warm() {
     }
 
     // The full-scale spec reaches none of this store's records: compact
-    // refuses as a usage error (exit 2, no panic), deleting nothing.
+    // refuses as a usage error (exit 2, no panic), deleting nothing and
+    // writing nothing, not even the manifest.
+    let manifest = store.join("paper/manifest.json");
+    let manifest_before = std::fs::read(&manifest).unwrap();
     let refusal = Command::new(BIN)
         .args(["compact", "--scale", "full"])
         .args(["--campaign", store.to_str().unwrap()])
@@ -103,6 +107,11 @@ fn full_run_writes_the_declared_files_and_every_exp_answers_warm() {
     assert!(
         stderr.contains("error: refusing to compact: the spec reaches none"),
         "{stderr}"
+    );
+    assert_eq!(
+        std::fs::read(&manifest).unwrap(),
+        manifest_before,
+        "a refused compact rewrote manifest.json"
     );
     let warm = experiments(&store, &dir.join("after"), &["--exp", "table5"]);
     assert!(warm.contains(", 0 simulated"), "{warm}");
