@@ -601,8 +601,9 @@ impl CampaignClient {
                 .push(job);
         }
 
-        // Shard files are append-only, so an unchanged byte size means no
-        // new records: rescan rounds re-read a shard only after it grew.
+        // Between compactions shard files only grow, so an unchanged byte
+        // size means no new records: rescan rounds re-read a shard only
+        // after its size moved.
         let mut seen_size: BTreeMap<usize, u64> = BTreeMap::new();
         loop {
             let sizes = backend.shard_sizes()?;

@@ -36,6 +36,14 @@ pub const SHARDS: usize = 8;
 /// Store format version, bumped on incompatible record changes.
 pub const FORMAT_VERSION: u32 = 1;
 
+/// A shard file's identity: device, inode and birth time. Compaction's
+/// rename of a rewritten shard and its delete of an emptied one both leave
+/// the path naming a new file, whatever length it regrows to. The birth
+/// time tells that file apart from an older one whose freed inode number
+/// it reused (ext4 hands a freed number out again at once); where the
+/// filesystem keeps no birth time it is `None`.
+pub type FileId = (u64, u64, Option<std::time::SystemTime>);
+
 /// One cached result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Record {
@@ -314,9 +322,10 @@ impl Store {
     }
 
     /// The current byte size of one shard file (0 if never written).
-    /// Shards are append-only, so an unchanged size means unchanged
-    /// contents — workers use this to skip re-parsing shards between
-    /// rescan rounds.
+    /// Between compactions a shard only grows, so workers use this to skip
+    /// re-reading shards between rescan rounds. Across a compaction an
+    /// unchanged size proves nothing: the shard is rewritten shorter and
+    /// may regrow to any length.
     pub fn shard_size(&self, shard: usize) -> u64 {
         std::fs::metadata(Self::shard_file(&self.dir, shard)).map_or(0, |m| m.len())
     }
@@ -329,22 +338,33 @@ impl Store {
     /// healed, so every returned chunk is whole lines. A shard with nothing
     /// past `offset` costs one `stat` and is not opened.
     ///
-    /// `reset` is true when `offset` lies beyond the current file end
-    /// (the shard was compacted since the reader's last poll): the tail
-    /// is then served from offset 0 and the reader's view restarts.
+    /// `reset` is true when the shard was compacted since the reader's
+    /// last poll: `offset` lies beyond the current file end, or the path
+    /// no longer names `file`, the file the reader read up to `offset`
+    /// (`None`: no file known, so only a shrink shows). The tail is then
+    /// served from offset 0 and the reader's view restarts.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; a missing shard file is empty.
-    pub fn read_tail(campaign_dir: &Path, shard: usize, offset: u64) -> std::io::Result<ShardTail> {
+    pub fn read_tail(
+        campaign_dir: &Path,
+        shard: usize,
+        offset: u64,
+        file: Option<FileId>,
+    ) -> std::io::Result<ShardTail> {
         use std::io::{ErrorKind::NotFound, Read, SeekFrom};
+        use std::os::unix::fs::MetadataExt;
         let path = Self::shard_file(campaign_dir, shard);
-        let len = match std::fs::metadata(&path) {
-            Ok(meta) => meta.len(),
-            Err(e) if e.kind() == NotFound => 0,
+        let (len, id) = match std::fs::metadata(&path) {
+            Ok(meta) => (
+                meta.len(),
+                Some((meta.dev(), meta.ino(), meta.created().ok())),
+            ),
+            Err(e) if e.kind() == NotFound => (0, None),
             Err(e) => return Err(e),
         };
-        let reset = offset > len;
+        let reset = offset > len || file.is_some_and(|f| id != Some(f));
         let start = if reset { 0 } else { offset };
         let mut bytes = Vec::with_capacity(usize::try_from(len - start).unwrap_or(0));
         if start < len {
@@ -369,6 +389,7 @@ impl Store {
             next_offset: start + complete as u64,
             bytes,
             reset,
+            file: id,
         })
     }
 
@@ -444,9 +465,13 @@ pub struct ShardTail {
     /// Offset to request next: requested offset + `bytes.len()`, or the
     /// served length from 0 after a `reset`.
     pub next_offset: u64,
-    /// The requested offset was past the end of the file (compacted
-    /// shard): `bytes` restart from offset 0, and so does the reader's view.
+    /// The shard was compacted under the requested offset (it is shorter,
+    /// or another file): `bytes` restart from offset 0, and so does the
+    /// reader's view.
     pub reset: bool,
+    /// The identity of the file read, for the next read to pass back;
+    /// `None` for a missing shard or a tail served over HTTP.
+    pub file: Option<FileId>,
 }
 
 /// In-memory view of one shard, grown from successive [`ShardTail`]s.
@@ -454,6 +479,8 @@ pub struct ShardTail {
 pub struct ShardView {
     /// How far the shard has been decoded: where the next tail read resumes.
     offset: u64,
+    /// The file `offset` counts into, from the last tail read.
+    file: Option<FileId>,
     /// Every record decoded so far; the first per fingerprint wins.
     records: HashMap<u128, Record>,
     /// The key set of `records`, kept so a caller asking which cells a
@@ -483,10 +510,11 @@ impl ShardView {
         }
     }
 
-    /// Folds one tail read into the view. A `reset` tail (the shard shrank
-    /// under the reader's offset: compaction) restarted from byte 0, so
-    /// the view restarts with it. The offset moves last, so a fold cut
-    /// short leaves a view that the same tail, read again, completes.
+    /// Folds one tail read into the view. A `reset` tail (compaction
+    /// shrank or replaced the shard under the reader's offset) restarted
+    /// from byte 0, so the view restarts with it. The offset moves last,
+    /// so a fold cut short leaves a view that the same tail, read again,
+    /// completes.
     fn apply(&mut self, tail: &ShardTail) {
         if tail.reset {
             self.records.clear();
@@ -501,23 +529,25 @@ impl ShardView {
             }
         }
         self.offset = tail.next_offset;
+        self.file = tail.file;
     }
 }
 
 /// Where a [`ShardViews`] reads shard bytes from: a campaign directory
 /// (a [`Path`]) or a campaign server ([`crate::RemoteStore`]).
 pub(crate) trait TailSource {
-    /// The whole-line tail of `shard` from `offset`: [`Store::read_tail`].
+    /// The whole-line tail of `shard` from `offset` into `file`:
+    /// [`Store::read_tail`].
     ///
     /// # Errors
     ///
     /// Filesystem or transport errors.
-    fn tail(&self, shard: usize, offset: u64) -> std::io::Result<ShardTail>;
+    fn tail(&self, shard: usize, offset: u64, file: Option<FileId>) -> std::io::Result<ShardTail>;
 }
 
 impl TailSource for Path {
-    fn tail(&self, shard: usize, offset: u64) -> std::io::Result<ShardTail> {
-        Store::read_tail(self, shard, offset)
+    fn tail(&self, shard: usize, offset: u64, file: Option<FileId>) -> std::io::Result<ShardTail> {
+        Store::read_tail(self, shard, offset, file)
     }
 }
 
@@ -545,7 +575,7 @@ impl ShardViews {
         source: &S,
     ) -> std::io::Result<MutexGuard<'_, ShardView>> {
         let mut view = self.lock(shard);
-        let tail = source.tail(shard, view.offset)?;
+        let tail = source.tail(shard, view.offset, view.file)?;
         view.apply(&tail);
         Ok(view)
     }
@@ -740,7 +770,7 @@ mod tests {
         let a = Record::alone(fp_a, "a".into(), 1.0);
         store.append(fp_a, &a).unwrap();
 
-        let first = Store::read_tail(&dir, 0, 0).unwrap();
+        let first = Store::read_tail(&dir, 0, 0, None).unwrap();
         assert!(!first.reset);
         assert!(first.bytes.ends_with(b"\n"));
         assert_eq!(first.next_offset, first.bytes.len() as u64);
@@ -749,7 +779,7 @@ mod tests {
         assert_eq!((fp, &rec), (fp_a, &a));
 
         // Nothing new: empty tail, same offset.
-        let again = Store::read_tail(&dir, 0, first.next_offset).unwrap();
+        let again = Store::read_tail(&dir, 0, first.next_offset, None).unwrap();
         assert!(again.bytes.is_empty());
         assert_eq!(again.next_offset, first.next_offset);
 
@@ -758,7 +788,7 @@ mod tests {
         let mut f = OpenOptions::new().append(true).open(&shard).unwrap();
         write!(f, "{{\"fp\":\"torn").unwrap();
         drop(f);
-        let torn = Store::read_tail(&dir, 0, first.next_offset).unwrap();
+        let torn = Store::read_tail(&dir, 0, first.next_offset, None).unwrap();
         assert!(torn.bytes.is_empty(), "torn fragment must be withheld");
         assert_eq!(torn.next_offset, first.next_offset);
 
@@ -768,7 +798,7 @@ mod tests {
         let b = Record::alone(fp_b, "b".into(), 2.0);
         let store = Store::open(&root, "c", &Value::Null).unwrap();
         store.append(fp_b, &b).unwrap();
-        let healed = Store::read_tail(&dir, 0, first.next_offset).unwrap();
+        let healed = Store::read_tail(&dir, 0, first.next_offset, None).unwrap();
         assert!(healed.bytes.ends_with(b"\n"));
         let lines: Vec<&str> = std::str::from_utf8(&healed.bytes)
             .unwrap()
@@ -779,9 +809,19 @@ mod tests {
         assert_eq!(Store::decode_line(lines[1]), Some((fp_b, b)));
 
         // Offset past EOF (compaction shrank the file): reset from 0.
-        let reset = Store::read_tail(&dir, 0, 1 << 30).unwrap();
+        let reset = Store::read_tail(&dir, 0, 1 << 30, None).unwrap();
         assert!(reset.reset);
         assert_eq!(reset.next_offset, healed.next_offset);
+
+        // The file the reader read is still there: no reset. Another file
+        // at the path (compaction replaced it): reset from 0.
+        let end = healed.next_offset;
+        assert_eq!(first.file, healed.file);
+        assert!(!Store::read_tail(&dir, 0, end, first.file).unwrap().reset);
+        let other = first.file.map(|(dev, ino, born)| (dev, ino + 1, born));
+        let replaced = Store::read_tail(&dir, 0, end, other).unwrap();
+        assert!(replaced.reset);
+        assert_eq!(replaced.next_offset, end);
 
         // A view folded over the same tails skips the torn line, and a
         // reset tail restarts it (dropping what only the old bytes held).
@@ -867,6 +907,7 @@ mod tests {
                         bytes: tail.into_bytes(),
                         next_offset: step as u64,
                         reset,
+                        file: None,
                     });
                 }
                 let keys: HashSet<u128> = view.records.keys().copied().collect();
@@ -897,7 +938,7 @@ mod tests {
         /// fresh one-shot read and the flat model over complete lines hold.
         #[test]
         fn refreshed_view_matches_a_fresh_read_and_the_line_model(
-            ops in prop::collection::vec((0u8..6, prop::collection::vec(0u8..14, 0..4), any::<u16>()), 1..24),
+            ops in prop::collection::vec((0u8..7, prop::collection::vec(0u8..14, 0..4), any::<u16>()), 1..24),
         ) {
             let root = tmpdir("one-reader");
             let dir = root.join("c");
@@ -918,6 +959,16 @@ mod tests {
                     4 => {
                         let keep: HashSet<u128> = (0..12).step_by(2).collect();
                         Store::compact(&root, "c", &keep).unwrap();
+                    }
+                    // Regrow: compaction keeps the odd fingerprints, and a
+                    // fresh writer appends before the next refresh.
+                    6 => {
+                        let keep: HashSet<u128> = (1..12).step_by(2).collect();
+                        Store::compact(&root, "c", &keep).unwrap();
+                        let store = Store::attach(&root, "c").unwrap();
+                        for v in items.iter().map(|v| v % 12) {
+                            store.append(Fingerprint(u128::from(v)), &record(v)).unwrap();
+                        }
                     }
                     _ => {
                         for v in items {
@@ -945,6 +996,31 @@ mod tests {
             }
             let _ = std::fs::remove_dir_all(root);
         }
+    }
+
+    /// A shard compacted and regrown to its view's offset before the next
+    /// refresh is a new file: the view restarts from byte 0 rather than
+    /// keep the compacted-away records and skip the regrown ones.
+    #[test]
+    fn a_compacted_then_regrown_shard_restarts_the_view() {
+        let root = tmpdir("regrow");
+        let store = Store::attach(&root, "c").unwrap();
+        let record = |fp: u128| Record::alone(Fingerprint(fp), "r".into(), 1.0);
+        for fp in [8, 16, 24] {
+            store.append(Fingerprint(fp), &record(fp)).unwrap(); // shard 0
+        }
+        assert_eq!(store.refresh(0).unwrap().offset, 300);
+        Store::compact(&root, "c", &[8].into_iter().collect()).unwrap();
+        let writer = Store::attach(&root, "c").unwrap();
+        for fp in [32, 40] {
+            writer.append(Fingerprint(fp), &record(fp)).unwrap();
+        }
+        assert_eq!(store.shard_size(0), 300, "regrown to the view's offset");
+        let view = store.refresh(0).unwrap();
+        assert_eq!(view.fingerprints, [8, 32, 40].into_iter().collect());
+        assert_eq!(view.records, Store::read_all(store.dir()).unwrap());
+        assert_eq!(view.offset, 300);
+        let _ = std::fs::remove_dir_all(root);
     }
 
     /// A record another writer appends between a refresh and this store's

@@ -1,27 +1,22 @@
 //! Zero-dependency metrics core for the DSARP reproduction.
 //!
-//! Every layer of the stack — simulator, campaign runner, campaign server —
-//! records into these primitives:
-//!
+//! * [`NBUCKETS`] / [`bucket_index`]: the log2 bucket rule (`[0], [1],
+//!   [2,3], [4,7], …`) the simulator's queue-depth histograms share;
 //! * [`Counter`]: a lock-free atomic;
-//! * [`Histogram`]: fixed log2 buckets (`[0], [1], [2,3], [4,7], …`) with
-//!   sum and count;
-//! * [`Family`]: the same metrics keyed by label values;
-//! * [`Registry`]: named registration plus the Prometheus text exposition
-//!   format ([`Registry::render_prometheus`]).
+//! * [`Histogram`]: the same buckets, atomic, with sum and count;
+//! * [`write_header`], [`Counter::write`] and [`Histogram::write`]: the
+//!   Prometheus text exposition lines (version 0.0.4) of one series.
 //!
 //! The crate deliberately depends on nothing (not even the workspace's
-//! vendored serde): it must be embeddable in every layer without dependency
-//! cycles, and its renderer is hand-written against the exposition
-//! format's escaping rules.
+//! vendored serde): it must be embeddable in every layer without
+//! dependency cycles. Names, HELP texts and labels are written verbatim:
+//! callers pass constants that need no escaping.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Number of log2 buckets a [`Histogram`] carries. Bucket 0 holds the
 /// value 0; bucket `i >= 1` holds values whose bit length is `i` (the
@@ -37,11 +32,26 @@ pub fn bucket_index(value: u64) -> usize {
 
 /// Inclusive upper bound of a bucket, or `None` for the last (`+Inf`)
 /// bucket.
-pub(crate) fn bucket_bound(index: usize) -> Option<u64> {
+fn bucket_bound(index: usize) -> Option<u64> {
     match index {
         0 => Some(0),
         i if i < NBUCKETS - 1 => Some((1u64 << i) - 1),
         _ => None,
+    }
+}
+
+/// Writes a metric family's `# HELP` and `# TYPE` lines; `kind` is
+/// `counter` or `histogram`.
+pub fn write_header(out: &mut String, name: &str, help: &str, kind: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+}
+
+/// `{labels}`, or nothing for no labels.
+fn braced(labels: &str) -> String {
+    if labels.is_empty() {
+        String::new()
+    } else {
+        format!("{{{labels}}}")
     }
 }
 
@@ -50,11 +60,6 @@ pub(crate) fn bucket_bound(index: usize) -> Option<u64> {
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// A counter at zero.
-    fn new() -> Self {
-        Self::default()
-    }
-
     /// Adds 1.
     pub fn inc(&self) {
         self.add(1);
@@ -66,8 +71,14 @@ impl Counter {
     }
 
     /// Current value.
-    fn get(&self) -> u64 {
+    pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
+    }
+
+    /// Writes this counter as the series `name{labels}`; `labels` is the
+    /// `k="v",…` list, empty for none.
+    pub fn write(&self, out: &mut String, name: &str, labels: &str) {
+        let _ = writeln!(out, "{name}{} {}", braced(labels), self.get());
     }
 }
 
@@ -101,252 +112,35 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Plain-data view of the current state. Taken bucket-by-bucket
-    /// without a global lock, so under concurrent writers the parts can
-    /// be transiently inconsistent (sum/count ahead of buckets) — each
-    /// part is individually monotonic.
-    fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            sum: self.sum.load(Ordering::Relaxed),
-            count: self.count.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data view of a [`Histogram`], with per-bucket (non-cumulative)
-/// counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct HistogramSnapshot {
-    /// Per-bucket observation counts (`buckets[i]` counts values in
-    /// bucket `i`; see [`bucket_bound`]).
-    pub buckets: Vec<u64>,
-    /// Sum of all observed values.
-    pub sum: u64,
     /// Number of observations.
-    pub count: u64,
-}
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
 
-/// A set of metrics of one kind, keyed by label values.
-///
-/// The label *names* live on the registry entry; a `Family` only stores
-/// one metric per distinct label-value tuple. Lookup takes a mutex, so
-/// hot paths should hold on to the returned `Arc` instead of re-resolving
-/// labels per event.
-#[derive(Debug, Default)]
-pub struct Family<M> {
-    series: Mutex<BTreeMap<Vec<String>, Arc<M>>>,
-}
-
-impl<M: Default> Family<M> {
-    /// An empty family.
-    fn new() -> Self {
-        Self {
-            series: Mutex::new(BTreeMap::new()),
+    /// Writes this histogram as one series: a cumulative
+    /// `name_bucket{labels,le=".."}` line per bucket, the last `+Inf`,
+    /// then `name_sum` and `name_count`. Read part by part without a
+    /// lock, so under concurrent writers the parts can be transiently
+    /// inconsistent (sum/count ahead of buckets); each is monotonic.
+    pub fn write(&self, out: &mut String, name: &str, labels: &str) {
+        let sep = if labels.is_empty() { "" } else { "," };
+        let mut cumulative = 0u64;
+        for (i, bucket) in self.buckets.iter().enumerate() {
+            cumulative += bucket.load(Ordering::Relaxed);
+            let le = bucket_bound(i).map_or_else(|| "+Inf".to_string(), |b| b.to_string());
+            let _ = writeln!(
+                out,
+                "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cumulative}"
+            );
         }
-    }
-
-    /// The metric for a label-value tuple, created on first use.
-    pub fn with_labels(&self, values: &[&str]) -> Arc<M> {
-        let key: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-        let mut series = self.series.lock().expect("family lock");
-        Arc::clone(series.entry(key).or_default())
-    }
-
-    /// All series as `(label values, metric)` pairs, sorted by labels.
-    fn collect(&self) -> Vec<(Vec<String>, Arc<M>)> {
-        let series = self.series.lock().expect("family lock");
-        series
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-            .collect()
-    }
-}
-
-/// What a registry entry holds.
-#[derive(Debug, Clone)]
-enum Metric {
-    Counter(Arc<Counter>),
-    CounterFamily(Arc<Family<Counter>>, Vec<String>),
-    HistogramFamily(Arc<Family<Histogram>>, Vec<String>),
-}
-
-#[derive(Debug, Clone)]
-struct Entry {
-    name: String,
-    help: String,
-    metric: Metric,
-}
-
-/// Named metric registration plus rendering.
-///
-/// Registration returns an `Arc` handle the instrumented code keeps; the
-/// registry itself is only walked at render time.
-#[derive(Debug, Default)]
-pub struct Registry {
-    entries: Mutex<Vec<Entry>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn register(&self, name: &str, help: &str, metric: Metric) {
-        debug_assert!(
-            name.chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
-            "invalid metric name `{name}`"
+        let labels = braced(labels);
+        let _ = writeln!(
+            out,
+            "{name}_sum{labels} {}",
+            self.sum.load(Ordering::Relaxed)
         );
-        let mut entries = self.entries.lock().expect("registry lock");
-        assert!(
-            entries.iter().all(|e| e.name != name),
-            "metric `{name}` registered twice"
-        );
-        entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            metric,
-        });
+        let _ = writeln!(out, "{name}_count{labels} {}", self.count());
     }
-
-    /// Registers and returns a counter.
-    pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        let c = Arc::new(Counter::new());
-        self.register(name, help, Metric::Counter(Arc::clone(&c)));
-        c
-    }
-
-    /// Registers and returns a labeled counter family.
-    pub fn counter_family(&self, name: &str, help: &str, labels: &[&str]) -> Arc<Family<Counter>> {
-        let f = Arc::new(Family::new());
-        self.register(
-            name,
-            help,
-            Metric::CounterFamily(
-                Arc::clone(&f),
-                labels.iter().map(|l| l.to_string()).collect(),
-            ),
-        );
-        f
-    }
-
-    /// Registers and returns a labeled histogram family.
-    pub fn histogram_family(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[&str],
-    ) -> Arc<Family<Histogram>> {
-        let f = Arc::new(Family::new());
-        self.register(
-            name,
-            help,
-            Metric::HistogramFamily(
-                Arc::clone(&f),
-                labels.iter().map(|l| l.to_string()).collect(),
-            ),
-        );
-        f
-    }
-
-    /// Renders every metric in the Prometheus text exposition format
-    /// (version 0.0.4): `# HELP`/`# TYPE` headers, escaped label values,
-    /// cumulative `_bucket{le=...}` series plus `_sum`/`_count` for
-    /// histograms.
-    pub fn render_prometheus(&self) -> String {
-        let entries = self.entries.lock().expect("registry lock").clone();
-        let mut out = String::new();
-        for e in &entries {
-            let kind = match &e.metric {
-                Metric::Counter(_) | Metric::CounterFamily(..) => "counter",
-                Metric::HistogramFamily(..) => "histogram",
-            };
-            let _ = writeln!(out, "# HELP {} {}", e.name, escape_help(&e.help));
-            let _ = writeln!(out, "# TYPE {} {kind}", e.name);
-            match &e.metric {
-                Metric::Counter(c) => {
-                    let _ = writeln!(out, "{} {}", e.name, c.get());
-                }
-                Metric::CounterFamily(f, names) => {
-                    for (values, c) in f.collect() {
-                        let _ = writeln!(
-                            out,
-                            "{}{} {}",
-                            e.name,
-                            label_block(&zip_labels(names, &values)),
-                            c.get()
-                        );
-                    }
-                }
-                Metric::HistogramFamily(f, names) => {
-                    for (values, h) in f.collect() {
-                        render_histogram(
-                            &mut out,
-                            &e.name,
-                            &zip_labels(names, &values),
-                            &h.snapshot(),
-                        );
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-fn zip_labels(names: &[String], values: &[String]) -> Vec<(String, String)> {
-    names.iter().cloned().zip(values.iter().cloned()).collect()
-}
-
-/// `{k="v",...}` with escaped values, or the empty string for no labels.
-fn label_block(labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let body: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
-
-fn render_histogram(
-    out: &mut String,
-    name: &str,
-    labels: &[(String, String)],
-    snap: &HistogramSnapshot,
-) {
-    let mut cumulative = 0u64;
-    for (i, count) in snap.buckets.iter().enumerate() {
-        cumulative += count;
-        let mut with_le = labels.to_vec();
-        let bound = match bucket_bound(i) {
-            Some(b) => b.to_string(),
-            None => "+Inf".to_string(),
-        };
-        with_le.push(("le".to_string(), bound));
-        let _ = writeln!(out, "{name}_bucket{} {cumulative}", label_block(&with_le));
-    }
-    let _ = writeln!(out, "{name}_sum{} {}", label_block(labels), snap.sum);
-    let _ = writeln!(out, "{name}_count{} {}", label_block(labels), snap.count);
-}
-
-/// Escapes a `# HELP` text: backslash and newline.
-fn escape_help(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-/// Escapes a label value: backslash, double quote and newline.
-fn escape_label_value(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
 }
 
 #[cfg(test)]
@@ -378,54 +172,62 @@ mod tests {
         assert_eq!(bucket_bound(NBUCKETS - 1), None);
     }
 
+    /// The per-bucket (non-cumulative) counts of `h`.
+    fn buckets(h: &Histogram) -> Vec<u64> {
+        h.buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect()
+    }
+
     #[test]
     fn histogram_accumulates_sum_and_count() {
         let h = Histogram::default();
         for v in [0, 1, 2, 3, 100] {
             h.observe(v);
         }
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 5);
-        assert_eq!(snap.sum, 106);
-        assert_eq!(snap.buckets[0], 1); // 0
-        assert_eq!(snap.buckets[1], 1); // 1
-        assert_eq!(snap.buckets[2], 2); // 2, 3
-        assert_eq!(snap.buckets[7], 1); // 100 in [64,127]
-    }
-
-    #[test]
-    fn prometheus_text_escapes_and_renders_labels() {
-        let r = Registry::new();
-        let f = r.counter_family("dsarp_test_total", "help with \\ and\nnewline", &["label"]);
-        f.with_labels(&["quote\" slash\\ nl\n"]).add(3);
-        let text = r.render_prometheus();
-        assert!(text.contains("# HELP dsarp_test_total help with \\\\ and\\nnewline\n"));
-        assert!(text.contains("# TYPE dsarp_test_total counter\n"));
-        assert!(text.contains("dsarp_test_total{label=\"quote\\\" slash\\\\ nl\\n\"} 3\n"));
+        assert_eq!(h.count(), 5);
+        assert_eq!(h.sum.load(Ordering::Relaxed), 106);
+        let b = buckets(&h);
+        assert_eq!(b[0], 1); // 0
+        assert_eq!(b[1], 1); // 1
+        assert_eq!(b[2], 2); // 2, 3
+        assert_eq!(b[7], 1); // 100 in [64,127]
     }
 
     #[test]
     fn prometheus_histogram_is_cumulative_with_inf() {
-        let r = Registry::new();
-        let h = r
-            .histogram_family("dsarp_lat", "latency", &[])
-            .with_labels(&[]);
+        let h = Histogram::default();
         h.observe(1);
         h.observe(3);
-        h.observe(u64::MAX);
-        let text = r.render_prometheus();
-        assert!(text.contains("dsarp_lat_bucket{le=\"0\"} 0\n"));
-        assert!(text.contains("dsarp_lat_bucket{le=\"1\"} 1\n"));
-        assert!(text.contains("dsarp_lat_bucket{le=\"3\"} 2\n"));
-        assert!(text.contains("dsarp_lat_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("dsarp_lat_count 3\n"));
+        h.observe(1 << 40);
+        let mut text = String::new();
+        h.write(&mut text, "dsarp_lat", "");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), NBUCKETS + 2);
+        assert_eq!(lines[0], "dsarp_lat_bucket{le=\"0\"} 0");
+        assert_eq!(lines[1], "dsarp_lat_bucket{le=\"1\"} 1");
+        assert_eq!(lines[2], "dsarp_lat_bucket{le=\"3\"} 2");
+        assert_eq!(lines[3], "dsarp_lat_bucket{le=\"7\"} 2");
+        assert_eq!(lines[30], "dsarp_lat_bucket{le=\"1073741823\"} 2");
+        assert_eq!(lines[31], "dsarp_lat_bucket{le=\"+Inf\"} 3");
+        assert_eq!(lines[32], "dsarp_lat_sum 1099511627780");
+        assert_eq!(lines[33], "dsarp_lat_count 3");
+
+        // With labels, `le` comes last inside the same block.
+        let mut text = String::new();
+        h.write(&mut text, "dsarp_lat", "route=\"/x\"");
+        assert!(text.starts_with("dsarp_lat_bucket{route=\"/x\",le=\"0\"} 0\n"));
+        assert!(text.ends_with(
+            "dsarp_lat_sum{route=\"/x\"} 1099511627780\ndsarp_lat_count{route=\"/x\"} 3\n"
+        ));
     }
 
     #[test]
     fn hammer_concurrent_counters_and_histograms_lose_nothing() {
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 50_000;
-        let c = Counter::new();
+        let c = Counter::default();
         let h = Histogram::default();
         std::thread::scope(|s| {
             for t in 0..THREADS {
@@ -440,24 +242,10 @@ mod tests {
             }
         });
         assert_eq!(c.get(), THREADS * PER_THREAD);
-        let snap = h.snapshot();
-        assert_eq!(snap.count, THREADS * PER_THREAD);
-        assert_eq!(snap.buckets.iter().sum::<u64>(), THREADS * PER_THREAD);
+        assert_eq!(h.count(), THREADS * PER_THREAD);
+        assert_eq!(buckets(&h).iter().sum::<u64>(), THREADS * PER_THREAD);
         // Sum of 0..N-1 observed exactly once each.
         let n = THREADS * PER_THREAD;
-        assert_eq!(snap.sum, n * (n - 1) / 2);
-    }
-
-    #[test]
-    fn family_series_are_shared_and_sorted() {
-        let f: Family<Counter> = Family::new();
-        f.with_labels(&["b"]).inc();
-        f.with_labels(&["a"]).inc();
-        f.with_labels(&["b"]).inc();
-        let series = f.collect();
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0].0, vec!["a".to_string()]);
-        assert_eq!(series[1].0, vec!["b".to_string()]);
-        assert_eq!(series[1].1.get(), 2);
+        assert_eq!(h.sum.load(Ordering::Relaxed), n * (n - 1) / 2);
     }
 }

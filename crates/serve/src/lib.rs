@@ -34,16 +34,18 @@
 //! and a matching `If-None-Match` short-circuits to `304 Not Modified`
 //! without touching the store. Cells, exports and append dedup read the
 //! store's [`dsarp_campaign::store::ShardViews`]: a shard costs one `stat`,
-//! and is reopened only when its length moved (another process appended,
-//! or compaction shrank it); the server's own appends join the view.
+//! and is reopened only when its length or its file moved (another
+//! process appended, or compaction rewrote it); the server's own appends
+//! join the view.
 //!
-//! Every request is also counted into a [`dsarp_obs::Registry`]:
+//! Every request is also counted into one fixed metric table:
 //! `dsarp_http_requests_total{method,route,code}`,
 //! `dsarp_http_request_duration_us{route}` and the request/response byte
 //! counters, scraped at `GET /metrics`. Routes are normalized (the shard
 //! number or fingerprint collapses to a `{..}` placeholder) and methods
-//! other than `GET`/`POST` are labelled `other`, so label cardinality is
-//! bounded by the route table above, not by traffic.
+//! other than `GET`/`POST` are labelled `other`, so the table is sized by
+//! the route table above and every label is a constant, whatever the
+//! traffic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,79 +55,100 @@ use dsarp_campaign::lease::{self, Acquire, Lease};
 use dsarp_campaign::remote::{AppendReply, CampaignInfo, LeaseReply, LeaseRequest, SizesReply};
 use dsarp_campaign::store::{ShardTail, FORMAT_VERSION, SHARDS};
 use dsarp_campaign::{CampaignPlan, CampaignSpec, CampaignStatus, Fingerprint, Store};
-use dsarp_obs::{Counter, Family, Histogram, Registry};
+use dsarp_obs::{write_header, Counter, Histogram};
 use dsarp_sim::experiments::report;
 use minihttp::{Request, Response, Server};
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Request-level server metrics, registered once and bumped per request.
+/// Request-level server metrics: one fixed table, indexed by the label
+/// constants below, so recording a request takes no lock and allocates
+/// nothing.
 #[derive(Debug)]
 struct ServerMetrics {
-    registry: Registry,
-    requests: Arc<Family<Counter>>,
-    latency: Arc<Family<Histogram>>,
-    /// The series of `requests`, by [`series_index`]; each is resolved
-    /// from its family on first use, so that recording a request takes
-    /// no lock and allocates nothing. A series is created only once a
-    /// request needs it, as the family alone would.
-    request_series: Vec<OnceLock<Arc<Counter>>>,
-    /// The series of `latency`, by [`Route`].
-    latency_series: Vec<OnceLock<Arc<Histogram>>>,
-    request_bytes: Arc<Counter>,
-    response_bytes: Arc<Counter>,
+    /// `dsarp_http_requests_total`, by [`series_index`].
+    requests: [Counter; METHODS.len() * Route::COUNT * CLASSES.len()],
+    /// `dsarp_http_request_duration_us`, by [`Route`].
+    latency: [Histogram; Route::COUNT],
+    request_bytes: Counter,
+    response_bytes: Counter,
 }
+
+/// Each metric family's `(name, HELP text)`, in exposition order.
+const REQUESTS: (&str, &str) = (
+    "dsarp_http_requests_total",
+    "HTTP requests served, by method, normalized route and status class",
+);
+const LATENCY: (&str, &str) = (
+    "dsarp_http_request_duration_us",
+    "Request handling latency in microseconds, by normalized route",
+);
+const REQUEST_BYTES: (&str, &str) = (
+    "dsarp_http_request_bytes_total",
+    "Request body bytes received",
+);
+const RESPONSE_BYTES: (&str, &str) = (
+    "dsarp_http_response_bytes_total",
+    "Response body bytes sent",
+);
 
 impl ServerMetrics {
     fn new() -> Self {
-        let registry = Registry::new();
-        let requests = registry.counter_family(
-            "dsarp_http_requests_total",
-            "HTTP requests served, by method, normalized route and status class",
-            &["method", "route", "code"],
-        );
-        let latency = registry.histogram_family(
-            "dsarp_http_request_duration_us",
-            "Request handling latency in microseconds, by normalized route",
-            &["route"],
-        );
-        let request_bytes = registry.counter(
-            "dsarp_http_request_bytes_total",
-            "Request body bytes received",
-        );
-        let response_bytes = registry.counter(
-            "dsarp_http_response_bytes_total",
-            "Response body bytes sent",
-        );
         ServerMetrics {
-            registry,
-            requests,
-            latency,
-            request_series: (0..METHODS.len() * Route::COUNT * CLASSES.len())
-                .map(|_| OnceLock::new())
-                .collect(),
-            latency_series: (0..Route::COUNT).map(|_| OnceLock::new()).collect(),
-            request_bytes,
-            response_bytes,
+            requests: std::array::from_fn(|_| Counter::default()),
+            latency: std::array::from_fn(|_| Histogram::default()),
+            request_bytes: Counter::default(),
+            response_bytes: Counter::default(),
         }
     }
 
     /// Counts one handled request.
     fn record(&self, req: &Request, route: Route, resp: &Response, us: u64) {
         let (method, class) = (method_index(&req.method), class_index(resp.status));
-        self.request_series[series_index(method, route, class)]
-            .get_or_init(|| {
-                self.requests
-                    .with_labels(&[METHODS[method], route.label(), CLASSES[class]])
-            })
-            .inc();
-        self.latency_series[route as usize]
-            .get_or_init(|| self.latency.with_labels(&[route.label()]))
-            .observe(us);
+        self.requests[series_index(method, route, class)].inc();
+        self.latency[route as usize].observe(us);
         self.request_bytes.add(req.body.len() as u64);
         self.response_bytes.add(resp.body.len() as u64);
+    }
+
+    /// The Prometheus text exposition: each family's header, then every
+    /// labelled series that has counted a request: a series appears with
+    /// its first request. Labels come from the constants, `method`,
+    /// `route`, `code` in that order.
+    fn render(&self) -> String {
+        let mut out = String::new();
+        write_header(&mut out, REQUESTS.0, REQUESTS.1, "counter");
+        for (method, method_label) in METHODS.iter().enumerate() {
+            for route in Route::ALL {
+                for (class, class_label) in CLASSES.iter().enumerate() {
+                    let series = &self.requests[series_index(method, route, class)];
+                    if series.get() > 0 {
+                        let labels = format!(
+                            "method=\"{method_label}\",route=\"{}\",code=\"{class_label}\"",
+                            route.label()
+                        );
+                        series.write(&mut out, REQUESTS.0, &labels);
+                    }
+                }
+            }
+        }
+        write_header(&mut out, LATENCY.0, LATENCY.1, "histogram");
+        for route in Route::ALL {
+            let series = &self.latency[route as usize];
+            if series.count() > 0 {
+                series.write(&mut out, LATENCY.0, &format!("route=\"{}\"", route.label()));
+            }
+        }
+        for (counter, (name, help)) in [
+            (&self.request_bytes, REQUEST_BYTES),
+            (&self.response_bytes, RESPONSE_BYTES),
+        ] {
+            write_header(&mut out, name, help, "counter");
+            counter.write(&mut out, name, "");
+        }
+        out
     }
 }
 
@@ -158,6 +181,21 @@ enum Route {
 impl Route {
     /// How many routes there are, `Other` included.
     const COUNT: usize = Route::Other as usize + 1;
+
+    /// Every route, in declaration (and exposition) order.
+    const ALL: [Route; Route::COUNT] = [
+        Route::Healthz,
+        Route::Campaign,
+        Route::Shards,
+        Route::ShardTail,
+        Route::ShardAppend,
+        Route::Lease,
+        Route::Cell,
+        Route::Export,
+        Route::Metrics,
+        Route::Status,
+        Route::Other,
+    ];
 
     fn of(method: &str, segments: &[&str]) -> Route {
         match (method, segments) {
@@ -210,7 +248,7 @@ fn class_index(status: u16) -> usize {
 }
 
 /// Where one `(method, route, code)` series sits in
-/// `ServerMetrics::request_series`.
+/// `ServerMetrics::requests`.
 fn series_index(method: usize, route: Route, class: usize) -> usize {
     (method * Route::COUNT + route as usize) * CLASSES.len() + class
 }
@@ -317,15 +355,11 @@ impl CampaignServer {
         })
     }
 
-    /// `GET /metrics`: the registry in Prometheus text exposition format.
+    /// `GET /metrics`: the metric table in Prometheus text exposition format.
     /// The scrape itself is counted, but into the NEXT scrape's view (a
     /// response cannot include its own accounting).
     fn metrics_text(&self) -> Response {
-        Response::with_body(
-            200,
-            "text/plain; version=0.0.4",
-            self.metrics.registry.render_prometheus(),
-        )
+        Response::with_body(200, "text/plain; version=0.0.4", self.metrics.render())
     }
 
     /// `GET /status`: the [`CampaignStatus`] `experiments status` renders,
@@ -365,7 +399,8 @@ impl CampaignServer {
             })?,
             None => 0,
         };
-        let tail: ShardTail = Store::read_tail(self.store.dir(), shard, offset)?;
+        // A client's offset comes with no file identity: only a shrink resets.
+        let tail: ShardTail = Store::read_tail(self.store.dir(), shard, offset, None)?;
         Ok(Response::with_body(200, "application/x-ndjson", tail.bytes)
             .header("x-next-offset", &tail.next_offset.to_string())
             .header("x-shard-reset", if tail.reset { "1" } else { "0" }))
@@ -540,5 +575,119 @@ impl CampaignServer {
             return Ok(Response::new(304).header("etag", &etag));
         }
         Ok(Response::with_body(200, "text/csv", csv.into_bytes()).header("etag", &etag))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsarp_sim::experiments::harness::Scale;
+
+    fn request(method: &str, path: &str) -> Request {
+        Request {
+            method: method.into(),
+            path: path.into(),
+            query: Vec::new(),
+            headers: Vec::new(),
+            body: Vec::new(),
+        }
+    }
+
+    /// A scrape after `GET /healthz` twice and one `FOO /x` shows exactly
+    /// the series those requests hit, each family under its header.
+    #[test]
+    fn metrics_text_lists_exactly_the_series_hit() {
+        let root = std::env::temp_dir()
+            .join("dsarp-serve-unit-tests")
+            .join(format!("exposition-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let server = CampaignServer::new(&root, CampaignSpec::new("m", Scale::quick())).unwrap();
+        for req in [
+            request("GET", "/healthz"),
+            request("GET", "/healthz"),
+            request("FOO", "/x"),
+        ] {
+            server.handle(&req);
+        }
+        let text = server.handle(&request("GET", "/metrics")).text_body();
+        let _ = std::fs::remove_dir_all(&root);
+
+        let (latency, rest): (Vec<&str>, Vec<&str>) = text
+            .lines()
+            .partition(|l| l.starts_with("dsarp_http_request_duration_us_"));
+        assert_eq!(
+            rest,
+            [
+                "# HELP dsarp_http_requests_total HTTP requests served, by method, normalized route and status class",
+                "# TYPE dsarp_http_requests_total counter",
+                "dsarp_http_requests_total{method=\"GET\",route=\"/healthz\",code=\"2xx\"} 2",
+                "dsarp_http_requests_total{method=\"other\",route=\"other\",code=\"4xx\"} 1",
+                "# HELP dsarp_http_request_duration_us Request handling latency in microseconds, by normalized route",
+                "# TYPE dsarp_http_request_duration_us histogram",
+                "# HELP dsarp_http_request_bytes_total Request body bytes received",
+                "# TYPE dsarp_http_request_bytes_total counter",
+                "dsarp_http_request_bytes_total 0",
+                "# HELP dsarp_http_response_bytes_total Response body bytes sent",
+                "# TYPE dsarp_http_response_bytes_total counter",
+                // "ok" twice, then "no route for FOO /x".
+                "dsarp_http_response_bytes_total 23",
+            ],
+            "{text}"
+        );
+        assert!(
+            text.contains(
+                "# TYPE dsarp_http_request_duration_us histogram\n\
+                 dsarp_http_request_duration_us_bucket{route=\"/healthz\",le=\"0\"} "
+            ),
+            "{text}"
+        );
+        // Latencies are timed, so their values are checked for shape: one
+        // complete block per route hit, cumulative up to `+Inf`.
+        let hit = [("/healthz", 2), ("other", 1)];
+        assert_eq!(latency.len(), hit.len() * 34, "{text}");
+        for (block, (route, hits)) in latency.chunks(34).zip(hit) {
+            let value = |line: &str, series: &str| -> u64 {
+                let (name, value) = line.rsplit_once(' ').unwrap();
+                assert_eq!(name, series);
+                value.parse().unwrap()
+            };
+            let mut last = 0;
+            for (i, line) in block[..32].iter().enumerate() {
+                let le = match i {
+                    0 => "0".to_string(),
+                    31 => "+Inf".to_string(),
+                    i => ((1u64 << i) - 1).to_string(),
+                };
+                let series = format!(
+                    "dsarp_http_request_duration_us_bucket{{route=\"{route}\",le=\"{le}\"}}"
+                );
+                let cumulative = value(line, &series);
+                assert!(cumulative >= last, "{line}");
+                last = cumulative;
+            }
+            assert_eq!(last, hits);
+            value(
+                block[32],
+                &format!("dsarp_http_request_duration_us_sum{{route=\"{route}\"}}"),
+            );
+            let count = format!("dsarp_http_request_duration_us_count{{route=\"{route}\"}}");
+            assert_eq!(value(block[33], &count), hits);
+        }
+    }
+
+    /// Names, HELP texts and labels are written verbatim, which is valid
+    /// exposition text only while none of them needs escaping.
+    #[test]
+    fn help_texts_and_labels_need_no_escaping() {
+        let families = [REQUESTS, LATENCY, REQUEST_BYTES, RESPONSE_BYTES];
+        let constants = families
+            .iter()
+            .flat_map(|&(name, help)| [name, help])
+            .chain(METHODS)
+            .chain(CLASSES)
+            .chain(Route::ALL.map(Route::label));
+        for text in constants {
+            assert!(!text.contains(['\\', '"', '\n']), "{text:?}");
+        }
     }
 }

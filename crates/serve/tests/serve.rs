@@ -507,6 +507,26 @@ fn cell_reads_see_direct_appends_and_compaction() {
     assert_eq!(stats.dropped_orphans, 1);
     assert_eq!(cell(a).status, 404, "compaction must reset the view");
     assert_eq!(cell(b).status, 200);
+
+    // Compacted, then regrown past the server's offset before its next
+    // read: the shard is a new file, and is reread from its start.
+    let (c, d, e) = (Fingerprint(24), Fingerprint(32), Fingerprint(40));
+    let append_fresh = |fps: &[Fingerprint]| {
+        let writer = Store::attach(&dir, &spec.name).unwrap();
+        for &fp in fps {
+            writer
+                .append(fp, &Record::alone(fp, "r".into(), 3.0))
+                .unwrap();
+        }
+    };
+    append_fresh(&[c]);
+    assert_eq!(cell(c).status, 200);
+    let keep: HashSet<u128> = [c.0].into_iter().collect();
+    Store::compact(&dir, &spec.name, &keep).unwrap();
+    append_fresh(&[d, e]);
+    assert_eq!(cell(d).status, 200, "a regrown shard must be reread");
+    assert_eq!(cell(e).status, 200);
+    assert_eq!(cell(b).status, 404, "compaction must reset the view");
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -86,14 +86,14 @@ pub struct RefreshTelemetry {
     pub sarp_parallel_acts: u64,
 }
 
-/// A plain-data log2 histogram using the same bucket layout as
-/// [`dsarp_obs::Histogram`] (so bounds and rendering agree), but owned and
+/// A plain-data log2 histogram using the same bucket rule as
+/// [`dsarp_obs::Histogram`] ([`dsarp_obs::bucket_index`]), but owned and
 /// serializable — the simulator is single-threaded per run and the result
 /// travels inside [`SimTelemetry`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DepthHistogram {
-    /// Per-bucket counts; `buckets[i]` counts values in bucket `i` of
-    /// [`dsarp_obs::bucket_bound`].
+    /// Per-bucket counts; `buckets[i]` counts values `v` with
+    /// `bucket_index(v) == i` (0, 1, 2-3, 4-7, …; the last is open).
     pub buckets: Vec<u64>,
     /// Sum of observed values.
     pub sum: u64,
