@@ -186,6 +186,9 @@ impl RemoteStore {
 
     /// One request with transient-failure retries; the shared connection
     /// is held across the call, serializing requests from worker threads.
+    /// A panic during an earlier request (in a retry observer, say) may
+    /// have left its response half-read on the connection: the next
+    /// request recovers the lock and starts on a fresh connection.
     fn request(
         &self,
         method: &str,
@@ -194,7 +197,12 @@ impl RemoteStore {
         body: &[u8],
         what: &str,
     ) -> io::Result<Response> {
-        let mut client = self.client.lock().expect("client lock poisoned");
+        let mut client = self.client.lock().unwrap_or_else(|poisoned| {
+            let mut client = poisoned.into_inner();
+            *client = Client::new(client.addr());
+            self.client.clear_poison();
+            client
+        });
         retry::retry_transient(
             &self.policy,
             self.seed,
@@ -322,6 +330,9 @@ impl StoreBackend for RemoteStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minihttp::Server;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn host_of_strips_scheme_and_slashes() {
@@ -339,5 +350,46 @@ mod tests {
         let err = check(Response::text(404, "nope"), "op").unwrap_err();
         assert!(!retry::is_transient(err.kind()));
         assert!(check(Response::text(200, "ok"), "op").is_ok());
+    }
+
+    /// A retry observer that panics poisons the client lock mid-request;
+    /// the next request still goes through, on a fresh connection.
+    #[test]
+    fn a_panicking_retry_observer_does_not_poison_later_requests() {
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let (addr, handle) = (server.local_addr().unwrap(), server.handle().unwrap());
+        let served = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&served);
+        let serving = std::thread::spawn(move || {
+            server.serve(move |_| match count.fetch_add(1, Ordering::SeqCst) {
+                0 => Response::text(503, "busy"),
+                _ => Response::text(200, "ok"),
+            })
+        });
+        let mut store = RemoteStore {
+            url: format!("http://{addr}"),
+            client: Mutex::new(Client::new(addr.to_string())),
+            views: ShardViews::default(),
+            policy: RetryPolicy::remote(),
+            seed: 0,
+            observer: ObserverCell::default(),
+        };
+        let panicked = AtomicBool::new(false);
+        store.set_retry_observer(Box::new(move |_, _, _, _| {
+            if !panicked.swap(true, Ordering::SeqCst) {
+                panic!("observer panics once");
+            }
+        }));
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.request("GET", "/x", &[], &[], "first")
+        }));
+        assert!(first.is_err(), "the observer's panic propagates");
+        assert!(store.client.is_poisoned());
+        let resp = store.request("GET", "/x", &[], &[], "second").unwrap();
+        assert_eq!(resp.text_body(), "ok");
+        assert!(!store.client.is_poisoned());
+        assert_eq!(served.load(Ordering::SeqCst), 2);
+        handle.shutdown();
+        serving.join().unwrap().unwrap();
     }
 }

@@ -44,6 +44,12 @@ pub const FORMAT_VERSION: u32 = 1;
 /// filesystem keeps no birth time it is `None`.
 pub type FileId = (u64, u64, Option<std::time::SystemTime>);
 
+/// The [`FileId`] of the file `meta` describes.
+fn file_id(meta: &std::fs::Metadata) -> FileId {
+    use std::os::unix::fs::MetadataExt;
+    (meta.dev(), meta.ino(), meta.created().ok())
+}
+
 /// One cached result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Record {
@@ -95,9 +101,10 @@ struct Manifest {
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
-    /// Per-shard append handles, lazily opened; mutexed so executor worker
-    /// threads can flush completed jobs concurrently.
-    writers: Vec<Mutex<Option<File>>>,
+    /// Per-shard append handles and the identity of the file each writes
+    /// to, lazily opened; mutexed so executor worker threads can flush
+    /// completed jobs concurrently.
+    writers: Vec<Mutex<Option<(File, FileId)>>>,
     /// What this process has read of every shard.
     views: ShardViews,
 }
@@ -127,7 +134,8 @@ impl Store {
 
     /// Writes `manifest.json` (format version, campaign name, `manifest`
     /// as the spec echo) into the store directory for `campaign_name`
-    /// under `root`, creating it if needed. [`Store::open`] does this
+    /// under `root`, creating it if needed; a manifest already holding
+    /// those bytes is left untouched. [`Store::open`] does this
     /// itself; a process that only [`Store::attach`]es calls it to leave
     /// the same directory behind.
     ///
@@ -141,18 +149,26 @@ impl Store {
     ) -> std::io::Result<()> {
         let dir = root.join(campaign_name);
         std::fs::create_dir_all(&dir)?;
+        let path = dir.join("manifest.json");
         let doc = Manifest {
             format_version: FORMAT_VERSION,
             campaign: campaign_name.into(),
             spec: manifest.clone(),
         };
+        let text = format!(
+            "{}\n",
+            serde_json::to_string(&doc).expect("manifests serialize")
+        );
+        // Every open of an unchanged spec lands here: leave those bytes be.
+        if std::fs::read(&path).is_ok_and(|old| old == text.as_bytes()) {
+            return Ok(());
+        }
         // Written via a pid-unique temp file + rename: concurrent worker
         // processes open the same store, and interleaved direct writes
         // could tear the manifest.
         let tmp = dir.join(format!("manifest.json.tmp-{}", std::process::id()));
-        let json = serde_json::to_string(&doc).expect("manifests serialize");
-        std::fs::write(&tmp, format!("{json}\n"))?;
-        std::fs::rename(&tmp, dir.join("manifest.json"))
+        std::fs::write(&tmp, text)?;
+        std::fs::rename(&tmp, path)
     }
 
     /// Attaches to (creating if needed) the store directory for
@@ -252,6 +268,11 @@ impl Store {
     /// read from the write's own end position: a later `stat` could count
     /// a foreign append as read. Otherwise the next refresh reads the gap.
     ///
+    /// The refresh also told `view` which file the shard path names: an
+    /// append handle open on another one (compaction renamed a rewritten
+    /// shard over it, or deleted it) would write into an unlinked file, so
+    /// it is reopened first. A plain [`Store::append`] keeps its handle.
+    ///
     /// # Errors
     ///
     /// Propagates filesystem errors; on error, `view` is unchanged.
@@ -267,6 +288,11 @@ impl Store {
         let mut guard = self.writers[shard]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
+        if let (Some(view), Some((_, id))) = (&view, guard.as_ref()) {
+            if view.file != Some(*id) {
+                *guard = None;
+            }
+        }
         if guard.is_none() {
             use std::io::{Read, SeekFrom};
             let mut file = OpenOptions::new()
@@ -286,9 +312,10 @@ impl Store {
             if last[0] != b'\n' {
                 file.write_all(b"\n")?;
             }
-            *guard = Some(file);
+            let id = file_id(&file.metadata()?);
+            *guard = Some((file, id));
         }
-        let file = guard.as_mut().expect("just opened");
+        let (file, id) = guard.as_mut().expect("just opened");
         let line = format!("{}\n", Self::encode_line(record));
         file.write_all(line.as_bytes())?;
         file.flush()?;
@@ -298,6 +325,7 @@ impl Store {
             view.insert(fp, record.clone());
             if end - line.len() as u64 == view.offset {
                 view.offset = end;
+                view.file = Some(*id);
             }
         }
         Ok(())
@@ -354,13 +382,9 @@ impl Store {
         file: Option<FileId>,
     ) -> std::io::Result<ShardTail> {
         use std::io::{ErrorKind::NotFound, Read, SeekFrom};
-        use std::os::unix::fs::MetadataExt;
         let path = Self::shard_file(campaign_dir, shard);
         let (len, id) = match std::fs::metadata(&path) {
-            Ok(meta) => (
-                meta.len(),
-                Some((meta.dev(), meta.ino(), meta.created().ok())),
-            ),
+            Ok(meta) => (meta.len(), Some(file_id(&meta))),
             Err(e) if e.kind() == NotFound => (0, None),
             Err(e) => return Err(e),
         };
@@ -1020,6 +1044,57 @@ mod tests {
         assert_eq!(view.fingerprints, [8, 32, 40].into_iter().collect());
         assert_eq!(view.records, Store::read_all(store.dir()).unwrap());
         assert_eq!(view.offset, 300);
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// The server path's append handle follows the shard file: after
+    /// compaction renames a rewritten shard over it, or deletes an emptied
+    /// one, the next append lands in the file the path names, not in the
+    /// unlinked one the handle had open.
+    #[test]
+    fn a_server_append_after_compaction_lands_in_the_current_file() {
+        let root = tmpdir("append-after-compact");
+        let store = Store::attach(&root, "c").unwrap();
+        let append = |fp: u128| {
+            let mut view = store.refresh(0).unwrap();
+            let record = Record::alone(Fingerprint(fp), "r".into(), 1.0);
+            store
+                .append_locked(Fingerprint(fp), &record, Some(&mut view))
+                .unwrap();
+        };
+        let on_disk =
+            || -> HashSet<u128> { Store::read_all(store.dir()).unwrap().into_keys().collect() };
+        append(8); // shard 0
+        Store::compact(&root, "c", &[8].into_iter().collect()).unwrap();
+        append(16);
+        assert_eq!(on_disk(), [8, 16].into_iter().collect());
+        Store::compact(&root, "c", &HashSet::new()).unwrap();
+        append(24);
+        append(32);
+        assert_eq!(on_disk(), [24, 32].into_iter().collect());
+        assert_eq!(store.refresh(0).unwrap().fingerprints, on_disk());
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// Opening a store with the spec its manifest already echoes leaves
+    /// the file alone; another spec replaces it.
+    #[test]
+    fn an_unchanged_manifest_is_not_rewritten() {
+        use std::os::unix::fs::MetadataExt;
+        let root = tmpdir("manifest");
+        let path = root.join("c/manifest.json");
+        let inode = || std::fs::metadata(&path).unwrap().ino();
+        Store::open(&root, "c", &Value::Null).unwrap();
+        let first = inode();
+        Store::open(&root, "c", &Value::Null).unwrap();
+        assert_eq!(inode(), first);
+        Store::open(&root, "c", &Value::Bool(true)).unwrap();
+        assert_ne!(inode(), first);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            text,
+            format!("{{\"format_version\":{FORMAT_VERSION},\"campaign\":\"c\",\"spec\":true}}\n")
+        );
         let _ = std::fs::remove_dir_all(root);
     }
 
