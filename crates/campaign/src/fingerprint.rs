@@ -7,7 +7,7 @@
 //! while re-serializing an identical key always reproduces it.
 
 use dsarp_cpu::Fnv128;
-use serde::value::write_json_string;
+use serde::{Serialize, Writer};
 use serde_json::Value;
 use std::fmt::{self, Write};
 
@@ -57,7 +57,10 @@ impl Write for Hasher {
 
 /// Fingerprints a value tree via its canonical rendering.
 pub fn fingerprint_value(v: &Value) -> Fingerprint {
-    fingerprint_bytes(canonical(v).as_bytes())
+    let mut h = Hasher::new();
+    v.serialize(&mut Writer::canonical(&mut h))
+        .expect("hashing cannot fail");
+    h.finish()
 }
 
 /// Fingerprints raw bytes (same FNV-1a-128 as [`fingerprint_value`]).
@@ -69,45 +72,6 @@ pub fn fingerprint_bytes(bytes: &[u8]) -> Fingerprint {
     let mut h = Fnv128::new();
     h.update(bytes);
     Fingerprint(h.finish())
-}
-
-/// Renders `v` as JSON with object keys sorted recursively, so field
-/// declaration order never leaks into fingerprints.
-pub(crate) fn canonical(v: &Value) -> String {
-    let mut out = String::new();
-    render_canonical(v, &mut out).expect("writing to a String cannot fail");
-    out
-}
-
-fn render_canonical(v: &Value, out: &mut String) -> fmt::Result {
-    match v {
-        Value::Object(m) => {
-            let mut entries: Vec<(&String, &Value)> = m.iter().collect();
-            entries.sort_by_key(|(k, _)| k.as_str());
-            out.push('{');
-            for (i, (k, val)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json_string(out, k)?;
-                out.push(':');
-                render_canonical(val, out)?;
-            }
-            out.push('}');
-        }
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_canonical(item, out)?;
-            }
-            out.push(']');
-        }
-        scalar => write!(out, "{scalar}")?,
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
 //! Individual simulation jobs: the unit of caching and execution.
 
-use crate::fingerprint::{canonical, Fingerprint, Hasher};
+use crate::fingerprint::{Fingerprint, Hasher};
 use crate::traces::{TraceRef, TraceWorkload};
 use dsarp_sim::{SimConfig, SimTelemetry, SystemBuilder, WarmKey, WarmState};
 use dsarp_workloads::{BenchmarkSpec, Workload};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Writer};
 use serde_json::{Map, Value};
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// The raw, normalization-free result of one multiprogrammed run — enough
 /// to recompute every [`dsarp_sim::Metrics`] once alone-IPCs are known.
@@ -121,16 +121,14 @@ impl Job {
 
     /// What the job runs, as it enters the key: benchmark parameters, or
     /// each trace's content hash.
-    fn content(&self) -> Value {
-        let hash = |t: &TraceRef| Value::String(t.content_hash.to_string());
+    fn write_content<W: Write>(&self, w: &mut Writer<W>) -> fmt::Result {
         match self {
-            Job::Alone { bench, .. } => serde_json::to_value(bench).expect("infallible"),
-            Job::Grid { workload, .. } => {
-                serde_json::to_value(&workload.benchmarks).expect("infallible")
-            }
-            Job::TraceAlone { trace, .. } => hash(trace),
+            Job::Alone { bench, .. } => bench.serialize(w),
+            Job::Grid { workload, .. } => workload.benchmarks.serialize(w),
+            Job::TraceAlone { trace, .. } => w.string(&trace.content_hash.to_string()),
             Job::TraceGrid { workload, .. } => {
-                Value::Array(workload.traces.iter().map(hash).collect())
+                let hashes = workload.traces.iter().map(|t| t.content_hash.to_string());
+                w.array(&hashes.collect::<Vec<_>>())
             }
         }
     }
@@ -156,7 +154,11 @@ impl Job {
         let mut m = Map::new();
         m.insert("kind".into(), Value::String(kind.into()));
         m.insert("cfg".into(), serde_json::to_value(cfg).expect("infallible"));
-        m.insert(what.into(), self.content());
+        let mut content = String::new();
+        self.write_content(&mut Writer::new(&mut content))
+            .expect("writing to a String cannot fail");
+        let content = serde_json::parse_value(&content).expect("keys are JSON");
+        m.insert(what.into(), content);
         m.insert(
             "cycles".into(),
             serde_json::to_value(cycles).expect("infallible"),
@@ -169,31 +171,37 @@ impl Job {
     /// same benchmarks or traces, so a campaign computes it once however
     /// many cells share it. Members stream into the hash in sorted-key
     /// order: `bench` / `benchmarks` sort before `cfg`, so the ~1 kB of
-    /// benchmark parameters is folded into the hash state; `trace` /
-    /// `traces` sort after `kind` and are kept as text to close the key.
+    /// benchmark parameters is written straight into the hash state;
+    /// `trace` / `traces` sort after `kind` and are kept as text to close
+    /// the key.
     pub(crate) fn content_key(&self) -> ContentKey {
         let (_, what, _, _) = self.key_head();
         assert!(!("cfg"..="kind").contains(&what), "`{what}` sorts mid-key");
-        let content = canonical(&self.content());
-        let mut head = Hasher::new();
-        let tail = if what < "cfg" {
-            write!(head, "{{\"{what}\":{content},\"cfg\":").expect("hashing cannot fail");
-            String::new()
+        let (mut head, mut tail) = (Hasher::new(), String::new());
+        let written = if what < "cfg" {
+            write!(head, "{{\"{what}\":")
+                .and_then(|()| self.write_content(&mut Writer::canonical(&mut head)))
+                .and_then(|()| head.write_str(",\"cfg\":"))
         } else {
-            head.write_str("{\"cfg\":").expect("hashing cannot fail");
-            format!(",\"{what}\":{content}")
+            write!(tail, ",\"{what}\":")
+                .and_then(|()| self.write_content(&mut Writer::canonical(&mut tail)))
+                .and_then(|()| head.write_str("{\"cfg\":"))
         };
+        written.expect("hashing cannot fail");
         ContentKey { head, tail }
     }
 
     /// The canonical rendering of a configuration as a key's `cfg` member.
     pub(crate) fn cfg_fragment(cfg: &SimConfig) -> String {
-        canonical(&serde_json::to_value(cfg).expect("infallible"))
+        let mut text = String::new();
+        cfg.serialize(&mut Writer::canonical(&mut text))
+            .expect("writing to a String cannot fail");
+        text
     }
 
     /// The job's fingerprint from its [`Self::content_key`] and the
-    /// [`Self::cfg_fragment`] of its configuration: the hash of the text
-    /// [`canonical`] renders for [`Self::key_value`], resumed after the
+    /// [`Self::cfg_fragment`] of its configuration: the hash of the
+    /// canonical rendering of [`Self::key_value`], resumed after the
     /// content it shares with other jobs.
     pub(crate) fn fingerprint_with(&self, content: &ContentKey, cfg: &str) -> Fingerprint {
         let (kind, _, _, cycles) = self.key_head();

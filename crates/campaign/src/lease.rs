@@ -416,7 +416,12 @@ impl Heartbeat {
     /// Run this on a dedicated (scoped) thread. Renew failures are
     /// ignored: a stolen lease is already tolerated by the protocol.
     pub fn run<R: Renew>(&self, leases: &[&R], interval: std::time::Duration) {
-        let mut guard = self.done.lock().expect("heartbeat gate");
+        // The gate guards only the stop flag, which a panic cannot leave
+        // half-set: a poisoned one is recovered, as `stop` does.
+        let mut guard = self
+            .done
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         loop {
             // Checked before the first wait too: a stop() that lands
             // before this thread is scheduled must not cost a full
@@ -427,7 +432,7 @@ impl Heartbeat {
             let (g, timeout) = self
                 .finished
                 .wait_timeout(guard, interval)
-                .expect("heartbeat gate");
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             guard = g;
             if !*guard && timeout.timed_out() {
                 for lease in leases {
@@ -685,5 +690,43 @@ mod tests {
         assert!(!by_shard[&4], "old heartbeat is dead");
         a.release().unwrap();
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Counts renewals; never fails.
+    struct Counted(std::sync::atomic::AtomicUsize);
+
+    impl Renew for Counted {
+        fn renew(&self) -> std::io::Result<()> {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_poisoned_gate_still_runs_and_stops() {
+        let beat = Heartbeat::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = beat.done.lock().unwrap();
+                panic!("poisons the heartbeat gate");
+            })
+            .join()
+            .expect_err("the poisoning thread panics");
+        });
+        assert!(beat.done.is_poisoned());
+        let lease = Counted(std::sync::atomic::AtomicUsize::new(0));
+        let renewed = || lease.0.load(std::sync::atomic::Ordering::Relaxed) > 0;
+        std::thread::scope(|s| {
+            let runner = s.spawn(|| beat.run(&[&lease], std::time::Duration::from_millis(1)));
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while !renewed() && !runner.is_finished() && std::time::Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            beat.stop();
+            runner
+                .join()
+                .expect("run recovers the gate instead of panicking");
+        });
+        assert!(renewed(), "renewed while running");
     }
 }

@@ -353,8 +353,7 @@ impl Campaign {
     ///
     /// Propagates filesystem errors.
     pub fn open(root: &Path, spec: CampaignSpec) -> std::io::Result<Self> {
-        let manifest = serde_json::to_value(&spec).expect("specs serialize");
-        let store = Store::open(root, &spec.name, &manifest)?;
+        let store = Store::open_with(root, &spec.name, &spec)?;
         Ok(Campaign {
             spec,
             store,

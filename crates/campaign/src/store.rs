@@ -91,10 +91,10 @@ impl Record {
 
 /// `manifest.json`: this declaration is its schema.
 #[derive(Serialize)]
-struct Manifest {
+struct Manifest<'a, S> {
     format_version: u32,
-    campaign: String,
-    spec: Value,
+    campaign: &'a str,
+    spec: &'a S,
 }
 
 /// An open campaign store.
@@ -118,6 +118,19 @@ impl Store {
     /// Propagates filesystem errors. Unparseable shard *lines* are skipped,
     /// not errors: they re-run.
     pub fn open(root: &Path, campaign_name: &str, manifest: &Value) -> std::io::Result<Self> {
+        Self::open_with(root, campaign_name, manifest)
+    }
+
+    /// [`Store::open`], the spec echo rendered from any `manifest`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub(crate) fn open_with<S: Serialize>(
+        root: &Path,
+        campaign_name: &str,
+        manifest: &S,
+    ) -> std::io::Result<Self> {
         let store = Self::attach(root, campaign_name)?;
         for (shard, view) in store.refresh_all()?.iter().enumerate() {
             if view.skipped > 0 {
@@ -142,23 +155,21 @@ impl Store {
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn write_manifest(
+    pub fn write_manifest<S: Serialize>(
         root: &Path,
         campaign_name: &str,
-        manifest: &Value,
+        manifest: &S,
     ) -> std::io::Result<()> {
         let dir = root.join(campaign_name);
         std::fs::create_dir_all(&dir)?;
         let path = dir.join("manifest.json");
         let doc = Manifest {
             format_version: FORMAT_VERSION,
-            campaign: campaign_name.into(),
-            spec: manifest.clone(),
+            campaign: campaign_name,
+            spec: manifest,
         };
-        let text = format!(
-            "{}\n",
-            serde_json::to_string(&doc).expect("manifests serialize")
-        );
+        let mut text = serde_json::to_string(&doc).expect("manifests serialize");
+        text.push('\n');
         // Every open of an unchanged spec lands here: leave those bytes be.
         if std::fs::read(&path).is_ok_and(|old| old == text.as_bytes()) {
             return Ok(());
@@ -235,11 +246,33 @@ impl Store {
 
     /// Brings one shard's view up to date with its file, returned locked.
     ///
+    /// The refresh also tells which file the shard path names. An append
+    /// handle open on another one (compaction renamed a rewritten shard
+    /// over it, or deleted it) would write into an unlinked file, so it is
+    /// dropped: the next append reopens the path.
+    ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn refresh(&self, shard: usize) -> std::io::Result<MutexGuard<'_, ShardView>> {
-        self.views.refresh(shard, self.dir.as_path())
+        let view = self.views.refresh(shard, self.dir.as_path())?;
+        let mut writer = self.writer(shard);
+        if writer
+            .as_ref()
+            .is_some_and(|(_, id)| view.file != Some(*id))
+        {
+            *writer = None;
+        }
+        Ok(view)
+    }
+
+    /// Locks one shard's append handle. A panic while it was held leaves
+    /// at worst an open handle or a written line: both are what the next
+    /// append expects.
+    fn writer(&self, shard: usize) -> MutexGuard<'_, Option<(File, FileId)>> {
+        self.writers[shard]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// [`Store::refresh`] for every shard, locked in shard order.
@@ -268,11 +301,6 @@ impl Store {
     /// read from the write's own end position: a later `stat` could count
     /// a foreign append as read. Otherwise the next refresh reads the gap.
     ///
-    /// The refresh also told `view` which file the shard path names: an
-    /// append handle open on another one (compaction renamed a rewritten
-    /// shard over it, or deleted it) would write into an unlinked file, so
-    /// it is reopened first. A plain [`Store::append`] keeps its handle.
-    ///
     /// # Errors
     ///
     /// Propagates filesystem errors; on error, `view` is unchanged.
@@ -283,16 +311,7 @@ impl Store {
         view: Option<&mut ShardView>,
     ) -> std::io::Result<()> {
         let shard = Self::shard_of(fp);
-        // A panic while this lock was held leaves at worst an open handle
-        // or a written line: both are what the next append expects.
-        let mut guard = self.writers[shard]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let (Some(view), Some((_, id))) = (&view, guard.as_ref()) {
-            if view.file != Some(*id) {
-                *guard = None;
-            }
-        }
+        let mut guard = self.writer(shard);
         if guard.is_none() {
             use std::io::{Read, SeekFrom};
             let mut file = OpenOptions::new()
@@ -316,7 +335,8 @@ impl Store {
             *guard = Some((file, id));
         }
         let (file, id) = guard.as_mut().expect("just opened");
-        let line = format!("{}\n", Self::encode_line(record));
+        let mut line = Self::encode_line(record);
+        line.push('\n');
         file.write_all(line.as_bytes())?;
         file.flush()?;
         if let Some(view) = view {
@@ -1125,6 +1145,27 @@ mod tests {
         assert_eq!(view.records[&b.0].label, "foreign");
         assert_eq!(view.offset, first.shard_size(0));
         assert_eq!(view.records, Store::read_all(first.dir()).unwrap());
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// A handle that outlives a compaction is dropped at the next refresh,
+    /// so later plain appends land in the shard the path names, not in
+    /// the unlinked file.
+    #[test]
+    fn appends_after_a_compaction_reach_the_new_shard() {
+        let root = tmpdir("compacted-append");
+        let store = Store::attach(&root, "c").unwrap();
+        let (a, b) = (Fingerprint(8), Fingerprint(16)); // both shard 0
+        store.append(a, &Record::alone(a, "a".into(), 1.0)).unwrap();
+        let keep = HashSet::from([a.0]);
+        assert_eq!(Store::compact(&root, "c", &keep).unwrap().kept, 1);
+        drop(store.refresh(0).unwrap());
+        store.append(b, &Record::alone(b, "b".into(), 2.0)).unwrap();
+        let on_disk = Store::read_all(store.dir()).unwrap();
+        assert_eq!(
+            on_disk.keys().copied().collect::<HashSet<_>>(),
+            HashSet::from([a.0, b.0])
+        );
         let _ = std::fs::remove_dir_all(root);
     }
 

@@ -167,3 +167,33 @@ fn plan_assembles_the_baseline_snapshot_grids() {
     );
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// Every job key of the quick paper campaign, at its default seeds and
+/// at the perf ledger's (`--seed` 0xD5A22014 as workload and simulator
+/// seed): the unique fingerprints, sorted, and their count, folded into
+/// one hash per spec. The literals were computed while keys were still
+/// rendered from a `Value` tree.
+#[test]
+fn every_quick_paper_key_is_pinned() {
+    let mut seeded = CampaignSpec::paper(Scale::quick());
+    seeded.workload_seed = 0xD5A2_2014;
+    for sweep in &mut seeded.sweeps {
+        sweep.sim_seed = Some(0xD5A2_2014);
+    }
+    let pinned = [
+        (
+            CampaignSpec::paper(Scale::quick()),
+            870,
+            "d8587ece7fb8fc9b05486fe8317abdbf",
+        ),
+        (seeded, 911, "63891d730ba56a3752cca4485b0a7f11"),
+    ];
+    for (spec, count, keys) in pinned {
+        let plan = CampaignPlan::build(&spec).unwrap();
+        let mut fps: Vec<String> = plan.unique().iter().map(|(fp, _)| fp.to_string()).collect();
+        fps.sort();
+        let folded = format!("{}\n{}", fps.len(), fps.join("\n"));
+        assert_eq!(fps.len(), count);
+        assert_eq!(fingerprint_bytes(folded.as_bytes()).to_string(), keys);
+    }
+}

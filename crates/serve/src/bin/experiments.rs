@@ -523,8 +523,7 @@ fn open_backend(args: &Args, spec: &CampaignSpec, events: &Arc<EventLog>) -> Box
             let dir = args.campaign_dir().display();
             let backend =
                 LocalBackend::open(args.campaign_dir(), &spec.name).or_die(OPEN_STORE, &dir);
-            let manifest = serde_json::to_value(spec).expect("specs serialize");
-            Store::write_manifest(args.campaign_dir(), &spec.name, &manifest)
+            Store::write_manifest(args.campaign_dir(), &spec.name, spec)
                 .or_die("write campaign manifest under", &dir);
             Box::new(backend)
         }

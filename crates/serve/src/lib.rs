@@ -279,9 +279,8 @@ impl CampaignServer {
     ///
     /// Propagates filesystem errors.
     pub fn new(root: &Path, spec: CampaignSpec) -> io::Result<Self> {
-        let manifest = serde_json::to_value(&spec).expect("specs serialize");
         let store = Store::attach(root, &spec.name)?;
-        Store::write_manifest(root, &spec.name, &manifest)?;
+        Store::write_manifest(root, &spec.name, &spec)?;
         Ok(CampaignServer {
             spec,
             store,

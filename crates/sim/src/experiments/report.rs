@@ -164,4 +164,29 @@ mod tests {
         assert_eq!(to_csv(&rows), "");
         assert!(to_markdown("Empty", &rows).contains("no rows"));
     }
+
+    /// A non-finite float survives `to_value` as the number it was:
+    /// `max_slowdown` is NaN and `ws` infinite when an alone IPC is 0.
+    #[test]
+    fn non_finite_floats_export_unchanged() {
+        use crate::experiments::harness::WsRow;
+        use dsarp_core::Mechanism;
+        use dsarp_dram::Density;
+        let row = |ws: f64, max_slowdown: f64| WsRow {
+            workload: "w\"0\n".into(),
+            category: 50,
+            mechanism: Mechanism::Dsarp,
+            density: Density::G32,
+            ws,
+            hs: 0.5,
+            max_slowdown,
+            energy_nj: -0.0,
+            total_ipc: 1e-300,
+        };
+        let rows = [row(f64::INFINITY, f64::NAN), row(f64::NEG_INFINITY, 1e20)];
+        let want = "workload,category,mechanism,density,ws,hs,max_slowdown,energy_nj,total_ipc\n\
+                    w\"0\n,50,Dsarp,G32,inf,0.5000,NaN,-0.0000,0.0000\n\
+                    w\"0\n,50,Dsarp,G32,-inf,0.5000,100000000000000000000.0000,-0.0000,0.0000\n";
+        assert_eq!(to_csv(&rows), want);
+    }
 }
