@@ -42,10 +42,9 @@ pub trait StoreBackend: Sync {
     fn describe(&self) -> String;
 
     /// The current size of every shard, indexed by shard number. Shards
-    /// are append-only, so an unchanged size means unchanged contents —
-    /// workers skip re-reading such shards between rescan rounds.
-    /// (Monotonicity is only violated by compaction, which excludes
-    /// workers by holding every lease.)
+    /// are append-only (compaction writes a new store), so an unchanged
+    /// size means unchanged contents — workers skip re-reading such shards
+    /// between rescan rounds.
     ///
     /// # Errors
     ///

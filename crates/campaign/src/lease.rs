@@ -376,8 +376,8 @@ pub fn release_as(campaign_dir: &Path, shard: usize, owner: &str) -> std::io::Re
     release_at(&lock_path(campaign_dir, shard), owner)
 }
 
-/// Anything [`Heartbeat`] can renew on a timer: filesystem [`Lease`]s and
-/// backend-generic leases (renewed over HTTP) alike.
+/// Anything [`Heartbeat`] can renew on a timer: a worker's backend lease,
+/// renewed in the shared directory or over HTTP alike.
 pub trait Renew: Sync {
     /// Refreshes the lease heartbeat.
     ///
@@ -386,12 +386,6 @@ pub trait Renew: Sync {
     /// Ownership loss or transport errors; heartbeat timers ignore both
     /// (a stolen lease is already tolerated by the protocol).
     fn renew(&self) -> std::io::Result<()>;
-}
-
-impl Renew for Lease {
-    fn renew(&self) -> std::io::Result<()> {
-        Lease::renew(self)
-    }
 }
 
 /// A stoppable lease-renewal timer. [`Heartbeat::run`] blocks on its own
@@ -471,40 +465,6 @@ impl Drop for HeartbeatStopper<'_> {
 /// Reads the current lock of `shard`, if any.
 pub(crate) fn read(campaign_dir: &Path, shard: usize) -> Option<LeaseInfo> {
     read_info(&lock_path(campaign_dir, shard))
-}
-
-/// Removes leftover non-`.lock` files (heartbeat temp files and eviction
-/// tombstones orphaned by killed processes) from the lease directory,
-/// keeping anything younger than `older_than_ms` in case a rename is in
-/// flight. Returns how many were removed. Callers should exclude writers
-/// first (the `compact` subcommand runs this while holding every lease).
-///
-/// # Errors
-///
-/// Propagates directory-scan errors; a missing lease dir is `Ok(0)`.
-pub fn sweep_orphans(campaign_dir: &Path, older_than_ms: u64) -> std::io::Result<usize> {
-    let dir = lease_dir(campaign_dir);
-    let entries = match std::fs::read_dir(&dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e),
-    };
-    let mut removed = 0;
-    for entry in entries.filter_map(Result::ok) {
-        let path = entry.path();
-        if path.extension().is_some_and(|x| x == "lock") {
-            continue;
-        }
-        let old_enough = std::fs::metadata(&path)
-            .and_then(|m| m.modified())
-            .ok()
-            .and_then(|mtime| mtime.elapsed().ok())
-            .is_some_and(|age| u64::try_from(age.as_millis()).unwrap_or(u64::MAX) > older_than_ms);
-        if old_enough && std::fs::remove_file(&path).is_ok() {
-            removed += 1;
-        }
-    }
-    Ok(removed)
 }
 
 /// Lists every lock currently on disk as `(shard, info, live)`, where

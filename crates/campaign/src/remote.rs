@@ -14,9 +14,7 @@ use crate::backend::{AcquireOutcome, StoreBackend};
 use crate::fingerprint::Fingerprint;
 use crate::lease::LeaseInfo;
 use crate::retry::{self, RetryPolicy};
-use crate::store::{
-    FileId, Record, ShardTail, ShardViews, Store, TailSource, FORMAT_VERSION, SHARDS,
-};
+use crate::store::{Record, ShardTail, ShardViews, Store, TailSource, FORMAT_VERSION, SHARDS};
 use minihttp::{Client, Response};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -237,11 +235,10 @@ impl RemoteStore {
 }
 
 /// The server's [`Store::read_tail`], so a concurrent append never yields
-/// a torn JSON line here either. The protocol carries no file identity, so
-/// a remote view sees a compaction only when it shrank the shard under
-/// the view's offset.
+/// a torn JSON line here either, and an offset past the shard's end is
+/// refused there (400), not served.
 impl TailSource for RemoteStore {
-    fn tail(&self, shard: usize, offset: u64, _file: Option<FileId>) -> io::Result<ShardTail> {
+    fn tail(&self, shard: usize, offset: u64) -> io::Result<ShardTail> {
         let what = format!("read shard {shard}");
         let target = format!("/shards/{shard:02}?offset={offset}");
         let resp = self.request("GET", &target, &[], &[], &what)?;
@@ -251,10 +248,8 @@ impl TailSource for RemoteStore {
             .parse()
             .map_err(|e| bad_reply(&what, e))?;
         Ok(ShardTail {
-            reset: resp.header_value("x-shard-reset") == Some("1"),
             next_offset,
             bytes: resp.body,
-            file: None,
         })
     }
 }

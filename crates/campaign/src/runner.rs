@@ -600,9 +600,8 @@ impl CampaignClient {
                 .push(job);
         }
 
-        // Between compactions shard files only grow, so an unchanged byte
-        // size means no new records: rescan rounds re-read a shard only
-        // after its size moved.
+        // Shard files only grow, so an unchanged byte size means no new
+        // records: rescan rounds re-read a shard only after its size moved.
         let mut seen_size: BTreeMap<usize, u64> = BTreeMap::new();
         loop {
             let sizes = backend.shard_sizes()?;

@@ -19,6 +19,9 @@
 //! back until its newline lands; the next append terminates it into an
 //! undecodable line, skipped with a warning at open, and its job re-runs.
 //! Duplicate fingerprints keep the first record, so re-appends are harmless.
+//!
+//! Nothing rewrites or removes a shard file: compaction copies the live
+//! records into a new store ([`Store::compact_to`]), so a shard only grows.
 
 use crate::fingerprint::Fingerprint;
 use crate::job::RunSummary;
@@ -35,20 +38,6 @@ pub const SHARDS: usize = 8;
 
 /// Store format version, bumped on incompatible record changes.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// A shard file's identity: device, inode and birth time. Compaction's
-/// rename of a rewritten shard and its delete of an emptied one both leave
-/// the path naming a new file, whatever length it regrows to. The birth
-/// time tells that file apart from an older one whose freed inode number
-/// it reused (ext4 hands a freed number out again at once); where the
-/// filesystem keeps no birth time it is `None`.
-pub type FileId = (u64, u64, Option<std::time::SystemTime>);
-
-/// The [`FileId`] of the file `meta` describes.
-fn file_id(meta: &std::fs::Metadata) -> FileId {
-    use std::os::unix::fs::MetadataExt;
-    (meta.dev(), meta.ino(), meta.created().ok())
-}
 
 /// One cached result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -97,14 +86,25 @@ struct Manifest<'a, S> {
     spec: &'a S,
 }
 
+/// The bytes of `manifest.json` for `campaign_name`, echoing `manifest`.
+fn manifest_text<S: Serialize>(campaign_name: &str, manifest: &S) -> String {
+    let doc = Manifest {
+        format_version: FORMAT_VERSION,
+        campaign: campaign_name,
+        spec: manifest,
+    };
+    let mut text = serde_json::to_string(&doc).expect("manifests serialize");
+    text.push('\n');
+    text
+}
+
 /// An open campaign store.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
-    /// Per-shard append handles and the identity of the file each writes
-    /// to, lazily opened; mutexed so executor worker threads can flush
-    /// completed jobs concurrently.
-    writers: Vec<Mutex<Option<(File, FileId)>>>,
+    /// Per-shard append handles, lazily opened; mutexed so executor
+    /// worker threads can flush completed jobs concurrently.
+    writers: Vec<Mutex<Option<File>>>,
     /// What this process has read of every shard.
     views: ShardViews,
 }
@@ -163,13 +163,7 @@ impl Store {
         let dir = root.join(campaign_name);
         std::fs::create_dir_all(&dir)?;
         let path = dir.join("manifest.json");
-        let doc = Manifest {
-            format_version: FORMAT_VERSION,
-            campaign: campaign_name,
-            spec: manifest,
-        };
-        let mut text = serde_json::to_string(&doc).expect("manifests serialize");
-        text.push('\n');
+        let text = manifest_text(campaign_name, manifest);
         // Every open of an unchanged spec lands here: leave those bytes be.
         if std::fs::read(&path).is_ok_and(|old| old == text.as_bytes()) {
             return Ok(());
@@ -202,7 +196,7 @@ impl Store {
 
     /// Decodes one shard line into `(fingerprint, record)`; `None` for a
     /// torn or otherwise unparseable line. The single decoder behind
-    /// [`ShardViews`], [`Store::compact`] and the campaign server's append
+    /// [`ShardViews`], [`Store::compact_to`] and the campaign server's append
     /// endpoint, so the readers cannot drift apart.
     pub fn decode_line(line: &str) -> Option<(Fingerprint, Record)> {
         serde_json::from_str::<Record>(line)
@@ -246,30 +240,18 @@ impl Store {
 
     /// Brings one shard's view up to date with its file, returned locked.
     ///
-    /// The refresh also tells which file the shard path names. An append
-    /// handle open on another one (compaction renamed a rewritten shard
-    /// over it, or deleted it) would write into an unlinked file, so it is
-    /// dropped: the next append reopens the path.
-    ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
+    /// Propagates filesystem errors, and [`Store::read_tail`]'s refusal of
+    /// a shard shorter than the view has read.
     pub fn refresh(&self, shard: usize) -> std::io::Result<MutexGuard<'_, ShardView>> {
-        let view = self.views.refresh(shard, self.dir.as_path())?;
-        let mut writer = self.writer(shard);
-        if writer
-            .as_ref()
-            .is_some_and(|(_, id)| view.file != Some(*id))
-        {
-            *writer = None;
-        }
-        Ok(view)
+        self.views.refresh(shard, self.dir.as_path())
     }
 
     /// Locks one shard's append handle. A panic while it was held leaves
     /// at worst an open handle or a written line: both are what the next
     /// append expects.
-    fn writer(&self, shard: usize) -> MutexGuard<'_, Option<(File, FileId)>> {
+    fn writer(&self, shard: usize) -> MutexGuard<'_, Option<File>> {
         self.writers[shard]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -331,10 +313,9 @@ impl Store {
             if last[0] != b'\n' {
                 file.write_all(b"\n")?;
             }
-            let id = file_id(&file.metadata()?);
-            *guard = Some((file, id));
+            *guard = Some(file);
         }
-        let (file, id) = guard.as_mut().expect("just opened");
+        let file = guard.as_mut().expect("just opened");
         let mut line = Self::encode_line(record);
         line.push('\n');
         file.write_all(line.as_bytes())?;
@@ -345,7 +326,6 @@ impl Store {
             view.insert(fp, record.clone());
             if end - line.len() as u64 == view.offset {
                 view.offset = end;
-                view.file = Some(*id);
             }
         }
         Ok(())
@@ -369,11 +349,9 @@ impl Store {
         Ok(all)
     }
 
-    /// The current byte size of one shard file (0 if never written).
-    /// Between compactions a shard only grows, so workers use this to skip
-    /// re-reading shards between rescan rounds. Across a compaction an
-    /// unchanged size proves nothing: the shard is rewritten shorter and
-    /// may regrow to any length.
+    /// The current byte size of one shard file (0 if never written). A
+    /// shard only grows (healing a torn tail appends a newline), so
+    /// workers use this to skip re-reading shards between rescan rounds.
     pub fn shard_size(&self, shard: usize) -> u64 {
         std::fs::metadata(Self::shard_file(&self.dir, shard)).map_or(0, |m| m.len())
     }
@@ -386,41 +364,34 @@ impl Store {
     /// healed, so every returned chunk is whole lines. A shard with nothing
     /// past `offset` costs one `stat` and is not opened.
     ///
-    /// `reset` is true when the shard was compacted since the reader's
-    /// last poll: `offset` lies beyond the current file end, or the path
-    /// no longer names `file`, the file the reader read up to `offset`
-    /// (`None`: no file known, so only a shrink shows). The tail is then
-    /// served from offset 0 and the reader's view restarts.
-    ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; a missing shard file is empty.
-    pub fn read_tail(
-        campaign_dir: &Path,
-        shard: usize,
-        offset: u64,
-        file: Option<FileId>,
-    ) -> std::io::Result<ShardTail> {
+    /// Propagates filesystem errors; a missing shard file is empty. A
+    /// shard shorter than `offset` is `InvalidData`: shards only grow, so
+    /// the store directory was replaced under the reader.
+    pub fn read_tail(campaign_dir: &Path, shard: usize, offset: u64) -> std::io::Result<ShardTail> {
         use std::io::{ErrorKind::NotFound, Read, SeekFrom};
         let path = Self::shard_file(campaign_dir, shard);
-        let (len, id) = match std::fs::metadata(&path) {
-            Ok(meta) => (meta.len(), Some(file_id(&meta))),
-            Err(e) if e.kind() == NotFound => (0, None),
+        let len = match std::fs::metadata(&path) {
+            Ok(meta) => meta.len(),
+            Err(e) if e.kind() == NotFound => 0,
             Err(e) => return Err(e),
         };
-        let reset = offset > len || file.is_some_and(|f| id != Some(f));
-        let start = if reset { 0 } else { offset };
-        let mut bytes = Vec::with_capacity(usize::try_from(len - start).unwrap_or(0));
-        if start < len {
-            // A shard deleted since the `stat` (compacted empty) reads empty.
-            match File::open(&path) {
-                Ok(mut file) => {
-                    file.seek(SeekFrom::Start(start))?;
-                    file.read_to_end(&mut bytes)?;
-                }
-                Err(e) if e.kind() == NotFound => {}
-                Err(e) => return Err(e),
-            }
+        let Some(unread) = len.checked_sub(offset) else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "shard {shard:02} of {} holds {len} bytes, not the {offset} already read: \
+                     store replaced under a running reader",
+                    campaign_dir.display()
+                ),
+            ));
+        };
+        let mut bytes = Vec::with_capacity(usize::try_from(unread).unwrap_or(0));
+        if unread > 0 {
+            let mut file = File::open(&path)?;
+            file.seek(SeekFrom::Start(offset))?;
+            file.read_to_end(&mut bytes)?;
         }
         // Clamp to the last complete line; a torn tail is withheld until
         // its newline lands (or healing terminates it).
@@ -430,74 +401,82 @@ impl Store {
             .map_or(0, |pos| pos + 1);
         bytes.truncate(complete);
         Ok(ShardTail {
-            next_offset: start + complete as u64,
+            next_offset: offset + complete as u64,
             bytes,
-            reset,
-            file: id,
         })
     }
 
-    /// Rewrites every shard of the campaign at `root`/`campaign_name`,
-    /// keeping only the first record of each fingerprint in `keep` and
-    /// dropping orphans (fingerprints no longer reachable from any known
-    /// spec), duplicate appends, and torn lines. Each shard is rewritten
-    /// through a temp file + rename, so a crash mid-compaction leaves
-    /// either the old or the new shard, never a mix; a shard left with no
-    /// records is deleted.
+    /// Writes a compacted copy of the campaign at `root`/`campaign_name`
+    /// as a new store under `target_root`: every complete shard line
+    /// ([`Store::read_tail`] from offset 0), keeping byte for byte the
+    /// first record of each fingerprint in `keep` and dropping orphans
+    /// (fingerprints no longer reachable from the spec), duplicate appends
+    /// and undecodable lines. A line still being appended is not read, so
+    /// it is not copied. The source is only read: workers and servers may
+    /// keep appending to it meanwhile.
     ///
-    /// Callers must hold every shard lease for the duration (appends only
-    /// happen under a lease): compaction rewrites files workers append to,
-    /// and a record appended between the read and the rename would be
-    /// silently dropped. The `experiments compact` subcommand does this.
+    /// `manifest.json` (echoing `manifest`) and the shards are written into
+    /// `target_root/<campaign_name>.tmp-<pid>`, which is then renamed to
+    /// `target_root/<campaign_name>`: the target either does not exist or
+    /// is complete.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
-    pub fn compact(
+    /// `AlreadyExists` when the target or the temporary directory does;
+    /// filesystem errors otherwise (the temporary directory is then
+    /// removed).
+    pub fn compact_to<S: Serialize>(
         root: &Path,
         campaign_name: &str,
-        keep: &std::collections::HashSet<u128>,
+        keep: &HashSet<u128>,
+        target_root: &Path,
+        manifest: &S,
     ) -> std::io::Result<CompactionStats> {
-        let campaign_dir = root.join(campaign_name);
-        let mut stats = CompactionStats::default();
-        for shard in 0..SHARDS {
-            let path = Self::shard_file(&campaign_dir, shard);
-            let text = match std::fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                // Permission or corruption errors must fail the pass, not
-                // silently leave one shard uncompacted under a success
-                // report.
-                Err(e) => return Err(e),
-            };
-            stats.bytes_before += text.len() as u64;
-            let mut kept_fps = std::collections::HashSet::new();
-            let mut out = String::new();
-            for line in text.lines() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match Self::decode_line(line).map(|(fp, _)| fp.0) {
-                    Some(fp) if !keep.contains(&fp) => stats.dropped_orphans += 1,
-                    Some(fp) if !kept_fps.insert(fp) => stats.dropped_duplicates += 1,
-                    Some(_) => {
-                        out.push_str(line);
-                        out.push('\n');
-                        stats.kept += 1;
-                    }
-                    None => stats.dropped_torn += 1,
-                }
-            }
-            if out.is_empty() {
-                std::fs::remove_file(&path)?;
-            } else {
-                stats.bytes_after += out.len() as u64;
-                let tmp = path.with_extension(format!("jsonl.tmp-{}", std::process::id()));
-                std::fs::write(&tmp, out)?;
-                std::fs::rename(&tmp, &path)?;
-            }
+        let target = target_root.join(campaign_name);
+        if target.exists() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::AlreadyExists,
+                format!("{} already exists", target.display()),
+            ));
         }
-        Ok(stats)
+        let tmp = target_root.join(format!("{campaign_name}.tmp-{}", std::process::id()));
+        std::fs::create_dir_all(target_root)?;
+        std::fs::create_dir(&tmp)?;
+        let source = root.join(campaign_name);
+        let copy = || -> std::io::Result<CompactionStats> {
+            std::fs::create_dir(tmp.join("shards"))?;
+            let manifest = manifest_text(campaign_name, manifest);
+            std::fs::write(tmp.join("manifest.json"), manifest)?;
+            let (mut stats, mut kept) = (CompactionStats::default(), HashSet::new());
+            for shard in 0..SHARDS {
+                let tail = Self::read_tail(&source, shard, 0)?;
+                stats.bytes_before += tail.bytes.len() as u64;
+                let mut out = Vec::new();
+                for line in tail.bytes.split_inclusive(|&b| b == b'\n') {
+                    let text = String::from_utf8_lossy(line);
+                    match Self::decode_line(text.trim_end()).map(|(fp, _)| fp.0) {
+                        Some(fp) if !keep.contains(&fp) => stats.dropped_orphans += 1,
+                        Some(fp) if !kept.insert(fp) => stats.dropped_duplicates += 1,
+                        Some(_) => {
+                            out.extend_from_slice(line);
+                            stats.kept += 1;
+                        }
+                        None if text.trim().is_empty() => {}
+                        None => stats.dropped_torn += 1,
+                    }
+                }
+                if !out.is_empty() {
+                    stats.bytes_after += out.len() as u64;
+                    std::fs::write(Self::shard_file(&tmp, shard), out)?;
+                }
+            }
+            Ok(stats)
+        };
+        let written = copy().and_then(|stats| std::fs::rename(&tmp, &target).map(|()| stats));
+        if written.is_err() {
+            let _ = std::fs::remove_dir_all(&tmp);
+        }
+        written
     }
 }
 
@@ -506,16 +485,8 @@ impl Store {
 pub struct ShardTail {
     /// Whole-line bytes from the requested offset (possibly empty).
     pub bytes: Vec<u8>,
-    /// Offset to request next: requested offset + `bytes.len()`, or the
-    /// served length from 0 after a `reset`.
+    /// Offset to request next: requested offset + `bytes.len()`.
     pub next_offset: u64,
-    /// The shard was compacted under the requested offset (it is shorter,
-    /// or another file): `bytes` restart from offset 0, and so does the
-    /// reader's view.
-    pub reset: bool,
-    /// The identity of the file read, for the next read to pass back;
-    /// `None` for a missing shard or a tail served over HTTP.
-    pub file: Option<FileId>,
 }
 
 /// In-memory view of one shard, grown from successive [`ShardTail`]s.
@@ -523,15 +494,13 @@ pub struct ShardTail {
 pub struct ShardView {
     /// How far the shard has been decoded: where the next tail read resumes.
     offset: u64,
-    /// The file `offset` counts into, from the last tail read.
-    file: Option<FileId>,
     /// Every record decoded so far; the first per fingerprint wins.
     records: HashMap<u128, Record>,
     /// The key set of `records`, kept so a caller asking which cells a
     /// shard holds gets a copy instead of a rehash of every key. The
     /// default keyed hasher stays: fingerprints arrive from clients.
     fingerprints: HashSet<u128>,
-    /// Complete lines that did not decode since the view last restarted.
+    /// Complete lines that did not decode.
     skipped: usize,
 }
 
@@ -554,17 +523,10 @@ impl ShardView {
         }
     }
 
-    /// Folds one tail read into the view. A `reset` tail (compaction
-    /// shrank or replaced the shard under the reader's offset) restarted
-    /// from byte 0, so the view restarts with it. The offset moves last,
-    /// so a fold cut short leaves a view that the same tail, read again,
+    /// Folds one tail read into the view. The offset moves last, so a
+    /// fold cut short leaves a view that the same tail, read again,
     /// completes.
     fn apply(&mut self, tail: &ShardTail) {
-        if tail.reset {
-            self.records.clear();
-            self.fingerprints.clear();
-            self.skipped = 0;
-        }
         for line in String::from_utf8_lossy(&tail.bytes).lines() {
             match Store::decode_line(line) {
                 Some((fp, record)) => self.insert(fp, record),
@@ -573,25 +535,23 @@ impl ShardView {
             }
         }
         self.offset = tail.next_offset;
-        self.file = tail.file;
     }
 }
 
 /// Where a [`ShardViews`] reads shard bytes from: a campaign directory
 /// (a [`Path`]) or a campaign server ([`crate::RemoteStore`]).
 pub(crate) trait TailSource {
-    /// The whole-line tail of `shard` from `offset` into `file`:
-    /// [`Store::read_tail`].
+    /// The whole-line tail of `shard` from `offset`: [`Store::read_tail`].
     ///
     /// # Errors
     ///
     /// Filesystem or transport errors.
-    fn tail(&self, shard: usize, offset: u64, file: Option<FileId>) -> std::io::Result<ShardTail>;
+    fn tail(&self, shard: usize, offset: u64) -> std::io::Result<ShardTail>;
 }
 
 impl TailSource for Path {
-    fn tail(&self, shard: usize, offset: u64, file: Option<FileId>) -> std::io::Result<ShardTail> {
-        Store::read_tail(self, shard, offset, file)
+    fn tail(&self, shard: usize, offset: u64) -> std::io::Result<ShardTail> {
+        Store::read_tail(self, shard, offset)
     }
 }
 
@@ -619,7 +579,7 @@ impl ShardViews {
         source: &S,
     ) -> std::io::Result<MutexGuard<'_, ShardView>> {
         let mut view = self.lock(shard);
-        let tail = source.tail(shard, view.offset, view.file)?;
+        let tail = source.tail(shard, view.offset)?;
         view.apply(&tail);
         Ok(view)
     }
@@ -643,20 +603,20 @@ impl ShardViews {
     }
 }
 
-/// Outcome of one [`Store::compact`] pass.
+/// Outcome of one [`Store::compact_to`] copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CompactionStats {
     /// Records surviving compaction.
     pub kept: usize,
     /// Records dropped because their fingerprint is not reachable.
     pub dropped_orphans: usize,
-    /// Torn/unparseable lines dropped.
+    /// Complete but undecodable lines dropped.
     pub dropped_torn: usize,
     /// Duplicate appends of a kept fingerprint dropped.
     pub dropped_duplicates: usize,
-    /// Shard bytes before compaction.
+    /// Complete-line shard bytes read from the source.
     pub bytes_before: u64,
-    /// Shard bytes after compaction.
+    /// Shard bytes written to the target.
     pub bytes_after: u64,
 }
 
@@ -784,24 +744,52 @@ mod tests {
         let mut f = OpenOptions::new().append(true).open(&shard).unwrap();
         write!(f, "{{\"fp\":\"torn").unwrap();
         drop(f);
+        // A trailing fragment is withheld as possibly in flight; a fresh
+        // writer heals it into a complete, undecodable line.
+        let late_fp = Fingerprint(24); // same shard
+        let late = Record::alone(late_fp, "late".into(), 3.0);
+        let writer = Store::attach(&root, "c").unwrap();
+        writer.append(late_fp, &late).unwrap();
+        let source = std::fs::read(&shard).unwrap();
 
-        let keep: std::collections::HashSet<u128> = [keep_fp.0].into_iter().collect();
-        let stats = Store::compact(&root, "c", &keep).unwrap();
-        assert_eq!(stats.kept, 1);
+        let keep: HashSet<u128> = [keep_fp.0, late_fp.0].into_iter().collect();
+        let target = root.join("new");
+        let stats = Store::compact_to(&root, "c", &keep, &target, &Value::Null).unwrap();
+        assert_eq!(stats.kept, 2);
         assert_eq!(stats.dropped_orphans, 1);
         assert_eq!(stats.dropped_duplicates, 1);
         assert_eq!(stats.dropped_torn, 1);
+        assert_eq!(stats.bytes_before, source.len() as u64);
         assert!(stats.bytes_after < stats.bytes_before);
+        assert_eq!(
+            std::fs::read(&shard).unwrap(),
+            source,
+            "the source is only read"
+        );
 
-        let reopened = Store::open(&root, "c", &Value::Null).unwrap();
-        assert_eq!(reopened.loaded(), 1);
-        assert_eq!(get(&reopened, keep_fp), Some(kept));
-        assert!(get(&reopened, orphan_fp).is_none());
+        // Kept lines are copied byte for byte, beside the same manifest,
+        // and no temporary directory is left behind.
+        let copied = std::fs::read_to_string(target.join("c/shards/shard-00.jsonl")).unwrap();
+        let lines = [&kept, &late].map(|r| Store::encode_line(r) + "\n");
+        assert_eq!(copied, lines.concat());
+        let manifest = |root: &Path| std::fs::read(root.join("c/manifest.json")).unwrap();
+        assert_eq!(manifest(&target), manifest(&root));
+        assert_eq!(std::fs::read_dir(&target).unwrap().count(), 1);
+        let compacted = Store::open(&target, "c", &Value::Null).unwrap();
+        assert_eq!(compacted.loaded(), 2);
+        assert_eq!(get(&compacted, keep_fp), Some(kept));
+        assert!(get(&compacted, orphan_fp).is_none());
 
-        // Compacting everything away deletes the shard file.
-        let stats = Store::compact(&root, "c", &std::collections::HashSet::new()).unwrap();
+        // An existing target is refused; keeping nothing writes no shard.
+        let again = Store::compact_to(&root, "c", &keep, &target, &Value::Null);
+        assert_eq!(again.unwrap_err().kind(), std::io::ErrorKind::AlreadyExists);
+        let empty = root.join("empty");
+        let stats = Store::compact_to(&root, "c", &HashSet::new(), &empty, &Value::Null).unwrap();
         assert_eq!(stats.kept, 0);
-        assert!(!shard.exists());
+        assert_eq!(
+            std::fs::read_dir(empty.join("c/shards")).unwrap().count(),
+            0
+        );
         let _ = std::fs::remove_dir_all(root);
     }
 
@@ -814,8 +802,7 @@ mod tests {
         let a = Record::alone(fp_a, "a".into(), 1.0);
         store.append(fp_a, &a).unwrap();
 
-        let first = Store::read_tail(&dir, 0, 0, None).unwrap();
-        assert!(!first.reset);
+        let first = Store::read_tail(&dir, 0, 0).unwrap();
         assert!(first.bytes.ends_with(b"\n"));
         assert_eq!(first.next_offset, first.bytes.len() as u64);
         let (fp, rec) = Store::decode_line(std::str::from_utf8(&first.bytes).unwrap().trim_end())
@@ -823,7 +810,7 @@ mod tests {
         assert_eq!((fp, &rec), (fp_a, &a));
 
         // Nothing new: empty tail, same offset.
-        let again = Store::read_tail(&dir, 0, first.next_offset, None).unwrap();
+        let again = Store::read_tail(&dir, 0, first.next_offset).unwrap();
         assert!(again.bytes.is_empty());
         assert_eq!(again.next_offset, first.next_offset);
 
@@ -832,7 +819,7 @@ mod tests {
         let mut f = OpenOptions::new().append(true).open(&shard).unwrap();
         write!(f, "{{\"fp\":\"torn").unwrap();
         drop(f);
-        let torn = Store::read_tail(&dir, 0, first.next_offset, None).unwrap();
+        let torn = Store::read_tail(&dir, 0, first.next_offset).unwrap();
         assert!(torn.bytes.is_empty(), "torn fragment must be withheld");
         assert_eq!(torn.next_offset, first.next_offset);
 
@@ -842,7 +829,7 @@ mod tests {
         let b = Record::alone(fp_b, "b".into(), 2.0);
         let store = Store::open(&root, "c", &Value::Null).unwrap();
         store.append(fp_b, &b).unwrap();
-        let healed = Store::read_tail(&dir, 0, first.next_offset, None).unwrap();
+        let healed = Store::read_tail(&dir, 0, first.next_offset).unwrap();
         assert!(healed.bytes.ends_with(b"\n"));
         let lines: Vec<&str> = std::str::from_utf8(&healed.bytes)
             .unwrap()
@@ -852,31 +839,55 @@ mod tests {
         assert!(Store::decode_line(lines[0]).is_none());
         assert_eq!(Store::decode_line(lines[1]), Some((fp_b, b)));
 
-        // Offset past EOF (compaction shrank the file): reset from 0.
-        let reset = Store::read_tail(&dir, 0, 1 << 30, None).unwrap();
-        assert!(reset.reset);
-        assert_eq!(reset.next_offset, healed.next_offset);
+        // An offset past the end (the store was replaced under the
+        // reader) is refused, naming the shard.
+        let err = Store::read_tail(&dir, 0, healed.next_offset + 1).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let said = err.to_string();
+        assert!(
+            said.starts_with("shard 00 of ")
+                && said.ends_with("store replaced under a running reader"),
+            "{said}"
+        );
 
-        // The file the reader read is still there: no reset. Another file
-        // at the path (compaction replaced it): reset from 0.
-        let end = healed.next_offset;
-        assert_eq!(first.file, healed.file);
-        assert!(!Store::read_tail(&dir, 0, end, first.file).unwrap().reset);
-        let other = first.file.map(|(dev, ino, born)| (dev, ino + 1, born));
-        let replaced = Store::read_tail(&dir, 0, end, other).unwrap();
-        assert!(replaced.reset);
-        assert_eq!(replaced.next_offset, end);
-
-        // A view folded over the same tails skips the torn line, and a
-        // reset tail restarts it (dropping what only the old bytes held).
+        // A view folded over the same tails skips the torn line.
         let mut view = ShardView::default();
         view.apply(&first);
         view.apply(&healed);
         assert_eq!((view.offset, view.records.len()), (healed.next_offset, 2));
-        view.insert(Fingerprint(99), a.clone());
-        view.apply(&reset);
-        assert_eq!(view.records.get(&fp_a.0), Some(&a));
-        assert_eq!((view.offset, view.records.len()), (healed.next_offset, 2));
+        assert_eq!(view.skipped, 1);
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// A shard truncated under a refreshed view (its store replaced while
+    /// a reader runs) makes the next refresh fail and leaves the view as
+    /// it was, rather than underflow or fold in unrelated bytes.
+    #[test]
+    fn a_shrunk_shard_is_an_error_and_leaves_the_view() {
+        let root = tmpdir("shrunk");
+        let store = Store::attach(&root, "c").unwrap();
+        for fp in [8, 16] {
+            let fp = Fingerprint(fp); // shard 0
+            store
+                .append(fp, &Record::alone(fp, "r".into(), 1.0))
+                .unwrap();
+        }
+        let views = ShardViews::default();
+        let dir = store.dir();
+        let (offset, records) = {
+            let view = views.refresh(0, dir).unwrap();
+            (view.offset, view.records.clone())
+        };
+        assert_eq!(records.len(), 2);
+        let shard = OpenOptions::new()
+            .write(true)
+            .open(Store::shard_file(dir, 0))
+            .unwrap();
+        shard.set_len(offset / 2).unwrap();
+        let err = views.refresh(0, dir).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        let view = views.lock(0);
+        assert_eq!((view.offset, &view.records), (offset, &records));
         let _ = std::fs::remove_dir_all(root);
     }
 
@@ -917,30 +928,26 @@ mod tests {
             let _ = Store::decode_line(&String::from_utf8_lossy(&bytes));
         }
 
-        /// Tails (resets and torn lines included) and direct inserts over
-        /// a few colliding fingerprints: `fingerprints` stays the key set
-        /// of `records`, and every fingerprint keeps its first record.
+        /// Tails (torn lines included) and direct inserts over a few
+        /// colliding fingerprints: `fingerprints` stays the key set of
+        /// `records`, and every fingerprint keeps its first record.
         #[test]
         fn shard_view_fingerprints_track_records(
-            ops in prop::collection::vec((0u8..3, prop::collection::vec(0u8..12, 0..5)), 1..24),
+            ops in prop::collection::vec((any::<bool>(), prop::collection::vec(0u8..12, 0..5)), 1..24),
         ) {
             let mut view = ShardView::default();
             let mut model: HashMap<u128, Record> = HashMap::new();
-            for (step, (op, fps)) in ops.into_iter().enumerate() {
+            for (step, (insert, fps)) in ops.into_iter().enumerate() {
                 let records = fps.iter().map(|&fp| {
                     let fp = Fingerprint(u128::from(fp));
                     (fp, Record::alone(fp, format!("step{step}"), 1.0))
                 });
-                if op == 2 {
+                if insert {
                     for (fp, record) in records {
                         model.entry(fp.0).or_insert_with(|| record.clone());
                         view.insert(fp, record);
                     }
                 } else {
-                    let reset = op == 1;
-                    if reset {
-                        model.clear();
-                    }
                     let mut tail = String::new();
                     for (fp, record) in records {
                         tail.push_str(&Store::encode_line(&record));
@@ -950,8 +957,6 @@ mod tests {
                     view.apply(&ShardTail {
                         bytes: tail.into_bytes(),
                         next_offset: step as u64,
-                        reset,
-                        file: None,
                     });
                 }
                 let keys: HashSet<u128> = view.records.keys().copied().collect();
@@ -977,12 +982,12 @@ mod tests {
     proptest! {
         /// One shard grows in chunks cut at arbitrary bytes (record lines,
         /// duplicate fingerprints, garbage lines, torn lines later finished
-        /// or healed by an append) and shrinks by compaction. After every
-        /// chunk, a view refreshed chunk by chunk holds exactly what a
+        /// or healed by an append) and is compacted into new stores. After
+        /// every step, a view refreshed step by step holds exactly what a
         /// fresh one-shot read and the flat model over complete lines hold.
         #[test]
         fn refreshed_view_matches_a_fresh_read_and_the_line_model(
-            ops in prop::collection::vec((0u8..7, prop::collection::vec(0u8..14, 0..4), any::<u16>()), 1..24),
+            ops in prop::collection::vec((0u8..6, prop::collection::vec(0u8..14, 0..4), any::<u16>()), 1..24),
         ) {
             let root = tmpdir("one-reader");
             let dir = root.join("c");
@@ -999,20 +1004,20 @@ mod tests {
                         let store = Store::attach(&root, "c").unwrap();
                         store.append(Fingerprint(u128::from(v)), &record(v)).unwrap();
                     }
-                    // Shrink: compaction keeps the even fingerprints.
+                    // Compact into a new store keeping the even
+                    // fingerprints: the source's bytes do not move, and
+                    // the target holds exactly the kept complete records.
                     4 => {
+                        let before = std::fs::read(&path).unwrap_or_default();
                         let keep: HashSet<u128> = (0..12).step_by(2).collect();
-                        Store::compact(&root, "c", &keep).unwrap();
-                    }
-                    // Regrow: compaction keeps the odd fingerprints, and a
-                    // fresh writer appends before the next refresh.
-                    6 => {
-                        let keep: HashSet<u128> = (1..12).step_by(2).collect();
-                        Store::compact(&root, "c", &keep).unwrap();
-                        let store = Store::attach(&root, "c").unwrap();
-                        for v in items.iter().map(|v| v % 12) {
-                            store.append(Fingerprint(u128::from(v)), &record(v)).unwrap();
-                        }
+                        let target = root.join(format!("compacted-{step}"));
+                        Store::compact_to(&root, "c", &keep, &target, &Value::Null).unwrap();
+                        prop_assert_eq!(&std::fs::read(&path).unwrap_or_default(), &before);
+                        let mut kept = first_records_of_complete_lines(&before);
+                        kept.retain(|fp, _| keep.contains(fp));
+                        let compacted = ShardViews::default();
+                        let compacted = compacted.refresh(0, target.join("c").as_path()).unwrap();
+                        prop_assert_eq!(&compacted.records, &kept);
                     }
                     _ => {
                         for v in items {
@@ -1040,60 +1045,6 @@ mod tests {
             }
             let _ = std::fs::remove_dir_all(root);
         }
-    }
-
-    /// A shard compacted and regrown to its view's offset before the next
-    /// refresh is a new file: the view restarts from byte 0 rather than
-    /// keep the compacted-away records and skip the regrown ones.
-    #[test]
-    fn a_compacted_then_regrown_shard_restarts_the_view() {
-        let root = tmpdir("regrow");
-        let store = Store::attach(&root, "c").unwrap();
-        let record = |fp: u128| Record::alone(Fingerprint(fp), "r".into(), 1.0);
-        for fp in [8, 16, 24] {
-            store.append(Fingerprint(fp), &record(fp)).unwrap(); // shard 0
-        }
-        assert_eq!(store.refresh(0).unwrap().offset, 300);
-        Store::compact(&root, "c", &[8].into_iter().collect()).unwrap();
-        let writer = Store::attach(&root, "c").unwrap();
-        for fp in [32, 40] {
-            writer.append(Fingerprint(fp), &record(fp)).unwrap();
-        }
-        assert_eq!(store.shard_size(0), 300, "regrown to the view's offset");
-        let view = store.refresh(0).unwrap();
-        assert_eq!(view.fingerprints, [8, 32, 40].into_iter().collect());
-        assert_eq!(view.records, Store::read_all(store.dir()).unwrap());
-        assert_eq!(view.offset, 300);
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    /// The server path's append handle follows the shard file: after
-    /// compaction renames a rewritten shard over it, or deletes an emptied
-    /// one, the next append lands in the file the path names, not in the
-    /// unlinked one the handle had open.
-    #[test]
-    fn a_server_append_after_compaction_lands_in_the_current_file() {
-        let root = tmpdir("append-after-compact");
-        let store = Store::attach(&root, "c").unwrap();
-        let append = |fp: u128| {
-            let mut view = store.refresh(0).unwrap();
-            let record = Record::alone(Fingerprint(fp), "r".into(), 1.0);
-            store
-                .append_locked(Fingerprint(fp), &record, Some(&mut view))
-                .unwrap();
-        };
-        let on_disk =
-            || -> HashSet<u128> { Store::read_all(store.dir()).unwrap().into_keys().collect() };
-        append(8); // shard 0
-        Store::compact(&root, "c", &[8].into_iter().collect()).unwrap();
-        append(16);
-        assert_eq!(on_disk(), [8, 16].into_iter().collect());
-        Store::compact(&root, "c", &HashSet::new()).unwrap();
-        append(24);
-        append(32);
-        assert_eq!(on_disk(), [24, 32].into_iter().collect());
-        assert_eq!(store.refresh(0).unwrap().fingerprints, on_disk());
-        let _ = std::fs::remove_dir_all(root);
     }
 
     /// Opening a store with the spec its manifest already echoes leaves
@@ -1145,27 +1096,6 @@ mod tests {
         assert_eq!(view.records[&b.0].label, "foreign");
         assert_eq!(view.offset, first.shard_size(0));
         assert_eq!(view.records, Store::read_all(first.dir()).unwrap());
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    /// A handle that outlives a compaction is dropped at the next refresh,
-    /// so later plain appends land in the shard the path names, not in
-    /// the unlinked file.
-    #[test]
-    fn appends_after_a_compaction_reach_the_new_shard() {
-        let root = tmpdir("compacted-append");
-        let store = Store::attach(&root, "c").unwrap();
-        let (a, b) = (Fingerprint(8), Fingerprint(16)); // both shard 0
-        store.append(a, &Record::alone(a, "a".into(), 1.0)).unwrap();
-        let keep = HashSet::from([a.0]);
-        assert_eq!(Store::compact(&root, "c", &keep).unwrap().kept, 1);
-        drop(store.refresh(0).unwrap());
-        store.append(b, &Record::alone(b, "b".into(), 2.0)).unwrap();
-        let on_disk = Store::read_all(store.dir()).unwrap();
-        assert_eq!(
-            on_disk.keys().copied().collect::<HashSet<_>>(),
-            HashSet::from([a.0, b.0])
-        );
         let _ = std::fs::remove_dir_all(root);
     }
 

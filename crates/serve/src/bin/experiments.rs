@@ -15,7 +15,6 @@
 //! own cells. `--spec` and `--traces` campaigns reduce to one generic
 //! `grid_<sweep>.csv` per sweep instead of the paper's named artifacts.
 
-use dsarp_campaign::store::SHARDS;
 use dsarp_campaign::{
     export, lease, paper, traces, Campaign, CampaignClient, CampaignPlan, CampaignReport,
     CampaignSpec, CampaignStatus, Event, EventLog, LocalBackend, RemoteStore, Store, StoreBackend,
@@ -28,7 +27,7 @@ use dsarp_sim::experiments::{
     harness::{Scale, WORKLOAD_SEED},
     report,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,7 +42,7 @@ const SUBCOMMANDS: [Subcommand; 8] = [
     ("worker", "lease shards of the missing cells, simulate them, exit once all are drained", run_worker_cmd),
     ("merge", "wait for the drain, re-run dead workers' cells, then reduce exactly as run does", run_or_merge),
     ("status", "print done/missing cells and the lease holder of every shard (read-only)", run_status_cmd),
-    ("compact", "rewrite shards without orphaned records, duplicate appends and torn lines", run_compact_cmd),
+    ("compact", "copy the spec's live records into a new store under --to; the source is only read", run_compact_cmd),
     ("serve", "host the store over HTTP for --store-url workers; prints the URL first", run_serve_cmd),
     ("trace-capture", "record synthetic intensive mixes as trace files, one per core", run_trace_capture),
     ("trace-convert", "re-encode one trace file (lossless dialects round-trip byte-stably)", run_trace_convert),
@@ -113,7 +112,7 @@ const FLAGS: &[(&str, &str, &[&str], &str, &str)] = &[
         "run `experiments serve` where the store lives; its GET /status replaces `status`"),
     ("--owner", "ID", &["worker", "merge"], "lease owner id (default worker-<pid>)", ""),
     ("--poll-ms", "N", &["worker", "merge"], "wait between polls for other workers' cells (default 500)", ""),
-    ("--ttl-ms", "N", &["worker", "merge", "compact"], "lease lifetime without a heartbeat (default 30000)", ""),
+    ("--ttl-ms", "N", &["worker", "merge"], "lease lifetime without a heartbeat (default 30000)", ""),
     ("--listen", "ADDR", &["serve"], "bind address (default 127.0.0.1:0, a free port)", ""),
     ("--count", "N", &["trace-capture"], "mixes to capture (default 4)", ""),
     ("--ops", "N", &["trace-capture"], "entries per trace file (default 50000)", ""),
@@ -121,7 +120,7 @@ const FLAGS: &[(&str, &str, &[&str], &str, &str)] = &[
     ("--format", "text|text-ext|bin", &["trace-capture", "trace-convert"],
         "trace dialect (capture: text; convert: bin for a .dtrace target, else text-ext)", ""),
     ("--from", "FILE", &["trace-convert"], "the trace file to read", ""),
-    ("--to", "FILE", &["trace-convert"], "the trace file to write", ""),
+    ("--to", "PATH", &["compact", "trace-convert"], "where to write: compact's new store root, or the converted trace file", ""),
 ];
 
 /// Pairs of flags that cannot both be given, and why.
@@ -142,6 +141,7 @@ const REQUIRES: &[(&str, &str, &str)] = &[
     ("trace-capture", "--traces", "the directory to capture into"),
     ("trace-convert", "--from", "the trace file to read"),
     ("trace-convert", "--to", "the trace file to write"),
+    ("compact", "--to", "the directory the compacted store is written under"),
 ];
 
 /// `--help` text: the rows of [`FLAGS`] that `cmd` takes, or for `None`
@@ -561,28 +561,37 @@ fn run_worker_cmd(args: &Args) {
     // on a failing disk.
 }
 
+/// `compact`: copies the records the spec reaches into a new store under
+/// `--to`, first record per fingerprint, byte for byte. The source is only
+/// read, so workers and servers may keep running; swapping the new store in
+/// is left to the user, with nothing running.
 fn run_compact_cmd(args: &Args) {
     let spec = &resolve_spec(args).0;
-    let (root, ttl_ms) = (args.campaign_dir(), args.ttl_ms());
+    let (root, to) = (
+        args.campaign_dir(),
+        args.path("--to").expect("parse() requires it"),
+    );
     let campaign_dir = root.join(&spec.name);
-
-    // Everything that can refuse runs BEFORE any lease is taken, so a
-    // failed compact never strands 8 fresh locks that block workers (and
-    // compact retries) for a whole TTL.
+    let target = to.join(&spec.name);
+    if same_dir(root, to) {
+        die(&format!(
+            "refusing to compact: --to {} is the --campaign root; name a new directory",
+            to.display()
+        ));
+    }
     // A trace sweep whose files are missing/unreadable must refuse here,
     // naming the offending file: expanding to an empty keep-set would
-    // otherwise compact every cached record away as orphans.
+    // otherwise drop every cached record as an orphan.
     let plan = CampaignPlan::build(spec).unwrap_or_else(|e| {
         die(&format!(
             "refusing to compact: {e} \
              (fix or restore the trace, or compact with the spec that matches the store)"
         ))
     });
-    let keep: std::collections::HashSet<u128> = plan.unique().iter().map(|(fp, _)| fp.0).collect();
+    let keep: HashSet<u128> = plan.unique().iter().map(|(fp, _)| fp.0).collect();
     // Refuse a compaction that would empty a non-empty store: the spec
     // (or its scale — cycles are part of the fingerprint) almost
-    // certainly does not match what the store was populated with. The
-    // check only reads: a refused compact leaves the store as it was.
+    // certainly does not match what the store was populated with.
     let records = Store::read_all(&campaign_dir).or_die(OPEN_STORE, root.display());
     if !records.is_empty() && !records.keys().any(|fp| keep.contains(fp)) {
         die(&format!(
@@ -592,62 +601,13 @@ fn run_compact_cmd(args: &Args) {
         ));
     }
     drop(records);
-
-    // Exclude every writer for the rewrite: appends only happen under a
-    // shard lease, so holding all of them is sufficient. (A point-in-time
-    // liveness scan would race a worker acquiring a lease and appending
-    // between the scan and the rename.)
-    let owner = format!("compact-{}", std::process::id());
-    let mut held = Vec::new();
-    for shard in 0..SHARDS {
-        let refusal = match lease::Lease::acquire(&campaign_dir, shard, &owner, ttl_ms) {
-            Ok(lease::Acquire::Acquired(lock)) => {
-                held.push(lock);
-                continue;
-            }
-            Ok(lease::Acquire::Held { holder, .. }) => format!(
-                "refusing to compact: shard {shard} is leased by `{}` \
-                 (wait for workers to finish, or let the lease go stale)",
-                holder.owner
-            ),
-            Err(e) => format!(
-                "cannot acquire the compaction lease of shard {shard} under {}: {e}",
-                campaign_dir.display()
-            ),
-        };
-        // Never strand the leases already taken: they would block workers
-        // (and compact retries) for a whole TTL.
-        for lock in held {
-            let _ = lock.release();
-        }
-        die(&refusal);
-    }
-    // The rewrite runs under a heartbeat so a slow pass (large store,
-    // NFS) cannot let the compaction leases go stale and be reclaimed by
-    // a worker mid-rewrite. Leases are released before the Result is
-    // unwrapped, so an I/O failure doesn't strand them either.
-    let heartbeat = lease::Heartbeat::new();
-    let lock_refs: Vec<&lease::Lease> = held.iter().collect();
-    let renew_every = std::time::Duration::from_millis((ttl_ms / 4).max(1));
-    let result = std::thread::scope(|s| {
-        s.spawn(|| heartbeat.run(&lock_refs, renew_every));
-        let _stop = heartbeat.stopper();
-        let stats = Store::compact(root, &spec.name, &keep);
-        // While every writer is excluded anyway, clear temp files and
-        // eviction tombstones orphaned by killed processes.
-        let swept = lease::sweep_orphans(&campaign_dir, ttl_ms).unwrap_or(0);
-        (stats, swept)
-    });
-    // Every lease is released before the first failure is reported.
-    let released: Vec<_> = held.into_iter().map(|lock| lock.release()).collect();
-    let released: std::io::Result<()> = released.into_iter().collect();
-    released.or_die("release compaction leases under", campaign_dir.display());
-    let (stats, swept) = result;
-    let stats = stats.or_die("compact the store under", campaign_dir.display());
+    let stats = Store::compact_to(root, &spec.name, &keep, to, spec)
+        .or_die("write the compacted store", target.display());
     println!(
-        "compacted campaign `{}`: kept {} records, dropped {} orphans + {} duplicates + \
-         {} torn lines ({} -> {} bytes); swept {swept} orphaned lease temp files",
+        "compacted campaign `{}` into {}: kept {} records, dropped {} orphans + {} duplicates + \
+         {} torn lines ({} -> {} bytes)",
         spec.name,
+        target.display(),
         stats.kept,
         stats.dropped_orphans,
         stats.dropped_duplicates,
@@ -655,6 +615,15 @@ fn run_compact_cmd(args: &Args) {
         stats.bytes_before,
         stats.bytes_after
     );
+}
+
+/// Whether `a` and `b` name one directory: compared canonically when both
+/// exist, else as absolute paths.
+fn same_dir(a: &Path, b: &Path) -> bool {
+    match (a.canonicalize(), b.canonicalize()) {
+        (Ok(a), Ok(b)) => a == b,
+        _ => std::path::absolute(a).ok() == std::path::absolute(b).ok(),
+    }
 }
 
 /// `run` and `merge`: execute or drain the campaign, then reduce it.

@@ -34,9 +34,8 @@
 //! and a matching `If-None-Match` short-circuits to `304 Not Modified`
 //! without touching the store. Cells, exports and append dedup read the
 //! store's [`dsarp_campaign::store::ShardViews`]: a shard costs one `stat`,
-//! and is reopened only when its length or its file moved (another
-//! process appended, or compaction rewrote it); the server's own appends
-//! join the view.
+//! and is reopened only when it grew (another process appended); the
+//! server's own appends join the view.
 //!
 //! Every request is also counted into one fixed metric table:
 //! `dsarp_http_requests_total{method,route,code}`,
@@ -53,7 +52,7 @@
 use dsarp_campaign::fingerprint::fingerprint_bytes;
 use dsarp_campaign::lease::{self, Acquire, Lease};
 use dsarp_campaign::remote::{AppendReply, CampaignInfo, LeaseReply, LeaseRequest, SizesReply};
-use dsarp_campaign::store::{ShardTail, FORMAT_VERSION, SHARDS};
+use dsarp_campaign::store::{FORMAT_VERSION, SHARDS};
 use dsarp_campaign::{CampaignPlan, CampaignSpec, CampaignStatus, Fingerprint, Store};
 use dsarp_obs::{write_header, Counter, Histogram};
 use dsarp_sim::experiments::report;
@@ -398,11 +397,10 @@ impl CampaignServer {
             })?,
             None => 0,
         };
-        // A client's offset comes with no file identity: only a shrink resets.
-        let tail: ShardTail = Store::read_tail(self.store.dir(), shard, offset, None)?;
+        // An offset past the shard's end is `InvalidData`: a 400.
+        let tail = Store::read_tail(self.store.dir(), shard, offset)?;
         Ok(Response::with_body(200, "application/x-ndjson", tail.bytes)
-            .header("x-next-offset", &tail.next_offset.to_string())
-            .header("x-shard-reset", if tail.reset { "1" } else { "0" }))
+            .header("x-next-offset", &tail.next_offset.to_string()))
     }
 
     fn shard_append(&self, nn: &str, req: &Request) -> io::Result<Response> {

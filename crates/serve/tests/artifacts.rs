@@ -93,13 +93,15 @@ fn full_run_writes_the_declared_files_and_every_exp_answers_warm() {
     }
 
     // The full-scale spec reaches none of this store's records: compact
-    // refuses as a usage error (exit 2, no panic), deleting nothing and
-    // writing nothing, not even the manifest.
+    // refuses as a usage error (exit 2, no panic), writing nothing, not
+    // even the manifest, and creating no new store.
     let manifest = store.join("paper/manifest.json");
     let manifest_before = std::fs::read(&manifest).unwrap();
+    let compacted = dir.join("compacted");
     let refusal = Command::new(BIN)
         .args(["compact", "--scale", "full"])
         .args(["--campaign", store.to_str().unwrap()])
+        .args(["--to", compacted.to_str().unwrap()])
         .output()
         .unwrap();
     let stderr = String::from_utf8_lossy(&refusal.stderr);
@@ -113,6 +115,7 @@ fn full_run_writes_the_declared_files_and_every_exp_answers_warm() {
         manifest_before,
         "a refused compact rewrote manifest.json"
     );
+    assert!(!compacted.exists(), "a refused compact wrote a store");
     let warm = experiments(&store, &dir.join("after"), &["--exp", "table5"]);
     assert!(warm.contains(", 0 simulated"), "{warm}");
     let _ = std::fs::remove_dir_all(dir);

@@ -220,8 +220,9 @@ fn killed_worker_is_reclaimed_and_merge_matches_single_process() {
 }
 
 /// Two concurrent workers from a cold store split the work without
-/// overlapping simulations, and compaction afterwards is a no-op-safe
-/// cleanup: orphans and torn lines vanish, results stay byte-identical.
+/// overlapping simulations, and `compact --to` afterwards writes a clean
+/// copy: the orphan and the torn line are not copied, the source is left
+/// as it was, and the copy answers every cell with identical grids.
 #[test]
 fn concurrent_workers_then_compact_keep_results_identical() {
     let dir = tmpdir("concurrent-compact");
@@ -257,8 +258,9 @@ fn concurrent_workers_then_compact_keep_results_identical() {
     let mut text = std::fs::read_to_string(&shard0).unwrap_or_default();
     text.push_str("{\"fp\":\"00000000000000000000000000000001\",\"kind\":\"alone\",\"label\":\"orphan\",\"alone_ipc\":1.0,\"summary\":null}\n");
     text.push_str("{\"fp\":\"torn");
-    std::fs::write(&shard0, text).unwrap();
+    std::fs::write(&shard0, &text).unwrap();
 
+    let compacted = dir.join("compacted");
     let compact = Command::new(BIN)
         .args([
             "compact",
@@ -266,6 +268,8 @@ fn concurrent_workers_then_compact_keep_results_identical() {
             store.to_str().unwrap(),
             "--spec",
             spec_path.to_str().unwrap(),
+            "--to",
+            compacted.to_str().unwrap(),
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -277,9 +281,23 @@ fn concurrent_workers_then_compact_keep_results_identical() {
         "compact must report the orphan: {compact_out}"
     );
 
-    // Post-compaction the campaign still reduces with zero simulation and
-    // identical grids.
-    let clean = Campaign::open(&store, dist_spec()).unwrap().run().unwrap();
+    assert_eq!(
+        std::fs::read_to_string(&shard0).unwrap(),
+        text,
+        "the source is only read"
+    );
+    let copied =
+        std::fs::read_to_string(compacted.join("dist/shards/shard-00.jsonl")).unwrap_or_default();
+    assert!(
+        !copied.contains("orphan") && !copied.contains("torn"),
+        "{copied}"
+    );
+
+    // The compacted store reduces with zero simulation and identical grids.
+    let clean = Campaign::open(&compacted, dist_spec())
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(clean.stats.simulated, 0, "compaction must not lose records");
     for (name, grid) in &warm.grids {
         let rows = clean.grids[name].rows();

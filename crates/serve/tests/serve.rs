@@ -90,11 +90,13 @@ fn get(path: &str, query: &[(&str, &str)], headers: &[(&str, &str)]) -> Request 
 /// applies where is walked row by row in the binary's own tests.)
 #[test]
 fn cli_refuses_invalid_modes_naming_the_token() {
-    // An environment `compact` cannot lease in: `leases` is a regular file.
-    let blocked = tmpdir("cli-blocked-leases");
-    std::fs::create_dir_all(blocked.join("paper")).unwrap();
-    std::fs::write(blocked.join("paper/leases"), "not a directory").unwrap();
-    let blocked_store = blocked.to_str().unwrap();
+    // A store to compact, its root spelled another way, and a `--to` root
+    // that already holds the campaign.
+    let dir = tmpdir("cli-compact");
+    let (store, taken) = (dir.join("store"), dir.join("taken"));
+    std::fs::create_dir_all(taken.join("paper")).unwrap();
+    let store = store.to_str().unwrap();
+    let (same, taken) = (format!("{store}/."), taken.to_str().unwrap());
     let cases: &[(&[&str], &str)] = &[
         (&["frobnicate"], "unknown subcommand `frobnicate`"),
         (
@@ -134,9 +136,34 @@ fn cli_refuses_invalid_modes_naming_the_token() {
             ],
             "cannot write --emit-spec",
         ),
+        (&["compact", "--scale", "quick"], "compact needs --to"),
         (
-            &["compact", "--scale", "quick", "--campaign", blocked_store],
-            "cannot acquire the compaction lease of shard 0",
+            &[
+                "compact",
+                "--scale",
+                "quick",
+                "--campaign",
+                store,
+                "--to",
+                &same,
+            ],
+            "is the --campaign root",
+        ),
+        (
+            &[
+                "compact",
+                "--scale",
+                "quick",
+                "--campaign",
+                store,
+                "--to",
+                taken,
+            ],
+            "already exists",
+        ),
+        (
+            &["compact", "--ttl-ms", "9"],
+            "--ttl-ms does not apply to `compact`",
         ),
     ];
     for (args, needle) in cases {
@@ -168,7 +195,11 @@ fn cli_refuses_invalid_modes_naming_the_token() {
     let stdout = String::from_utf8_lossy(&help.stdout);
     assert_eq!(help.status.code(), Some(0), "{stdout}");
     assert!(stdout.contains("--store-url URL") && !stdout.contains("--listen"));
-    let _ = std::fs::remove_dir_all(blocked);
+    assert!(
+        !dir.join("store").exists(),
+        "a refused compact created its source"
+    );
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// A spec whose sweep the simulator cannot build — 3 cores (the LLC needs
@@ -472,24 +503,25 @@ fn cells_and_exports_honor_etags() {
 /// The server answers cell reads from an in-memory view it refreshes only
 /// when a shard's length moved. A record a local worker appends straight
 /// into the served directory (mixed topology) is served on the very next
-/// read, and a shard that compaction shrank still resets the view.
+/// read, and a compaction into a new store changes nothing the server
+/// serves or where its appends land.
 #[test]
 fn cell_reads_see_direct_appends_and_compaction() {
     let dir = tmpdir("stat-gate");
     let spec = small_spec("gate");
     let server = CampaignServer::new(&dir, spec.clone()).unwrap();
     let local = Store::open(&dir, &spec.name, &serde_json::to_value(&spec).unwrap()).unwrap();
-    // Both route to shard 0.
-    let (a, b) = (Fingerprint(8), Fingerprint(16));
+    // All route to shard 0.
+    let (a, b, c) = (Fingerprint(8), Fingerprint(16), Fingerprint(24));
     let cell = |fp: Fingerprint| server.handle(&get(&format!("/cells/{fp}"), &[], &[]));
-
-    let append = Request {
+    let append = |fp: Fingerprint| Request {
         method: "POST".into(),
         path: "/shards/00/append".into(),
-        body: Store::encode_line(&Record::alone(a, "a".into(), 1.0)).into_bytes(),
+        body: Store::encode_line(&Record::alone(fp, "served".into(), 1.0)).into_bytes(),
         ..get("", &[], &[])
     };
-    assert_eq!(server.handle(&append).status, 200);
+
+    assert_eq!(server.handle(&append(a)).status, 200);
     assert_eq!(cell(a).status, 200);
     assert_eq!(cell(b).status, 404);
 
@@ -503,30 +535,142 @@ fn cell_reads_see_direct_appends_and_compaction() {
     );
 
     let keep: HashSet<u128> = [b.0].into_iter().collect();
-    let stats = Store::compact(&dir, &spec.name, &keep).unwrap();
-    assert_eq!(stats.dropped_orphans, 1);
-    assert_eq!(cell(a).status, 404, "compaction must reset the view");
-    assert_eq!(cell(b).status, 200);
+    let stats = Store::compact_to(&dir, &spec.name, &keep, &dir.join("new"), &spec).unwrap();
+    assert_eq!((stats.kept, stats.dropped_orphans), (1, 1));
+    assert_eq!(server.handle(&append(c)).status, 200);
+    for fp in [a, b, c] {
+        assert_eq!(cell(fp).status, 200, "{fp} after compaction");
+    }
+    let on_disk = Store::read_all(&dir.join(&spec.name)).unwrap();
+    assert_eq!(on_disk.len(), 3, "the server appends to the source shard");
+    let _ = std::fs::remove_dir_all(dir);
+}
 
-    // Compacted, then regrown past the server's offset before its next
-    // read: the shard is a new file, and is reread from its start.
-    let (c, d, e) = (Fingerprint(24), Fingerprint(32), Fingerprint(40));
-    let append_fresh = |fps: &[Fingerprint]| {
-        let writer = Store::attach(&dir, &spec.name).unwrap();
-        for &fp in fps {
-            writer
-                .append(fp, &Record::alone(fp, "r".into(), 3.0))
-                .unwrap();
+/// `GET /shards/{nn}?offset=` one byte past the shard's end is a 400
+/// naming the cause: shards only grow, so the store was replaced.
+#[test]
+fn a_shard_offset_past_the_end_is_a_bad_request() {
+    let dir = tmpdir("past-end");
+    let spec = small_spec("past");
+    let server = CampaignServer::new(&dir, spec.clone()).unwrap();
+    let fp = Fingerprint(8);
+    let local = Store::attach(&dir, &spec.name).unwrap();
+    local
+        .append(fp, &Record::alone(fp, "a".into(), 1.0))
+        .unwrap();
+    let size = local.shard_size(0);
+    let tail =
+        |offset: u64| server.handle(&get("/shards/00", &[("offset", &offset.to_string())], &[]));
+    assert_eq!(tail(size).status, 200);
+    let resp = tail(size + 1);
+    assert_eq!(resp.status, 400, "{}", resp.text_body());
+    assert!(
+        resp.text_body()
+            .contains("store replaced under a running reader"),
+        "{}",
+        resp.text_body()
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Compaction only reads its source: a live local `Store` and a live
+/// campaign server keep appending to shard 0 while `Store::compact_to`
+/// runs. Afterwards every source shard still begins with its bytes from
+/// before, every concurrent append is on disk and served by `/cells`, and
+/// each new store holds every record present before the compaction and
+/// nothing the source does not hold and the spec does not reach.
+#[test]
+fn compaction_beside_live_appenders_only_reads_the_source() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    let dir = tmpdir("compact-live");
+    let spec = small_spec("live");
+    let server = CampaignServer::new(&dir, spec.clone()).unwrap();
+    let local = Store::attach(&dir, &spec.name).unwrap();
+    let campaign_dir = dir.join(&spec.name);
+    let record = |fp: Fingerprint, label: &str| Record::alone(fp, label.into(), 1.0);
+    // Records across every shard, one the spec no longer reaches.
+    let seeded: Vec<Fingerprint> = (1..=64u128).map(|i| Fingerprint(i * 0x9E37_79B9)).collect();
+    for &fp in &seeded {
+        local.append(fp, &record(fp, "seed")).unwrap();
+    }
+    let orphan = seeded[0];
+    let shard_bytes = |s| std::fs::read(Store::shard_file(&campaign_dir, s)).unwrap_or_default();
+    let before: Vec<Vec<u8>> = (0..SHARDS).map(shard_bytes).collect();
+    let present = Store::read_all(&campaign_dir).unwrap();
+
+    // Shard 0 fingerprints: even for the local writer, odd for the
+    // server. Both append until every compaction is done.
+    let cap = 4_096u128;
+    let concurrent = |i: u128| Fingerprint((1_000 + i) * SHARDS as u128);
+    let keep: HashSet<u128> = seeded[1..]
+        .iter()
+        .map(|fp| fp.0)
+        .chain((0..cap).map(|i| concurrent(i).0))
+        .collect();
+    let (started, done) = (AtomicUsize::new(0), AtomicBool::new(false));
+    let append_until_done = |first: u128, append: &dyn Fn(Fingerprint)| {
+        let mut appended = Vec::new();
+        for i in (first..cap).step_by(2) {
+            if done.load(Ordering::SeqCst) {
+                break;
+            }
+            append(concurrent(i));
+            appended.push(concurrent(i));
+            started.fetch_add(1, Ordering::SeqCst);
         }
+        appended
     };
-    append_fresh(&[c]);
-    assert_eq!(cell(c).status, 200);
-    let keep: HashSet<u128> = [c.0].into_iter().collect();
-    Store::compact(&dir, &spec.name, &keep).unwrap();
-    append_fresh(&[d, e]);
-    assert_eq!(cell(d).status, 200, "a regrown shard must be reread");
-    assert_eq!(cell(e).status, 200);
-    assert_eq!(cell(b).status, 404, "compaction must reset the view");
+    let targets: Vec<PathBuf> = (0..4).map(|i| dir.join(format!("new-{i}"))).collect();
+    let appended: Vec<Fingerprint> = std::thread::scope(|s| {
+        let by_store =
+            s.spawn(|| append_until_done(0, &|fp| local.append(fp, &record(fp, "local")).unwrap()));
+        let by_server = s.spawn(|| {
+            append_until_done(1, &|fp| {
+                let req = Request {
+                    method: "POST".into(),
+                    path: "/shards/00/append".into(),
+                    body: Store::encode_line(&record(fp, "server")).into_bytes(),
+                    ..get("", &[], &[])
+                };
+                assert_eq!(server.handle(&req).status, 200);
+            })
+        });
+        while started.load(Ordering::SeqCst) < 8 {
+            std::thread::yield_now();
+        }
+        for target in &targets {
+            Store::compact_to(&dir, &spec.name, &keep, target, &spec).unwrap();
+        }
+        done.store(true, Ordering::SeqCst);
+        [by_store, by_server]
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+
+    for (shard, old) in before.iter().enumerate() {
+        assert!(
+            shard_bytes(shard).starts_with(old),
+            "shard {shard} lost bytes"
+        );
+    }
+    let source = Store::read_all(&campaign_dir).unwrap();
+    assert!(appended.len() >= 8, "{} appends", appended.len());
+    for fp in appended {
+        assert!(source.contains_key(&fp.0), "append of {fp} is missing");
+        let resp = server.handle(&get(&format!("/cells/{fp}"), &[], &[]));
+        assert_eq!(resp.status, 200, "{fp}");
+    }
+    for target in &targets {
+        let compacted = Store::read_all(&target.join(&spec.name)).unwrap();
+        for (fp, rec) in &compacted {
+            assert!(keep.contains(fp) && source.get(fp) == Some(rec), "{fp:x}");
+        }
+        for (fp, rec) in present.iter().filter(|(fp, _)| keep.contains(fp)) {
+            assert_eq!(compacted.get(fp), Some(rec), "{fp:x} present before");
+        }
+        assert!(!compacted.contains_key(&orphan.0));
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -539,6 +539,8 @@ fn compact_refuses_and_names_a_missing_trace() {
             spec_path.to_str().unwrap(),
             "--campaign",
             store.to_str().unwrap(),
+            "--to",
+            dir.join("compacted").to_str().unwrap(),
         ])
         .output()
         .unwrap();
